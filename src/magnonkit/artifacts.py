@@ -18,7 +18,8 @@ def fmt(value) -> str:
 
 def _to_plain(obj):
     if isinstance(obj, np.ndarray):
-        return [_to_plain(v) for v in obj.tolist()]
+        plain = obj.tolist()
+        return plain if obj.dtype != object else _to_plain(plain)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -56,8 +57,12 @@ def json_dumps(obj, indent: int = 2) -> str:
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
-            items = ",\n".join(f"{pad_in}{emit(v, level + 1)}" for v in node)
-            return "[\n" + items + "\n" + pad + "]"
+            sep = ",\n" + pad_in
+            if all(isinstance(v, float) for v in node):
+                items = sep.join(["%.17g"] * len(node)) % tuple(node)
+            else:
+                items = sep.join(emit(v, level + 1) for v in node)
+            return "[\n" + pad_in + items + "\n" + pad + "]"
         raise TypeError(f"cannot serialize {type(node).__name__}")
 
     return emit(_to_plain(obj), 0) + "\n"

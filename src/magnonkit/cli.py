@@ -4,7 +4,8 @@ Subcommands: validate | solve | oracle | dynamics | sectors.  Every run reads
 a flat key/value config file (``section.key = value`` lines, '#' comments),
 resolves defaults, and embeds the effective configuration in each artifact so
 results are reproducible and diffable.  Exit codes: 0 success, 1 a scientific
-condition failed, 2 usage or I/O failure.
+condition failed, 2 usage or I/O failure, 3 internal error (a bug or a failed
+internal consistency check, never a verdict on the physics).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +161,10 @@ class RunConfig:
                 text = default
             else:
                 raise ValueError(f"config key {key!r} is required for '{command}'")
-            self._values[key] = parser(text)
+            try:
+                self._values[key] = parser(text)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
             self.effective[key] = text
 
     def __getitem__(self, key):
@@ -207,7 +212,7 @@ def cmd_validate(args) -> int:
         "minimum_gap": report.minimum_gap,
         "minimizing_q": list(report.minimizing_momentum),
         "messages": report.messages,
-        "d_of_q": list(report.gap_values),
+        "d_of_q": report.gap_values,
     }
     if _artifact_format(args, cfg) == "json":
         write_json(out / "validate.json", doc)
@@ -250,9 +255,9 @@ def cmd_solve(args) -> int:
             "residual": solution.residual,
             "bound": solution.bound,
             "roots": solution.all_roots,
-            "n_of_q": list(solution.occupations),
-            "eps_of_q": list(solution.dispersion),
-            "d_of_q": list(solution.gap_values),
+            "n_of_q": solution.occupations,
+            "eps_of_q": solution.dispersion,
+            "d_of_q": solution.gap_values,
             "diagnostics": solution.diagnostics,
         }
         write_json(out / "solution.json", doc)
@@ -381,9 +386,9 @@ def cmd_dynamics(args) -> int:
     snapshot = {
         "config": dict(sorted(cfg.effective.items())),
         "m": state.m,
-        "eps_of_q": list(state.spectrum.eps),
-        "gamma_mode_real": [list(r) for r in mode_state.gamma.real],
-        "gamma_mode_imag": [list(r) for r in mode_state.gamma.imag],
+        "eps_of_q": state.spectrum.eps,
+        "gamma_mode_real": mode_state.gamma.real,
+        "gamma_mode_imag": mode_state.gamma.imag,
     }
     write_json(out / "snapshot.json", snapshot)
     print(f"samples={len(times)} number={fmt(number0)} energy={fmt(energy0)} "
@@ -453,6 +458,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"(at {Path(where.filename).name}:{where.lineno})", file=sys.stderr)
+        return 3
 
 
 def entry_point() -> None:

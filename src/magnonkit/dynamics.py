@@ -41,10 +41,20 @@ def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid
     return ModeSpectrum(eps=eps, omega=(-m) * eps)
 
 
-def _mode_to_site(grid: MomentumGrid) -> np.ndarray:
-    """Unitary U[x, q] = exp(-i q.x)/sqrt(N) mapping mode to site amplitudes."""
-    sites = grid.lattice.site_vectors()
-    return np.exp(-1j * sites @ grid.points.T) / math.sqrt(len(grid))
+def _change_basis(gamma: np.ndarray, grid: MomentumGrid, to_mode: bool) -> np.ndarray:
+    """Conjugate gamma by the unitary U[x, q] = exp(-i q.x)/sqrt(N).
+
+    U is the lattice Fourier transform, so U^+ gamma U (to modes) and
+    U gamma U^+ (to sites) are an inverse/forward FFT pair over the row and
+    column lattice axes, O(N^2 log N) instead of two dense N^3 products.  The
+    C-order reshape matches the lexicographic site and momentum order.
+    """
+    lattice = grid.lattice
+    d, n = lattice.dimension, lattice.n_sites
+    rows, cols = tuple(range(d)), tuple(range(d, 2 * d))
+    row_fft, col_fft = (np.fft.ifftn, np.fft.fftn) if to_mode else (np.fft.fftn, np.fft.ifftn)
+    out = row_fft(gamma.reshape((lattice.size,) * (2 * d)), axes=rows, norm="ortho")
+    return col_fft(out, axes=cols, norm="ortho").reshape(n, n)
 
 
 class GaussianMagnonState:
@@ -95,14 +105,12 @@ class GaussianMagnonState:
     def to_mode(self) -> "GaussianMagnonState":
         if self.basis == "mode":
             return self
-        u = _mode_to_site(self.grid)
-        return self._replace(u.conj().T @ self.gamma @ u, "mode")
+        return self._replace(_change_basis(self.gamma, self.grid, to_mode=True), "mode")
 
     def to_site(self) -> "GaussianMagnonState":
         if self.basis == "site":
             return self
-        u = _mode_to_site(self.grid)
-        return self._replace(u @ self.gamma @ u.conj().T, "site")
+        return self._replace(_change_basis(self.gamma, self.grid, to_mode=False), "site")
 
 
 def equilibrium_state(solution: SpinWaveSolution, grid: MomentumGrid) -> GaussianMagnonState:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from magnonkit import cli
 from magnonkit.cli import main
 
 ISO_CSV = "dz1,J,J3\n1,1.0,1.0\n"
@@ -14,6 +15,15 @@ lattice.size = 8
 couplings.path = {csv}
 field.h = 0.5
 thermal.beta = 2.0
+"""
+
+
+LARGE_SHELLS = ((1, 1e4), (2, 1e4 / 3), (3, 1e4 / 7))
+LARGE_CONF = """\
+lattice.dimension = 1
+lattice.size = 64
+couplings.path = {csv}
+field.h = 1
 """
 
 
@@ -66,6 +76,25 @@ class TestValidateCommand:
         tmp_path, make = workspace
         conf = make(BASE_CONF + "solver.fancy = yes\n")
         assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+    def test_large_couplings_validate(self, workspace):
+        # isotropic 1e4-scale couplings used to crash on the Fourier sum's rounding residue;
+        # the gap at q=0 is zero up to rounding of order 1e-12 * sum|J|, hence the tolerance
+        tmp_path, make = workspace
+        csv = "dz1,J,J3\n" + "".join(f"{dz},{v!r},{v!r}\n" for dz, v in LARGE_SHELLS)
+        conf = make(LARGE_CONF + "validate.tol = 1e-8\n", csv)
+        assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 0
+
+    def test_large_couplings_negative_gap_is_a_verdict(self, workspace, capsys):
+        # the same J with longitudinal coupling on the first shell only: a clean exit-1 verdict
+        tmp_path, make = workspace
+        csv = "dz1,J,J3\n" + "".join(
+            f"{dz},{v!r},{v if dz == 1 else 0.0!r}\n" for dz, v in LARGE_SHELLS
+        )
+        rc = main(["validate", "--config", str(make(LARGE_CONF, csv)), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "gap negative" in capsys.readouterr().out
+        assert not json.loads((tmp_path / "validate.json").read_text())["gap_ok"]
 
     def test_csv_format(self, workspace):
         tmp_path, make = workspace
@@ -252,3 +281,24 @@ class TestConfigParsing:
         tmp_path, make = workspace
         conf = make("# a comment\n\n" + BASE_CONF)
         assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 0
+
+    def test_parse_error_names_the_key(self, workspace, capsys):
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("lattice.dimension = 1", "lattice.dimension = one"))
+        assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "lattice.dimension" in err and "'one'" in err
+
+
+class TestInternalErrors:
+    def test_internal_error_exits_3(self, workspace, capsys, monkeypatch):
+        def broken(copies):
+            raise AssertionError("sector dimensions do not add up")
+
+        monkeypatch.setattr(cli, "sector_decomposition", broken)
+        tmp_path, make = workspace
+        conf = make("sectors.copies = 3\n")
+        assert main(["sectors", "--config", str(conf), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: AssertionError: sector dimensions do not add up (at ")
+        assert "test_cli.py:" in err and err.count("\n") == 1

@@ -26,6 +26,12 @@ GRID8 = MomentumGrid.from_lattice(LAT8)
 ISO = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.5)
 
 
+def dense_mode_to_site(grid):
+    """Reference unitary U[x, q] = exp(-i q.x)/sqrt(N), built densely."""
+    sites = grid.lattice.site_vectors()
+    return np.exp(-1j * sites @ grid.points.T) / math.sqrt(len(grid))
+
+
 def mode_state(diag, m=-0.8, off=()):
     gamma = np.diag(np.asarray(diag, dtype=complex))
     for i, j, v in off:
@@ -84,6 +90,42 @@ class TestState:
         gapless = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.0)
         with pytest.raises(RegimeError):
             mode_spectrum(-0.6, 0.0, gapless, GRID8)
+
+
+class TestBasisChange:
+    LATTICES = [LatticeSpec(1, 8), LatticeSpec(2, 4), LatticeSpec(3, 3)]
+
+    @pytest.mark.parametrize("lattice", LATTICES, ids=lambda lat: f"{lat.dimension}d")
+    def test_matches_dense_fourier_transform(self, lattice):
+        grid = MomentumGrid.from_lattice(lattice)
+        couplings = CouplingSet.nearest_neighbor(lattice.dimension, j=1.0, j3=1.0, h=0.5)
+        n = lattice.n_sites
+        u = dense_mode_to_site(grid)
+        rng = np.random.default_rng(10 + lattice.dimension)
+        site = random_state(rng, n, grid, couplings)
+        scale = float(np.max(np.abs(site.gamma)))
+        expected_mode = u.conj().T @ site.gamma @ u
+        assert np.max(np.abs(site.to_mode().gamma - expected_mode)) <= 1e-12 * scale
+        mode = GaussianMagnonState(site.m, site.gamma, "mode", grid, couplings, 0.5)
+        expected_site = u @ mode.gamma @ u.conj().T
+        assert np.max(np.abs(mode.to_site().gamma - expected_site)) <= 1e-12 * scale
+
+    def test_two_dimensional_round_trip_and_conservation(self):
+        lattice = LatticeSpec(2, 4)
+        grid = MomentumGrid.from_lattice(lattice)
+        couplings = CouplingSet.symmetrized(
+            {(1, 0): 1.0, (0, 1): 0.7, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0}, 0.5
+        )
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            state = random_state(rng, lattice.n_sites, grid, couplings)
+            back = state.to_mode().to_site()
+            assert np.max(np.abs(back.gamma - state.gamma)) < 1e-13
+            evolved = evolve(state, float(rng.uniform(-10.0, 10.0)))
+            assert evolved.basis == "site"
+            assert abs(total_number(evolved) - total_number(state)) < 1e-12
+            assert abs(total_energy(evolved) - total_energy(state)) < 1e-12
+            assert abs(np.sum(number_density_rate(evolved))) < 1e-12
 
 
 class TestEquilibriumState:

@@ -128,9 +128,18 @@ class TestFourierCoupling:
         for dimension, size in ((1, 8), (2, 5), (1, 7)):
             c = random_even_couplings(rng, dimension)
             grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
-            vals = fourier_coupling_grid(c, "J", grid)  # raises if residue > 1e-12
+            vals = fourier_coupling_grid(c, "J", grid)  # raises on a non-negligible residue
             scalar = [fourier_coupling(c, "J", k) for k in grid.points]
             np.testing.assert_allclose(vals, scalar, atol=1e-12)
+
+    def test_residue_cap_scales_with_coupling_strength(self):
+        # the imaginary rounding residue grows with |J|; 1e4-scale couplings must not trip it
+        c = CouplingSet.symmetrized({1: 1e4, 2: 1e4 / 3, 3: 1e4 / 7}, {1: 1e4}, 1.0)
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, 64))
+        vals = fourier_coupling_grid(c, "J", grid)
+        scalar = [fourier_coupling(c, "J", k) for k in grid.points]
+        np.testing.assert_allclose(vals, scalar, atol=1e-8)
+        assert vals[0] == pytest.approx(2e4 * (1 + 1 / 3 + 1 / 7), rel=1e-15)
 
     def test_parseval_mean_is_onsite_value(self):
         rng = np.random.default_rng(3)
