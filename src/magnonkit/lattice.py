@@ -17,7 +17,7 @@ import numpy as np
 
 Displacement = tuple[int, ...]
 
-#: Floating-point noise floor for the Fourier sums of even coupling maps.
+#: Floating-point noise floor of the gap, relative to sum_z |J(z)| + |J3(z)|.
 DEFAULT_GAP_TOL = 1e-12
 
 #: Imaginary-residue cap of a coupling Fourier sum, relative to sum_z |J(z)|.
@@ -296,9 +296,14 @@ def validate_ferromagnetic(
     dense eigendecomposition is needed.  Two field verdicts are reported:
     the strict one, h > gap(0) > 0, and the relaxed one, h > max(gap(0), 0),
     which is all the solvers require (the isotropic case has gap(0) = 0).
+
+    ``tol`` is relative: the gap counts as nonnegative down to
+    ``-tol * sum_z (|J(z)| + |J3(z)|)``, the scale of its rounding noise.
     """
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
+    maps = (couplings.exchange, couplings.exchange_z)
+    scale = sum(abs(v) for mapping in maps for v in mapping.values())
     gaps = exchange_gap_grid(couplings, grid)
     gap0 = float(gaps[0])
     i_min = int(np.argmin(gaps))
@@ -306,7 +311,7 @@ def validate_ferromagnetic(
     q_min = grid.points[i_min].copy()
     h = couplings.h
 
-    gap_ok = gap_min >= -tol
+    gap_ok = gap_min >= -tol * scale
     strict = (h > gap0) and (gap0 > 0.0)
     relaxed = h > max(gap0, 0.0)
 

@@ -5,7 +5,10 @@ collective (copy-summed) operators, so the per-site space block-diagonalizes
 into total-spin sectors with combinatorial multiplicities.  The Gibbs trace
 becomes a multiplicity-weighted sum over per-site sector assignments, which
 turns an exponential 2**(n*N) problem into products of tiny spin-j blocks.
-A brute-force full-tensor path over all copies is kept for cross-validation.
+The Hamiltonian also conserves total S3, so each block is diagonalized sector
+by sector of total magnetization and its site operators are kept as the
+pieces between sectors.  A brute-force full-tensor path over all copies, one
+unsplit dense diagonalization, is kept for cross-validation.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -19,7 +22,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -54,56 +57,89 @@ class SpinConfig:
 
 
 class _Block:
-    """One invariant subspace: eigendata plus site operators in the eigenbasis."""
+    """One invariant subspace: eigendata plus site operators in the eigenbasis.
 
-    def __init__(self, label, log_weight, energies, t_plus, t_three):
+    The eigenbasis runs sector by sector through ``energies``.  Site
+    operators are stored as pieces ``(rows, cols, stack)``: ``rows`` and
+    ``cols`` slice the eigenbasis and ``stack[x]`` is the real matrix of the
+    operator at site x between them.  S+ pieces map total-S3 sector M to M+2
+    and S3 pieces stay inside one sector, so every other entry is zero.
+    """
+
+    def __init__(self, label, log_weight, energies, plus, three):
         self.label = label
         self.log_weight = log_weight
         self.energies = energies
-        self.t_plus = t_plus  # per site, V^T S+(x) V, real
-        self.t_three = t_three  # per site, V^T S3(x) V, real symmetric
+        self.plus = plus  # S+ pieces
+        self.three = three  # S3 pieces, rows == cols, real symmetric
         self.probs = None  # set once the global normalization is known
 
     @property
     def dim(self) -> int:
         return self.energies.shape[0]
 
-    def fluct_plus(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_x coeffs[x] * S+(x) in the eigenbasis."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x, c in enumerate(coeffs):
-            out += c * self.t_plus[x]
+    def fluct_plus(self, coeffs: np.ndarray) -> list:
+        """Pieces (rows, cols, F) of sum_x coeffs[x] * S+(x) in the eigenbasis."""
+        return [
+            (rows, cols, (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]))
+            for rows, cols, stack in self.plus
+        ]
+
+    def assemble(self, pieces, site: int) -> np.ndarray:
+        """Dense eigenbasis matrix of one site operator from its pieces."""
+        out = np.zeros((self.dim, self.dim))
+        for rows, cols, stack in pieces:
+            out[rows, cols] = stack[site]
         return out
 
-    def trace(self, matrix: np.ndarray) -> complex:
-        """Gibbs-weighted trace of an eigenbasis matrix (its diagonal only)."""
-        return complex(np.dot(self.probs, np.diagonal(matrix)))
 
+def _pair_terms(dims, s_plus, s3_diags, j_mat, j3_mat, h, two_n):
+    """Hamiltonian of one assignment in its product basis.
 
-def _finish_block(label, log_weight, hamiltonian, dense_plus, s3_diags):
-    """Diagonalize one invariant block and rotate its site operators."""
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    t_plus = [vectors.T @ sp @ vectors for sp in dense_plus]
-    t_three = [vectors.T @ (d[:, None] * vectors) for d in s3_diags]
-    return _Block(label, log_weight, energies, t_plus, t_three)
-
-
-def _pair_terms(hamiltonian, diag, s_plus, s3_diags, j_mat, j3_mat, h, two_n):
-    """Accumulate the exchange, longitudinal and field terms of H in place.
-
-    The transverse part uses S-(y) = S+(y)^T (real matrices); S3 products
+    Each transverse term S+(x) S-(y) is a Kronecker product of single-site
+    factors (S-(y) = S+(y)^T, real matrices), O(D^2) to build; S3 products
     stay on the diagonal of the product basis.
     """
-    n_sites = len(s_plus)
+    n_sites = len(dims)
+    hamiltonian = np.zeros((math.prod(dims),) * 2)
+    diag = np.zeros(hamiltonian.shape[0])
     for x in range(n_sites):
         for y in range(n_sites):
             jxy = j_mat[x, y]
             if jxy != 0.0:
-                hamiltonian -= (4.0 / two_n) * jxy * (s_plus[x] @ s_plus[y].T)
+                if x == y:
+                    factors = {x: s_plus[x] @ s_plus[x].T}
+                else:
+                    factors = {x: s_plus[x], y: s_plus[y].T}
+                term = reduce(np.kron, [factors.get(z, np.eye(d)) for z, d in enumerate(dims)])
+                hamiltonian -= (4.0 / two_n) * jxy * term
             j3xy = j3_mat[x, y]
             if j3xy != 0.0:
                 diag -= (1.0 / two_n) * j3xy * s3_diags[x] * s3_diags[y]
         diag += h * s3_diags[x]
+    hamiltonian[np.diag_indices_from(hamiltonian)] += diag
+    return hamiltonian
+
+
+def _split_by_magnetization(hamiltonian, magnetization):
+    """Diagonalize H sector by sector of total S3.
+
+    Returns the permutation that sorts the product basis by magnetization,
+    the sorted sector values and slices, and the per-sector eigenpairs.
+    Raises AssertionError if H has an entry between different sectors.
+    """
+    order = np.argsort(magnetization, kind="stable")
+    sorted_m = magnetization[order]
+    sorted_h = hamiltonian[np.ix_(order, order)]
+    leak = np.max(np.abs(sorted_h[sorted_m[:, None] != sorted_m[None, :]]), initial=0.0)
+    if leak != 0.0:
+        raise AssertionError(
+            f"Hamiltonian couples different total-S3 sectors (largest entry {leak:.3e})"
+        )
+    values, starts = np.unique(sorted_m, return_index=True)
+    sectors = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(order)])]
+    eigen = [np.linalg.eigh(sorted_h[s, s]) for s in sectors]
+    return order, values, sectors, eigen
 
 
 def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
@@ -124,7 +160,6 @@ def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
     def build(assignment):
         weight = math.prod(e.multiplicity for e in assignment)
         dims = [e.dim for e in assignment]
-        dim = math.prod(dims)
 
         def embed(site, mat):
             left, right = math.prod(dims[:site]), math.prod(dims[site + 1 :])
@@ -136,17 +171,26 @@ def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
             right = np.ones(math.prod(dims[site + 1 :]))
             return np.kron(np.kron(left, vec), right)
 
-        s_plus = [embed(x, mats[e.twice_j][0]) for x, e in enumerate(assignment)]
+        site_plus = [mats[e.twice_j][0] for e in assignment]
         s3_diags = [
             embed_diag(x, np.diagonal(mats[e.twice_j][2]).copy())
             for x, e in enumerate(assignment)
         ]
-        hamiltonian = np.zeros((dim, dim))
-        diag = np.zeros(dim)
-        _pair_terms(hamiltonian, diag, s_plus, s3_diags, j_mat, j3_mat, h, two_n)
-        hamiltonian[np.diag_indices(dim)] += diag
+        hamiltonian = _pair_terms(dims, site_plus, s3_diags, j_mat, j3_mat, h, two_n)
+        order, values, sectors, eigen = _split_by_magnetization(hamiltonian, sum(s3_diags))
+        s_plus = np.stack([embed(x, sp)[np.ix_(order, order)] for x, sp in enumerate(site_plus)])
+        s3_sorted = np.stack(s3_diags)[:, order]
+        index = {int(m): i for i, m in enumerate(values)}
+        plus, three = [], []
+        for m, rows, (_, vectors) in zip(values, sectors, eigen):
+            three.append((rows, rows, vectors.T @ (s3_sorted[:, rows, None] * vectors)))
+            j = index.get(int(m) - 2)  # S+ raises the total S3 by 2
+            if j is not None:
+                cols, lower = sectors[j], eigen[j][1]
+                plus.append((rows, cols, vectors.T @ s_plus[:, rows, cols] @ lower))
+        energies = np.concatenate([e for e, _ in eigen])
         label = tuple(e.twice_j for e in assignment)
-        return _finish_block(label, math.log(weight), hamiltonian, s_plus, s3_diags)
+        return _Block(label, math.log(weight), energies, plus, three)
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
     if threads == 1 or len(assignments) == 1:
@@ -203,8 +247,12 @@ def _full_block(config: SpinConfig) -> _Block:
         diag += config.couplings.h * s3_diag[x]
     dense = hamiltonian.toarray()
     dense[np.diag_indices(dim)] += diag
-    dense_plus = [sp.toarray() for sp in s_plus]
-    return _finish_block(("full",), 0.0, dense, dense_plus, s3_diag)
+    energies, vectors = np.linalg.eigh(dense)
+    everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
+    t_plus = np.stack([vectors.T @ (sp @ vectors) for sp in s_plus])
+    t_three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3_diag])
+    return _Block(("full",), 0.0, energies, [(everything, everything, t_plus)],
+                  [(everything, everything, t_three)])
 
 
 class GibbsEnsemble:
@@ -215,7 +263,7 @@ class GibbsEnsemble:
         self.beta = float(beta)
         self.mode = mode
         self.blocks = blocks
-        ground = min(float(b.energies[0]) for b in blocks)
+        ground = min(float(b.energies.min()) for b in blocks)
         total = 0.0
         for block in blocks:
             rel = np.exp(block.log_weight - self.beta * (block.energies - ground))
@@ -248,15 +296,15 @@ class GibbsEnsemble:
             mat = np.eye(block.dim)
             for kind, site in factors:
                 if kind == "+":
-                    op = block.t_plus[site]
+                    op = block.assemble(block.plus, site)
                 elif kind == "-":
-                    op = block.t_plus[site].T
+                    op = block.assemble(block.plus, site).T
                 elif kind == "3":
-                    op = block.t_three[site]
+                    op = block.assemble(block.three, site)
                 else:
                     raise ValueError(f"unknown operator kind {kind!r}")
                 mat = mat @ op
-            total += block.trace(mat)
+            total += complex(np.dot(block.probs, np.diagonal(mat)))
         return total
 
     @cached_property
@@ -264,8 +312,8 @@ class GibbsEnsemble:
         """Per-copy magnetization <sigma3> at each site (translation invariant)."""
         vals = np.zeros(self.n_sites)
         for block in self.blocks:
-            for x in range(self.n_sites):
-                vals[x] += float(np.dot(block.probs, np.diagonal(block.t_three[x])))
+            for rows, _, stack in block.three:
+                vals += np.einsum("xaa,a->x", stack, block.probs[rows])
         return vals / self.copies
 
     @cached_property
@@ -278,8 +326,9 @@ class GibbsEnsemble:
         """<S+(x)> per site; exactly zero by U(1) symmetry of the Gibbs state."""
         vals = np.zeros(self.n_sites)
         for block in self.blocks:
-            for x in range(self.n_sites):
-                vals[x] += float(np.dot(block.probs, np.diagonal(block.t_plus[x])))
+            for rows, cols, stack in block.plus:
+                if rows == cols:  # only an unsplit block has diagonal S+ entries
+                    vals += np.einsum("xaa,a->x", stack, block.probs[rows])
         return vals
 
     @cached_property
@@ -291,23 +340,32 @@ class GibbsEnsemble:
         mom1 = 0.0
         mom2 = 0.0
         for block in self.blocks:
-            t3 = block.t_three[x]
-            mom1 += float(np.dot(block.probs, np.diagonal(t3)))
-            mom2 += float(np.dot(block.probs, np.einsum("ab,ab->a", t3, t3)))
+            for rows, _, stack in block.three:
+                t3, probs = stack[x], block.probs[rows]
+                mom1 += float(np.dot(probs, np.diagonal(t3)))
+                mom2 += float(np.dot(probs, np.einsum("ab,ab->a", t3, t3)))
         return (mom2 - mom1**2) / self.copies**2
 
     @cached_property
+    def _two_point(self) -> np.ndarray:
+        """<S+(x) S-(y)> and <S-(y) S+(x)> for all site pairs, shape (2, N, N).
+
+        Per S+ piece, diag(S+(x) S-(y)) sums S+(x) * S+(y) over columns and
+        diag(S-(y) S+(x)) sums it over rows.
+        """
+        n = self.n_sites
+        out = np.zeros((2, n, n))
+        for block in self.blocks:
+            for rows, cols, stack in block.plus:
+                flat = stack.reshape(n, -1)
+                for i, weights in enumerate((block.probs[rows, None], block.probs[None, cols])):
+                    out[i] += (stack * weights).reshape(n, -1) @ flat.T
+        return out
+
+    @property
     def two_point_pm(self) -> np.ndarray:
         """<S+(x) S-(y)> for all site pairs."""
-        n = self.n_sites
-        out = np.zeros((n, n))
-        for block in self.blocks:
-            for x in range(n):
-                tx = block.t_plus[x]
-                for y in range(n):
-                    diag = np.einsum("ab,ab->a", tx, block.t_plus[y])
-                    out[x, y] += float(np.dot(block.probs, diag))
-        return out
+        return self._two_point[0]
 
     def _fluct_coeffs(self, k: np.ndarray) -> np.ndarray:
         sites = self.config.lattice.site_vectors()
@@ -339,6 +397,10 @@ def _real(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _row_norms2(mat: np.ndarray) -> np.ndarray:
+    return (mat.real**2 + mat.imag**2).sum(axis=1)
+
+
 def fluctuation_two_point(ensemble: GibbsEnsemble, q) -> float:
     """<F+(q) F-(q)> for the volume- and copy-normalized fluctuation mode."""
     sites = ensemble.config.lattice.site_vectors()
@@ -350,14 +412,9 @@ def fluctuation_two_point(ensemble: GibbsEnsemble, q) -> float:
 
 def commutator_expectation(ensemble: GibbsEnsemble, k, q) -> float:
     """<[F+(k), F-(q)]>; equals sigma3 for k = q and vanishes otherwise."""
-    ck = ensemble._fluct_coeffs(k)
-    cq = ensemble._fluct_coeffs(q)
-    total = 0.0 + 0.0j
-    for block in ensemble.blocks:
-        f_plus = block.fluct_plus(ck)
-        f_minus = block.fluct_plus(cq).conj().T
-        total += block.trace(f_plus @ f_minus - f_minus @ f_plus)
-    return _real(total, "commutator expectation")
+    pm, mp = ensemble._two_point
+    value = ensemble._fluct_coeffs(k) @ (pm - mp) @ ensemble._fluct_coeffs(q).conj()
+    return _real(complex(value), "commutator expectation")
 
 
 @dataclass(frozen=True)
@@ -388,16 +445,17 @@ def energy_entropy_margin(ensemble: GibbsEnsemble, q, kind: str = "-") -> Energy
     yy = 0.0  # <X X*>
     lhs_raw = 0.0
     for block in ensemble.blocks:
-        f_plus = block.fluct_plus(coeffs)
-        x_mat = f_plus.conj().T if kind == "-" else f_plus
-        weight = np.abs(x_mat) ** 2
-        col = weight.sum(axis=0)
-        row = weight.sum(axis=1)
-        xx += float(np.dot(block.probs, col))
-        yy += float(np.dot(block.probs, row))
-        lhs_raw += float(block.energies @ weight @ block.probs) - float(
-            np.dot(block.probs * block.energies, col)
-        )
+        probs, energies = block.probs, block.energies
+        for rows, cols, f_plus in block.fluct_plus(coeffs):
+            weight = f_plus.real**2 + f_plus.imag**2  # |X|^2 on the piece of X = F+
+            if kind == "-":
+                rows, cols, weight = cols, rows, weight.T
+            col = weight.sum(axis=0)
+            xx += float(np.dot(probs[cols], col))
+            yy += float(np.dot(probs[rows], weight.sum(axis=1)))
+            lhs_raw += float(energies[rows] @ weight @ probs[cols]) - float(
+                np.dot(probs[cols] * energies[cols], col)
+            )
     lhs = ensemble.beta * lhs_raw
     if xx < 1e-300 or yy < 1e-300:
         return EnergyEntropyMargin(lhs=lhs, rhs=0.0, x_dag_x=xx, x_x_dag=yy, trivial=True)
@@ -411,16 +469,19 @@ def wick_residual(ensemble: GibbsEnsemble, q) -> float:
     the distance from Gaussianity and shrinks as copies grow.
     """
     coeffs = ensemble._fluct_coeffs(q)
-    two = 0.0 + 0.0j
-    four = 0.0 + 0.0j
+    two = 0.0
+    four = 0.0
     for block in ensemble.blocks:
-        f_plus = block.fluct_plus(coeffs)
-        f_minus = f_plus.conj().T
-        two += block.trace(f_plus @ f_minus)
-        four += block.trace(f_plus @ f_plus @ f_minus @ f_minus)
-    two_r = _real(two, "two-point")
-    four_r = _real(four, "four-point")
-    return abs(four_r - 2.0 * two_r**2)
+        pieces = block.fluct_plus(coeffs)
+        by_rows = {rows.start: f_plus for rows, _, f_plus in pieces}
+        for rows, cols, f_plus in pieces:
+            # diag(F+ F-) and diag(F+F+ F-F-) are squared row norms of F+ and F+F+
+            probs = block.probs[rows]
+            two += float(probs @ _row_norms2(f_plus))
+            inner = by_rows.get(cols.start)  # the piece that F+ applies first
+            if inner is not None:
+                four += float(probs @ _row_norms2(f_plus @ inner))
+    return abs(four - 2.0 * two**2)
 
 
 @dataclass(frozen=True)

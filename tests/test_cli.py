@@ -85,6 +85,17 @@ class TestValidateCommand:
         conf = make(LARGE_CONF + "validate.tol = 1e-8\n", csv)
         assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 0
 
+    def test_large_couplings_validate_at_default_tolerance(self, workspace, capsys):
+        # validate.tol is relative to sum|J| + sum|J3|, so the rounding residue of gap(0)
+        # (about -3.6e-12 here) is no "gap negative" verdict at the default 1e-12
+        tmp_path, make = workspace
+        csv = "dz1,J,J3\n" + "".join(f"{dz},{v!r},{v!r}\n" for dz, v in LARGE_SHELLS)
+        rc = main(["validate", "--config", str(make(LARGE_CONF, csv)), "--out", str(tmp_path)])
+        assert rc == 0
+        assert "gap negative" not in capsys.readouterr().out
+        doc = json.loads((tmp_path / "validate.json").read_text())
+        assert doc["gap_ok"] and doc["config"]["validate.tol"] == "1e-12"
+
     def test_large_couplings_negative_gap_is_a_verdict(self, workspace, capsys):
         # the same J with longitudinal coupling on the first shell only: a clean exit-1 verdict
         tmp_path, make = workspace
@@ -164,6 +175,17 @@ class TestOracleCommand:
         doc = json.loads((tmp_path / "convergence.json").read_text())
         assert [row["n"] for row in doc["rows"]] == [1, 3]
         assert doc["rows"][1]["discrepancy"] < doc["rows"][0]["discrepancy"]
+
+    def test_artifact_identical_across_thread_counts(self, workspace):
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 1,3,5"))
+        artifacts = []
+        for threads in ("1", "2", "1"):
+            out = tmp_path / f"threads{threads}-{len(artifacts)}"
+            argv = ["oracle", "--config", str(conf), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            artifacts.append((out / "convergence.json").read_bytes())
+        assert artifacts[0] == artifacts[1] == artifacts[2]
 
     def test_single_entry_ladder_trivially_passes(self, workspace):
         tmp_path, make = workspace

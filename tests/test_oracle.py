@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnonkit import (
     CouplingSet,
@@ -12,16 +15,60 @@ from magnonkit import (
     build_gibbs,
     commutator_expectation,
     convergence_study,
+    coupling_matrix,
     energy_entropy_margin,
     fluctuation_two_point,
     occupation,
     wick_residual,
 )
+from magnonkit.oracle import _split_by_magnetization
 
 CHAIN2 = LatticeSpec(1, 2)
 GRID2 = MomentumGrid.from_lattice(CHAIN2)
 ISO25 = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=2.5)
+ANISO = CouplingSet.nearest_neighbor(1, j=0.6, j3=1.0, h=1.2)
+# on a 2-site chain the second shell folds onto the site itself: S+(x) S-(x) terms
+WRAPPED = CouplingSet.symmetrized({(1,): 0.6, (2,): 0.3}, {(1,): 0.8, (2,): 0.5}, h=1.7)
 Q_PI = GRID2.points[1]
+REFEREE_TOL = 1e-10
+
+
+def observables(ensemble):
+    """Every oracle observable of one ensemble, one flat vector per name."""
+    n_sites = ensemble.n_sites
+    last = n_sites - 1
+    products = (
+        [("+", 0), ("-", last)],
+        [("-", 0), ("+", 0)],
+        [("3", 0), ("+", last), ("-", 0), ("3", last)],
+        [("+", 0), ("+", last), ("-", 0), ("-", last)],
+    )
+    out = {
+        "logZ": [ensemble.logZ],
+        "sigma3_site": ensemble.sigma3_site,
+        "sigma3_site_variance": [ensemble.sigma3_site_variance(x) for x in range(n_sites)],
+        "two_point_pm": ensemble.two_point_pm.ravel(),
+        "expect_product": [complex(ensemble.expect_product(f)) for f in products],
+    }
+    points = MomentumGrid.from_lattice(ensemble.config.lattice).points
+    for i, q in enumerate(points):
+        k = points[(i + 1) % len(points)]
+        margins = [energy_entropy_margin(ensemble, q, kind) for kind in ("-", "+")]
+        out[f"q{i}"] = [
+            fluctuation_two_point(ensemble, q),
+            wick_residual(ensemble, q),
+            commutator_expectation(ensemble, q, q),
+            commutator_expectation(ensemble, k, q),
+            *(value for m in margins for value in (m.lhs, m.rhs)),
+        ]
+    return out
+
+
+def assert_sector_matches_full(config, beta):
+    sector = observables(build_gibbs(config, beta, mode="sector"))
+    full = observables(build_gibbs(config, beta, mode="full"))
+    for name, expected in full.items():
+        np.testing.assert_allclose(sector[name], expected, rtol=0.0, atol=REFEREE_TOL, err_msg=name)
 
 
 @pytest.fixture(scope="module")
@@ -44,16 +91,7 @@ class TestBuildGibbs:
 
     @pytest.mark.parametrize("copies,lattice", [(1, CHAIN2), (3, CHAIN2), (3, LatticeSpec(1, 3))])
     def test_sector_matches_full_tensor(self, copies, lattice):
-        config = SpinConfig(copies, lattice, ISO25)
-        sector = build_gibbs(config, beta=1.0, mode="sector")
-        full = build_gibbs(config, beta=1.0, mode="full")
-        assert sector.logZ == pytest.approx(full.logZ, abs=1e-10)
-        assert sector.sigma3 == pytest.approx(full.sigma3, abs=1e-10)
-        grid = MomentumGrid.from_lattice(lattice)
-        for q in grid.points:
-            assert fluctuation_two_point(sector, q) == pytest.approx(
-                fluctuation_two_point(full, q), abs=1e-10
-            )
+        assert_sector_matches_full(SpinConfig(copies, lattice, ISO25), beta=1.0)
 
     def test_threaded_build_is_deterministic(self):
         serial = build_gibbs(SpinConfig(5, CHAIN2, ISO25), beta=1.0, threads=1)
@@ -109,6 +147,91 @@ class TestBuildGibbs:
         assert complex(ensemble.expect_product([("+", 0), ("-", 0)])).real == pytest.approx(0.5)
         assert complex(ensemble.expect_product([("3", 0), ("3", 0)])).real == pytest.approx(1.0)
         assert abs(complex(ensemble.expect_product([("+", 0)]))) < 1e-15
+
+
+class TestSectorReferee:
+    """The magnetization-split sector engine against the unsplit full tensor."""
+
+    # the isotropic n=1 and n=3 cases run in TestBuildGibbs.test_sector_matches_full_tensor
+    @pytest.mark.parametrize(
+        "couplings,beta", [(ANISO, 2.0), (WRAPPED, 0.7)], ids=["anisotropic", "self-coupling"]
+    )
+    def test_every_observable_matches_full_tensor(self, couplings, beta):
+        assert_sector_matches_full(SpinConfig(3, CHAIN2, couplings), beta)
+
+    def test_self_coupling_case_reaches_the_diagonal(self):
+        assert np.all(np.diagonal(coupling_matrix(WRAPPED, "J", CHAIN2)) != 0.0)
+
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(
+        j=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        j3=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        h=st.floats(0.0, 3.0),
+        beta=st.floats(0.0, 3.0),
+        size=st.integers(1, 3),
+        copies=st.sampled_from([1, 3]),
+    )
+    def test_random_couplings_match_full_tensor(self, j, j3, h, beta, size, copies):
+        shells = [(1,), (2,)]
+        couplings = CouplingSet.symmetrized(dict(zip(shells, j)), dict(zip(shells, j3)), h)
+        assert_sector_matches_full(SpinConfig(copies, LatticeSpec(1, size), couplings), beta)
+
+
+@pytest.mark.parametrize("mode", ["sector", "full"])
+def test_piece_formulas_match_dense_products(mode):
+    # the observables read diagonals off S+ pieces; expect_product multiplies dense matrices
+    ensemble = build_gibbs(SpinConfig(3, CHAIN2, ANISO), beta=1.3, mode=mode)
+    coeffs = np.exp(1j * CHAIN2.site_vectors() @ Q_PI) / math.sqrt(2 * 3)
+
+    def expect(kinds):
+        """<F^k1(q) F^k2(q) ...> expanded over sites."""
+        total = 0.0
+        for sites in itertools.product(range(2), repeat=len(kinds)):
+            weight = math.prod(
+                coeffs[x] if kind == "+" else coeffs[x].conjugate() for kind, x in zip(kinds, sites)
+            )
+            total += weight * ensemble.expect_product(list(zip(kinds, sites)))
+        return total.real
+
+    pm, mp = expect("+-"), expect("-+")
+    assert wick_residual(ensemble, Q_PI) == pytest.approx(abs(expect("++--") - 2 * pm**2), abs=1e-12)
+    assert commutator_expectation(ensemble, Q_PI, Q_PI) == pytest.approx(pm - mp, abs=1e-12)
+    minus = energy_entropy_margin(ensemble, Q_PI, "-")  # X = F-, X* = F+
+    plus = energy_entropy_margin(ensemble, Q_PI, "+")
+    assert (minus.x_dag_x, minus.x_x_dag) == pytest.approx((pm, mp), abs=1e-12)
+    assert (plus.x_dag_x, plus.x_x_dag) == pytest.approx((mp, pm), abs=1e-12)
+    np.testing.assert_allclose(
+        ensemble.two_point_pm,
+        [[ensemble.expect_product([("+", x), ("-", y)]).real for y in range(2)] for x in range(2)],
+        atol=1e-12,
+    )
+
+
+class TestMagnetizationSplit:
+    def test_refuses_a_hamiltonian_that_mixes_sectors(self):
+        # a transverse field on one spin-1/2 couples S3 = -1 and S3 = +1
+        with pytest.raises(AssertionError, match="different total-S3 sectors"):
+            _split_by_magnetization(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-1.0, 1.0]))
+
+    def test_refuses_the_smallest_leak(self):
+        # two spins-1/2, product order (-,-), (-,+), (+,-), (+,+): flip-flop plus one stray entry
+        hamiltonian = np.diag([1.0, -1.0, -1.0, 1.0])
+        hamiltonian[1, 2] = hamiltonian[2, 1] = 2.0
+        hamiltonian[0, 3] = hamiltonian[3, 0] = 5e-324
+        with pytest.raises(AssertionError, match="different total-S3 sectors"):
+            _split_by_magnetization(hamiltonian, np.array([-2.0, 0.0, 0.0, 2.0]))
+
+    def test_sorts_the_basis_into_sectors(self):
+        hamiltonian = np.diag([1.0, 4.0, -4.0, 1.0])
+        hamiltonian[0, 3] = hamiltonian[3, 0] = 2.0
+        order, values, sectors, eigen = _split_by_magnetization(
+            hamiltonian, np.array([0.0, -2.0, 2.0, 0.0])
+        )
+        np.testing.assert_array_equal(order, [1, 0, 3, 2])
+        np.testing.assert_array_equal(values, [-2.0, 0.0, 2.0])
+        assert [(s.start, s.stop) for s in sectors] == [(0, 1), (1, 3), (3, 4)]
+        for (energies, _), expected in zip(eigen, ([4.0], [-1.0, 3.0], [-4.0])):
+            np.testing.assert_allclose(energies, expected, atol=1e-14)
 
 
 class TestFluctuationTwoPoint:
