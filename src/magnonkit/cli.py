@@ -364,25 +364,28 @@ def cmd_dynamics(args) -> int:
 
     times = cfg["dynamics.times"]
     tol = cfg["dynamics.conservation_tol"]
-    number0 = total_number(state)
-    energy0 = total_energy(state)
+    # Evolution is a phase in the mode basis, so the state is evolved and
+    # checked there and changes basis once per sample, for the density.  At
+    # t = 0 the density is read off the state as given, as evolve does.
+    mode_state = state.to_mode()
+    number0 = total_number(mode_state)
+    energy0 = total_energy(mode_state)
     sites = lattice.site_vectors()
     rows = []
     conserved = True
     for t in times:
-        evolved = evolve(state, t)
+        evolved = evolve(mode_state, t)
         drift_n = abs(total_number(evolved) - number0)
         drift_e = abs(total_energy(evolved) - energy0)
         if drift_n > tol or drift_e > tol:
             conserved = False
-        density = number_density(evolved)
+        density = number_density(evolved if t != 0.0 else state)
         for x in range(lattice.n_sites):
             rows.append([t] + list(sites[x]) + [density[x]])
 
     out = _out_dir(args)
     header = ["t"] + [f"x{i + 1}" for i in range(lattice.dimension)] + ["density"]
     write_csv(out / "trajectory.csv", header, rows, _config_lines(cfg))
-    mode_state = state.to_mode()
     snapshot = {
         "config": dict(sorted(cfg.effective.items())),
         "m": state.m,

@@ -9,7 +9,6 @@ lattice Fourier transform used downstream real.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,10 +42,9 @@ class LatticeSpec:
 
     def site_vectors(self) -> np.ndarray:
         """All sites as integer vectors, lexicographic order, shape (n_sites, dimension)."""
-        axes = [range(self.size)] * self.dimension
-        return np.array(list(itertools.product(*axes)), dtype=np.int64).reshape(
-            self.n_sites, self.dimension
-        )
+        shape = (self.size,) * self.dimension
+        vectors = np.indices(shape, dtype=np.int64).reshape(self.dimension, -1).T
+        return np.ascontiguousarray(vectors)
 
     def site_index(self, vec) -> int:
         """Mixed-radix index of a site vector (mod-L reduced first)."""
@@ -260,10 +258,11 @@ def coupling_matrix(couplings: CouplingSet, which: str, lattice: LatticeSpec) ->
             f"coupling dimension {couplings.dimension} != lattice dimension {lattice.dimension}"
         )
     sites = lattice.site_vectors()
+    radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(n)
     for z, v in mapping.items():
-        targets = (sites - np.asarray(z, dtype=np.int64)) % lattice.size
-        for x in range(n):
-            mat[x, lattice.site_index(targets[x])] += v
+        targets = ((sites - np.asarray(z, dtype=np.int64)) % lattice.size) @ radix
+        mat[rows, targets] += v
     return mat
 
 

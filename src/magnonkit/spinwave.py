@@ -23,6 +23,10 @@ DEFAULT_SOLVE_TOL = 1e-12
 DEFAULT_SCAN_POINTS = 4096
 _MAX_BISECT = 200
 
+#: Largest scan temporary, in elements (32 MB of float64): the solver's scan
+#: memory is bounded by this whatever the lattice size.
+SCAN_CHUNK_ELEMENTS = 1 << 22
+
 
 class RegimeError(ValueError):
     """Raised when parameters leave the validated ferromagnetic regime."""
@@ -46,17 +50,26 @@ def _check_m(m: float) -> float:
     return float(m)
 
 
-def _occupations_from_gaps(m: float, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
-    """Bose occupations -m / (exp(2*beta*(h - m*gap)) - 1), stably evaluated."""
-    args = 2.0 * beta * (h - m * gaps)
-    bad = np.min(args)
+def _occupations(m, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
+    """Bose occupations -m / (exp(2*beta*(h - m*gap)) - 1), stably evaluated.
+
+    ``m`` is a scalar or a column of trial magnetizations (shape (k, 1)) and
+    broadcasts against ``gaps``.  The arithmetic runs in place in one buffer,
+    so a call allocates one float array of the broadcast shape plus a mask.
+    """
+    occ = np.multiply(m, gaps)
+    np.subtract(h, occ, out=occ)
+    occ *= 2.0 * beta
+    bad = np.min(occ)
     if bad <= 0.0:
+        at = f"m={m}, " if np.ndim(m) == 0 else ""
         raise RegimeError(
             f"outside ferromagnetic regime: exponent argument {bad:.6g} <= 0 "
-            f"(m={m}, beta={beta}, h={h})"
+            f"({at}beta={beta}, h={h})"
         )
     with np.errstate(over="ignore"):
-        occ = (-m) / np.expm1(args)
+        np.expm1(occ, out=occ)
+    np.divide(-m, occ, out=occ)
     occ[occ < OCCUPATION_FLOOR] = 0.0
     return occ
 
@@ -68,13 +81,13 @@ def occupation(q, m: float, params: ThermalParams, couplings: CouplingSet) -> fl
     """
     m = _check_m(m)
     gap = np.array([exchange_gap(couplings, q)])
-    return float(_occupations_from_gaps(m, params.beta, params.h, gap)[0])
+    return float(_occupations(m, params.beta, params.h, gap)[0])
 
 
 def occupation_grid(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
     """Occupations on the whole momentum grid, in grid order."""
     m = _check_m(m)
-    return _occupations_from_gaps(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
+    return _occupations(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
 
 
 def dispersion(q, m: float, params: ThermalParams, couplings: CouplingSet) -> float:
@@ -93,22 +106,31 @@ def dispersion_grid(m: float, params: ThermalParams, couplings: CouplingSet, gri
     return 2.0 * (exchange_gap_grid(couplings, grid) + params.h / (-m))
 
 
+def _defect(m: float, beta: float, h: float, gaps: np.ndarray) -> float:
+    """Defect on the full grid: the plain mean over every occupation."""
+    return float(np.mean(_occupations(m, beta, h, gaps)) - 0.5 * (1.0 + m))
+
+
 def selfconsistency_defect(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> float:
     """Defect G(m) = mean_q n(q; m) - (1 + m)/2 whose roots are equilibria."""
     m = _check_m(m)
-    occ = _occupations_from_gaps(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
-    return float(np.mean(occ) - 0.5 * (1.0 + m))
+    return _defect(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
 
 
-def _defect_batch(ms: np.ndarray, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
-    """Vectorized defect over many trial magnetizations (scan helper)."""
-    args = 2.0 * beta * (h - np.outer(ms, gaps))
-    if np.min(args) <= 0.0:
-        raise RegimeError("outside ferromagnetic regime during magnetization scan")
-    with np.errstate(over="ignore"):
-        occ = (-ms)[:, None] / np.expm1(args)
-    occ[occ < OCCUPATION_FLOOR] = 0.0
-    return occ.mean(axis=1) - 0.5 * (1.0 + ms)
+def _scan_defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Defect at every trial magnetization in ``ms`` from the distinct gaps.
+
+    Occupations depend on q only through the gap, so the grid mean is the
+    mean over the distinct gap values weighted by their multiplicity share;
+    nothing is rounded or merged.  Rows go through in chunks of at most
+    ``SCAN_CHUNK_ELEMENTS`` occupations.
+    """
+    rows = max(1, SCAN_CHUNK_ELEMENTS // distinct.size)
+    values = np.empty_like(ms)
+    for start in range(0, ms.size, rows):
+        chunk = ms[start:start + rows]
+        values[start:start + rows] = _occupations(chunk[:, None], beta, h, distinct) @ weights
+    return values - 0.5 * (1.0 + ms)
 
 
 @dataclass
@@ -193,9 +215,10 @@ def solve_magnetization(
 ) -> SpinWaveSolution:
     """Locate the self-consistent magnetization by scan plus bisection.
 
-    A uniform scan over [-1, 0] finds every sign change of the defect; each
-    bracket is bisected to interval collapse and the residual must come out
-    below tol.  All roots are reported and the one closest to -1 (the
+    A uniform scan over [-1, 0], taken over the distinct gap values, finds
+    every sign change of the defect; each bracket is bisected to interval
+    collapse on the full grid, where the residual must also come out below
+    tol.  All roots are reported and the one closest to -1 (the
     low-temperature branch) is selected.  Bisection is derivative-free and
     unconditionally convergent, which is all this cheap, smooth defect needs.
     """
@@ -206,28 +229,32 @@ def solve_magnetization(
 
     gaps = exchange_gap_grid(couplings, grid)
     beta, h = params.beta, params.h
+    full_evaluations = 0
 
     def defect(m: float) -> float:
-        return float(_defect_batch(np.array([m]), beta, h, gaps)[0])
+        nonlocal full_evaluations
+        full_evaluations += 1
+        return _defect(m, beta, h, gaps)
 
     ms = np.linspace(-1.0, 0.0, scan_points)
-    values = _defect_batch(ms, beta, h, gaps)
+    distinct, counts = np.unique(gaps, return_counts=True)
+    values = _scan_defect(ms, beta, h, distinct, counts / gaps.size)
     if not (values[0] >= 0.0 and values[-1] < 0.0):
         raise RegimeError(
             "no self-consistent magnetization: defect endpoints "
             f"G(-1)={values[0]:.6g}, G(0)={values[-1]:.6g} do not bracket a root"
         )
 
-    roots: list[float] = []
-    for i in range(scan_points - 1):
-        a, b = float(ms[i]), float(ms[i + 1])
-        fa, fb = float(values[i]), float(values[i + 1])
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            roots.append(_bisect(defect, a, b, fa))
+    fa, fb = values[:-1], values[1:]
+    brackets = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    roots = [
+        float(ms[i]) if values[i] == 0.0
+        else _bisect(defect, float(ms[i]), float(ms[i + 1]), float(values[i]))
+        for i in brackets
+    ]
     if not roots:
         raise RegimeError("no self-consistent magnetization: no sign change located")
+    bisection_steps = full_evaluations
 
     roots.sort()
     m_star = roots[0]
@@ -236,7 +263,7 @@ def solve_magnetization(
         raise RegimeError(
             f"bisection residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
-    occupations = _occupations_from_gaps(m_star, beta, h, gaps)
+    occupations = _occupations(m_star, beta, h, gaps)
     eps = 2.0 * (gaps + h / (-m_star))
     bounds = magnetization_bounds(params, couplings)
     return SpinWaveSolution(
@@ -257,5 +284,8 @@ def solve_magnetization(
             "bound_from_field": bounds.from_field,
             "bound_from_coupling": bounds.from_coupling,
             "bound_tightest": bounds.tightest,
+            "distinct_gaps": distinct.size,
+            "bisection_steps": bisection_steps,
+            "defect_evaluations": scan_points + full_evaluations,
         },
     )

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from magnonkit import cli
+from magnonkit import (
+    CouplingSet,
+    LatticeSpec,
+    MomentumGrid,
+    cli,
+    evolve,
+    number_density,
+    packet_state,
+)
+from magnonkit.artifacts import fmt
 from magnonkit.cli import main
 
 ISO_CSV = "dz1,J,J3\n1,1.0,1.0\n"
@@ -263,6 +272,29 @@ class TestDynamicsCommand:
             + "dynamics.packet_kick = 2\n"
         )
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
+
+    def test_packet_artifacts_equal_site_basis_evolution(self, workspace):
+        # the command evolves in the mode basis; every density and the snapshot
+        # must equal, digit for digit, evolving the site-basis packet directly
+        tmp_path, make = workspace
+        conf = make(
+            DYNAMICS_CONF
+            + "dynamics.initial = packet\ndynamics.m = -0.8\ndynamics.packet_center = 3\n"
+            + "dynamics.packet_kick = 2\ndynamics.packet_width = 1.5\n"
+        )
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, 8))
+        couplings = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.5)
+        state = packet_state(-0.8, grid, couplings, 0.5, center=3, width=1.5, kick_index=2)
+        expected = [
+            f"{fmt(t)},{x},{fmt(number_density(evolve(state, t))[x])}"
+            for t in (0.0, 0.5, 1.0)
+            for x in range(8)
+        ]
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")][1:] == expected
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert snapshot["gamma_mode_real"] == state.to_mode().gamma.real.tolist()
 
 
 class TestSectorsCommand:

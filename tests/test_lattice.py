@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,29 @@ def random_even_couplings(rng, dimension, reach=2):
     return CouplingSet.symmetrized(exchange, exchange_z, h=1.0)
 
 
+def reference_site_vectors(lattice):
+    """Site vectors by itertools.product, the lexicographic order by construction."""
+    axes = [range(lattice.size)] * lattice.dimension
+    return np.array(list(itertools.product(*axes)), dtype=np.int64).reshape(
+        lattice.n_sites, lattice.dimension
+    )
+
+
+def reference_coupling_matrix(couplings, which, lattice):
+    """Periodized coupling matrix filled one site at a time through site_index."""
+    mapping = couplings.exchange if which == "J" else couplings.exchange_z
+    mat = np.zeros((lattice.n_sites, lattice.n_sites))
+    sites = reference_site_vectors(lattice)
+    for z, v in mapping.items():
+        for x in range(lattice.n_sites):
+            mat[x, lattice.site_index(sites[x] - np.asarray(z))] += v
+    return mat
+
+
+LATTICES = [LatticeSpec(1, 1), LatticeSpec(1, 7), LatticeSpec(2, 1), LatticeSpec(2, 5),
+            LatticeSpec(3, 3), LatticeSpec(4, 2)]
+
+
 class TestLatticeSpec:
     def test_site_count(self):
         assert LatticeSpec(2, 3).n_sites == 9
@@ -49,6 +73,12 @@ class TestLatticeSpec:
         assert vecs.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
         for i in range(lat.n_sites):
             assert lat.site_index(vecs[i]) == i
+
+    @pytest.mark.parametrize("lat", LATTICES, ids=str)
+    def test_site_vectors_match_reference(self, lat):
+        vecs = lat.site_vectors()
+        assert vecs.dtype == np.int64 and vecs.flags.c_contiguous
+        np.testing.assert_array_equal(vecs, reference_site_vectors(lat))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -187,6 +217,16 @@ class TestCouplingMatrix:
         for k, expected in zip(grid.points, fourier_coupling_grid(c, "J", grid)):
             direct = sum(mat[2, y] * np.exp(-1j * k[0] * (2 - sites[y])) for y in range(5))
             assert direct == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("lat", LATTICES, ids=str)
+    def test_matches_reference(self, lat):
+        # long displacements fold onto the torus; both maps, bit for bit
+        rng = np.random.default_rng(lat.n_sites)
+        c = random_even_couplings(rng, lat.dimension, reach=3)
+        for which in ("J", "J3"):
+            np.testing.assert_array_equal(
+                coupling_matrix(c, which, lat), reference_coupling_matrix(c, which, lat)
+            )
 
     def test_symmetric(self):
         rng = np.random.default_rng(5)

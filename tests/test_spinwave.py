@@ -1,7 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from magnonkit import (
     CouplingSet,
@@ -11,13 +15,17 @@ from magnonkit import (
     ThermalParams,
     dispersion,
     exchange_gap,
+    exchange_gap_grid,
     magnetization_bound,
     magnetization_bounds,
     occupation,
     occupation_grid,
     selfconsistency_defect,
     solve_magnetization,
+    validate_ferromagnetic,
 )
+from magnonkit import spinwave
+from magnonkit.cli import main
 
 ISO = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.5)
 ANISO = CouplingSet.nearest_neighbor(1, j=0.0, j3=1.0, h=2.5)
@@ -35,6 +43,49 @@ def brute_force_defect(m, beta, h, size):
         gap = 2.0 - 2.0 * math.cos(q)
         total += (-m) / math.expm1(2.0 * beta * (h - m * gap))
     return total / size - 0.5 * (1.0 + m)
+
+
+def reference_occupations(ms, beta, h, gaps):
+    """Bose occupations of every trial magnetization (rows) at every gap (columns)."""
+    ms = np.atleast_1d(np.asarray(ms, dtype=float))
+    args = 2.0 * beta * (h - np.outer(ms, gaps))
+    with np.errstate(over="ignore"):
+        occ = (-ms)[:, None] / np.expm1(args)
+    occ[occ < 1e-300] = 0.0
+    return occ
+
+
+def reference_defect(ms, beta, h, gaps):
+    """Full-grid defect: the plain mean over every grid occupation."""
+    ms = np.atleast_1d(np.asarray(ms, dtype=float))
+    return reference_occupations(ms, beta, h, gaps).mean(axis=1) - 0.5 * (1.0 + ms)
+
+
+def reference_roots(beta, h, gaps, scan_points=spinwave.DEFAULT_SCAN_POINTS):
+    """Every root from a full-grid scan, each bracket bisected to collapse."""
+    ms = np.linspace(-1.0, 0.0, scan_points)
+    values = reference_defect(ms, beta, h, gaps)
+    roots = []
+    for i in range(scan_points - 1):
+        lo, hi, f_lo = float(ms[i]), float(ms[i + 1]), float(values[i])
+        if f_lo == 0.0:
+            roots.append(lo)
+            continue
+        if f_lo * float(values[i + 1]) >= 0.0:
+            continue
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            f_mid = float(reference_defect(mid, beta, h, gaps)[0])
+            if f_mid == 0.0:
+                break
+            if (f_mid > 0.0) == (f_lo > 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        roots.append(mid)
+    return sorted(roots)
 
 
 class TestOccupation:
@@ -123,6 +174,29 @@ class TestDispersion:
     def test_undefined_at_zero_magnetization(self):
         with pytest.raises(RegimeError, match="vanishing magnetization"):
             dispersion([0.0], 0.0, ThermalParams(1.0, 1.0), ISO)
+
+
+class TestSharedBoseFormula:
+    """occupation, occupation_grid and the defect equal the rank-2 formula bit for bit."""
+
+    # beta = 350 puts the q = 0 occupation near e^-700, below the flush floor
+    CASES = [(-0.9, 2.0, 0.5), (-1.0, 16.0, 0.5), (-0.3, 0.2, 0.05), (0.0, 1.0, 0.5), (-1.0, 350.0, 1.0)]
+
+    @pytest.mark.parametrize("m,beta,h", CASES)
+    def test_grid_forms(self, m, beta, h):
+        grid = grid_for(16)
+        p = ThermalParams(beta, h)
+        gaps = exchange_gap_grid(ISO, grid)
+        expected = reference_occupations(m, beta, h, gaps)[0]
+        np.testing.assert_array_equal(occupation_grid(m, p, ISO, grid), expected)
+        assert selfconsistency_defect(m, p, ISO, grid) == float(reference_defect(m, beta, h, gaps)[0])
+
+    @pytest.mark.parametrize("m,beta,h", CASES)
+    def test_scalar_form(self, m, beta, h):
+        p = ThermalParams(beta, h)
+        for q in (0.0, 0.7, math.pi):
+            gap = np.array([exchange_gap(ISO, [q])])
+            assert occupation([q], m, p, ISO) == float(reference_occupations(m, beta, h, gap)[0, 0])
 
 
 class TestSelfConsistencyDefect:
@@ -221,6 +295,103 @@ class TestSolveMagnetization:
         # square-lattice gap peaks at q = (pi, pi): gap = 4 - 2cos - 2cos = 8
         top = grid.index_of([math.pi, math.pi])
         assert solution.gap_values[top] == pytest.approx(8.0, abs=1e-13)
+
+
+def shell_couplings(dimension, j, j3):
+    """Even couplings on shells 1 and 2 (next-nearest: distance 2 in 1D, diagonals in 2D)."""
+    units = [tuple(int(a == axis) for a in range(dimension)) for axis in range(dimension)]
+    if dimension == 1:
+        shells = [[(1,)], [(2,)]]
+    else:
+        shells = [units, [(1, 1), (1, -1)]]
+    exchange, exchange_z = {}, {}
+    for zs, jv, j3v in zip(shells, j, j3):
+        for z in zs:
+            exchange[z] = jv
+            exchange_z[z] = j3v
+    return CouplingSet.symmetrized(exchange, exchange_z, h=0.0)
+
+
+class TestGapCompressedScan:
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        size=st.integers(2, 24),
+        j=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+        anisotropy=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+        beta=st.floats(0.2, 8.0),
+        h_excess=st.floats(0.02, 2.0),
+    )
+    def test_roots_bracket_and_match_full_grid_reference(
+        self, dimension, size, j, anisotropy, beta, h_excess
+    ):
+        size = size if dimension == 1 else 2 + size % 7
+        j3 = tuple(a + b for a, b in zip(j, anisotropy))
+        probe = shell_couplings(dimension, j, j3)
+        grid = grid_for(size, dimension)
+        gaps = exchange_gap_grid(probe, grid)
+        h = max(float(gaps[0]), 0.0) + h_excess
+        couplings = CouplingSet(probe.exchange, probe.exchange_z, h)
+        assume(validate_ferromagnetic(couplings, grid).passed)
+        p = ThermalParams(beta, h)
+
+        solution = solve_magnetization(p, couplings, grid)
+        for r in solution.all_roots:
+            if selfconsistency_defect(r, p, couplings, grid) == 0.0:
+                continue
+            below = selfconsistency_defect(max(r - 1e-9, -1.0), p, couplings, grid)
+            above = selfconsistency_defect(min(r + 1e-9, 0.0), p, couplings, grid)
+            assert (below > 0.0) != (above > 0.0), (r, below, above)
+        expected = reference_roots(beta, h, gaps)[0]
+        assert abs(solution.m_star - expected) <= 4 * np.spacing(abs(expected))
+
+    def test_diagnostics_count_the_work(self):
+        solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid_for(8))
+        diag = solution.diagnostics
+        # gaps 2 - 2cos(2 pi j / 8): 0, 2 - sqrt 2, 2, 2 + sqrt 2, 4, up to float noise
+        assert 5 <= diag["distinct_gaps"] == np.unique(solution.gap_values).size <= 8
+        assert 40 <= diag["bisection_steps"] <= 60
+        assert diag["defect_evaluations"] == diag["scan_points"] + diag["bisection_steps"] + 1
+
+    def test_chunking_leaves_the_solution_unchanged(self, monkeypatch):
+        grid = grid_for(64)
+        p = ThermalParams(1.5, 0.3)
+        whole = solve_magnetization(p, ISO, grid)
+        monkeypatch.setattr(spinwave, "SCAN_CHUNK_ELEMENTS", 100)
+        chunked = solve_magnetization(p, ISO, grid)
+        assert chunked.all_roots == whole.all_roots
+        assert chunked.diagnostics == whole.diagnostics
+
+    def test_scan_memory_is_bounded_by_the_chunk_budget(self):
+        # distinct gaps x scan points is 6 to 7 times the budget here, and the
+        # unchunked scan matrix would take 256 MB; one float chunk and its mask fit
+        grid = grid_for(8192)
+        tracemalloc.start()
+        try:
+            solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        distinct = solution.diagnostics["distinct_gaps"]
+        assert distinct > 4096 and distinct * 4096 > 4 * spinwave.SCAN_CHUNK_ELEMENTS
+        assert peak < 9 * spinwave.SCAN_CHUNK_ELEMENTS + (4 << 20)
+
+    def test_cli_artifact_reproducible_with_diagnostics(self, tmp_path):
+        (tmp_path / "c.csv").write_text("dz1,dz2,J,J3\n1,0,1.0,1.0\n0,1,1.0,1.0\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            f"lattice.dimension = 2\nlattice.size = 12\ncouplings.path = {tmp_path / 'c.csv'}\n"
+            "field.h = 0.05\nthermal.beta = 0.7\n"
+        )
+        blobs = []
+        for run in ("a", "b"):
+            assert main(["solve", "--config", str(conf), "--out", str(tmp_path / run)]) == 0
+            blobs.append((tmp_path / run / "solution.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        diag = json.loads(blobs[0])["diagnostics"]
+        assert list(diag)[-3:] == ["distinct_gaps", "bisection_steps", "defect_evaluations"]
+        assert 0 < diag["distinct_gaps"] < 144
+        assert diag["defect_evaluations"] == 4096 + diag["bisection_steps"] + 1
 
 
 class TestMagnetizationBound:
