@@ -41,7 +41,10 @@ def _parse_int(text):
 
 
 def _parse_float(text):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
 
 
 def _parse_str(text):
@@ -62,11 +65,21 @@ def _parse_int_list(text):
 
 
 def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()] if text.strip() else []
+    return [_parse_float(tok) for tok in text.split(",") if tok.strip()] if text.strip() else []
 
 
 def _parse_optional_float(text):
-    return float(text) if text.strip() else None
+    return _parse_float(text) if text.strip() else None
+
+
+def _parse_threads(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 # key -> (parser, default); None default means the key is required when used.
@@ -445,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory (default: $MAGNONKIT_OUT or .)")
         cmd.add_argument("--format", choices=["json", "csv"], default=None,
                          help="artifact format (overrides output.format)")
-        cmd.add_argument("--threads", type=int, default=1,
+        cmd.add_argument("--threads", type=_parse_threads, default=1,
                          help="worker threads for block diagonalization (0 = auto)")
         cmd.set_defaults(func=func)
     return parser

@@ -7,8 +7,12 @@ becomes a multiplicity-weighted sum over per-site sector assignments, which
 turns an exponential 2**(n*N) problem into products of tiny spin-j blocks.
 The Hamiltonian also conserves total S3, so each block is diagonalized sector
 by sector of total magnetization and its site operators are kept as the
-pieces between sectors.  A brute-force full-tensor path over all copies, one
-unsplit dense diagonalization, is kept for cross-validation.
+pieces between sectors.  Assignments related by a lattice translation are
+isospectral, so one block per translation orbit is diagonalized and the
+other members reuse it with their site axis permuted.  Blocks are assembled
+by mixed-radix index arithmetic on the product basis.  A brute-force
+full-tensor path over all copies, one unsplit dense diagonalization, is kept
+for cross-validation.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -22,13 +26,13 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .lattice import CouplingSet, LatticeSpec, coupling_matrix
-from .sectors import collective_matrices, sector_decomposition
+from .sectors import sector_decomposition
 from .spinwave import ThermalParams, occupation
 
 MAX_SECTOR_BLOCK_DIM = 10_000
@@ -93,31 +97,78 @@ class _Block:
         return out
 
 
-def _pair_terms(dims, s_plus, s3_diags, j_mat, j3_mat, h, two_n):
-    """Hamiltonian of one assignment in its product basis.
+def _translations(lattice: LatticeSpec) -> np.ndarray:
+    """Site permutation of every lattice translation, shape (n_sites, n_sites).
 
-    Each transverse term S+(x) S-(y) is a Kronecker product of single-site
-    factors (S-(y) = S+(y)^T, real matrices), O(D^2) to build; S3 products
-    stay on the diagonal of the product basis.
+    Row t sends site x to the site at x + t, t running over ``site_vectors``
+    (so row 0 is the identity).
     """
-    n_sites = len(dims)
-    hamiltonian = np.zeros((math.prod(dims),) * 2)
-    diag = np.zeros(hamiltonian.shape[0])
+    sites = lattice.site_vectors()
+    radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
+    return ((sites[:, None, :] + sites[None, :, :]) % lattice.size) @ radix
+
+
+def _orbits(n_entries: int, translations: np.ndarray):
+    """Translation orbit of every per-site assignment, in product order.
+
+    Assignment number a has digits a_x over ``n_entries`` values, site 0 most
+    significant (``itertools.product`` order).  Returns per assignment the
+    number of its representative, the first assignment of its orbit, and a
+    site permutation p with assignment[x] == representative[p[x]].
+    """
+    n_sites = translations.shape[1]
+    codes = np.indices((n_entries,) * n_sites).reshape(n_sites, -1).T
+    radix = n_entries ** np.arange(n_sites - 1, -1, -1)
+    keys = codes[:, translations] @ radix  # keys[a, t]: number of a shifted by t
+    best = keys.argmin(axis=1)
+    reps = keys[np.arange(len(keys)), best]
+    return reps, np.argsort(translations, axis=1)[best]
+
+
+def _product_basis(twice_js):
+    """Digits, strides, S+ amplitudes and S3 diagonals of one product basis.
+
+    Basis index i has mixed-radix digits a_x (site 0 most significant, the
+    Kronecker order).  S+(x) sends i to i + stride_x with amplitude
+    sqrt((t_x - a_x)(a_x + 1)), t_x = 2 j_x, which vanishes at a_x = t_x;
+    S3(x) is 2 a_x - t_x.
+    """
+    t = np.asarray(twice_js)[:, None]
+    dims = t[:, 0] + 1
+    digits = np.indices(dims).reshape(len(dims), -1)
+    strides = np.cumprod([1, *dims[:0:-1]])[::-1]
+    return digits, strides, np.sqrt((t - digits) * (digits + 1.0)), 2.0 * digits - t
+
+
+def _hamiltonian(basis, j_mat, j3_mat, h, two_n):
+    """Hamiltonian of one assignment in its product basis, by index arithmetic.
+
+    S+(x) S-(y) sends i to i + stride_x - stride_y; the terms are scattered
+    into H entry by entry, x == y onto the diagonal.  S3 products are diagonal.
+    """
+    digits, strides, amp, s3 = basis
+    n_sites, dim = digits.shape
+    hamiltonian = np.zeros((dim, dim))
+    hop = np.zeros(dim)
+    diag = np.zeros(dim)
     for x in range(n_sites):
         for y in range(n_sites):
             jxy = j_mat[x, y]
             if jxy != 0.0:
+                coeff = (4.0 / two_n) * jxy
+                lowered = np.flatnonzero(digits[y] > 0)  # S-(y) acts on these
                 if x == y:
-                    factors = {x: s_plus[x] @ s_plus[x].T}
+                    down = amp[y, lowered - strides[y]]
+                    hop[lowered] -= coeff * (down * down)
                 else:
-                    factors = {x: s_plus[x], y: s_plus[y].T}
-                term = reduce(np.kron, [factors.get(z, np.eye(d)) for z, d in enumerate(dims)])
-                hamiltonian -= (4.0 / two_n) * jxy * term
+                    lowered = lowered[amp[x, lowered] > 0.0]  # and S+(x) can raise
+                    mid = lowered - strides[y]
+                    hamiltonian[mid + strides[x], lowered] -= coeff * (amp[x, mid] * amp[y, mid])
             j3xy = j3_mat[x, y]
             if j3xy != 0.0:
-                diag -= (1.0 / two_n) * j3xy * s3_diags[x] * s3_diags[y]
-        diag += h * s3_diags[x]
-    hamiltonian[np.diag_indices_from(hamiltonian)] += diag
+                diag -= (1.0 / two_n) * j3xy * s3[x] * s3[y]
+        diag += h * s3[x]
+    hamiltonian[np.diag_indices(dim)] = hop + diag
     return hamiltonian
 
 
@@ -126,19 +177,25 @@ def _split_by_magnetization(hamiltonian, magnetization):
 
     Returns the permutation that sorts the product basis by magnetization,
     the sorted sector values and slices, and the per-sector eigenpairs.
-    Raises AssertionError if H has an entry between different sectors.
+    Sectors of equal size go to one stacked ``eigh``.  Raises AssertionError
+    if H has an entry between different sectors.
     """
     order = np.argsort(magnetization, kind="stable")
-    sorted_m = magnetization[order]
-    sorted_h = hamiltonian[np.ix_(order, order)]
-    leak = np.max(np.abs(sorted_h[sorted_m[:, None] != sorted_m[None, :]]), initial=0.0)
-    if leak != 0.0:
+    values, starts, sizes = np.unique(magnetization[order], return_index=True, return_counts=True)
+    sectors = [slice(a, a + d) for a, d in zip(starts, sizes)]
+    diagonal = [hamiltonian[np.ix_(order[s], order[s])] for s in sectors]
+    # exact: every nonzero entry of H must lie in a sector's diagonal block
+    if np.count_nonzero(hamiltonian) != sum(np.count_nonzero(b) for b in diagonal):
+        leak = np.max(np.abs(hamiltonian[magnetization[:, None] != magnetization[None, :]]))
         raise AssertionError(
             f"Hamiltonian couples different total-S3 sectors (largest entry {leak:.3e})"
         )
-    values, starts = np.unique(sorted_m, return_index=True)
-    sectors = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(order)])]
-    eigen = [np.linalg.eigh(sorted_h[s, s]) for s in sectors]
+    eigen = [None] * len(sectors)
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        energies, vectors = np.linalg.eigh(np.stack([diagonal[k] for k in group]))
+        for k, e, v in zip(group, energies, vectors):
+            eigen[k] = (e, v)
     return order, values, sectors, eigen
 
 
@@ -151,35 +208,30 @@ def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
             f"{MAX_SECTOR_BLOCK_DIM}"
         )
     table = sector_decomposition(n)
-    mats = {e.twice_j: collective_matrices(e.twice_j) for e in table.entries}
     j_mat = coupling_matrix(config.couplings, "J", lattice)
     j3_mat = coupling_matrix(config.couplings, "J3", lattice)
+    translations = _translations(lattice)
+    for name, mat in (("J", j_mat), ("J3", j3_mat)):
+        if not np.all(mat[translations[:, :, None], translations[:, None, :]] == mat):
+            raise AssertionError(
+                f"coupling matrix {name} is not invariant under lattice translations"
+            )
     h = config.couplings.h
     two_n = 2.0 * n
 
     def build(assignment):
         weight = math.prod(e.multiplicity for e in assignment)
-        dims = [e.dim for e in assignment]
-
-        def embed(site, mat):
-            left, right = math.prod(dims[:site]), math.prod(dims[site + 1 :])
-            out = np.kron(np.eye(left), mat) if left > 1 else mat
-            return np.kron(out, np.eye(right)) if right > 1 else out
-
-        def embed_diag(site, vec):
-            left = np.ones(math.prod(dims[:site]))
-            right = np.ones(math.prod(dims[site + 1 :]))
-            return np.kron(np.kron(left, vec), right)
-
-        site_plus = [mats[e.twice_j][0] for e in assignment]
-        s3_diags = [
-            embed_diag(x, np.diagonal(mats[e.twice_j][2]).copy())
-            for x, e in enumerate(assignment)
-        ]
-        hamiltonian = _pair_terms(dims, site_plus, s3_diags, j_mat, j3_mat, h, two_n)
-        order, values, sectors, eigen = _split_by_magnetization(hamiltonian, sum(s3_diags))
-        s_plus = np.stack([embed(x, sp)[np.ix_(order, order)] for x, sp in enumerate(site_plus)])
-        s3_sorted = np.stack(s3_diags)[:, order]
+        basis = _product_basis([e.twice_j for e in assignment])
+        _, strides, amp, s3 = basis
+        hamiltonian = _hamiltonian(basis, j_mat, j3_mat, h, two_n)
+        order, values, sectors, eigen = _split_by_magnetization(hamiltonian, s3.sum(axis=0))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        # every S+(x) entry, written in the sorted basis: site, row, column
+        site, src = np.nonzero(amp > 0.0)
+        row, col = rank[src + strides[site]], rank[src]
+        col_sector = np.searchsorted([s.start for s in sectors], col, side="right") - 1
+        s3_sorted = s3[:, order]
         index = {int(m): i for i, m in enumerate(values)}
         plus, three = [], []
         for m, rows, (_, vectors) in zip(values, sectors, eigen):
@@ -187,17 +239,39 @@ def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
             j = index.get(int(m) - 2)  # S+ raises the total S3 by 2
             if j is not None:
                 cols, lower = sectors[j], eigen[j][1]
-                plus.append((rows, cols, vectors.T @ s_plus[:, rows, cols] @ lower))
+                sel = col_sector == j
+                piece = np.zeros((n_sites, rows.stop - rows.start, cols.stop - cols.start))
+                at = site[sel], row[sel] - rows.start, col[sel] - cols.start
+                piece[at] = amp[site[sel], src[sel]]
+                plus.append((rows, cols, vectors.T @ piece @ lower))
         energies = np.concatenate([e for e, _ in eigen])
         label = tuple(e.twice_j for e in assignment)
         return _Block(label, math.log(weight), energies, plus, three)
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
-    if threads == 1 or len(assignments) == 1:
-        return [build(a) for a in assignments]
-    workers = threads if threads > 0 else min(len(assignments), 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(build, assignments))
+    reps, perms = _orbits(len(table.entries), translations)
+    distinct = np.unique(reps).tolist()
+    todo = [assignments[r] for r in distinct]
+    if threads == 1 or len(todo) == 1:
+        built = [build(a) for a in todo]
+    else:
+        workers = threads if threads > 0 else min(len(todo), 8)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            built = list(pool.map(build, todo))
+    representative = dict(zip(distinct, built))
+    blocks = []
+    for a, (r, perm) in enumerate(zip(reps.tolist(), perms)):
+        rep = representative[r]
+        if a == r:
+            blocks.append(rep)
+            continue
+        # a translate of the representative: same spectrum, site axis permuted
+        blocks.append(_Block(
+            tuple(e.twice_j for e in assignments[a]), rep.log_weight, rep.energies,
+            [(rows, cols, stack[perm]) for rows, cols, stack in rep.plus],
+            [(rows, cols, stack[perm]) for rows, cols, stack in rep.three],
+        ))
+    return blocks
 
 
 def _qubit_diag_z(n_qubits: int, index: int) -> np.ndarray:

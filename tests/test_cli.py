@@ -9,6 +9,7 @@ from magnonkit import (
     cli,
     evolve,
     number_density,
+    oracle,
     packet_state,
 )
 from magnonkit.artifacts import fmt
@@ -187,14 +188,37 @@ class TestOracleCommand:
 
     def test_artifact_identical_across_thread_counts(self, workspace):
         tmp_path, make = workspace
-        conf = make(ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 1,3,5"))
-        artifacts = []
-        for threads in ("1", "2", "1"):
-            out = tmp_path / f"threads{threads}-{len(artifacts)}"
-            argv = ["oracle", "--config", str(conf), "--out", str(out), "--threads", threads]
-            assert main(argv) == 0
-            artifacts.append((out / "convergence.json").read_bytes())
-        assert artifacts[0] == artifacts[1] == artifacts[2]
+        chain = (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 1,3,5"), ISO_CSV)
+        square = (  # 2x2: orbits of the four translations
+            ORACLE_CONF.replace("lattice.dimension = 1", "lattice.dimension = 2"),
+            "dz1,dz2,J,J3\n1,0,1.0,1.0\n0,1,1.0,1.0\n",
+        )
+        for k, (body, csv_body) in enumerate((chain, square)):
+            conf = make(body, csv_body, name=f"run{k}.conf")
+            artifacts = []
+            for threads in ("1", "2", "1"):
+                out = tmp_path / f"{conf.stem}-threads{threads}-{len(artifacts)}"
+                argv = ["oracle", "--config", str(conf), "--out", str(out), "--threads", threads]
+                assert main(argv) == 0
+                artifacts.append((out / "convergence.json").read_bytes())
+            assert artifacts[0] == artifacts[1] == artifacts[2]
+
+    def test_negative_threads_refused_at_parse_time(self, workspace, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "cmd_oracle", lambda args: pytest.fail("the command ran"))
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--config", str(conf), "--out", str(tmp_path), "--threads", "-1"])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_zero_threads_means_auto(self):
+        args = cli.build_parser().parse_args(["oracle", "--config", "x.conf", "--threads", "0"])
+        assert args.threads == 0
 
     def test_single_entry_ladder_trivially_passes(self, workspace):
         tmp_path, make = workspace
@@ -342,6 +366,28 @@ class TestConfigParsing:
         assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "lattice.dimension" in err and "'one'" in err
+
+
+NON_FINITE = {
+    "validate.tol": ("validate", BASE_CONF + "validate.tol = nan\n", "nan"),
+    "solve.tol": ("solve", BASE_CONF + "solve.tol = nan\n", "nan"),
+    "field.h": ("validate", BASE_CONF.replace("field.h = 0.5", "field.h = inf"), "inf"),
+    "dynamics.conservation_tol": (
+        "dynamics", DYNAMICS_CONF + "dynamics.conservation_tol = nan\n", "nan"),
+    "dynamics.times": ("dynamics", DYNAMICS_CONF.replace("0.0,0.5,1.0", "0.0,-inf"), "-inf"),
+    "dynamics.m": (
+        "dynamics", DYNAMICS_CONF + "dynamics.initial = packet\ndynamics.m = nan\n", "nan"),
+}
+
+
+@pytest.mark.parametrize("key", NON_FINITE)
+def test_non_finite_config_float_exits_2_naming_the_key(key, workspace, capsys):
+    command, body, shown = NON_FINITE[key]
+    tmp_path, make = workspace
+    conf = make(body)
+    assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
+    assert f"config key '{key}': must be finite, got {shown}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
 
 
 class TestInternalErrors:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from magnonkit import (
     occupation,
     wick_residual,
 )
-from magnonkit.oracle import _split_by_magnetization
+from magnonkit import oracle
+from magnonkit.oracle import (
+    GibbsEnsemble,
+    _Block,
+    _hamiltonian,
+    _product_basis,
+    _split_by_magnetization,
+)
+from magnonkit.sectors import collective_matrices, sector_decomposition
 
 CHAIN2 = LatticeSpec(1, 2)
 GRID2 = MomentumGrid.from_lattice(CHAIN2)
@@ -347,3 +356,173 @@ def test_site_average_variance_shrinks():
     assert all(b < a for a, b in zip(variances, variances[1:]))
     for n, variance in zip(ladder[1:], variances[1:]):
         assert variance <= variances[0] / n
+
+
+# --- the orbit engine against a Kronecker-built, one-block-per-assignment reference ---
+
+CHAIN3 = LatticeSpec(1, 3)
+CHAIN4 = LatticeSpec(1, 4)
+SQUARE2 = LatticeSpec(2, 2)
+SHELLS12 = CouplingSet.symmetrized({(1,): 0.7, (2,): -0.3}, {(1,): 0.9, (2,): 0.4}, h=1.7)
+SQUARE_NN = CouplingSet.symmetrized(
+    {(1, 0): 0.8, (0, 1): 0.8, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0, (1, 1): 0.3}, h=2.0
+)
+
+
+def kron_operators(twice_js):
+    """Dense S+(x) and the S3(x) diagonals of one assignment, by Kronecker products."""
+    dims = [t + 1 for t in twice_js]
+
+    def embed(site, mat):
+        return reduce(np.kron, [mat if z == site else np.eye(d) for z, d in enumerate(dims)])
+
+    mats = [collective_matrices(t) for t in twice_js]
+    return [embed(x, m[0]) for x, m in enumerate(mats)], [
+        np.diagonal(embed(x, m[2])).copy() for x, m in enumerate(mats)
+    ]
+
+
+def kron_hamiltonian(twice_js, j_mat, j3_mat, h, two_n):
+    """Reference Hamiltonian: each transverse term S+(x) S-(y) a Kronecker product."""
+    dims = [t + 1 for t in twice_js]
+    site_plus = [collective_matrices(t)[0] for t in twice_js]
+    _, s3 = kron_operators(twice_js)
+    hamiltonian = np.zeros((math.prod(dims),) * 2)
+    diag = np.zeros(hamiltonian.shape[0])
+    for x in range(len(dims)):
+        for y in range(len(dims)):
+            if j_mat[x, y] != 0.0:
+                if x == y:
+                    factors = {x: site_plus[x] @ site_plus[x].T}
+                else:
+                    factors = {x: site_plus[x], y: site_plus[y].T}
+                term = reduce(np.kron, [factors.get(z, np.eye(d)) for z, d in enumerate(dims)])
+                hamiltonian -= (4.0 / two_n) * j_mat[x, y] * term
+            if j3_mat[x, y] != 0.0:
+                diag -= (1.0 / two_n) * j3_mat[x, y] * s3[x] * s3[y]
+        diag += h * s3[x]
+    hamiltonian[np.diag_indices_from(hamiltonian)] += diag
+    return hamiltonian
+
+
+def coupling_pair(config):
+    return tuple(coupling_matrix(config.couplings, w, config.lattice) for w in ("J", "J3"))
+
+
+def reference_ensemble(config, beta):
+    """Every assignment diagonalized on its own (unsplit, no orbits), in product order."""
+    j_mat, j3_mat = coupling_pair(config)
+    blocks = []
+    for assignment in itertools.product(sector_decomposition(config.copies).entries,
+                                        repeat=config.lattice.n_sites):
+        twice_js = [e.twice_j for e in assignment]
+        s_plus, s3 = kron_operators(twice_js)
+        hamiltonian = kron_hamiltonian(twice_js, j_mat, j3_mat, config.couplings.h, 2.0 * config.copies)
+        energies, vectors = np.linalg.eigh(hamiltonian)
+        everything = slice(0, len(energies))
+        plus = np.stack([vectors.T @ sp @ vectors for sp in s_plus])
+        three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3])
+        weight = math.log(math.prod(e.multiplicity for e in assignment))
+        blocks.append(_Block(tuple(twice_js), weight, energies,
+                             [(everything, everything, plus)], [(everything, everything, three)]))
+    return GibbsEnsemble(config, beta, "sector", blocks)
+
+
+def block_moments(block):
+    """<S3(x)> and <S+(x) S-(y)> weighted by one block's own Gibbs probabilities."""
+    s3 = sum(np.einsum("xaa,a->x", stack, block.probs[rows]) for rows, _, stack in block.three)
+    pm = sum(np.einsum("xab,yab,a->xy", stack, stack, block.probs[rows])
+             for rows, _, stack in block.plus)
+    return s3, pm
+
+
+HAMILTONIAN_CASES = {
+    "chain3": (SpinConfig(7, CHAIN3, ISO25), (1, 3, 5, 7)),
+    "chain4-shells12": (SpinConfig(3, CHAIN4, SHELLS12), (1, 3)),
+    "square2x2": (SpinConfig(3, SQUARE2, SQUARE_NN), (1, 3)),
+    "self-coupling": (SpinConfig(7, CHAIN2, WRAPPED), (1, 3, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("case", HAMILTONIAN_CASES)
+def test_index_arithmetic_hamiltonian_matches_kronecker(case):
+    config, spins = HAMILTONIAN_CASES[case]
+    j_mat, j3_mat = coupling_pair(config)
+    two_n = 2.0 * config.copies
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        twice_js = [int(t) for t in rng.choice(spins, size=config.lattice.n_sites)]
+        expected = kron_hamiltonian(twice_js, j_mat, j3_mat, config.couplings.h, two_n)
+        got = _hamiltonian(_product_basis(twice_js), j_mat, j3_mat, config.couplings.h, two_n)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14 * scale, err_msg=str(twice_js))
+
+
+ORBIT_CASES = {
+    "chain3-n5": (SpinConfig(5, CHAIN3, ISO25), 0.8),
+    "chain4-shells12-n3": (SpinConfig(3, CHAIN4, SHELLS12), 0.9),
+    "square2x2-n3": (SpinConfig(3, SQUARE2, SQUARE_NN), 0.7),
+}
+
+
+class TestTranslationOrbits:
+    @pytest.mark.parametrize("case", ORBIT_CASES)
+    def test_every_block_has_the_spectrum_of_its_assignment(self, case):
+        config, beta = ORBIT_CASES[case]
+        j_mat, j3_mat = coupling_pair(config)
+        for block in build_gibbs(config, beta).blocks:
+            hamiltonian = kron_hamiltonian(block.label, j_mat, j3_mat, config.couplings.h,
+                                           2.0 * config.copies)
+            np.testing.assert_allclose(np.sort(block.energies), np.linalg.eigvalsh(hamiltonian),
+                                       rtol=0.0, atol=1e-12, err_msg=str(block.label))
+
+    @pytest.mark.parametrize("case", ["chain4-shells12-n3", "square2x2-n3"])
+    def test_matches_the_no_orbit_reference(self, case):
+        config, beta = ORBIT_CASES[case]
+        engine = build_gibbs(config, beta)
+        reference = reference_ensemble(config, beta)
+        n_sites = config.lattice.n_sites
+        pairs = [
+            ("logZ", engine.logZ, reference.logZ),
+            ("sigma3_site", engine.sigma3_site, reference.sigma3_site),
+            ("two_point_pm", engine.two_point_pm, reference.two_point_pm),
+            ("sigma3_site_variance",
+             [engine.sigma3_site_variance(x) for x in range(n_sites)],
+             [reference.sigma3_site_variance(x) for x in range(n_sites)]),
+        ]
+        for name, got, expected in pairs:
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=name)
+        # block by block, so a member read through the wrong site permutation shows
+        # even where the orbit sum would hide it
+        assert [b.label for b in engine.blocks] == [b.label for b in reference.blocks]
+        for block, ref in zip(engine.blocks, reference.blocks):
+            for got, expected in zip(block_moments(block), block_moments(ref)):
+                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(block.label))
+
+    def test_blocks_stay_one_per_assignment_in_product_order(self):
+        ensemble = build_gibbs(SpinConfig(7, CHAIN3, ISO25), beta=1.0)
+        spins = [e.twice_j for e in sector_decomposition(7).entries]
+        labels = list(itertools.product(spins, repeat=3))
+        assert [b.label for b in ensemble.blocks] == labels
+        assert [b.dim for b in ensemble.blocks] == [math.prod(t + 1 for t in lab) for lab in labels]
+
+    def test_orbit_members_share_the_representative_spectrum(self):
+        blocks = {b.label: b for b in build_gibbs(SpinConfig(5, CHAIN3, ISO25), beta=1.0).blocks}
+        # (5, 3, 1) represents its orbit; (3, 1, 5) and (1, 5, 3) are its translates
+        assert blocks[(3, 1, 5)].energies is blocks[(5, 3, 1)].energies
+        assert blocks[(1, 5, 3)].energies is blocks[(5, 3, 1)].energies
+        assert blocks[(1, 3, 5)].energies is not blocks[(5, 3, 1)].energies
+
+    @pytest.mark.parametrize("which", ["J", "J3"])
+    def test_refuses_couplings_that_break_translation(self, which, monkeypatch):
+        original = oracle.coupling_matrix
+
+        def broken(couplings, kind, lattice):
+            mat = original(couplings, kind, lattice)
+            if kind == which:
+                mat[0, 1] = mat[1, 0] = mat[0, 1] + 0.25
+            return mat
+
+        monkeypatch.setattr(oracle, "coupling_matrix", broken)
+        with pytest.raises(AssertionError, match=f"{which} is not invariant under lattice translations"):
+            build_gibbs(SpinConfig(3, CHAIN3, ISO25), beta=1.0)
