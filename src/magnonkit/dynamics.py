@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,9 +97,16 @@ class GaussianMagnonState:
         self.h = float(h)
 
     def _replace(self, gamma, basis) -> "GaussianMagnonState":
-        return GaussianMagnonState(self.m, gamma, basis, self.grid, self.couplings, self.h)
+        """Same parameters, new covariance; gamma is Hermitian by construction.
 
-    @property
+        Skips the constructor's checks and carries over a computed spectrum.
+        """
+        out = object.__new__(GaussianMagnonState)
+        out.__dict__.update(self.__dict__)
+        out.gamma, out.basis = gamma, basis
+        return out
+
+    @cached_property
     def spectrum(self) -> ModeSpectrum:
         return mode_spectrum(self.m, self.h, self.couplings, self.grid)
 

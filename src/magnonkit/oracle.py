@@ -8,11 +8,15 @@ turns an exponential 2**(n*N) problem into products of tiny spin-j blocks.
 The Hamiltonian also conserves total S3, so each block is diagonalized sector
 by sector of total magnetization and its site operators are kept as the
 pieces between sectors.  Assignments related by a lattice translation are
-isospectral, so one block per translation orbit is diagonalized and the
-other members reuse it with their site axis permuted.  Blocks are assembled
-by mixed-radix index arithmetic on the product basis.  A brute-force
-full-tensor path over all copies, one unsplit dense diagonalization, is kept
-for cross-validation.
+isospectral, so one block per translation orbit is diagonalized; the other
+members are stored as that representative plus a site permutation, and hold
+no operator copies of their own.  The Gibbs expectations are translation
+invariant, so every observable is evaluated once per orbit: momentum-space
+ones are the representative's value times the orbit size, and site-resolved
+ones scatter the representative's values through the members' permutations.
+Blocks are assembled by mixed-radix index arithmetic on the product basis.  A
+brute-force full-tensor path over all copies, one unsplit dense
+diagonalization, is kept for cross-validation.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -31,7 +35,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sparse
 
-from .lattice import CouplingSet, LatticeSpec, coupling_matrix
+from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix
 from .sectors import sector_decomposition
 from .spinwave import ThermalParams, occupation
 
@@ -95,6 +99,35 @@ class _Block:
         for rows, cols, stack in pieces:
             out[rows, cols] = stack[site]
         return out
+
+
+class _Translate(_Block):
+    """A translation-orbit member: its representative's block, sites permuted.
+
+    The member's operator at site x is the representative's at ``perm[x]``
+    in the shared eigenbasis.  Energies, weight and probabilities are the
+    representative's; the pieces are built from its stacks on each access
+    and never stored.
+    """
+
+    def __init__(self, label, rep: _Block, perm: np.ndarray):
+        self.label = label
+        self.rep = rep
+        self.perm = perm
+        self.log_weight = rep.log_weight
+        self.energies = rep.energies
+
+    @property
+    def probs(self):
+        return self.rep.probs
+
+    @property
+    def plus(self) -> list:
+        return [(rows, cols, stack[self.perm]) for rows, cols, stack in self.rep.plus]
+
+    @property
+    def three(self) -> list:
+        return [(rows, cols, stack[self.perm]) for rows, cols, stack in self.rep.three]
 
 
 def _translations(lattice: LatticeSpec) -> np.ndarray:
@@ -199,7 +232,13 @@ def _split_by_magnetization(hamiltonian, magnetization):
     return order, values, sectors, eigen
 
 
-def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
+def _sector_blocks(config: SpinConfig, threads: int):
+    """One block per assignment in product order, and the translation orbits.
+
+    Each orbit is (representative, member permutations): row k of the
+    permutation array belongs to one member, the representative's identity
+    included.
+    """
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
     if (n + 1) ** n_sites > MAX_SECTOR_BLOCK_DIM:
@@ -259,19 +298,15 @@ def _sector_blocks(config: SpinConfig, threads: int) -> list[_Block]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             built = list(pool.map(build, todo))
     representative = dict(zip(distinct, built))
+    members = {r: [] for r in distinct}
     blocks = []
     for a, (r, perm) in enumerate(zip(reps.tolist(), perms)):
         rep = representative[r]
-        if a == r:
-            blocks.append(rep)
-            continue
-        # a translate of the representative: same spectrum, site axis permuted
-        blocks.append(_Block(
-            tuple(e.twice_j for e in assignments[a]), rep.log_weight, rep.energies,
-            [(rows, cols, stack[perm]) for rows, cols, stack in rep.plus],
-            [(rows, cols, stack[perm]) for rows, cols, stack in rep.three],
-        ))
-    return blocks
+        members[r].append(perm)
+        label = tuple(e.twice_j for e in assignments[a])
+        blocks.append(rep if a == r else _Translate(label, rep, perm))
+    orbits = [(representative[r], np.array(members[r])) for r in distinct]
+    return blocks, orbits
 
 
 def _qubit_diag_z(n_qubits: int, index: int) -> np.ndarray:
@@ -330,21 +365,30 @@ def _full_block(config: SpinConfig) -> _Block:
 
 
 class GibbsEnsemble:
-    """Sector-blocked (or full-tensor) Gibbs state with cached expectations."""
+    """Sector-blocked (or full-tensor) Gibbs state with cached expectations.
 
-    def __init__(self, config: SpinConfig, beta: float, mode: str, blocks: list[_Block]):
+    ``orbits`` lists (representative, member permutations) with every block
+    in exactly one orbit; without it each block is its own orbit.  Each
+    expectation below is evaluated on the representatives only.
+    """
+
+    def __init__(self, config: SpinConfig, beta: float, mode: str, blocks: list[_Block],
+                 orbits=None):
         self.config = config
         self.beta = float(beta)
         self.mode = mode
         self.blocks = blocks
-        ground = min(float(b.energies.min()) for b in blocks)
+        if orbits is None:
+            identity = np.arange(config.lattice.n_sites)[None, :]
+            orbits = [(block, identity) for block in blocks]
+        self.orbits = orbits
+        ground = min(float(rep.energies.min()) for rep, _ in orbits)
         total = 0.0
-        for block in blocks:
-            rel = np.exp(block.log_weight - self.beta * (block.energies - ground))
-            block.probs = rel
-            total += float(rel.sum())
-        for block in blocks:
-            block.probs = block.probs / total
+        for rep, perms in orbits:
+            rep.probs = np.exp(rep.log_weight - self.beta * (rep.energies - ground))
+            total += len(perms) * float(rep.probs.sum())
+        for rep, _ in orbits:
+            rep.probs = rep.probs / total
         self.logZ = math.log(total) - self.beta * ground
         self.ground_energy = ground
 
@@ -357,7 +401,7 @@ class GibbsEnsemble:
         return self.config.copies
 
     def identity_expectation(self) -> float:
-        return float(sum(b.probs.sum() for b in self.blocks))
+        return float(sum(len(perms) * rep.probs.sum() for rep, perms in self.orbits))
 
     def expect_product(self, factors) -> complex:
         """Expectation of an ordered product of collective site operators.
@@ -381,14 +425,23 @@ class GibbsEnsemble:
             total += complex(np.dot(block.probs, np.diagonal(mat)))
         return total
 
+    def _site_sum(self, per_rep) -> np.ndarray:
+        """Sum over all blocks of per-site values, from the representatives.
+
+        ``per_rep(rep)`` returns the representative's values with sites on
+        the first axis; a member's value at site x is the representative's at
+        perm[x].
+        """
+        return sum(per_rep(rep)[perms].sum(axis=0) for rep, perms in self.orbits)
+
     @cached_property
     def sigma3_site(self) -> np.ndarray:
         """Per-copy magnetization <sigma3> at each site (translation invariant)."""
-        vals = np.zeros(self.n_sites)
-        for block in self.blocks:
-            for rows, _, stack in block.three:
-                vals += np.einsum("xaa,a->x", stack, block.probs[rows])
-        return vals / self.copies
+
+        def s3(rep):
+            return sum(np.einsum("xaa,a->x", stack, rep.probs[rows]) for rows, _, stack in rep.three)
+
+        return self._site_sum(s3) / self.copies
 
     @cached_property
     def sigma3(self) -> float:
@@ -398,12 +451,13 @@ class GibbsEnsemble:
     @cached_property
     def splus_site(self) -> np.ndarray:
         """<S+(x)> per site; exactly zero by U(1) symmetry of the Gibbs state."""
-        vals = np.zeros(self.n_sites)
-        for block in self.blocks:
-            for rows, cols, stack in block.plus:
-                if rows == cols:  # only an unsplit block has diagonal S+ entries
-                    vals += np.einsum("xaa,a->x", stack, block.probs[rows])
-        return vals
+
+        def diag_plus(rep):
+            # only an unsplit block has diagonal S+ entries
+            return sum((np.einsum("xaa,a->x", stack, rep.probs[rows])
+                        for rows, cols, stack in rep.plus if rows == cols), np.zeros(self.n_sites))
+
+        return self._site_sum(diag_plus)
 
     @cached_property
     def sminus_site(self) -> np.ndarray:
@@ -411,13 +465,17 @@ class GibbsEnsemble:
 
     def sigma3_site_variance(self, x: int) -> float:
         """Variance of the per-copy site average S3(x)/n (shrinks like 1/n)."""
-        mom1 = 0.0
-        mom2 = 0.0
-        for block in self.blocks:
-            for rows, _, stack in block.three:
-                t3, probs = stack[x], block.probs[rows]
-                mom1 += float(np.dot(probs, np.diagonal(t3)))
-                mom2 += float(np.dot(probs, np.einsum("ab,ab->a", t3, t3)))
+
+        def moments(rep):
+            """<S3(z)> and <S3(z)^2> at every site z, shape (N, 2)."""
+            out = np.zeros((self.n_sites, 2))
+            for rows, _, stack in rep.three:
+                probs = rep.probs[rows]
+                out[:, 0] += np.einsum("zaa,a->z", stack, probs)
+                out[:, 1] += np.einsum("zab,zab->za", stack, stack) @ probs
+            return out
+
+        mom1, mom2 = self._site_sum(moments)[x]
         return (mom2 - mom1**2) / self.copies**2
 
     @cached_property
@@ -425,15 +483,18 @@ class GibbsEnsemble:
         """<S+(x) S-(y)> and <S-(y) S+(x)> for all site pairs, shape (2, N, N).
 
         Per S+ piece, diag(S+(x) S-(y)) sums S+(x) * S+(y) over columns and
-        diag(S-(y) S+(x)) sums it over rows.
+        diag(S-(y) S+(x)) sums it over rows.  A member's entry (x, y) is its
+        representative's entry (perm[x], perm[y]).
         """
         n = self.n_sites
         out = np.zeros((2, n, n))
-        for block in self.blocks:
-            for rows, cols, stack in block.plus:
+        for rep, perms in self.orbits:
+            rep_out = np.zeros((2, n, n))
+            for rows, cols, stack in rep.plus:
                 flat = stack.reshape(n, -1)
-                for i, weights in enumerate((block.probs[rows, None], block.probs[None, cols])):
-                    out[i] += (stack * weights).reshape(n, -1) @ flat.T
+                for i, weights in enumerate((rep.probs[rows, None], rep.probs[None, cols])):
+                    rep_out[i] += (stack * weights).reshape(n, -1) @ flat.T
+            out += rep_out[:, perms[:, :, None], perms[:, None, :]].sum(axis=1)
         return out
 
     @property
@@ -446,6 +507,18 @@ class GibbsEnsemble:
         norm = math.sqrt(self.n_sites * self.copies)
         return np.exp(1j * sites @ np.atleast_1d(np.asarray(k, dtype=float))) / norm
 
+    def _orbit_fluct_plus(self, q):
+        """Per orbit: size, representative, and the pieces of its F+(q).
+
+        A translate's F+(q) is its representative's times the phase
+        exp(-i q.s), so for every q on the momentum grid an observable that
+        is invariant under a global phase of F+ is the same on every member.
+        """
+        MomentumGrid.from_lattice(self.config.lattice).index_of(q)  # refuses q off the grid
+        coeffs = self._fluct_coeffs(q)
+        for rep, perms in self.orbits:
+            yield len(perms), rep, rep.fluct_plus(coeffs)
+
 
 def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector", threads: int = 1) -> GibbsEnsemble:
     """Diagonalize the model and assemble its Gibbs ensemble.
@@ -457,12 +530,12 @@ def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector", threads: 
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     if mode == "sector":
-        blocks = _sector_blocks(config, threads)
+        blocks, orbits = _sector_blocks(config, threads)
     elif mode == "full":
-        blocks = [_full_block(config)]
+        blocks, orbits = [_full_block(config)], None
     else:
         raise ValueError(f"mode must be 'sector' or 'full', got {mode!r}")
-    return GibbsEnsemble(config, beta, mode, blocks)
+    return GibbsEnsemble(config, beta, mode, blocks, orbits)
 
 
 def _real(value: complex, what: str) -> float:
@@ -511,25 +584,25 @@ def energy_entropy_margin(ensemble: GibbsEnsemble, q, kind: str = "-") -> Energy
 
     Holds for every exact Gibbs state; near-vanishing expectations make the
     inequality trivially true and are flagged instead of producing log(0).
+    q must be a point of the lattice's momentum grid (ValueError otherwise).
     """
     if kind not in ("+", "-"):
         raise ValueError(f"kind must be '+' or '-', got {kind!r}")
-    coeffs = ensemble._fluct_coeffs(q)
     xx = 0.0  # <X* X>
     yy = 0.0  # <X X*>
     lhs_raw = 0.0
-    for block in ensemble.blocks:
-        probs, energies = block.probs, block.energies
-        for rows, cols, f_plus in block.fluct_plus(coeffs):
+    for size, rep, pieces in ensemble._orbit_fluct_plus(q):
+        probs, energies = rep.probs, rep.energies
+        for rows, cols, f_plus in pieces:
             weight = f_plus.real**2 + f_plus.imag**2  # |X|^2 on the piece of X = F+
             if kind == "-":
                 rows, cols, weight = cols, rows, weight.T
             col = weight.sum(axis=0)
-            xx += float(np.dot(probs[cols], col))
-            yy += float(np.dot(probs[rows], weight.sum(axis=1)))
-            lhs_raw += float(energies[rows] @ weight @ probs[cols]) - float(
+            xx += size * float(np.dot(probs[cols], col))
+            yy += size * float(np.dot(probs[rows], weight.sum(axis=1)))
+            lhs_raw += size * (float(energies[rows] @ weight @ probs[cols]) - float(
                 np.dot(probs[cols] * energies[cols], col)
-            )
+            ))
     lhs = ensemble.beta * lhs_raw
     if xx < 1e-300 or yy < 1e-300:
         return EnergyEntropyMargin(lhs=lhs, rhs=0.0, x_dag_x=xx, x_x_dag=yy, trivial=True)
@@ -540,21 +613,20 @@ def wick_residual(ensemble: GibbsEnsemble, q) -> float:
     """|<F+ F+ F- F-> - 2 <F+ F->^2| at momentum q.
 
     A quasi-free state makes this vanish; at finite copy number it measures
-    the distance from Gaussianity and shrinks as copies grow.
+    the distance from Gaussianity and shrinks as copies grow.  q must be a
+    point of the lattice's momentum grid (ValueError otherwise).
     """
-    coeffs = ensemble._fluct_coeffs(q)
     two = 0.0
     four = 0.0
-    for block in ensemble.blocks:
-        pieces = block.fluct_plus(coeffs)
+    for size, rep, pieces in ensemble._orbit_fluct_plus(q):
         by_rows = {rows.start: f_plus for rows, _, f_plus in pieces}
         for rows, cols, f_plus in pieces:
             # diag(F+ F-) and diag(F+F+ F-F-) are squared row norms of F+ and F+F+
-            probs = block.probs[rows]
-            two += float(probs @ _row_norms2(f_plus))
+            probs = rep.probs[rows]
+            two += size * float(probs @ _row_norms2(f_plus))
             inner = by_rows.get(cols.start)  # the piece that F+ applies first
             if inner is not None:
-                four += float(probs @ _row_norms2(f_plus @ inner))
+                four += size * float(probs @ _row_norms2(f_plus @ inner))
     return abs(four - 2.0 * two**2)
 
 

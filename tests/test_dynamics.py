@@ -20,6 +20,7 @@ from magnonkit import (
     total_energy,
     total_number,
 )
+from magnonkit import dynamics
 
 LAT8 = LatticeSpec(1, 8)
 GRID8 = MomentumGrid.from_lattice(LAT8)
@@ -68,6 +69,30 @@ class TestState:
         gamma[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             GaussianMagnonState(-0.5, gamma, "mode", GRID8, ISO, 0.5)
+
+    def test_constructor_checks_what_internal_states_skip(self):
+        # to_mode, to_site and evolve skip the Hermiticity check; the constructor keeps it
+        mode = random_state(np.random.default_rng(3)).to_mode()
+        gamma = mode.gamma.copy()
+        gamma[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            GaussianMagnonState(mode.m, gamma, "mode", GRID8, ISO, 0.5)
+
+    def test_spectrum_is_computed_once_per_state_chain(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mode_spectrum(*args)
+
+        monkeypatch.setattr(dynamics, "mode_spectrum", counted)
+        state = random_state(np.random.default_rng(4)).to_mode()
+        energy = total_energy(state)
+        for t in (0.5, 1.5, 7.0):
+            evolved = evolve(state, t)
+            assert total_energy(evolved) == pytest.approx(energy, abs=1e-12)
+            assert evolved.to_site().spectrum is state.spectrum
+        assert len(calls) == 1
 
     def test_rejects_wrong_shape_and_basis(self):
         with pytest.raises(ValueError):

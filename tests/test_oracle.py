@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -26,6 +27,7 @@ from magnonkit import oracle
 from magnonkit.oracle import (
     GibbsEnsemble,
     _Block,
+    _Translate,
     _hamiltonian,
     _product_basis,
     _split_by_magnetization,
@@ -428,6 +430,22 @@ def reference_ensemble(config, beta):
     return GibbsEnsemble(config, beta, "sector", blocks)
 
 
+def piece_bytes(twice_js, n_sites):
+    """float64 bytes of one block's S3 pieces (d_M x d_M) and S+ pieces (d_M+2 x d_M)."""
+    _, _, _, s3 = _product_basis(twice_js)
+    _, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
+    return 8 * n_sites * int(np.sum(sizes**2) + np.sum(sizes[1:] * sizes[:-1]))
+
+
+def block_word(block, factors):
+    """<product of site operators> weighted by one block's own Gibbs probabilities."""
+    ops = {"+": lambda x: block.assemble(block.plus, x),
+           "-": lambda x: block.assemble(block.plus, x).T,
+           "3": lambda x: block.assemble(block.three, x)}
+    product = reduce(np.matmul, [ops[kind](x) for kind, x in factors])
+    return float(block.probs @ np.diagonal(product))
+
+
 def block_moments(block):
     """<S3(x)> and <S+(x) S-(y)> weighted by one block's own Gibbs probabilities."""
     s3 = sum(np.einsum("xaa,a->x", stack, block.probs[rows]) for rows, _, stack in block.three)
@@ -482,14 +500,32 @@ class TestTranslationOrbits:
         engine = build_gibbs(config, beta)
         reference = reference_ensemble(config, beta)
         n_sites = config.lattice.n_sites
+        word = [("3", 0), ("+", 1), ("-", n_sites - 1)]
         pairs = [
             ("logZ", engine.logZ, reference.logZ),
+            ("identity", engine.identity_expectation(), reference.identity_expectation()),
             ("sigma3_site", engine.sigma3_site, reference.sigma3_site),
             ("two_point_pm", engine.two_point_pm, reference.two_point_pm),
             ("sigma3_site_variance",
              [engine.sigma3_site_variance(x) for x in range(n_sites)],
              [reference.sigma3_site_variance(x) for x in range(n_sites)]),
+            ("expect_product", engine.expect_product(word), reference.expect_product(word)),
         ]
+        points = MomentumGrid.from_lattice(config.lattice).points
+        for i, q in enumerate(points):
+            k = points[(i + 1) % len(points)]
+            for kind in ("-", "+"):
+                got, expected = (energy_entropy_margin(e, q, kind) for e in (engine, reference))
+                pairs.append((f"margin{kind} q{i}",
+                              [got.lhs, got.rhs, got.x_dag_x, got.x_x_dag],
+                              [expected.lhs, expected.rhs, expected.x_dag_x, expected.x_x_dag]))
+            for name, func, args in (
+                ("two-point", fluctuation_two_point, (q,)),
+                ("wick", wick_residual, (q,)),
+                ("commutator k=q", commutator_expectation, (q, q)),
+                ("commutator k!=q", commutator_expectation, (k, q)),
+            ):
+                pairs.append((f"{name} q{i}", func(engine, *args), func(reference, *args)))
         for name, got, expected in pairs:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=name)
         # block by block, so a member read through the wrong site permutation shows
@@ -498,6 +534,39 @@ class TestTranslationOrbits:
         for block, ref in zip(engine.blocks, reference.blocks):
             for got, expected in zip(block_moments(block), block_moments(ref)):
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(block.label))
+        at = max((a for a, b in enumerate(engine.blocks) if isinstance(b, _Translate)),
+                 key=lambda a: engine.blocks[a].dim)
+        assert block_word(engine.blocks[at], word) == pytest.approx(
+            block_word(reference.blocks[at], word), rel=0.0, abs=1e-10)
+
+    def test_refuses_momenta_off_the_grid(self):
+        ensemble = build_gibbs(SpinConfig(3, CHAIN4, SHELLS12), beta=0.9)
+        for func in (wick_residual, energy_entropy_margin):
+            with pytest.raises(ValueError, match="not on the grid"):
+                func(ensemble, [0.3])
+
+    def test_members_hold_no_piece_copies(self):
+        # tracemalloc peak of the build: the representatives' pieces (from their sector
+        # sizes), one dense H of the largest block, and slack smaller than the pieces a
+        # permuted copy per member would add
+        config, beta = ORBIT_CASES["chain4-shells12-n3"]
+        n_sites = config.lattice.n_sites
+        ensemble = build_gibbs(config, beta)
+        tracemalloc.start()
+        try:
+            ensemble = build_gibbs(config, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes = {rep.label: len(perms) for rep, perms in ensemble.orbits}
+        assert sorted(sizes.values()) == [1, 1, 2, 4, 4, 4]
+        pieces = {label: piece_bytes(label, n_sites) for label in sizes}
+        dense_h = 8 * max(b.dim for b in ensemble.blocks) ** 2
+        slack = 64 * 1024
+        bound = sum(pieces.values()) + dense_h + slack
+        member_copies = sum((size - 1) * pieces[label] for label, size in sizes.items())
+        assert sum(pieces.values()) + member_copies > bound
+        assert peak <= bound, (peak, bound)
 
     def test_blocks_stay_one_per_assignment_in_product_order(self):
         ensemble = build_gibbs(SpinConfig(7, CHAIN3, ISO25), beta=1.0)
