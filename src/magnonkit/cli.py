@@ -1,11 +1,18 @@
 """Command-line front end.
 
-Subcommands: validate | solve | oracle | dynamics | sectors.  Every run reads
-a flat key/value config file (``section.key = value`` lines, '#' comments),
-resolves defaults, and embeds the effective configuration in each artifact so
-results are reproducible and diffable.  Exit codes: 0 success, 1 a scientific
-condition failed, 2 usage or I/O failure, 3 internal error (a bug or a failed
-internal consistency check, never a verdict on the physics).
+Subcommands: validate | solve | oracle | dynamics | sectors, one entry each
+in :data:`COMMANDS` with the config keys it reads and its artifact names.
+Every run reads a flat key/value config file (``section.key = value`` lines,
+'#' comments) and resolves defaults for its command's keys.  A ``cmd_*``
+function only computes; :func:`_emit` writes the artifacts with the effective
+configuration embedded (a leading ``"config"`` JSON key, ``# key = value``
+CSV preamble lines) so results are reproducible and diffable, prints the
+summary and maps the verdict to an exit code.  A command that reads
+``output.format`` writes one artifact in that format, and only it takes
+``--format``; ``dynamics`` writes both of its files.  Only ``oracle`` takes
+``--threads``.  Exit codes: 0 success, 1 a scientific condition failed, 2
+usage or I/O failure, 3 internal error (a bug or a failed internal
+consistency check, never a verdict on the physics).
 """
 
 from __future__ import annotations
@@ -15,14 +22,13 @@ import math
 import os
 import sys
 import traceback
+from collections.abc import Callable, Iterable
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import __version__
 from .artifacts import fmt, write_csv, write_json
 from .dynamics import (
-    GaussianMagnonState,
     equilibrium_state,
     evolve,
     number_density,
@@ -36,19 +42,11 @@ from .sectors import sector_decomposition
 from .spinwave import RegimeError, ThermalParams, solve_magnetization
 
 
-def _parse_int(text):
-    return int(text)
-
-
 def _parse_float(text):
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {value}")
     return value
-
-
-def _parse_str(text):
-    return text
 
 
 def _parse_choice(*choices):
@@ -84,59 +82,36 @@ def _parse_threads(text):
 
 # key -> (parser, default); None default means the key is required when used.
 _SCHEMA = {
-    "lattice.dimension": (_parse_int, None),
-    "lattice.size": (_parse_int, None),
-    "couplings.path": (_parse_str, None),
+    "lattice.dimension": (int, None),
+    "lattice.size": (int, None),
+    "couplings.path": (str, None),
     "field.h": (_parse_float, None),
     "thermal.beta": (_parse_float, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
     "validate.tol": (_parse_float, "1e-12"),
     "solve.tol": (_parse_float, "1e-12"),
-    "solve.scan_points": (_parse_int, "4096"),
+    "solve.scan_points": (int, "4096"),
     "oracle.copies": (_parse_int_list, "1,3,5,7"),
-    "oracle.q_index": (_parse_int, None),
+    "oracle.q_index": (int, None),
     "oracle.mode": (_parse_choice("sector", "full"), "sector"),
     "oracle.monotone_tol": (_parse_float, "0"),
     "dynamics.m": (_parse_optional_float, ""),
     "dynamics.times": (_parse_float_list, ""),
     "dynamics.initial": (_parse_choice("equilibrium", "packet"), "equilibrium"),
-    "dynamics.packet_center": (_parse_int, "0"),
+    "dynamics.packet_center": (int, "0"),
     "dynamics.packet_width": (_parse_float, "1.0"),
-    "dynamics.packet_kick": (_parse_int, "0"),
+    "dynamics.packet_kick": (int, "0"),
     "dynamics.conservation_tol": (_parse_float, "1e-10"),
-    "sectors.copies": (_parse_int, None),
+    "sectors.copies": (int, None),
 }
 
 _PROBLEM_KEYS = ("lattice.dimension", "lattice.size", "couplings.path", "field.h")
-
-_COMMAND_KEYS = {
-    "validate": _PROBLEM_KEYS + ("validate.tol", "output.format"),
-    "solve": _PROBLEM_KEYS + ("thermal.beta", "solve.tol", "solve.scan_points", "output.format"),
-    "oracle": _PROBLEM_KEYS
-    + (
-        "thermal.beta",
-        "oracle.copies",
-        "oracle.q_index",
-        "oracle.mode",
-        "oracle.monotone_tol",
-        "output.format",
-    ),
-    "dynamics": _PROBLEM_KEYS
-    + (
-        "thermal.beta",
-        "solve.tol",
-        "solve.scan_points",
-        "dynamics.m",
-        "dynamics.times",
-        "dynamics.initial",
-        "dynamics.packet_center",
-        "dynamics.packet_width",
-        "dynamics.packet_kick",
-        "dynamics.conservation_tol",
-        "output.format",
-    ),
-    "sectors": ("sectors.copies", "output.format"),
-}
+_SOLVE_KEYS = ("thermal.beta", "solve.tol", "solve.scan_points")
+_ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index", "oracle.mode", "oracle.monotone_tol")
+_DYNAMICS_KEYS = (
+    "dynamics.m", "dynamics.times", "dynamics.initial", "dynamics.packet_center",
+    "dynamics.packet_width", "dynamics.packet_kick", "dynamics.conservation_tol",
+)
 
 
 def read_config(path) -> dict[str, str]:
@@ -163,10 +138,9 @@ class RunConfig:
     """Defaults-resolved view of the config for one subcommand."""
 
     def __init__(self, raw: dict[str, str], command: str):
-        self.command = command
         self.effective: dict[str, str] = {}
         self._values = {}
-        for key in _COMMAND_KEYS[command]:
+        for key in COMMANDS[command].keys:
             parser, default = _SCHEMA[key]
             if key in raw:
                 text = raw[key]
@@ -184,7 +158,23 @@ class RunConfig:
         return self._values[key]
 
 
-def _load_problem(cfg: RunConfig):
+class Output(NamedTuple):
+    """What a subcommand computed: JSON body, CSV table, stdout lines, verdict.
+
+    ``rows`` is iterated only when the CSV is written, so a generator keeps
+    JSON runs from building the table.
+    """
+
+    doc: dict
+    header: list[str]
+    rows: Iterable[list]
+    preamble: list[str]
+    lines: list[str]
+    passed: bool = True
+    failure: str | None = None  # stderr line of a run that did not pass
+
+
+def _load_problem(cfg: RunConfig, require_regime: bool = True):
     dimension = cfg["lattice.dimension"]
     size = cfg["lattice.size"]
     lattice = LatticeSpec(dimension=dimension, size=size)
@@ -193,31 +183,17 @@ def _load_problem(cfg: RunConfig):
     if not Path(path).exists():
         raise OSError(f"coupling CSV not found: {path}")
     couplings = load_couplings_csv(path, dimension, cfg["field.h"])
+    if require_regime:
+        report = validate_ferromagnetic(couplings, grid)
+        if not report.passed:
+            raise RegimeError("; ".join(report.messages))
     return lattice, grid, couplings
 
 
-def _config_lines(cfg: RunConfig):
-    return [f"{key} = {value}" for key, value in sorted(cfg.effective.items())]
-
-
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("MAGNONKIT_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _artifact_format(args, cfg: RunConfig) -> str:
-    return args.format or cfg["output.format"]
-
-
-def cmd_validate(args) -> int:
-    cfg = RunConfig(read_config(args.config), "validate")
-    lattice, grid, couplings = _load_problem(cfg)
+def cmd_validate(cfg: RunConfig, args) -> Output:
+    lattice, grid, couplings = _load_problem(cfg, require_regime=False)
     report = validate_ferromagnetic(couplings, grid, tol=cfg["validate.tol"])
-    out = _out_dir(args)
     doc = {
-        "config": dict(sorted(cfg.effective.items())),
         "gap_ok": report.gap_ok,
         "field_ok_strict": report.field_ok_strict,
         "field_ok_relaxed": report.field_ok_relaxed,
@@ -227,83 +203,63 @@ def cmd_validate(args) -> int:
         "messages": report.messages,
         "d_of_q": report.gap_values,
     }
-    if _artifact_format(args, cfg) == "json":
-        write_json(out / "validate.json", doc)
-    else:
-        header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D"]
-        rows = [list(grid.points[i]) + [report.gap_values[i]] for i in range(len(grid))]
-        preamble = _config_lines(cfg) + [
-            f"gap_ok = {report.gap_ok}",
-            f"field_ok_strict = {report.field_ok_strict}",
-            f"field_ok_relaxed = {report.field_ok_relaxed}",
-            f"minimizing_q = {' '.join(fmt(v) for v in report.minimizing_momentum)}",
-        ]
-        write_csv(out / "validate.csv", header, rows, preamble)
-    for message in report.messages:
-        print(message)
-    print(f"gap_ok={report.gap_ok} field_ok_strict={report.field_ok_strict} "
-          f"field_ok_relaxed={report.field_ok_relaxed}")
-    return 0 if report.passed else 1
+    header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D"]
+    rows = (list(grid.points[i]) + [report.gap_values[i]] for i in range(len(grid)))
+    preamble = [
+        f"gap_ok = {report.gap_ok}",
+        f"field_ok_strict = {report.field_ok_strict}",
+        f"field_ok_relaxed = {report.field_ok_relaxed}",
+        f"minimizing_q = {' '.join(fmt(v) for v in report.minimizing_momentum)}",
+    ]
+    lines = report.messages + [
+        f"gap_ok={report.gap_ok} field_ok_strict={report.field_ok_strict} "
+        f"field_ok_relaxed={report.field_ok_relaxed}"
+    ]
+    return Output(doc, header, rows, preamble, lines, report.passed)
 
 
-def _require_regime(couplings, grid) -> None:
-    report = validate_ferromagnetic(couplings, grid)
-    if not report.passed:
-        raise RegimeError("; ".join(report.messages))
-
-
-def cmd_solve(args) -> int:
-    cfg = RunConfig(read_config(args.config), "solve")
+def cmd_solve(cfg: RunConfig, args) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
-    _require_regime(couplings, grid)
     params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
     solution = solve_magnetization(
         params, couplings, grid, tol=cfg["solve.tol"], scan_points=cfg["solve.scan_points"]
     )
-    out = _out_dir(args)
-    if _artifact_format(args, cfg) == "json":
-        doc = {
-            "config": dict(sorted(cfg.effective.items())),
-            "m_star": solution.m_star,
-            "residual": solution.residual,
-            "bound": solution.bound,
-            "roots": solution.all_roots,
-            "n_of_q": solution.occupations,
-            "eps_of_q": solution.dispersion,
-            "d_of_q": solution.gap_values,
-            "diagnostics": solution.diagnostics,
-        }
-        write_json(out / "solution.json", doc)
-    else:
-        header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D", "n", "eps"]
-        rows = [
-            list(grid.points[i])
-            + [solution.gap_values[i], solution.occupations[i], solution.dispersion[i]]
-            for i in range(len(grid))
-        ]
-        preamble = _config_lines(cfg) + [
-            f"m_star = {fmt(solution.m_star)}",
-            f"residual = {fmt(solution.residual)}",
-            f"bound = {fmt(solution.bound)}",
-            "roots = " + " ".join(fmt(r) for r in solution.all_roots),
-        ]
-        write_csv(out / "solution.csv", header, rows, preamble)
-    print(f"m_star={fmt(solution.m_star)} residual={fmt(solution.residual)} "
-          f"bound={fmt(solution.bound)} roots={len(solution.all_roots)}")
-    return 0
+    doc = {
+        "m_star": solution.m_star,
+        "residual": solution.residual,
+        "bound": solution.bound,
+        "roots": solution.all_roots,
+        "n_of_q": solution.occupations,
+        "eps_of_q": solution.dispersion,
+        "d_of_q": solution.gap_values,
+        "diagnostics": solution.diagnostics,
+    }
+    header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D", "n", "eps"]
+    rows = (
+        list(grid.points[i])
+        + [solution.gap_values[i], solution.occupations[i], solution.dispersion[i]]
+        for i in range(len(grid))
+    )
+    preamble = [
+        f"m_star = {fmt(solution.m_star)}",
+        f"residual = {fmt(solution.residual)}",
+        f"bound = {fmt(solution.bound)}",
+        "roots = " + " ".join(fmt(r) for r in solution.all_roots),
+    ]
+    lines = [f"m_star={fmt(solution.m_star)} residual={fmt(solution.residual)} "
+             f"bound={fmt(solution.bound)} roots={len(solution.all_roots)}"]
+    return Output(doc, header, rows, preamble, lines)
 
 
-def cmd_oracle(args) -> int:
-    cfg = RunConfig(read_config(args.config), "oracle")
+def cmd_oracle(cfg: RunConfig, args) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
-    _require_regime(couplings, grid)
     q_index = cfg["oracle.q_index"]
     if not 0 <= q_index < len(grid):
         raise ValueError(f"oracle.q_index {q_index} outside grid of {len(grid)} points")
     copies_list = cfg["oracle.copies"]
     if not copies_list:
         raise ValueError("oracle.copies must list at least one copy count")
-    rows = convergence_study(
+    study = convergence_study(
         lattice,
         couplings,
         beta=cfg["thermal.beta"],
@@ -312,51 +268,28 @@ def cmd_oracle(args) -> int:
         mode=cfg["oracle.mode"],
         threads=args.threads,
     )
-    out = _out_dir(args)
-    row_dicts = [
-        {
-            "n": r.copies,
-            "m_n": r.magnetization,
-            "t_n": r.two_point,
-            "p_n": r.prediction,
-            "discrepancy": r.discrepancy,
-        }
-        for r in rows
-    ]
-    if _artifact_format(args, cfg) == "json":
-        write_json(out / "convergence.json", {"config": dict(sorted(cfg.effective.items())), "rows": row_dicts})
-    else:
-        write_csv(
-            out / "convergence.csv",
-            ["n", "m_n", "t_n", "p_n", "discrepancy"],
-            [[d["n"], d["m_n"], d["t_n"], d["p_n"], d["discrepancy"]] for d in row_dicts],
-            _config_lines(cfg),
-        )
-    for d in row_dicts:
-        print(f"n={d['n']} m_n={fmt(d['m_n'])} t_n={fmt(d['t_n'])} "
-              f"p_n={fmt(d['p_n'])} discrepancy={fmt(d['discrepancy'])}")
+    header = ["n", "m_n", "t_n", "p_n", "discrepancy"]
+    rows = [[r.copies, r.magnetization, r.two_point, r.prediction, r.discrepancy] for r in study]
+    lines = [f"n={n} m_n={fmt(m)} t_n={fmt(t)} p_n={fmt(p)} discrepancy={fmt(d)}"
+             for n, m, t, p, d in rows]
     tol = cfg["oracle.monotone_tol"]
-    discs = [d["discrepancy"] for d in row_dicts]
+    discs = [r.discrepancy for r in study]
     monotone = all(discs[i + 1] < discs[i] + tol for i in range(len(discs) - 1))
-    if not monotone:
-        print("discrepancy column is not monotone decreasing", file=sys.stderr)
-        return 1
-    return 0
+    doc = {"rows": [dict(zip(header, row)) for row in rows]}
+    return Output(doc, header, rows, [], lines, monotone,
+                  "discrepancy column is not monotone decreasing")
 
 
-def cmd_dynamics(args) -> int:
-    cfg = RunConfig(read_config(args.config), "dynamics")
+def cmd_dynamics(cfg: RunConfig, args) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
-    _require_regime(couplings, grid)
-    params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-
     m_text = cfg.effective["dynamics.m"]
     if cfg["dynamics.initial"] == "equilibrium":
+        if m_text:
+            raise ValueError("dynamics.m conflicts with dynamics.initial = equilibrium")
+        params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
         solution = solve_magnetization(
             params, couplings, grid, tol=cfg["solve.tol"], scan_points=cfg["solve.scan_points"]
         )
-        if m_text:
-            raise ValueError("dynamics.m conflicts with dynamics.initial = equilibrium")
         state = equilibrium_state(solution, grid)
     else:
         if not m_text:
@@ -396,46 +329,91 @@ def cmd_dynamics(args) -> int:
         for x in range(lattice.n_sites):
             rows.append([t] + list(sites[x]) + [density[x]])
 
-    out = _out_dir(args)
     header = ["t"] + [f"x{i + 1}" for i in range(lattice.dimension)] + ["density"]
-    write_csv(out / "trajectory.csv", header, rows, _config_lines(cfg))
     snapshot = {
-        "config": dict(sorted(cfg.effective.items())),
         "m": state.m,
         "eps_of_q": state.spectrum.eps,
         "gamma_mode_real": mode_state.gamma.real,
         "gamma_mode_imag": mode_state.gamma.imag,
     }
-    write_json(out / "snapshot.json", snapshot)
-    print(f"samples={len(times)} number={fmt(number0)} energy={fmt(energy0)} "
-          f"conserved={conserved}")
-    if not conserved:
-        print(f"conservation drift exceeded {fmt(tol)}", file=sys.stderr)
-        return 1
-    return 0
+    lines = [f"samples={len(times)} number={fmt(number0)} energy={fmt(energy0)} "
+             f"conserved={conserved}"]
+    return Output(snapshot, header, rows, [], lines, conserved,
+                  f"conservation drift exceeded {fmt(tol)}")
 
 
-def cmd_sectors(args) -> int:
-    cfg = RunConfig(read_config(args.config), "sectors")
+def cmd_sectors(cfg: RunConfig, args) -> Output:
     table = sector_decomposition(cfg["sectors.copies"])
-    out = _out_dir(args)
+    header = ["j", "multiplicity", "dim"]
     rows = [[e.j, e.multiplicity, e.dim] for e in table.entries]
-    if _artifact_format(args, cfg) == "json":
-        doc = {
-            "config": dict(sorted(cfg.effective.items())),
-            "copies": table.copies,
-            "total_dimension": table.total_dimension(),
-            "entries": [
-                {"j": e.j, "multiplicity": e.multiplicity, "dim": e.dim} for e in table.entries
-            ],
-        }
-        write_json(out / "sectors.json", doc)
+    doc = {
+        "copies": table.copies,
+        "total_dimension": table.total_dimension(),
+        "entries": [dict(zip(header, row)) for row in rows],
+    }
+    lines = [f"j={fmt(j)} multiplicity={mult} dim={dim}" for j, mult, dim in rows]
+    lines.append(f"total_dimension={table.total_dimension()}")
+    return Output(doc, header, rows, [], lines)
+
+
+class Command(NamedTuple):
+    func: Callable[[RunConfig, argparse.Namespace], Output]
+    help: str
+    keys: tuple[str, ...]
+    json: str  # artifact names in the output directory
+    csv: str
+
+
+# A command whose keys include output.format writes the artifact of that
+# format; one without it (dynamics) writes both.
+COMMANDS = {
+    "validate": Command(
+        cmd_validate, "check the ferromagnetic regime of a coupling set",
+        _PROBLEM_KEYS + ("validate.tol", "output.format"), "validate.json", "validate.csv",
+    ),
+    "solve": Command(
+        cmd_solve, "solve the magnetization self-consistency equation",
+        _PROBLEM_KEYS + _SOLVE_KEYS + ("output.format",), "solution.json", "solution.csv",
+    ),
+    "oracle": Command(
+        cmd_oracle, "compare exact finite-spin data with the spin-wave prediction",
+        _PROBLEM_KEYS + _ORACLE_KEYS + ("output.format",), "convergence.json", "convergence.csv",
+    ),
+    "dynamics": Command(
+        cmd_dynamics, "evolve a Gaussian magnon state and emit trajectories",
+        _PROBLEM_KEYS + _SOLVE_KEYS + _DYNAMICS_KEYS, "snapshot.json", "trajectory.csv",
+    ),
+    "sectors": Command(
+        cmd_sectors, "print the permutation-symmetry sector table",
+        ("sectors.copies", "output.format"), "sectors.json", "sectors.csv",
+    ),
+}
+
+
+def _emit(args) -> int:
+    """Run one subcommand, write its artifacts and summary, return the exit code."""
+    command = COMMANDS[args.command]
+    cfg = RunConfig(read_config(args.config), args.command)
+    output = command.func(cfg, args)
+    out = Path(args.out or os.environ.get("MAGNONKIT_OUT") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    config = dict(sorted(cfg.effective.items()))
+    if "output.format" in command.keys:
+        formats = {args.format or cfg["output.format"]}
     else:
-        write_csv(out / "sectors.csv", ["j", "multiplicity", "dim"], rows, _config_lines(cfg))
-    for e in table.entries:
-        print(f"j={fmt(e.j)} multiplicity={e.multiplicity} dim={e.dim}")
-    print(f"total_dimension={table.total_dimension()}")
-    return 0
+        formats = {"json", "csv"}
+    if "json" in formats:
+        write_json(out / command.json, {"config": config, **output.doc})
+    if "csv" in formats:
+        preamble = [f"{key} = {value}" for key, value in config.items()] + output.preamble
+        write_csv(out / command.csv, output.header, output.rows, preamble)
+    for line in output.lines:
+        print(line)
+    if output.passed:
+        return 0
+    if output.failure:
+        print(output.failure, file=sys.stderr)
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,29 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"magnonkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": (cmd_validate, "check the ferromagnetic regime of a coupling set"),
-        "solve": (cmd_solve, "solve the magnetization self-consistency equation"),
-        "oracle": (cmd_oracle, "compare exact finite-spin data with the spin-wave prediction"),
-        "dynamics": (cmd_dynamics, "evolve a Gaussian magnon state and emit trajectories"),
-        "sectors": (cmd_sectors, "print the permutation-symmetry sector table"),
-    }
-    for name, (func, help_text) in commands.items():
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", required=True, help="path to the key = value config file")
         cmd.add_argument("--out", default=None, help="output directory (default: $MAGNONKIT_OUT or .)")
-        cmd.add_argument("--format", choices=["json", "csv"], default=None,
-                         help="artifact format (overrides output.format)")
-        cmd.add_argument("--threads", type=_parse_threads, default=1,
-                         help="worker threads for block diagonalization (0 = auto)")
-        cmd.set_defaults(func=func)
+        if "output.format" in command.keys:
+            cmd.add_argument("--format", choices=["json", "csv"], default=None,
+                             help="artifact format (overrides output.format)")
+        if name == "oracle":
+            cmd.add_argument("--threads", type=_parse_threads, default=1,
+                             help="worker threads for block diagonalization (0 = auto)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args)
     except RegimeError as exc:
         print(f"regime failure: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,27 @@ class LatticeSpec:
         return idx
 
 
+def _as_displacement(raw) -> Displacement:
+    """A displacement key as an int tuple; a plain int is a 1D displacement."""
+    return tuple(int(c) for c in (raw if isinstance(raw, tuple) else (raw,)))
+
+
+def _with_mirrors(mapping, where) -> dict[Displacement, float]:
+    """Copy of a displacement -> value map with each missing mirror -z set to the value at z.
+
+    A mirror present with a different value is refused; ``where`` names the
+    source in the message.
+    """
+    out = {_as_displacement(raw): float(value) for raw, value in mapping.items()}
+    for z, v in list(out.items()):
+        mirror = tuple(-c for c in z)
+        if mirror not in out:
+            out[mirror] = v
+        elif out[mirror] != v:
+            raise ValueError(f"{where}: displacement {z} conflicts with its mirror {mirror}")
+    return out
+
+
 class CouplingSet:
     """Finite-range exchange couplings plus a magnetic field.
 
@@ -85,7 +106,7 @@ class CouplingSet:
     def _normalize(name, mapping) -> dict[Displacement, float]:
         out: dict[Displacement, float] = {}
         for raw, value in mapping.items():
-            z = tuple(int(c) for c in (raw if isinstance(raw, tuple) else (raw,)))
+            z = _as_displacement(raw)
             v = float(value)
             if v == 0.0:
                 continue
@@ -103,19 +124,7 @@ class CouplingSet:
     @classmethod
     def symmetrized(cls, exchange, exchange_z, h) -> "CouplingSet":
         """Build a coupling set, inserting missing mirror displacements."""
-
-        def fill(mapping):
-            out = {}
-            for raw, value in mapping.items():
-                z = tuple(int(c) for c in (raw if isinstance(raw, tuple) else (raw,)))
-                out[z] = float(value)
-            for z, v in list(out.items()):
-                mirror = tuple(-c for c in z)
-                if mirror not in out:
-                    out[mirror] = v
-            return out
-
-        return cls(fill(exchange), fill(exchange_z), h)
+        return cls(_with_mirrors(exchange, "exchange"), _with_mirrors(exchange_z, "exchange_z"), h)
 
     @classmethod
     def nearest_neighbor(cls, dimension, j=1.0, j3=1.0, h=0.0) -> "CouplingSet":
@@ -141,12 +150,6 @@ class CouplingSet:
         """Max sup-norm of a displacement carrying a nonzero coupling."""
         norms = [max(abs(c) for c in z) for z in (*self.exchange, *self.exchange_z)]
         return max(norms, default=0)
-
-    def renamed_displacements(self) -> "CouplingSet":
-        """Copy with displacement storage order shuffled (used by invariance tests)."""
-        ex = dict(sorted(self.exchange.items(), reverse=True))
-        ez = dict(sorted(self.exchange_z.items(), reverse=True))
-        return CouplingSet(ex, ez, self.h)
 
 
 @dataclass(frozen=True)
@@ -363,14 +366,7 @@ def load_couplings_csv(path, dimension: int, h: float) -> CouplingSet:
                 if z in mapping and mapping[z] != value:
                     raise ValueError(f"{path}:{lineno}: inconsistent duplicate for {z}")
                 mapping[z] = value
-    for mapping in (exchange, exchange_z):
-        for z, v in list(mapping.items()):
-            mirror = tuple(-c for c in z)
-            if mirror not in mapping:
-                mapping[mirror] = v
-            elif mapping[mirror] != v:
-                raise ValueError(f"{path}: displacement {z} conflicts with its mirror {mirror}")
-    return CouplingSet(exchange, exchange_z, h)
+    return CouplingSet(_with_mirrors(exchange, path), _with_mirrors(exchange_z, path), h)
 
 
 def write_couplings_csv(path, couplings: CouplingSet, dimension: int) -> None:

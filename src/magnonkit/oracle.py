@@ -459,10 +459,6 @@ class GibbsEnsemble:
 
         return self._site_sum(diag_plus)
 
-    @cached_property
-    def sminus_site(self) -> np.ndarray:
-        return self.splus_site.copy()  # real matrices: diag(S-) = diag(S+)^T
-
     def sigma3_site_variance(self, x: int) -> float:
         """Variance of the per-copy site average S3(x)/n (shrinks like 1/n)."""
 

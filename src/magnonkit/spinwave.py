@@ -98,14 +98,6 @@ def dispersion(q, m: float, params: ThermalParams, couplings: CouplingSet) -> fl
     return 2.0 * (exchange_gap(couplings, q) + params.h / (-m))
 
 
-def dispersion_grid(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
-    """Magnon energies on the whole momentum grid, in grid order."""
-    m = _check_m(m)
-    if m == 0.0:
-        raise RegimeError("spectrum undefined at vanishing magnetization")
-    return 2.0 * (exchange_gap_grid(couplings, grid) + params.h / (-m))
-
-
 def _defect(m: float, beta: float, h: float, gaps: np.ndarray) -> float:
     """Defect on the full grid: the plain mean over every occupation."""
     return float(np.mean(_occupations(m, beta, h, gaps)) - 0.5 * (1.0 + m))
@@ -150,7 +142,7 @@ def _bose_bound(argument: float) -> float:
         return -1.0
 
 
-def magnetization_bound(params: ThermalParams, couplings: CouplingSet) -> float:
+def magnetization_bound(params: ThermalParams) -> float:
     """Upper bound -1 + 2/(exp(2*beta*h) - 1) on the magnetization."""
     if params.beta * params.h <= 0.0:
         raise ValueError("bound requires beta*h > 0")
@@ -159,7 +151,7 @@ def magnetization_bound(params: ThermalParams, couplings: CouplingSet) -> float:
 
 def magnetization_bounds(params: ThermalParams, couplings: CouplingSet) -> MagnetizationBounds:
     """Both bound variants; the coupling-gap variant applies only for gap(0) > 0."""
-    from_field = magnetization_bound(params, couplings)
+    from_field = magnetization_bound(params)
     gap0 = exchange_gap(couplings, np.zeros(couplings.dimension or 1))
     from_coupling = None
     if gap0 > 0.0:

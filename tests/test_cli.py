@@ -1,7 +1,10 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import magnonkit
 from magnonkit import (
     CouplingSet,
     LatticeSpec,
@@ -82,6 +85,14 @@ class TestValidateCommand:
         conf.write_text(BASE_CONF.format(csv=tmp_path / "nope.csv"))
         assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
 
+    def test_coupling_mirror_conflict_exits_2(self, workspace, capsys):
+        tmp_path, make = workspace
+        conf = make(BASE_CONF, "dz1,J,J3\n1,1.0,1.0\n-1,2.0,2.0\n")
+        assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'couplings.csv'}: displacement (1,) "
+                       "conflicts with its mirror (-1,)\n")
+
     def test_unknown_key_exits_2(self, workspace):
         tmp_path, make = workspace
         conf = make(BASE_CONF + "solver.fancy = yes\n")
@@ -127,6 +138,38 @@ class TestValidateCommand:
         assert "q1,D" in text
 
 
+ORACLE_CONF = """\
+lattice.dimension = 1
+lattice.size = 2
+couplings.path = {csv}
+field.h = 2.5
+thermal.beta = 1.0
+oracle.q_index = 1
+oracle.copies = 1,3
+"""
+
+DYNAMICS_CONF = """\
+lattice.dimension = 1
+lattice.size = 8
+couplings.path = {csv}
+field.h = 0.5
+thermal.beta = 2.0
+dynamics.times = 0.0,0.5,1.0
+"""
+
+ARTIFACTS = {"validate": "validate", "solve": "solution", "oracle": "convergence", "sectors": "sectors"}
+COMMAND_CONF = {"validate": BASE_CONF, "solve": BASE_CONF, "oracle": ORACLE_CONF,
+                "sectors": "sectors.copies = 5\n"}
+# id -> (command, config body, extra flags, artifact names)
+EMIT_CASES = {
+    f"{command}-{form}": (command, COMMAND_CONF[command], ["--format", form],
+                          [f"{ARTIFACTS[command]}.{form}"])
+    for command in ARTIFACTS
+    for form in ("json", "csv")
+}
+EMIT_CASES["dynamics"] = ("dynamics", DYNAMICS_CONF, [], ["snapshot.json", "trajectory.csv"])
+
+
 class TestSolveCommand:
     def test_artifact_contents(self, workspace):
         tmp_path, make = workspace
@@ -146,13 +189,28 @@ class TestSolveCommand:
         conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = 10.0"), ANTIFERRO_CSV)
         assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 1
 
-    def test_idempotent_artifacts(self, workspace):
+    @pytest.mark.parametrize("case", EMIT_CASES)
+    def test_idempotent_artifacts(self, case, workspace):
+        # every command embeds its sorted effective config and reproduces its artifacts
+        command, body, flags, names = EMIT_CASES[case]
         tmp_path, make = workspace
-        conf = make(BASE_CONF)
-        main(["solve", "--config", str(conf), "--out", str(tmp_path)])
-        first = (tmp_path / "solution.json").read_bytes()
-        main(["solve", "--config", str(conf), "--out", str(tmp_path)])
-        assert (tmp_path / "solution.json").read_bytes() == first
+        conf = make(body)
+        effective = sorted(cli.RunConfig(cli.read_config(conf), command).effective.items())
+        runs = []
+        for k in range(2):
+            out = tmp_path / f"out{k}"
+            assert main([command, "--config", str(conf), "--out", str(out)] + flags) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(names)
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+        for name, data in runs[0].items():
+            if name.endswith(".json"):
+                doc = json.loads(data)
+                assert next(iter(doc)) == "config"
+                assert list(doc["config"].items()) == effective
+            else:
+                preamble = data.decode().splitlines()[: len(effective)]
+                assert preamble == [f"# {key} = {value}" for key, value in effective]
 
     def test_csv_artifact(self, workspace):
         tmp_path, make = workspace
@@ -163,17 +221,6 @@ class TestSolveCommand:
         header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         assert lines[header_at] == "q1,D,n,eps"
         assert len(lines) == header_at + 1 + 8
-
-
-ORACLE_CONF = """\
-lattice.dimension = 1
-lattice.size = 2
-couplings.path = {csv}
-field.h = 2.5
-thermal.beta = 1.0
-oracle.q_index = 1
-oracle.copies = 1,3
-"""
 
 
 class TestOracleCommand:
@@ -246,16 +293,6 @@ class TestOracleCommand:
         assert len(lines) == header_at + 3
 
 
-DYNAMICS_CONF = """\
-lattice.dimension = 1
-lattice.size = 8
-couplings.path = {csv}
-field.h = 0.5
-thermal.beta = 2.0
-dynamics.times = 0.0,0.5,1.0
-"""
-
-
 class TestDynamicsCommand:
     def test_equilibrium_run(self, workspace):
         tmp_path, make = workspace
@@ -280,6 +317,17 @@ class TestDynamicsCommand:
             if not line.startswith("#")
         ]
         assert data == ["t,x1,density"]
+
+    def test_conflicting_m_refused_before_solving(self, workspace, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "solve_magnetization", no_solve)
+        tmp_path, make = workspace
+        conf = make(DYNAMICS_CONF + "dynamics.m = -0.5\n")
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: dynamics.m conflicts with dynamics.initial = equilibrium\n"
 
     def test_zero_magnetization_exits_1(self, workspace):
         tmp_path, make = workspace
@@ -337,6 +385,25 @@ class TestSectorsCommand:
         tmp_path, make = workspace
         conf = make("sectors.copies = 4\n")
         assert main(["sectors", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+
+class TestParser:
+    def test_threads_only_on_oracle(self):
+        args = cli.build_parser().parse_args(["oracle", "--config", "x.conf", "--threads", "2"])
+        assert args.threads == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        ("solve", "--threads=2"),
+        ("validate", "--threads=2"),
+        ("sectors", "--threads=2"),
+        ("dynamics", "--threads=2"),
+        ("dynamics", "--format=csv"),
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--config", "x.conf", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigParsing:
@@ -402,3 +469,29 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err.startswith("internal error: AssertionError: sector dimensions do not add up (at ")
         assert "test_cli.py:" in err and err.count("\n") == 1
+
+
+def test_benchmark_wrap_points_record_spans(workspace):
+    # bench/spans.py wraps names in magnonkit.cli; the emitter must keep calling them there
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tmp_path, make = workspace
+    solve_conf = make(BASE_CONF, name="solve.conf")
+    oracle_conf = make(ORACLE_CONF, name="oracle.conf")
+    recorder = spans.Recorder()
+    instruments = spans.Instruments(magnonkit, recorder)
+    instruments.install()
+    try:
+        recorder.begin_pass(0)
+        assert cli.main(["solve", "--config", str(solve_conf), "--out", str(tmp_path)]) == 0
+        assert cli.main(["oracle", "--config", str(oracle_conf), "--out", str(tmp_path)]) == 0
+        recorder.end_pass()
+    finally:
+        instruments.uninstall()
+    names = {span[0] for span in recorder.spans}
+    for name in ("cli.main", "cli.config", "lattice.validate", "spinwave.solve",
+                 "oracle.convergence", "artifacts.write_json"):
+        assert name in names, name
+    assert cli.main is main

@@ -271,7 +271,12 @@ class TestValidateFerromagnetic:
         c = CouplingSet.symmetrized({(1,): 0.4, (2,): 0.1}, {(1,): 0.9, (2,): 0.2}, 1.3)
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 12))
         a = validate_ferromagnetic(c, grid)
-        b = validate_ferromagnetic(c.renamed_displacements(), grid)
+        reordered = CouplingSet(
+            dict(sorted(c.exchange.items(), reverse=True)),
+            dict(sorted(c.exchange_z.items(), reverse=True)),
+            c.h,
+        )
+        b = validate_ferromagnetic(reordered, grid)
         assert a.gap_ok == b.gap_ok
         assert a.field_ok_strict == b.field_ok_strict
         np.testing.assert_array_equal(a.gap_values, b.gap_values)

@@ -124,7 +124,6 @@ class TestBuildGibbs:
 
     def test_u1_symmetry(self, chain2_n3):
         assert np.max(np.abs(chain2_n3.splus_site)) < 1e-12
-        assert np.max(np.abs(chain2_n3.sminus_site)) < 1e-12
 
     def test_translation_invariance(self, chain2_n3):
         values = chain2_n3.sigma3_site

@@ -396,19 +396,19 @@ class TestGapCompressedScan:
 
 class TestMagnetizationBound:
     def test_frozen_value(self):
-        bound = magnetization_bound(ThermalParams(2.0, 0.5), ISO)
+        bound = magnetization_bound(ThermalParams(2.0, 0.5))
         assert bound == pytest.approx(-0.68696471450066876, abs=1e-15)
 
     def test_cold_limit_reaches_minus_one(self):
-        assert magnetization_bound(ThermalParams(400.0, 1.0), ISO) == -1.0
+        assert magnetization_bound(ThermalParams(400.0, 1.0)) == -1.0
 
     def test_zero_crossing_field(self):
         h = math.log(math.sqrt(3.0))  # e^{2 beta h} = 3
-        assert magnetization_bound(ThermalParams(1.0, h), ISO) == pytest.approx(0.0, abs=1e-14)
+        assert magnetization_bound(ThermalParams(1.0, h)) == pytest.approx(0.0, abs=1e-14)
 
     def test_requires_positive_beta_h(self):
         with pytest.raises(ValueError):
-            magnetization_bound(ThermalParams(1.0, 0.0), ISO)
+            magnetization_bound(ThermalParams(1.0, 0.0))
 
     def test_variants(self):
         info = magnetization_bounds(ThermalParams(2.0, 2.5), ANISO)
