@@ -3,7 +3,11 @@
 Subcommands: validate | solve | oracle | dynamics | sectors, one entry each
 in :data:`COMMANDS` with the config keys it reads and its artifact names.
 Every run reads a flat key/value config file (``section.key = value`` lines,
-'#' comments) and resolves defaults for its command's keys.  A ``cmd_*``
+'#' comments) and resolves defaults for its command's keys.  Keys outside
+the schema are refused; keys of another command are ignored, so one file
+can serve several commands (``validate`` and ``solve`` of the same
+problem, say), and the embedded configuration lists only the keys the
+command read.  A ``cmd_*``
 function only computes; :func:`_emit` writes the artifacts with the effective
 configuration embedded (a leading ``"config"`` JSON key, ``# key = value``
 CSV preamble lines) so results are reproducible and diffable, prints the

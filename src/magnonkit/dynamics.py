@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import CouplingSet, MomentumGrid, coupling_matrix, exchange_gap_grid
-from .spinwave import RegimeError, SpinWaveSolution
+from .spinwave import RegimeError, SpinWaveSolution, _energies
 
 _HERMITICITY_TOL = 1e-8
 
@@ -36,7 +36,7 @@ def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid
     """Spectrum 2*(J3(0) - J(q) + h/(-m)) over the grid; must be positive."""
     if not -1.0 <= m < 0.0:
         raise RegimeError(f"quantization parameter must lie in [-1, 0), got {m}")
-    eps = 2.0 * (exchange_gap_grid(couplings, grid) + h / (-m))
+    eps = _energies(exchange_gap_grid(couplings, grid), h, m)
     if np.min(eps) <= 0.0:
         raise RegimeError(f"non-positive mode energy {np.min(eps):.6g}: no zero-mode gap")
     return ModeSpectrum(eps=eps, omega=(-m) * eps)

@@ -9,7 +9,6 @@ lattice Fourier transform used downstream real.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,13 +178,6 @@ class MomentumGrid:
         return int(hits[0])
 
 
-def _as_momentum(k, dimension) -> np.ndarray:
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.shape != (dimension,):
-        raise ValueError(f"momentum must have {dimension} components, got shape {k.shape}")
-    return k
-
-
 def _coupling_items(couplings: CouplingSet, which: str):
     if which == "J":
         return couplings.exchange
@@ -194,54 +186,46 @@ def _coupling_items(couplings: CouplingSet, which: str):
     raise ValueError(f"unknown coupling kind {which!r}, expected 'J' or 'J3'")
 
 
-def fourier_coupling(couplings: CouplingSet, which: str, k) -> float:
-    """Lattice Fourier transform sum_z J(z) exp(-i k.z) of one coupling map.
+def _fourier(couplings: CouplingSet, which: str, points: np.ndarray) -> np.ndarray:
+    """sum_z J(z) exp(-i k.z) of one coupling map at each row k of ``points``.
 
-    Evenness of the map guarantees a real value; any imaginary residue is
-    checked against 1e-12 * sum_z |J(z)| and discarded.
+    Evenness of the map makes the transform the cosine sum; the sine sum it
+    cancels is the imaginary residue, checked against 1e-12 * sum_z |J(z)|.
     """
     mapping = _coupling_items(couplings, which)
     if not mapping:
-        return 0.0
-    dim = couplings.dimension
-    k = _as_momentum(k, dim)
-    total = 0.0 + 0.0j
-    for z, v in mapping.items():
-        total += v * np.exp(-1j * float(np.dot(k, z)))
-    cap = _IMAG_TOL * sum(abs(v) for v in mapping.values())
-    if abs(total.imag) > cap:
-        raise AssertionError(f"imaginary residue {total.imag:.3e} exceeds {cap:.3e}")
-    return float(total.real)
+        return np.zeros(len(points))
+    zs = np.array(list(mapping.keys()), dtype=float)
+    vs = np.array(list(mapping.values()))
+    phases = points @ zs.T
+    residue = float(np.max(np.abs(np.sin(phases) @ vs)))
+    cap = _IMAG_TOL * float(np.sum(np.abs(vs)))
+    if residue > cap:
+        raise AssertionError(f"imaginary residue {residue:.3e} exceeds {cap:.3e}")
+    return np.cos(phases) @ vs
+
+
+def fourier_coupling(couplings: CouplingSet, which: str, k) -> float:
+    """Lattice Fourier transform sum_z J(z) exp(-i k.z) of one coupling map at one momentum."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if couplings.dimension is not None and k.shape != (couplings.dimension,):
+        raise ValueError(f"momentum must have {couplings.dimension} components, got shape {k.shape}")
+    return float(_fourier(couplings, which, k[None, :])[0])
 
 
 def fourier_coupling_grid(couplings: CouplingSet, which: str, grid: MomentumGrid) -> np.ndarray:
-    """Vectorized :func:`fourier_coupling` over every grid momentum."""
-    mapping = _coupling_items(couplings, which)
-    n = len(grid)
-    if not mapping:
-        return np.zeros(n)
-    zs = np.array(list(mapping.keys()), dtype=float)
-    vs = np.array(list(mapping.values()))
-    phases = np.exp(-1j * grid.points @ zs.T)
-    values = phases @ vs
-    cap = _IMAG_TOL * float(np.sum(np.abs(vs)))
-    if np.max(np.abs(values.imag)) > cap:
-        raise AssertionError(f"imaginary residue exceeds {cap:.3e} on the momentum grid")
-    return values.real
+    """:func:`fourier_coupling` at every grid momentum."""
+    return _fourier(couplings, which, grid.points)
 
 
 def exchange_gap(couplings: CouplingSet, k) -> float:
     """Exchange part of the magnon gap, J3(0) - J(k)."""
-    j3_zero = sum(couplings.exchange_z.values())
-    if couplings.dimension is None:
-        return float(j3_zero)
-    return float(j3_zero) - fourier_coupling(couplings, "J", k)
+    return sum(couplings.exchange_z.values()) - fourier_coupling(couplings, "J", k)
 
 
 def exchange_gap_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
     """Exchange gap evaluated on the whole momentum grid."""
-    j3_zero = sum(couplings.exchange_z.values())
-    return j3_zero - fourier_coupling_grid(couplings, "J", grid)
+    return sum(couplings.exchange_z.values()) - fourier_coupling_grid(couplings, "J", grid)
 
 
 def coupling_matrix(couplings: CouplingSet, which: str, lattice: LatticeSpec) -> np.ndarray:
@@ -368,14 +352,3 @@ def load_couplings_csv(path, dimension: int, h: float) -> CouplingSet:
                 mapping[z] = value
     return CouplingSet(_with_mirrors(exchange, path), _with_mirrors(exchange_z, path), h)
 
-
-def write_couplings_csv(path, couplings: CouplingSet, dimension: int) -> None:
-    """Inverse of :func:`load_couplings_csv` (one row per displacement)."""
-    keys = sorted(set(couplings.exchange) | set(couplings.exchange_z))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"dz{i + 1}" for i in range(dimension)] + ["J", "J3"])
-        for z in keys:
-            writer.writerow(
-                list(z) + [repr(couplings.exchange.get(z, 0.0)), repr(couplings.exchange_z.get(z, 0.0))]
-            )

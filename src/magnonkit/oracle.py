@@ -448,17 +448,6 @@ class GibbsEnsemble:
         """Site-averaged per-copy magnetization <sigma3>."""
         return float(np.mean(self.sigma3_site))
 
-    @cached_property
-    def splus_site(self) -> np.ndarray:
-        """<S+(x)> per site; exactly zero by U(1) symmetry of the Gibbs state."""
-
-        def diag_plus(rep):
-            # only an unsplit block has diagonal S+ entries
-            return sum((np.einsum("xaa,a->x", stack, rep.probs[rows])
-                        for rows, cols, stack in rep.plus if rows == cols), np.zeros(self.n_sites))
-
-        return self._site_sum(diag_plus)
-
     def sigma3_site_variance(self, x: int) -> float:
         """Variance of the per-copy site average S3(x)/n (shrinks like 1/n)."""
 

@@ -2,8 +2,8 @@
 
 A Hamiltonian built from collective (copy-summed) spin operators never mixes
 total-spin sectors, so the 2**n dimensional per-site space splits into
-spin-j blocks of dimension 2j+1 with combinatorial multiplicities.  All spin
-matrices here are in Pauli units: the z component has eigenvalues -2j..2j in
+spin-j blocks of dimension 2j+1 with combinatorial multiplicities.  Spin
+operators are in Pauli units: the z component has eigenvalues -2j..2j in
 steps of 2, and [S+, S-] = S3.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 MAX_COPIES = 31
 
@@ -61,19 +59,3 @@ def sector_decomposition(copies: int) -> SectorTable:
     assert table.total_dimension() == 2**n
     return table
 
-
-def collective_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raising, lowering and z matrices of one spin-j block, Pauli units.
-
-    Basis is ordered by ascending z eigenvalue.  Matrices are real, so the
-    blocked Hamiltonians stay real symmetric.
-    """
-    t = int(twice_j)
-    if t < 1:
-        raise ValueError(f"twice_j must be >= 1, got {twice_j}")
-    a = np.arange(t)
-    raise_amp = np.sqrt((t - a) * (a + 1.0))
-    s_plus = np.diag(raise_amp, -1)
-    s_minus = s_plus.T.copy()
-    s_three = np.diag(2.0 * np.arange(t + 1) - t)
-    return s_plus, s_minus, s_three

@@ -90,12 +90,17 @@ def occupation_grid(m: float, params: ThermalParams, couplings: CouplingSet, gri
     return _occupations(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
 
 
+def _energies(gaps, h: float, m: float):
+    """Magnon energies 2*(gap + h/(-m)) of the given gap values."""
+    return 2.0 * (gaps + h / (-m))
+
+
 def dispersion(q, m: float, params: ThermalParams, couplings: CouplingSet) -> float:
     """Magnon energy 2*(J3(0) - J(q) + h/(-m)); positive for h > 0, m < 0."""
     m = _check_m(m)
     if m == 0.0:
         raise RegimeError("spectrum undefined at vanishing magnetization")
-    return 2.0 * (exchange_gap(couplings, q) + params.h / (-m))
+    return _energies(exchange_gap(couplings, q), params.h, m)
 
 
 def _defect(m: float, beta: float, h: float, gaps: np.ndarray) -> float:
@@ -256,7 +261,7 @@ def solve_magnetization(
             f"bisection residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
     occupations = _occupations(m_star, beta, h, gaps)
-    eps = 2.0 * (gaps + h / (-m_star))
+    eps = _energies(gaps, h, m_star)
     bounds = magnetization_bounds(params, couplings)
     return SpinWaveSolution(
         m_star=m_star,

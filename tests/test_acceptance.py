@@ -102,7 +102,8 @@ def test_criterion_01_commutator_limit(sector_ladder):
 def test_criterion_02_u1_symmetry(ensemble_matrix):
     worst = 0.0
     for ensemble in ensemble_matrix.values():
-        worst = max(worst, float(np.max(np.abs(ensemble.splus_site))))
+        for x in range(ensemble.n_sites):
+            worst = max(worst, abs(ensemble.expect_product([("+", x)])))
     assert worst <= 1e-12
     print(f"\nACCEPTANCE 02 u1-symmetry: PASS (max |<S+>(x)| = {worst:.2e} over "
           f"{len(ensemble_matrix)} ensembles)")

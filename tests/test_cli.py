@@ -128,6 +128,14 @@ class TestValidateCommand:
         assert "gap negative" in capsys.readouterr().out
         assert not json.loads((tmp_path / "validate.json").read_text())["gap_ok"]
 
+    def test_config_shared_with_solve(self, workspace):
+        # keys of another command are read by that command only, not refused
+        tmp_path, make = workspace
+        conf = make(BASE_CONF + "solve.tol = 1e-12\n")
+        assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "validate.json").read_text())
+        assert list(doc["config"]) == sorted(cli.COMMANDS["validate"].keys)
+
     def test_csv_format(self, workspace):
         tmp_path, make = workspace
         conf = make(BASE_CONF)

@@ -16,7 +16,6 @@ from magnonkit import (
     load_couplings_csv,
     validate_ferromagnetic,
 )
-from magnonkit.lattice import write_couplings_csv
 
 
 def nn_chain(j=1.0, j3=1.0, h=0.0):
@@ -56,6 +55,15 @@ def reference_coupling_matrix(couplings, which, lattice):
         for x in range(lattice.n_sites):
             mat[x, lattice.site_index(sites[x] - np.asarray(z))] += v
     return mat
+
+
+def reference_fourier(couplings, which, k) -> complex:
+    """sum_z J(z) exp(-i k.z), one complex exponential per displacement."""
+    mapping = couplings.exchange if which == "J" else couplings.exchange_z
+    total = 0.0 + 0.0j
+    for z, v in mapping.items():
+        total += v * np.exp(-1j * float(np.dot(k, z)))
+    return total
 
 
 LATTICES = [LatticeSpec(1, 1), LatticeSpec(1, 7), LatticeSpec(2, 1), LatticeSpec(2, 5),
@@ -170,6 +178,37 @@ class TestFourierCoupling:
         scalar = [fourier_coupling(c, "J", k) for k in grid.points]
         np.testing.assert_allclose(vals, scalar, atol=1e-8)
         assert vals[0] == pytest.approx(2e4 * (1 + 1 / 3 + 1 / 7), rel=1e-15)
+
+    @pytest.mark.parametrize("dimension, size", [(1, 9), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("reach", [2, 3])
+    def test_both_forms_match_reference(self, dimension, size, reach):
+        # With displacement components in -2..2 every product k_a z_a is exact,
+        # so the forms differ by the rounding of the cosine sum: 4 ulp of
+        # sum_z |J(z)|.  Longer displacements round the products, and the
+        # forms round them differently, which moves a term by up to |k.z| ulp
+        # of |J(z)|.
+        rng = np.random.default_rng(100 * dimension + reach)
+        grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
+        for _ in range(20):
+            c = random_even_couplings(rng, dimension, reach=reach)
+            off_grid = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(20, dimension))
+            points = np.concatenate([grid.points, off_grid])
+            phases = [abs(float(np.dot(k, z))) for k in points for z in c.exchange]
+            conditioning = 1.0 if reach == 2 else max([1.0, *phases])
+            tol = 4.0 * np.finfo(float).eps * sum(map(abs, c.exchange.values())) * conditioning
+            reference = np.array([reference_fourier(c, "J", k) for k in points])
+            scalar = np.array([fourier_coupling(c, "J", k) for k in points])
+            vectorized = fourier_coupling_grid(c, "J", MomentumGrid(points, grid.lattice))
+            assert np.max(np.abs(scalar - reference.real)) <= tol
+            assert np.max(np.abs(vectorized - reference.real)) <= tol
+
+    def test_residue_guard_fires_on_an_uneven_map(self):
+        c = nn_chain()
+        c.exchange[(1,)] = 1.5  # no longer even: J(1) != J(-1)
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            fourier_coupling(c, "J", [math.pi / 2])
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            fourier_coupling_grid(c, "J", MomentumGrid.from_lattice(LatticeSpec(1, 4)))
 
     def test_parseval_mean_is_onsite_value(self):
         rng = np.random.default_rng(3)
@@ -317,7 +356,10 @@ class TestCouplingCsv:
     def test_round_trip(self, tmp_path):
         c = CouplingSet.symmetrized({(1, 0): 1.5, (0, 1): 0.25}, {(1, 1): -0.75}, 0.3)
         path = tmp_path / "c.csv"
-        write_couplings_csv(path, c, 2)
+        path.write_text(
+            "dz1,dz2,J,J3\n-1,-1,0.0,-0.75\n-1,0,1.5,0.0\n0,-1,0.25,0.0\n"
+            "0,1,0.25,0.0\n1,0,1.5,0.0\n1,1,0.0,-0.75\n"
+        )
         back = load_couplings_csv(path, 2, h=0.3)
         assert back.exchange == c.exchange
         assert back.exchange_z == c.exchange_z

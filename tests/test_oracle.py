@@ -32,7 +32,7 @@ from magnonkit.oracle import (
     _product_basis,
     _split_by_magnetization,
 )
-from magnonkit.sectors import collective_matrices, sector_decomposition
+from magnonkit.sectors import sector_decomposition
 
 CHAIN2 = LatticeSpec(1, 2)
 GRID2 = MomentumGrid.from_lattice(CHAIN2)
@@ -123,7 +123,8 @@ class TestBuildGibbs:
         assert chain2_n3.identity_expectation() == pytest.approx(1.0, abs=1e-12)
 
     def test_u1_symmetry(self, chain2_n3):
-        assert np.max(np.abs(chain2_n3.splus_site)) < 1e-12
+        for x in range(chain2_n3.n_sites):
+            assert abs(chain2_n3.expect_product([("+", x)])) < 1e-12
 
     def test_translation_invariance(self, chain2_n3):
         values = chain2_n3.sigma3_site
@@ -368,6 +369,42 @@ SHELLS12 = CouplingSet.symmetrized({(1,): 0.7, (2,): -0.3}, {(1,): 0.9, (2,): 0.
 SQUARE_NN = CouplingSet.symmetrized(
     {(1, 0): 0.8, (0, 1): 0.8, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0, (1, 1): 0.3}, h=2.0
 )
+
+
+def collective_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raising, lowering and z matrices of one spin-j block, Pauli units.
+
+    Basis is ordered by ascending z eigenvalue.  Matrices are real, so the
+    blocked Hamiltonians stay real symmetric.
+    """
+    t = int(twice_j)
+    if t < 1:
+        raise ValueError(f"twice_j must be >= 1, got {twice_j}")
+    a = np.arange(t)
+    raise_amp = np.sqrt((t - a) * (a + 1.0))
+    s_plus = np.diag(raise_amp, -1)
+    s_minus = s_plus.T.copy()
+    s_three = np.diag(2.0 * np.arange(t + 1) - t)
+    return s_plus, s_minus, s_three
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 5, 8])
+def test_collective_matrix_algebra(twice_j):
+    s_plus, s_minus, s_three = collective_matrices(twice_j)
+    # Pauli-sum units: [S+, S-] = S3 and [S3, S+] = 2 S+
+    np.testing.assert_allclose(s_plus @ s_minus - s_minus @ s_plus, s_three, atol=1e-12)
+    np.testing.assert_allclose(
+        s_three @ s_plus - s_plus @ s_three, 2.0 * s_plus, atol=1e-12
+    )
+    np.testing.assert_array_equal(s_minus, s_plus.T)
+    eigenvalues = np.diagonal(s_three)
+    assert eigenvalues[0] == -twice_j and eigenvalues[-1] == twice_j
+
+
+def test_spin_half_matches_pauli():
+    s_plus, s_minus, s_three = collective_matrices(1)
+    np.testing.assert_array_equal(s_plus, [[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(s_three, [[-1.0, 0.0], [0.0, 1.0]])
 
 
 def kron_operators(twice_js):

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from magnonkit import SectorEntry, collective_matrices, sector_decomposition
+from magnonkit import SectorEntry, sector_decomposition
 
 
 def test_single_copy():
@@ -35,21 +34,3 @@ def test_rejects_even_and_out_of_range():
     with pytest.raises(ValueError, match="maximum"):
         sector_decomposition(33)
 
-
-@pytest.mark.parametrize("twice_j", [1, 2, 3, 5, 8])
-def test_collective_matrix_algebra(twice_j):
-    s_plus, s_minus, s_three = collective_matrices(twice_j)
-    # Pauli-sum units: [S+, S-] = S3 and [S3, S+] = 2 S+
-    np.testing.assert_allclose(s_plus @ s_minus - s_minus @ s_plus, s_three, atol=1e-12)
-    np.testing.assert_allclose(
-        s_three @ s_plus - s_plus @ s_three, 2.0 * s_plus, atol=1e-12
-    )
-    np.testing.assert_array_equal(s_minus, s_plus.T)
-    eigenvalues = np.diagonal(s_three)
-    assert eigenvalues[0] == -twice_j and eigenvalues[-1] == twice_j
-
-
-def test_spin_half_matches_pauli():
-    s_plus, s_minus, s_three = collective_matrices(1)
-    np.testing.assert_array_equal(s_plus, [[0.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(s_three, [[-1.0, 0.0], [0.0, 1.0]])
