@@ -3,11 +3,20 @@
 The effective large-spin model is quadratic, so a state is fully described
 by the covariance gamma[x, y] = <F+(x) F-(y)> together with the quantization
 parameter m < 0 that sets the mode commutator [F-(x), F+(y)] = -m delta.
-Time evolution is exact: in the mode basis every covariance entry just picks
-up the phase of the two mode energies involved, so diagonal (equilibrium)
-covariances are fixed points and no integrator is ever involved.  The
-longitudinal fluctuations commute with everything in the validated regime
-and carry no dynamics, so they are not part of the state.
+The longitudinal fluctuations commute with everything in the validated
+regime and carry no dynamics, so they are not part of the state.
+
+A state holds its covariance in the mode basis as occupations n(q) plus a
+few amplitude vectors psi_r(q),
+
+    gamma_mode = diag(n) + sum_r psi_r psi_r^+,
+
+which is O(rN) numbers: r = 0 for a thermal state, r = 1 for a packet.
+Evolution is exact: every mode picks up the phase exp(-i m eps(q) t), so n
+is fixed and each psi_r is multiplied by the phases, O(rN).  The site
+density is mean(n) + sum_r |U psi_r|^2 with one lattice FFT per amplitude,
+O(rN log N).  The dense N x N covariance is built only when ``gamma`` is
+read.
 """
 
 from __future__ import annotations
@@ -18,10 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import CouplingSet, MomentumGrid, coupling_matrix, exchange_gap_grid
+from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
 from .spinwave import RegimeError, SpinWaveSolution, _energies
 
-_HERMITICITY_TOL = 1e-8
+# Relative tolerance of the constructor's Hermiticity and positivity checks.
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,24 +52,37 @@ def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid
     return ModeSpectrum(eps=eps, omega=(-m) * eps)
 
 
-def _change_basis(gamma: np.ndarray, grid: MomentumGrid, to_mode: bool) -> np.ndarray:
-    """Conjugate gamma by the unitary U[x, q] = exp(-i q.x)/sqrt(N).
+def _transform(vectors: np.ndarray, lattice: LatticeSpec, to_mode: bool) -> np.ndarray:
+    """Apply U^+ (to modes) or U (to sites) to each row, U[x, q] = exp(-i q.x)/sqrt(N).
 
-    U is the lattice Fourier transform, so U^+ gamma U (to modes) and
-    U gamma U^+ (to sites) are an inverse/forward FFT pair over the row and
-    column lattice axes, O(N^2 log N) instead of two dense N^3 products.  The
-    C-order reshape matches the lexicographic site and momentum order.
+    A row is a lattice field in C order (lexicographic sites and momenta),
+    so U is an orthonormal forward FFT over the lattice axes and U^+ the
+    inverse one.
     """
-    lattice = grid.lattice
+    d, rows = lattice.dimension, len(vectors)
+    fft = np.fft.ifftn if to_mode else np.fft.fftn
+    out = fft(vectors.reshape((rows,) + (lattice.size,) * d), axes=tuple(range(1, d + 1)), norm="ortho")
+    return out.reshape(rows, lattice.n_sites)
+
+
+def _mode_to_site(gamma: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """U gamma U^+ of a dense covariance: a forward/inverse FFT pair over the row and column axes."""
     d, n = lattice.dimension, lattice.n_sites
-    rows, cols = tuple(range(d)), tuple(range(d, 2 * d))
-    row_fft, col_fft = (np.fft.ifftn, np.fft.fftn) if to_mode else (np.fft.fftn, np.fft.ifftn)
-    out = row_fft(gamma.reshape((lattice.size,) * (2 * d)), axes=rows, norm="ortho")
-    return col_fft(out, axes=cols, norm="ortho").reshape(n, n)
+    out = np.fft.fftn(gamma.reshape((lattice.size,) * (2 * d)), axes=tuple(range(d)), norm="ortho")
+    return np.fft.ifftn(out, axes=tuple(range(d, 2 * d)), norm="ortho").reshape(n, n)
+
+
+def _check_parameters(m, basis) -> None:
+    if m == 0.0:
+        raise RegimeError("dynamics undefined at vanishing magnetization")
+    if not -1.0 <= m < 0.0:
+        raise ValueError(f"quantization parameter must lie in [-1, 0), got {m}")
+    if basis not in ("site", "mode"):
+        raise ValueError(f"basis must be 'site' or 'mode', got {basis!r}")
 
 
 class GaussianMagnonState:
-    """Immutable covariance-matrix state of the free magnon field.
+    """Immutable quasi-free state of the magnon field.
 
     Parameters
     ----------
@@ -67,67 +90,111 @@ class GaussianMagnonState:
         Quantization parameter (the magnetization), in [-1, 0).  Zero is
         rejected: the commutator degenerates and no dynamics exists there.
     gamma : complex array, shape (n_sites, n_sites)
-        Covariance <F+ F-> in the basis named by ``basis``.
+        Covariance <F+ F-> in the basis named by ``basis``; it must be
+        Hermitian and positive semidefinite.  It is factored once (``eigh``)
+        into amplitudes; :meth:`from_modes` builds a state from occupations
+        and amplitudes directly.
     basis : {"site", "mode"}
+        The basis in which :attr:`gamma` is reported.  It does not change
+        how the state is stored or evolved.
     grid : MomentumGrid
     couplings : CouplingSet
     h : float
         Field entering the mode energies.
+
+    Attributes
+    ----------
+    occupations : float array, shape (n_sites,)
+        The diagonal part n(q) of the mode-basis covariance.
+    amplitudes : complex array, shape (r, n_sites)
+        Mode-basis vectors psi_r, one per row.
     """
 
     def __init__(self, m, gamma, basis, grid, couplings, h):
-        if m == 0.0:
-            raise RegimeError("dynamics undefined at vanishing magnetization")
-        if not -1.0 <= m < 0.0:
-            raise ValueError(f"quantization parameter must lie in [-1, 0), got {m}")
-        if basis not in ("site", "mode"):
-            raise ValueError(f"basis must be 'site' or 'mode', got {basis!r}")
+        _check_parameters(m, basis)
         gamma = np.asarray(gamma, dtype=complex)
         n = len(grid)
         if gamma.shape != (n, n):
             raise ValueError(f"gamma must be {n}x{n} for this grid, got {gamma.shape}")
         scale = 1.0 + float(np.max(np.abs(gamma)))
-        if np.max(np.abs(gamma - gamma.conj().T)) > _HERMITICITY_TOL * scale:
+        if np.max(np.abs(gamma - gamma.conj().T)) > _TOL * scale:
             raise ValueError("gamma must be Hermitian")
+        eigenvalues, vectors = np.linalg.eigh(gamma)
+        if eigenvalues[0] < -_TOL * scale:
+            raise ValueError(f"gamma must be positive semidefinite, has eigenvalue {eigenvalues[0]:.6g}")
+        keep = eigenvalues > 0.0
+        amplitudes = (vectors[:, keep] * np.sqrt(eigenvalues[keep])).T
+        if basis == "site":
+            amplitudes = _transform(amplitudes, grid.lattice, to_mode=True)
+        self._assign(m, np.zeros(n), amplitudes, basis, grid, couplings, h)
+
+    @classmethod
+    def from_modes(cls, m, occupations, amplitudes, grid, couplings, h, basis="mode"):
+        """The state diag(occupations) + sum_r psi_r psi_r^+ in the mode basis.
+
+        ``amplitudes`` holds the psi_r as rows (one vector alone is rank one,
+        an empty sequence rank zero); ``occupations`` must be non-negative.
+        """
+        _check_parameters(m, basis)
+        n = len(grid)
+        occupations = np.asarray(occupations, dtype=float)
+        if occupations.shape != (n,):
+            raise ValueError(f"occupations must have {n} entries, got shape {occupations.shape}")
+        if not np.all(occupations >= 0.0):
+            raise ValueError("occupations must be non-negative")
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.ndim > 2 or amplitudes.shape[-1:] not in ((n,), (0,)):
+            raise ValueError(f"amplitudes must be vectors of {n} entries, got shape {amplitudes.shape}")
+        out = object.__new__(cls)
+        out._assign(m, occupations, amplitudes.reshape(-1, n), basis, grid, couplings, h)
+        return out
+
+    def _assign(self, m, occupations, amplitudes, basis, grid, couplings, h) -> None:
         self.m = float(m)
-        self.gamma = gamma
+        self.occupations = occupations
+        self.amplitudes = amplitudes
         self.basis = basis
         self.grid = grid
         self.couplings = couplings
         self.h = float(h)
 
-    def _replace(self, gamma, basis) -> "GaussianMagnonState":
-        """Same parameters, new covariance; gamma is Hermitian by construction.
-
-        Skips the constructor's checks and carries over a computed spectrum.
-        """
+    def _replace(self, **changes) -> "GaussianMagnonState":
+        """Same state with some fields replaced; no checks, a computed spectrum is kept."""
         out = object.__new__(GaussianMagnonState)
-        out.__dict__.update(self.__dict__)
-        out.gamma, out.basis = gamma, basis
+        out.__dict__.update(self.__dict__, **changes)
         return out
 
     @cached_property
     def spectrum(self) -> ModeSpectrum:
         return mode_spectrum(self.m, self.h, self.couplings, self.grid)
 
+    @property
+    def gamma(self) -> np.ndarray:
+        """Dense covariance in ``basis``, built on every read (N x N complex)."""
+        psi = self.amplitudes
+        gamma = psi.T @ psi.conj()
+        gamma[np.diag_indices_from(gamma)] += self.occupations
+        return gamma if self.basis == "mode" else _mode_to_site(gamma, self.grid.lattice)
+
     def to_mode(self) -> "GaussianMagnonState":
-        if self.basis == "mode":
-            return self
-        return self._replace(_change_basis(self.gamma, self.grid, to_mode=True), "mode")
+        return self if self.basis == "mode" else self._replace(basis="mode")
 
     def to_site(self) -> "GaussianMagnonState":
-        if self.basis == "site":
-            return self
-        return self._replace(_change_basis(self.gamma, self.grid, to_mode=False), "site")
+        return self if self.basis == "site" else self._replace(basis="site")
+
+
+def _mode_diagonal(state: GaussianMagnonState) -> np.ndarray:
+    """gamma_mode(q, q) = n(q) + sum_r |psi_r(q)|^2."""
+    psi = state.amplitudes
+    return state.occupations + np.sum(psi.real**2 + psi.imag**2, axis=0)
 
 
 def equilibrium_state(solution: SpinWaveSolution, grid: MomentumGrid) -> GaussianMagnonState:
-    """Mode-diagonal thermal covariance built from a solved magnetization."""
+    """Mode-diagonal thermal state built from a solved magnetization."""
     if solution.m_star == 0.0:
         raise RegimeError("dynamics undefined at vanishing magnetization")
-    gamma = np.diag(solution.occupations).astype(complex)
-    return GaussianMagnonState(
-        solution.m_star, gamma, "mode", grid, solution.couplings, solution.params.h
+    return GaussianMagnonState.from_modes(
+        solution.m_star, solution.occupations, (), grid, solution.couplings, solution.params.h
     )
 
 
@@ -148,31 +215,30 @@ def packet_state(
     dist_sq = np.sum(delta.astype(float) ** 2, axis=1)
     kick = grid.points[kick_index]
     psi = np.exp(-dist_sq / (2.0 * width**2) + 1j * (sites @ kick))
-    gamma = np.outer(psi, psi.conj())
-    return GaussianMagnonState(m, gamma, "site", grid, couplings, h)
+    amplitude = _transform(psi[None, :], lattice, to_mode=True)
+    return GaussianMagnonState.from_modes(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")
 
 
 def evolve(state: GaussianMagnonState, t: float) -> GaussianMagnonState:
-    """Propagate the covariance for time t, exactly.
+    """Propagate the state for time t, exactly.
 
-    In the mode basis gamma[q, q'] acquires exp(-i*m*(eps(q) - eps(q'))*t);
-    the diagonal is untouched, so mode occupations, total number and total
-    energy are conserved identically.
+    Mode q picks up exp(-i*m*eps(q)*t), so gamma_mode[q, q'] acquires
+    exp(-i*m*(eps(q) - eps(q'))*t): the occupations stay and each amplitude
+    is multiplied by the phases.  Mode occupations, total number and total
+    energy are conserved.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     if t == 0.0:
         return state
-    mode = state.to_mode()
     phases = np.exp(-1j * state.m * state.spectrum.eps * t)
-    gamma = (phases[:, None] * mode.gamma) * phases.conj()[None, :]
-    out = mode._replace(gamma, "mode")
-    return out.to_site() if state.basis == "site" else out
+    return state._replace(amplitudes=state.amplitudes * phases)
 
 
 def number_density(state: GaussianMagnonState) -> np.ndarray:
-    """Magnon number density <F+(x) F-(x)> at each site."""
-    return np.real(np.diagonal(state.to_site().gamma)).copy()
+    """Magnon number density <F+(x) F-(x)> = mean(n) + sum_r |(U psi_r)(x)|^2 at each site."""
+    site = _transform(state.amplitudes, state.grid.lattice, to_mode=False)
+    return np.mean(state.occupations) + np.sum(site.real**2 + site.imag**2, axis=0)
 
 
 def number_density_rate(state: GaussianMagnonState) -> np.ndarray:
@@ -181,6 +247,7 @@ def number_density_rate(state: GaussianMagnonState) -> np.ndarray:
     Only the transverse exchange moves magnons; evenness of the coupling and
     Hermiticity of the covariance make any translation-invariant state
     stationary, and the site sum vanishes identically (number conservation).
+    Built from the dense site covariance.
     """
     gamma_site = state.to_site().gamma
     j_mat = coupling_matrix(state.couplings, "J", state.grid.lattice)
@@ -189,10 +256,9 @@ def number_density_rate(state: GaussianMagnonState) -> np.ndarray:
 
 def total_number(state: GaussianMagnonState) -> float:
     """Trace of the covariance (basis independent)."""
-    return float(np.real(np.trace(state.gamma)))
+    return float(np.sum(_mode_diagonal(state)))
 
 
 def total_energy(state: GaussianMagnonState) -> float:
     """Sum of eps(q) times the mode occupation gamma(q, q)."""
-    mode = state.to_mode()
-    return float(np.real(np.sum(state.spectrum.eps * np.diagonal(mode.gamma))))
+    return float(state.spectrum.eps @ _mode_diagonal(state))

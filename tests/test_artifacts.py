@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
+import pytest
 
-from magnonkit.artifacts import fmt, json_dumps
+from magnonkit import CouplingSet, LatticeSpec, MomentumGrid, evolve, packet_state
+from magnonkit.artifacts import fmt, json_dumps, write_json
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 2.0]
 
@@ -49,3 +52,89 @@ class TestJsonFloatLists:
         assert json_dumps(np.array([1, 2])) == "[\n  1,\n  2\n]\n"
         assert json_dumps(np.array([True, False])) == "[\n  true,\n  false\n]\n"
         assert json_dumps([]) == "[]\n"
+
+
+def reference_dumps(obj, indent=2):
+    """The whole-document writer: convert to plain Python, then build one string."""
+
+    def plain(node):
+        if isinstance(node, np.ndarray):
+            return plain(node.tolist())
+        if isinstance(node, np.floating):
+            return float(node)
+        if isinstance(node, np.integer):
+            return int(node)
+        if isinstance(node, dict):
+            return {str(k): plain(v) for k, v in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [plain(v) for v in node]
+        return node
+
+    def emit(node, level):
+        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+        if node is None:
+            return "null"
+        if isinstance(node, bool):
+            return "true" if node else "false"
+        if isinstance(node, int):
+            return str(node)
+        if isinstance(node, float):
+            return fmt(node)
+        if isinstance(node, str):
+            return json.dumps(node)
+        if isinstance(node, dict):
+            items = [f"{pad_in}{json.dumps(k)}: {emit(v, level + 1)}" for k, v in node.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+        if isinstance(node, list):
+            items = [pad_in + emit(v, level + 1) for v in node]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+        raise TypeError(f"cannot serialize {type(node).__name__}")
+
+    return emit(plain(obj), 0) + "\n"
+
+
+def packet_snapshot():
+    grid = MomentumGrid.from_lattice(LatticeSpec(2, 4))
+    couplings = CouplingSet.nearest_neighbor(2, j=1.0, j3=1.0, h=0.5)
+    state = evolve(packet_state(-0.8, grid, couplings, 0.5, center=5, width=1.5, kick_index=3), 2.5)
+    gamma = state.gamma
+    return {"config": {"a.b": "1"}, "m": state.m, "eps_of_q": state.spectrum.eps,
+            "gamma_mode_real": gamma.real, "gamma_mode_imag": gamma.imag,
+            "max_number_drift": 0.0, "max_energy_drift": 1e-15}
+
+
+_RNG = np.random.default_rng(5)
+WRITER_CASES = {
+    "edge-floats": EDGE_FLOATS,
+    "edge-float-array": np.array(EDGE_FLOATS),
+    "float32": np.array([-0.0, 1e-45, 3e38, math.nan, math.inf, 0.1, 1.0 / 3.0], dtype=np.float32),
+    "float32-matrix": _RNG.normal(size=(3, 5)).astype(np.float32),
+    "int": np.arange(-3, 4),
+    "int-matrix": np.arange(6).reshape(2, 3),
+    "bool": np.array([True, False, True]),
+    "empty": np.zeros(0),
+    "empty-list": [],
+    "0xk": np.zeros((0, 4)),
+    "kx0": np.zeros((3, 0)),
+    "3-d": _RNG.normal(size=(2, 2, 3)),
+    "long-vector": _RNG.normal(size=10_000),
+    "nested-dicts": {"a": {"b": {"c": [1, 2.5, None, "x", True], "d": {}}, "e": np.float32(0.1)},
+                     7: [np.int64(3), np.array([[0.5, -0.0]])], "f": (1.0, 2.0)},
+    "packet-snapshot": packet_snapshot(),
+}
+
+
+class TestStreamingWriter:
+    @pytest.mark.parametrize("case", WRITER_CASES, ids=str)
+    def test_file_bytes_equal_json_dumps_and_reference(self, case, tmp_path):
+        obj = WRITER_CASES[case]
+        path = tmp_path / "out.json"
+        write_json(path, obj)
+        text = json_dumps(obj)
+        assert path.read_bytes() == text.encode()
+        assert text == reference_dumps(obj)
+
+    def test_unserializable_values_raise(self, tmp_path):
+        for bad in (1j, np.array([1j]), object()):
+            with pytest.raises(TypeError):
+                json_dumps({"x": bad})

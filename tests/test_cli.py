@@ -14,6 +14,8 @@ from magnonkit import (
     number_density,
     oracle,
     packet_state,
+    total_energy,
+    total_number,
 )
 from magnonkit.artifacts import fmt
 from magnonkit.cli import main
@@ -375,6 +377,59 @@ class TestDynamicsCommand:
         assert [line for line in lines if not line.startswith("#")][1:] == expected
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert snapshot["gamma_mode_real"] == state.to_mode().gamma.real.tolist()
+
+
+    PACKET_CONF = (
+        DYNAMICS_CONF
+        + "dynamics.initial = packet\ndynamics.m = -0.8\ndynamics.packet_center = 3\n"
+        + "dynamics.packet_kick = 2\ndynamics.packet_width = 1.5\n"
+    )
+
+    def test_packet_rerun_is_byte_identical(self, workspace):
+        tmp_path, make = workspace
+        conf = make(self.PACKET_CONF)
+        runs = []
+        for name in ("first", "second"):
+            assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path / name)]) == 0
+            runs.append({f: (tmp_path / name / f).read_bytes() for f in ("snapshot.json", "trajectory.csv")})
+        assert runs[0] == runs[1]
+
+    def test_drift_diagnostics(self, workspace, capsys):
+        # the snapshot reports the largest sampled drift of number and energy,
+        # here one or a few roundings each
+        tmp_path, make = workspace
+        conf = make(self.PACKET_CONF.replace("packet_width = 1.5", "packet_width = 2.0"))
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert list(snapshot)[-2:] == ["max_number_drift", "max_energy_drift"]
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, 8))
+        couplings = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.5)
+        state = packet_state(-0.8, grid, couplings, 0.5, center=3, width=2.0, kick_index=2)
+        for key, total in (("max_number_drift", total_number), ("max_energy_drift", total_energy)):
+            drifts = [abs(total(evolve(state, t)) - total(state)) for t in (0.0, 0.5, 1.0)]
+            assert snapshot[key] == max(drifts)
+            assert 0.0 < max(drifts) <= 1e-12
+        out = capsys.readouterr().out
+        assert (f"conserved=True max_number_drift={fmt(snapshot['max_number_drift'])} "
+                f"max_energy_drift={fmt(snapshot['max_energy_drift'])}\n") in out
+
+    def test_oversized_snapshot_refused_before_any_state(self, workspace, capsys, monkeypatch):
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(cli, "MAX_SNAPSHOT_BYTES", 16 * 8 * 8 - 1)
+        monkeypatch.setattr(cli, "packet_state", no_state)
+        monkeypatch.setattr(cli, "solve_magnetization", no_state)
+        tmp_path, make = workspace
+        for conf in (DYNAMICS_CONF, self.PACKET_CONF):
+            assert main(["dynamics", "--config", str(make(conf)), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: dynamics on 8 sites needs a 1024-byte dense snapshot")
+            assert "above the limit of 1023 bytes" in err
+        assert not (tmp_path / "snapshot.json").exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_SNAPSHOT_BYTES", 16 * 8 * 8)  # exactly at the limit
+        assert main(["dynamics", "--config", str(make(DYNAMICS_CONF)), "--out", str(tmp_path)]) == 0
 
 
 class TestSectorsCommand:

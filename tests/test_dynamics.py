@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnonkit import (
     CouplingSet,
@@ -21,6 +24,7 @@ from magnonkit import (
     total_number,
 )
 from magnonkit import dynamics
+from magnonkit.lattice import coupling_matrix
 
 LAT8 = LatticeSpec(1, 8)
 GRID8 = MomentumGrid.from_lattice(LAT8)
@@ -278,3 +282,162 @@ class TestPacketState:
         eigenvalues = np.linalg.eigvalsh(gamma)
         assert np.min(eigenvalues) > -1e-12
         assert np.sum(eigenvalues > 1e-9) == 1
+
+
+# --- dense referee --------------------------------------------------------------
+#
+# Evolves the full N x N mode-basis covariance with the phase matrix and
+# conjugates it to sites with the dense U; it shares only the Fourier
+# convention U[x, q] = exp(-i q.x)/sqrt(N) with the amplitude engine.
+
+
+def dense_reference(m, gamma_mode, grid, couplings, h, t):
+    """Density, number, energy and density rate of the dense covariance at time t."""
+    eps = mode_spectrum(m, h, couplings, grid).eps
+    phases = np.exp(-1j * m * eps * t)
+    evolved = phases[:, None] * gamma_mode * phases.conj()[None, :]
+    u = dense_mode_to_site(grid)
+    site = u @ evolved @ u.conj().T
+    j_mat = coupling_matrix(couplings, "J", grid.lattice)
+    return {
+        "density": np.real(np.diagonal(site)),
+        "number": float(np.real(np.trace(evolved))),
+        "energy": float(np.real(np.sum(eps * np.diagonal(evolved)))),
+        "rate": 4.0 * m * np.sum(j_mat * site.imag, axis=1),
+    }
+
+
+def structured_values(state, t):
+    evolved = evolve(state, t)
+    return {
+        "density": number_density(evolved),
+        "number": total_number(evolved),
+        "energy": total_energy(evolved),
+        "rate": number_density_rate(evolved),
+    }
+
+
+def assert_matches_reference(state, gamma_mode, t):
+    expected = dense_reference(state.m, gamma_mode, state.grid, state.couplings, state.h, t)
+    got = structured_values(state, t)
+    scale = 1.0 + expected["number"]
+    eps_max = float(np.max(state.spectrum.eps))
+    j_sum = float(np.sum(np.abs(list(state.couplings.exchange.values()))))
+    tol = {"density": 1.0, "number": 1.0, "energy": eps_max, "rate": 4.0 * j_sum}
+    for key, factor in tol.items():
+        error = float(np.max(np.abs(np.asarray(got[key]) - expected[key])))
+        assert error <= 1e-12 * scale * factor, (key, error, scale)
+
+
+STRUCTURED_LATTICES = {
+    "1d": (LatticeSpec(1, 8), CouplingSet.symmetrized({(1,): 1.0, (2,): 0.3}, {(1,): 1.0, (2,): 0.4}, 0.5)),
+    "2d": (LatticeSpec(2, 4), CouplingSet.symmetrized(
+        {(1, 0): 1.0, (0, 1): 0.7, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0}, 0.5)),
+    "3d": (LatticeSpec(3, 3), CouplingSet.nearest_neighbor(3, j=1.0, j3=1.0, h=0.5)),
+}
+
+
+def random_modes(rng, n, rank):
+    occupations = rng.exponential(size=n) * (rng.random(n) < 0.7)
+    amplitudes = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
+    return occupations, amplitudes
+
+
+def dense_mode_covariance(occupations, amplitudes):
+    return np.diag(occupations).astype(complex) + sum(
+        (np.outer(psi, psi.conj()) for psi in amplitudes), np.zeros((len(occupations),) * 2)
+    )
+
+
+class TestStructuredAgainstDense:
+    @pytest.mark.parametrize("which", STRUCTURED_LATTICES)
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_mode_amplitude_states(self, which, rank):
+        lattice, couplings = STRUCTURED_LATTICES[which]
+        grid = MomentumGrid.from_lattice(lattice)
+        rng = np.random.default_rng(100 * lattice.dimension + rank)
+        occupations, amplitudes = random_modes(rng, lattice.n_sites, rank)
+        state = GaussianMagnonState.from_modes(-0.7, occupations, amplitudes, grid, couplings, 0.5)
+        gamma_mode = dense_mode_covariance(occupations, amplitudes)
+        assert np.max(np.abs(state.gamma - gamma_mode)) <= 1e-14 * (1.0 + np.max(np.abs(gamma_mode)))
+        for t in (0.0, 0.37, -5.0, 41.0):
+            assert_matches_reference(state, gamma_mode, t)
+
+    @pytest.mark.parametrize("which", STRUCTURED_LATTICES)
+    def test_dense_constructor_and_packet(self, which):
+        lattice, couplings = STRUCTURED_LATTICES[which]
+        grid = MomentumGrid.from_lattice(lattice)
+        n = lattice.n_sites
+        u = dense_mode_to_site(grid)
+        site = random_state(np.random.default_rng(7), n, grid, couplings)
+        dense_site = site.gamma
+        packet = packet_state(-0.6, grid, couplings, 0.5, center=n // 3, width=1.3, kick_index=1)
+        packet_site = packet.gamma
+        for state, gamma_site in ((site, dense_site), (packet, packet_site)):
+            for t in (0.0, 0.9, 13.0):
+                assert_matches_reference(state, u.conj().T @ gamma_site @ u, t)
+
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(
+        which=st.sampled_from(sorted(STRUCTURED_LATTICES)),
+        rank=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.floats(-1.0, -0.05),
+        t=st.floats(-60.0, 60.0),
+    )
+    def test_random_rank_occupations_and_times(self, which, rank, seed, m, t):
+        lattice, couplings = STRUCTURED_LATTICES[which]
+        grid = MomentumGrid.from_lattice(lattice)
+        occupations, amplitudes = random_modes(np.random.default_rng(seed), lattice.n_sites, rank)
+        state = GaussianMagnonState.from_modes(m, occupations, amplitudes, grid, couplings, 0.5)
+        assert_matches_reference(state, dense_mode_covariance(occupations, amplitudes), t)
+
+
+class TestAmplitudeForm:
+    def test_dense_constructor_reproduces_its_covariance(self):
+        rng = np.random.default_rng(8)
+        for basis in ("site", "mode"):
+            a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+            gamma = a @ a.conj().T
+            state = GaussianMagnonState(-0.5, gamma, basis, GRID8, ISO, 0.5)
+            assert state.amplitudes.shape[0] <= 8
+            assert np.max(np.abs(state.gamma - gamma)) <= 1e-13 * np.max(np.abs(gamma))
+
+    def test_rejects_indefinite_covariance(self):
+        gamma = np.diag([1.0, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            GaussianMagnonState(-0.5, gamma, "mode", GRID8, ISO, 0.5)
+
+    def test_from_modes_checks_shapes_and_signs(self):
+        ok = np.zeros(8)
+        with pytest.raises(ValueError, match="occupations"):
+            GaussianMagnonState.from_modes(-0.5, np.zeros(4), (), GRID8, ISO, 0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            GaussianMagnonState.from_modes(-0.5, -np.ones(8), (), GRID8, ISO, 0.5)
+        with pytest.raises(ValueError, match="amplitudes"):
+            GaussianMagnonState.from_modes(-0.5, ok, np.ones((2, 4)), GRID8, ISO, 0.5)
+        with pytest.raises(RegimeError, match="vanishing"):
+            GaussianMagnonState.from_modes(0.0, ok, (), GRID8, ISO, 0.5)
+        rank_one = GaussianMagnonState.from_modes(-0.5, ok, np.ones(8), GRID8, ISO, 0.5)
+        assert rank_one.amplitudes.shape == (1, 8)
+
+    def test_ranks_of_the_cli_states(self, equilibrium):
+        _, state = equilibrium
+        assert state.amplitudes.shape == (0, 8)
+        packet = packet_state(-0.5, GRID8, ISO, 0.5, center=2, width=1.0, kick_index=1)
+        assert packet.amplitudes.shape == (1, 8)
+        assert np.all(packet.occupations == 0.0)
+
+    def test_large_packet_needs_no_dense_covariance(self):
+        # the dense N x N covariance of this packet would take 268 MB
+        lattice = LatticeSpec(1, 4096)
+        grid = MomentumGrid.from_lattice(lattice)
+        state = packet_state(-0.8, grid, ISO, 0.5, center=100, width=20.0, kick_index=7)
+        tracemalloc.start()
+        try:
+            density = number_density(evolve(state, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
+        assert abs(np.sum(density) - total_number(state)) <= 1e-10 * total_number(state)
