@@ -7,16 +7,17 @@ Every run reads a flat key/value config file (``section.key = value`` lines,
 the schema are refused; keys of another command are ignored, so one file
 can serve several commands (``validate`` and ``solve`` of the same
 problem, say), and the embedded configuration lists only the keys the
-command read.  A ``cmd_*``
-function only computes; :func:`_emit` writes the artifacts with the effective
+command read.  A ``cmd_*`` function takes only the resolved configuration
+and computes; :func:`_emit` writes the artifacts with the effective
 configuration embedded (a leading ``"config"`` JSON key, ``# key = value``
 CSV preamble lines) so results are reproducible and diffable, prints the
 summary and maps the verdict to an exit code.  A command that reads
 ``output.format`` writes one artifact in that format, and only it takes
-``--format``; ``dynamics`` writes both of its files.  Only ``oracle`` takes
-``--threads``.  Exit codes: 0 success, 1 a scientific condition failed, 2
-usage or I/O failure, 3 internal error (a bug or a failed internal
-consistency check, never a verdict on the physics).
+``--format``; ``dynamics`` writes both of its files.  No command takes a
+thread count: the oracle builds its blocks serially.  Exit codes: 0
+success, 1 a scientific condition failed, 2 usage or I/O failure, 3
+internal error (a bug or a failed internal consistency check, never a
+verdict on the physics).
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ def _parse_float_list(text):
 
 def _parse_optional_float(text):
     return _parse_float(text) if text.strip() else None
-
-
-def _parse_threads(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 # key -> (parser, default); None default means the key is required when used.
@@ -194,7 +185,7 @@ def _load_problem(cfg: RunConfig, require_regime: bool = True):
     return lattice, grid, couplings
 
 
-def cmd_validate(cfg: RunConfig, args) -> Output:
+def cmd_validate(cfg: RunConfig) -> Output:
     lattice, grid, couplings = _load_problem(cfg, require_regime=False)
     report = validate_ferromagnetic(couplings, grid, tol=cfg["validate.tol"])
     doc = {
@@ -222,7 +213,7 @@ def cmd_validate(cfg: RunConfig, args) -> Output:
     return Output(doc, header, rows, preamble, lines, report.passed)
 
 
-def cmd_solve(cfg: RunConfig, args) -> Output:
+def cmd_solve(cfg: RunConfig) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
     params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
     solution = solve_magnetization(
@@ -255,7 +246,7 @@ def cmd_solve(cfg: RunConfig, args) -> Output:
     return Output(doc, header, rows, preamble, lines)
 
 
-def cmd_oracle(cfg: RunConfig, args) -> Output:
+def cmd_oracle(cfg: RunConfig) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
     q_index = cfg["oracle.q_index"]
     if not 0 <= q_index < len(grid):
@@ -270,7 +261,6 @@ def cmd_oracle(cfg: RunConfig, args) -> Output:
         q=grid.points[q_index],
         copies_list=copies_list,
         mode=cfg["oracle.mode"],
-        threads=args.threads,
     )
     header = ["n", "m_n", "t_n", "p_n", "discrepancy"]
     rows = [[r.copies, r.magnetization, r.two_point, r.prediction, r.discrepancy] for r in study]
@@ -288,7 +278,7 @@ def cmd_oracle(cfg: RunConfig, args) -> Output:
 MAX_SNAPSHOT_BYTES = 2**30
 
 
-def cmd_dynamics(cfg: RunConfig, args) -> Output:
+def cmd_dynamics(cfg: RunConfig) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
     snapshot_bytes = 16 * lattice.n_sites**2
     if snapshot_bytes > MAX_SNAPSHOT_BYTES:
@@ -358,7 +348,7 @@ def cmd_dynamics(cfg: RunConfig, args) -> Output:
                   f"conservation drift exceeded {fmt(tol)}")
 
 
-def cmd_sectors(cfg: RunConfig, args) -> Output:
+def cmd_sectors(cfg: RunConfig) -> Output:
     table = sector_decomposition(cfg["sectors.copies"])
     header = ["j", "multiplicity", "dim"]
     rows = [[e.j, e.multiplicity, e.dim] for e in table.entries]
@@ -373,7 +363,7 @@ def cmd_sectors(cfg: RunConfig, args) -> Output:
 
 
 class Command(NamedTuple):
-    func: Callable[[RunConfig, argparse.Namespace], Output]
+    func: Callable[[RunConfig], Output]
     help: str
     keys: tuple[str, ...]
     json: str  # artifact names in the output directory
@@ -410,7 +400,7 @@ def _emit(args) -> int:
     """Run one subcommand, write its artifacts and summary, return the exit code."""
     command = COMMANDS[args.command]
     cfg = RunConfig(read_config(args.config), args.command)
-    output = command.func(cfg, args)
+    output = command.func(cfg)
     out = Path(args.out or os.environ.get("MAGNONKIT_OUT") or ".")
     out.mkdir(parents=True, exist_ok=True)
     config = dict(sorted(cfg.effective.items()))
@@ -446,9 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         if "output.format" in command.keys:
             cmd.add_argument("--format", choices=["json", "csv"], default=None,
                              help="artifact format (overrides output.format)")
-        if name == "oracle":
-            cmd.add_argument("--threads", type=_parse_threads, default=1,
-                             help="worker threads for block diagonalization (0 = auto)")
     return parser
 
 

@@ -207,7 +207,13 @@ def packet_state(
     width: float = 1.0,
     kick_index: int = 0,
 ) -> GaussianMagnonState:
-    """Rank-one localized packet (site Gaussian profile with a momentum kick)."""
+    """Rank-one localized packet (site Gaussian profile with a momentum kick).
+
+    Raises ValueError unless ``width`` > 0 and ``2 * width**2`` is nonzero,
+    since a vanishing or negative width has no Gaussian profile.
+    """
+    if not width > 0.0 or 2.0 * width**2 == 0.0:
+        raise ValueError(f"packet width must be > 0 with 2*width**2 > 0, got {width}")
     lattice = grid.lattice
     sites = lattice.site_vectors()
     delta = np.abs(sites - sites[center])

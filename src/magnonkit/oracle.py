@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,35 +98,6 @@ class _Block:
         for rows, cols, stack in pieces:
             out[rows, cols] = stack[site]
         return out
-
-
-class _Translate(_Block):
-    """A translation-orbit member: its representative's block, sites permuted.
-
-    The member's operator at site x is the representative's at ``perm[x]``
-    in the shared eigenbasis.  Energies, weight and probabilities are the
-    representative's; the pieces are built from its stacks on each access
-    and never stored.
-    """
-
-    def __init__(self, label, rep: _Block, perm: np.ndarray):
-        self.label = label
-        self.rep = rep
-        self.perm = perm
-        self.log_weight = rep.log_weight
-        self.energies = rep.energies
-
-    @property
-    def probs(self):
-        return self.rep.probs
-
-    @property
-    def plus(self) -> list:
-        return [(rows, cols, stack[self.perm]) for rows, cols, stack in self.rep.plus]
-
-    @property
-    def three(self) -> list:
-        return [(rows, cols, stack[self.perm]) for rows, cols, stack in self.rep.three]
 
 
 def _translations(lattice: LatticeSpec) -> np.ndarray:
@@ -232,12 +202,12 @@ def _split_by_magnetization(hamiltonian, magnetization):
     return order, values, sectors, eigen
 
 
-def _sector_blocks(config: SpinConfig, threads: int):
-    """One block per assignment in product order, and the translation orbits.
+def _sector_blocks(config: SpinConfig):
+    """The translation orbits: (representative block, member permutations).
 
-    Each orbit is (representative, member permutations): row k of the
-    permutation array belongs to one member, the representative's identity
-    included.
+    Orbits run in the order of their representatives' assignment numbers,
+    and row k of the permutation array belongs to the k-th member in product
+    order, the representative's identity included.
     """
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
@@ -289,24 +259,7 @@ def _sector_blocks(config: SpinConfig, threads: int):
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
     reps, perms = _orbits(len(table.entries), translations)
-    distinct = np.unique(reps).tolist()
-    todo = [assignments[r] for r in distinct]
-    if threads == 1 or len(todo) == 1:
-        built = [build(a) for a in todo]
-    else:
-        workers = threads if threads > 0 else min(len(todo), 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, todo))
-    representative = dict(zip(distinct, built))
-    members = {r: [] for r in distinct}
-    blocks = []
-    for a, (r, perm) in enumerate(zip(reps.tolist(), perms)):
-        rep = representative[r]
-        members[r].append(perm)
-        label = tuple(e.twice_j for e in assignments[a])
-        blocks.append(rep if a == r else _Translate(label, rep, perm))
-    orbits = [(representative[r], np.array(members[r])) for r in distinct]
-    return blocks, orbits
+    return [(build(assignments[r]), perms[reps == r]) for r in np.unique(reps).tolist()]
 
 
 def _qubit_diag_z(n_qubits: int, index: int) -> np.ndarray:
@@ -367,20 +320,15 @@ def _full_block(config: SpinConfig) -> _Block:
 class GibbsEnsemble:
     """Sector-blocked (or full-tensor) Gibbs state with cached expectations.
 
-    ``orbits`` lists (representative, member permutations) with every block
-    in exactly one orbit; without it each block is its own orbit.  Each
-    expectation below is evaluated on the representatives only.
+    ``orbits`` lists (representative, member permutations): the member with
+    permutation p has the representative's spectrum, and its operator at
+    site x is the representative's at p[x].  Each expectation below is
+    evaluated on the representatives only.
     """
 
-    def __init__(self, config: SpinConfig, beta: float, mode: str, blocks: list[_Block],
-                 orbits=None):
+    def __init__(self, config: SpinConfig, beta: float, orbits: list):
         self.config = config
         self.beta = float(beta)
-        self.mode = mode
-        self.blocks = blocks
-        if orbits is None:
-            identity = np.arange(config.lattice.n_sites)[None, :]
-            orbits = [(block, identity) for block in blocks]
         self.orbits = orbits
         ground = min(float(rep.energies.min()) for rep, _ in orbits)
         total = 0.0
@@ -391,6 +339,11 @@ class GibbsEnsemble:
             rep.probs = rep.probs / total
         self.logZ = math.log(total) - self.beta * ground
         self.ground_energy = ground
+
+    @property
+    def blocks(self) -> list[_Block]:
+        """One block per assignment: each representative once per orbit member (read-only)."""
+        return [rep for rep, perms in self.orbits for _ in perms]
 
     @property
     def n_sites(self) -> int:
@@ -409,20 +362,17 @@ class GibbsEnsemble:
         ``factors`` is a sequence of (kind, site) with kind in {"+", "-", "3"}.
         An empty sequence returns the identity expectation.
         """
+        for kind, _ in factors:
+            if kind not in ("+", "-", "3"):
+                raise ValueError(f"unknown operator kind {kind!r}")
         total = 0.0 + 0.0j
-        for block in self.blocks:
-            mat = np.eye(block.dim)
-            for kind, site in factors:
-                if kind == "+":
-                    op = block.assemble(block.plus, site)
-                elif kind == "-":
-                    op = block.assemble(block.plus, site).T
-                elif kind == "3":
-                    op = block.assemble(block.three, site)
-                else:
-                    raise ValueError(f"unknown operator kind {kind!r}")
-                mat = mat @ op
-            total += complex(np.dot(block.probs, np.diagonal(mat)))
+        for rep, perms in self.orbits:
+            for perm in perms:
+                mat = np.eye(rep.dim)
+                for kind, site in factors:
+                    op = rep.assemble(rep.three if kind == "3" else rep.plus, perm[site])
+                    mat = mat @ (op.T if kind == "-" else op)
+                total += complex(np.dot(rep.probs, np.diagonal(mat)))
         return total
 
     def _site_sum(self, per_rep) -> np.ndarray:
@@ -505,7 +455,7 @@ class GibbsEnsemble:
             yield len(perms), rep, rep.fluct_plus(coeffs)
 
 
-def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector", threads: int = 1) -> GibbsEnsemble:
+def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector") -> GibbsEnsemble:
     """Diagonalize the model and assemble its Gibbs ensemble.
 
     ``mode="sector"`` walks the per-site total-spin assignments (fast path);
@@ -515,12 +465,12 @@ def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector", threads: 
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     if mode == "sector":
-        blocks, orbits = _sector_blocks(config, threads)
+        orbits = _sector_blocks(config)
     elif mode == "full":
-        blocks, orbits = [_full_block(config)], None
+        orbits = [(_full_block(config), np.arange(config.lattice.n_sites)[None, :])]
     else:
         raise ValueError(f"mode must be 'sector' or 'full', got {mode!r}")
-    return GibbsEnsemble(config, beta, mode, blocks, orbits)
+    return GibbsEnsemble(config, beta, orbits)
 
 
 def _real(value: complex, what: str) -> float:
@@ -631,7 +581,6 @@ def convergence_study(
     q,
     copies_list,
     mode: str = "sector",
-    threads: int = 1,
 ) -> list[ConvergenceRow]:
     """Compare the exact fluctuation two-point function with its infinite-spin
     prediction across a ladder of copy counts.
@@ -643,7 +592,7 @@ def convergence_study(
     rows = []
     for n in copies_list:
         config = SpinConfig(copies=int(n), lattice=lattice, couplings=couplings)
-        ensemble = build_gibbs(config, beta, mode=mode, threads=threads)
+        ensemble = build_gibbs(config, beta, mode=mode)
         m_n = ensemble.sigma3
         if not -1.0 - 1e-9 <= m_n <= 1e-9:
             raise AssertionError(f"oracle magnetization {m_n} outside [-1, 0]")

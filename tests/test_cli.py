@@ -12,7 +12,6 @@ from magnonkit import (
     cli,
     evolve,
     number_density,
-    oracle,
     packet_state,
     total_energy,
     total_number,
@@ -243,7 +242,7 @@ class TestOracleCommand:
         assert [row["n"] for row in doc["rows"]] == [1, 3]
         assert doc["rows"][1]["discrepancy"] < doc["rows"][0]["discrepancy"]
 
-    def test_artifact_identical_across_thread_counts(self, workspace):
+    def test_artifact_identical_across_reruns(self, workspace):
         tmp_path, make = workspace
         chain = (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 1,3,5"), ISO_CSV)
         square = (  # 2x2: orbits of the four translations
@@ -253,29 +252,11 @@ class TestOracleCommand:
         for k, (body, csv_body) in enumerate((chain, square)):
             conf = make(body, csv_body, name=f"run{k}.conf")
             artifacts = []
-            for threads in ("1", "2", "1"):
-                out = tmp_path / f"{conf.stem}-threads{threads}-{len(artifacts)}"
-                argv = ["oracle", "--config", str(conf), "--out", str(out), "--threads", threads]
-                assert main(argv) == 0
+            for run in range(2):
+                out = tmp_path / f"{conf.stem}-{run}"
+                assert main(["oracle", "--config", str(conf), "--out", str(out)]) == 0
                 artifacts.append((out / "convergence.json").read_bytes())
-            assert artifacts[0] == artifacts[1] == artifacts[2]
-
-    def test_negative_threads_refused_at_parse_time(self, workspace, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(cli, "cmd_oracle", lambda args: pytest.fail("the command ran"))
-        tmp_path, make = workspace
-        conf = make(ORACLE_CONF)
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "--config", str(conf), "--out", str(tmp_path), "--threads", "-1"])
-        assert exc.value.code == 2
-        assert "--threads: must be >= 0, got -1" in capsys.readouterr().err
-
-    def test_zero_threads_means_auto(self):
-        args = cli.build_parser().parse_args(["oracle", "--config", "x.conf", "--threads", "0"])
-        assert args.threads == 0
+            assert artifacts[0] == artifacts[1]
 
     def test_single_entry_ladder_trivially_passes(self, workspace):
         tmp_path, make = workspace
@@ -394,6 +375,16 @@ class TestDynamicsCommand:
             runs.append({f: (tmp_path / name / f).read_bytes() for f in ("snapshot.json", "trajectory.csv")})
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("width", ["0", "-3", "1e-320"])
+    def test_packet_width_not_positive_exits_2(self, width, workspace, capsys):
+        # 1e-320 is positive, but 2 * width**2 underflows to 0
+        tmp_path, make = workspace
+        conf = make(self.PACKET_CONF.replace("packet_width = 1.5", f"packet_width = {width}"))
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", str(conf), "--out", str(out)]) == 2
+        assert f"packet width must be > 0 with 2*width**2 > 0, got {float(width)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_drift_diagnostics(self, workspace, capsys):
         # the snapshot reports the largest sampled drift of number and energy,
         # here one or a few roundings each
@@ -451,16 +442,13 @@ class TestSectorsCommand:
 
 
 class TestParser:
-    def test_threads_only_on_oracle(self):
-        args = cli.build_parser().parse_args(["oracle", "--config", "x.conf", "--threads", "2"])
-        assert args.threads == 2
-
     @pytest.mark.parametrize("command,flag", [
         ("solve", "--threads=2"),
         ("validate", "--threads=2"),
         ("sectors", "--threads=2"),
         ("dynamics", "--threads=2"),
         ("dynamics", "--format=csv"),
+        ("oracle", "--threads=2"),
     ])
     def test_flags_a_command_does_not_read_are_refused(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -543,6 +531,7 @@ def test_benchmark_wrap_points_record_spans(workspace):
     tmp_path, make = workspace
     solve_conf = make(BASE_CONF, name="solve.conf")
     oracle_conf = make(ORACLE_CONF, name="oracle.conf")
+    packet_conf = make(TestDynamicsCommand.PACKET_CONF, name="packet.conf")
     recorder = spans.Recorder()
     instruments = spans.Instruments(magnonkit, recorder)
     instruments.install()
@@ -550,11 +539,16 @@ def test_benchmark_wrap_points_record_spans(workspace):
         recorder.begin_pass(0)
         assert cli.main(["solve", "--config", str(solve_conf), "--out", str(tmp_path)]) == 0
         assert cli.main(["oracle", "--config", str(oracle_conf), "--out", str(tmp_path)]) == 0
+        assert cli.main(["dynamics", "--config", str(packet_conf), "--out", str(tmp_path)]) == 0
         recorder.end_pass()
     finally:
         instruments.uninstall()
     names = {span[0] for span in recorder.spans}
     for name in ("cli.main", "cli.config", "lattice.validate", "spinwave.solve",
-                 "oracle.convergence", "artifacts.write_json"):
+                 "oracle.convergence", "artifacts.write_json", "dynamics.packet",
+                 "dynamics.evolve", "dynamics.density"):
         assert name in names, name
+    # one block per assignment: 1 at oracle.copies = 1 and 2**2 at 3 on the 2-site chain
+    assert recorder.counts[0]["oracle.blocks"] == 5
+    assert recorder.counts[0]["dynamics.samples"] == 3
     assert cli.main is main

@@ -283,6 +283,17 @@ class TestPacketState:
         assert np.min(eigenvalues) > -1e-12
         assert np.sum(eigenvalues > 1e-9) == 1
 
+    @pytest.mark.parametrize("width", [0.0, -3.0, 1e-320, math.nan])
+    def test_width_not_positive_refused_before_any_fft(self, width, monkeypatch):
+        monkeypatch.setattr(dynamics, "_transform", lambda *args, **kwargs: pytest.fail("an FFT ran"))
+        with pytest.raises(ValueError, match="width"):
+            packet_state(-0.5, GRID8, ISO, 0.5, width=width)
+
+    def test_tiny_width_is_a_one_site_packet(self):
+        # 2 * width**2 is still positive: the profile is 1 at the center, 0 elsewhere
+        state = packet_state(-0.5, GRID8, ISO, 0.5, center=2, width=1e-150)
+        np.testing.assert_allclose(number_density(state), np.eye(8)[2], rtol=0.0, atol=1e-15)
+
 
 # --- dense referee --------------------------------------------------------------
 #

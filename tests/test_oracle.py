@@ -27,7 +27,6 @@ from magnonkit import oracle
 from magnonkit.oracle import (
     GibbsEnsemble,
     _Block,
-    _Translate,
     _hamiltonian,
     _product_basis,
     _split_by_magnetization,
@@ -103,12 +102,6 @@ class TestBuildGibbs:
     @pytest.mark.parametrize("copies,lattice", [(1, CHAIN2), (3, CHAIN2), (3, LatticeSpec(1, 3))])
     def test_sector_matches_full_tensor(self, copies, lattice):
         assert_sector_matches_full(SpinConfig(copies, lattice, ISO25), beta=1.0)
-
-    def test_threaded_build_is_deterministic(self):
-        serial = build_gibbs(SpinConfig(5, CHAIN2, ISO25), beta=1.0, threads=1)
-        threaded = build_gibbs(SpinConfig(5, CHAIN2, ISO25), beta=1.0, threads=4)
-        assert serial.logZ == threaded.logZ
-        assert serial.sigma3 == threaded.sigma3
 
     def test_logz_recomputable_by_logsumexp(self, chain2_n3):
         terms = []
@@ -448,7 +441,7 @@ def coupling_pair(config):
 
 
 def reference_ensemble(config, beta):
-    """Every assignment diagonalized on its own (unsplit, no orbits), in product order."""
+    """Every assignment diagonalized on its own (unsplit, each its own orbit), in product order."""
     j_mat, j3_mat = coupling_pair(config)
     blocks = []
     for assignment in itertools.product(sector_decomposition(config.copies).entries,
@@ -463,7 +456,8 @@ def reference_ensemble(config, beta):
         weight = math.log(math.prod(e.multiplicity for e in assignment))
         blocks.append(_Block(tuple(twice_js), weight, energies,
                              [(everything, everything, plus)], [(everything, everything, three)]))
-    return GibbsEnsemble(config, beta, "sector", blocks)
+    identity = np.arange(config.lattice.n_sites)[None, :]
+    return GibbsEnsemble(config, beta, [(block, identity) for block in blocks])
 
 
 def piece_bytes(twice_js, n_sites):
@@ -480,6 +474,12 @@ def block_word(block, factors):
            "3": lambda x: block.assemble(block.three, x)}
     product = reduce(np.matmul, [ops[kind](x) for kind, x in factors])
     return float(block.probs @ np.diagonal(product))
+
+
+def members(ensemble):
+    """(representative, permutation, assignment label) of every orbit member."""
+    return [(rep, perm, tuple(rep.label[p] for p in perm))
+            for rep, perms in ensemble.orbits for perm in perms]
 
 
 def block_moments(block):
@@ -524,11 +524,11 @@ class TestTranslationOrbits:
     def test_every_block_has_the_spectrum_of_its_assignment(self, case):
         config, beta = ORBIT_CASES[case]
         j_mat, j3_mat = coupling_pair(config)
-        for block in build_gibbs(config, beta).blocks:
-            hamiltonian = kron_hamiltonian(block.label, j_mat, j3_mat, config.couplings.h,
+        for rep, _, label in members(build_gibbs(config, beta)):
+            hamiltonian = kron_hamiltonian(label, j_mat, j3_mat, config.couplings.h,
                                            2.0 * config.copies)
-            np.testing.assert_allclose(np.sort(block.energies), np.linalg.eigvalsh(hamiltonian),
-                                       rtol=0.0, atol=1e-12, err_msg=str(block.label))
+            np.testing.assert_allclose(np.sort(rep.energies), np.linalg.eigvalsh(hamiltonian),
+                                       rtol=0.0, atol=1e-12, err_msg=str(label))
 
     @pytest.mark.parametrize("case", ["chain4-shells12-n3", "square2x2-n3"])
     def test_matches_the_no_orbit_reference(self, case):
@@ -564,16 +564,18 @@ class TestTranslationOrbits:
                 pairs.append((f"{name} q{i}", func(engine, *args), func(reference, *args)))
         for name, got, expected in pairs:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=name)
-        # block by block, so a member read through the wrong site permutation shows
-        # even where the orbit sum would hide it
-        assert [b.label for b in engine.blocks] == [b.label for b in reference.blocks]
-        for block, ref in zip(engine.blocks, reference.blocks):
-            for got, expected in zip(block_moments(block), block_moments(ref)):
-                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(block.label))
-        at = max((a for a, b in enumerate(engine.blocks) if isinstance(b, _Translate)),
-                 key=lambda a: engine.blocks[a].dim)
-        assert block_word(engine.blocks[at], word) == pytest.approx(
-            block_word(reference.blocks[at], word), rel=0.0, abs=1e-10)
+        # member by member, each read through its permutation, so a wrong permutation
+        # shows even where the orbit sum would hide it
+        by_label = {ref.label: ref for ref in reference.blocks}
+        visited = members(engine)
+        assert sorted(label for _, _, label in visited) == sorted(by_label)
+        for rep, perm, label in visited:
+            s3, pm = block_moments(rep)
+            for got, expected in zip((s3[perm], pm[np.ix_(perm, perm)]), block_moments(by_label[label])):
+                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(label))
+        rep, perm, label = max((m for m in visited if m[2] != m[0].label), key=lambda m: m[0].dim)
+        assert block_word(rep, [(kind, perm[x]) for kind, x in word]) == pytest.approx(
+            block_word(by_label[label], word), rel=0.0, abs=1e-10)
 
     def test_refuses_momenta_off_the_grid(self):
         ensemble = build_gibbs(SpinConfig(3, CHAIN4, SHELLS12), beta=0.9)
@@ -604,19 +606,24 @@ class TestTranslationOrbits:
         assert sum(pieces.values()) + member_copies > bound
         assert peak <= bound, (peak, bound)
 
-    def test_blocks_stay_one_per_assignment_in_product_order(self):
+    def test_every_assignment_in_exactly_one_orbit(self):
         ensemble = build_gibbs(SpinConfig(7, CHAIN3, ISO25), beta=1.0)
         spins = [e.twice_j for e in sector_decomposition(7).entries]
-        labels = list(itertools.product(spins, repeat=3))
-        assert [b.label for b in ensemble.blocks] == labels
-        assert [b.dim for b in ensemble.blocks] == [math.prod(t + 1 for t in lab) for lab in labels]
+        labels = [label for _, _, label in members(ensemble)]
+        assert sorted(labels) == sorted(itertools.product(spins, repeat=3))
+        dims = [math.prod(t + 1 for t in label) for label in labels]
+        assert [rep.dim for rep, _, _ in members(ensemble)] == dims
+        # the per-assignment view: one block per member, at its assignment's dimension
+        assert [b.dim for b in ensemble.blocks] == dims
 
     def test_orbit_members_share_the_representative_spectrum(self):
-        blocks = {b.label: b for b in build_gibbs(SpinConfig(5, CHAIN3, ISO25), beta=1.0).blocks}
+        ensemble = build_gibbs(SpinConfig(5, CHAIN3, ISO25), beta=1.0)
+        orbit = {rep.label: [label for r, _, label in members(ensemble) if r is rep]
+                 for rep, _ in ensemble.orbits}
         # (5, 3, 1) represents its orbit; (3, 1, 5) and (1, 5, 3) are its translates
-        assert blocks[(3, 1, 5)].energies is blocks[(5, 3, 1)].energies
-        assert blocks[(1, 5, 3)].energies is blocks[(5, 3, 1)].energies
-        assert blocks[(1, 3, 5)].energies is not blocks[(5, 3, 1)].energies
+        assert orbit[(5, 3, 1)] == [(5, 3, 1), (3, 1, 5), (1, 5, 3)]
+        # the mirror image (1, 3, 5) is no translate of it
+        assert orbit[(5, 1, 3)] == [(5, 1, 3), (3, 5, 1), (1, 3, 5)]
 
     @pytest.mark.parametrize("which", ["J", "J3"])
     def test_refuses_couplings_that_break_translation(self, which, monkeypatch):
