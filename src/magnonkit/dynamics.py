@@ -15,8 +15,9 @@ which is O(rN) numbers: r = 0 for a thermal state, r = 1 for a packet.
 Evolution is exact: every mode picks up the phase exp(-i m eps(q) t), so n
 is fixed and each psi_r is multiplied by the phases, O(rN).  The site
 density is mean(n) + sum_r |U psi_r|^2 with one lattice FFT per amplitude,
-O(rN log N).  The dense N x N covariance is built only when ``gamma`` is
-read.
+O(rN log N), and its rate reads the covariance on coupled pairs only,
+O(rN z) for z couplings.  The dense N x N covariance is built only when
+``gamma`` is read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
+from .lattice import CouplingSet, LatticeSpec, MomentumGrid, exchange_gap_grid
+from .lattice import coupling_matrix  # noqa: F401  (bench/spans.py traces it under this name)
 from .spinwave import RegimeError, SpinWaveSolution, _energies
 
 # Relative tolerance of the constructor's Hermiticity and positivity checks.
@@ -250,14 +252,25 @@ def number_density(state: GaussianMagnonState) -> np.ndarray:
 def number_density_rate(state: GaussianMagnonState) -> np.ndarray:
     """Exact time derivative of the number density in the current state.
 
-    Only the transverse exchange moves magnons; evenness of the coupling and
-    Hermiticity of the covariance make any translation-invariant state
-    stationary, and the site sum vanishes identically (number conservation).
-    Built from the dense site covariance.
+    Only the transverse exchange moves magnons: the rate at x is
+    4 m sum_z J(z) Im gamma_site(x, x - z).  The diagonal part of the
+    covariance gives gamma_site(x, x - z) = c(z), one FFT of n(q) divided by
+    sqrt(N), and each amplitude gives phi(x) phi(x - z)^* with phi = U psi,
+    so only the coupled pairs are visited, O(rN z).  Evenness of the
+    coupling makes the c(z) sum vanish (any translation-invariant state is
+    stationary), and the site sum vanishes identically (number
+    conservation).
     """
-    gamma_site = state.to_site().gamma
-    j_mat = coupling_matrix(state.couplings, "J", state.grid.lattice)
-    return 4.0 * state.m * np.sum(j_mat * gamma_site.imag, axis=1)
+    lattice = state.grid.lattice
+    shape, axes = (lattice.size,) * lattice.dimension, tuple(range(1, lattice.dimension + 1))
+    site = _transform(state.amplitudes, lattice, to_mode=False).reshape((-1,) + shape)
+    uniform = _transform(state.occupations[None, :], lattice, to_mode=False).reshape(shape)
+    im_c = uniform.imag / math.sqrt(lattice.n_sites)
+    rate = np.zeros(shape)
+    for z, j in state.couplings.exchange.items():
+        pairs = site * np.roll(site, z, axis=axes).conj()
+        rate += j * (np.sum(pairs.imag, axis=0) + im_c[tuple(np.mod(z, lattice.size))])
+    return 4.0 * state.m * rate.reshape(-1)
 
 
 def total_number(state: GaussianMagnonState) -> float:

@@ -21,6 +21,10 @@ DEFAULT_GAP_TOL = 1e-12
 #: Imaginary-residue cap of a coupling Fourier sum, relative to sum_z |J(z)|.
 _IMAG_TOL = 1e-12
 
+#: Largest lattice any engine accepts, in sites.  A solve takes about 220 bytes
+#: per site (10**6 sites, 220 MB), so this keeps one under 4 GB.
+MAX_SITES = 2**24
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -34,6 +38,12 @@ class LatticeSpec:
             raise ValueError(f"lattice dimension must be >= 1, got {self.dimension}")
         if self.size < 1:
             raise ValueError(f"lattice size must be >= 1, got {self.size}")
+        # size >= 2 in more than log2(MAX_SITES) dimensions is over the limit: no big power
+        if self.size > 1 and (self.dimension >= MAX_SITES.bit_length() or self.n_sites > MAX_SITES):
+            raise ValueError(
+                f"lattice of {self.size}**{self.dimension} sites exceeds the limit of "
+                f"{MAX_SITES} sites (MAX_SITES)"
+            )
 
     @property
     def n_sites(self) -> int:

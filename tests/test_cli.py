@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,27 @@ class TestValidateCommand:
         assert rc == 0
         doc = json.loads((tmp_path / "validate.json").read_text())
         assert doc["field_ok_strict"]
+
+    @pytest.mark.parametrize("dimension,size", [(3, 4000), (1, 2**24 + 1)])
+    def test_oversized_lattice_refused_before_allocating(self, workspace, capsys, dimension, size):
+        # 3D L = 4000 used to try a 1.4 TiB site array and exit 3 on the MemoryError
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("lattice.dimension = 1", f"lattice.dimension = {dimension}")
+                    .replace("lattice.size = 8", f"lattice.size = {size}"),
+                    "dz1,dz2,dz3,J,J3\n1,0,0,1.0,1.0\n" if dimension == 3 else ISO_CSV)
+        tracemalloc.start()
+        try:
+            rc = main(["validate", "--config", str(conf), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: lattice of {size}**{dimension} sites exceeds the limit of 16777216 sites "
+            "(MAX_SITES)\n"
+        )
+        assert peak < 2**20
+        assert not (tmp_path / "validate.json").exists()
 
     def test_missing_coupling_file_exits_2(self, workspace):
         tmp_path, make = workspace

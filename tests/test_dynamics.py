@@ -253,6 +253,17 @@ class TestNumberDensityRate:
         diag_state = mode_state([0.5, 0.1, 0.9, 0.0, 0.3, 0.3, 0.0, 0.2])
         assert np.max(np.abs(number_density_rate(diag_state))) < 1e-14
 
+    def test_reads_no_dense_covariance(self, monkeypatch):
+        state = packet_state(-0.8, GRID8, ISO, 0.5, center=3, width=1.2, kick_index=2)
+        expected = number_density_rate(state)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense N x N object was built")
+
+        monkeypatch.setattr(dynamics.GaussianMagnonState, "gamma", property(dense))
+        monkeypatch.setattr(dynamics, "coupling_matrix", dense)
+        np.testing.assert_array_equal(number_density_rate(state), expected)
+
     def test_total_rate_vanishes(self):
         rng = np.random.default_rng(6)
         for _ in range(10):

@@ -16,6 +16,7 @@ from magnonkit import (
     load_couplings_csv,
     validate_ferromagnetic,
 )
+from magnonkit.lattice import MAX_SITES
 
 
 def nn_chain(j=1.0, j3=1.0, h=0.0):
@@ -93,6 +94,21 @@ class TestLatticeSpec:
             LatticeSpec(0, 4)
         with pytest.raises(ValueError):
             LatticeSpec(1, 0)
+
+    @pytest.mark.parametrize("dimension,size", [(1, MAX_SITES + 1), (3, 257), (25, 2), (10**9, 2)])
+    def test_refuses_lattices_over_the_site_limit(self, dimension, size):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SITES} sites"):
+            LatticeSpec(dimension, size)
+
+    def test_huge_dimension_refused_without_the_power(self, monkeypatch):
+        # 2**(10**9) would be a 125 MB integer; the refusal must not compute it
+        monkeypatch.setattr(LatticeSpec, "n_sites", property(lambda self: pytest.fail("n_sites")))
+        with pytest.raises(ValueError, match="2\\*\\*1000000000 sites exceeds the limit"):
+            LatticeSpec(10**9, 2)
+
+    def test_accepts_the_site_limit(self):
+        for dimension, size in ((1, MAX_SITES), (3, 256), (24, 2), (10**9, 1)):
+            assert LatticeSpec(dimension, size).n_sites <= MAX_SITES
 
 
 class TestMomentumGrid:

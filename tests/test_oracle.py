@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -50,7 +51,6 @@ def observables(ensemble):
     products = (
         [("+", 0), ("-", last)],
         [("-", 0), ("+", 0)],
-        [("3", 0), ("+", last), ("-", 0), ("3", last)],
         [("+", 0), ("+", last), ("-", 0), ("-", last)],
     )
     out = {
@@ -58,7 +58,7 @@ def observables(ensemble):
         "sigma3_site": ensemble.sigma3_site,
         "sigma3_site_variance": [ensemble.sigma3_site_variance(x) for x in range(n_sites)],
         "two_point_pm": ensemble.two_point_pm.ravel(),
-        "expect_product": [complex(ensemble.expect_product(f)) for f in products],
+        "expect_product": [expect_product(ensemble, f) for f in products],
     }
     points = MomentumGrid.from_lattice(ensemble.config.lattice).points
     for i, q in enumerate(points):
@@ -113,11 +113,11 @@ class TestBuildGibbs:
         assert recomputed == pytest.approx(chain2_n3.logZ, abs=1e-12)
 
     def test_identity_expectation(self, chain2_n3):
-        assert chain2_n3.identity_expectation() == pytest.approx(1.0, abs=1e-12)
+        assert identity_expectation(chain2_n3) == pytest.approx(1.0, abs=1e-12)
 
     def test_u1_symmetry(self, chain2_n3):
         for x in range(chain2_n3.n_sites):
-            assert abs(chain2_n3.expect_product([("+", x)])) < 1e-12
+            assert abs(expect_product(chain2_n3, [("+", x)])) < 1e-12
 
     def test_translation_invariance(self, chain2_n3):
         values = chain2_n3.sigma3_site
@@ -144,13 +144,16 @@ class TestBuildGibbs:
             build_gibbs(SpinConfig(1, CHAIN2, ISO25), beta=1.0, mode="dense")
 
     def test_expect_product_pauli_algebra(self):
-        # single spin-1/2 at infinite temperature: plain Pauli traces
-        ensemble = build_gibbs(
-            SpinConfig(1, LatticeSpec(1, 1), CouplingSet({}, {}, 0.0)), beta=0.0
-        )
-        assert complex(ensemble.expect_product([("+", 0), ("-", 0)])).real == pytest.approx(0.5)
-        assert complex(ensemble.expect_product([("3", 0), ("3", 0)])).real == pytest.approx(1.0)
-        assert abs(complex(ensemble.expect_product([("+", 0)]))) < 1e-15
+        # single spin-1/2 at infinite temperature: plain Pauli traces; the engine keeps
+        # no dense S3, so the S3 word runs on the Kronecker reference
+        config = SpinConfig(1, LatticeSpec(1, 1), CouplingSet({}, {}, 0.0))
+        ensemble, reference = build_gibbs(config, beta=0.0), reference_ensemble(config, 0.0)
+        for e in (ensemble, reference):
+            assert expect_product(e, [("+", 0), ("-", 0)]) == pytest.approx(0.5)
+            assert abs(expect_product(e, [("+", 0)])) < 1e-15
+        assert expect_product(reference, [("3", 0), ("3", 0)]) == pytest.approx(1.0)
+        with pytest.raises(AttributeError):
+            expect_product(ensemble, [("3", 0)])
 
 
 class TestSectorReferee:
@@ -181,6 +184,46 @@ class TestSectorReferee:
         assert_sector_matches_full(SpinConfig(copies, LatticeSpec(1, size), couplings), beta)
 
 
+class TestMomentumRecord:
+    """Wick residual and both margins share one cached pass per grid momentum."""
+
+    @staticmethod
+    def fluctuation_values(ensemble, calls, order):
+        """{(grid index, call): values} of wick, margin- and margin+, called in the given order."""
+        points = MomentumGrid.from_lattice(ensemble.config.lattice).points
+        kinds = (lambda q: (wick_residual(ensemble, q),),
+                 lambda q: dataclasses.astuple(energy_entropy_margin(ensemble, q, "-")),
+                 lambda q: dataclasses.astuple(energy_entropy_margin(ensemble, q, "+")))
+        return {(i, call): kinds[call](points[i]) for i in order for call in calls}
+
+    @settings(max_examples=20, deadline=3000, derandomize=True, database=None)
+    @given(
+        j=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        j3=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        h=st.floats(0.0, 3.0),
+        beta=st.floats(0.0, 3.0),
+        size=st.integers(1, 3),
+        copies=st.sampled_from([1, 3]),
+        calls=st.permutations([0, 1, 2]),
+    )
+    def test_any_call_order_gives_the_same_bits(self, j, j3, h, beta, size, copies, calls):
+        shells = [(1,), (2,)]
+        couplings = CouplingSet.symmetrized(dict(zip(shells, j)), dict(zip(shells, j3)), h)
+        config = SpinConfig(copies, LatticeSpec(1, size), couplings)
+        grid = range(size)
+        ensemble = build_gibbs(config, beta)
+        first = self.fluctuation_values(ensemble, calls, grid)
+        # a warm cache, then a fresh ensemble with the calls and the momenta reversed
+        assert self.fluctuation_values(ensemble, (0, 1, 2), grid) == first
+        assert self.fluctuation_values(build_gibbs(config, beta), calls[::-1], grid[::-1]) == first
+        full = self.fluctuation_values(build_gibbs(config, beta, mode="full"), calls, grid)
+        for key, values in first.items():
+            np.testing.assert_allclose(values, full[key], rtol=0.0, atol=REFEREE_TOL, err_msg=str(key))
+        for func in (wick_residual, energy_entropy_margin):
+            with pytest.raises(ValueError, match="not on the grid"):
+                func(ensemble, [0.3])
+
+
 @pytest.mark.parametrize("mode", ["sector", "full"])
 def test_piece_formulas_match_dense_products(mode):
     # the observables read diagonals off S+ pieces; expect_product multiplies dense matrices
@@ -194,7 +237,7 @@ def test_piece_formulas_match_dense_products(mode):
             weight = math.prod(
                 coeffs[x] if kind == "+" else coeffs[x].conjugate() for kind, x in zip(kinds, sites)
             )
-            total += weight * ensemble.expect_product(list(zip(kinds, sites)))
+            total += weight * expect_product(ensemble, list(zip(kinds, sites)))
         return total.real
 
     pm, mp = expect("+-"), expect("-+")
@@ -206,36 +249,61 @@ def test_piece_formulas_match_dense_products(mode):
     assert (plus.x_dag_x, plus.x_x_dag) == pytest.approx((mp, pm), abs=1e-12)
     np.testing.assert_allclose(
         ensemble.two_point_pm,
-        [[ensemble.expect_product([("+", x), ("-", y)]).real for y in range(2)] for x in range(2)],
+        [[expect_product(ensemble, [("+", x), ("-", y)]) for y in range(2)] for x in range(2)],
         atol=1e-12,
     )
+
+
+def hop_map(*entries):
+    """Hops (dst, src, value) from (row, column, value) entries of a symmetric H."""
+    pairs = [(r, c, v) for r, c, v in entries] + [(c, r, v) for r, c, v in entries]
+    return tuple(np.array(column) for column in zip(*pairs))
 
 
 class TestMagnetizationSplit:
     def test_refuses_a_hamiltonian_that_mixes_sectors(self):
         # a transverse field on one spin-1/2 couples S3 = -1 and S3 = +1
         with pytest.raises(AssertionError, match="different total-S3 sectors"):
-            _split_by_magnetization(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-1.0, 1.0]))
+            _split_by_magnetization(np.zeros(2), hop_map((0, 1, 1.0)), np.array([-1.0, 1.0]))
 
     def test_refuses_the_smallest_leak(self):
-        # two spins-1/2, product order (-,-), (-,+), (+,-), (+,+): flip-flop plus one stray entry
-        hamiltonian = np.diag([1.0, -1.0, -1.0, 1.0])
-        hamiltonian[1, 2] = hamiltonian[2, 1] = 2.0
-        hamiltonian[0, 3] = hamiltonian[3, 0] = 5e-324
-        with pytest.raises(AssertionError, match="different total-S3 sectors"):
-            _split_by_magnetization(hamiltonian, np.array([-2.0, 0.0, 0.0, 2.0]))
+        # two spins-1/2, product order (-,-), (-,+), (+,-), (+,+): flip-flop plus one stray hop
+        hops = hop_map((1, 2, 2.0), (0, 3, 5e-324))
+        with pytest.raises(AssertionError, match=r"different total-S3 sectors \(largest entry 4.941e-324\)"):
+            _split_by_magnetization(np.array([1.0, -1.0, -1.0, 1.0]), hops, np.array([-2.0, 0.0, 0.0, 2.0]))
 
     def test_sorts_the_basis_into_sectors(self):
-        hamiltonian = np.diag([1.0, 4.0, -4.0, 1.0])
-        hamiltonian[0, 3] = hamiltonian[3, 0] = 2.0
         order, values, sectors, eigen = _split_by_magnetization(
-            hamiltonian, np.array([0.0, -2.0, 2.0, 0.0])
+            np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0])
         )
         np.testing.assert_array_equal(order, [1, 0, 3, 2])
         np.testing.assert_array_equal(values, [-2.0, 0.0, 2.0])
         assert [(s.start, s.stop) for s in sectors] == [(0, 1), (1, 3), (3, 4)]
         for (energies, _), expected in zip(eigen, ([4.0], [-1.0, 3.0], [-4.0])):
             np.testing.assert_allclose(energies, expected, atol=1e-14)
+
+    def test_equal_sizes_share_one_stack_in_magnetization_order(self):
+        # sectors of sizes 1, 2, 1, 2: the two 2x2 blocks go to one stacked eigh
+        magnetization = np.array([-4.0, -2.0, -2.0, 0.0, 2.0, 2.0])
+        hops = hop_map((1, 2, 1.0), (4, 5, 3.0))
+        _, values, _, eigen = _split_by_magnetization(np.arange(6.0), hops, magnetization)
+        np.testing.assert_array_equal(values, [-4.0, -2.0, 0.0, 2.0])
+        for (energies, _), block in zip(eigen, ([[0.0]], [[1.0, 1.0], [1.0, 2.0]], [[3.0]],
+                                                [[4.0, 3.0], [3.0, 5.0]])):
+            np.testing.assert_allclose(energies, np.linalg.eigvalsh(block), atol=1e-14)
+
+    def test_build_refuses_a_broken_hop_map(self, monkeypatch):
+        # one stray hop between the all-down and all-up states of every assignment
+        original = oracle._hamiltonian
+
+        def broken(basis, *args):
+            diagonal, (dst, src, value) = original(basis, *args)
+            last = len(diagonal) - 1
+            return diagonal, (np.append(dst, last), np.append(src, 0), np.append(value, 1e-3))
+
+        monkeypatch.setattr(oracle, "_hamiltonian", broken)
+        with pytest.raises(AssertionError, match=r"different total-S3 sectors \(largest entry 1.000e-03\)"):
+            build_gibbs(SpinConfig(3, CHAIN2, ISO25), beta=1.0)
 
 
 class TestFluctuationTwoPoint:
@@ -441,7 +509,11 @@ def coupling_pair(config):
 
 
 def reference_ensemble(config, beta):
-    """Every assignment diagonalized on its own (unsplit, each its own orbit), in product order."""
+    """Every assignment diagonalized on its own (unsplit, each its own orbit), in product order.
+
+    Each block also carries its dense eigenbasis S3 stack as ``s3_rotated``, and its
+    S3 diagonals are read off that stack and its square.
+    """
     j_mat, j3_mat = coupling_pair(config)
     blocks = []
     for assignment in itertools.product(sector_decomposition(config.copies).entries,
@@ -453,27 +525,50 @@ def reference_ensemble(config, beta):
         everything = slice(0, len(energies))
         plus = np.stack([vectors.T @ sp @ vectors for sp in s_plus])
         three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3])
+        diagonals = np.stack([np.diagonal(m, axis1=1, axis2=2) for m in (three, three @ three)])
         weight = math.log(math.prod(e.multiplicity for e in assignment))
-        blocks.append(_Block(tuple(twice_js), weight, energies,
-                             [(everything, everything, plus)], [(everything, everything, three)]))
+        block = _Block(tuple(twice_js), weight, energies, [(everything, everything, plus)], diagonals)
+        block.s3_rotated = three
+        blocks.append(block)
     identity = np.arange(config.lattice.n_sites)[None, :]
     return GibbsEnsemble(config, beta, [(block, identity) for block in blocks])
 
 
-def piece_bytes(twice_js, n_sites):
-    """float64 bytes of one block's S3 pieces (d_M x d_M) and S+ pieces (d_M+2 x d_M)."""
-    _, _, _, s3 = _product_basis(twice_js)
-    _, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
-    return 8 * n_sites * int(np.sum(sizes**2) + np.sum(sizes[1:] * sizes[:-1]))
+def site_operator(block, kind, x):
+    """Dense eigenbasis matrix of S+(x), S-(x) or S3(x); S3 only on reference blocks."""
+    if kind == "3":
+        return block.s3_rotated[x]
+    plus = np.zeros((block.dim, block.dim))
+    for rows, cols, stack in block.plus:
+        plus[rows, cols] = stack[x]
+    return {"+": plus, "-": plus.T}[kind]
 
 
 def block_word(block, factors):
     """<product of site operators> weighted by one block's own Gibbs probabilities."""
-    ops = {"+": lambda x: block.assemble(block.plus, x),
-           "-": lambda x: block.assemble(block.plus, x).T,
-           "3": lambda x: block.assemble(block.three, x)}
-    product = reduce(np.matmul, [ops[kind](x) for kind, x in factors])
+    product = reduce(np.matmul, [site_operator(block, kind, x) for kind, x in factors], np.eye(block.dim))
     return float(block.probs @ np.diagonal(product))
+
+
+def expect_product(ensemble, factors):
+    """Expectation of an ordered product of collective site operators.
+
+    ``factors`` is a sequence of (kind, site) with kind in {"+", "-", "3"}; the
+    member with permutation p reads its representative's operator at site p[x].
+    """
+    return sum(block_word(rep, [(kind, perm[x]) for kind, x in factors])
+               for rep, perms in ensemble.orbits for perm in perms)
+
+
+def identity_expectation(ensemble):
+    return float(sum(len(perms) * rep.probs.sum() for rep, perms in ensemble.orbits))
+
+
+def piece_bytes(twice_js, n_sites):
+    """float64 bytes of one block's S+ pieces (d_M+2 x d_M per site) and S3 diagonals."""
+    _, _, _, s3 = _product_basis(twice_js)
+    _, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
+    return 8 * n_sites * int(np.sum(sizes[1:] * sizes[:-1]) + 2 * np.sum(sizes))
 
 
 def members(ensemble):
@@ -483,11 +578,11 @@ def members(ensemble):
 
 
 def block_moments(block):
-    """<S3(x)> and <S+(x) S-(y)> weighted by one block's own Gibbs probabilities."""
-    s3 = sum(np.einsum("xaa,a->x", stack, block.probs[rows]) for rows, _, stack in block.three)
+    """<S3(x)>, <S3(x)^2> and <S+(x) S-(y)> weighted by one block's own Gibbs probabilities."""
+    s3, s3_squared = block.three @ block.probs
     pm = sum(np.einsum("xab,yab,a->xy", stack, stack, block.probs[rows])
              for rows, _, stack in block.plus)
-    return s3, pm
+    return s3, s3_squared, pm
 
 
 HAMILTONIAN_CASES = {
@@ -507,7 +602,12 @@ def test_index_arithmetic_hamiltonian_matches_kronecker(case):
     for _ in range(6):
         twice_js = [int(t) for t in rng.choice(spins, size=config.lattice.n_sites)]
         expected = kron_hamiltonian(twice_js, j_mat, j3_mat, config.couplings.h, two_n)
-        got = _hamiltonian(_product_basis(twice_js), j_mat, j3_mat, config.couplings.h, two_n)
+        diagonal, (dst, src, value) = _hamiltonian(_product_basis(twice_js), j_mat, j3_mat,
+                                                   config.couplings.h, two_n)
+        got = np.diag(diagonal)
+        np.add.at(got, (dst, src), value)
+        assert not np.any(dst == src)
+        assert len(set(zip(dst.tolist(), src.tolist()))) == len(dst)  # no entry hit twice
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14 * scale, err_msg=str(twice_js))
 
@@ -536,16 +636,16 @@ class TestTranslationOrbits:
         engine = build_gibbs(config, beta)
         reference = reference_ensemble(config, beta)
         n_sites = config.lattice.n_sites
-        word = [("3", 0), ("+", 1), ("-", n_sites - 1)]
+        word = [("+", 0), ("+", 1), ("-", n_sites - 1), ("-", 0)]
         pairs = [
             ("logZ", engine.logZ, reference.logZ),
-            ("identity", engine.identity_expectation(), reference.identity_expectation()),
+            ("identity", identity_expectation(engine), identity_expectation(reference)),
             ("sigma3_site", engine.sigma3_site, reference.sigma3_site),
             ("two_point_pm", engine.two_point_pm, reference.two_point_pm),
             ("sigma3_site_variance",
              [engine.sigma3_site_variance(x) for x in range(n_sites)],
              [reference.sigma3_site_variance(x) for x in range(n_sites)]),
-            ("expect_product", engine.expect_product(word), reference.expect_product(word)),
+            ("expect_product", expect_product(engine, word), expect_product(reference, word)),
         ]
         points = MomentumGrid.from_lattice(config.lattice).points
         for i, q in enumerate(points):
@@ -570,8 +670,9 @@ class TestTranslationOrbits:
         visited = members(engine)
         assert sorted(label for _, _, label in visited) == sorted(by_label)
         for rep, perm, label in visited:
-            s3, pm = block_moments(rep)
-            for got, expected in zip((s3[perm], pm[np.ix_(perm, perm)]), block_moments(by_label[label])):
+            s3, s3_squared, pm = block_moments(rep)
+            for got, expected in zip((s3[perm], s3_squared[perm], pm[np.ix_(perm, perm)]),
+                                     block_moments(by_label[label])):
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(label))
         rep, perm, label = max((m for m in visited if m[2] != m[0].label), key=lambda m: m[0].dim)
         assert block_word(rep, [(kind, perm[x]) for kind, x in word]) == pytest.approx(
@@ -585,8 +686,8 @@ class TestTranslationOrbits:
 
     def test_members_hold_no_piece_copies(self):
         # tracemalloc peak of the build: the representatives' pieces (from their sector
-        # sizes), one dense H of the largest block, and slack smaller than the pieces a
-        # permuted copy per member would add
+        # sizes), the sector buffer of the largest block, and slack smaller than both the
+        # pieces a permuted copy per member would add and one dense H of the largest block
         config, beta = ORBIT_CASES["chain4-shells12-n3"]
         n_sites = config.lattice.n_sites
         ensemble = build_gibbs(config, beta)
@@ -599,11 +700,15 @@ class TestTranslationOrbits:
         sizes = {rep.label: len(perms) for rep, perms in ensemble.orbits}
         assert sorted(sizes.values()) == [1, 1, 2, 4, 4, 4]
         pieces = {label: piece_bytes(label, n_sites) for label in sizes}
-        dense_h = 8 * max(b.dim for b in ensemble.blocks) ** 2
-        slack = 64 * 1024
-        bound = sum(pieces.values()) + dense_h + slack
+        largest = max(sizes, key=lambda label: math.prod(t + 1 for t in label))
+        _, _, _, s3 = _product_basis(largest)
+        buffer = 8 * int(np.sum(np.unique(s3.sum(axis=0), return_counts=True)[1] ** 2))
+        slack = 128 * 1024
+        bound = sum(pieces.values()) + buffer + slack
         member_copies = sum((size - 1) * pieces[label] for label, size in sizes.items())
+        dense_h = 8 * max(b.dim for b in ensemble.blocks) ** 2
         assert sum(pieces.values()) + member_copies > bound
+        assert sum(pieces.values()) + dense_h > bound
         assert peak <= bound, (peak, bound)
 
     def test_every_assignment_in_exactly_one_orbit(self):
