@@ -13,9 +13,7 @@ from .lattice import (
     MomentumGrid,
     ValidationReport,
     coupling_matrix,
-    exchange_gap,
     exchange_gap_grid,
-    fourier_coupling,
     fourier_coupling_grid,
     load_couplings_csv,
     validate_ferromagnetic,
@@ -26,11 +24,9 @@ from .spinwave import (
     RegimeError,
     SpinWaveSolution,
     ThermalParams,
-    dispersion,
     magnetization_bound,
     magnetization_bounds,
     occupation,
-    occupation_grid,
     selfconsistency_defect,
     solve_magnetization,
 )
@@ -67,9 +63,7 @@ __all__ = [
     "MomentumGrid",
     "ValidationReport",
     "coupling_matrix",
-    "exchange_gap",
     "exchange_gap_grid",
-    "fourier_coupling",
     "fourier_coupling_grid",
     "load_couplings_csv",
     "validate_ferromagnetic",
@@ -80,11 +74,9 @@ __all__ = [
     "RegimeError",
     "SpinWaveSolution",
     "ThermalParams",
-    "dispersion",
     "magnetization_bound",
     "magnetization_bounds",
     "occupation",
-    "occupation_grid",
     "selfconsistency_defect",
     "solve_magnetization",
     "ConvergenceRow",

@@ -196,18 +196,18 @@ def _coupling_items(couplings: CouplingSet, which: str):
     raise ValueError(f"unknown coupling kind {which!r}, expected 'J' or 'J3'")
 
 
-def _fourier(couplings: CouplingSet, which: str, points: np.ndarray) -> np.ndarray:
-    """sum_z J(z) exp(-i k.z) of one coupling map at each row k of ``points``.
+def fourier_coupling_grid(couplings: CouplingSet, which: str, grid: MomentumGrid) -> np.ndarray:
+    """sum_z J(z) exp(-i k.z) of one coupling map at every grid momentum k.
 
     Evenness of the map makes the transform the cosine sum; the sine sum it
     cancels is the imaginary residue, checked against 1e-12 * sum_z |J(z)|.
     """
     mapping = _coupling_items(couplings, which)
     if not mapping:
-        return np.zeros(len(points))
+        return np.zeros(len(grid))
     zs = np.array(list(mapping.keys()), dtype=float)
     vs = np.array(list(mapping.values()))
-    phases = points @ zs.T
+    phases = grid.points @ zs.T
     residue = float(np.max(np.abs(np.sin(phases) @ vs)))
     cap = _IMAG_TOL * float(np.sum(np.abs(vs)))
     if residue > cap:
@@ -215,26 +215,8 @@ def _fourier(couplings: CouplingSet, which: str, points: np.ndarray) -> np.ndarr
     return np.cos(phases) @ vs
 
 
-def fourier_coupling(couplings: CouplingSet, which: str, k) -> float:
-    """Lattice Fourier transform sum_z J(z) exp(-i k.z) of one coupling map at one momentum."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if couplings.dimension is not None and k.shape != (couplings.dimension,):
-        raise ValueError(f"momentum must have {couplings.dimension} components, got shape {k.shape}")
-    return float(_fourier(couplings, which, k[None, :])[0])
-
-
-def fourier_coupling_grid(couplings: CouplingSet, which: str, grid: MomentumGrid) -> np.ndarray:
-    """:func:`fourier_coupling` at every grid momentum."""
-    return _fourier(couplings, which, grid.points)
-
-
-def exchange_gap(couplings: CouplingSet, k) -> float:
-    """Exchange part of the magnon gap, J3(0) - J(k)."""
-    return sum(couplings.exchange_z.values()) - fourier_coupling(couplings, "J", k)
-
-
 def exchange_gap_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
-    """Exchange gap evaluated on the whole momentum grid."""
+    """Exchange part of the magnon gap, J3(0) - J(q), at every grid momentum q."""
     return sum(couplings.exchange_z.values()) - fourier_coupling_grid(couplings, "J", grid)
 
 

@@ -44,7 +44,9 @@ from .sectors import sector_decomposition
 from .spinwave import ThermalParams, occupation
 
 MAX_SECTOR_BLOCK_DIM = 10_000
-MAX_FULL_DIM = 2**16
+# At the cap (n=3 on 4 sites) a full build takes about 20 s and 1.4 GB peak RSS
+# (2-vCPU VM, one BLAS thread).
+MAX_FULL_DIM = 2**12
 
 _IMAG_TOL = 1e-10
 
@@ -66,6 +68,25 @@ class SpinConfig:
                 f"coupling dimension {cd} does not match lattice dimension "
                 f"{self.lattice.dimension}"
             )
+
+
+def _admit(config: SpinConfig, mode: str) -> None:
+    """Refuse a build whose largest matrix is over its cap, before anything is allocated.
+
+    The sector engine's largest block is one assignment's product basis,
+    (copies + 1)**sites; the full tensor is one dense 2**(copies * sites)
+    square.  Both bases are >= 2, so an exponent at the cap's bit length or
+    past it is over the cap, and a huge power is never formed.
+    """
+    n, n_sites = config.copies, config.lattice.n_sites
+    if mode == "full":
+        base, exponent, cap, what = 2, n * n_sites, MAX_FULL_DIM, "full-tensor dimension"
+    else:
+        base, exponent, cap, what = n + 1, n_sites, MAX_SECTOR_BLOCK_DIM, "largest sector block dimension"
+    if exponent >= cap.bit_length() or base**exponent > cap:
+        dim = base**exponent if exponent < 64 else f"{base}**{exponent}"
+        name = "MAX_FULL_DIM" if mode == "full" else "MAX_SECTOR_BLOCK_DIM"
+        raise ValueError(f"{what} {dim} at copies={n} exceeds cap {cap} ({name})")
 
 
 class _Block:
@@ -227,13 +248,9 @@ def _sector_blocks(config: SpinConfig):
     and row k of the permutation array belongs to the k-th member in product
     order, the representative's identity included.
     """
+    _admit(config, "sector")
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
-    if (n + 1) ** n_sites > MAX_SECTOR_BLOCK_DIM:
-        raise ValueError(
-            f"largest sector block dimension {(n + 1) ** n_sites} exceeds cap "
-            f"{MAX_SECTOR_BLOCK_DIM}"
-        )
     table = sector_decomposition(n)
     j_mat = coupling_matrix(config.couplings, "J", lattice)
     j3_mat = coupling_matrix(config.couplings, "J3", lattice)
@@ -288,12 +305,11 @@ def _qubit_diag_z(n_qubits: int, index: int) -> np.ndarray:
 
 
 def _full_block(config: SpinConfig) -> _Block:
+    _admit(config, "full")
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
     n_qubits = n * n_sites
     dim = 2**n_qubits
-    if dim > MAX_FULL_DIM:
-        raise ValueError(f"full-tensor dimension {dim} exceeds cap {MAX_FULL_DIM}")
 
     sigma_plus = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -578,26 +594,25 @@ def convergence_study(
     prediction across a ladder of copy counts.
 
     The prediction is the Bose occupation evaluated at the oracle's own
-    magnetization, so the comparison isolates the quasi-free structure.
+    magnetization, so the comparison isolates the quasi-free structure; it
+    is read off the grid occupations at q, the solver's formula.  q must be
+    a point of the lattice's momentum grid (ValueError otherwise), and every
+    rung is checked against the size caps before the first one is built.
     """
+    configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]
+    for config in configs:
+        _admit(config, mode)
     params = ThermalParams(beta=beta, h=couplings.h)
+    grid = MomentumGrid.from_lattice(lattice)
+    index = grid.index_of(q)
     rows = []
-    for n in copies_list:
-        config = SpinConfig(copies=int(n), lattice=lattice, couplings=couplings)
+    for config in configs:
         ensemble = build_gibbs(config, beta, mode=mode)
         m_n = ensemble.sigma3
         if not -1.0 - 1e-9 <= m_n <= 1e-9:
             raise AssertionError(f"oracle magnetization {m_n} outside [-1, 0]")
         m_n = float(np.clip(m_n, -1.0, 0.0))
         t_n = fluctuation_two_point(ensemble, q)
-        p_n = occupation(q, m_n, params, couplings)
-        rows.append(
-            ConvergenceRow(
-                copies=int(n),
-                magnetization=m_n,
-                two_point=t_n,
-                prediction=p_n,
-                discrepancy=abs(t_n - p_n),
-            )
-        )
+        p_n = float(occupation(m_n, params, couplings, grid)[index])
+        rows.append(ConvergenceRow(config.copies, m_n, t_n, p_n, abs(t_n - p_n)))
     return rows

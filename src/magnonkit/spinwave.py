@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import CouplingSet, MomentumGrid, exchange_gap, exchange_gap_grid
+from .lattice import CouplingSet, MomentumGrid, exchange_gap_grid
 
 #: Occupations below this are flushed to exactly zero (large-beta runs).
 OCCUPATION_FLOOR = 1e-300
@@ -74,18 +74,11 @@ def _occupations(m, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
     return occ
 
 
-def occupation(q, m: float, params: ThermalParams, couplings: CouplingSet) -> float:
-    """Thermal occupation of the magnon mode at momentum q.
+def occupation(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
+    """Thermal occupations of the magnon modes on the whole momentum grid, in grid order.
 
-    Vanishes identically at m = 0 and decreases monotonically in beta.
+    Vanish identically at m = 0 and decrease monotonically in beta.
     """
-    m = _check_m(m)
-    gap = np.array([exchange_gap(couplings, q)])
-    return float(_occupations(m, params.beta, params.h, gap)[0])
-
-
-def occupation_grid(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
-    """Occupations on the whole momentum grid, in grid order."""
     m = _check_m(m)
     return _occupations(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
 
@@ -93,14 +86,6 @@ def occupation_grid(m: float, params: ThermalParams, couplings: CouplingSet, gri
 def _energies(gaps, h: float, m: float):
     """Magnon energies 2*(gap + h/(-m)) of the given gap values."""
     return 2.0 * (gaps + h / (-m))
-
-
-def dispersion(q, m: float, params: ThermalParams, couplings: CouplingSet) -> float:
-    """Magnon energy 2*(J3(0) - J(q) + h/(-m)); positive for h > 0, m < 0."""
-    m = _check_m(m)
-    if m == 0.0:
-        raise RegimeError("spectrum undefined at vanishing magnetization")
-    return _energies(exchange_gap(couplings, q), params.h, m)
 
 
 def _defect(m: float, beta: float, h: float, gaps: np.ndarray) -> float:
@@ -154,10 +139,9 @@ def magnetization_bound(params: ThermalParams) -> float:
     return _bose_bound(2.0 * params.beta * params.h)
 
 
-def magnetization_bounds(params: ThermalParams, couplings: CouplingSet) -> MagnetizationBounds:
-    """Both bound variants; the coupling-gap variant applies only for gap(0) > 0."""
+def magnetization_bounds(params: ThermalParams, gap0: float) -> MagnetizationBounds:
+    """Both bound variants from the gap at q = 0; the coupling-gap variant needs gap0 > 0."""
     from_field = magnetization_bound(params)
-    gap0 = exchange_gap(couplings, np.zeros(couplings.dimension or 1))
     from_coupling = None
     if gap0 > 0.0:
         from_coupling = _bose_bound(2.0 * params.beta * gap0)
@@ -262,7 +246,7 @@ def solve_magnetization(
         )
     occupations = _occupations(m_star, beta, h, gaps)
     eps = _energies(gaps, h, m_star)
-    bounds = magnetization_bounds(params, couplings)
+    bounds = magnetization_bounds(params, float(gaps[0]))
     return SpinWaveSolution(
         m_star=m_star,
         occupations=occupations,

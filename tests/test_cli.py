@@ -10,9 +10,13 @@ from magnonkit import (
     CouplingSet,
     LatticeSpec,
     MomentumGrid,
+    ThermalParams,
     cli,
     evolve,
+    magnetization_bounds,
     number_density,
+    occupation,
+    oracle,
     packet_state,
     total_energy,
     total_number,
@@ -23,6 +27,12 @@ from magnonkit.cli import main
 ISO_CSV = "dz1,J,J3\n1,1.0,1.0\n"
 ANTIFERRO_CSV = "dz1,J,J3\n1,1.0,0.0\n"
 LONGITUDINAL_CSV = "dz1,J,J3\n1,0.0,1.0\n"
+# A one-momentum Fourier sum rounds gap(0) of this set to 0.5999999999999996,
+# the grid to 0.6000000000000001.
+ANISO_3D_CSV = (
+    "dz1,dz2,dz3,J,J3\n1,0,0,0.3,0.5\n0,1,0,0.3,0.5\n0,0,1,0.3,0.5\n"
+    "1,1,0,0.1,0.0\n1,0,1,0.1,0.0\n0,1,1,0.1,0.0\n"
+)
 
 BASE_CONF = """\
 lattice.dimension = 1
@@ -215,6 +225,20 @@ class TestSolveCommand:
         # 17 significant digits survive the JSON round trip
         assert abs(doc["bound"] - (-0.68696471450066876)) == 0.0
 
+    def test_coupling_bound_from_the_validated_gap_at_zero(self, workspace):
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("lattice.dimension = 1", "lattice.dimension = 3")
+                    .replace("lattice.size = 8", "lattice.size = 4")
+                    .replace("field.h = 0.5", "field.h = 3.0")
+                    .replace("thermal.beta = 2.0", "thermal.beta = 1.0"), ANISO_3D_CSV)
+        for command in ("validate", "solve"):
+            assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 0
+        gap0 = json.loads((tmp_path / "validate.json").read_text())["gap_at_zero"]
+        diagnostics = json.loads((tmp_path / "solution.json").read_text())["diagnostics"]
+        bounds = magnetization_bounds(ThermalParams(1.0, 3.0), gap0)
+        assert diagnostics["bound_from_coupling"] == bounds.from_coupling
+        assert diagnostics["bound_tightest"] == bounds.tightest
+
     def test_rejected_regime_exits_1(self, workspace):
         tmp_path, make = workspace
         conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = 10.0"), ANTIFERRO_CSV)
@@ -289,6 +313,40 @@ class TestOracleCommand:
         tmp_path, make = workspace
         conf = make(ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 8"))
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+    def test_prediction_is_the_solver_occupation(self, workspace):
+        # two shells on a 5-site chain, where a one-momentum Fourier sum rounds
+        # p_n differently from the grid in the last bit
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 5")
+                    .replace("thermal.beta = 1.0", "thermal.beta = 0.8")
+                    .replace("oracle.q_index = 1", "oracle.q_index = 3"),
+                    "dz1,J,J3\n1,1.0,1.0\n2,0.25,0.25\n")
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+        couplings = CouplingSet.symmetrized({1: 1.0, 2: 0.25}, {1: 1.0, 2: 0.25}, 2.5)
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, 5))
+        for row in rows:
+            assert row["p_n"] == occupation(row["m_n"], ThermalParams(0.8, 2.5), couplings, grid)[3]
+
+    @pytest.mark.parametrize("size, copies, mode, message", [
+        (4, "1,3,5,7,9,11", "sector", "largest sector block dimension 20736 at copies=11 exceeds "
+                                      "cap 10000 (MAX_SECTOR_BLOCK_DIM)"),
+        (3, "1,3,5,7", "full", "full-tensor dimension 32768 at copies=5 exceeds cap 4096 (MAX_FULL_DIM)"),
+    ])
+    def test_oversized_rung_refused_before_any_build(self, workspace, capsys, monkeypatch,
+                                                     size, copies, mode, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a build started")
+
+        monkeypatch.setattr(oracle, "_sector_blocks", no_build)
+        monkeypatch.setattr(oracle, "_full_block", no_build)
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF.replace("lattice.size = 2", f"lattice.size = {size}")
+                    .replace("oracle.copies = 1,3", f"oracle.copies = {copies}\noracle.mode = {mode}"))
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "convergence.json").exists()
 
     def test_bad_q_index_exit_2(self, workspace):
         tmp_path, make = workspace
@@ -545,7 +603,8 @@ class TestInternalErrors:
 
 
 def test_benchmark_wrap_points_record_spans(workspace):
-    # bench/spans.py wraps names in magnonkit.cli; the emitter must keep calling them there
+    # bench/spans.py wraps names in the package's modules and classes; every one
+    # must exist, be called under that name, and come back unwrapped after the pass
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -556,6 +615,7 @@ def test_benchmark_wrap_points_record_spans(workspace):
     packet_conf = make(TestDynamicsCommand.PACKET_CONF, name="packet.conf")
     recorder = spans.Recorder()
     instruments = spans.Instruments(magnonkit, recorder)
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, *_ in instruments.points]
     instruments.install()
     try:
         recorder.begin_pass(0)
@@ -565,12 +625,15 @@ def test_benchmark_wrap_points_record_spans(workspace):
         recorder.end_pass()
     finally:
         instruments.uninstall()
+    for owner, attr, original in originals:
+        assert vars(owner)[attr] is original, attr
     names = {span[0] for span in recorder.spans}
-    for name in ("cli.main", "cli.config", "lattice.validate", "spinwave.solve",
-                 "oracle.convergence", "artifacts.write_json", "dynamics.packet",
-                 "dynamics.evolve", "dynamics.density"):
+    for name in ("cli.main", "cli.config", "lattice.validate", "lattice.gap_grid",
+                 "lattice.coupling_matrix", "spinwave.solve", "spinwave.occupation",
+                 "sectors.decomposition", "oracle.build", "oracle.convergence", "oracle.sigma3",
+                 "oracle.two_point", "artifacts.write_json", "dynamics.packet",
+                 "dynamics.evolve", "dynamics.spectrum", "dynamics.energy", "dynamics.density"):
         assert name in names, name
     # one block per assignment: 1 at oracle.copies = 1 and 2**2 at 3 on the 2-site chain
     assert recorder.counts[0]["oracle.blocks"] == 5
     assert recorder.counts[0]["dynamics.samples"] == 3
-    assert cli.main is main

@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnonkit import (
     CouplingSet,
     LatticeSpec,
     MomentumGrid,
     coupling_matrix,
-    exchange_gap,
     exchange_gap_grid,
-    fourier_coupling,
     fourier_coupling_grid,
     load_couplings_csv,
     validate_ferromagnetic,
@@ -160,22 +160,31 @@ class TestCouplingSet:
         assert c.coupling_range == 0
 
 
+def chain_grid(size):
+    return MomentumGrid.from_lattice(LatticeSpec(1, size))
+
+
+def one_point_grid(k, lattice):
+    """A grid holding the single momentum k: the grid form's view of one momentum."""
+    return MomentumGrid(np.atleast_2d(np.asarray(k, dtype=float)), lattice)
+
+
 class TestFourierCoupling:
     def test_nearest_neighbor_at_zero(self):
-        assert fourier_coupling(nn_chain(), "J", [0.0]) == 2.0
+        assert fourier_coupling_grid(nn_chain(), "J", chain_grid(4))[0] == 2.0
 
     def test_nearest_neighbor_at_pi(self):
-        # direct evaluation of 2cos(k)
+        # direct evaluation of 2cos(k); grid point 2 of 4 is pi
         expected = 2.0 * math.cos(math.pi)
-        assert fourier_coupling(nn_chain(), "J", [math.pi]) == pytest.approx(expected, abs=1e-14)
+        assert fourier_coupling_grid(nn_chain(), "J", chain_grid(4))[2] == pytest.approx(expected, abs=1e-14)
 
     def test_empty_map(self):
         c = CouplingSet({}, {}, 0.0)
-        assert fourier_coupling(c, "J", [0.3]) == 0.0
+        np.testing.assert_array_equal(fourier_coupling_grid(c, "J", chain_grid(5)), np.zeros(5))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            fourier_coupling(nn_chain(), "Jx", [0.0])
+            fourier_coupling_grid(nn_chain(), "Jx", chain_grid(4))
 
     def test_real_on_grid_for_random_even_maps(self):
         rng = np.random.default_rng(7)
@@ -183,26 +192,28 @@ class TestFourierCoupling:
             c = random_even_couplings(rng, dimension)
             grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
             vals = fourier_coupling_grid(c, "J", grid)  # raises on a non-negligible residue
-            scalar = [fourier_coupling(c, "J", k) for k in grid.points]
-            np.testing.assert_allclose(vals, scalar, atol=1e-12)
+            reference = np.array([reference_fourier(c, "J", k) for k in grid.points])
+            np.testing.assert_allclose(vals, reference.real, atol=1e-12)
+            assert np.max(np.abs(reference.imag)) < 1e-12
 
     def test_residue_cap_scales_with_coupling_strength(self):
         # the imaginary rounding residue grows with |J|; 1e4-scale couplings must not trip it
         c = CouplingSet.symmetrized({1: 1e4, 2: 1e4 / 3, 3: 1e4 / 7}, {1: 1e4}, 1.0)
-        grid = MomentumGrid.from_lattice(LatticeSpec(1, 64))
+        grid = chain_grid(64)
         vals = fourier_coupling_grid(c, "J", grid)
-        scalar = [fourier_coupling(c, "J", k) for k in grid.points]
-        np.testing.assert_allclose(vals, scalar, atol=1e-8)
+        reference = np.array([reference_fourier(c, "J", k) for k in grid.points])
+        np.testing.assert_allclose(vals, reference.real, atol=1e-8)
         assert vals[0] == pytest.approx(2e4 * (1 + 1 / 3 + 1 / 7), rel=1e-15)
 
     @pytest.mark.parametrize("dimension, size", [(1, 9), (2, 5), (3, 4)])
     @pytest.mark.parametrize("reach", [2, 3])
     def test_both_forms_match_reference(self, dimension, size, reach):
-        # With displacement components in -2..2 every product k_a z_a is exact,
-        # so the forms differ by the rounding of the cosine sum: 4 ulp of
-        # sum_z |J(z)|.  Longer displacements round the products, and the
-        # forms round them differently, which moves a term by up to |k.z| ulp
-        # of |J(z)|.
+        # The grid form over many momenta at once and over a one-point grid per
+        # momentum (different BLAS kernels) both stay within the rounding of
+        # the cosine sum: with displacement components in -2..2 every product
+        # k_a z_a is exact, so that is 4 ulp of sum_z |J(z)|.  Longer
+        # displacements round the products, which moves a term by up to |k.z|
+        # ulp of |J(z)|.
         rng = np.random.default_rng(100 * dimension + reach)
         grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
         for _ in range(20):
@@ -213,44 +224,73 @@ class TestFourierCoupling:
             conditioning = 1.0 if reach == 2 else max([1.0, *phases])
             tol = 4.0 * np.finfo(float).eps * sum(map(abs, c.exchange.values())) * conditioning
             reference = np.array([reference_fourier(c, "J", k) for k in points])
-            scalar = np.array([fourier_coupling(c, "J", k) for k in points])
+            single = np.array([fourier_coupling_grid(c, "J", one_point_grid(k, grid.lattice))[0]
+                               for k in points])
             vectorized = fourier_coupling_grid(c, "J", MomentumGrid(points, grid.lattice))
-            assert np.max(np.abs(scalar - reference.real)) <= tol
+            assert np.max(np.abs(single - reference.real)) <= tol
             assert np.max(np.abs(vectorized - reference.real)) <= tol
 
     def test_residue_guard_fires_on_an_uneven_map(self):
         c = nn_chain()
         c.exchange[(1,)] = 1.5  # no longer even: J(1) != J(-1)
         with pytest.raises(AssertionError, match="imaginary residue"):
-            fourier_coupling(c, "J", [math.pi / 2])
+            fourier_coupling_grid(c, "J", one_point_grid([math.pi / 2], LatticeSpec(1, 4)))
         with pytest.raises(AssertionError, match="imaginary residue"):
-            fourier_coupling_grid(c, "J", MomentumGrid.from_lattice(LatticeSpec(1, 4)))
+            fourier_coupling_grid(c, "J", chain_grid(4))
 
     def test_parseval_mean_is_onsite_value(self):
         rng = np.random.default_rng(3)
         c = random_even_couplings(rng, 1, reach=3)
-        grid = MomentumGrid.from_lattice(LatticeSpec(1, 16))
-        assert abs(np.mean(fourier_coupling_grid(c, "J", grid))) < 1e-13
+        assert abs(np.mean(fourier_coupling_grid(c, "J", chain_grid(16)))) < 1e-13
+
+    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @given(
+        dimension=st.integers(1, 3),
+        size=st.integers(1, 6),
+        couplings=st.lists(
+            st.tuples(
+                st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                st.floats(-2.0, 2.0, allow_subnormal=False),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_fft_of_the_coupling_matrix_row(self, dimension, size, couplings):
+        # position-space referee: the first row of the periodized matrix holds
+        # J(y) at site y, so its lattice FFT is sum_y J(y) exp(-i k.y) = J(k)
+        exchange = {}  # one value per pair {z, -z}, keyed by the larger
+        for z, v in couplings:
+            z = tuple(z[:dimension])
+            if any(z):
+                exchange[max(z, tuple(-c for c in z))] = v
+        c = CouplingSet.symmetrized(exchange, {}, 0.0)
+        lattice = LatticeSpec(dimension, size)
+        row = coupling_matrix(c, "J", lattice)[0].reshape((size,) * dimension)
+        fft = np.fft.fftn(row).ravel()
+        grid = MomentumGrid.from_lattice(lattice)
+        tol = 1e-12 * sum(map(abs, c.exchange.values()))
+        np.testing.assert_allclose(fourier_coupling_grid(c, "J", grid), fft.real, rtol=0.0, atol=tol)
+        assert np.max(np.abs(fft.imag)) <= tol
 
 
 class TestExchangeGap:
     def test_isotropic_at_zero(self):
-        assert exchange_gap(nn_chain(), [0.0]) == 0.0
+        assert exchange_gap_grid(nn_chain(), chain_grid(4))[0] == 0.0
 
     def test_isotropic_at_pi(self):
-        assert exchange_gap(nn_chain(), [math.pi]) == pytest.approx(4.0, abs=1e-14)
+        assert exchange_gap_grid(nn_chain(), chain_grid(4))[2] == pytest.approx(4.0, abs=1e-14)
 
     def test_longitudinal_only_is_constant(self):
         c = nn_chain(j=0.0, j3=1.0)
-        for k in (0.0, 0.7, math.pi):
-            assert exchange_gap(c, [k]) == pytest.approx(2.0, abs=1e-14)
+        points = np.array([[0.0], [0.7], [math.pi]])
+        gaps = exchange_gap_grid(c, MomentumGrid(points, LatticeSpec(1, 4)))
+        np.testing.assert_allclose(gaps, 2.0, rtol=0.0, atol=1e-14)
 
     def test_bounded_by_zero_momentum_for_nonnegative_matrix(self):
         # gap(q) <= gap(0) holds whenever the position-space matrix entries
         # (sum J3 on the diagonal, -J off it) are all nonnegative.
         c = CouplingSet.symmetrized({(1,): -0.3, (2,): -0.1}, {(1,): 1.0}, 1.0)
-        grid = MomentumGrid.from_lattice(LatticeSpec(1, 32))
-        gaps = exchange_gap_grid(c, grid)
+        gaps = exchange_gap_grid(c, chain_grid(32))
         assert np.max(gaps) <= gaps[0] + 1e-12
 
 

@@ -137,6 +137,22 @@ class TestBuildGibbs:
         with pytest.raises(ValueError, match="exceeds cap"):
             build_gibbs(config, beta=1.0, mode="full")
 
+    def test_caps_admit_their_edge(self):
+        # (9 + 1)**4 = MAX_SECTOR_BLOCK_DIM and 2**(3 * 4) = MAX_FULL_DIM are admitted
+        oracle._admit(SpinConfig(9, LatticeSpec(1, 4), ISO25), "sector")
+        oracle._admit(SpinConfig(3, LatticeSpec(1, 4), ISO25), "full")
+        with pytest.raises(ValueError, match="dimension 20736 at copies=11 exceeds cap 10000"):
+            oracle._admit(SpinConfig(11, LatticeSpec(1, 4), ISO25), "sector")
+        with pytest.raises(ValueError, match="dimension 8192 at copies=1 exceeds cap 4096"):
+            oracle._admit(SpinConfig(1, LatticeSpec(1, 13), ISO25), "full")
+
+    def test_cap_on_a_huge_lattice_forms_no_power(self):
+        config = SpinConfig(3, LatticeSpec(3, 256), CouplingSet({}, {}, 1.0))
+        with pytest.raises(ValueError, match="4\\*\\*16777216 at copies=3 exceeds cap"):
+            oracle._admit(config, "sector")
+        with pytest.raises(ValueError, match="2\\*\\*50331648 at copies=3 exceeds cap"):
+            oracle._admit(config, "full")
+
     def test_rejects_bad_beta_and_mode(self, chain2_n3):
         with pytest.raises(ValueError):
             build_gibbs(SpinConfig(1, CHAIN2, ISO25), beta=-1.0)
@@ -393,9 +409,13 @@ class TestConvergenceStudy:
         for row in rows:
             assert -1.0 <= row.magnetization <= 0.0
             assert row.discrepancy == pytest.approx(abs(row.two_point - row.prediction))
-            assert row.prediction == pytest.approx(
-                occupation(Q_PI, row.magnetization, params, ISO25), abs=1e-15
-            )
+            # the solver's grid formula at q, bit for bit
+            assert row.prediction == occupation(row.magnetization, params, ISO25, GRID2)[1]
+
+    def test_off_grid_momentum_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(oracle, "build_gibbs", lambda *args, **kwargs: pytest.fail("built"))
+        with pytest.raises(ValueError, match="not on the grid"):
+            convergence_study(CHAIN2, ISO25, beta=1.0, q=[0.3], copies_list=[1, 3])
 
     def test_equal_gap_momenta_give_equal_predictions(self):
         lattice = LatticeSpec(1, 4)

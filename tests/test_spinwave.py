@@ -13,13 +13,11 @@ from magnonkit import (
     MomentumGrid,
     RegimeError,
     ThermalParams,
-    dispersion,
-    exchange_gap,
     exchange_gap_grid,
     magnetization_bound,
     magnetization_bounds,
+    mode_spectrum,
     occupation,
-    occupation_grid,
     selfconsistency_defect,
     solve_magnetization,
     validate_ferromagnetic,
@@ -91,19 +89,18 @@ def reference_roots(beta, h, gaps, scan_points=spinwave.DEFAULT_SCAN_POINTS):
 class TestOccupation:
     def test_zero_magnetization_gives_exactly_zero(self):
         p = ThermalParams(beta=1.7, h=0.9)
-        for q in (0.0, 1.0, math.pi):
-            assert occupation([q], 0.0, p, ISO) == 0.0
+        np.testing.assert_array_equal(occupation(0.0, p, ISO, grid_for(4)), np.zeros(4))
 
     def test_closed_form_at_full_polarization(self):
         # gap vanishes at q = 0 for the isotropic chain, so n = 1/(e^2 - 1)
         p = ThermalParams(beta=1.0, h=1.0)
-        value = occupation([0.0], -1.0, p, ISO)
+        value = occupation(-1.0, p, ISO, grid_for(4))[0]
         assert value == pytest.approx(0.15651764274966565, abs=1e-15)
         assert value == pytest.approx(1.0 / math.expm1(2.0), abs=1e-15)
 
     def test_ground_state_limit_vanishes(self):
         p = ThermalParams(beta=500.0, h=1.0)
-        assert occupation([math.pi], -1.0, p, ISO) == 0.0
+        assert occupation(-1.0, p, ISO, grid_for(2))[1] == 0.0  # q = pi
 
     def test_monotone_decreasing_in_beta(self):
         rng = np.random.default_rng(23)
@@ -111,18 +108,16 @@ class TestOccupation:
         for _ in range(25):
             m = float(rng.uniform(-1.0, -0.05))
             beta = float(rng.uniform(0.2, 4.0))
-            lo = occupation_grid(m, ThermalParams(beta, 0.8), ISO, grid)
-            hi = occupation_grid(m, ThermalParams(beta * (1.0 + rng.uniform(0.1, 2.0)), 0.8), ISO, grid)
+            lo = occupation(m, ThermalParams(beta, 0.8), ISO, grid)
+            hi = occupation(m, ThermalParams(beta * (1.0 + rng.uniform(0.1, 2.0)), 0.8), ISO, grid)
             assert np.all(hi < lo)
 
     def test_depends_on_q_only_through_gap(self):
-        grid = grid_for(4)
-        q_a, q_b = grid.points[1], grid.points[3]  # pi/2 and 3pi/2, equal gap
-        assert exchange_gap(ISO, q_a) == pytest.approx(exchange_gap(ISO, q_b), abs=1e-14)
-        p = ThermalParams(2.0, 0.5)
-        assert occupation(q_a, -0.7, p, ISO) == pytest.approx(
-            occupation(q_b, -0.7, p, ISO), abs=1e-14
-        )
+        grid = grid_for(4)  # points 1 and 3 are pi/2 and 3pi/2, of equal gap
+        gaps = exchange_gap_grid(ISO, grid)
+        assert gaps[1] == pytest.approx(gaps[3], abs=1e-14)
+        occ = occupation(-0.7, ThermalParams(2.0, 0.5), ISO, grid)
+        assert occ[1] == pytest.approx(occ[3], abs=1e-14)
 
     def test_bounded_by_field_occupation(self):
         rng = np.random.default_rng(4)
@@ -131,53 +126,52 @@ class TestOccupation:
             beta = float(rng.uniform(0.3, 3.0))
             h = float(rng.uniform(0.2, 2.0))
             m = float(rng.uniform(-1.0, 0.0))
-            occ = occupation_grid(m, ThermalParams(beta, h), ISO, grid)
+            occ = occupation(m, ThermalParams(beta, h), ISO, grid)
             assert np.all(occ <= 1.0 / math.expm1(2.0 * beta * h) + 1e-12)
             assert np.all(occ >= 0.0)
 
     def test_outside_regime_rejected(self):
         p = ThermalParams(beta=1.0, h=0.0)
         with pytest.raises(RegimeError, match="outside ferromagnetic regime"):
-            occupation([0.0], -0.5, p, ISO)  # gap(0)=0 and h=0
+            occupation(-0.5, p, ISO, grid_for(4))  # gap(0)=0 and h=0
 
     def test_rejects_magnetization_outside_range(self):
         p = ThermalParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            occupation([0.0], 0.5, p, ISO)
+            occupation(0.5, p, ISO, grid_for(4))
         with pytest.raises(ValueError):
-            occupation([0.0], -1.5, p, ISO)
+            occupation(-1.5, p, ISO, grid_for(4))
 
 
 class TestDispersion:
+    """The magnon energies eps(q) = 2*(gap(q) + h/(-m)) of the grid form."""
+
     def test_gapless_exchange_case(self):
-        p = ThermalParams(beta=1.0, h=1.0)
-        assert dispersion([0.0], -1.0, p, ISO) == pytest.approx(2.0, abs=1e-14)
+        assert mode_spectrum(-1.0, 1.0, ISO, grid_for(4)).eps[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_band_top_of_isotropic_chain(self):
-        p = ThermalParams(beta=1.0, h=0.5)
-        assert dispersion([math.pi], -1.0, p, ISO) == pytest.approx(9.0, abs=1e-13)
+        assert mode_spectrum(-1.0, 0.5, ISO, grid_for(4)).eps[2] == pytest.approx(9.0, abs=1e-13)
 
     def test_identity_at_full_polarization(self):
         # eps(q) - 2h = 2*gap(q) when m = -1
-        p = ThermalParams(beta=1.0, h=0.7)
-        for q in (0.0, 0.4, 2.0, math.pi):
-            lhs = dispersion([q], -1.0, p, ISO) - 2.0 * p.h
-            assert lhs == pytest.approx(2.0 * exchange_gap(ISO, [q]), abs=1e-13)
+        grid = MomentumGrid(np.array([[0.0], [0.4], [2.0], [math.pi]]), LatticeSpec(1, 4))
+        lhs = mode_spectrum(-1.0, 0.7, ISO, grid).eps - 2.0 * 0.7
+        np.testing.assert_allclose(lhs, 2.0 * exchange_gap_grid(ISO, grid), rtol=0.0, atol=1e-13)
 
     def test_zero_mode_gap(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            p = ThermalParams(beta=1.0, h=float(rng.uniform(0.01, 3.0)))
+            h = float(rng.uniform(0.01, 3.0))
             m = float(rng.uniform(-1.0, -0.01))
-            assert dispersion([0.0], m, p, ISO) > 0.0
+            assert mode_spectrum(m, h, ISO, grid_for(4)).eps[0] > 0.0
 
     def test_undefined_at_zero_magnetization(self):
-        with pytest.raises(RegimeError, match="vanishing magnetization"):
-            dispersion([0.0], 0.0, ThermalParams(1.0, 1.0), ISO)
+        with pytest.raises(RegimeError, match="must lie in \\[-1, 0\\)"):
+            mode_spectrum(0.0, 1.0, ISO, grid_for(4))
 
 
 class TestSharedBoseFormula:
-    """occupation, occupation_grid and the defect equal the rank-2 formula bit for bit."""
+    """occupation and the defect equal the rank-2 formula bit for bit."""
 
     # beta = 350 puts the q = 0 occupation near e^-700, below the flush floor
     CASES = [(-0.9, 2.0, 0.5), (-1.0, 16.0, 0.5), (-0.3, 0.2, 0.05), (0.0, 1.0, 0.5), (-1.0, 350.0, 1.0)]
@@ -188,15 +182,18 @@ class TestSharedBoseFormula:
         p = ThermalParams(beta, h)
         gaps = exchange_gap_grid(ISO, grid)
         expected = reference_occupations(m, beta, h, gaps)[0]
-        np.testing.assert_array_equal(occupation_grid(m, p, ISO, grid), expected)
+        np.testing.assert_array_equal(occupation(m, p, ISO, grid), expected)
         assert selfconsistency_defect(m, p, ISO, grid) == float(reference_defect(m, beta, h, gaps)[0])
 
     @pytest.mark.parametrize("m,beta,h", CASES)
     def test_scalar_form(self, m, beta, h):
+        # one momentum at a time: a one-point grid
         p = ThermalParams(beta, h)
         for q in (0.0, 0.7, math.pi):
-            gap = np.array([exchange_gap(ISO, [q])])
-            assert occupation([q], m, p, ISO) == float(reference_occupations(m, beta, h, gap)[0, 0])
+            grid = MomentumGrid(np.array([[q]]), LatticeSpec(1, 16))
+            gaps = exchange_gap_grid(ISO, grid)
+            expected = reference_occupations(m, beta, h, gaps)[0]
+            np.testing.assert_array_equal(occupation(m, p, ISO, grid), expected)
 
 
 class TestSelfConsistencyDefect:
@@ -411,10 +408,12 @@ class TestMagnetizationBound:
             magnetization_bound(ThermalParams(1.0, 0.0))
 
     def test_variants(self):
-        info = magnetization_bounds(ThermalParams(2.0, 2.5), ANISO)
+        gap0 = exchange_gap_grid(ANISO, grid_for(8))[0]
+        assert gap0 == 2.0
+        info = magnetization_bounds(ThermalParams(2.0, 2.5), gap0)
         assert info.from_coupling == pytest.approx(-1.0 + 2.0 / math.expm1(8.0), abs=1e-15)
         assert info.tightest == min(info.from_field, info.from_coupling)
-        iso_info = magnetization_bounds(ThermalParams(2.0, 0.5), ISO)
+        iso_info = magnetization_bounds(ThermalParams(2.0, 0.5), exchange_gap_grid(ISO, grid_for(8))[0])
         assert iso_info.from_coupling is None  # gap(0) = 0 for the isotropic chain
         assert iso_info.tightest == iso_info.from_field
 
