@@ -20,8 +20,9 @@ value times the orbit size, and site-resolved ones scatter the
 representative's values through the members' permutations.  The fluctuation
 observables at one momentum (Wick residual, both energy-entropy margins)
 share one pass that forms each F+(q) once.  A brute-force full-tensor path
-over all copies, one unsplit dense diagonalization, is kept for
-cross-validation.
+is kept for cross-validation: it indexes the 2**(copies*sites) qubit states
+by bits and builds one dense Hamiltonian from single-qubit flips, with no
+sectors, orbits or collective spins, and diagonalizes it unsplit.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -37,14 +38,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix
-from .sectors import sector_decomposition
+from .sectors import MAX_COPIES, sector_decomposition
 from .spinwave import ThermalParams, occupation
 
 MAX_SECTOR_BLOCK_DIM = 10_000
-# At the cap (n=3 on 4 sites) a full build takes about 20 s and 1.4 GB peak RSS
+# At the cap (n=3 on 4 sites) a full build takes about 15 s and 0.95 GB peak RSS
 # (2-vCPU VM, one BLAS thread).
 MAX_FULL_DIM = 2**12
 
@@ -71,7 +71,7 @@ class SpinConfig:
 
 
 def _admit(config: SpinConfig, mode: str) -> None:
-    """Refuse a build whose largest matrix is over its cap, before anything is allocated.
+    """Refuse a build over the copy cap or a matrix cap, before anything is allocated.
 
     The sector engine's largest block is one assignment's product basis,
     (copies + 1)**sites; the full tensor is one dense 2**(copies * sites)
@@ -79,6 +79,8 @@ def _admit(config: SpinConfig, mode: str) -> None:
     past it is over the cap, and a huge power is never formed.
     """
     n, n_sites = config.copies, config.lattice.n_sites
+    if n > MAX_COPIES:
+        raise ValueError(f"copy count {n} exceeds supported maximum {MAX_COPIES} (MAX_COPIES)")
     if mode == "full":
         base, exponent, cap, what = 2, n * n_sites, MAX_FULL_DIM, "full-tensor dimension"
     else:
@@ -107,7 +109,6 @@ class _Block:
         self.energies = energies
         self.plus = plus  # S+ pieces
         self.three = three  # diagonals of S3 and S3^2
-        self.probs = None  # set once the global normalization is known
 
     @property
     def dim(self) -> int:
@@ -298,56 +299,53 @@ def _sector_blocks(config: SpinConfig):
     return [(build(assignments[r]), perms[reps == r]) for r in np.unique(reps).tolist()]
 
 
-def _qubit_diag_z(n_qubits: int, index: int) -> np.ndarray:
-    """Diagonal of the Pauli z operator on one qubit of a 2**n_qubits space."""
-    block = np.repeat(np.array([1.0, -1.0]), 2 ** (n_qubits - index - 1))
-    return np.tile(block, 2**index)
-
-
 def _full_block(config: SpinConfig) -> _Block:
+    """All 2**(copies*sites) qubit states as one block, built by bit arithmetic.
+
+    Qubit k = x*copies + i is bit n_qubits-1-k of the index, set for spin down.
+    sigma+_a sigma-_b flips bits a (set) and b (clear); for a == b it projects
+    onto bit a clear.  The sector engine's referee: no sectors or orbits.
+    """
     _admit(config, "full")
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
     n_qubits = n * n_sites
     dim = 2**n_qubits
-
-    sigma_plus = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def qubit_plus(index):
-        left = sparse.identity(2**index, format="csr")
-        right = sparse.identity(2 ** (n_qubits - index - 1), format="csr")
-        return sparse.kron(sparse.kron(left, sigma_plus), right, format="csr")
-
-    s_plus = []
-    s3_diag = []
-    for x in range(n_sites):
-        acc = sparse.csr_matrix((dim, dim))
-        dz = np.zeros(dim)
-        for i in range(n):
-            idx = x * n + i
-            acc = acc + qubit_plus(idx)
-            dz += _qubit_diag_z(n_qubits, idx)
-        s_plus.append(acc)
-        s3_diag.append(dz)
+    index = np.arange(dim)
+    masks = 1 << np.arange(n_qubits - 1, -1, -1)  # masks[k]: bit of qubit k
+    down = (index[None, :] & masks[:, None]) != 0  # down[k, i]: qubit k of state i
+    clear = n - down.reshape(n_sites, n, dim).sum(axis=1)  # spins up per site
+    s3 = 2.0 * clear - n
 
     j_mat = coupling_matrix(config.couplings, "J", lattice)
     j3_mat = coupling_matrix(config.couplings, "J3", lattice)
     two_n = 2.0 * n
-    hamiltonian = sparse.csr_matrix((dim, dim))
+    hamiltonian = np.zeros((dim, dim))
     diag = np.zeros(dim)
     for x in range(n_sites):
         for y in range(n_sites):
             if j_mat[x, y] != 0.0:
-                hamiltonian = hamiltonian - (4.0 / two_n) * j_mat[x, y] * (s_plus[x] @ s_plus[y].T)
+                coeff = (4.0 / two_n) * j_mat[x, y]
+                if x == y:  # the a == b projectors; a == b selects no src below
+                    hamiltonian[index, index] -= coeff * clear[x]
+                for a, b in itertools.product(range(x * n, x * n + n), range(y * n, y * n + n)):
+                    src = index[down[a] & ~down[b]]
+                    hamiltonian[src ^ masks[a] ^ masks[b], src] -= coeff
             if j3_mat[x, y] != 0.0:
-                diag -= (1.0 / two_n) * j3_mat[x, y] * s3_diag[x] * s3_diag[y]
-        diag += config.couplings.h * s3_diag[x]
-    dense = hamiltonian.toarray()
-    dense[np.diag_indices(dim)] += diag
-    energies, vectors = np.linalg.eigh(dense)
+                diag -= (1.0 / two_n) * j3_mat[x, y] * s3[x] * s3[y]
+        diag += config.couplings.h * s3[x]
+    hamiltonian[index, index] += diag
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    del hamiltonian
+    # S+(x) V adds row i + mask_k of V to row i for every qubit k of x that is up in i
+    t_plus = np.empty((n_sites, dim, dim))
+    for x in range(n_sites):
+        raised = np.zeros((dim, dim))
+        for k in range(x * n + n - 1, x * n - 1, -1):
+            split = (2**k, 2, dim >> (k + 1), dim)
+            raised.reshape(split)[:, 0] += vectors.reshape(split)[:, 1]
+        np.matmul(vectors.T, raised, out=t_plus[x])
     everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
-    t_plus = np.stack([vectors.T @ (sp @ vectors) for sp in s_plus])
-    s3 = np.array(s3_diag)
     return _Block(("full",), 0.0, energies, [(everything, everything, t_plus)],
                   np.stack([s3, s3**2]) @ (vectors * vectors))
 
@@ -357,9 +355,11 @@ class GibbsEnsemble:
 
     ``orbits`` lists (representative, member permutations): the member with
     permutation p has the representative's spectrum, and its operator at
-    site x is the representative's at p[x].  Each expectation below is
-    evaluated on the representatives only, and the fluctuation observables
-    at a momentum come from one walk over the orbits, cached per grid index.
+    site x is the representative's at p[x].  ``probs[k]`` are the Gibbs
+    probabilities of orbit k's representative, kept here so that ensembles can
+    share orbits.  Each expectation below is evaluated on the representatives
+    only, and the fluctuation observables at a momentum come from one walk
+    over the orbits, cached per grid index.
     """
 
     def __init__(self, config: SpinConfig, beta: float, orbits: list):
@@ -367,12 +367,9 @@ class GibbsEnsemble:
         self.beta = float(beta)
         self.orbits = orbits
         ground = min(float(rep.energies.min()) for rep, _ in orbits)
-        total = 0.0
-        for rep, perms in orbits:
-            rep.probs = np.exp(rep.log_weight - self.beta * (rep.energies - ground))
-            total += len(perms) * float(rep.probs.sum())
-        for rep, _ in orbits:
-            rep.probs = rep.probs / total
+        weights = [np.exp(rep.log_weight - self.beta * (rep.energies - ground)) for rep, _ in orbits]
+        total = sum(len(perms) * float(w.sum()) for w, (_, perms) in zip(weights, orbits))
+        self.probs = [w / total for w in weights]
         self.logZ = math.log(total) - self.beta * ground
         self.ground_energy = ground
         self._per_q = {}  # grid index -> what _momentum_sums returns
@@ -393,16 +390,17 @@ class GibbsEnsemble:
     def _site_sum(self, per_rep) -> np.ndarray:
         """Sum over all blocks of per-site values, from the representatives.
 
-        ``per_rep(rep)`` returns the representative's values with sites on
-        the first axis; a member's value at site x is the representative's at
-        perm[x].
+        ``per_rep(rep, probs)`` returns the representative's values with sites
+        on the first axis; a member's value at site x is the representative's
+        at perm[x].
         """
-        return sum(per_rep(rep)[perms].sum(axis=0) for rep, perms in self.orbits)
+        return sum(per_rep(rep, probs)[perms].sum(axis=0)
+                   for (rep, perms), probs in zip(self.orbits, self.probs))
 
     @cached_property
     def sigma3_site(self) -> np.ndarray:
         """Per-copy magnetization <sigma3> at each site (translation invariant)."""
-        return self._site_sum(lambda rep: rep.three[0] @ rep.probs) / self.copies
+        return self._site_sum(lambda rep, probs: rep.three[0] @ probs) / self.copies
 
     @cached_property
     def sigma3(self) -> float:
@@ -411,7 +409,7 @@ class GibbsEnsemble:
 
     def sigma3_site_variance(self, x: int) -> float:
         """Variance of the per-copy site average S3(x)/n (shrinks like 1/n)."""
-        mom1, mom2 = self._site_sum(lambda rep: (rep.three @ rep.probs).T)[x]
+        mom1, mom2 = self._site_sum(lambda rep, probs: (rep.three @ probs).T)[x]
         return (mom2 - mom1**2) / self.copies**2
 
     @cached_property
@@ -424,11 +422,11 @@ class GibbsEnsemble:
         """
         n = self.n_sites
         out = np.zeros((2, n, n))
-        for rep, perms in self.orbits:
+        for (rep, perms), probs in zip(self.orbits, self.probs):
             rep_out = np.zeros((2, n, n))
             for rows, cols, stack in rep.plus:
                 flat = stack.reshape(n, -1)
-                for i, weights in enumerate((rep.probs[rows, None], rep.probs[None, cols])):
+                for i, weights in enumerate((probs[rows, None], probs[None, cols])):
                     rep_out[i] += (stack * weights).reshape(n, -1) @ flat.T
             out += rep_out[:, perms[:, :, None], perms[:, None, :]].sum(axis=1)
         return out
@@ -464,8 +462,8 @@ class GibbsEnsemble:
         if index not in self._per_q:
             coeffs = self._fluct_coeffs(grid.points[index])
             forms, four = np.zeros((4, 4)), 0.0
-            for rep, perms in self.orbits:
-                sides = np.stack([np.ones(rep.dim), rep.probs, rep.energies, rep.probs * rep.energies])
+            for (rep, perms), probs in zip(self.orbits, self.probs):
+                sides = np.stack([np.ones(rep.dim), probs, rep.energies, probs * rep.energies])
                 pieces = rep.fluct_plus(coeffs)
                 by_rows = {rows.start: f_plus for rows, _, f_plus in pieces}
                 for rows, cols, f_plus in pieces:
@@ -473,7 +471,7 @@ class GibbsEnsemble:
                     forms += len(perms) * (sides[:, rows] @ weight @ sides[:, cols].T)
                     inner = by_rows.get(cols.start)
                     if inner is not None:
-                        four += len(perms) * float(rep.probs[rows] @ _row_norms2(f_plus @ inner))
+                        four += len(perms) * float(probs[rows] @ _row_norms2(f_plus @ inner))
             self._per_q[index] = forms, four
         return self._per_q[index]
 
@@ -482,8 +480,9 @@ def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector") -> GibbsE
     """Diagonalize the model and assemble its Gibbs ensemble.
 
     ``mode="sector"`` walks the per-site total-spin assignments (fast path);
-    ``mode="full"`` materializes all 2**(copies*sites) tensor factors and is
-    only meant for cross-validation at small sizes.
+    ``mode="full"`` diagonalizes the dense Hamiltonian on all
+    2**(copies*sites) qubit states, built by bit arithmetic, and is only
+    meant for cross-validation at small sizes (``MAX_FULL_DIM``).
     """
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -333,6 +335,8 @@ class TestOracleCommand:
         (4, "1,3,5,7,9,11", "sector", "largest sector block dimension 20736 at copies=11 exceeds "
                                       "cap 10000 (MAX_SECTOR_BLOCK_DIM)"),
         (3, "1,3,5,7", "full", "full-tensor dimension 32768 at copies=5 exceeds cap 4096 (MAX_FULL_DIM)"),
+        (2, ",".join(map(str, range(1, 35, 2))), "sector",
+         "copy count 33 exceeds supported maximum 31 (MAX_COPIES)"),
     ])
     def test_oversized_rung_refused_before_any_build(self, workspace, capsys, monkeypatch,
                                                      size, copies, mode, message):
@@ -637,3 +641,12 @@ def test_benchmark_wrap_points_record_spans(workspace):
     # one block per assignment: 1 at oracle.copies = 1 and 2**2 at 3 on the 2-site chain
     assert recorder.counts[0]["oracle.blocks"] == 5
     assert recorder.counts[0]["dynamics.samples"] == 3
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what the CLI pulls in
+    src = str(Path(magnonkit.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import magnonkit.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

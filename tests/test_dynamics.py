@@ -413,6 +413,11 @@ class TestStructuredAgainstDense:
         occupations, amplitudes = random_modes(np.random.default_rng(seed), lattice.n_sites, rank)
         state = GaussianMagnonState.from_modes(m, occupations, amplitudes, grid, couplings, 0.5)
         assert_matches_reference(state, dense_mode_covariance(occupations, amplitudes), t)
+        # number and energy are conserved, at the tolerance scale of the reference check
+        evolved, scale = evolve(state, t), 1.0 + total_number(state)
+        assert abs(total_number(evolved) - total_number(state)) <= 1e-12 * scale
+        eps_max = float(np.max(state.spectrum.eps))
+        assert abs(total_energy(evolved) - total_energy(state)) <= 1e-12 * scale * eps_max
 
 
 class TestAmplitudeForm:

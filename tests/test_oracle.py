@@ -112,6 +112,17 @@ class TestBuildGibbs:
         recomputed = peak + math.log(np.sum(np.exp(stacked - peak)))
         assert recomputed == pytest.approx(chain2_n3.logZ, abs=1e-12)
 
+    def test_ensembles_sharing_orbits_keep_their_own_probabilities(self):
+        config = SpinConfig(3, CHAIN2, ISO25)
+        first, alone = build_gibbs(config, beta=1.0), build_gibbs(config, beta=1.0)
+        cold = GibbsEnsemble(config, 4.0, first.orbits)
+        assert first.sigma3 == alone.sigma3
+        assert first.logZ == alone.logZ
+        np.testing.assert_array_equal(first.two_point_pm, alone.two_point_pm)
+        assert wick_residual(first, Q_PI) == wick_residual(alone, Q_PI)
+        assert cold.sigma3 == build_gibbs(config, beta=4.0).sigma3
+        assert cold.sigma3 < first.sigma3
+
     def test_identity_expectation(self, chain2_n3):
         assert identity_expectation(chain2_n3) == pytest.approx(1.0, abs=1e-12)
 
@@ -138,9 +149,14 @@ class TestBuildGibbs:
             build_gibbs(config, beta=1.0, mode="full")
 
     def test_caps_admit_their_edge(self):
-        # (9 + 1)**4 = MAX_SECTOR_BLOCK_DIM and 2**(3 * 4) = MAX_FULL_DIM are admitted
+        # (9 + 1)**4 = MAX_SECTOR_BLOCK_DIM, 2**(3 * 4) = MAX_FULL_DIM and 31 = MAX_COPIES
+        # are admitted
         oracle._admit(SpinConfig(9, LatticeSpec(1, 4), ISO25), "sector")
         oracle._admit(SpinConfig(3, LatticeSpec(1, 4), ISO25), "full")
+        oracle._admit(SpinConfig(31, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0)), "sector")
+        for mode in ("sector", "full"):
+            with pytest.raises(ValueError, match=r"copy count 33 exceeds supported maximum 31 \(MAX_COPIES\)"):
+                oracle._admit(SpinConfig(33, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0)), mode)
         with pytest.raises(ValueError, match="dimension 20736 at copies=11 exceeds cap 10000"):
             oracle._admit(SpinConfig(11, LatticeSpec(1, 4), ISO25), "sector")
         with pytest.raises(ValueError, match="dimension 8192 at copies=1 exceeds cap 4096"):
@@ -564,10 +580,10 @@ def site_operator(block, kind, x):
     return {"+": plus, "-": plus.T}[kind]
 
 
-def block_word(block, factors):
-    """<product of site operators> weighted by one block's own Gibbs probabilities."""
+def block_word(block, probs, factors):
+    """<product of site operators> weighted by one block's Gibbs probabilities."""
     product = reduce(np.matmul, [site_operator(block, kind, x) for kind, x in factors], np.eye(block.dim))
-    return float(block.probs @ np.diagonal(product))
+    return float(probs @ np.diagonal(product))
 
 
 def expect_product(ensemble, factors):
@@ -576,12 +592,12 @@ def expect_product(ensemble, factors):
     ``factors`` is a sequence of (kind, site) with kind in {"+", "-", "3"}; the
     member with permutation p reads its representative's operator at site p[x].
     """
-    return sum(block_word(rep, [(kind, perm[x]) for kind, x in factors])
-               for rep, perms in ensemble.orbits for perm in perms)
+    return sum(block_word(rep, probs, [(kind, perm[x]) for kind, x in factors])
+               for (rep, perms), probs in zip(ensemble.orbits, ensemble.probs) for perm in perms)
 
 
 def identity_expectation(ensemble):
-    return float(sum(len(perms) * rep.probs.sum() for rep, perms in ensemble.orbits))
+    return float(sum(len(perms) * probs.sum() for (_, perms), probs in zip(ensemble.orbits, ensemble.probs)))
 
 
 def piece_bytes(twice_js, n_sites):
@@ -597,10 +613,15 @@ def members(ensemble):
             for rep, perms in ensemble.orbits for perm in perms]
 
 
-def block_moments(block):
-    """<S3(x)>, <S3(x)^2> and <S+(x) S-(y)> weighted by one block's own Gibbs probabilities."""
-    s3, s3_squared = block.three @ block.probs
-    pm = sum(np.einsum("xab,yab,a->xy", stack, stack, block.probs[rows])
+def probs_by_label(ensemble):
+    """(representative, its Gibbs probabilities) by the representative's label."""
+    return {rep.label: (rep, probs) for (rep, _), probs in zip(ensemble.orbits, ensemble.probs)}
+
+
+def block_moments(block, probs):
+    """<S3(x)>, <S3(x)^2> and <S+(x) S-(y)> weighted by one block's Gibbs probabilities."""
+    s3, s3_squared = block.three @ probs
+    pm = sum(np.einsum("xab,yab,a->xy", stack, stack, probs[rows])
              for rows, _, stack in block.plus)
     return s3, s3_squared, pm
 
@@ -630,6 +651,21 @@ def test_index_arithmetic_hamiltonian_matches_kronecker(case):
         assert len(set(zip(dst.tolist(), src.tolist()))) == len(dst)  # no entry hit twice
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14 * scale, err_msg=str(twice_js))
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("lattice, couplings", [(CHAIN2, WRAPPED), (CHAIN3, SHELLS12)],
+                         ids=["chain2-self-coupling", "chain3-shells12"])
+def test_full_block_spectrum_matches_qubit_kronecker(copies, lattice, couplings):
+    # every qubit a spin-1/2 site of its own, coupled through its site's couplings;
+    # on the 2-site chain the second shell also couples copies of one site
+    config = SpinConfig(copies, lattice, couplings)
+    j_mat, j3_mat = coupling_pair(config)
+    blow_up = np.ones((copies, copies))
+    hamiltonian = kron_hamiltonian([1] * (copies * lattice.n_sites), np.kron(j_mat, blow_up),
+                                   np.kron(j3_mat, blow_up), couplings.h, 2.0 * copies)
+    np.testing.assert_allclose(oracle._full_block(config).energies, np.linalg.eigvalsh(hamiltonian),
+                               rtol=0.0, atol=1e-12)
 
 
 ORBIT_CASES = {
@@ -686,17 +722,18 @@ class TestTranslationOrbits:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=name)
         # member by member, each read through its permutation, so a wrong permutation
         # shows even where the orbit sum would hide it
-        by_label = {ref.label: ref for ref in reference.blocks}
+        by_label = probs_by_label(reference)
+        rep_probs = {label: probs for label, (_, probs) in probs_by_label(engine).items()}
         visited = members(engine)
         assert sorted(label for _, _, label in visited) == sorted(by_label)
         for rep, perm, label in visited:
-            s3, s3_squared, pm = block_moments(rep)
+            s3, s3_squared, pm = block_moments(rep, rep_probs[rep.label])
             for got, expected in zip((s3[perm], s3_squared[perm], pm[np.ix_(perm, perm)]),
-                                     block_moments(by_label[label])):
+                                     block_moments(*by_label[label])):
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(label))
         rep, perm, label = max((m for m in visited if m[2] != m[0].label), key=lambda m: m[0].dim)
-        assert block_word(rep, [(kind, perm[x]) for kind, x in word]) == pytest.approx(
-            block_word(by_label[label], word), rel=0.0, abs=1e-10)
+        assert block_word(rep, rep_probs[rep.label], [(kind, perm[x]) for kind, x in word]) == pytest.approx(
+            block_word(*by_label[label], word), rel=0.0, abs=1e-10)
 
     def test_refuses_momenta_off_the_grid(self):
         ensemble = build_gibbs(SpinConfig(3, CHAIN4, SHELLS12), beta=0.9)
