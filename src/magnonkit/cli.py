@@ -7,17 +7,18 @@ Every run reads a flat key/value config file (``section.key = value`` lines,
 the schema are refused; keys of another command are ignored, so one file
 can serve several commands (``validate`` and ``solve`` of the same
 problem, say), and the embedded configuration lists only the keys the
-command read.  A ``cmd_*`` function takes only the resolved configuration
-and computes; :func:`_emit` writes the artifacts with the effective
-configuration embedded (a leading ``"config"`` JSON key, ``# key = value``
-CSV preamble lines) so results are reproducible and diffable, prints the
-summary and maps the verdict to an exit code.  A command that reads
-``output.format`` writes one artifact in that format, and only it takes
-``--format``; ``dynamics`` writes both of its files.  No command takes a
-thread count: the oracle builds its blocks serially.  Exit codes: 0
-success, 1 a scientific condition failed, 2 usage or I/O failure, 3
-internal error (a bug or a failed internal consistency check, never a
-verdict on the physics).
+command read.  ``dynamics`` reads the solver's keys (``thermal.beta`` and
+``solve.*``) only when ``dynamics.initial = equilibrium``.  A ``cmd_*``
+function takes only the resolved configuration and computes; :func:`_emit`
+writes the artifacts with the effective configuration embedded (a leading
+``"config"`` JSON key, ``# key = value`` CSV preamble lines) so results are
+reproducible and diffable, prints the summary and maps the verdict to an
+exit code.  A command that reads ``output.format`` writes one artifact in
+that format, and only it takes ``--format``; ``dynamics`` writes both of
+its files.  No command takes a thread count: the oracle builds its blocks
+serially.  Exit codes: 0 success, 1 a scientific condition failed, 2 usage
+or I/O failure, 3 internal error (a bug or a failed internal consistency
+check, never a verdict on the physics).
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ import math
 import os
 import sys
 import traceback
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
+from dataclasses import astuple
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .artifacts import fmt, write_csv, write_json
@@ -130,24 +134,36 @@ def read_config(path) -> dict[str, str]:
 
 
 class RunConfig:
-    """Defaults-resolved view of the config for one subcommand."""
+    """Defaults-resolved view of the config for one subcommand.
+
+    A command reads its ``keys``, then each group of ``keys_if`` whose
+    switch key (one of ``keys``) has the group's value.
+    """
 
     def __init__(self, raw: dict[str, str], command: str):
         self.effective: dict[str, str] = {}
         self._values = {}
-        for key in COMMANDS[command].keys:
-            parser, default = _SCHEMA[key]
-            if key in raw:
-                text = raw[key]
-            elif default is not None:
-                text = default
-            else:
-                raise ValueError(f"config key {key!r} is required for '{command}'")
-            try:
-                self._values[key] = parser(text)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
-            self.effective[key] = text
+        spec = COMMANDS[command]
+        for key in spec.keys:
+            self._resolve(raw, key, command)
+        for switch, value, group in spec.keys_if:
+            if self._values[switch] == value:
+                for key in group:
+                    self._resolve(raw, key, command)
+
+    def _resolve(self, raw: dict[str, str], key: str, command: str) -> None:
+        parser, default = _SCHEMA[key]
+        if key in raw:
+            text = raw[key]
+        elif default is not None:
+            text = default
+        else:
+            raise ValueError(f"config key {key!r} is required for '{command}'")
+        try:
+            self._values[key] = parser(text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
+        self.effective[key] = text
 
     def __getitem__(self, key):
         return self._values[key]
@@ -156,13 +172,13 @@ class RunConfig:
 class Output(NamedTuple):
     """What a subcommand computed: JSON body, CSV table, stdout lines, verdict.
 
-    ``rows`` is iterated only when the CSV is written, so a generator keeps
-    JSON runs from building the table.
+    The CSV table is ``columns``, one equal-length sequence per ``header``
+    entry; the float columns are the arrays the JSON body holds.
     """
 
     doc: dict
     header: list[str]
-    rows: Iterable[list]
+    columns: list[Sequence]
     preamble: list[str]
     lines: list[str]
     passed: bool = True
@@ -199,7 +215,7 @@ def cmd_validate(cfg: RunConfig) -> Output:
         "d_of_q": report.gap_values,
     }
     header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D"]
-    rows = (list(grid.points[i]) + [report.gap_values[i]] for i in range(len(grid)))
+    columns = [grid.points[:, i] for i in range(lattice.dimension)] + [report.gap_values]
     preamble = [
         f"gap_ok = {report.gap_ok}",
         f"field_ok_strict = {report.field_ok_strict}",
@@ -210,7 +226,7 @@ def cmd_validate(cfg: RunConfig) -> Output:
         f"gap_ok={report.gap_ok} field_ok_strict={report.field_ok_strict} "
         f"field_ok_relaxed={report.field_ok_relaxed}"
     ]
-    return Output(doc, header, rows, preamble, lines, report.passed)
+    return Output(doc, header, columns, preamble, lines, report.passed)
 
 
 def cmd_solve(cfg: RunConfig) -> Output:
@@ -230,11 +246,9 @@ def cmd_solve(cfg: RunConfig) -> Output:
         "diagnostics": solution.diagnostics,
     }
     header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D", "n", "eps"]
-    rows = (
-        list(grid.points[i])
-        + [solution.gap_values[i], solution.occupations[i], solution.dispersion[i]]
-        for i in range(len(grid))
-    )
+    columns = [grid.points[:, i] for i in range(lattice.dimension)] + [
+        solution.gap_values, solution.occupations, solution.dispersion
+    ]
     preamble = [
         f"m_star = {fmt(solution.m_star)}",
         f"residual = {fmt(solution.residual)}",
@@ -243,7 +257,7 @@ def cmd_solve(cfg: RunConfig) -> Output:
     ]
     lines = [f"m_star={fmt(solution.m_star)} residual={fmt(solution.residual)} "
              f"bound={fmt(solution.bound)} roots={len(solution.all_roots)}"]
-    return Output(doc, header, rows, preamble, lines)
+    return Output(doc, header, columns, preamble, lines)
 
 
 def cmd_oracle(cfg: RunConfig) -> Output:
@@ -262,15 +276,18 @@ def cmd_oracle(cfg: RunConfig) -> Output:
         copies_list=copies_list,
         mode=cfg["oracle.mode"],
     )
-    header = ["n", "m_n", "t_n", "p_n", "discrepancy"]
-    rows = [[r.copies, r.magnetization, r.two_point, r.prediction, r.discrepancy] for r in study]
+    header = ["n", "m_n", "t_n", "p_n", "discrepancy", "rounding_floor", "logZ",
+              "ground_energy", "representatives", "max_sector_dim"]
+    rows = [astuple(r) for r in study]
     lines = [f"n={n} m_n={fmt(m)} t_n={fmt(t)} p_n={fmt(p)} discrepancy={fmt(d)}"
-             for n, m, t, p, d in rows]
+             for n, m, t, p, d, *_ in rows]
+    # a step passes when the discrepancy decreases (up to the tolerance) or
+    # has fallen to the rounding of t_n itself, where its order is noise
     tol = cfg["oracle.monotone_tol"]
-    discs = [r.discrepancy for r in study]
-    monotone = all(discs[i + 1] < discs[i] + tol for i in range(len(discs) - 1))
+    monotone = all(b.discrepancy < a.discrepancy + tol or b.discrepancy <= b.rounding_floor
+                   for a, b in zip(study, study[1:]))
     doc = {"rows": [dict(zip(header, row)) for row in rows]}
-    return Output(doc, header, rows, [], lines, monotone,
+    return Output(doc, header, [list(column) for column in zip(*rows)], [], lines, monotone,
                   "discrepancy column is not monotone decreasing")
 
 
@@ -316,21 +333,22 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
     tol = cfg["dynamics.conservation_tol"]
     number0 = total_number(state)
     energy0 = total_energy(state)
-    densities = []
+    densities = np.empty((len(times), lattice.n_sites))
     drift_n = drift_e = 0.0
-    for t in times:
+    for k, t in enumerate(times):
         evolved = evolve(state, t)
         drift_n = max(drift_n, abs(total_number(evolved) - number0))
         drift_e = max(drift_e, abs(total_energy(evolved) - energy0))
-        densities.append(number_density(evolved).tolist())
+        densities[k] = number_density(evolved)
     conserved = drift_n <= tol and drift_e <= tol
 
+    # one row per (sample, site), samples outer
     header = ["t"] + [f"x{i + 1}" for i in range(lattice.dimension)] + ["density"]
-    sites = lattice.site_vectors().tolist()
-    rows = (
-        [t] + site + [value]
-        for t, density in zip(times, densities)
-        for site, value in zip(sites, density)
+    sites = lattice.site_vectors()
+    columns = (
+        [np.repeat(np.asarray(times, dtype=float), lattice.n_sites)]
+        + [np.tile(sites[:, i], len(times)) for i in range(lattice.dimension)]
+        + [densities.ravel()]
     )
     gamma = state.to_mode().gamma
     snapshot = {
@@ -344,7 +362,7 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
     lines = [f"samples={len(times)} number={fmt(number0)} energy={fmt(energy0)} "
              f"conserved={conserved} max_number_drift={fmt(drift_n)} "
              f"max_energy_drift={fmt(drift_e)}"]
-    return Output(snapshot, header, rows, [], lines, conserved,
+    return Output(snapshot, header, columns, [], lines, conserved,
                   f"conservation drift exceeded {fmt(tol)}")
 
 
@@ -359,7 +377,7 @@ def cmd_sectors(cfg: RunConfig) -> Output:
     }
     lines = [f"j={fmt(j)} multiplicity={mult} dim={dim}" for j, mult, dim in rows]
     lines.append(f"total_dimension={table.total_dimension()}")
-    return Output(doc, header, rows, [], lines)
+    return Output(doc, header, [list(column) for column in zip(*rows)], [], lines)
 
 
 class Command(NamedTuple):
@@ -368,6 +386,8 @@ class Command(NamedTuple):
     keys: tuple[str, ...]
     json: str  # artifact names in the output directory
     csv: str
+    # (switch key, value, keys read only when the switch has that value)
+    keys_if: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
 
 
 # A command whose keys include output.format writes the artifact of that
@@ -387,7 +407,8 @@ COMMANDS = {
     ),
     "dynamics": Command(
         cmd_dynamics, "evolve a Gaussian magnon state and emit trajectories",
-        _PROBLEM_KEYS + _SOLVE_KEYS + _DYNAMICS_KEYS, "snapshot.json", "trajectory.csv",
+        _PROBLEM_KEYS + _DYNAMICS_KEYS, "snapshot.json", "trajectory.csv",
+        keys_if=(("dynamics.initial", "equilibrium", _SOLVE_KEYS),),
     ),
     "sectors": Command(
         cmd_sectors, "print the permutation-symmetry sector table",
@@ -412,7 +433,7 @@ def _emit(args) -> int:
         write_json(out / command.json, {"config": config, **output.doc})
     if "csv" in formats:
         preamble = [f"{key} = {value}" for key, value in config.items()] + output.preamble
-        write_csv(out / command.csv, output.header, output.rows, preamble)
+        write_csv(out / command.csv, output.header, output.columns, preamble)
     for line in output.lines:
         print(line)
     if output.passed:

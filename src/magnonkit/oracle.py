@@ -101,14 +101,17 @@ class _Block:
     is diagonal in the product basis and keeps each sector, so only the
     eigenbasis diagonals of S3(x) and S3(x)^2 are stored: ``three[k, x]`` is
     (V o V)^T s3(x)^(k+1) for the eigenvectors V, shape (2, n_sites, dim).
+    ``max_sector_dim`` is the size of the largest matrix the build passed to
+    ``eigh``.
     """
 
-    def __init__(self, label, log_weight, energies, plus, three):
+    def __init__(self, label, log_weight, energies, plus, three, max_sector_dim):
         self.label = label
         self.log_weight = log_weight
         self.energies = energies
         self.plus = plus  # S+ pieces
         self.three = three  # diagonals of S3 and S3^2
+        self.max_sector_dim = max_sector_dim
 
     @property
     def dim(self) -> int:
@@ -292,7 +295,8 @@ def _sector_blocks(config: SpinConfig):
                 plus.append((rows, cols, left.transpose(0, 2, 1) @ lower))
         energies = np.concatenate([e for e, _ in eigen])
         label = tuple(e.twice_j for e in assignment)
-        return _Block(label, math.log(weight), energies, plus, np.concatenate(three, axis=-1))
+        return _Block(label, math.log(weight), energies, plus, np.concatenate(three, axis=-1),
+                      int(max(s.stop - s.start for s in sectors)))
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
     reps, perms = _orbits(len(table.entries), translations)
@@ -347,7 +351,7 @@ def _full_block(config: SpinConfig) -> _Block:
         np.matmul(vectors.T, raised, out=t_plus[x])
     everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
     return _Block(("full",), 0.0, energies, [(everything, everything, t_plus)],
-                  np.stack([s3, s3**2]) @ (vectors * vectors))
+                  np.stack([s3, s3**2]) @ (vectors * vectors), dim)
 
 
 class GibbsEnsemble:
@@ -574,11 +578,25 @@ def wick_residual(ensemble: GibbsEnsemble, q) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One rung of a convergence study.
+
+    ``rounding_floor`` is the a-priori rounding bound of t_n's N^2-term phase
+    sum, N^2 eps sum_xy |<S+(x) S-(y)>| / (N n): a discrepancy at or below it
+    is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
+    ``representatives`` counts the orbits diagonalized and ``max_sector_dim``
+    is the largest matrix passed to ``eigh``.
+    """
+
     copies: int
     magnetization: float
     two_point: float
     prediction: float
     discrepancy: float
+    rounding_floor: float
+    logZ: float
+    ground_energy: float
+    representatives: int
+    max_sector_dim: int
 
 
 def convergence_study(
@@ -613,5 +631,12 @@ def convergence_study(
         m_n = float(np.clip(m_n, -1.0, 0.0))
         t_n = fluctuation_two_point(ensemble, q)
         p_n = float(occupation(m_n, params, couplings, grid)[index])
-        rows.append(ConvergenceRow(config.copies, m_n, t_n, p_n, abs(t_n - p_n)))
+        two_point = ensemble.two_point_pm
+        floor = (two_point.size * np.finfo(float).eps * float(np.abs(two_point).sum())
+                 / (ensemble.n_sites * ensemble.copies))
+        rows.append(ConvergenceRow(
+            config.copies, m_n, t_n, p_n, abs(t_n - p_n), floor, ensemble.logZ,
+            ensemble.ground_energy, len(ensemble.orbits),
+            max(rep.max_sector_dim for rep, _ in ensemble.orbits),
+        ))
     return rows

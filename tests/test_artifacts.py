@@ -1,11 +1,22 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magnonkit import CouplingSet, LatticeSpec, MomentumGrid, evolve, packet_state
-from magnonkit.artifacts import fmt, json_dumps, write_json
+from magnonkit import (
+    CouplingSet,
+    LatticeSpec,
+    MomentumGrid,
+    artifacts,
+    evolve,
+    exchange_gap_grid,
+    packet_state,
+)
+from magnonkit.artifacts import fmt, json_dumps, write_csv, write_json
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 2.0]
 
@@ -103,6 +114,20 @@ def packet_snapshot():
             "max_number_drift": 0.0, "max_energy_drift": 1e-15}
 
 
+def gap_grid_16():
+    """D(q) on the 16^3 nearest-neighbour torus: 4096 values, a few hundred distinct."""
+    grid = MomentumGrid.from_lattice(LatticeSpec(3, 16))
+    return exchange_gap_grid(CouplingSet.nearest_neighbor(3, j=1.0, j3=1.0, h=0.05), grid)
+
+
+def nan_with_payload(payload, sign=1.0):
+    return math.copysign(np.array([0x7FF8000000000000 | payload]).view(np.float64)[0], sign)
+
+
+# -0.0 and 0.0, and NaNs of different sign or payload, have different bit patterns
+SIGNED_ZEROS_AND_NANS = [0.0, -0.0, math.nan, nan_with_payload(5), nan_with_payload(0, -1.0), 0.0,
+                         -0.0, math.inf, -0.0, math.nan, nan_with_payload(5), 1.5, 0.0]
+
 _RNG = np.random.default_rng(5)
 WRITER_CASES = {
     "edge-floats": EDGE_FLOATS,
@@ -118,6 +143,12 @@ WRITER_CASES = {
     "kx0": np.zeros((3, 0)),
     "3-d": _RNG.normal(size=(2, 2, 3)),
     "long-vector": _RNG.normal(size=10_000),
+    "gap-grid-16^3": gap_grid_16(),
+    "repeats-across-blocks": _RNG.choice(_RNG.normal(size=40), size=2 * artifacts._BLOCK + 1000),
+    "signed-zeros-and-nans": np.array(SIGNED_ZEROS_AND_NANS * 3),
+    "float32-repeats": _RNG.choice(np.array([0.1, -0.0, 1.0 / 3.0, 3e38, 1e-45, 0.0]), size=50).astype(np.float32),
+    "float16-repeats": np.array([0.1, 0.1, -0.0, 65504.0, 0.0, 0.1], dtype=np.float16),
+    "matrix-with-repeats": _RNG.choice([0.25, -0.0, 1.0 / 3.0], size=(4, 6)),
     "nested-dicts": {"a": {"b": {"c": [1, 2.5, None, "x", True], "d": {}}, "e": np.float32(0.1)},
                      7: [np.int64(3), np.array([[0.5, -0.0]])], "f": (1.0, 2.0)},
     "packet-snapshot": packet_snapshot(),
@@ -138,3 +169,93 @@ class TestStreamingWriter:
         for bad in (1j, np.array([1j]), object()):
             with pytest.raises(TypeError):
                 json_dumps({"x": bad})
+
+    def test_vector_blocks_format_each_distinct_value_once(self):
+        gaps = gap_grid_16()
+        distinct = len(np.unique(gaps.view(np.int64)))
+        assert distinct < 400  # 329 here; the count depends on the Fourier sum's rounding
+        calls = []
+        real = artifacts._floats
+        with mock.patch.object(artifacts, "_floats",
+                               lambda values, sep: calls.append(len(values)) or real(values, sep)):
+            text = json_dumps(gaps)
+        assert calls == [distinct]
+        assert text == reference_dumps(gaps)
+
+    def test_matrix_rows_take_one_plain_format_call_each(self):
+        matrix = np.tile(np.array([0.5, 0.25, 0.5]), (4, 1))
+        calls = []
+        real = artifacts._floats
+        with mock.patch.object(artifacts, "_floats",
+                               lambda values, sep: calls.append(len(values)) or real(values, sep)):
+            text = json_dumps(matrix)
+        assert calls == [3, 3, 3, 3]
+        assert text == reference_dumps(matrix)
+
+    @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0,
+                                         5e-324, 1e308, -2.5]), max_size=40),
+        width=st.sampled_from([None, 1, 3, 4]),
+        dtype=st.sampled_from([np.float64, np.float32, np.float16]),
+        block=st.sampled_from([1, 3, artifacts._BLOCK]),
+    )
+    def test_json_dumps_equals_reference_on_repeating_arrays(self, values, width, dtype, block):
+        # a small value pool makes repeats common; a small block size crosses block edges
+        with np.errstate(over="ignore"):  # 1e308 is inf in float32 and float16
+            array = np.array(values, dtype=dtype)
+        if width is not None:
+            array = array[: len(array) // width * width].reshape(-1, width)
+        with mock.patch.object(artifacts, "_BLOCK", block):
+            assert json_dumps(array) == reference_dumps(array)
+            assert json_dumps({"a": array, "b": [array]}) == reference_dumps({"a": array, "b": [array]})
+
+
+def reference_csv(header, columns, preamble=()):
+    """The row-wise CSV writer: Python cells, typed one at a time."""
+    def cell(value):
+        if isinstance(value, bool) or isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return fmt(value)
+        return str(value)
+
+    cells = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+    lines = [f"# {line}" for line in preamble] + [",".join(header)]
+    lines += [",".join(cell(value) for value in row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+CSV_CASES = {
+    "float": [gap_grid_16(), np.array(SIGNED_ZEROS_AND_NANS * 316)[:4096]],
+    "float32": [_RNG.choice(np.array([0.1, -0.0, 3e38]), size=9).astype(np.float32)],
+    "int": [np.arange(-4, 5), np.arange(9, dtype=np.uint8), np.full(9, 2**62)],
+    "bool": [np.array([True, False, True]), [True, False, False]],
+    "mixed": [[1, 2.5, "x", True, np.float32(0.1), np.int64(7), None, -0.0],
+              np.array([1, "a", 2.0, None, False, 0.5, 3, math.nan], dtype=object),
+              np.array(["s", "t", "u", "v", "w", "x", "y", "z"])],
+    "long-table": [np.repeat(_RNG.normal(size=3), 4000), np.tile(np.arange(40), 300),
+                   _RNG.choice([0.0, 1.0 / 3.0, -1e-300], size=12_000)],
+    "empty": [np.zeros(0), np.zeros(0, dtype=int), []],
+}
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_columns_match_the_row_wise_reference(self, case, tmp_path):
+        columns = CSV_CASES[case]
+        header = [f"c{i}" for i in range(len(columns))]
+        path = tmp_path / "out.csv"
+        write_csv(path, header, columns, ["a.b = 1", "c = x"])
+        assert path.read_text() == reference_csv(header, columns, ["a.b = 1", "c = x"])
+
+    def test_row_blocks_match_the_reference(self, tmp_path):
+        columns = [np.tile([0.5, -0.0, 0.1], 5), np.arange(15), [f"r{i}" for i in range(15)]]
+        for block in (1, 4, 15, 16):
+            with mock.patch.object(artifacts, "_BLOCK", block):
+                write_csv(tmp_path / "out.csv", ["a", "b", "c"], columns)
+            assert (tmp_path / "out.csv").read_text() == reference_csv(["a", "b", "c"], columns)
+
+    def test_unequal_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), [1, 2]])

@@ -25,6 +25,7 @@ from magnonkit import (
 )
 from magnonkit.artifacts import fmt
 from magnonkit.cli import main
+from test_artifacts import reference_csv, reference_dumps
 
 ISO_CSV = "dz1,J,J3\n1,1.0,1.0\n"
 ANTIFERRO_CSV = "dz1,J,J3\n1,1.0,0.0\n"
@@ -357,6 +358,42 @@ class TestOracleCommand:
         conf = make(ORACLE_CONF.replace("oracle.q_index = 1", "oracle.q_index = 7"))
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
 
+    COLD_ORACLE_CONF = (  # nearly saturated: t_n ~ 1e-50, and q = 2 pi/3 cancels in its phase sum
+        ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 3").replace("field.h = 2.5", "field.h = 3.0")
+        .replace("thermal.beta = 1.0", "thermal.beta = 6.6").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
+    )
+
+    @pytest.mark.parametrize("body, couplings, code", [
+        (COLD_ORACLE_CONF, "dz1,J,J3\n1,1.3,1.4\n", 0),  # every rise lies below t_n's rounding
+        (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 3,1"), ISO_CSV, 1),  # a real rise
+    ], ids=["cold", "reversed-ladder"])
+    def test_rounding_floor_decides_only_noise(self, workspace, body, couplings, code):
+        tmp_path, make = workspace
+        conf = make(body, couplings)
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == code
+        rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+        rises = [b for a, b in zip(rows, rows[1:]) if not b["discrepancy"] < a["discrepancy"]]
+        assert rises  # the plain decrease test alone would fail
+        # the verdict fails exactly when a rise lies above its row's floor
+        failing = [b for b in rises if b["discrepancy"] > b["rounding_floor"]]
+        assert bool(failing) == (code == 1)
+        assert all(row["rounding_floor"] > 0.0 for row in rows)
+
+    def test_rows_carry_ensemble_diagnostics(self, workspace):
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 1,3,5"))
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+        assert list(rows[0]) == ["n", "m_n", "t_n", "p_n", "discrepancy", "rounding_floor", "logZ",
+                                 "ground_energy", "representatives", "max_sector_dim"]
+        couplings = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=2.5)
+        for row in rows:
+            ensemble = oracle.build_gibbs(oracle.SpinConfig(row["n"], LatticeSpec(1, 2), couplings), 1.0)
+            assert (row["logZ"], row["ground_energy"]) == (ensemble.logZ, ensemble.ground_energy)
+        # 2-site chain: 1, 3 and 6 orbits of 1, 4 and 9 assignments; the largest
+        # magnetization sector of (n+1)^2 states is n+1
+        assert [(r["representatives"], r["max_sector_dim"]) for r in rows] == [(1, 2), (3, 4), (6, 6)]
+
     def test_csv_table(self, workspace):
         tmp_path, make = workspace
         conf = make(ORACLE_CONF)
@@ -364,7 +401,8 @@ class TestOracleCommand:
         assert rc == 0
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
         header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        assert lines[header_at] == "n,m_n,t_n,p_n,discrepancy"
+        assert lines[header_at] == ("n,m_n,t_n,p_n,discrepancy,rounding_floor,logZ,ground_energy,"
+                                    "representatives,max_sector_dim")
         assert len(lines) == header_at + 3
 
 
@@ -450,6 +488,31 @@ class TestDynamicsCommand:
         + "dynamics.packet_kick = 2\ndynamics.packet_width = 1.5\n"
     )
 
+    def test_packet_reads_no_solver_keys(self, workspace):
+        # thermal.beta and solve.* apply only to dynamics.initial = equilibrium
+        tmp_path, make = workspace
+        bare = make(self.PACKET_CONF.replace("thermal.beta = 2.0\n", ""), name="bare.conf")
+        full = make(self.PACKET_CONF + "solve.tol = 1e-9\nsolve.scan_points = 64\n", name="full.conf")
+        runs = []
+        for conf in (bare, full):
+            out = tmp_path / conf.stem
+            assert main(["dynamics", "--config", str(conf), "--out", str(out)]) == 0
+            runs.append({f: (out / f).read_bytes() for f in ("snapshot.json", "trajectory.csv")})
+        assert runs[0] == runs[1]
+        config = json.loads(runs[0]["snapshot.json"])["config"]
+        assert sorted(config) == sorted(set(cli.COMMANDS["dynamics"].keys))
+        assert not any(key.startswith(("thermal.", "solve.")) for key in config)
+
+    def test_equilibrium_requires_thermal_beta(self, workspace, capsys):
+        tmp_path, make = workspace
+        conf = make(DYNAMICS_CONF.replace("thermal.beta = 2.0\n", ""))
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "config key 'thermal.beta' is required for 'dynamics'" in capsys.readouterr().err
+        conf = make(DYNAMICS_CONF + "solve.scan_points = 64\n")
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "snapshot.json").read_text())["config"]
+        assert (config["thermal.beta"], config["solve.scan_points"]) == ("2.0", "64")
+
     def test_packet_rerun_is_byte_identical(self, workspace):
         tmp_path, make = workspace
         conf = make(self.PACKET_CONF)
@@ -523,6 +586,34 @@ class TestSectorsCommand:
         tmp_path, make = workspace
         conf = make("sectors.copies = 4\n")
         assert main(["sectors", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+
+GOLDEN_CASES = {
+    **{case: EMIT_CASES[case] for case in EMIT_CASES if case != "dynamics"},
+    "dynamics-equilibrium": EMIT_CASES["dynamics"],
+    "dynamics-packet": ("dynamics", TestDynamicsCommand.PACKET_CONF, [],
+                        ["snapshot.json", "trajectory.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_artifacts_equal_the_reference_writers(case, workspace):
+    # every artifact of every subcommand, byte for byte against the test-side
+    # whole-document JSON writer and the row-wise CSV writer, fed the same Output
+    command, body, flags, names = GOLDEN_CASES[case]
+    tmp_path, make = workspace
+    conf = make(body)
+    assert main([command, "--config", str(conf), "--out", str(tmp_path)] + flags) == 0
+    cfg = cli.RunConfig(cli.read_config(conf), command)
+    output = cli.COMMANDS[command].func(cfg)
+    config = dict(sorted(cfg.effective.items()))
+    for name in names:
+        text = (tmp_path / name).read_text()
+        if name.endswith(".json"):
+            assert text == reference_dumps({"config": config, **output.doc})
+        else:
+            preamble = [f"{key} = {value}" for key, value in config.items()] + output.preamble
+            assert text == reference_csv(output.header, output.columns, preamble)
 
 
 class TestParser:

@@ -427,6 +427,14 @@ class TestConvergenceStudy:
             assert row.discrepancy == pytest.approx(abs(row.two_point - row.prediction))
             # the solver's grid formula at q, bit for bit
             assert row.prediction == occupation(row.magnetization, params, ISO25, GRID2)[1]
+            # the rounding bound of t_n's 4-term phase sum on the 2-site chain
+            ensemble = build_gibbs(SpinConfig(row.copies, CHAIN2, ISO25), beta=1.0)
+            two_point = ensemble.two_point_pm
+            assert row.rounding_floor == pytest.approx(
+                4 * np.finfo(float).eps * np.abs(two_point).sum() / (2 * row.copies), rel=1e-12)
+            assert row.rounding_floor < 1e-6 * row.discrepancy  # warm: far from the noise
+            assert (row.logZ, row.ground_energy) == (ensemble.logZ, ensemble.ground_energy)
+            assert row.representatives == len(ensemble.orbits)
 
     def test_off_grid_momentum_refused_before_building(self, monkeypatch):
         monkeypatch.setattr(oracle, "build_gibbs", lambda *args, **kwargs: pytest.fail("built"))
@@ -563,7 +571,8 @@ def reference_ensemble(config, beta):
         three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3])
         diagonals = np.stack([np.diagonal(m, axis1=1, axis2=2) for m in (three, three @ three)])
         weight = math.log(math.prod(e.multiplicity for e in assignment))
-        block = _Block(tuple(twice_js), weight, energies, [(everything, everything, plus)], diagonals)
+        block = _Block(tuple(twice_js), weight, energies, [(everything, everything, plus)], diagonals,
+                       len(energies))
         block.s3_rotated = three
         blocks.append(block)
     identity = np.arange(config.lattice.n_sites)[None, :]
