@@ -1,12 +1,13 @@
 """Deterministic JSON and CSV artifact writers.
 
-Every float is printed with 17 significant digits so artifacts round-trip
-exactly and rerunning a command reproduces byte-identical files.  JSON is
-produced as a stream of chunks: :func:`write_json` writes them to the file
-as they come and :func:`json_dumps` joins them, so a large float array is
-formatted a row (or a block of a long vector) at a time and never exists
-as one Python list or one string.  :func:`write_csv` takes its table as
-equal-length columns and writes it a block of rows at a time.
+Every float is printed as ``'%.17g' % value`` (17 significant digits) so
+artifacts round-trip exactly and rerunning a command reproduces
+byte-identical files.  JSON is produced as a stream of chunks:
+:func:`write_json` writes them to the file as they come and
+:func:`json_dumps` joins them, so a large float array is formatted a block
+at a time and never exists as one Python list or one string.
+:func:`write_csv` takes its table as equal-length columns and writes it a
+block of rows at a time.
 
 A float vector (a 1-D array, or a float column of a CSV table) is formatted
 one block at a time, and each distinct value of a block is formatted once:
@@ -14,20 +15,48 @@ the block's values are grouped by their float64 bit patterns (so ``-0.0``
 and ``0.0``, and NaNs of different payloads, stay apart) and the texts are
 gathered back in order.  Grid functions such as n(q), eps(q) and D(q)
 depend on q only through the gap, so on a symmetric lattice they repeat
-heavily.  The rows of a 2-D array are usually all distinct, and each takes
-one plain format call instead.
+heavily.  A block without repeats is formatted straight in order, and so is
+a 2-D array: a block of whole rows (at least ``_BLOCK`` values) per format
+call, then written a row at a time.
+
+A run of ``_KERNEL_MIN`` floats or more is formatted by a vectorized numpy
+kernel with the bytes of ``'%.17g'``.  With |x| = m 2**e and k =
+floor(log10 |x|), it forms v = |x| 10**(16 - k) in double-double
+arithmetic (Dekker's exact product of m with a double-double table of powers
+of ten; numpy does not fuse multiply-adds), so v is within about 1e-14 of
+its exact value, and rounds v to the 17-digit integer N, which it keeps
+only where v lies more than 1e-6 from a half-integer: there the rounding is
+certain.  It then lays out the digits of N as C's ``%g`` does (fixed
+notation for -4 <= k < 17, else d.ddde+XX, trailing zeros dropped) from
+lookup tables, eight bytes at a time.  Zeros, infinities, NaNs and the
+values it cannot certify (ties at the 17th digit and values within 1e-6 of
+one) take ``'%.17g' %`` itself, as do short runs, so every artifact byte is
+what ``'%.17g' %`` gives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 # Dtypes whose tolist() yields Python floats; other arrays take the generic path.
 _FLOAT_DTYPES = (np.dtype(np.float16), np.dtype(np.float32), np.dtype(np.float64))
-_BLOCK = 4096  # floats formatted per chunk of a vector, rows per chunk of a CSV table
+_BLOCK = 4096  # floats per chunk of a vector, rows per chunk of a CSV table
+# Fewest floats the kernel formats in one call.  Its fixed cost is about
+# 0.3 ms: on a 2-vCPU VM it and one '%.17g' call broke even near 512 values
+# (0.3-0.46 ms each), and for 4096 values the call took 2.9-4.2 ms and the
+# kernel 1.2-1.6 ms.
+_KERNEL_MIN = 512
+# |v - N| below this certifies N = round(v); v's error is about 1e-14.
+_CERTAIN = 0.5 - 1e-6
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter of a 53-bit significand
+_U = np.uint64
+# sign, "0." and the zeros ahead of the digits of a small value, by (negative, leading zeros)
+_PREFIXES = [b"", b"-", b"0.", b"-0.", b"0.0", b"-0.0", b"0.00", b"-0.00", b"0.000", b"-0.000"]
 
 
 def fmt(value) -> str:
@@ -35,61 +64,288 @@ def fmt(value) -> str:
     return "%.17g" % float(value)
 
 
-def _floats(values, sep: str) -> str:
-    """A sequence of floats at full precision, joined by ``sep``, in one format call."""
+def _split(a):
+    """a = hi + lo with each half of a's significand."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b, b_hi, b_lo):
+    """a * b = p + e exactly (Dekker), for b split as b_hi + b_lo."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    e = a_hi * b_hi
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e
+
+
+def _renormalized(hi, lo, g):
+    """(hi + lo) 2**g as (h + l) 2**G with h in [0.5, 1) and |l| at most half an ulp of h."""
+    h = hi + lo
+    m, k = np.frexp(h)
+    return m, np.ldexp(lo - (h - hi), -k), g + k
+
+
+def _dd_product(h1, l1, g1, h2, l2, g2):
+    """The double-double product of (h1 + l1) 2**g1 and (h2 + l2) 2**g2."""
+    p, e = _two_product(h1, h2, *_split(h2))
+    return _renormalized(p, e + (h1 * l2 + l1 * h2), g1 + g2)
+
+
+class _Tables(NamedTuple):
+    digits: np.ndarray  # ASCII of 0000..9999, first digit in the low byte
+    zeros: np.ndarray  # trailing zero digits of 0000..9999 (4 for 0)
+    first: np.ndarray  # first[c + 16]: mask of the first c bytes of a word, c clipped to 0..8
+    prefix: np.ndarray  # _PREFIXES as words
+    prefix_len: np.ndarray
+    suffix: np.ndarray  # "e-324" .. "e+308" as words
+    powers: tuple  # 10**s = (h + l) 2**g for s = -292..340: h, h split in halves, l
+    biased: np.ndarray  # g + 1023
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's lookup tables, built on first use in numpy arithmetic (about 2 ms)."""
+    ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # [a, b, c, d] -> "abcd", in uint8 throughout
+    for j in range(4):
+        ascii4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape([-1 if i == j else 1 for i in range(4)])
+    ascii4 = ascii4.reshape(10_000, 4)
+    digits = ascii4.view(np.uint32).ravel().astype(np.uint64)
+    zeros = np.argmax(ascii4[:, ::-1] != 48, axis=1).astype(np.uint8)
+    zeros[0] = 4
+    counts = np.clip(np.arange(-16, 25), 0, 8).astype(np.uint64)
+    first = np.where(counts == 8, ~_U(0), (_U(1) << (_U(8) * counts)) - _U(1))
+    prefixes = np.array(_PREFIXES, dtype="S8")
+    prefix_len = np.count_nonzero(prefixes.view(np.uint8).reshape(-1, 8), axis=1)
+    exponent = np.arange(-324, 309)
+    size = np.abs(exponent)
+    sign = np.where(exponent < 0, _U(ord("-")), _U(ord("+")))
+    size_text = digits[size] >> np.where(size >= 100, _U(8), _U(16))  # two or three digits
+    suffix = _U(ord("e")) | (sign << _U(8)) | (size_text << _U(16))
+    # 10**0 .. 10**511 by doubling (10**(n + i) = 10**n 10**i), then 10**-s = 1/10**s
+    h, l, g = np.array([0.5]), np.array([0.0]), np.array([1])
+    while len(h) <= 340:
+        ten_n = _dd_product(h[-1:], l[-1:], g[-1:], 0.625, 0.0, 4)  # 10 = 0.625 2**4
+        h, l, g = (np.concatenate(pair) for pair in zip((h, l, g), _dd_product(h, l, g, *ten_n)))
+    h, l, g = h[:341], l[:341], g[:341]
+    pos_h, pos_l, pos_g = h[292:0:-1], l[292:0:-1], g[292:0:-1]
+    q = 1.0 / pos_h  # 1/(h + l) = q + q (1 - (h + l) q) to second order
+    p, e = _two_product(pos_h, q, *_split(q))
+    inverse = _renormalized(q, ((1.0 - p) - e - pos_l * q) * q, -pos_g)
+    h, l, g = (np.concatenate(pair) for pair in zip(inverse, (h, l, g)))
+    return _Tables(digits, zeros, first, prefixes.view(np.uint64), prefix_len, suffix,
+                   (h, *_split(h), l), g + 1023)
+
+
+def _scaled(m, e, k, tables: _Tables):
+    """N = round(m 2**e 10**(16 - k)), and the unrounded value minus N."""
+    row = 308 - k  # 10**(16 - k) = (h + l) 2**g
+    h, h_hi, h_lo, l = tables.powers
+    hi, lo = _two_product(m, h[row], h_hi[row], h_lo[row])
+    lo += m * l[row]
+    scale = ((e + tables.biased[row]) << 52).view(np.float64)  # 2**(e + g), exact
+    hi *= scale
+    lo *= scale
+    n = np.rint(hi)
+    hi -= n
+    hi += lo  # the scaled value minus n
+    step = np.rint(hi)
+    hi -= step
+    n = n.astype(np.int64)
+    n += step.astype(np.int64)
+    return n, hi
+
+
+def _outside(n, rest):
+    """Where the scaled value lies outside [10**16, 10**17 + 1/2): k was a decade off."""
+    return (n > 10**17) | (n < 10**16) | ((n == 10**16) & (rest < 0.0))
+
+
+def _decimal(values: np.ndarray, tables: _Tables):
+    """|value| = N 10**(k - 16) to 17 significant digits, and where N is certified."""
+    a = np.abs(values)
+    ok = (a > 0.0) & (a < np.inf)  # finite and nonzero
+    a[~ok] = 1.0
+    m, e = np.frexp(a)
+    k = np.floor(np.log10(a, out=a)).astype(np.int32)
+    n, rest = _scaled(m, e, k, tables)
+    off = np.flatnonzero(_outside(n, rest))
+    if off.size:  # log10 rounded across a power of ten
+        k[off] += np.where(n[off] > 10**17, 1, -1)
+        n[off], rest[off] = _scaled(m[off], e[off], k[off], tables)
+        ok[off] &= ~_outside(n[off], rest[off])
+    ok &= np.abs(rest) < _CERTAIN
+    carry = n == 10**17  # rounded up to the next decade
+    n[carry] = 10**16
+    k += carry
+    return n, k, ok
+
+
+def _digits(n, words, tables: _Tables):
+    """Write the 17 digits of N into ``words``; return how many of them are trailing zeros.
+
+    N is consumed: it ends as its last group of four digits.
+    """
+    text, zeros = tables.digits, tables.zeros
+    lead = n // 10**16
+    n -= lead * 10**16
+    high = n // 10**8
+    n -= high * 10**8
+    g1 = high // 10**4
+    high -= g1 * 10**4
+    g3 = n // 10**4
+    n -= g3 * 10**4
+    first = text[g1] | (text[high] << _U(32))
+    second = text[g3] | (text[n] << _U(32))
+    np.bitwise_or(lead.astype(np.uint64) + _U(48), first << _U(8), out=words[0])
+    np.bitwise_or(first >> _U(56), second << _U(8), out=words[1])
+    np.right_shift(second, _U(56), out=words[2])
+    low = zeros[n] + (n == 0) * zeros[g3]
+    return low + ((n == 0) & (g3 == 0)) * (zeros[high] + (high == 0) * zeros[g1])
+
+
+def _shift_up(words, bits) -> None:
+    """Shift a little-endian multiword up by ``bits`` < 64 (bytes move to higher offsets), in place."""
+    carry = 0
+    for word in words:
+        out = (word >> _U(1)) >> (_U(63) - bits)
+        word <<= bits
+        word |= carry
+        carry = out
+
+
+def _point(words, shown, point, tables: _Tables):
+    """Keep the first ``shown`` digits, with a point after the first ``point`` unless none follow.
+
+    Returns the length of the text.
+    """
+    dots = _U(0x2E2E2E2E2E2E2E2E) * (shown > point).astype(np.uint64)
+    first, carry = tables.first, 0
+    for j, word in enumerate(words):
+        head = first[point + (16 - 8 * j)]  # the mask of the first bytes, clipped to this word
+        rest = word & first[shown + (16 - 8 * j)] & ~head
+        word &= head
+        word |= (rest << _U(8)) | carry | ((first[point + (17 - 8 * j)] ^ head) & dots)
+        carry = rest >> _U(56)
+    return shown + (shown > point)
+
+
+def _append(words, suffix, at) -> None:
+    """Place the one-word ``suffix`` at byte offset ``at`` (0..23) of the text."""
+    bits = ((at & 7) << 3).astype(np.uint64)
+    below, above = suffix << bits, (suffix >> _U(1)) >> (_U(63) - bits)
+    at = at >> 3
+    for j, word in enumerate(words):
+        word |= np.where(at == j, below, 0) | np.where(at == j - 1, above, 0)
+
+
+def _layout(n, k, negative, tables: _Tables) -> np.ndarray:
+    """The text of C's ``%.17g`` for N 10**(k - 16), as rows of three words.
+
+    Fixed notation for -4 <= k < 17, else d.ddde+XX; trailing zeros and a
+    bare point are dropped.  The rows are written in place, a word at a
+    time, to keep the temporaries few.
+    """
+    text = np.empty((len(n), 3), np.uint64)
+    words = [text[:, j] for j in range(3)]
+    trailing = _digits(n, words, tables)
+    fixed = (k >= -4) & (k < 17)
+    small = fixed & (k < 0)  # 0.000ddd: the "0." and zeros go into the prefix
+    whole = np.where(fixed & ~small, k + 1, 1)  # digits ahead of the point
+    shown = np.maximum(17 - trailing, whole)
+    at = _point(words, shown, np.where(small, shown, whole), tables)
+    _append(words, np.where(fixed, _U(0), tables.suffix[k + 324]), at)  # the exponent of e-notation
+    # the sign, with the "0.000" of a small value, ahead of it all
+    prefix = negative + 2 * np.where(small, -k, 0)
+    _shift_up(words, (tables.prefix_len[prefix] << 3).astype(np.uint64))
+    words[0] |= tables.prefix[prefix]
+    return text
+
+
+def _float_kernel(values: np.ndarray) -> list[bytes]:
+    """The ``'%.17g'`` text of each float64 value, as bytes."""
+    tables = _tables()
+    n, k, ok = _decimal(values, tables)
+    text = _layout(n, k, np.signbit(values), tables)
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        plain = _plain(values[fallback], ",").encode().split(b",")  # %.17g prints no comma
+        text[fallback] = np.array(plain, dtype="S24").view(np.uint64).reshape(-1, 3)
+    return text.view("S24").ravel().tolist()
+
+
+def _plain(values, sep: str) -> str:
+    """Floats at full precision joined by ``sep``, in one ``'%.17g'`` format call."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     return sep.join(["%.17g"] * len(values)) % tuple(values)
+
+
+def _float_bytes(values) -> list[bytes]:
+    """The full-precision text of each float, as bytes: by the kernel from ``_KERNEL_MIN`` values on."""
+    if len(values) < _KERNEL_MIN:
+        return _plain(values, ",").encode().split(b",")  # %.17g prints no comma
+    return _float_kernel(np.asarray(values, dtype=np.float64))
+
+
+def _floats(values, sep: str) -> str:
+    """Floats at full precision joined by ``sep``: ``'%.17g' %`` itself, or the kernel's same bytes."""
+    if len(values) < _KERNEL_MIN:
+        return _plain(values, sep)
+    return sep.encode().join(_float_kernel(np.asarray(values, dtype=np.float64))).decode("ascii")
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """The full-precision text of each value of a float vector, each distinct value formatted once."""
     wide = np.asarray(values, dtype=np.float64)  # exact for float16 and float32
     distinct, inverse = np.unique(wide.view(np.int64), return_inverse=True)
-    texts = _floats(distinct.view(np.float64).tolist(), ",").split(",")  # %.17g prints no comma
+    if len(distinct) == len(wide):
+        return _floats(wide, ",").split(",")  # %.17g prints no comma
+    texts = _floats(distinct.view(np.float64), ",").split(",")
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _vector(values: np.ndarray, level: int, indent: int, block_text) -> Iterator[str]:
-    """A float vector as a JSON list, ``block_text(block, sep)`` per block of ``_BLOCK`` values."""
-    if len(values) == 0:
-        yield "[]"
-        return
-    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-    sep = ",\n" + pad_in
-    yield "[\n" + pad_in
-    for start in range(0, len(values), _BLOCK):
-        yield (sep if start else "") + block_text(values[start:start + _BLOCK], sep)
-    yield "\n" + pad + "]"
-
-
-def _distinct_block(block: np.ndarray, sep: str) -> str:
-    return sep.join(_float_texts(block))
-
-
-def _plain_block(block: np.ndarray, sep: str) -> str:
-    return _floats(block.tolist(), sep)
-
-
 def _float_array(array: np.ndarray, level: int, indent: int) -> Iterator[str]:
-    """A 1-D or 2-D float array, straight from the array, row by row."""
-    if array.ndim == 1:
-        yield from _vector(array, level, indent, _distinct_block)
-        return
-    if len(array) == 0:
-        yield "[]"
-        return
+    """A nonempty 1-D or 2-D float array, straight from the array, a block at a time."""
     pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-    yield "[\n" + pad_in
-    for i, row in enumerate(array):
-        if i:
-            yield ",\n" + pad_in
-        yield from _vector(row, level + 1, indent, _plain_block)
-    yield "\n" + pad + "]"
+    if array.ndim == 1:
+        sep = ",\n" + pad_in
+        yield "[\n" + pad_in
+        for start in range(0, len(array), _BLOCK):
+            if start:
+                yield sep
+            yield sep.join(_float_texts(array[start:start + _BLOCK]))
+        yield "\n" + pad + "]"
+        return
+    pad_row = pad_in + " " * indent
+    sep = ",\n" + pad_row
+    row_sep = "\n" + pad_in + "],\n" + pad_in + "[\n" + pad_row
+    rows = -(-_BLOCK // array.shape[1])  # whole rows, at least _BLOCK values
+    yield "[\n" + pad_in + "[\n" + pad_row
+    for start in range(0, len(array), rows):
+        if start:
+            yield row_sep
+        yield from _rows(array[start:start + rows], sep, row_sep)
+    yield "\n" + pad_in + "]\n" + pad + "]"
+
+
+def _rows(block: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
+    """The rows of a 2-D float block: one format call for the block, then a row at a time."""
+    texts, width, sep = _float_bytes(block.ravel()), block.shape[1], sep.encode()
+    for start in range(0, len(texts), width):
+        if start:
+            yield row_sep
+        yield sep.join(texts[start:start + width]).decode("ascii")
 
 
 def _chunks(node, level: int, indent: int) -> Iterator[str]:
     """The JSON text of ``node`` as a sequence of chunks."""
     if isinstance(node, np.ndarray):
-        if node.dtype in _FLOAT_DTYPES and node.ndim in (1, 2):
+        if node.dtype in _FLOAT_DTYPES and node.ndim in (1, 2) and node.size:
             yield from _float_array(node, level, indent)
         else:
             yield from _chunks(node.tolist(), level, indent)

@@ -58,6 +58,13 @@ def _parse_float(text):
     return value
 
 
+def _parse_tolerance(text):
+    value = _parse_float(text)
+    if value < 0.0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_choice(*choices):
     def parse(text):
         if text not in choices:
@@ -100,7 +107,7 @@ _SCHEMA = {
     "dynamics.packet_center": (int, "0"),
     "dynamics.packet_width": (_parse_float, "1.0"),
     "dynamics.packet_kick": (int, "0"),
-    "dynamics.conservation_tol": (_parse_float, "1e-10"),
+    "dynamics.conservation_tol": (_parse_tolerance, "1e-10"),
     "sectors.copies": (int, None),
 }
 

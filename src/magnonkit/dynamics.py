@@ -212,9 +212,14 @@ def packet_state(
     """Rank-one localized packet (site Gaussian profile with a momentum kick).
 
     Raises ValueError unless ``width`` > 0 and ``2 * width**2`` is nonzero,
-    since a vanishing or negative width has no Gaussian profile.
+    since a vanishing or negative width has no Gaussian profile.  A width
+    whose square overflows gives the flat profile, the plane wave of the kick.
     """
-    if not width > 0.0 or 2.0 * width**2 == 0.0:
+    try:
+        spread = 2.0 * width**2
+    except OverflowError:
+        spread = math.inf
+    if not width > 0.0 or spread == 0.0:
         raise ValueError(f"packet width must be > 0 with 2*width**2 > 0, got {width}")
     lattice = grid.lattice
     sites = lattice.site_vectors()
@@ -222,7 +227,7 @@ def packet_state(
     delta = np.minimum(delta, lattice.size - delta)
     dist_sq = np.sum(delta.astype(float) ** 2, axis=1)
     kick = grid.points[kick_index]
-    psi = np.exp(-dist_sq / (2.0 * width**2) + 1j * (sites @ kick))
+    psi = np.exp(-dist_sq / spread + 1j * (sites @ kick))
     amplitude = _transform(psi[None, :], lattice, to_mode=True)
     return GaussianMagnonState.from_modes(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")
 

@@ -227,7 +227,8 @@ def solve_magnetization(
         )
 
     fa, fb = values[:-1], values[1:]
-    brackets = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    crossing = ((fa < 0.0) & (fb > 0.0)) | ((fa > 0.0) & (fb < 0.0))  # fa * fb < 0 can overflow
+    brackets = np.flatnonzero((fa == 0.0) | crossing)
     roots = [
         float(ms[i]) if values[i] == 0.0
         else _bisect(defect, float(ms[i]), float(ms[i + 1]), float(values[i]))

@@ -1,5 +1,10 @@
 import json
 import math
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -129,6 +134,13 @@ SIGNED_ZEROS_AND_NANS = [0.0, -0.0, math.nan, nan_with_payload(5), nan_with_payl
                          -0.0, math.inf, -0.0, math.nan, nan_with_payload(5), 1.5, 0.0]
 
 _RNG = np.random.default_rng(5)
+
+
+def with_specials(values):
+    """``values`` with about 2% of them replaced by zeros, NaNs and infinities."""
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])[_RNG.integers(0, 5, values.shape)]
+    return np.where(_RNG.random(values.shape) < 0.02, specials, values)
+
 WRITER_CASES = {
     "edge-floats": EDGE_FLOATS,
     "edge-float-array": np.array(EDGE_FLOATS),
@@ -152,6 +164,8 @@ WRITER_CASES = {
     "nested-dicts": {"a": {"b": {"c": [1, 2.5, None, "x", True], "d": {}}, "e": np.float32(0.1)},
                      7: [np.int64(3), np.array([[0.5, -0.0]])], "f": (1.0, 2.0)},
     "packet-snapshot": packet_snapshot(),
+    "kernel-matrix": with_specials(_RNG.normal(size=(5, 900)) * 10.0 ** _RNG.integers(-30, 30, (5, 900))),
+    "kernel-vector": _RNG.normal(size=5000) * 10.0 ** _RNG.integers(-8, 20, 5000),
 }
 
 
@@ -182,15 +196,31 @@ class TestStreamingWriter:
         assert calls == [distinct]
         assert text == reference_dumps(gaps)
 
-    def test_matrix_rows_take_one_plain_format_call_each(self):
-        matrix = np.tile(np.array([0.5, 0.25, 0.5]), (4, 1))
+    def test_matrix_blocks_of_whole_rows_take_one_format_call_each(self):
+        # a 2-D array is formatted a block of whole rows, at least _BLOCK values, per call;
+        # the kernel takes the blocks from _KERNEL_MIN values on, one format call the rest
+        matrix = np.random.default_rng(3).normal(size=(17, 600))
+        small = np.tile(np.array([0.5, 0.25, 0.5]), (4, 1))
+        calls, kernel_calls = [], []
+        real, real_kernel = artifacts._float_bytes, artifacts._float_kernel
+        with mock.patch.object(artifacts, "_float_bytes",
+                               lambda values: calls.append(len(values)) or real(values)), \
+                mock.patch.object(artifacts, "_float_kernel",
+                                  lambda values: kernel_calls.append(len(values)) or real_kernel(values)):
+            texts = json_dumps(matrix), json_dumps(small)
+        assert calls == [4200, 4200, 1800, 12]  # 7 rows, 7, then the last 3; the small matrix whole
+        assert kernel_calls == [4200, 4200, 1800]
+        assert texts == (reference_dumps(matrix), reference_dumps(small))
+
+    def test_vector_block_without_repeats_is_formatted_in_order(self):
+        values = np.random.default_rng(4).normal(size=700)
         calls = []
         real = artifacts._floats
         with mock.patch.object(artifacts, "_floats",
-                               lambda values, sep: calls.append(len(values)) or real(values, sep)):
-            text = json_dumps(matrix)
-        assert calls == [3, 3, 3, 3]
-        assert text == reference_dumps(matrix)
+                               lambda values, sep: calls.append(np.array(values)) or real(values, sep)):
+            text = json_dumps(values)
+        assert len(calls) == 1 and np.array_equal(calls[0], values)
+        assert text == reference_dumps(values)
 
     @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
     @given(
@@ -236,6 +266,8 @@ CSV_CASES = {
               np.array(["s", "t", "u", "v", "w", "x", "y", "z"])],
     "long-table": [np.repeat(_RNG.normal(size=3), 4000), np.tile(np.arange(40), 300),
                    _RNG.choice([0.0, 1.0 / 3.0, -1e-300], size=12_000)],
+    "distinct-floats": [_RNG.normal(size=9000) * 10.0 ** _RNG.integers(-6, 18, 9000),
+                        _RNG.normal(size=9000).astype(np.float32)],
     "empty": [np.zeros(0), np.zeros(0, dtype=int), []],
 }
 
@@ -259,3 +291,103 @@ class TestCsvWriter:
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
             write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), [1, 2]])
+
+
+def percent_texts(values):
+    """The referee: one ``'%.17g' %`` per value, independent of the kernel."""
+    return [("%.17g" % v).encode() for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def exact_ties():
+    """Doubles whose exact decimal expansion has 18 significant digits, the last a 5."""
+    candidates = [1e15 + j + f for j in range(0, 4000, 37) for f in (0.25, 0.75)]
+    candidates += [1e14 + j + f / 8 for j in range(0, 4000, 41) for f in (1, 3, 5, 7)]
+    candidates += [2.0**-25, 3 * 2.0**-25]  # 5**25 has 18 digits
+    digits = [Decimal(v).as_tuple().digits for v in candidates]
+    return np.array([v for v, d in zip(candidates, digits) if len(d) == 18 and d[-1] == 5])
+
+
+class TestFloatKernel:
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern_matches_percent(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert artifacts._float_kernel(values) == percent_texts(values)
+
+    def test_deterministic_sweep_matches_percent(self):
+        ties = exact_ties()
+        assert len(ties) >= 100
+        payloads = [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF]
+        values = np.concatenate([
+            neighbours(2.0 ** np.arange(-1074, 1024)),
+            neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+            2.0**53 + np.arange(-64, 65),
+            neighbours([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]),
+            [0.0, -0.0, np.inf, -np.inf], np.array(payloads, dtype=np.uint64).view(np.float64),
+            ties, np.nextafter(ties, 0.0),
+        ])
+        values = np.concatenate([values, -values])
+        assert artifacts._float_kernel(values) == percent_texts(values)
+        _, _, certified = artifacts._decimal(ties, artifacts._tables())
+        assert not certified.any()  # ties take '%.17g' itself
+
+    def test_widened_float16_and_float32_match_percent(self):
+        half = np.arange(2**16, dtype=np.uint16).view(np.float16)
+        patterns = np.random.default_rng(6).integers(0, 2**32, 20_000, dtype=np.uint64).astype(np.uint32)
+        extremes = np.array([1e-45, 1.1754942e-38, 1.1754944e-38, 3.4028235e38, 0.1], dtype=np.float32)
+        single = np.concatenate([patterns.view(np.float32), extremes])
+        for values in (half, single):
+            with np.errstate(invalid="ignore"):  # widening quiets signalling NaNs
+                wide = values.astype(np.float64)
+                assert artifacts._float_kernel(wide) == percent_texts(wide)
+                assert json_dumps(values) == reference_dumps(values)
+
+    def test_scaled_value_is_within_its_error_bound(self):
+        # N + rest is v = |x| 10**(16 - k) to within 1e-12, far inside the 1e-6 margin of _CERTAIN
+        rng = np.random.default_rng(8)
+        values = np.concatenate([rng.integers(1, 2**63 - 2**52, 3000).view(np.float64),
+                                 rng.normal(size=1000) * 10.0 ** rng.integers(-30, 30, 1000)])
+        values = values[np.isfinite(values) & (values != 0.0)]
+        _, k, certified = artifacts._decimal(values, artifacts._tables())
+        m, e = np.frexp(np.abs(values))
+        n, rest = artifacts._scaled(m, e, k, artifacts._tables())
+        for x, digits, exponent, off in zip(values.tolist(), n.tolist(), k.tolist(), rest.tolist()):
+            exact = Fraction(abs(x)) * Fraction(10) ** (16 - exponent)
+            assert abs(digits + Fraction(off) - exact) < Fraction(1, 10**12)
+        assert certified.mean() > 0.99
+
+    def test_every_value_on_the_fallback_gives_the_same_bytes(self):
+        values = np.random.default_rng(7).normal(size=3000) * 10.0 ** np.arange(-300, 300, 0.2)
+        with mock.patch.object(artifacts, "_CERTAIN", 0.0):
+            _, _, certified = artifacts._decimal(values, artifacts._tables())
+            assert not certified.any()
+            assert artifacts._float_kernel(values) == percent_texts(values)
+
+    def test_packet_snapshot_is_certified(self):
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, 128))
+        shells = {(1,): 1.0, (2,): 0.25}  # next-nearest couplings, as in the dynamics benchmark
+        couplings = CouplingSet.symmetrized(shells, shells, 0.5)
+        state = evolve(packet_state(-0.8, grid, couplings, 0.5, center=40, width=17.5, kick_index=9), 31.7)
+        values = np.concatenate([state.gamma.real.ravel(), state.gamma.imag.ravel()])
+        values = values[np.isfinite(values) & (values != 0.0)]
+        _, _, certified = artifacts._decimal(values, artifacts._tables())
+        assert certified.mean() >= 0.99
+        assert artifacts._float_kernel(values) == percent_texts(values)
+
+    def test_tables_are_built_on_first_use_and_load_no_module(self):
+        src = str(Path(artifacts.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import magnonkit.cli; import numpy as np; "
+                 "from magnonkit import artifacts; loaded = set(sys.modules); "
+                 "built = artifacts._tables.cache_info().currsize; "
+                 "artifacts.json_dumps(np.linspace(0.1, 1.0, 5000)); "
+                 "print(built, artifacts._tables.cache_info().currsize, sorted(set(sys.modules) - loaded), "
+                 "[m for m in ('fractions', 'decimal') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", probe, src],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "0 1 [] []\n"

@@ -3,8 +3,10 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import magnonkit
@@ -246,6 +248,16 @@ class TestSolveCommand:
         tmp_path, make = workspace
         conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = 10.0"), ANTIFERRO_CSV)
         assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 1
+
+    def test_tiny_beta_emits_no_warning(self, workspace, capsys):
+        # the scan's defect values reach 1e296 here; their products overflowed when brackets
+        # were found by the sign of fa * fb
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("thermal.beta = 2.0", "thermal.beta = 1e-300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) in (0, 1)
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", EMIT_CASES)
     def test_idempotent_artifacts(self, case, workspace):
@@ -532,6 +544,15 @@ class TestDynamicsCommand:
         assert f"packet width must be > 0 with 2*width**2 > 0, got {float(width)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_packet_width_whose_square_overflows_is_flat(self, workspace):
+        tmp_path, make = workspace
+        conf = make(self.PACKET_CONF.replace("packet_width = 1.5", "packet_width = 1e300"))
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        densities = np.array([float(line.split(",")[-1]) for line in lines if line[0].isdigit()])
+        assert len(densities) == 3 * 8
+        assert np.ptp(densities) <= 1e-12 * densities.max()  # the plane wave of the kick
+
     def test_drift_diagnostics(self, workspace, capsys):
         # the snapshot reports the largest sampled drift of number and energy,
         # here one or a few roundings each
@@ -681,6 +702,23 @@ def test_non_finite_config_float_exits_2_naming_the_key(key, workspace, capsys):
     assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
     assert f"config key '{key}': must be finite, got {shown}" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.json"))
+
+
+def test_negative_conservation_tol_exits_2_before_any_state(workspace, capsys, monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "packet_state", no_state)
+    monkeypatch.setattr(cli, "solve_magnetization", no_state)
+    tmp_path, make = workspace
+    for initial in ("dynamics.initial = equilibrium\n", "dynamics.initial = packet\ndynamics.m = -0.8\n"):
+        conf = make(DYNAMICS_CONF + initial + "dynamics.conservation_tol = -1\n")
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "config key 'dynamics.conservation_tol': must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.json"))
+    monkeypatch.undo()
+    conf = make(DYNAMICS_CONF + "dynamics.conservation_tol = 0\n")  # zero is a tolerance: judged, not refused
+    assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) in (0, 1)
 
 
 class TestInternalErrors:
