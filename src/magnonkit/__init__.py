@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .dynamics import (
     GaussianMagnonState,
-    ModeSpectrum,
     equilibrium_state,
     evolve,
     mode_spectrum,
@@ -90,7 +89,6 @@ __all__ = [
     "fluctuation_two_point",
     "wick_residual",
     "GaussianMagnonState",
-    "ModeSpectrum",
     "equilibrium_state",
     "evolve",
     "mode_spectrum",

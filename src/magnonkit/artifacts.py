@@ -9,15 +9,16 @@ at a time and never exists as one Python list or one string.
 :func:`write_csv` takes its table as equal-length columns and writes it a
 block of rows at a time.
 
-A float vector (a 1-D array, or a float column of a CSV table) is formatted
-one block at a time, and each distinct value of a block is formatted once:
-the block's values are grouped by their float64 bit patterns (so ``-0.0``
-and ``0.0``, and NaNs of different payloads, stay apart) and the texts are
-gathered back in order.  Grid functions such as n(q), eps(q) and D(q)
-depend on q only through the gap, so on a symmetric lattice they repeat
+A float vector (a 1-D float64 array, or a float64 column of a CSV table) is
+formatted one block at a time, and each distinct value of a block is
+formatted once: the block's values are grouped by their bit patterns (so
+``-0.0`` and ``0.0``, and NaNs of different payloads, stay apart) and the
+texts are gathered back in order.  Grid functions such as n(q), eps(q) and
+D(q) depend on q only through the gap, so on a symmetric lattice they repeat
 heavily.  A block without repeats is formatted straight in order, and so is
-a 2-D array: a block of whole rows (at least ``_BLOCK`` values) per format
-call, then written a row at a time.
+a 2-D float64 array: a block of whole rows (at least ``_BLOCK`` values) per
+format call, then written a row at a time.  Narrower float arrays go through
+``tolist()``, which widens them exactly, like int arrays.
 
 A run of ``_KERNEL_MIN`` floats or more is formatted by a vectorized numpy
 kernel with the bytes of ``'%.17g'``.  With |x| = m 2**e and k =
@@ -43,8 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Dtypes whose tolist() yields Python floats; other arrays take the generic path.
-_FLOAT_DTYPES = (np.dtype(np.float16), np.dtype(np.float32), np.dtype(np.float64))
 _BLOCK = 4096  # floats per chunk of a vector, rows per chunk of a CSV table
 # Fewest floats the kernel formats in one call.  Its fixed cost is about
 # 0.3 ms: on a 2-vCPU VM it and one '%.17g' call broke even near 512 values
@@ -289,7 +288,7 @@ def _float_bytes(values) -> list[bytes]:
     """The full-precision text of each float, as bytes: by the kernel from ``_KERNEL_MIN`` values on."""
     if len(values) < _KERNEL_MIN:
         return _plain(values, ",").encode().split(b",")  # %.17g prints no comma
-    return _float_kernel(np.asarray(values, dtype=np.float64))
+    return _float_kernel(values)
 
 
 def _floats(values, sep: str) -> str:
@@ -301,10 +300,9 @@ def _floats(values, sep: str) -> str:
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """The full-precision text of each value of a float vector, each distinct value formatted once."""
-    wide = np.asarray(values, dtype=np.float64)  # exact for float16 and float32
-    distinct, inverse = np.unique(wide.view(np.int64), return_inverse=True)
-    if len(distinct) == len(wide):
-        return _floats(wide, ",").split(",")  # %.17g prints no comma
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if len(distinct) == len(values):
+        return _floats(values, ",").split(",")  # %.17g prints no comma
     texts = _floats(distinct.view(np.float64), ",").split(",")
     return np.array(texts, dtype=object)[inverse].tolist()
 
@@ -345,7 +343,7 @@ def _rows(block: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
 def _chunks(node, level: int, indent: int) -> Iterator[str]:
     """The JSON text of ``node`` as a sequence of chunks."""
     if isinstance(node, np.ndarray):
-        if node.dtype in _FLOAT_DTYPES and node.ndim in (1, 2) and node.size:
+        if node.dtype == np.float64 and node.ndim in (1, 2) and node.size:
             yield from _float_array(node, level, indent)
         else:
             yield from _chunks(node.tolist(), level, indent)
@@ -410,23 +408,26 @@ def _cell(cell) -> str:
 def _column_texts(column) -> list[str]:
     """The CSV cells of one column block."""
     if isinstance(column, np.ndarray):
-        if column.dtype in _FLOAT_DTYPES:
+        if column.dtype == np.float64:
             return _float_texts(column)
         if column.dtype.kind == "b":
             column = column.astype(np.uint8)  # written as 0 and 1, like str(int(v))
         if column.dtype.kind in "iu":
             return list(map(str, column.tolist()))
+        if column.dtype.kind == "f":
+            column = column.tolist()  # float16 and float32 widen exactly, with no warning
     return [_cell(cell) for cell in column]
 
 
 def write_csv(path, header, columns: Sequence, preamble=()) -> None:
     """Write a table given as equal-length columns; floats at full precision.
 
-    A float array column is formatted as a float vector (each distinct value
-    of a block once), an int or bool array column as integers, and any other
-    column (a list, say) cell by cell: ints and bools as integers, floats at
-    full precision, anything else with ``str``.  ``preamble`` lines (the
-    effective configuration) are embedded as '#' comments ahead of the header.
+    A float64 array column is formatted as a float vector (each distinct
+    value of a block once), an int or bool array column as integers, and any
+    other column (a list, or a float32 array, say) cell by cell: ints and
+    bools as integers, floats at full precision, anything else with ``str``.
+    ``preamble`` lines (the effective configuration) are embedded as '#'
+    comments ahead of the header.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:

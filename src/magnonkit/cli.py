@@ -360,7 +360,7 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
     gamma = state.to_mode().gamma
     snapshot = {
         "m": state.m,
-        "eps_of_q": state.spectrum.eps,
+        "eps_of_q": state.spectrum,
         "gamma_mode_real": gamma.real,
         "gamma_mode_imag": gamma.imag,
         "max_number_drift": drift_n,

@@ -12,6 +12,7 @@ few amplitude vectors psi_r(q),
     gamma_mode = diag(n) + sum_r psi_r psi_r^+,
 
 which is O(rN) numbers: r = 0 for a thermal state, r = 1 for a packet.
+The constructor takes m, n and the psi_r themselves.
 Evolution is exact: every mode picks up the phase exp(-i m eps(q) t), so n
 is fixed and each psi_r is multiplied by the phases, O(rN).  The site
 density is mean(n) + sum_r |U psi_r|^2 with one lattice FFT per amplitude,
@@ -23,7 +24,6 @@ O(rN z) for z couplings.  The dense N x N covariance is built only when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,26 +32,15 @@ from .lattice import CouplingSet, LatticeSpec, MomentumGrid, exchange_gap_grid
 from .lattice import coupling_matrix  # noqa: F401  (bench/spans.py traces it under this name)
 from .spinwave import RegimeError, SpinWaveSolution, _energies
 
-# Relative tolerance of the constructor's Hermiticity and positivity checks.
-_TOL = 1e-8
 
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Magnon energies eps(q) and effective angular frequencies (-m)*eps(q)."""
-
-    eps: np.ndarray
-    omega: np.ndarray
-
-
-def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid) -> ModeSpectrum:
-    """Spectrum 2*(J3(0) - J(q) + h/(-m)) over the grid; must be positive."""
+def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
+    """Magnon energies eps(q) = 2*(J3(0) - J(q) + h/(-m)) over the grid; each must be positive."""
     if not -1.0 <= m < 0.0:
         raise RegimeError(f"quantization parameter must lie in [-1, 0), got {m}")
     eps = _energies(exchange_gap_grid(couplings, grid), h, m)
     if np.min(eps) <= 0.0:
         raise RegimeError(f"non-positive mode energy {np.min(eps):.6g}: no zero-mode gap")
-    return ModeSpectrum(eps=eps, omega=(-m) * eps)
+    return eps
 
 
 def _transform(vectors: np.ndarray, lattice: LatticeSpec, to_mode: bool) -> np.ndarray:
@@ -74,70 +63,35 @@ def _mode_to_site(gamma: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     return np.fft.ifftn(out, axes=tuple(range(d, 2 * d)), norm="ortho").reshape(n, n)
 
 
-def _check_parameters(m, basis) -> None:
-    if m == 0.0:
-        raise RegimeError("dynamics undefined at vanishing magnetization")
-    if not -1.0 <= m < 0.0:
-        raise ValueError(f"quantization parameter must lie in [-1, 0), got {m}")
-    if basis not in ("site", "mode"):
-        raise ValueError(f"basis must be 'site' or 'mode', got {basis!r}")
-
-
 class GaussianMagnonState:
-    """Immutable quasi-free state of the magnon field.
+    """Immutable quasi-free magnon state, diag(n) + sum_r psi_r psi_r^+ in the mode basis.
 
     Parameters
     ----------
     m : float
         Quantization parameter (the magnetization), in [-1, 0).  Zero is
         rejected: the commutator degenerates and no dynamics exists there.
-    gamma : complex array, shape (n_sites, n_sites)
-        Covariance <F+ F-> in the basis named by ``basis``; it must be
-        Hermitian and positive semidefinite.  It is factored once (``eigh``)
-        into amplitudes; :meth:`from_modes` builds a state from occupations
-        and amplitudes directly.
-    basis : {"site", "mode"}
-        The basis in which :attr:`gamma` is reported.  It does not change
-        how the state is stored or evolved.
+    occupations : float array, shape (n_sites,)
+        The diagonal part n(q) of the mode-basis covariance; non-negative.
+    amplitudes : complex array, shape (r, n_sites)
+        Mode-basis vectors psi_r, one per row; one vector alone is rank one,
+        an empty sequence rank zero.
     grid : MomentumGrid
     couplings : CouplingSet
     h : float
         Field entering the mode energies.
-
-    Attributes
-    ----------
-    occupations : float array, shape (n_sites,)
-        The diagonal part n(q) of the mode-basis covariance.
-    amplitudes : complex array, shape (r, n_sites)
-        Mode-basis vectors psi_r, one per row.
+    basis : {"mode", "site"}
+        The basis in which :attr:`gamma` is reported.  It does not change
+        how the state is stored or evolved.
     """
 
-    def __init__(self, m, gamma, basis, grid, couplings, h):
-        _check_parameters(m, basis)
-        gamma = np.asarray(gamma, dtype=complex)
-        n = len(grid)
-        if gamma.shape != (n, n):
-            raise ValueError(f"gamma must be {n}x{n} for this grid, got {gamma.shape}")
-        scale = 1.0 + float(np.max(np.abs(gamma)))
-        if np.max(np.abs(gamma - gamma.conj().T)) > _TOL * scale:
-            raise ValueError("gamma must be Hermitian")
-        eigenvalues, vectors = np.linalg.eigh(gamma)
-        if eigenvalues[0] < -_TOL * scale:
-            raise ValueError(f"gamma must be positive semidefinite, has eigenvalue {eigenvalues[0]:.6g}")
-        keep = eigenvalues > 0.0
-        amplitudes = (vectors[:, keep] * np.sqrt(eigenvalues[keep])).T
-        if basis == "site":
-            amplitudes = _transform(amplitudes, grid.lattice, to_mode=True)
-        self._assign(m, np.zeros(n), amplitudes, basis, grid, couplings, h)
-
-    @classmethod
-    def from_modes(cls, m, occupations, amplitudes, grid, couplings, h, basis="mode"):
-        """The state diag(occupations) + sum_r psi_r psi_r^+ in the mode basis.
-
-        ``amplitudes`` holds the psi_r as rows (one vector alone is rank one,
-        an empty sequence rank zero); ``occupations`` must be non-negative.
-        """
-        _check_parameters(m, basis)
+    def __init__(self, m, occupations, amplitudes, grid, couplings, h, basis="mode"):
+        if m == 0.0:
+            raise RegimeError("dynamics undefined at vanishing magnetization")
+        if not -1.0 <= m < 0.0:
+            raise ValueError(f"quantization parameter must lie in [-1, 0), got {m}")
+        if basis not in ("site", "mode"):
+            raise ValueError(f"basis must be 'site' or 'mode', got {basis!r}")
         n = len(grid)
         occupations = np.asarray(occupations, dtype=float)
         if occupations.shape != (n,):
@@ -147,14 +101,9 @@ class GaussianMagnonState:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.ndim > 2 or amplitudes.shape[-1:] not in ((n,), (0,)):
             raise ValueError(f"amplitudes must be vectors of {n} entries, got shape {amplitudes.shape}")
-        out = object.__new__(cls)
-        out._assign(m, occupations, amplitudes.reshape(-1, n), basis, grid, couplings, h)
-        return out
-
-    def _assign(self, m, occupations, amplitudes, basis, grid, couplings, h) -> None:
         self.m = float(m)
         self.occupations = occupations
-        self.amplitudes = amplitudes
+        self.amplitudes = amplitudes.reshape(-1, n)
         self.basis = basis
         self.grid = grid
         self.couplings = couplings
@@ -167,7 +116,8 @@ class GaussianMagnonState:
         return out
 
     @cached_property
-    def spectrum(self) -> ModeSpectrum:
+    def spectrum(self) -> np.ndarray:
+        """Mode energies eps(q), computed once per chain of evolved and relabelled states."""
         return mode_spectrum(self.m, self.h, self.couplings, self.grid)
 
     @property
@@ -195,7 +145,7 @@ def equilibrium_state(solution: SpinWaveSolution, grid: MomentumGrid) -> Gaussia
     """Mode-diagonal thermal state built from a solved magnetization."""
     if solution.m_star == 0.0:
         raise RegimeError("dynamics undefined at vanishing magnetization")
-    return GaussianMagnonState.from_modes(
+    return GaussianMagnonState(
         solution.m_star, solution.occupations, (), grid, solution.couplings, solution.params.h
     )
 
@@ -229,7 +179,7 @@ def packet_state(
     kick = grid.points[kick_index]
     psi = np.exp(-dist_sq / spread + 1j * (sites @ kick))
     amplitude = _transform(psi[None, :], lattice, to_mode=True)
-    return GaussianMagnonState.from_modes(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")
+    return GaussianMagnonState(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")
 
 
 def evolve(state: GaussianMagnonState, t: float) -> GaussianMagnonState:
@@ -244,7 +194,7 @@ def evolve(state: GaussianMagnonState, t: float) -> GaussianMagnonState:
         raise ValueError(f"time must be finite, got {t}")
     if t == 0.0:
         return state
-    phases = np.exp(-1j * state.m * state.spectrum.eps * t)
+    phases = np.exp(-1j * state.m * state.spectrum * t)
     return state._replace(amplitudes=state.amplitudes * phases)
 
 
@@ -285,4 +235,4 @@ def total_number(state: GaussianMagnonState) -> float:
 
 def total_energy(state: GaussianMagnonState) -> float:
     """Sum of eps(q) times the mode occupation gamma(q, q)."""
-    return float(state.spectrum.eps @ _mode_diagonal(state))
+    return float(state.spectrum @ _mode_diagonal(state))

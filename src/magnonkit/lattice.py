@@ -55,13 +55,6 @@ class LatticeSpec:
         vectors = np.indices(shape, dtype=np.int64).reshape(self.dimension, -1).T
         return np.ascontiguousarray(vectors)
 
-    def site_index(self, vec) -> int:
-        """Mixed-radix index of a site vector (mod-L reduced first)."""
-        idx = 0
-        for component in np.asarray(vec, dtype=np.int64) % self.size:
-            idx = idx * self.size + int(component)
-        return idx
-
 
 def _as_displacement(raw) -> Displacement:
     """A displacement key as an int tuple; a plain int is a 1D displacement."""

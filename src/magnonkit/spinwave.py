@@ -21,7 +21,11 @@ OCCUPATION_FLOOR = 1e-300
 
 DEFAULT_SOLVE_TOL = 1e-12
 DEFAULT_SCAN_POINTS = 4096
-_MAX_BISECT = 200
+#: Halvings that collapse any bracket inside [-1, 0]: it is at most 1 wide and
+#: doubles there are at least 2**-1074 apart (the subnormals near m = 0), so
+#: 1074 halvings leave adjacent doubles and the next midpoint is an endpoint.
+#: A root near -beta*h at tiny beta needs nearly all of them.
+_MAX_BISECT = 1075
 
 #: Largest scan temporary, in elements (32 MB of float64): the solver's scan
 #: memory is bounded by this whatever the lattice size.
@@ -169,9 +173,12 @@ class SpinWaveSolution:
 def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
     """Bisection on a sign-changing bracket, run to interval collapse.
 
-    Collapsing (about 52 steps) rather than stopping at a residual threshold
-    makes the located root independent of how the bracket was found, so
-    refining the scan cannot move it.
+    Collapsing rather than stopping at a residual threshold makes the
+    located root independent of how the bracket was found, so refining the
+    scan cannot move it.  A scan bracket collapses in about 40 steps when
+    its endpoints are of order one; one that reaches toward m = 0 takes up
+    to about a thousand, since the doubles get denser down to 2**-1074
+    there.
     """
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)

@@ -14,7 +14,6 @@ import pytest
 
 from magnonkit import (
     CouplingSet,
-    GaussianMagnonState,
     LatticeSpec,
     MomentumGrid,
     ThermalParams,
@@ -37,6 +36,7 @@ from magnonkit import (
     wick_residual,
 )
 from magnonkit.oracle import SpinConfig
+from test_dynamics import state_from_covariance
 from test_oracle import expect_product
 
 CHAIN2 = LatticeSpec(1, 2)
@@ -236,7 +236,7 @@ def test_criterion_08_dynamics_conservation():
     for _ in range(100):
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         gamma = a @ a.conj().T / 16.0
-        state = GaussianMagnonState(
+        state = state_from_covariance(
             float(rng.uniform(-1.0, -0.1)), gamma, "site", grid, couplings, 0.5
         )
         evolved = evolve(state, float(rng.uniform(-10.0, 10.0)))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -114,7 +115,7 @@ def packet_snapshot():
     couplings = CouplingSet.nearest_neighbor(2, j=1.0, j3=1.0, h=0.5)
     state = evolve(packet_state(-0.8, grid, couplings, 0.5, center=5, width=1.5, kick_index=3), 2.5)
     gamma = state.gamma
-    return {"config": {"a.b": "1"}, "m": state.m, "eps_of_q": state.spectrum.eps,
+    return {"config": {"a.b": "1"}, "m": state.m, "eps_of_q": state.spectrum,
             "gamma_mode_real": gamma.real, "gamma_mode_imag": gamma.imag,
             "max_number_drift": 0.0, "max_energy_drift": 1e-15}
 
@@ -291,6 +292,27 @@ class TestCsvWriter:
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
             write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), [1, 2]])
+
+
+def narrow_float_patterns():
+    """Every float16 bit pattern, and float32 signalling NaNs of both signs among a few other values."""
+    half = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+    single = np.array([0x7F800001, 0x7FA00000, 0x7FBFFFFF, 0xFF800001, 0xFFBFFFFF,
+                       0x7FC00000, 0x7F800000, 0x00000001, 0x3DCCCCCD, 0x80000000], dtype=np.uint32)
+    return half, single.view(np.float32)
+
+
+class TestNarrowFloats:
+    def test_signalling_nans_write_quietly_and_match_the_references(self, tmp_path):
+        half, single = narrow_float_patterns()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for array in (half, single, half.reshape(256, 256), single.reshape(2, 5)):
+                assert json_dumps(array) == reference_dumps(array)
+            write_csv(tmp_path / "half.csv", ["h"], [half])
+            write_csv(tmp_path / "single.csv", ["s", "t"], [single, single[::-1]])
+        assert (tmp_path / "half.csv").read_text() == reference_csv(["h"], [half])
+        assert (tmp_path / "single.csv").read_text() == reference_csv(["s", "t"], [single, single[::-1]])
 
 
 def percent_texts(values):

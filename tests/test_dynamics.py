@@ -15,6 +15,7 @@ from magnonkit import (
     ThermalParams,
     equilibrium_state,
     evolve,
+    exchange_gap_grid,
     mode_spectrum,
     number_density,
     number_density_rate,
@@ -37,19 +38,35 @@ def dense_mode_to_site(grid):
     return np.exp(-1j * sites @ grid.points.T) / math.sqrt(len(grid))
 
 
+def state_from_covariance(m, gamma, basis, grid, couplings, h):
+    """The state of a dense Hermitian PSD covariance given in ``basis``: n = 0 plus amplitudes.
+
+    The covariance is taken to the mode basis with the dense U and factored
+    by ``eigh`` into psi_r = sqrt(lambda_r) v_r for each positive eigenvalue.
+    """
+    gamma = np.asarray(gamma, dtype=complex)
+    if basis == "site":
+        u = dense_mode_to_site(grid)
+        gamma = u.conj().T @ gamma @ u
+    eigenvalues, vectors = np.linalg.eigh(gamma)
+    keep = eigenvalues > 0.0
+    amplitudes = (vectors[:, keep] * np.sqrt(eigenvalues[keep])).T
+    return GaussianMagnonState(m, np.zeros(len(grid)), amplitudes, grid, couplings, h, basis)
+
+
 def mode_state(diag, m=-0.8, off=()):
     gamma = np.diag(np.asarray(diag, dtype=complex))
     for i, j, v in off:
         gamma[i, j] = v
         gamma[j, i] = np.conj(v)
-    return GaussianMagnonState(m, gamma, "mode", GRID8, ISO, 0.5)
+    return state_from_covariance(m, gamma, "mode", GRID8, ISO, 0.5)
 
 
 def random_state(rng, size=8, grid=GRID8, couplings=ISO):
     a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     gamma = a @ a.conj().T / size
     m = float(rng.uniform(-1.0, -0.1))
-    return GaussianMagnonState(m, gamma, "site", grid, couplings, 0.5)
+    return state_from_covariance(m, gamma, "site", grid, couplings, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -61,26 +78,26 @@ def equilibrium():
 class TestState:
     def test_rejects_zero_magnetization(self):
         with pytest.raises(RegimeError, match="vanishing"):
-            GaussianMagnonState(0.0, np.zeros((8, 8)), "mode", GRID8, ISO, 0.5)
+            GaussianMagnonState(0.0, np.zeros(8), (), GRID8, ISO, 0.5)
 
     def test_rejects_out_of_range_m(self):
         for bad in (0.2, -1.5):
-            with pytest.raises(ValueError):
-                GaussianMagnonState(bad, np.zeros((8, 8)), "mode", GRID8, ISO, 0.5)
+            with pytest.raises(ValueError, match="quantization parameter"):
+                GaussianMagnonState(bad, np.zeros(8), (), GRID8, ISO, 0.5)
 
-    def test_rejects_non_hermitian(self):
-        gamma = np.zeros((8, 8), dtype=complex)
-        gamma[0, 1] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            GaussianMagnonState(-0.5, gamma, "mode", GRID8, ISO, 0.5)
+    def test_constructor_checks_what_internal_states_skip(self, monkeypatch):
+        # to_mode, to_site and evolve build their states without the constructor's checks
+        state = random_state(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="non-negative"):
+            GaussianMagnonState(state.m, -np.ones(8), state.amplitudes, GRID8, ISO, 0.5)
 
-    def test_constructor_checks_what_internal_states_skip(self):
-        # to_mode, to_site and evolve skip the Hermiticity check; the constructor keeps it
-        mode = random_state(np.random.default_rng(3)).to_mode()
-        gamma = mode.gamma.copy()
-        gamma[0, 1] += 1e-3
-        with pytest.raises(ValueError, match="Hermitian"):
-            GaussianMagnonState(mode.m, gamma, "mode", GRID8, ISO, 0.5)
+        def checked(*args, **kwargs):
+            raise AssertionError("the constructor ran")
+
+        monkeypatch.setattr(GaussianMagnonState, "__init__", checked)
+        evolved = evolve(state.to_mode(), 1.3).to_site()
+        assert evolved.basis == "site" and evolved.m == state.m
+        assert abs(total_number(evolved) - total_number(state)) < 1e-12
 
     def test_spectrum_is_computed_once_per_state_chain(self, monkeypatch):
         calls = []
@@ -99,10 +116,10 @@ class TestState:
         assert len(calls) == 1
 
     def test_rejects_wrong_shape_and_basis(self):
-        with pytest.raises(ValueError):
-            GaussianMagnonState(-0.5, np.zeros((4, 4)), "mode", GRID8, ISO, 0.5)
-        with pytest.raises(ValueError):
-            GaussianMagnonState(-0.5, np.zeros((8, 8)), "fourier", GRID8, ISO, 0.5)
+        with pytest.raises(ValueError, match="occupations"):
+            GaussianMagnonState(-0.5, np.zeros((8, 8)), (), GRID8, ISO, 0.5)
+        with pytest.raises(ValueError, match="basis"):
+            GaussianMagnonState(-0.5, np.zeros(8), (), GRID8, ISO, 0.5, "fourier")
 
     def test_basis_round_trip(self):
         rng = np.random.default_rng(1)
@@ -111,9 +128,9 @@ class TestState:
         assert np.max(np.abs(back.gamma - state.gamma)) < 1e-13
 
     def test_mode_spectrum_positive(self):
-        spectrum = mode_spectrum(-0.6, 0.5, ISO, GRID8)
-        assert np.all(spectrum.eps > 0.0)
-        np.testing.assert_allclose(spectrum.omega, 0.6 * spectrum.eps)
+        eps = mode_spectrum(-0.6, 0.5, ISO, GRID8)
+        assert np.all(eps > 0.0)
+        np.testing.assert_allclose(eps, 2.0 * (exchange_gap_grid(ISO, GRID8) + 0.5 / 0.6), rtol=1e-15)
 
     def test_mode_spectrum_requires_gap(self):
         gapless = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.0)
@@ -135,7 +152,7 @@ class TestBasisChange:
         scale = float(np.max(np.abs(site.gamma)))
         expected_mode = u.conj().T @ site.gamma @ u
         assert np.max(np.abs(site.to_mode().gamma - expected_mode)) <= 1e-12 * scale
-        mode = GaussianMagnonState(site.m, site.gamma, "mode", grid, couplings, 0.5)
+        mode = state_from_covariance(site.m, site.gamma, "mode", grid, couplings, 0.5)
         expected_site = u @ mode.gamma @ u.conj().T
         assert np.max(np.abs(mode.to_site().gamma - expected_site)) <= 1e-12 * scale
 
@@ -172,9 +189,7 @@ class TestEquilibriumState:
 
     def test_single_mode_site_covariance(self):
         # rank-one Fourier transform of one excited mode
-        gamma = np.zeros((8, 8), dtype=complex)
-        gamma[2, 2] = 1.0
-        state = GaussianMagnonState(-0.8, gamma, "mode", GRID8, ISO, 0.5).to_site()
+        state = GaussianMagnonState(-0.8, np.eye(8)[2], (), GRID8, ISO, 0.5, "site")
         q0 = GRID8.points[2][0]
         x = LAT8.site_vectors()[:, 0].astype(float)
         expected = np.exp(-1j * q0 * (x[:, None] - x[None, :])) / 8.0
@@ -200,7 +215,7 @@ class TestEvolve:
 
     def test_two_mode_recurrence(self):
         state = mode_state([0.0, 1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0], off=[(1, 3, 0.4 + 0.1j)])
-        eps = state.spectrum.eps
+        eps = state.spectrum
         period = 2.0 * math.pi / (abs(state.m) * abs(eps[1] - eps[3]))
         evolved = evolve(state, period)
         assert np.max(np.abs(evolved.gamma - state.gamma)) < 1e-10
@@ -315,7 +330,7 @@ class TestPacketState:
 
 def dense_reference(m, gamma_mode, grid, couplings, h, t):
     """Density, number, energy and density rate of the dense covariance at time t."""
-    eps = mode_spectrum(m, h, couplings, grid).eps
+    eps = mode_spectrum(m, h, couplings, grid)
     phases = np.exp(-1j * m * eps * t)
     evolved = phases[:, None] * gamma_mode * phases.conj()[None, :]
     u = dense_mode_to_site(grid)
@@ -343,7 +358,7 @@ def assert_matches_reference(state, gamma_mode, t):
     expected = dense_reference(state.m, gamma_mode, state.grid, state.couplings, state.h, t)
     got = structured_values(state, t)
     scale = 1.0 + expected["number"]
-    eps_max = float(np.max(state.spectrum.eps))
+    eps_max = float(np.max(state.spectrum))
     j_sum = float(np.sum(np.abs(list(state.couplings.exchange.values()))))
     tol = {"density": 1.0, "number": 1.0, "energy": eps_max, "rate": 4.0 * j_sum}
     for key, factor in tol.items():
@@ -379,7 +394,7 @@ class TestStructuredAgainstDense:
         grid = MomentumGrid.from_lattice(lattice)
         rng = np.random.default_rng(100 * lattice.dimension + rank)
         occupations, amplitudes = random_modes(rng, lattice.n_sites, rank)
-        state = GaussianMagnonState.from_modes(-0.7, occupations, amplitudes, grid, couplings, 0.5)
+        state = GaussianMagnonState(-0.7, occupations, amplitudes, grid, couplings, 0.5)
         gamma_mode = dense_mode_covariance(occupations, amplitudes)
         assert np.max(np.abs(state.gamma - gamma_mode)) <= 1e-14 * (1.0 + np.max(np.abs(gamma_mode)))
         for t in (0.0, 0.37, -5.0, 41.0):
@@ -411,41 +426,54 @@ class TestStructuredAgainstDense:
         lattice, couplings = STRUCTURED_LATTICES[which]
         grid = MomentumGrid.from_lattice(lattice)
         occupations, amplitudes = random_modes(np.random.default_rng(seed), lattice.n_sites, rank)
-        state = GaussianMagnonState.from_modes(m, occupations, amplitudes, grid, couplings, 0.5)
+        state = GaussianMagnonState(m, occupations, amplitudes, grid, couplings, 0.5)
         assert_matches_reference(state, dense_mode_covariance(occupations, amplitudes), t)
         # number and energy are conserved, at the tolerance scale of the reference check
         evolved, scale = evolve(state, t), 1.0 + total_number(state)
         assert abs(total_number(evolved) - total_number(state)) <= 1e-12 * scale
-        eps_max = float(np.max(state.spectrum.eps))
+        eps_max = float(np.max(state.spectrum))
         assert abs(total_energy(evolved) - total_energy(state)) <= 1e-12 * scale * eps_max
 
 
 class TestAmplitudeForm:
     def test_dense_constructor_reproduces_its_covariance(self):
+        # the tests' dense factoring, state_from_covariance, in either basis
         rng = np.random.default_rng(8)
         for basis in ("site", "mode"):
             a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
             gamma = a @ a.conj().T
-            state = GaussianMagnonState(-0.5, gamma, basis, GRID8, ISO, 0.5)
+            state = state_from_covariance(-0.5, gamma, basis, GRID8, ISO, 0.5)
             assert state.amplitudes.shape[0] <= 8
             assert np.max(np.abs(state.gamma - gamma)) <= 1e-13 * np.max(np.abs(gamma))
 
-    def test_rejects_indefinite_covariance(self):
-        gamma = np.diag([1.0, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            GaussianMagnonState(-0.5, gamma, "mode", GRID8, ISO, 0.5)
+    @settings(max_examples=30, deadline=2000, derandomize=True, database=None)
+    @given(
+        which=st.sampled_from(sorted(STRUCTURED_LATTICES)),
+        rank=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gamma_is_the_factored_covariance_in_both_bases(self, which, rank, seed):
+        lattice, couplings = STRUCTURED_LATTICES[which]
+        grid = MomentumGrid.from_lattice(lattice)
+        occupations, amplitudes = random_modes(np.random.default_rng(seed), lattice.n_sites, rank)
+        state = GaussianMagnonState(-0.7, occupations, amplitudes, grid, couplings, 0.5)
+        gamma_mode = dense_mode_covariance(occupations, amplitudes)
+        u = dense_mode_to_site(grid)
+        scale = 1.0 + float(np.max(np.abs(gamma_mode)))
+        assert np.max(np.abs(state.gamma - gamma_mode)) <= 1e-12 * scale
+        assert np.max(np.abs(state.to_site().gamma - u @ gamma_mode @ u.conj().T)) <= 1e-12 * scale
 
-    def test_from_modes_checks_shapes_and_signs(self):
+    def test_constructor_checks_shapes_and_signs(self):
         ok = np.zeros(8)
         with pytest.raises(ValueError, match="occupations"):
-            GaussianMagnonState.from_modes(-0.5, np.zeros(4), (), GRID8, ISO, 0.5)
+            GaussianMagnonState(-0.5, np.zeros(4), (), GRID8, ISO, 0.5)
         with pytest.raises(ValueError, match="non-negative"):
-            GaussianMagnonState.from_modes(-0.5, -np.ones(8), (), GRID8, ISO, 0.5)
+            GaussianMagnonState(-0.5, -np.ones(8), (), GRID8, ISO, 0.5)
         with pytest.raises(ValueError, match="amplitudes"):
-            GaussianMagnonState.from_modes(-0.5, ok, np.ones((2, 4)), GRID8, ISO, 0.5)
+            GaussianMagnonState(-0.5, ok, np.ones((2, 4)), GRID8, ISO, 0.5)
         with pytest.raises(RegimeError, match="vanishing"):
-            GaussianMagnonState.from_modes(0.0, ok, (), GRID8, ISO, 0.5)
-        rank_one = GaussianMagnonState.from_modes(-0.5, ok, np.ones(8), GRID8, ISO, 0.5)
+            GaussianMagnonState(0.0, ok, (), GRID8, ISO, 0.5)
+        rank_one = GaussianMagnonState(-0.5, ok, np.ones(8), GRID8, ISO, 0.5)
         assert rank_one.amplitudes.shape == (1, 8)
 
     def test_ranks_of_the_cli_states(self, equilibrium):

@@ -147,15 +147,15 @@ class TestDispersion:
     """The magnon energies eps(q) = 2*(gap(q) + h/(-m)) of the grid form."""
 
     def test_gapless_exchange_case(self):
-        assert mode_spectrum(-1.0, 1.0, ISO, grid_for(4)).eps[0] == pytest.approx(2.0, abs=1e-14)
+        assert mode_spectrum(-1.0, 1.0, ISO, grid_for(4))[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_band_top_of_isotropic_chain(self):
-        assert mode_spectrum(-1.0, 0.5, ISO, grid_for(4)).eps[2] == pytest.approx(9.0, abs=1e-13)
+        assert mode_spectrum(-1.0, 0.5, ISO, grid_for(4))[2] == pytest.approx(9.0, abs=1e-13)
 
     def test_identity_at_full_polarization(self):
         # eps(q) - 2h = 2*gap(q) when m = -1
         grid = MomentumGrid(np.array([[0.0], [0.4], [2.0], [math.pi]]), LatticeSpec(1, 4))
-        lhs = mode_spectrum(-1.0, 0.7, ISO, grid).eps - 2.0 * 0.7
+        lhs = mode_spectrum(-1.0, 0.7, ISO, grid) - 2.0 * 0.7
         np.testing.assert_allclose(lhs, 2.0 * exchange_gap_grid(ISO, grid), rtol=0.0, atol=1e-13)
 
     def test_zero_mode_gap(self):
@@ -163,7 +163,7 @@ class TestDispersion:
         for _ in range(20):
             h = float(rng.uniform(0.01, 3.0))
             m = float(rng.uniform(-1.0, -0.01))
-            assert mode_spectrum(m, h, ISO, grid_for(4)).eps[0] > 0.0
+            assert mode_spectrum(m, h, ISO, grid_for(4))[0] > 0.0
 
     def test_undefined_at_zero_magnetization(self):
         with pytest.raises(RegimeError, match="must lie in \\[-1, 0\\)"):
@@ -292,6 +292,15 @@ class TestSolveMagnetization:
         # square-lattice gap peaks at q = (pi, pi): gap = 4 - 2cos - 2cos = 8
         top = grid.index_of([math.pi, math.pi])
         assert solution.gap_values[top] == pytest.approx(8.0, abs=1e-13)
+
+    @pytest.mark.parametrize("beta", [1e-100, 1e-200, 1e-300])
+    def test_tiny_beta_bisects_to_the_hot_root(self, beta):
+        # the root sits near -beta*h, about 1e-300 from m = 0 at the smallest beta: its bracket
+        # collapses only after about a thousand halvings
+        solution = solve_magnetization(ThermalParams(beta, 0.5), ISO, grid_for(8))
+        assert solution.m_star == pytest.approx(-0.5 * beta, rel=1e-15)
+        assert solution.residual == 0.0
+        assert solution.all_roots == [solution.m_star]
 
 
 def shell_couplings(dimension, j, j3):
