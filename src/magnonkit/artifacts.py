@@ -9,30 +9,32 @@ at a time and never exists as one Python list or one string.
 :func:`write_csv` takes its table as equal-length columns and writes it a
 block of rows at a time.
 
-A float vector (a 1-D float64 array, or a float64 column of a CSV table) is
-formatted one block at a time, and each distinct value of a block is
-formatted once: the block's values are grouped by their bit patterns (so
-``-0.0`` and ``0.0``, and NaNs of different payloads, stay apart) and the
-texts are gathered back in order.  Grid functions such as n(q), eps(q) and
-D(q) depend on q only through the gap, so on a symmetric lattice they repeat
-heavily.  A block without repeats is formatted straight in order, and so is
-a 2-D float64 array: a block of whole rows (at least ``_BLOCK`` values) per
-format call, then written a row at a time.  Narrower float arrays go through
-``tolist()``, which widens them exactly, like int arrays.
+Every run of floats takes one path, :func:`_float_texts`: one ``'%.17g'``
+format call for fewer than ``_KERNEL_MIN`` values, else the kernel, each
+giving bytes until a block is joined.  A float vector (a 1-D float64
+array, a JSON list of floats or a float64 CSV column) is formatted a block of
+``_BLOCK`` values at a time, each distinct value of a block once: the values
+are grouped by their bit patterns (so ``-0.0`` and ``0.0``, and NaNs of
+different payloads, stay apart) and the texts gathered back in order.  Grid
+functions such as n(q), eps(q) and D(q) depend on q only through the gap, so
+on a symmetric lattice they repeat heavily.  A 2-D float64 array is not
+grouped: a block of whole rows (at least ``_BLOCK`` values) per call, then
+written a row at a time.  Narrower float arrays go through ``tolist()``,
+which widens them exactly, like int arrays.
 
-A run of ``_KERNEL_MIN`` floats or more is formatted by a vectorized numpy
-kernel with the bytes of ``'%.17g'``.  With |x| = m 2**e and k =
-floor(log10 |x|), it forms v = |x| 10**(16 - k) in double-double
-arithmetic (Dekker's exact product of m with a double-double table of powers
-of ten; numpy does not fuse multiply-adds), so v is within about 1e-14 of
-its exact value, and rounds v to the 17-digit integer N, which it keeps
-only where v lies more than 1e-6 from a half-integer: there the rounding is
-certain.  It then lays out the digits of N as C's ``%g`` does (fixed
-notation for -4 <= k < 17, else d.ddde+XX, trailing zeros dropped) from
-lookup tables, eight bytes at a time.  Zeros, infinities, NaNs and the
-values it cannot certify (ties at the 17th digit and values within 1e-6 of
-one) take ``'%.17g' %`` itself, as do short runs, so every artifact byte is
-what ``'%.17g' %`` gives.
+The kernel gives the bytes of ``'%.17g'`` in vectorized numpy.  With
+|x| = m 2**e and k = floor(log10 |x|), it forms v = |x| 10**(16 - k) in
+double-double arithmetic (Dekker's exact product of m with a table of
+powers of ten 10**s = (h + l) 2**g, whose h and residual l are correctly
+rounded from exact integers; numpy does not fuse multiply-adds), so v is
+within about 1e-14 of its exact value, and rounds v to the 17-digit integer
+N, which it keeps only where v lies more than 1e-6 from a half-integer:
+there the rounding is certain.  It then lays out the digits of N as C's
+``%g`` does (fixed notation for -4 <= k < 17, else d.ddde+XX, trailing
+zeros dropped) from lookup tables, eight bytes at a time.  Zeros,
+infinities, NaNs and the values it cannot certify (ties at the 17th digit
+and values within 1e-6 of one) take ``'%.17g' %`` itself, so every artifact
+byte is what ``'%.17g' %`` gives.
 """
 
 from __future__ import annotations
@@ -82,19 +84,6 @@ def _two_product(a, b, b_hi, b_lo):
     return p, e
 
 
-def _renormalized(hi, lo, g):
-    """(hi + lo) 2**g as (h + l) 2**G with h in [0.5, 1) and |l| at most half an ulp of h."""
-    h = hi + lo
-    m, k = np.frexp(h)
-    return m, np.ldexp(lo - (h - hi), -k), g + k
-
-
-def _dd_product(h1, l1, g1, h2, l2, g2):
-    """The double-double product of (h1 + l1) 2**g1 and (h2 + l2) 2**g2."""
-    p, e = _two_product(h1, h2, *_split(h2))
-    return _renormalized(p, e + (h1 * l2 + l1 * h2), g1 + g2)
-
-
 class _Tables(NamedTuple):
     digits: np.ndarray  # ASCII of 0000..9999, first digit in the low byte
     zeros: np.ndarray  # trailing zero digits of 0000..9999 (4 for 0)
@@ -108,7 +97,7 @@ class _Tables(NamedTuple):
 
 @functools.cache
 def _tables() -> _Tables:
-    """The kernel's lookup tables, built on first use in numpy arithmetic (about 2 ms)."""
+    """The kernel's lookup tables, built on first use (about 4 ms)."""
     ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # [a, b, c, d] -> "abcd", in uint8 throughout
     for j in range(4):
         ascii4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape([-1 if i == j else 1 for i in range(4)])
@@ -125,17 +114,19 @@ def _tables() -> _Tables:
     sign = np.where(exponent < 0, _U(ord("-")), _U(ord("+")))
     size_text = digits[size] >> np.where(size >= 100, _U(8), _U(16))  # two or three digits
     suffix = _U(ord("e")) | (sign << _U(8)) | (size_text << _U(16))
-    # 10**0 .. 10**511 by doubling (10**(n + i) = 10**n 10**i), then 10**-s = 1/10**s
-    h, l, g = np.array([0.5]), np.array([0.0]), np.array([1])
-    while len(h) <= 340:
-        ten_n = _dd_product(h[-1:], l[-1:], g[-1:], 0.625, 0.0, 4)  # 10 = 0.625 2**4
-        h, l, g = (np.concatenate(pair) for pair in zip((h, l, g), _dd_product(h, l, g, *ten_n)))
-    h, l, g = h[:341], l[:341], g[:341]
-    pos_h, pos_l, pos_g = h[292:0:-1], l[292:0:-1], g[292:0:-1]
-    q = 1.0 / pos_h  # 1/(h + l) = q + q (1 - (h + l) q) to second order
-    p, e = _two_product(pos_h, q, *_split(q))
-    inverse = _renormalized(q, ((1.0 - p) - e - pos_l * q) * q, -pos_g)
-    h, l, g = (np.concatenate(pair) for pair in zip(inverse, (h, l, g)))
+    # 10**s = (h + l) 2**g with h in [0.5, 1), from exact integers: int / int rounds
+    # correctly, so h is 10**s 2**-g and l the residual, each correctly rounded
+    h, l, g = [], [], []
+    for s in range(-292, 341):
+        ten = 10 ** abs(s)
+        shift = ten.bit_length() if s >= 0 else 1 - ten.bit_length()
+        num, den = (ten, 1 << shift) if s >= 0 else (1 << -shift, ten)  # 10**s 2**-g
+        high = num / den
+        a, b = high.as_integer_ratio()
+        h.append(high)
+        l.append((num * b - a * den) / (den * b))
+        g.append(shift)
+    h, l, g = np.array(h), np.array(l), np.array(g)
     return _Tables(digits, zeros, first, prefixes.view(np.uint64), prefix_len, suffix,
                    (h, *_split(h), l), g + 1023)
 
@@ -272,39 +263,32 @@ def _float_kernel(values: np.ndarray) -> list[bytes]:
     text = _layout(n, k, np.signbit(values), tables)
     fallback = np.flatnonzero(~ok)
     if fallback.size:
-        plain = _plain(values[fallback], ",").encode().split(b",")  # %.17g prints no comma
-        text[fallback] = np.array(plain, dtype="S24").view(np.uint64).reshape(-1, 3)
+        text[fallback] = np.array(_plain(values[fallback]), dtype="S24").view(np.uint64).reshape(-1, 3)
     return text.view("S24").ravel().tolist()
 
 
-def _plain(values, sep: str) -> str:
-    """Floats at full precision joined by ``sep``, in one ``'%.17g'`` format call."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return sep.join(["%.17g"] * len(values)) % tuple(values)
+def _plain(values: np.ndarray) -> list[bytes]:
+    """The full-precision text of each float, as bytes, from one ``'%.17g'`` format call."""
+    text = ",".join(["%.17g"] * len(values)) % tuple(values.tolist())
+    return text.encode().split(b",")  # %.17g prints no comma
 
 
-def _float_bytes(values) -> list[bytes]:
-    """The full-precision text of each float, as bytes: by the kernel from ``_KERNEL_MIN`` values on."""
+def _float_texts(values: np.ndarray) -> list[bytes]:
+    """The full-precision text of each float64 value, as bytes: by the kernel from ``_KERNEL_MIN`` values on.
+
+    The one float formatter of the writers.
+    """
     if len(values) < _KERNEL_MIN:
-        return _plain(values, ",").encode().split(b",")  # %.17g prints no comma
+        return _plain(values)
     return _float_kernel(values)
 
 
-def _floats(values, sep: str) -> str:
-    """Floats at full precision joined by ``sep``: ``'%.17g' %`` itself, or the kernel's same bytes."""
-    if len(values) < _KERNEL_MIN:
-        return _plain(values, sep)
-    return sep.encode().join(_float_kernel(np.asarray(values, dtype=np.float64))).decode("ascii")
-
-
-def _float_texts(values: np.ndarray) -> list[str]:
-    """The full-precision text of each value of a float vector, each distinct value formatted once."""
+def _vector_texts(values: np.ndarray) -> list[bytes]:
+    """The texts of a float64 vector, each distinct value formatted once."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     if len(distinct) == len(values):
-        return _floats(values, ",").split(",")  # %.17g prints no comma
-    texts = _floats(distinct.view(np.float64), ",").split(",")
-    return np.array(texts, dtype=object)[inverse].tolist()
+        return _float_texts(values)
+    return np.array(_float_texts(distinct.view(np.float64)), dtype=object)[inverse].tolist()
 
 
 def _float_array(array: np.ndarray, level: int, indent: int) -> Iterator[str]:
@@ -316,7 +300,7 @@ def _float_array(array: np.ndarray, level: int, indent: int) -> Iterator[str]:
         for start in range(0, len(array), _BLOCK):
             if start:
                 yield sep
-            yield sep.join(_float_texts(array[start:start + _BLOCK]))
+            yield sep.encode().join(_vector_texts(array[start:start + _BLOCK])).decode("ascii")
         yield "\n" + pad + "]"
         return
     pad_row = pad_in + " " * indent
@@ -333,7 +317,7 @@ def _float_array(array: np.ndarray, level: int, indent: int) -> Iterator[str]:
 
 def _rows(block: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
     """The rows of a 2-D float block: one format call for the block, then a row at a time."""
-    texts, width, sep = _float_bytes(block.ravel()), block.shape[1], sep.encode()
+    texts, width, sep = _float_texts(block.ravel()), block.shape[1], sep.encode()
     for start in range(0, len(texts), width):
         if start:
             yield row_sep
@@ -375,7 +359,7 @@ def _chunks(node, level: int, indent: int) -> Iterator[str]:
                 yield from _chunks(value, level + 1, indent)
             yield "\n" + pad + "}"
         elif all(isinstance(v, float) for v in node):
-            yield "[\n" + pad_in + _floats(node, ",\n" + pad_in) + "\n" + pad + "]"
+            yield from _float_array(np.array(node, dtype=np.float64), level, indent)
         else:
             yield "["
             for i, value in enumerate(node):
@@ -409,7 +393,7 @@ def _column_texts(column) -> list[str]:
     """The CSV cells of one column block."""
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
-            return _float_texts(column)
+            return b"\n".join(_vector_texts(column)).decode("ascii").split("\n")
         if column.dtype.kind == "b":
             column = column.astype(np.uint8)  # written as 0 and 1, like str(int(v))
         if column.dtype.kind in "iu":

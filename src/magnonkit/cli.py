@@ -289,7 +289,7 @@ def cmd_oracle(cfg: RunConfig) -> Output:
     lines = [f"n={n} m_n={fmt(m)} t_n={fmt(t)} p_n={fmt(p)} discrepancy={fmt(d)}"
              for n, m, t, p, d, *_ in rows]
     # a step passes when the discrepancy decreases (up to the tolerance) or
-    # has fallen to the rounding of t_n itself, where its order is noise
+    # has fallen to the rounding of t_n and p_n, where its order is noise
     tol = cfg["oracle.monotone_tol"]
     monotone = all(b.discrepancy < a.discrepancy + tol or b.discrepancy <= b.rounding_floor
                    for a, b in zip(study, study[1:]))
@@ -318,7 +318,7 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
         solution = solve_magnetization(
             params, couplings, grid, tol=cfg["solve.tol"], scan_points=cfg["solve.scan_points"]
         )
-        state = equilibrium_state(solution, grid)
+        state = equilibrium_state(solution)
     else:
         if not m_text:
             raise ValueError("dynamics.initial = packet requires dynamics.m")

@@ -141,12 +141,12 @@ def _mode_diagonal(state: GaussianMagnonState) -> np.ndarray:
     return state.occupations + np.sum(psi.real**2 + psi.imag**2, axis=0)
 
 
-def equilibrium_state(solution: SpinWaveSolution, grid: MomentumGrid) -> GaussianMagnonState:
-    """Mode-diagonal thermal state built from a solved magnetization."""
+def equilibrium_state(solution: SpinWaveSolution) -> GaussianMagnonState:
+    """Mode-diagonal thermal state built from a solved magnetization, on the solution's grid."""
     if solution.m_star == 0.0:
         raise RegimeError("dynamics undefined at vanishing magnetization")
     return GaussianMagnonState(
-        solution.m_star, solution.occupations, (), grid, solution.couplings, solution.params.h
+        solution.m_star, solution.occupations, (), solution.grid, solution.couplings, solution.params.h
     )
 
 

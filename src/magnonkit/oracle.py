@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix
+from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
 from .sectors import MAX_COPIES, sector_decomposition
 from .spinwave import ThermalParams, occupation
 
@@ -580,11 +580,14 @@ def wick_residual(ensemble: GibbsEnsemble, q) -> float:
 class ConvergenceRow:
     """One rung of a convergence study.
 
-    ``rounding_floor`` is the a-priori rounding bound of t_n's N^2-term phase
-    sum, N^2 eps sum_xy |<S+(x) S-(y)>| / (N n): a discrepancy at or below it
-    is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
-    ``representatives`` counts the orbits diagonalized and ``max_sector_dim``
-    is the largest matrix passed to ``eigh``.
+    ``rounding_floor`` is the a-priori rounding bound of the discrepancy: that
+    of t_n's N^2-term phase sum, N^2 eps sum_xy |<S+(x) S-(y)>| / (N n), plus
+    p_n's first-order rounding through m_n, |dp/dm| T eps |m_n| for the T
+    terms summed into sigma3, with dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).
+    A discrepancy at or below it is rounding noise.  ``logZ`` and
+    ``ground_energy`` are the ensemble's, ``representatives`` counts the
+    orbits diagonalized and ``max_sector_dim`` is the largest matrix passed to
+    ``eigh``.
     """
 
     copies: int
@@ -622,6 +625,8 @@ def convergence_study(
     params = ThermalParams(beta=beta, h=couplings.h)
     grid = MomentumGrid.from_lattice(lattice)
     index = grid.index_of(q)
+    gap = float(exchange_gap_grid(couplings, grid)[index])
+    eps = float(np.finfo(float).eps)
     rows = []
     for config in configs:
         ensemble = build_gibbs(config, beta, mode=mode)
@@ -632,8 +637,12 @@ def convergence_study(
         t_n = fluctuation_two_point(ensemble, q)
         p_n = float(occupation(m_n, params, couplings, grid)[index])
         two_point = ensemble.two_point_pm
-        floor = (two_point.size * np.finfo(float).eps * float(np.abs(two_point).sum())
-                 / (ensemble.n_sites * ensemble.copies))
+        floor = two_point.size * eps * float(np.abs(two_point).sum()) / (ensemble.n_sites * ensemble.copies)
+        if p_n:  # p = -m / (e^x - 1) with x = 2 beta (h - m D) > 0
+            x = 2.0 * beta * (couplings.h - m_n * gap)
+            slope = p_n * (1.0 / m_n + 2.0 * beta * gap / -math.expm1(-x))
+            terms = ensemble.n_sites * sum(rep.dim * len(perms) for rep, perms in ensemble.orbits)
+            floor += abs(slope) * terms * eps * abs(m_n)
         rows.append(ConvergenceRow(
             config.copies, m_n, t_n, p_n, abs(t_n - p_n), floor, ensemble.logZ,
             ensemble.ground_energy, len(ensemble.orbits),

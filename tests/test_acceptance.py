@@ -256,7 +256,7 @@ def test_criterion_08_dynamics_conservation():
     assert min(orders) >= 1.9, (errors, orders)
 
     solution = solve_magnetization(ThermalParams(2.0, 0.5), couplings, grid)
-    state = equilibrium_state(solution, grid)
+    state = equilibrium_state(solution)
     drift = max(
         float(np.max(np.abs(evolve(state, t).gamma - state.gamma))) for t in (0.3, 2.0, 17.0)
     )

@@ -190,9 +190,9 @@ class TestStreamingWriter:
         distinct = len(np.unique(gaps.view(np.int64)))
         assert distinct < 400  # 329 here; the count depends on the Fourier sum's rounding
         calls = []
-        real = artifacts._floats
-        with mock.patch.object(artifacts, "_floats",
-                               lambda values, sep: calls.append(len(values)) or real(values, sep)):
+        real = artifacts._float_texts
+        with mock.patch.object(artifacts, "_float_texts",
+                               lambda values: calls.append(len(values)) or real(values)):
             text = json_dumps(gaps)
         assert calls == [distinct]
         assert text == reference_dumps(gaps)
@@ -203,8 +203,8 @@ class TestStreamingWriter:
         matrix = np.random.default_rng(3).normal(size=(17, 600))
         small = np.tile(np.array([0.5, 0.25, 0.5]), (4, 1))
         calls, kernel_calls = [], []
-        real, real_kernel = artifacts._float_bytes, artifacts._float_kernel
-        with mock.patch.object(artifacts, "_float_bytes",
+        real, real_kernel = artifacts._float_texts, artifacts._float_kernel
+        with mock.patch.object(artifacts, "_float_texts",
                                lambda values: calls.append(len(values)) or real(values)), \
                 mock.patch.object(artifacts, "_float_kernel",
                                   lambda values: kernel_calls.append(len(values)) or real_kernel(values)):
@@ -216,12 +216,26 @@ class TestStreamingWriter:
     def test_vector_block_without_repeats_is_formatted_in_order(self):
         values = np.random.default_rng(4).normal(size=700)
         calls = []
-        real = artifacts._floats
-        with mock.patch.object(artifacts, "_floats",
-                               lambda values, sep: calls.append(np.array(values)) or real(values, sep)):
+        real = artifacts._float_texts
+        with mock.patch.object(artifacts, "_float_texts",
+                               lambda values: calls.append(np.array(values)) or real(values)):
             text = json_dumps(values)
         assert len(calls) == 1 and np.array_equal(calls[0], values)
         assert text == reference_dumps(values)
+
+    @pytest.mark.parametrize("length", [1, 511, 512, 513, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
+    def test_float_list_and_array_write_the_same_bytes(self, length, repeats, tmp_path):
+        # a list of floats takes the array path: across _KERNEL_MIN and _BLOCK, with and without repeats
+        rng = np.random.default_rng(length)
+        values = with_specials(rng.normal(size=length) * 10.0 ** rng.integers(-30, 30, length))
+        if repeats:
+            values = rng.choice(values[:300], size=length)
+        floats = values.tolist()
+        expected = reference_dumps({"a": floats, "b": [floats]})
+        for obj in ({"a": floats, "b": [floats]}, {"a": values, "b": [values]}):
+            write_json(tmp_path / "out.json", obj)
+            assert (tmp_path / "out.json").read_text() == json_dumps(obj) == expected
 
     @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
     @given(
@@ -401,6 +415,17 @@ class TestFloatKernel:
         _, _, certified = artifacts._decimal(values, artifacts._tables())
         assert certified.mean() >= 0.99
         assert artifacts._float_kernel(values) == percent_texts(values)
+
+    def test_power_table_is_correctly_rounded(self):
+        # 10**s = (h + l) 2**g: h is 10**s 2**-g correctly rounded, in [0.5, 1), and h + l within 2**-106 h of it
+        h, h_hi, h_lo, l = artifacts._tables().powers
+        g = artifacts._tables().biased - 1023
+        assert len(h) == 633 and np.array_equal(h_hi + h_lo, h)
+        for s, high, low, shift in zip(range(-292, 341), h.tolist(), l.tolist(), g.tolist()):
+            exact = Fraction(10) ** s / Fraction(2) ** shift
+            assert 0.5 <= high < 1.0
+            assert abs(exact - Fraction(high)) <= Fraction(1, 2**54)  # half an ulp of h
+            assert abs(exact - Fraction(high) - Fraction(low)) <= Fraction(high) / 2**106
 
     def test_tables_are_built_on_first_use_and_load_no_module(self):
         src = str(Path(artifacts.__file__).resolve().parents[1])

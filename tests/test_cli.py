@@ -375,10 +375,16 @@ class TestOracleCommand:
         .replace("thermal.beta = 1.0", "thermal.beta = 6.6").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
     )
 
+    COLD_Q0_ORACLE_CONF = (  # t_n ~ 4e-26 at q = 0, where p_n carries m_n's rounding magnified
+        ORACLE_CONF.replace("field.h = 2.5", "field.h = 2.4").replace("thermal.beta = 1.0", "thermal.beta = 8.9")
+        .replace("oracle.q_index = 1", "oracle.q_index = 0").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
+    )
+
     @pytest.mark.parametrize("body, couplings, code", [
         (COLD_ORACLE_CONF, "dz1,J,J3\n1,1.3,1.4\n", 0),  # every rise lies below t_n's rounding
+        (COLD_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.38,0.82\n", 0),  # an exact tie, below p_n's rounding
         (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 3,1"), ISO_CSV, 1),  # a real rise
-    ], ids=["cold", "reversed-ladder"])
+    ], ids=["cold", "cold-q0", "reversed-ladder"])
     def test_rounding_floor_decides_only_noise(self, workspace, body, couplings, code):
         tmp_path, make = workspace
         conf = make(body, couplings)

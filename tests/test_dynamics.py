@@ -72,7 +72,7 @@ def random_state(rng, size=8, grid=GRID8, couplings=ISO):
 @pytest.fixture(scope="module")
 def equilibrium():
     solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, GRID8)
-    return solution, equilibrium_state(solution, GRID8)
+    return solution, equilibrium_state(solution)
 
 
 class TestState:
@@ -184,7 +184,7 @@ class TestEquilibriumState:
         # cold enough that every occupation flushes to exactly zero
         fock = solve_magnetization(ThermalParams(700.0, 0.5), ISO, GRID8)
         assert np.all(fock.occupations == 0.0)
-        state = equilibrium_state(fock, GRID8)
+        state = equilibrium_state(fock)
         assert np.max(np.abs(state.gamma)) == 0.0
 
     def test_single_mode_site_covariance(self):
