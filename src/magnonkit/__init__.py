@@ -20,12 +20,10 @@ from .lattice import (
 )
 from .sectors import SectorEntry, SectorTable, sector_decomposition
 from .spinwave import (
-    MagnetizationBounds,
     RegimeError,
     SpinWaveSolution,
     ThermalParams,
     magnetization_bound,
-    magnetization_bounds,
     occupation,
     selfconsistency_defect,
     solve_magnetization,
@@ -69,12 +67,10 @@ __all__ = [
     "SectorEntry",
     "SectorTable",
     "sector_decomposition",
-    "MagnetizationBounds",
     "RegimeError",
     "SpinWaveSolution",
     "ThermalParams",
     "magnetization_bound",
-    "magnetization_bounds",
     "occupation",
     "selfconsistency_defect",
     "solve_magnetization",

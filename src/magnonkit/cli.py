@@ -322,18 +322,10 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
     else:
         if not m_text:
             raise ValueError("dynamics.initial = packet requires dynamics.m")
-        m = cfg["dynamics.m"]
-        if m == 0.0:
-            raise RegimeError("dynamics undefined at vanishing magnetization")
-        center = cfg["dynamics.packet_center"]
-        if not 0 <= center < lattice.n_sites:
-            raise ValueError(f"dynamics.packet_center {center} outside lattice")
-        kick = cfg["dynamics.packet_kick"]
-        if not 0 <= kick < len(grid):
-            raise ValueError(f"dynamics.packet_kick {kick} outside grid")
         state = packet_state(
-            m, grid, couplings, cfg["field.h"], center=center,
-            width=cfg["dynamics.packet_width"], kick_index=kick,
+            cfg["dynamics.m"], grid, couplings, cfg["field.h"],
+            center=cfg["dynamics.packet_center"], width=cfg["dynamics.packet_width"],
+            kick_index=cfg["dynamics.packet_kick"],
         )
 
     times = cfg["dynamics.times"]

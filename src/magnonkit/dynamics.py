@@ -143,8 +143,6 @@ def _mode_diagonal(state: GaussianMagnonState) -> np.ndarray:
 
 def equilibrium_state(solution: SpinWaveSolution) -> GaussianMagnonState:
     """Mode-diagonal thermal state built from a solved magnetization, on the solution's grid."""
-    if solution.m_star == 0.0:
-        raise RegimeError("dynamics undefined at vanishing magnetization")
     return GaussianMagnonState(
         solution.m_star, solution.occupations, (), solution.grid, solution.couplings, solution.params.h
     )
@@ -162,8 +160,10 @@ def packet_state(
     """Rank-one localized packet (site Gaussian profile with a momentum kick).
 
     Raises ValueError unless ``width`` > 0 and ``2 * width**2`` is nonzero,
-    since a vanishing or negative width has no Gaussian profile.  A width
-    whose square overflows gives the flat profile, the plane wave of the kick.
+    since a vanishing or negative width has no Gaussian profile, and unless
+    ``center`` is a site index in [0, N) and ``kick_index`` a grid index in
+    [0, len(grid)).  A width whose square overflows gives the flat profile,
+    the plane wave of the kick.
     """
     try:
         spread = 2.0 * width**2
@@ -172,6 +172,10 @@ def packet_state(
     if not width > 0.0 or spread == 0.0:
         raise ValueError(f"packet width must be > 0 with 2*width**2 > 0, got {width}")
     lattice = grid.lattice
+    if not 0 <= center < lattice.n_sites:
+        raise ValueError(f"packet center {center} outside the sites [0, {lattice.n_sites})")
+    if not 0 <= kick_index < len(grid):
+        raise ValueError(f"packet kick_index {kick_index} outside the grid momenta [0, {len(grid)})")
     sites = lattice.site_vectors()
     delta = np.abs(sites - sites[center])
     delta = np.minimum(delta, lattice.size - delta)

@@ -581,13 +581,15 @@ class ConvergenceRow:
     """One rung of a convergence study.
 
     ``rounding_floor`` is the a-priori rounding bound of the discrepancy: that
-    of t_n's N^2-term phase sum, N^2 eps sum_xy |<S+(x) S-(y)>| / (N n), plus
-    p_n's first-order rounding through m_n, |dp/dm| T eps |m_n| for the T
-    terms summed into sigma3, with dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).
-    A discrepancy at or below it is rounding noise.  ``logZ`` and
-    ``ground_energy`` are the ensemble's, ``representatives`` counts the
-    orbits diagonalized and ``max_sector_dim`` is the largest matrix passed to
-    ``eigh``.
+    of t_n's N^2-term phase sum, N^2 eps sum_xy |<S+(x) S-(y)>| / (N n); that
+    of t_n's Gibbs weights, 2 beta max_i |E_i| eps |t_n|, since each weight
+    exp(-beta (E - E0)) carries up to beta (|E| + |E0|) eps from its
+    energies; and p_n's first-order rounding through m_n, |dp/dm| T eps |m_n|
+    for the T terms summed into sigma3, with
+    dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).  A discrepancy at or below it
+    is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
+    ``representatives`` counts the orbits diagonalized and ``max_sector_dim``
+    is the largest matrix passed to ``eigh``.
     """
 
     copies: int
@@ -638,6 +640,8 @@ def convergence_study(
         p_n = float(occupation(m_n, params, couplings, grid)[index])
         two_point = ensemble.two_point_pm
         floor = two_point.size * eps * float(np.abs(two_point).sum()) / (ensemble.n_sites * ensemble.copies)
+        energy = max(float(np.abs(rep.energies).max()) for rep, _ in ensemble.orbits)
+        floor += 2.0 * beta * energy * eps * abs(t_n)
         if p_n:  # p = -m / (e^x - 1) with x = 2 beta (h - m D) > 0
             x = 2.0 * beta * (couplings.h - m_n * gap)
             slope = p_n * (1.0 / m_n + 2.0 * beta * gap / -math.expm1(-x))

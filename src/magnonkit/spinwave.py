@@ -4,7 +4,9 @@ The magnetization m = <sigma3> lives in [-1, 0].  Mode occupations follow a
 Bose factor whose argument couples m back to itself through the grid average
 of the occupations, so m is found as a root of the defect function
 ``G(m) = mean_q n(q; m) - (1 + m)/2``.  G(0) = -1/2 and G(-1) >= 0 always
-hold in the validated regime, so a bisection bracket exists.
+hold in the validated regime, so a bisection bracket exists.  One function
+evaluates G, over the distinct gap values weighted by their multiplicity,
+for the scan, the bisection, the residual and :func:`selfconsistency_defect`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _occupations(m, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
     occ *= 2.0 * beta
     bad = np.min(occ)
     if bad <= 0.0:
-        at = f"m={m}, " if np.ndim(m) == 0 else ""
+        at = f"m={np.ravel(m)[0]}, " if np.size(m) == 1 else ""
         raise RegimeError(
             f"outside ferromagnetic regime: exponent argument {bad:.6g} <= 0 "
             f"({at}beta={beta}, h={h})"
@@ -92,19 +94,8 @@ def _energies(gaps, h: float, m: float):
     return 2.0 * (gaps + h / (-m))
 
 
-def _defect(m: float, beta: float, h: float, gaps: np.ndarray) -> float:
-    """Defect on the full grid: the plain mean over every occupation."""
-    return float(np.mean(_occupations(m, beta, h, gaps)) - 0.5 * (1.0 + m))
-
-
-def selfconsistency_defect(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> float:
-    """Defect G(m) = mean_q n(q; m) - (1 + m)/2 whose roots are equilibria."""
-    m = _check_m(m)
-    return _defect(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
-
-
-def _scan_defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Defect at every trial magnetization in ``ms`` from the distinct gaps.
+def _defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Defect at every trial magnetization in the 1-D array ``ms``, from the distinct gaps.
 
     Occupations depend on q only through the gap, so the grid mean is the
     mean over the distinct gap values weighted by their multiplicity share;
@@ -119,13 +110,17 @@ def _scan_defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray, we
     return values - 0.5 * (1.0 + ms)
 
 
-@dataclass
-class MagnetizationBounds:
-    """Field-based and coupling-based upper bounds on the magnetization."""
+def _distinct_gaps(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct gap values and their multiplicity shares of the grid."""
+    distinct, counts = np.unique(gaps, return_counts=True)
+    return distinct, counts / gaps.size
 
-    from_field: float
-    from_coupling: float | None
-    tightest: float
+
+def selfconsistency_defect(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> float:
+    """Defect G(m) = mean_q n(q; m) - (1 + m)/2 whose roots are equilibria, as the solver evaluates it."""
+    m = _check_m(m)
+    distinct, weights = _distinct_gaps(exchange_gap_grid(couplings, grid))
+    return float(_defect(np.array([m]), params.beta, params.h, distinct, weights)[0])
 
 
 def _bose_bound(argument: float) -> float:
@@ -141,16 +136,6 @@ def magnetization_bound(params: ThermalParams) -> float:
     if params.beta * params.h <= 0.0:
         raise ValueError("bound requires beta*h > 0")
     return _bose_bound(2.0 * params.beta * params.h)
-
-
-def magnetization_bounds(params: ThermalParams, gap0: float) -> MagnetizationBounds:
-    """Both bound variants from the gap at q = 0; the coupling-gap variant needs gap0 > 0."""
-    from_field = magnetization_bound(params)
-    from_coupling = None
-    if gap0 > 0.0:
-        from_coupling = _bose_bound(2.0 * params.beta * gap0)
-    candidates = [from_field] + ([from_coupling] if from_coupling is not None else [])
-    return MagnetizationBounds(from_field, from_coupling, min(candidates))
 
 
 @dataclass
@@ -203,12 +188,14 @@ def solve_magnetization(
 ) -> SpinWaveSolution:
     """Locate the self-consistent magnetization by scan plus bisection.
 
-    A uniform scan over [-1, 0], taken over the distinct gap values, finds
-    every sign change of the defect; each bracket is bisected to interval
-    collapse on the full grid, where the residual must also come out below
-    tol.  All roots are reported and the one closest to -1 (the
-    low-temperature branch) is selected.  Bisection is derivative-free and
-    unconditionally convergent, which is all this cheap, smooth defect needs.
+    The defect is evaluated over the distinct gap values throughout.  A
+    uniform scan over [-1, 0] finds every sign change; each bracket is
+    bisected to interval collapse, and the residual at the selected root must
+    come out below tol.  All roots are reported and the one closest to -1
+    (the low-temperature branch) is selected.  Bisection is derivative-free
+    and unconditionally convergent, which is all this cheap, smooth defect
+    needs.  ``bisection_steps`` and ``defect_evaluations`` count defect
+    evaluations at one trial magnetization each.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -217,16 +204,16 @@ def solve_magnetization(
 
     gaps = exchange_gap_grid(couplings, grid)
     beta, h = params.beta, params.h
-    full_evaluations = 0
+    distinct, weights = _distinct_gaps(gaps)
+    evaluations = 0
 
     def defect(m: float) -> float:
-        nonlocal full_evaluations
-        full_evaluations += 1
-        return _defect(m, beta, h, gaps)
+        nonlocal evaluations
+        evaluations += 1
+        return float(_defect(np.array([m]), beta, h, distinct, weights)[0])
 
     ms = np.linspace(-1.0, 0.0, scan_points)
-    distinct, counts = np.unique(gaps, return_counts=True)
-    values = _scan_defect(ms, beta, h, distinct, counts / gaps.size)
+    values = _defect(ms, beta, h, distinct, weights)
     if not (values[0] >= 0.0 and values[-1] < 0.0):
         raise RegimeError(
             "no self-consistent magnetization: defect endpoints "
@@ -243,7 +230,7 @@ def solve_magnetization(
     ]
     if not roots:
         raise RegimeError("no self-consistent magnetization: no sign change located")
-    bisection_steps = full_evaluations
+    bisection_steps = evaluations
 
     roots.sort()
     m_star = roots[0]
@@ -254,7 +241,8 @@ def solve_magnetization(
         )
     occupations = _occupations(m_star, beta, h, gaps)
     eps = _energies(gaps, h, m_star)
-    bounds = magnetization_bounds(params, float(gaps[0]))
+    bound = magnetization_bound(params)
+    bound_from_coupling = _bose_bound(2.0 * beta * gaps[0]) if gaps[0] > 0.0 else None
     return SpinWaveSolution(
         m_star=m_star,
         occupations=occupations,
@@ -262,7 +250,7 @@ def solve_magnetization(
         gap_values=gaps,
         residual=residual,
         all_roots=roots,
-        bound=bounds.from_field,
+        bound=bound,
         params=params,
         couplings=couplings,
         grid=grid,
@@ -270,11 +258,11 @@ def solve_magnetization(
             "root_count": len(roots),
             "multiple_roots": len(roots) > 1,
             "scan_points": scan_points,
-            "bound_from_field": bounds.from_field,
-            "bound_from_coupling": bounds.from_coupling,
-            "bound_tightest": bounds.tightest,
+            "bound_from_field": bound,
+            "bound_from_coupling": bound_from_coupling,
+            "bound_tightest": bound if bound_from_coupling is None else min(bound, bound_from_coupling),
             "distinct_gaps": distinct.size,
             "bisection_steps": bisection_steps,
-            "defect_evaluations": scan_points + full_evaluations,
+            "defect_evaluations": scan_points + evaluations,
         },
     )

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,6 @@ from magnonkit import (
     ThermalParams,
     cli,
     evolve,
-    magnetization_bounds,
     number_density,
     occupation,
     oracle,
@@ -240,9 +240,13 @@ class TestSolveCommand:
             assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 0
         gap0 = json.loads((tmp_path / "validate.json").read_text())["gap_at_zero"]
         diagnostics = json.loads((tmp_path / "solution.json").read_text())["diagnostics"]
-        bounds = magnetization_bounds(ThermalParams(1.0, 3.0), gap0)
-        assert diagnostics["bound_from_coupling"] == bounds.from_coupling
-        assert diagnostics["bound_tightest"] == bounds.tightest
+        # beta = 1, h = 3: both bounds are the closed form -1 + 2/(e^{2 beta x} - 1)
+        assert gap0 > 0.0
+        assert diagnostics["bound_from_coupling"] == -1.0 + 2.0 / math.expm1(2.0 * gap0)
+        assert diagnostics["bound_from_field"] == -1.0 + 2.0 / math.expm1(6.0)
+        assert diagnostics["bound_tightest"] == min(
+            diagnostics["bound_from_field"], diagnostics["bound_from_coupling"]
+        )
 
     def test_rejected_regime_exits_1(self, workspace):
         tmp_path, make = workspace
@@ -380,11 +384,17 @@ class TestOracleCommand:
         .replace("oracle.q_index = 1", "oracle.q_index = 0").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
     )
 
+    WEIGHTS_Q0_ORACLE_CONF = (  # t_n ~ 1e-15 at q = 0, where its Gibbs weights' rounding dominates
+        ORACLE_CONF.replace("field.h = 2.5", "field.h = 2.7").replace("thermal.beta = 1.0", "thermal.beta = 6.2")
+        .replace("oracle.q_index = 1", "oracle.q_index = 0").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
+    )
+
     @pytest.mark.parametrize("body, couplings, code", [
         (COLD_ORACLE_CONF, "dz1,J,J3\n1,1.3,1.4\n", 0),  # every rise lies below t_n's rounding
         (COLD_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.38,0.82\n", 0),  # an exact tie, below p_n's rounding
+        (WEIGHTS_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.9,0.94\n", 0),  # a rise below the weights' rounding
         (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 3,1"), ISO_CSV, 1),  # a real rise
-    ], ids=["cold", "cold-q0", "reversed-ladder"])
+    ], ids=["cold", "cold-q0", "weights-q0", "reversed-ladder"])
     def test_rounding_floor_decides_only_noise(self, workspace, body, couplings, code):
         tmp_path, make = workspace
         conf = make(body, couplings)
@@ -466,6 +476,12 @@ class TestDynamicsCommand:
             DYNAMICS_CONF + "dynamics.initial = packet\ndynamics.m = 0.0\n"
         )
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 1
+
+    def test_packet_center_outside_lattice_exits_2(self, workspace, capsys):
+        tmp_path, make = workspace
+        conf = make(DYNAMICS_CONF + "dynamics.initial = packet\ndynamics.m = -0.8\ndynamics.packet_center = 8\n")
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: packet center 8 outside the sites [0, 8)\n"
 
     def test_packet_run(self, workspace):
         tmp_path, make = workspace

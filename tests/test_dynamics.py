@@ -315,6 +315,17 @@ class TestPacketState:
         with pytest.raises(ValueError, match="width"):
             packet_state(-0.5, GRID8, ISO, 0.5, width=width)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(center=-1), r"packet center -1 outside the sites \[0, 8\)"),
+        (dict(center=8), r"packet center 8 outside the sites \[0, 8\)"),
+        (dict(kick_index=-1), r"packet kick_index -1 outside the grid momenta \[0, 8\)"),
+        (dict(kick_index=8), r"packet kick_index 8 outside the grid momenta \[0, 8\)"),
+    ], ids=["center-below", "center-above", "kick-below", "kick-above"])
+    def test_center_and_kick_outside_their_ranges_refused(self, bad, match):
+        # numpy indexing would take -1 as the last site or momentum
+        with pytest.raises(ValueError, match=match):
+            packet_state(-0.5, GRID8, ISO, 0.5, **bad)
+
     def test_tiny_width_is_a_one_site_packet(self):
         # 2 * width**2 is still positive: the profile is 1 at the center, 0 elsewhere
         state = packet_state(-0.5, GRID8, ISO, 0.5, center=2, width=1e-150)

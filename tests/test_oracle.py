@@ -428,8 +428,9 @@ class TestConvergenceStudy:
             assert row.discrepancy == pytest.approx(abs(row.two_point - row.prediction))
             # the solver's grid formula at q, bit for bit
             assert row.prediction == occupation(row.magnetization, params, ISO25, GRID2)[1]
-            # the rounding bound of t_n's 4-term phase sum on the 2-site chain, plus p_n's
-            # first-order rounding through m_n: sigma3 sums the 2 sites' values over the
+            # the rounding bound of t_n's 4-term phase sum on the 2-site chain, plus that of
+            # its Gibbs weights at beta = 1 from the largest |energy|, plus p_n's first-order
+            # rounding through m_n: sigma3 sums the 2 sites' values over the
             # (sum_j (2j + 1))**2 = ((n + 1)(n + 3)/4)**2 states of the per-site spin assignments
             ensemble = build_gibbs(SpinConfig(row.copies, CHAIN2, ISO25), beta=1.0)
             eps, m, p = np.finfo(float).eps, row.magnetization, row.prediction
@@ -437,8 +438,11 @@ class TestConvergenceStudy:
             x = 2.0 * (ISO25.h - m * gap)
             slope = p * (1.0 / m + 2.0 * gap * math.exp(x) / math.expm1(x))
             floor_t = 4 * eps * np.abs(ensemble.two_point_pm).sum() / (2 * row.copies)
+            energy = max(np.abs(rep.energies).max() for rep, _ in ensemble.orbits)
+            floor_w = 2.0 * energy * eps * abs(row.two_point)
             terms = 2 * ((row.copies + 1) * (row.copies + 3) // 4) ** 2
-            assert row.rounding_floor == pytest.approx(floor_t + abs(slope) * terms * eps * abs(m), rel=1e-12, abs=0)
+            floor_p = abs(slope) * terms * eps * abs(m)
+            assert row.rounding_floor == pytest.approx(floor_t + floor_w + floor_p, rel=1e-12, abs=0)
             assert row.rounding_floor < 1e-6 * row.discrepancy  # warm: far from the noise
             assert (row.logZ, row.ground_energy) == (ensemble.logZ, ensemble.ground_energy)
             assert row.representatives == len(ensemble.orbits)

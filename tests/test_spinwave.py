@@ -15,7 +15,6 @@ from magnonkit import (
     ThermalParams,
     exchange_gap_grid,
     magnetization_bound,
-    magnetization_bounds,
     mode_spectrum,
     occupation,
     selfconsistency_defect,
@@ -57,6 +56,12 @@ def reference_defect(ms, beta, h, gaps):
     """Full-grid defect: the plain mean over every grid occupation."""
     ms = np.atleast_1d(np.asarray(ms, dtype=float))
     return reference_occupations(ms, beta, h, gaps).mean(axis=1) - 0.5 * (1.0 + ms)
+
+
+def distinct_gap_defect(m, beta, h, gaps):
+    """The defect as a mean over the distinct gaps, each weighted by its share of the grid."""
+    distinct, counts = np.unique(gaps, return_counts=True)
+    return float(reference_occupations(m, beta, h, distinct)[0] @ (counts / gaps.size) - 0.5 * (1.0 + m))
 
 
 def reference_roots(beta, h, gaps, scan_points=spinwave.DEFAULT_SCAN_POINTS):
@@ -183,7 +188,11 @@ class TestSharedBoseFormula:
         gaps = exchange_gap_grid(ISO, grid)
         expected = reference_occupations(m, beta, h, gaps)[0]
         np.testing.assert_array_equal(occupation(m, p, ISO, grid), expected)
-        assert selfconsistency_defect(m, p, ISO, grid) == float(reference_defect(m, beta, h, gaps)[0])
+        value = selfconsistency_defect(m, p, ISO, grid)
+        assert value == distinct_gap_defect(m, beta, h, gaps)
+        # the plain full-grid mean sums the same terms in another order
+        bound = gaps.size * np.finfo(float).eps * (np.mean(np.abs(expected)) + abs(1.0 + m) / 2.0)
+        assert abs(value - float(reference_defect(m, beta, h, gaps)[0])) <= bound
 
     @pytest.mark.parametrize("m,beta,h", CASES)
     def test_scalar_form(self, m, beta, h):
@@ -342,6 +351,7 @@ class TestGapCompressedScan:
         p = ThermalParams(beta, h)
 
         solution = solve_magnetization(p, couplings, grid)
+        assert solution.residual == abs(selfconsistency_defect(solution.m_star, p, couplings, grid))
         for r in solution.all_roots:
             if selfconsistency_defect(r, p, couplings, grid) == 0.0:
                 continue
@@ -419,12 +429,13 @@ class TestMagnetizationBound:
     def test_variants(self):
         gap0 = exchange_gap_grid(ANISO, grid_for(8))[0]
         assert gap0 == 2.0
-        info = magnetization_bounds(ThermalParams(2.0, 2.5), gap0)
-        assert info.from_coupling == pytest.approx(-1.0 + 2.0 / math.expm1(8.0), abs=1e-15)
-        assert info.tightest == min(info.from_field, info.from_coupling)
-        iso_info = magnetization_bounds(ThermalParams(2.0, 0.5), exchange_gap_grid(ISO, grid_for(8))[0])
-        assert iso_info.from_coupling is None  # gap(0) = 0 for the isotropic chain
-        assert iso_info.tightest == iso_info.from_field
+        info = solve_magnetization(ThermalParams(2.0, 2.5), ANISO, grid_for(8)).diagnostics
+        assert info["bound_from_field"] == magnetization_bound(ThermalParams(2.0, 2.5))
+        assert info["bound_from_coupling"] == -1.0 + 2.0 / math.expm1(8.0)
+        assert info["bound_tightest"] == min(info["bound_from_field"], info["bound_from_coupling"])
+        iso_info = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid_for(8)).diagnostics
+        assert iso_info["bound_from_coupling"] is None  # gap(0) = 0 for the isotropic chain
+        assert iso_info["bound_tightest"] == iso_info["bound_from_field"]
 
 
 class TestThermalParams:
