@@ -2,10 +2,10 @@
 
 Every float is printed as ``'%.17g' % value`` (17 significant digits) so
 artifacts round-trip exactly and rerunning a command reproduces
-byte-identical files.  JSON is produced as a stream of chunks:
-:func:`write_json` writes them to the file as they come and
-:func:`json_dumps` joins them, so a large float array is formatted a block
-at a time and never exists as one Python list or one string.
+byte-identical files.  JSON is produced as a stream of chunks that
+:func:`write_json` writes to the file as they come, so a large float array
+is formatted a block at a time and never exists as one Python list or one
+string.
 :func:`write_csv` takes its table as equal-length columns and writes it a
 block of rows at a time.
 
@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+_INDENT = 2  # spaces per JSON nesting level
 _BLOCK = 4096  # floats per chunk of a vector, rows per chunk of a CSV table
 # Fewest floats the kernel formats in one call.  Its fixed cost is about
 # 0.3 ms: on a 2-vCPU VM it and one '%.17g' call broke even near 512 values
@@ -291,9 +292,9 @@ def _vector_texts(values: np.ndarray) -> list[bytes]:
     return np.array(_float_texts(distinct.view(np.float64)), dtype=object)[inverse].tolist()
 
 
-def _float_array(array: np.ndarray, level: int, indent: int) -> Iterator[str]:
+def _float_array(array: np.ndarray, level: int) -> Iterator[str]:
     """A nonempty 1-D or 2-D float array, straight from the array, a block at a time."""
-    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+    pad, pad_in = " " * (_INDENT * level), " " * (_INDENT * (level + 1))
     if array.ndim == 1:
         sep = ",\n" + pad_in
         yield "[\n" + pad_in
@@ -303,7 +304,7 @@ def _float_array(array: np.ndarray, level: int, indent: int) -> Iterator[str]:
             yield sep.encode().join(_vector_texts(array[start:start + _BLOCK])).decode("ascii")
         yield "\n" + pad + "]"
         return
-    pad_row = pad_in + " " * indent
+    pad_row = pad_in + " " * _INDENT
     sep = ",\n" + pad_row
     row_sep = "\n" + pad_in + "],\n" + pad_in + "[\n" + pad_row
     rows = -(-_BLOCK // array.shape[1])  # whole rows, at least _BLOCK values
@@ -324,13 +325,13 @@ def _rows(block: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
         yield sep.join(texts[start:start + width]).decode("ascii")
 
 
-def _chunks(node, level: int, indent: int) -> Iterator[str]:
+def _chunks(node, level: int) -> Iterator[str]:
     """The JSON text of ``node`` as a sequence of chunks."""
     if isinstance(node, np.ndarray):
         if node.dtype == np.float64 and node.ndim in (1, 2) and node.size:
-            yield from _float_array(node, level, indent)
+            yield from _float_array(node, level)
         else:
-            yield from _chunks(node.tolist(), level, indent)
+            yield from _chunks(node.tolist(), level)
         return
     if isinstance(node, np.floating):
         node = float(node)
@@ -350,34 +351,29 @@ def _chunks(node, level: int, indent: int) -> Iterator[str]:
         if not node:
             yield "{}" if isinstance(node, dict) else "[]"
             return
-        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+        pad, pad_in = " " * (_INDENT * level), " " * (_INDENT * (level + 1))
         if isinstance(node, dict):
             node = {str(k): v for k, v in node.items()}
             yield "{"
             for i, (key, value) in enumerate(node.items()):
                 yield (",\n" if i else "\n") + pad_in + json.dumps(key) + ": "
-                yield from _chunks(value, level + 1, indent)
+                yield from _chunks(value, level + 1)
             yield "\n" + pad + "}"
         elif all(isinstance(v, float) for v in node):
-            yield from _float_array(np.array(node, dtype=np.float64), level, indent)
+            yield from _float_array(np.array(node, dtype=np.float64), level)
         else:
             yield "["
             for i, value in enumerate(node):
                 yield (",\n" if i else "\n") + pad_in
-                yield from _chunks(value, level + 1, indent)
+                yield from _chunks(value, level + 1)
             yield "\n" + pad + "]"
     else:
         raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
-    """Serialize with full-precision floats (stdlib json shortens them)."""
-    return "".join(_chunks(obj, 0, indent)) + "\n"
-
-
 def write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        fh.writelines(_chunks(obj, 0, 2))
+        fh.writelines(_chunks(obj, 0))
         fh.write("\n")
 
 

@@ -24,6 +24,7 @@ check, never a verdict on the physics).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -442,7 +443,9 @@ def _emit(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="magnonkit",
         description="Ferromagnetic spin-wave theory with an exact finite-spin oracle.",

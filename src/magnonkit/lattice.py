@@ -21,6 +21,13 @@ DEFAULT_GAP_TOL = 1e-12
 #: Imaginary-residue cap of a coupling Fourier sum, relative to sum_z |J(z)|.
 _IMAG_TOL = 1e-12
 
+#: Largest distance, per component, of an accepted momentum from a lattice momentum 2*pi*n/L.
+_ON_GRID_TOL = 1e-9
+
+#: Terms of a coupling Fourier sum (one per displacement pair and momentum)
+#: held at once, so each temporary stays at 8 MB whatever the grid size.
+_FOURIER_CHUNK_ELEMENTS = 1 << 20
+
 #: Largest lattice any engine accepts, in sites.  A solve takes about 220 bytes
 #: per site (10**6 sites, 220 MB), so this keeps one under 4 GB.
 MAX_SITES = 2**24
@@ -171,11 +178,11 @@ class MomentumGrid:
         return self.points.shape[0]
 
     def index_of(self, k) -> int:
-        """Grid index of a momentum (must lie on the grid up to 1e-9)."""
+        """Grid index of a momentum (must lie on the grid up to ``_ON_GRID_TOL``)."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
         deltas = np.abs(self.points - k[None, :])
         deltas = np.minimum(deltas, 2.0 * np.pi - deltas)
-        hits = np.nonzero(np.all(deltas < 1e-9, axis=1))[0]
+        hits = np.nonzero(np.all(deltas <= _ON_GRID_TOL, axis=1))[0]
         if hits.size != 1:
             raise ValueError(f"momentum {k} not on the grid")
         return int(hits[0])
@@ -189,23 +196,69 @@ def _coupling_items(couplings: CouplingSet, which: str):
     raise ValueError(f"unknown coupling kind {which!r}, expected 'J' or 'J3'")
 
 
+def _lattice_indices(points: np.ndarray, size: int) -> np.ndarray:
+    """Integer vectors n, reduced into (-L, L), of momenta 2*pi*n/L; a point off the lattice is refused."""
+    n = np.rint(points * (size / (2.0 * np.pi)))
+    with np.errstate(invalid="ignore"):  # an infinite point gives NaN here, and is refused
+        on_lattice = np.abs(points - n * (2.0 * np.pi / size)) <= _ON_GRID_TOL
+    if not np.all(on_lattice):
+        point = points[np.argmin(np.all(on_lattice, axis=1))]
+        raise ValueError(f"momentum {point} is not a lattice momentum 2*pi*n/{size}")
+    return np.fmod(n, size).astype(np.int64)
+
+
 def fourier_coupling_grid(couplings: CouplingSet, which: str, grid: MomentumGrid) -> np.ndarray:
     """sum_z J(z) exp(-i k.z) of one coupling map at every grid momentum k.
 
-    Evenness of the map makes the transform the cosine sum; the sine sum it
-    cancels is the imaginary residue, checked against 1e-12 * sum_z |J(z)|.
+    Each momentum k = 2*pi*n/L is taken as its integer vector n, so the phase
+    of displacement z is the integer (n.z) mod L.  The displacements are
+    paired with their mirrors: the even part J(z) + J(-z) weights the cosine,
+    and the odd part J(z) - J(-z) the sine, whose sum is the imaginary
+    residue, checked against 1e-12 * sum_z |J(z)| (it vanishes for an even
+    map).  The pairs are grouped by weight, and each group's cosines are
+    summed exactly, as integers: the L-entry cosine table is exactly even and
+    held in units of 2**-shift, with the shift as fine as int64 allows for
+    the largest group.  Each group sum is rounded once, then weighted, and the
+    groups are added in a fixed order.  A lattice symmetry that maps the
+    couplings to themselves permutes the terms within each group, so it
+    leaves the sum bit for bit.  A momentum off the lattice is refused with a
+    ValueError.
     """
     mapping = _coupling_items(couplings, which)
     if not mapping:
         return np.zeros(len(grid))
-    zs = np.array(list(mapping.keys()), dtype=float)
-    vs = np.array(list(mapping.values()))
-    phases = grid.points @ zs.T
-    residue = float(np.max(np.abs(np.sin(phases) @ vs)))
-    cap = _IMAG_TOL * float(np.sum(np.abs(vs)))
+    size = grid.lattice.size
+    parts = {}  # pair {z, -z}, keyed by the larger -> (J(z) + J(-z), J(z) - J(-z))
+    for z in mapping:
+        pair = max(z, tuple(-c for c in z))
+        plus, minus = mapping.get(pair, 0.0), mapping.get(tuple(-c for c in pair), 0.0)
+        parts[pair] = (plus + minus, plus - minus)
+    pairs = sorted(parts, key=lambda z: (parts[z][0], z))
+    even, odd = np.array([parts[z] for z in pairs]).T
+    starts = [i for i in range(len(pairs)) if i == 0 or even[i] != even[i - 1]]
+    largest = max(np.diff(starts + [len(pairs)]))
+    shift = 62 - int(largest).bit_length()  # a group's sum stays below 2**62
+    zs = np.array([[c % size for c in z] for z in pairs], dtype=np.int64)
+    j = np.arange(size)
+    angles = (2.0 * np.pi / size) * np.minimum(j, size - j)
+    cos_table = np.rint(np.ldexp(np.cos(angles), shift)).astype(np.int64)
+    sin_table = np.sin(angles) * np.sign(size - 2 * j)  # 0 at j = 0 and j = L/2
+    values = np.zeros(len(grid))
+    residue = 0.0
+    rows = max(1, _FOURIER_CHUNK_ELEMENTS // len(pairs))
+    for start in range(0, len(grid), rows):
+        phases = zs @ _lattice_indices(grid.points[start:start + rows], size).T
+        phases %= size
+        if odd.any():
+            residue = max(residue, float(np.max(np.abs(odd @ sin_table[phases]))))
+        sums = np.add.reduceat(cos_table.take(phases), starts, axis=0)
+        out = values[start:start + rows]
+        for w, group in zip(even[starts], sums):
+            out += w * np.ldexp(group.astype(float), -shift)
+    cap = _IMAG_TOL * sum(map(abs, mapping.values()))
     if residue > cap:
         raise AssertionError(f"imaginary residue {residue:.3e} exceeds {cap:.3e}")
-    return np.cos(phases) @ vs
+    return values
 
 
 def exchange_gap_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:

@@ -32,8 +32,7 @@ from test_artifacts import reference_csv, reference_dumps
 ISO_CSV = "dz1,J,J3\n1,1.0,1.0\n"
 ANTIFERRO_CSV = "dz1,J,J3\n1,1.0,0.0\n"
 LONGITUDINAL_CSV = "dz1,J,J3\n1,0.0,1.0\n"
-# A one-momentum Fourier sum rounds gap(0) of this set to 0.5999999999999996,
-# the grid to 0.6000000000000001.
+# gap(0) of this set rounds to 0.6000000000000001, not to 0.6.
 ANISO_3D_CSV = (
     "dz1,dz2,dz3,J,J3\n1,0,0,0.3,0.5\n0,1,0,0.3,0.5\n0,0,1,0.3,0.5\n"
     "1,1,0,0.1,0.0\n1,0,1,0.1,0.0\n0,1,1,0.1,0.0\n"
@@ -248,6 +247,16 @@ class TestSolveCommand:
             diagnostics["bound_from_field"], diagnostics["bound_from_coupling"]
         )
 
+    @pytest.mark.parametrize("size", [8, 9, 64])
+    @pytest.mark.parametrize("csv_body", [ISO_CSV, "dz1,J,J3\n1,1.0,1.0\n2,0.2,0.2\n"], ids=["nn", "nnn"])
+    def test_distinct_gaps_count_the_mirror_pairs_of_a_chain(self, size, csv_body, workspace):
+        # q and -q give bit-equal gaps, and the gap rises strictly from q = 0 to pi
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("lattice.size = 8", f"lattice.size = {size}"), csv_body)
+        assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        diagnostics = json.loads((tmp_path / "solution.json").read_text())["diagnostics"]
+        assert diagnostics["distinct_gaps"] == size // 2 + 1
+
     def test_rejected_regime_exits_1(self, workspace):
         tmp_path, make = workspace
         conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = 10.0"), ANTIFERRO_CSV)
@@ -334,8 +343,7 @@ class TestOracleCommand:
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
 
     def test_prediction_is_the_solver_occupation(self, workspace):
-        # two shells on a 5-site chain, where a one-momentum Fourier sum rounds
-        # p_n differently from the grid in the last bit
+        # two shells on a 5-site chain: p_n is the grid occupation at q, bit for bit
         tmp_path, make = workspace
         conf = make(ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 5")
                     .replace("thermal.beta = 1.0", "thermal.beta = 0.8")
@@ -579,13 +587,13 @@ class TestDynamicsCommand:
         # the snapshot reports the largest sampled drift of number and energy,
         # here one or a few roundings each
         tmp_path, make = workspace
-        conf = make(self.PACKET_CONF.replace("packet_width = 1.5", "packet_width = 2.0"))
+        conf = make(self.PACKET_CONF)
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert list(snapshot)[-2:] == ["max_number_drift", "max_energy_drift"]
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 8))
         couplings = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.5)
-        state = packet_state(-0.8, grid, couplings, 0.5, center=3, width=2.0, kick_index=2)
+        state = packet_state(-0.8, grid, couplings, 0.5, center=3, width=1.5, kick_index=2)
         for key, total in (("max_number_drift", total_number), ("max_energy_drift", total_energy)):
             drifts = [abs(total(evolve(state, t)) - total(state)) for t in (0.0, 0.5, 1.0)]
             assert snapshot[key] == max(drifts)

@@ -66,13 +66,20 @@ def reference_coupling_matrix(couplings, which, lattice):
     return mat
 
 
-def reference_fourier(couplings, which, k) -> complex:
-    """sum_z J(z) exp(-i k.z), one complex exponential per displacement."""
+TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
+
+
+def reference_fourier(couplings, which, n, size) -> complex:
+    """sum_z J(z) exp(-i k.z) at the lattice momentum k = 2*pi*n/L, one complex exponential per displacement.
+
+    The phase is taken from the exact integer n.z and everything is summed in
+    extended precision, so the one rounding left is the final one to double.
+    """
     mapping = couplings.exchange if which == "J" else couplings.exchange_z
-    total = 0.0 + 0.0j
+    total = np.clongdouble(0)
     for z, v in mapping.items():
-        total += v * np.exp(-1j * float(np.dot(k, z)))
-    return total
+        total += np.longdouble(v) * np.exp(-1j * (TWO_PI * (int(np.dot(n, z)) % size) / size))
+    return complex(total)
 
 
 LATTICES = [LatticeSpec(1, 1), LatticeSpec(1, 7), LatticeSpec(2, 1), LatticeSpec(2, 5),
@@ -200,7 +207,7 @@ class TestFourierCoupling:
             c = random_even_couplings(rng, dimension)
             grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
             vals = fourier_coupling_grid(c, "J", grid)  # raises on a non-negligible residue
-            reference = np.array([reference_fourier(c, "J", k) for k in grid.points])
+            reference = np.array([reference_fourier(c, "J", n, size) for n in grid.lattice.site_vectors()])
             np.testing.assert_allclose(vals, reference.real, atol=1e-12)
             assert np.max(np.abs(reference.imag)) < 1e-12
 
@@ -209,7 +216,7 @@ class TestFourierCoupling:
         c = CouplingSet.symmetrized({1: 1e4, 2: 1e4 / 3, 3: 1e4 / 7}, {1: 1e4}, 1.0)
         grid = chain_grid(64)
         vals = fourier_coupling_grid(c, "J", grid)
-        reference = np.array([reference_fourier(c, "J", k) for k in grid.points])
+        reference = np.array([reference_fourier(c, "J", n, 64) for n in grid.lattice.site_vectors()])
         np.testing.assert_allclose(vals, reference.real, atol=1e-8)
         assert vals[0] == pytest.approx(2e4 * (1 + 1 / 3 + 1 / 7), rel=1e-15)
 
@@ -217,26 +224,38 @@ class TestFourierCoupling:
     @pytest.mark.parametrize("reach", [2, 3])
     def test_both_forms_match_reference(self, dimension, size, reach):
         # The grid form over many momenta at once and over a one-point grid per
-        # momentum (different BLAS kernels) both stay within the rounding of
-        # the cosine sum: with displacement components in -2..2 every product
-        # k_a z_a is exact, so that is 4 ulp of sum_z |J(z)|.  Longer
-        # displacements round the products, which moves a term by up to |k.z|
-        # ulp of |J(z)|.
+        # momentum give the same bits (each momentum's sum is its own), within
+        # the rounding of the cosine sum: 4 ulp of sum_z |J(z)|.  Integer
+        # phases make the bound independent of the displacements' length.
         rng = np.random.default_rng(100 * dimension + reach)
         grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
         for _ in range(20):
             c = random_even_couplings(rng, dimension, reach=reach)
-            off_grid = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(20, dimension))
-            points = np.concatenate([grid.points, off_grid])
-            phases = [abs(float(np.dot(k, z))) for k in points for z in c.exchange]
-            conditioning = 1.0 if reach == 2 else max([1.0, *phases])
-            tol = 4.0 * np.finfo(float).eps * sum(map(abs, c.exchange.values())) * conditioning
-            reference = np.array([reference_fourier(c, "J", k) for k in points])
+            tol = 4.0 * np.finfo(float).eps * sum(map(abs, c.exchange.values()))
+            reference = np.array([reference_fourier(c, "J", n, size) for n in grid.lattice.site_vectors()])
             single = np.array([fourier_coupling_grid(c, "J", one_point_grid(k, grid.lattice))[0]
-                               for k in points])
-            vectorized = fourier_coupling_grid(c, "J", MomentumGrid(points, grid.lattice))
-            assert np.max(np.abs(single - reference.real)) <= tol
+                               for k in grid.points])
+            vectorized = fourier_coupling_grid(c, "J", grid)
+            np.testing.assert_array_equal(single, vectorized)
             assert np.max(np.abs(vectorized - reference.real)) <= tol
+
+    def test_chunks_leave_the_values_unchanged(self, monkeypatch):
+        c = random_even_couplings(np.random.default_rng(5), 2, reach=3)
+        grid = MomentumGrid.from_lattice(LatticeSpec(2, 9))
+        whole = fourier_coupling_grid(c, "J", grid)
+        monkeypatch.setattr("magnonkit.lattice._FOURIER_CHUNK_ELEMENTS", 7)  # a few momenta per chunk
+        np.testing.assert_array_equal(fourier_coupling_grid(c, "J", grid), whole)
+
+    def test_off_lattice_momentum_refused(self):
+        with pytest.raises(ValueError, match=r"momentum \[0\.7\] is not a lattice momentum 2\*pi\*n/4"):
+            fourier_coupling_grid(nn_chain(), "J", one_point_grid([0.7], LatticeSpec(1, 4)))
+        points = [[-math.pi / 2], [math.pi / 2 + 2e-9], [math.nan], [math.inf]]
+        for point in points[1:]:
+            with pytest.raises(ValueError, match="is not a lattice momentum"):
+                exchange_gap_grid(nn_chain(), MomentumGrid(np.array(points[:1] + [point]), LatticeSpec(1, 4)))
+        # -pi/2 is the lattice momentum 3 pi/2, grid point 3 of 4
+        gap = exchange_gap_grid(nn_chain(), one_point_grid(points[0], LatticeSpec(1, 4)))[0]
+        assert gap == exchange_gap_grid(nn_chain(), chain_grid(4))[3]
 
     def test_residue_guard_fires_on_an_uneven_map(self):
         c = nn_chain()
@@ -290,7 +309,7 @@ class TestExchangeGap:
 
     def test_longitudinal_only_is_constant(self):
         c = nn_chain(j=0.0, j3=1.0)
-        points = np.array([[0.0], [0.7], [math.pi]])
+        points = np.array([[0.0], [math.pi / 2], [math.pi]])
         gaps = exchange_gap_grid(c, MomentumGrid(points, LatticeSpec(1, 4)))
         np.testing.assert_allclose(gaps, 2.0, rtol=0.0, atol=1e-14)
 
@@ -300,6 +319,63 @@ class TestExchangeGap:
         c = CouplingSet.symmetrized({(1,): -0.3, (2,): -0.1}, {(1,): 1.0}, 1.0)
         gaps = exchange_gap_grid(c, chain_grid(32))
         assert np.max(gaps) <= gaps[0] + 1e-12
+
+
+def permutation_closed_couplings(values, dimension):
+    """Even couplings closed under axis permutation: each value is set on every
+    permutation and mirror of its displacement, unless one was set there before."""
+    exchange = {}
+    for z, v in values:
+        z = tuple(z[:dimension])
+        if any(z):
+            for image in itertools.permutations(z):
+                exchange.setdefault(image, v)
+                exchange.setdefault(tuple(-c for c in image), v)
+    return CouplingSet(exchange, exchange, 1.0)
+
+
+def assert_symmetric_momenta_bit_equal(couplings, lattice):
+    """Mirrored (n -> -n mod L) and axis-permuted momenta have bit-equal gaps."""
+    gaps = exchange_gap_grid(couplings, MomentumGrid.from_lattice(lattice))
+    bits = gaps.view(np.int64)
+    n = lattice.site_vectors()
+    radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1)
+    np.testing.assert_array_equal(bits[(-n % lattice.size) @ radix], bits)
+    for perm in itertools.permutations(range(lattice.dimension)):
+        np.testing.assert_array_equal(bits[n[:, perm] @ radix], bits)
+
+
+class TestSymmetricMomenta:
+    """A lattice symmetry that maps the couplings to themselves leaves the gap bit for bit."""
+
+    @pytest.mark.parametrize("dimension, size", [(2, 6), (2, 7), (3, 4), (3, 5)])
+    def test_random_permutation_closed_couplings(self, dimension, size):
+        rng = np.random.default_rng(10 * dimension + size)
+        lattice = LatticeSpec(dimension, size)
+        for _ in range(10):
+            values = [(tuple(int(c) for c in rng.integers(-3, 4, size=dimension)), float(rng.normal()))
+                      for _ in range(5)]
+            assert_symmetric_momenta_bit_equal(permutation_closed_couplings(values, dimension), lattice)
+
+    def test_nearest_neighbour_cube(self):
+        assert_symmetric_momenta_bit_equal(CouplingSet.nearest_neighbor(3), LatticeSpec(3, 16))
+
+    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @given(
+        dimension=st.integers(2, 3),
+        size=st.integers(1, 7),
+        values=st.lists(
+            st.tuples(
+                st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                st.floats(-2.0, 2.0, allow_subnormal=False),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_generated_permutation_closed_couplings(self, dimension, size, values):
+        assert_symmetric_momenta_bit_equal(
+            permutation_closed_couplings(values, dimension), LatticeSpec(dimension, size)
+        )
 
 
 class TestCouplingMatrix:

@@ -8,7 +8,6 @@ PACKAGE = Path(magnonkit.__file__).resolve().parent
 # Kept although no package code reads them, each for a stated reason.
 UNREFERENCED = {
     "__init__.py:__all__": "read by the import system",
-    "artifacts.py:json_dumps": "the in-memory twin of write_json that the writer tests compare against",
 }
 
 

@@ -159,7 +159,7 @@ class TestDispersion:
 
     def test_identity_at_full_polarization(self):
         # eps(q) - 2h = 2*gap(q) when m = -1
-        grid = MomentumGrid(np.array([[0.0], [0.4], [2.0], [math.pi]]), LatticeSpec(1, 4))
+        grid = MomentumGrid(2.0 * math.pi / 16 * np.array([[0.0], [1.0], [5.0], [8.0]]), LatticeSpec(1, 16))
         lhs = mode_spectrum(-1.0, 0.7, ISO, grid) - 2.0 * 0.7
         np.testing.assert_allclose(lhs, 2.0 * exchange_gap_grid(ISO, grid), rtol=0.0, atol=1e-13)
 
@@ -198,7 +198,7 @@ class TestSharedBoseFormula:
     def test_scalar_form(self, m, beta, h):
         # one momentum at a time: a one-point grid
         p = ThermalParams(beta, h)
-        for q in (0.0, 0.7, math.pi):
+        for q in (0.0, 2.0 * math.pi * 2 / 16, math.pi):
             grid = MomentumGrid(np.array([[q]]), LatticeSpec(1, 16))
             gaps = exchange_gap_grid(ISO, grid)
             expected = reference_occupations(m, beta, h, gaps)[0]
@@ -364,8 +364,8 @@ class TestGapCompressedScan:
     def test_diagnostics_count_the_work(self):
         solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid_for(8))
         diag = solution.diagnostics
-        # gaps 2 - 2cos(2 pi j / 8): 0, 2 - sqrt 2, 2, 2 + sqrt 2, 4, up to float noise
-        assert 5 <= diag["distinct_gaps"] == np.unique(solution.gap_values).size <= 8
+        # gaps 2 - 2cos(2 pi j / 8): 0, 2 - sqrt 2, 2, 2 + sqrt 2, 4, each of q and -q bit-equal
+        assert diag["distinct_gaps"] == np.unique(solution.gap_values).size == 5
         assert 40 <= diag["bisection_steps"] <= 60
         assert diag["defect_evaluations"] == diag["scan_points"] + diag["bisection_steps"] + 1
 
@@ -379,8 +379,8 @@ class TestGapCompressedScan:
         assert chunked.diagnostics == whole.diagnostics
 
     def test_scan_memory_is_bounded_by_the_chunk_budget(self):
-        # distinct gaps x scan points is 6 to 7 times the budget here, and the
-        # unchunked scan matrix would take 256 MB; one float chunk and its mask fit
+        # distinct gaps x scan points is 4 times the budget here, and the
+        # unchunked scan matrix would take 134 MB; one float chunk and its mask fit
         grid = grid_for(8192)
         tracemalloc.start()
         try:
