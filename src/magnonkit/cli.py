@@ -59,7 +59,7 @@ def _parse_float(text):
     return value
 
 
-def _parse_tolerance(text):
+def _parse_nonnegative(text):
     value = _parse_float(text)
     if value < 0.0:
         raise ValueError(f"must be >= 0, got {value}")
@@ -92,7 +92,7 @@ _SCHEMA = {
     "lattice.dimension": (int, None),
     "lattice.size": (int, None),
     "couplings.path": (str, None),
-    "field.h": (_parse_float, None),
+    "field.h": (_parse_nonnegative, None),
     "thermal.beta": (_parse_float, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
     "validate.tol": (_parse_float, "1e-12"),
@@ -108,7 +108,7 @@ _SCHEMA = {
     "dynamics.packet_center": (int, "0"),
     "dynamics.packet_width": (_parse_float, "1.0"),
     "dynamics.packet_kick": (int, "0"),
-    "dynamics.conservation_tol": (_parse_tolerance, "1e-10"),
+    "dynamics.conservation_tol": (_parse_nonnegative, "1e-10"),
     "sectors.copies": (int, None),
 }
 

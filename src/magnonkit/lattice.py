@@ -2,14 +2,18 @@
 
 The geometry is a periodic hypercubic torus with ``L**nu`` sites addressed
 by integer vectors mod L.  Exchange couplings are keyed by displacement
-vector and must be even, ``J(z) == J(-z)``, which is what makes every
-lattice Fourier transform used downstream real.
+vector and are even, ``J(z) == J(-z)``: the :class:`CouplingSet`
+constructor fills each missing mirror, refuses a conflicting one, and
+stores read-only maps.  Evenness is what makes every lattice Fourier
+transform used downstream real.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,9 +21,6 @@ Displacement = tuple[int, ...]
 
 #: Floating-point noise floor of the gap, relative to sum_z |J(z)| + |J3(z)|.
 DEFAULT_GAP_TOL = 1e-12
-
-#: Imaginary-residue cap of a coupling Fourier sum, relative to sum_z |J(z)|.
-_IMAG_TOL = 1e-12
 
 #: Largest distance, per component, of an accepted momentum from a lattice momentum 2*pi*n/L.
 _ON_GRID_TOL = 1e-9
@@ -68,20 +69,8 @@ def _as_displacement(raw) -> Displacement:
     return tuple(int(c) for c in (raw if isinstance(raw, tuple) else (raw,)))
 
 
-def _with_mirrors(mapping, where) -> dict[Displacement, float]:
-    """Copy of a displacement -> value map with each missing mirror -z set to the value at z.
-
-    A mirror present with a different value is refused; ``where`` names the
-    source in the message.
-    """
-    out = {_as_displacement(raw): float(value) for raw, value in mapping.items()}
-    for z, v in list(out.items()):
-        mirror = tuple(-c for c in z)
-        if mirror not in out:
-            out[mirror] = v
-        elif out[mirror] != v:
-            raise ValueError(f"{where}: displacement {z} conflicts with its mirror {mirror}")
-    return out
+def _mirror(z: Displacement) -> Displacement:
+    return tuple(-c for c in z)
 
 
 class CouplingSet:
@@ -90,19 +79,40 @@ class CouplingSet:
     Parameters
     ----------
     exchange : mapping displacement -> float
-        Transverse coupling J.  Must be even and vanish at zero displacement.
+        Transverse coupling J.  Even; a displacement listed without its
+        mirror -z gets the mirror's value filled in, and a mirror listed with
+        a different value is refused.  Must vanish at zero displacement.
     exchange_z : mapping displacement -> float
-        Longitudinal coupling J3, same requirements.
+        Longitudinal coupling J3, same rules.
     h : float
         Magnetic field, >= 0.
 
-    Evenness is rejected, not repaired, here; use :func:`load_couplings_csv`
-    or :meth:`symmetrized` when only one representative per pair is known.
+    ``exchange`` and ``exchange_z`` are stored as read-only maps: the listed
+    entries first, then the filled mirrors in listing order, with zero values
+    dropped.  sum_z |J(z)| + |J3(z)| over the filled maps, which bounds
+    every term of the gap, must be finite.  Any violation is a ValueError.
     """
 
     def __init__(self, exchange, exchange_z, h):
-        self.exchange = self._normalize("exchange", exchange)
-        self.exchange_z = self._normalize("exchange_z", exchange_z)
+        filled = {}
+        total = 0.0
+        for name, mapping in (("exchange", exchange), ("exchange_z", exchange_z)):
+            out = filled[name] = {_as_displacement(raw): float(value) for raw, value in mapping.items()}
+            for z, v in list(out.items()):
+                out.setdefault(_mirror(z), v)
+            for z, v in out.items():
+                total += abs(v)
+                if not math.isfinite(total):
+                    raise ValueError(f"{name}: coupling {v} at {z} makes sum |J| + |J3| non-finite")
+        for name, out in filled.items():  # after the sum, so a nan is not reported as a conflict
+            for z, v in out.items():
+                if out[_mirror(z)] != v:
+                    raise ValueError(f"{name}: displacement {z} conflicts with its mirror {_mirror(z)}")
+                if v != 0.0 and not any(z):
+                    raise ValueError(f"{name}: on-site coupling must vanish, got {v} at {z}")
+        self.exchange, self.exchange_z = (
+            MappingProxyType({z: v for z, v in out.items() if v != 0.0}) for out in filled.values()
+        )
         dims = {len(z) for z in self.exchange} | {len(z) for z in self.exchange_z}
         if len(dims) > 1:
             raise ValueError(f"mixed displacement dimensions: {sorted(dims)}")
@@ -111,43 +121,12 @@ class CouplingSet:
             raise ValueError(f"field h must be >= 0, got {h}")
         self.h = float(h)
 
-    @staticmethod
-    def _normalize(name, mapping) -> dict[Displacement, float]:
-        out: dict[Displacement, float] = {}
-        for raw, value in mapping.items():
-            z = _as_displacement(raw)
-            v = float(value)
-            if v == 0.0:
-                continue
-            if all(c == 0 for c in z):
-                raise ValueError(f"{name}: on-site coupling must vanish, got {v} at {z}")
-            out[z] = v
-        for z, v in out.items():
-            mirror = tuple(-c for c in z)
-            if out.get(mirror) != v:
-                raise ValueError(
-                    f"{name}: evenness violated at {z}: {v} vs {out.get(mirror)} at {mirror}"
-                )
-        return out
-
-    @classmethod
-    def symmetrized(cls, exchange, exchange_z, h) -> "CouplingSet":
-        """Build a coupling set, inserting missing mirror displacements."""
-        return cls(_with_mirrors(exchange, "exchange"), _with_mirrors(exchange_z, "exchange_z"), h)
-
     @classmethod
     def nearest_neighbor(cls, dimension, j=1.0, j3=1.0, h=0.0) -> "CouplingSet":
         """Isotropic-strength nearest-neighbor couplings on a nu-dimensional torus."""
-        exchange = {}
-        exchange_z = {}
-        for axis in range(dimension):
-            for sign in (+1, -1):
-                z = tuple(sign if a == axis else 0 for a in range(dimension))
-                if j:
-                    exchange[z] = float(j)
-                if j3:
-                    exchange_z[z] = float(j3)
-        return cls(exchange, exchange_z, h)
+        steps = [tuple(sign if a == axis else 0 for a in range(dimension))
+                 for axis in range(dimension) for sign in (+1, -1)]
+        return cls(dict.fromkeys(steps, j), dict.fromkeys(steps, j3), h)
 
     @property
     def dimension(self) -> int | None:
@@ -188,14 +167,6 @@ class MomentumGrid:
         return int(hits[0])
 
 
-def _coupling_items(couplings: CouplingSet, which: str):
-    if which == "J":
-        return couplings.exchange
-    if which == "J3":
-        return couplings.exchange_z
-    raise ValueError(f"unknown coupling kind {which!r}, expected 'J' or 'J3'")
-
-
 def _lattice_indices(points: np.ndarray, size: int) -> np.ndarray:
     """Integer vectors n, reduced into (-L, L), of momenta 2*pi*n/L; a point off the lattice is refused."""
     n = np.rint(points * (size / (2.0 * np.pi)))
@@ -207,81 +178,68 @@ def _lattice_indices(points: np.ndarray, size: int) -> np.ndarray:
     return np.fmod(n, size).astype(np.int64)
 
 
-def fourier_coupling_grid(couplings: CouplingSet, which: str, grid: MomentumGrid) -> np.ndarray:
-    """sum_z J(z) exp(-i k.z) of one coupling map at every grid momentum k.
+def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
+    """sum_z J(z) exp(-i k.z) of the transverse coupling at every grid momentum k.
 
-    Each momentum k = 2*pi*n/L is taken as its integer vector n, so the phase
-    of displacement z is the integer (n.z) mod L.  The displacements are
-    paired with their mirrors: the even part J(z) + J(-z) weights the cosine,
-    and the odd part J(z) - J(-z) the sine, whose sum is the imaginary
-    residue, checked against 1e-12 * sum_z |J(z)| (it vanishes for an even
-    map).  The pairs are grouped by weight, and each group's cosines are
-    summed exactly, as integers: the L-entry cosine table is exactly even and
-    held in units of 2**-shift, with the shift as fine as int64 allows for
-    the largest group.  Each group sum is rounded once, then weighted, and the
-    groups are added in a fixed order.  A lattice symmetry that maps the
-    couplings to themselves permutes the terms within each group, so it
-    leaves the sum bit for bit.  A momentum off the lattice is refused with a
-    ValueError.
+    The sum is real, since the couplings are even.  Each momentum
+    k = 2*pi*n/L is taken as its integer vector n, so the phase of
+    displacement z is the integer (n.z) mod L, and each mirror pair {z, -z}
+    adds 2 J(z) cos(2*pi*(n.z mod L)/L).  The pairs are grouped by weight,
+    and each group's cosines are summed exactly, as integers: the L-entry
+    cosine table is exactly even and held in units of 2**-shift, with the
+    shift as fine as int64 allows for the largest group.  Each group sum is
+    rounded once, then weighted, and the groups are added in a fixed order.
+    A lattice symmetry that maps the couplings to themselves permutes the
+    terms within each group, so it leaves the sum bit for bit.  A momentum
+    off the lattice is refused with a ValueError.
     """
-    mapping = _coupling_items(couplings, which)
+    mapping = couplings.exchange
     if not mapping:
         return np.zeros(len(grid))
     size = grid.lattice.size
-    parts = {}  # pair {z, -z}, keyed by the larger -> (J(z) + J(-z), J(z) - J(-z))
-    for z in mapping:
-        pair = max(z, tuple(-c for c in z))
-        plus, minus = mapping.get(pair, 0.0), mapping.get(tuple(-c for c in pair), 0.0)
-        parts[pair] = (plus + minus, plus - minus)
-    pairs = sorted(parts, key=lambda z: (parts[z][0], z))
-    even, odd = np.array([parts[z] for z in pairs]).T
-    starts = [i for i in range(len(pairs)) if i == 0 or even[i] != even[i - 1]]
+    pairs = sorted({max(z, _mirror(z)) for z in mapping}, key=lambda z: (mapping[z], z))
+    weights = [2.0 * mapping[z] for z in pairs]
+    starts = [i for i in range(len(pairs)) if i == 0 or weights[i] != weights[i - 1]]
     largest = max(np.diff(starts + [len(pairs)]))
     shift = 62 - int(largest).bit_length()  # a group's sum stays below 2**62
     zs = np.array([[c % size for c in z] for z in pairs], dtype=np.int64)
     j = np.arange(size)
     angles = (2.0 * np.pi / size) * np.minimum(j, size - j)
     cos_table = np.rint(np.ldexp(np.cos(angles), shift)).astype(np.int64)
-    sin_table = np.sin(angles) * np.sign(size - 2 * j)  # 0 at j = 0 and j = L/2
     values = np.zeros(len(grid))
-    residue = 0.0
     rows = max(1, _FOURIER_CHUNK_ELEMENTS // len(pairs))
     for start in range(0, len(grid), rows):
         phases = zs @ _lattice_indices(grid.points[start:start + rows], size).T
         phases %= size
-        if odd.any():
-            residue = max(residue, float(np.max(np.abs(odd @ sin_table[phases]))))
         sums = np.add.reduceat(cos_table.take(phases), starts, axis=0)
         out = values[start:start + rows]
-        for w, group in zip(even[starts], sums):
-            out += w * np.ldexp(group.astype(float), -shift)
-    cap = _IMAG_TOL * sum(map(abs, mapping.values()))
-    if residue > cap:
-        raise AssertionError(f"imaginary residue {residue:.3e} exceeds {cap:.3e}")
+        for i, group in zip(starts, sums):
+            out += weights[i] * np.ldexp(group.astype(float), -shift)
     return values
 
 
 def exchange_gap_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
-    """Exchange part of the magnon gap, J3(0) - J(q), at every grid momentum q."""
-    return sum(couplings.exchange_z.values()) - fourier_coupling_grid(couplings, "J", grid)
+    """Exchange part of the magnon gap, J3(0) - J(q), at every grid momentum q.
+
+    J3(0) is summed correctly rounded, so it does not depend on the order
+    the couplings are listed in.
+    """
+    return math.fsum(couplings.exchange_z.values()) - fourier_coupling_grid(couplings, grid)
 
 
-def coupling_matrix(couplings: CouplingSet, which: str, lattice: LatticeSpec) -> np.ndarray:
-    """Periodized site-to-site coupling matrix on the torus.
+def coupling_matrix(mapping, lattice: LatticeSpec) -> np.ndarray:
+    """Periodized site-to-site matrix of one coupling map on the torus.
 
+    ``mapping`` is ``CouplingSet.exchange`` or ``CouplingSet.exchange_z``.
     Every stored displacement contributes to the pair it connects mod L, so
     displacements longer than the torus fold onto it additively.  This keeps
     the matrix exactly consistent with the grid Fourier transforms.
     """
-    mapping = _coupling_items(couplings, which)
     n = lattice.n_sites
     mat = np.zeros((n, n))
-    if not mapping:
-        return mat
-    if couplings.dimension != lattice.dimension:
-        raise ValueError(
-            f"coupling dimension {couplings.dimension} != lattice dimension {lattice.dimension}"
-        )
+    dims = {len(z) for z in mapping} - {lattice.dimension}
+    if dims:
+        raise ValueError(f"coupling dimension {dims.pop()} != lattice dimension {lattice.dimension}")
     sites = lattice.site_vectors()
     radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
     rows = np.arange(n)
@@ -366,8 +324,9 @@ def validate_ferromagnetic(
 def load_couplings_csv(path, dimension: int, h: float) -> CouplingSet:
     """Read couplings from CSV with header dz1,...,dznu,J,J3.
 
-    One row per displacement.  Missing mirror rows are inserted; rows that
-    disagree with an earlier entry for the same displacement are rejected.
+    One row per displacement.  Rows that disagree with an earlier entry for
+    the same displacement are rejected; the :class:`CouplingSet` constructor
+    fills missing mirrors, and its refusals are prefixed with the path.
     """
     expected = [f"dz{i + 1}" for i in range(dimension)] + ["J", "J3"]
     exchange: dict[Displacement, float] = {}
@@ -388,5 +347,7 @@ def load_couplings_csv(path, dimension: int, h: float) -> CouplingSet:
                 if z in mapping and mapping[z] != value:
                     raise ValueError(f"{path}:{lineno}: inconsistent duplicate for {z}")
                 mapping[z] = value
-    return CouplingSet(_with_mirrors(exchange, path), _with_mirrors(exchange_z, path), h)
-
+    try:
+        return CouplingSet(exchange, exchange_z, h)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -105,8 +105,7 @@ class _Block:
     ``eigh``.
     """
 
-    def __init__(self, label, log_weight, energies, plus, three, max_sector_dim):
-        self.label = label
+    def __init__(self, log_weight, energies, plus, three, max_sector_dim):
         self.log_weight = log_weight
         self.energies = energies
         self.plus = plus  # S+ pieces
@@ -210,8 +209,9 @@ def _split_by_magnetization(diagonal, hops, magnetization):
     into its own square of one flat buffer; sectors of equal size lie side
     by side there and go to one stacked ``eigh``.  Returns the permutation
     that sorts the product basis by magnetization, the sorted sector values
-    and slices, and the per-sector eigenpairs.  Raises AssertionError if a
-    hop leaves its source's sector.
+    and slices, the per-sector eigenpairs, and per product state its
+    position in the sorted basis and its sector number.  Raises
+    AssertionError if a hop leaves its source's sector.
     """
     dst, src, value = hops
     leak = magnetization[dst] != magnetization[src]
@@ -242,7 +242,7 @@ def _split_by_magnetization(diagonal, hops, magnetization):
         energies, vectors = np.linalg.eigh(stack)
         for k, e, v in zip(group, energies, vectors):
             eigen[k] = (e, v)
-    return order, values, sectors, eigen
+    return order, values, sectors, eigen, rank, sector
 
 
 def _sector_blocks(config: SpinConfig):
@@ -256,8 +256,8 @@ def _sector_blocks(config: SpinConfig):
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
     table = sector_decomposition(n)
-    j_mat = coupling_matrix(config.couplings, "J", lattice)
-    j3_mat = coupling_matrix(config.couplings, "J3", lattice)
+    j_mat = coupling_matrix(config.couplings.exchange, lattice)
+    j3_mat = coupling_matrix(config.couplings.exchange_z, lattice)
     translations = _translations(lattice)
     for name, mat in (("J", j_mat), ("J3", j3_mat)):
         if not np.all(mat[translations[:, :, None], translations[:, None, :]] == mat):
@@ -272,12 +272,11 @@ def _sector_blocks(config: SpinConfig):
         basis = _product_basis([e.twice_j for e in assignment])
         _, strides, amp, s3 = basis
         diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, h, two_n)
-        order, values, sectors, eigen = _split_by_magnetization(diagonal, hops, s3.sum(axis=0))
-        rank = np.argsort(order)
+        order, values, sectors, eigen, rank, sector = _split_by_magnetization(diagonal, hops, s3.sum(axis=0))
         # every S+(x) entry, written in the sorted basis: site, row, column
         site, src = np.nonzero(amp > 0.0)
         row, col = rank[src + strides[site]], rank[src]
-        col_sector = np.searchsorted([s.start for s in sectors], col, side="right") - 1
+        col_sector = sector[src]
         s3_sorted = s3[:, order]
         powers = np.stack([s3_sorted, s3_sorted**2])
         index = {int(m): i for i, m in enumerate(values)}
@@ -294,8 +293,7 @@ def _sector_blocks(config: SpinConfig):
                 left[at] = amp[site[sel], src[sel], None] * vectors[row[sel] - rows.start]
                 plus.append((rows, cols, left.transpose(0, 2, 1) @ lower))
         energies = np.concatenate([e for e, _ in eigen])
-        label = tuple(e.twice_j for e in assignment)
-        return _Block(label, math.log(weight), energies, plus, np.concatenate(three, axis=-1),
+        return _Block(math.log(weight), energies, plus, np.concatenate(three, axis=-1),
                       int(max(s.stop - s.start for s in sectors)))
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
@@ -321,8 +319,8 @@ def _full_block(config: SpinConfig) -> _Block:
     clear = n - down.reshape(n_sites, n, dim).sum(axis=1)  # spins up per site
     s3 = 2.0 * clear - n
 
-    j_mat = coupling_matrix(config.couplings, "J", lattice)
-    j3_mat = coupling_matrix(config.couplings, "J3", lattice)
+    j_mat = coupling_matrix(config.couplings.exchange, lattice)
+    j3_mat = coupling_matrix(config.couplings.exchange_z, lattice)
     two_n = 2.0 * n
     hamiltonian = np.zeros((dim, dim))
     diag = np.zeros(dim)
@@ -350,7 +348,7 @@ def _full_block(config: SpinConfig) -> _Block:
             raised.reshape(split)[:, 0] += vectors.reshape(split)[:, 1]
         np.matmul(vectors.T, raised, out=t_plus[x])
     everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
-    return _Block(("full",), 0.0, energies, [(everything, everything, t_plus)],
+    return _Block(0.0, energies, [(everything, everything, t_plus)],
                   np.stack([s3, s3**2]) @ (vectors * vectors), dim)
 
 

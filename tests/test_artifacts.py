@@ -417,7 +417,7 @@ class TestFloatKernel:
     def test_packet_snapshot_is_certified(self):
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 128))
         shells = {(1,): 1.0, (2,): 0.25}  # next-nearest couplings, as in the dynamics benchmark
-        couplings = CouplingSet.symmetrized(shells, shells, 0.5)
+        couplings = CouplingSet(shells, shells, 0.5)
         state = evolve(packet_state(-0.8, grid, couplings, 0.5, center=40, width=17.5, kick_index=9), 31.7)
         values = np.concatenate([state.gamma.real.ravel(), state.gamma.imag.ravel()])
         values = values[np.isfinite(values) & (values != 0.0)]

@@ -127,8 +127,40 @@ class TestValidateCommand:
         conf = make(BASE_CONF, "dz1,J,J3\n1,1.0,1.0\n-1,2.0,2.0\n")
         assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {tmp_path / 'couplings.csv'}: displacement (1,) "
+        assert err == (f"error: {tmp_path / 'couplings.csv'}: exchange: displacement (1,) "
                        "conflicts with its mirror (-1,)\n")
+
+    def test_negative_field_exits_2_naming_the_key(self, workspace, capsys):
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = -1"))
+        assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config key 'field.h': must be >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("value, shown, at", [("inf", "inf", "(1,)"), ("nan", "nan", "(1,)"),
+                                                  ("1e308", "1e+308", "(-1,)")])
+    def test_non_finite_coupling_exits_2(self, workspace, capsys, command, value, shown, at):
+        # inf used to validate with gap_ok true and minimum_gap -inf; 1e308 and its filled
+        # mirror overflow the sum |J| + |J3| that bounds every term of the gap
+        tmp_path, make = workspace
+        conf = make(BASE_CONF, f"dz1,J,J3\n1,{value},1.0\n")
+        assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'couplings.csv'}: exchange: coupling "
+                                           f"{shown} at {at} makes sum |J| + |J3| non-finite\n")
+        assert list(tmp_path.glob("*.json")) == []
+
+    def test_gap_does_not_depend_on_the_listing_order(self, workspace):
+        # J3(0) = 2 (0.1 + 0.2 + 0.7) summed in listing order is 1.9999999999999998 or 2.0
+        tmp_path, make = workspace
+        rows = {1: "0.1,0.1", 2: "0.05,0.2", 3: "0.02,0.7"}
+        listings = ([1, 2, 3], [3, 1, 2], [2, 3, 1], [-3, -2, -1, 1, 2, 3], [1, -1, 2, -2, 3, -3])
+        artifacts = set()
+        for order in listings:
+            csv = "dz1,J,J3\n" + "".join(f"{dz},{rows[abs(dz)]}\n" for dz in order)
+            conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = 2.5"), csv)
+            assert main(["validate", "--config", str(conf), "--out", str(tmp_path)]) == 0
+            artifacts.add((tmp_path / "validate.json").read_bytes())
+        assert len(artifacts) == 1
 
     def test_unknown_key_exits_2(self, workspace):
         tmp_path, make = workspace
@@ -351,7 +383,7 @@ class TestOracleCommand:
                     "dz1,J,J3\n1,1.0,1.0\n2,0.25,0.25\n")
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
-        couplings = CouplingSet.symmetrized({1: 1.0, 2: 0.25}, {1: 1.0, 2: 0.25}, 2.5)
+        couplings = CouplingSet({1: 1.0, 2: 0.25}, {1: 1.0, 2: 0.25}, 2.5)
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 5))
         for row in rows:
             assert row["p_n"] == occupation(row["m_n"], ThermalParams(0.8, 2.5), couplings, grid)[3]

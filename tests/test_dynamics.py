@@ -159,7 +159,7 @@ class TestBasisChange:
     def test_two_dimensional_round_trip_and_conservation(self):
         lattice = LatticeSpec(2, 4)
         grid = MomentumGrid.from_lattice(lattice)
-        couplings = CouplingSet.symmetrized(
+        couplings = CouplingSet(
             {(1, 0): 1.0, (0, 1): 0.7, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0}, 0.5
         )
         rng = np.random.default_rng(12)
@@ -346,7 +346,7 @@ def dense_reference(m, gamma_mode, grid, couplings, h, t):
     evolved = phases[:, None] * gamma_mode * phases.conj()[None, :]
     u = dense_mode_to_site(grid)
     site = u @ evolved @ u.conj().T
-    j_mat = coupling_matrix(couplings, "J", grid.lattice)
+    j_mat = coupling_matrix(couplings.exchange, grid.lattice)
     return {
         "density": np.real(np.diagonal(site)),
         "number": float(np.real(np.trace(evolved))),
@@ -378,8 +378,8 @@ def assert_matches_reference(state, gamma_mode, t):
 
 
 STRUCTURED_LATTICES = {
-    "1d": (LatticeSpec(1, 8), CouplingSet.symmetrized({(1,): 1.0, (2,): 0.3}, {(1,): 1.0, (2,): 0.4}, 0.5)),
-    "2d": (LatticeSpec(2, 4), CouplingSet.symmetrized(
+    "1d": (LatticeSpec(1, 8), CouplingSet({(1,): 1.0, (2,): 0.3}, {(1,): 1.0, (2,): 0.4}, 0.5)),
+    "2d": (LatticeSpec(2, 4), CouplingSet(
         {(1, 0): 1.0, (0, 1): 0.7, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0}, 0.5)),
     "3d": (LatticeSpec(3, 3), CouplingSet.nearest_neighbor(3, j=1.0, j3=1.0, h=0.5)),
 }

@@ -36,7 +36,7 @@ def random_even_couplings(rng, dimension, reach=2):
         seen.add(tuple(-c for c in z))
         exchange[z] = float(rng.normal())
         exchange_z[z] = float(rng.normal())
-    return CouplingSet.symmetrized(exchange, exchange_z, h=1.0)
+    return CouplingSet(exchange, exchange_z, h=1.0)
 
 
 def reference_site_vectors(lattice):
@@ -55,9 +55,8 @@ def site_index(lattice, vec) -> int:
     return idx
 
 
-def reference_coupling_matrix(couplings, which, lattice):
+def reference_coupling_matrix(mapping, lattice):
     """Periodized coupling matrix filled one site at a time through site_index."""
-    mapping = couplings.exchange if which == "J" else couplings.exchange_z
     mat = np.zeros((lattice.n_sites, lattice.n_sites))
     sites = reference_site_vectors(lattice)
     for z, v in mapping.items():
@@ -69,13 +68,12 @@ def reference_coupling_matrix(couplings, which, lattice):
 TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
 
 
-def reference_fourier(couplings, which, n, size) -> complex:
+def reference_fourier(mapping, n, size) -> complex:
     """sum_z J(z) exp(-i k.z) at the lattice momentum k = 2*pi*n/L, one complex exponential per displacement.
 
     The phase is taken from the exact integer n.z and everything is summed in
     extended precision, so the one rounding left is the final one to double.
     """
-    mapping = couplings.exchange if which == "J" else couplings.exchange_z
     total = np.clongdouble(0)
     for z, v in mapping.items():
         total += np.longdouble(v) * np.exp(-1j * (TWO_PI * (int(np.dot(n, z)) % size) / size))
@@ -150,10 +148,11 @@ class TestCouplingSet:
             CouplingSet({(0,): 1.0}, {}, 0.5)
 
     def test_rejects_odd_map(self):
-        with pytest.raises(ValueError, match="evenness"):
-            CouplingSet({(1,): 1.0}, {}, 0.5)
-        with pytest.raises(ValueError, match="evenness"):
+        # a mirror listed with another value is refused, a listed zero included
+        with pytest.raises(ValueError, match=r"exchange: displacement \(1,\) conflicts with its mirror"):
             CouplingSet({(1,): 1.0, (-1,): 2.0}, {}, 0.5)
+        with pytest.raises(ValueError, match=r"exchange_z: displacement \(1,\) conflicts"):
+            CouplingSet({}, {1: 0.0, -1: 0.5}, 0.5)
 
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError, match="field"):
@@ -163,11 +162,38 @@ class TestCouplingSet:
         with pytest.raises(ValueError, match="mixed"):
             CouplingSet({(1,): 1.0, (-1,): 1.0}, {(0, 1): 1.0, (0, -1): 1.0}, 0.0)
 
-    def test_symmetrized_fills_mirrors(self):
-        c = CouplingSet.symmetrized({(1,): 2.0}, {(2,): 3.0}, 0.0)
+    def test_fills_missing_mirrors(self):
+        c = CouplingSet({(1,): 2.0}, {(2,): 3.0}, 0.0)
         assert c.exchange == {(1,): 2.0, (-1,): 2.0}
         assert c.exchange_z == {(2,): 3.0, (-2,): 3.0}
         assert c.coupling_range == 2
+
+    def test_listed_entries_come_before_the_filled_mirrors(self):
+        c = CouplingSet({1: 0.5, -2: 0.25, 3: 0.125, 2: 0.25}, {}, 0.0)
+        assert list(c.exchange.items()) == [((1,), 0.5), ((-2,), 0.25), ((3,), 0.125), ((2,), 0.25),
+                                            ((-1,), 0.5), ((-3,), 0.125)]
+
+    def test_maps_are_read_only(self):
+        c = nn_chain()
+        for mapping in (c.exchange, c.exchange_z):
+            with pytest.raises(TypeError):
+                mapping[(1,)] = 1.5  # J(1) != J(-1) would break evenness
+            with pytest.raises(TypeError):
+                del mapping[(1,)]
+        assert c.exchange == c.exchange_z == {(1,): 1.0, (-1,): 1.0}
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_refuses_non_finite_couplings(self, value):
+        with pytest.raises(ValueError, match=f"exchange_z: coupling {value} at \\(1,\\) makes sum"):
+            CouplingSet({1: 1.0}, {1: value}, 0.5)
+
+    def test_refuses_couplings_whose_sum_overflows(self):
+        # each value is finite, but the filled mirror doubles the sum past the float range
+        with pytest.raises(ValueError, match=r"exchange: coupling 1e\+308 at \(-1,\) makes sum"):
+            CouplingSet({1: 1e308}, {}, 0.5)
+        with pytest.raises(ValueError, match=r"exchange_z: coupling 2e\+307 at \(1,\) makes sum"):
+            CouplingSet({1: 8.5e307}, {1: 2e307}, 0.5)  # the sum runs over both maps
+        assert CouplingSet({1: 4e307}, {1: 4e307}, 0.5).exchange[(-1,)] == 4e307
 
     def test_zero_values_dropped(self):
         c = CouplingSet({(1,): 0.0, (-1,): 0.0}, {}, 0.0)
@@ -186,37 +212,33 @@ def one_point_grid(k, lattice):
 
 class TestFourierCoupling:
     def test_nearest_neighbor_at_zero(self):
-        assert fourier_coupling_grid(nn_chain(), "J", chain_grid(4))[0] == 2.0
+        assert fourier_coupling_grid(nn_chain(), chain_grid(4))[0] == 2.0
 
     def test_nearest_neighbor_at_pi(self):
         # direct evaluation of 2cos(k); grid point 2 of 4 is pi
         expected = 2.0 * math.cos(math.pi)
-        assert fourier_coupling_grid(nn_chain(), "J", chain_grid(4))[2] == pytest.approx(expected, abs=1e-14)
+        assert fourier_coupling_grid(nn_chain(), chain_grid(4))[2] == pytest.approx(expected, abs=1e-14)
 
     def test_empty_map(self):
         c = CouplingSet({}, {}, 0.0)
-        np.testing.assert_array_equal(fourier_coupling_grid(c, "J", chain_grid(5)), np.zeros(5))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            fourier_coupling_grid(nn_chain(), "Jx", chain_grid(4))
+        np.testing.assert_array_equal(fourier_coupling_grid(c, chain_grid(5)), np.zeros(5))
 
     def test_real_on_grid_for_random_even_maps(self):
         rng = np.random.default_rng(7)
         for dimension, size in ((1, 8), (2, 5), (1, 7)):
             c = random_even_couplings(rng, dimension)
             grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
-            vals = fourier_coupling_grid(c, "J", grid)  # raises on a non-negligible residue
-            reference = np.array([reference_fourier(c, "J", n, size) for n in grid.lattice.site_vectors()])
+            vals = fourier_coupling_grid(c, grid)
+            reference = np.array([reference_fourier(c.exchange, n, size) for n in grid.lattice.site_vectors()])
             np.testing.assert_allclose(vals, reference.real, atol=1e-12)
             assert np.max(np.abs(reference.imag)) < 1e-12
 
     def test_residue_cap_scales_with_coupling_strength(self):
-        # the imaginary rounding residue grows with |J|; 1e4-scale couplings must not trip it
-        c = CouplingSet.symmetrized({1: 1e4, 2: 1e4 / 3, 3: 1e4 / 7}, {1: 1e4}, 1.0)
+        # 1e4-scale couplings keep the relative accuracy of unit ones
+        c = CouplingSet({1: 1e4, 2: 1e4 / 3, 3: 1e4 / 7}, {1: 1e4}, 1.0)
         grid = chain_grid(64)
-        vals = fourier_coupling_grid(c, "J", grid)
-        reference = np.array([reference_fourier(c, "J", n, 64) for n in grid.lattice.site_vectors()])
+        vals = fourier_coupling_grid(c, grid)
+        reference = np.array([reference_fourier(c.exchange, n, 64) for n in grid.lattice.site_vectors()])
         np.testing.assert_allclose(vals, reference.real, atol=1e-8)
         assert vals[0] == pytest.approx(2e4 * (1 + 1 / 3 + 1 / 7), rel=1e-15)
 
@@ -232,23 +254,23 @@ class TestFourierCoupling:
         for _ in range(20):
             c = random_even_couplings(rng, dimension, reach=reach)
             tol = 4.0 * np.finfo(float).eps * sum(map(abs, c.exchange.values()))
-            reference = np.array([reference_fourier(c, "J", n, size) for n in grid.lattice.site_vectors()])
-            single = np.array([fourier_coupling_grid(c, "J", one_point_grid(k, grid.lattice))[0]
+            reference = np.array([reference_fourier(c.exchange, n, size) for n in grid.lattice.site_vectors()])
+            single = np.array([fourier_coupling_grid(c, one_point_grid(k, grid.lattice))[0]
                                for k in grid.points])
-            vectorized = fourier_coupling_grid(c, "J", grid)
+            vectorized = fourier_coupling_grid(c, grid)
             np.testing.assert_array_equal(single, vectorized)
             assert np.max(np.abs(vectorized - reference.real)) <= tol
 
     def test_chunks_leave_the_values_unchanged(self, monkeypatch):
         c = random_even_couplings(np.random.default_rng(5), 2, reach=3)
         grid = MomentumGrid.from_lattice(LatticeSpec(2, 9))
-        whole = fourier_coupling_grid(c, "J", grid)
+        whole = fourier_coupling_grid(c, grid)
         monkeypatch.setattr("magnonkit.lattice._FOURIER_CHUNK_ELEMENTS", 7)  # a few momenta per chunk
-        np.testing.assert_array_equal(fourier_coupling_grid(c, "J", grid), whole)
+        np.testing.assert_array_equal(fourier_coupling_grid(c, grid), whole)
 
     def test_off_lattice_momentum_refused(self):
         with pytest.raises(ValueError, match=r"momentum \[0\.7\] is not a lattice momentum 2\*pi\*n/4"):
-            fourier_coupling_grid(nn_chain(), "J", one_point_grid([0.7], LatticeSpec(1, 4)))
+            fourier_coupling_grid(nn_chain(), one_point_grid([0.7], LatticeSpec(1, 4)))
         points = [[-math.pi / 2], [math.pi / 2 + 2e-9], [math.nan], [math.inf]]
         for point in points[1:]:
             with pytest.raises(ValueError, match="is not a lattice momentum"):
@@ -257,18 +279,10 @@ class TestFourierCoupling:
         gap = exchange_gap_grid(nn_chain(), one_point_grid(points[0], LatticeSpec(1, 4)))[0]
         assert gap == exchange_gap_grid(nn_chain(), chain_grid(4))[3]
 
-    def test_residue_guard_fires_on_an_uneven_map(self):
-        c = nn_chain()
-        c.exchange[(1,)] = 1.5  # no longer even: J(1) != J(-1)
-        with pytest.raises(AssertionError, match="imaginary residue"):
-            fourier_coupling_grid(c, "J", one_point_grid([math.pi / 2], LatticeSpec(1, 4)))
-        with pytest.raises(AssertionError, match="imaginary residue"):
-            fourier_coupling_grid(c, "J", chain_grid(4))
-
     def test_parseval_mean_is_onsite_value(self):
         rng = np.random.default_rng(3)
         c = random_even_couplings(rng, 1, reach=3)
-        assert abs(np.mean(fourier_coupling_grid(c, "J", chain_grid(16)))) < 1e-13
+        assert abs(np.mean(fourier_coupling_grid(c, chain_grid(16)))) < 1e-13
 
     @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
     @given(
@@ -290,13 +304,13 @@ class TestFourierCoupling:
             z = tuple(z[:dimension])
             if any(z):
                 exchange[max(z, tuple(-c for c in z))] = v
-        c = CouplingSet.symmetrized(exchange, {}, 0.0)
+        c = CouplingSet(exchange, {}, 0.0)
         lattice = LatticeSpec(dimension, size)
-        row = coupling_matrix(c, "J", lattice)[0].reshape((size,) * dimension)
+        row = coupling_matrix(c.exchange, lattice)[0].reshape((size,) * dimension)
         fft = np.fft.fftn(row).ravel()
         grid = MomentumGrid.from_lattice(lattice)
         tol = 1e-12 * sum(map(abs, c.exchange.values()))
-        np.testing.assert_allclose(fourier_coupling_grid(c, "J", grid), fft.real, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(fourier_coupling_grid(c, grid), fft.real, rtol=0.0, atol=tol)
         assert np.max(np.abs(fft.imag)) <= tol
 
 
@@ -316,7 +330,7 @@ class TestExchangeGap:
     def test_bounded_by_zero_momentum_for_nonnegative_matrix(self):
         # gap(q) <= gap(0) holds whenever the position-space matrix entries
         # (sum J3 on the diagonal, -J off it) are all nonnegative.
-        c = CouplingSet.symmetrized({(1,): -0.3, (2,): -0.1}, {(1,): 1.0}, 1.0)
+        c = CouplingSet({(1,): -0.3, (2,): -0.1}, {(1,): 1.0}, 1.0)
         gaps = exchange_gap_grid(c, chain_grid(32))
         assert np.max(gaps) <= gaps[0] + 1e-12
 
@@ -382,7 +396,7 @@ class TestCouplingMatrix:
     def test_images_fold_onto_small_torus(self):
         # both +1 and -1 reach the same neighbor when L = 2
         lat = LatticeSpec(1, 2)
-        mat = coupling_matrix(nn_chain(), "J", lat)
+        mat = coupling_matrix(nn_chain().exchange, lat)
         np.testing.assert_allclose(mat, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_matches_grid_fourier_transform(self):
@@ -391,9 +405,9 @@ class TestCouplingMatrix:
         c = random_even_couplings(rng, 1, reach=3)
         lat = LatticeSpec(1, 5)
         grid = MomentumGrid.from_lattice(lat)
-        mat = coupling_matrix(c, "J", lat)
+        mat = coupling_matrix(c.exchange, lat)
         sites = lat.site_vectors()[:, 0]
-        for k, expected in zip(grid.points, fourier_coupling_grid(c, "J", grid)):
+        for k, expected in zip(grid.points, fourier_coupling_grid(c, grid)):
             direct = sum(mat[2, y] * np.exp(-1j * k[0] * (2 - sites[y])) for y in range(5))
             assert direct == pytest.approx(expected, abs=1e-10)
 
@@ -402,15 +416,14 @@ class TestCouplingMatrix:
         # long displacements fold onto the torus; both maps, bit for bit
         rng = np.random.default_rng(lat.n_sites)
         c = random_even_couplings(rng, lat.dimension, reach=3)
-        for which in ("J", "J3"):
-            np.testing.assert_array_equal(
-                coupling_matrix(c, which, lat), reference_coupling_matrix(c, which, lat)
-            )
+        for mapping in (c.exchange, c.exchange_z):
+            np.testing.assert_array_equal(coupling_matrix(mapping, lat),
+                                          reference_coupling_matrix(mapping, lat))
 
     def test_symmetric(self):
         rng = np.random.default_rng(5)
         c = random_even_couplings(rng, 2, reach=1)
-        mat = coupling_matrix(c, "J3", LatticeSpec(2, 4))
+        mat = coupling_matrix(c.exchange_z, LatticeSpec(2, 4))
         np.testing.assert_allclose(mat, mat.T, atol=0.0)
 
 
@@ -447,7 +460,7 @@ class TestValidateFerromagnetic:
             assert report.field_ok_relaxed or not report.field_ok_strict
 
     def test_invariant_under_storage_relabeling(self):
-        c = CouplingSet.symmetrized({(1,): 0.4, (2,): 0.1}, {(1,): 0.9, (2,): 0.2}, 1.3)
+        c = CouplingSet({(1,): 0.4, (2,): 0.1}, {(1,): 0.9, (2,): 0.2}, 1.3)
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 12))
         a = validate_ferromagnetic(c, grid)
         reordered = CouplingSet(
@@ -494,7 +507,7 @@ class TestCouplingCsv:
             load_couplings_csv(path, 1, h=0.0)
 
     def test_round_trip(self, tmp_path):
-        c = CouplingSet.symmetrized({(1, 0): 1.5, (0, 1): 0.25}, {(1, 1): -0.75}, 0.3)
+        c = CouplingSet({(1, 0): 1.5, (0, 1): 0.25}, {(1, 1): -0.75}, 0.3)
         path = tmp_path / "c.csv"
         path.write_text(
             "dz1,dz2,J,J3\n-1,-1,0.0,-0.75\n-1,0,1.5,0.0\n0,-1,0.25,0.0\n"

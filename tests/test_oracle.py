@@ -30,8 +30,10 @@ from magnonkit.oracle import (
     GibbsEnsemble,
     _Block,
     _hamiltonian,
+    _orbits,
     _product_basis,
     _split_by_magnetization,
+    _translations,
 )
 from magnonkit.sectors import sector_decomposition
 
@@ -40,7 +42,7 @@ GRID2 = MomentumGrid.from_lattice(CHAIN2)
 ISO25 = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=2.5)
 ANISO = CouplingSet.nearest_neighbor(1, j=0.6, j3=1.0, h=1.2)
 # on a 2-site chain the second shell folds onto the site itself: S+(x) S-(x) terms
-WRAPPED = CouplingSet.symmetrized({(1,): 0.6, (2,): 0.3}, {(1,): 0.8, (2,): 0.5}, h=1.7)
+WRAPPED = CouplingSet({(1,): 0.6, (2,): 0.3}, {(1,): 0.8, (2,): 0.5}, h=1.7)
 Q_PI = GRID2.points[1]
 REFEREE_TOL = 1e-10
 
@@ -200,7 +202,7 @@ class TestSectorReferee:
         assert_sector_matches_full(SpinConfig(3, CHAIN2, couplings), beta)
 
     def test_self_coupling_case_reaches_the_diagonal(self):
-        assert np.all(np.diagonal(coupling_matrix(WRAPPED, "J", CHAIN2)) != 0.0)
+        assert np.all(np.diagonal(coupling_matrix(WRAPPED.exchange, CHAIN2)) != 0.0)
 
     @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
     @given(
@@ -213,7 +215,7 @@ class TestSectorReferee:
     )
     def test_random_couplings_match_full_tensor(self, j, j3, h, beta, size, copies):
         shells = [(1,), (2,)]
-        couplings = CouplingSet.symmetrized(dict(zip(shells, j)), dict(zip(shells, j3)), h)
+        couplings = CouplingSet(dict(zip(shells, j)), dict(zip(shells, j3)), h)
         assert_sector_matches_full(SpinConfig(copies, LatticeSpec(1, size), couplings), beta)
 
 
@@ -241,7 +243,7 @@ class TestMomentumRecord:
     )
     def test_any_call_order_gives_the_same_bits(self, j, j3, h, beta, size, copies, calls):
         shells = [(1,), (2,)]
-        couplings = CouplingSet.symmetrized(dict(zip(shells, j)), dict(zip(shells, j3)), h)
+        couplings = CouplingSet(dict(zip(shells, j)), dict(zip(shells, j3)), h)
         config = SpinConfig(copies, LatticeSpec(1, size), couplings)
         grid = range(size)
         ensemble = build_gibbs(config, beta)
@@ -306,10 +308,12 @@ class TestMagnetizationSplit:
             _split_by_magnetization(np.array([1.0, -1.0, -1.0, 1.0]), hops, np.array([-2.0, 0.0, 0.0, 2.0]))
 
     def test_sorts_the_basis_into_sectors(self):
-        order, values, sectors, eigen = _split_by_magnetization(
+        order, values, sectors, eigen, rank, sector = _split_by_magnetization(
             np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0])
         )
         np.testing.assert_array_equal(order, [1, 0, 3, 2])
+        np.testing.assert_array_equal(rank[order], np.arange(4))  # rank inverts order
+        np.testing.assert_array_equal(sector, [1, 0, 2, 1])  # per product state
         np.testing.assert_array_equal(values, [-2.0, 0.0, 2.0])
         assert [(s.start, s.stop) for s in sectors] == [(0, 1), (1, 3), (3, 4)]
         for (energies, _), expected in zip(eigen, ([4.0], [-1.0, 3.0], [-4.0])):
@@ -319,7 +323,8 @@ class TestMagnetizationSplit:
         # sectors of sizes 1, 2, 1, 2: the two 2x2 blocks go to one stacked eigh
         magnetization = np.array([-4.0, -2.0, -2.0, 0.0, 2.0, 2.0])
         hops = hop_map((1, 2, 1.0), (4, 5, 3.0))
-        _, values, _, eigen = _split_by_magnetization(np.arange(6.0), hops, magnetization)
+        _, values, _, eigen, _, sector = _split_by_magnetization(np.arange(6.0), hops, magnetization)
+        np.testing.assert_array_equal(sector, [0, 1, 1, 2, 3, 3])
         np.testing.assert_array_equal(values, [-4.0, -2.0, 0.0, 2.0])
         for (energies, _), block in zip(eigen, ([[0.0]], [[1.0, 1.0], [1.0, 2.0]], [[3.0]],
                                                 [[4.0, 3.0], [3.0, 5.0]])):
@@ -481,8 +486,8 @@ def test_site_average_variance_shrinks():
 CHAIN3 = LatticeSpec(1, 3)
 CHAIN4 = LatticeSpec(1, 4)
 SQUARE2 = LatticeSpec(2, 2)
-SHELLS12 = CouplingSet.symmetrized({(1,): 0.7, (2,): -0.3}, {(1,): 0.9, (2,): 0.4}, h=1.7)
-SQUARE_NN = CouplingSet.symmetrized(
+SHELLS12 = CouplingSet({(1,): 0.7, (2,): -0.3}, {(1,): 0.9, (2,): 0.4}, h=1.7)
+SQUARE_NN = CouplingSet(
     {(1, 0): 0.8, (0, 1): 0.8, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0, (1, 1): 0.3}, h=2.0
 )
 
@@ -560,7 +565,8 @@ def kron_hamiltonian(twice_js, j_mat, j3_mat, h, two_n):
 
 
 def coupling_pair(config):
-    return tuple(coupling_matrix(config.couplings, w, config.lattice) for w in ("J", "J3"))
+    couplings = config.couplings
+    return tuple(coupling_matrix(m, config.lattice) for m in (couplings.exchange, couplings.exchange_z))
 
 
 def reference_ensemble(config, beta):
@@ -582,8 +588,7 @@ def reference_ensemble(config, beta):
         three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3])
         diagonals = np.stack([np.diagonal(m, axis1=1, axis2=2) for m in (three, three @ three)])
         weight = math.log(math.prod(e.multiplicity for e in assignment))
-        block = _Block(tuple(twice_js), weight, energies, [(everything, everything, plus)], diagonals,
-                       len(energies))
+        block = _Block(weight, energies, [(everything, everything, plus)], diagonals, len(energies))
         block.s3_rotated = three
         blocks.append(block)
     identity = np.arange(config.lattice.n_sites)[None, :]
@@ -627,15 +632,30 @@ def piece_bytes(twice_js, n_sites):
     return 8 * n_sites * int(np.sum(sizes[1:] * sizes[:-1]) + 2 * np.sum(sizes))
 
 
+def assignment_labels(config):
+    """Every per-site assignment as its 2j values, in product order."""
+    spins = [e.twice_j for e in sector_decomposition(config.copies).entries]
+    return list(itertools.product(spins, repeat=config.lattice.n_sites))
+
+
+def rep_labels(ensemble):
+    """The label of each orbit's representative: orbits run in the order of their
+    representatives, the first assignment of each orbit in product order."""
+    labels = assignment_labels(ensemble.config)
+    entries = len(sector_decomposition(ensemble.copies).entries)
+    reps, _ = _orbits(entries, _translations(ensemble.config.lattice))
+    return [labels[r] for r in np.unique(reps)]
+
+
 def members(ensemble):
     """(representative, permutation, assignment label) of every orbit member."""
-    return [(rep, perm, tuple(rep.label[p] for p in perm))
-            for rep, perms in ensemble.orbits for perm in perms]
+    return [(rep, perm, tuple(label[p] for p in perm))
+            for label, (rep, perms) in zip(rep_labels(ensemble), ensemble.orbits) for perm in perms]
 
 
-def probs_by_label(ensemble):
+def probs_by_label(ensemble, labels):
     """(representative, its Gibbs probabilities) by the representative's label."""
-    return {rep.label: (rep, probs) for (rep, _), probs in zip(ensemble.orbits, ensemble.probs)}
+    return {label: (rep, probs) for label, (rep, _), probs in zip(labels, ensemble.orbits, ensemble.probs)}
 
 
 def block_moments(block, probs):
@@ -742,17 +762,18 @@ class TestTranslationOrbits:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=name)
         # member by member, each read through its permutation, so a wrong permutation
         # shows even where the orbit sum would hide it
-        by_label = probs_by_label(reference)
-        rep_probs = {label: probs for label, (_, probs) in probs_by_label(engine).items()}
+        by_label = probs_by_label(reference, assignment_labels(config))
+        rep_probs = {id(rep): probs for (rep, _), probs in zip(engine.orbits, engine.probs)}
         visited = members(engine)
         assert sorted(label for _, _, label in visited) == sorted(by_label)
         for rep, perm, label in visited:
-            s3, s3_squared, pm = block_moments(rep, rep_probs[rep.label])
+            s3, s3_squared, pm = block_moments(rep, rep_probs[id(rep)])
             for got, expected in zip((s3[perm], s3_squared[perm], pm[np.ix_(perm, perm)]),
                                      block_moments(*by_label[label])):
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(label))
-        rep, perm, label = max((m for m in visited if m[2] != m[0].label), key=lambda m: m[0].dim)
-        assert block_word(rep, rep_probs[rep.label], [(kind, perm[x]) for kind, x in word]) == pytest.approx(
+        translated = (m for m in visited if np.any(m[1] != np.arange(n_sites)))  # not the representative
+        rep, perm, label = max(translated, key=lambda m: m[0].dim)
+        assert block_word(rep, rep_probs[id(rep)], [(kind, perm[x]) for kind, x in word]) == pytest.approx(
             block_word(*by_label[label], word), rel=0.0, abs=1e-10)
 
     def test_refuses_momenta_off_the_grid(self):
@@ -774,7 +795,7 @@ class TestTranslationOrbits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sizes = {rep.label: len(perms) for rep, perms in ensemble.orbits}
+        sizes = {label: len(perms) for label, (_, perms) in zip(rep_labels(ensemble), ensemble.orbits)}
         assert sorted(sizes.values()) == [1, 1, 2, 4, 4, 4]
         pieces = {label: piece_bytes(label, n_sites) for label in sizes}
         largest = max(sizes, key=lambda label: math.prod(t + 1 for t in label))
@@ -800,8 +821,8 @@ class TestTranslationOrbits:
 
     def test_orbit_members_share_the_representative_spectrum(self):
         ensemble = build_gibbs(SpinConfig(5, CHAIN3, ISO25), beta=1.0)
-        orbit = {rep.label: [label for r, _, label in members(ensemble) if r is rep]
-                 for rep, _ in ensemble.orbits}
+        orbit = {rep_label: [label for r, _, label in members(ensemble) if r is rep]
+                 for rep_label, (rep, _) in zip(rep_labels(ensemble), ensemble.orbits)}
         # (5, 3, 1) represents its orbit; (3, 1, 5) and (1, 5, 3) are its translates
         assert orbit[(5, 3, 1)] == [(5, 3, 1), (3, 1, 5), (1, 5, 3)]
         # the mirror image (1, 3, 5) is no translate of it
@@ -810,10 +831,11 @@ class TestTranslationOrbits:
     @pytest.mark.parametrize("which", ["J", "J3"])
     def test_refuses_couplings_that_break_translation(self, which, monkeypatch):
         original = oracle.coupling_matrix
+        target = ISO25.exchange if which == "J" else ISO25.exchange_z
 
-        def broken(couplings, kind, lattice):
-            mat = original(couplings, kind, lattice)
-            if kind == which:
+        def broken(mapping, lattice):
+            mat = original(mapping, lattice)
+            if mapping is target:
                 mat[0, 1] = mat[1, 0] = mat[0, 1] + 0.25
             return mat
 

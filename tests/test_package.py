@@ -36,6 +36,25 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def attributes_set_on_self(tree: ast.Module) -> set[str]:
+    """Every attribute a module's methods assign as ``self.<attr>``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def attributes_read(tree: ast.Module) -> set[str]:
+    """Every attribute a module reads, on any object."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_module_level_name_is_used_or_exported():
     # a leftover helper, record or constant that nothing reads is dead code
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -47,3 +66,15 @@ def test_every_module_level_name_is_used_or_exported():
     }
     assert dead - set(UNREFERENCED) == set(), sorted(dead)
     assert set(UNREFERENCED) <= dead  # a kept name that became used leaves the list
+
+
+def test_every_attribute_set_on_self_is_read():
+    # an instance attribute that no package module reads is dead state
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(attributes_read(tree) for tree in trees.values()))
+    dead = {
+        f"{module}:self.{attr}"
+        for module, tree in trees.items()
+        for attr in attributes_set_on_self(tree) - read
+    }
+    assert dead == set(), sorted(dead)

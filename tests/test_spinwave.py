@@ -324,7 +324,7 @@ def shell_couplings(dimension, j, j3):
         for z in zs:
             exchange[z] = jv
             exchange_z[z] = j3v
-    return CouplingSet.symmetrized(exchange, exchange_z, h=0.0)
+    return CouplingSet(exchange, exchange_z, h=0.0)
 
 
 class TestGapCompressedScan:
