@@ -46,7 +46,7 @@ from .dynamics import (
     total_energy,
     total_number,
 )
-from .lattice import LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
+from .lattice import DEFAULT_GAP_TOL, LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
 from .oracle import convergence_study
 from .sectors import sector_decomposition
 from .spinwave import RegimeError, ThermalParams, solve_magnetization
@@ -97,7 +97,6 @@ _SCHEMA = {
     "output.format": (_parse_choice("json", "csv"), "json"),
     "validate.tol": (_parse_float, "1e-12"),
     "solve.tol": (_parse_float, "1e-12"),
-    "solve.scan_points": (int, "4096"),
     "oracle.copies": (_parse_int_list, "1,3,5,7"),
     "oracle.q_index": (int, None),
     "oracle.mode": (_parse_choice("sector", "full"), "sector"),
@@ -113,7 +112,7 @@ _SCHEMA = {
 }
 
 _PROBLEM_KEYS = ("lattice.dimension", "lattice.size", "couplings.path", "field.h")
-_SOLVE_KEYS = ("thermal.beta", "solve.tol", "solve.scan_points")
+_SOLVE_KEYS = ("thermal.beta", "solve.tol")
 _ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index", "oracle.mode", "oracle.monotone_tol")
 _DYNAMICS_KEYS = (
     "dynamics.m", "dynamics.times", "dynamics.initial", "dynamics.packet_center",
@@ -193,7 +192,11 @@ class Output(NamedTuple):
     failure: str | None = None  # stderr line of a run that did not pass
 
 
-def _load_problem(cfg: RunConfig, require_regime: bool = True):
+def _load_problem(cfg: RunConfig, tol: float = DEFAULT_GAP_TOL, require_regime: bool = True):
+    """The lattice, grid and couplings of the config, with their validation report.
+
+    The report's ``gap_values`` are the one gap grid of the run.
+    """
     dimension = cfg["lattice.dimension"]
     size = cfg["lattice.size"]
     lattice = LatticeSpec(dimension=dimension, size=size)
@@ -202,16 +205,14 @@ def _load_problem(cfg: RunConfig, require_regime: bool = True):
     if not Path(path).exists():
         raise OSError(f"coupling CSV not found: {path}")
     couplings = load_couplings_csv(path, dimension, cfg["field.h"])
-    if require_regime:
-        report = validate_ferromagnetic(couplings, grid)
-        if not report.passed:
-            raise RegimeError("; ".join(report.messages))
-    return lattice, grid, couplings
+    report = validate_ferromagnetic(couplings, grid, tol=tol)
+    if require_regime and not report.passed:
+        raise RegimeError("; ".join(report.messages))
+    return lattice, grid, couplings, report
 
 
 def cmd_validate(cfg: RunConfig) -> Output:
-    lattice, grid, couplings = _load_problem(cfg, require_regime=False)
-    report = validate_ferromagnetic(couplings, grid, tol=cfg["validate.tol"])
+    lattice, grid, couplings, report = _load_problem(cfg, cfg["validate.tol"], require_regime=False)
     doc = {
         "gap_ok": report.gap_ok,
         "field_ok_strict": report.field_ok_strict,
@@ -238,11 +239,9 @@ def cmd_validate(cfg: RunConfig) -> Output:
 
 
 def cmd_solve(cfg: RunConfig) -> Output:
-    lattice, grid, couplings = _load_problem(cfg)
+    lattice, grid, couplings, report = _load_problem(cfg)
     params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-    solution = solve_magnetization(
-        params, couplings, grid, tol=cfg["solve.tol"], scan_points=cfg["solve.scan_points"]
-    )
+    solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=report.gap_values)
     doc = {
         "m_star": solution.m_star,
         "residual": solution.residual,
@@ -269,7 +268,7 @@ def cmd_solve(cfg: RunConfig) -> Output:
 
 
 def cmd_oracle(cfg: RunConfig) -> Output:
-    lattice, grid, couplings = _load_problem(cfg)
+    lattice, grid, couplings, _ = _load_problem(cfg)
     q_index = cfg["oracle.q_index"]
     if not 0 <= q_index < len(grid):
         raise ValueError(f"oracle.q_index {q_index} outside grid of {len(grid)} points")
@@ -304,7 +303,7 @@ MAX_SNAPSHOT_BYTES = 2**30
 
 
 def cmd_dynamics(cfg: RunConfig) -> Output:
-    lattice, grid, couplings = _load_problem(cfg)
+    lattice, grid, couplings, report = _load_problem(cfg)
     snapshot_bytes = 16 * lattice.n_sites**2
     if snapshot_bytes > MAX_SNAPSHOT_BYTES:
         raise ValueError(
@@ -316,9 +315,7 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
         if m_text:
             raise ValueError("dynamics.m conflicts with dynamics.initial = equilibrium")
         params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-        solution = solve_magnetization(
-            params, couplings, grid, tol=cfg["solve.tol"], scan_points=cfg["solve.scan_points"]
-        )
+        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=report.gap_values)
         state = equilibrium_state(solution)
     else:
         if not m_text:

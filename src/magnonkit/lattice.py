@@ -81,7 +81,9 @@ class CouplingSet:
     exchange : mapping displacement -> float
         Transverse coupling J.  Even; a displacement listed without its
         mirror -z gets the mirror's value filled in, and a mirror listed with
-        a different value is refused.  Must vanish at zero displacement.
+        a different value is refused, as are two keys for one displacement
+        (``1`` and ``(1,)``) with different values.  Must vanish at zero
+        displacement.
     exchange_z : mapping displacement -> float
         Longitudinal coupling J3, same rules.
     h : float
@@ -97,7 +99,12 @@ class CouplingSet:
         filled = {}
         total = 0.0
         for name, mapping in (("exchange", exchange), ("exchange_z", exchange_z)):
-            out = filled[name] = {_as_displacement(raw): float(value) for raw, value in mapping.items()}
+            out = filled[name] = {}
+            for raw, value in mapping.items():
+                z, v = _as_displacement(raw), float(value)
+                if z in out and out[z] != v:
+                    raise ValueError(f"{name}: displacement {z} listed twice, as {out[z]} and {v}")
+                out[z] = v
             for z, v in list(out.items()):
                 out.setdefault(_mirror(z), v)
             for z, v in out.items():

@@ -2,11 +2,18 @@
 
 The magnetization m = <sigma3> lives in [-1, 0].  Mode occupations follow a
 Bose factor whose argument couples m back to itself through the grid average
-of the occupations, so m is found as a root of the defect function
-``G(m) = mean_q n(q; m) - (1 + m)/2``.  G(0) = -1/2 and G(-1) >= 0 always
-hold in the validated regime, so a bisection bracket exists.  One function
-evaluates G, over the distinct gap values weighted by their multiplicity,
-for the scan, the bisection, the residual and :func:`selfconsistency_defect`.
+of the occupations, so m is a root of ``G(m) = mean_q n(q; m) - (1 + m)/2``,
+evaluated over the distinct gaps weighted by their multiplicity.
+
+The solver encloses the roots by branch and bound over cells of u = -m in
+[0, 1].  With x = a + b*u (a = 2*beta*h, b = 2*beta*gap) and
+B = 1/(exp(x) - 1), one gap's n = u*B and dn/du = B - t*(1 + B), t = b*u*B.
+B is monotone in u, so on a cell [u0, u1] it lies between its end values
+B_lo and B_hi, n between u0*B_lo and u1*B_hi, and t*(1 + B) between
+b*u0*B_lo*(1 + B_lo) and b*u1*B_hi*(1 + B_hi).  Weighted and widened by an
+a-priori bound on their rounding, these enclose G and G' on a row of cells
+at once.  A cell whose G enclosure excludes 0 holds no root; one whose G'
+enclosure excludes 0 holds at most one, found by bisection; any other is split.
 """
 
 from __future__ import annotations
@@ -22,16 +29,9 @@ from .lattice import CouplingSet, MomentumGrid, exchange_gap_grid
 OCCUPATION_FLOOR = 1e-300
 
 DEFAULT_SOLVE_TOL = 1e-12
-DEFAULT_SCAN_POINTS = 4096
-#: Halvings that collapse any bracket inside [-1, 0]: it is at most 1 wide and
-#: doubles there are at least 2**-1074 apart (the subnormals near m = 0), so
-#: 1074 halvings leave adjacent doubles and the next midpoint is an endpoint.
-#: A root near -beta*h at tiny beta needs nearly all of them.
-_MAX_BISECT = 1075
-
-#: Largest scan temporary, in elements (32 MB of float64): the solver's scan
-#: memory is bounded by this whatever the lattice size.
-SCAN_CHUNK_ELEMENTS = 1 << 22
+#: Depth of the finest enclosure cells, 2**-40 wide.  A cell still undecided
+#: there (a tangent root, where G' vanishes too) is reported as one root.
+_MAX_DEPTH = 40
 
 
 class RegimeError(ValueError):
@@ -95,19 +95,8 @@ def _energies(gaps, h: float, m: float):
 
 
 def _defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Defect at every trial magnetization in the 1-D array ``ms``, from the distinct gaps.
-
-    Occupations depend on q only through the gap, so the grid mean is the
-    mean over the distinct gap values weighted by their multiplicity share;
-    nothing is rounded or merged.  Rows go through in chunks of at most
-    ``SCAN_CHUNK_ELEMENTS`` occupations.
-    """
-    rows = max(1, SCAN_CHUNK_ELEMENTS // distinct.size)
-    values = np.empty_like(ms)
-    for start in range(0, ms.size, rows):
-        chunk = ms[start:start + rows]
-        values[start:start + rows] = _occupations(chunk[:, None], beta, h, distinct) @ weights
-    return values - 0.5 * (1.0 + ms)
+    """Defect at each trial m of the 1-D ``ms``, as a mean over the distinct gaps weighted by their share."""
+    return _occupations(ms[:, None], beta, h, distinct) @ weights - 0.5 * (1.0 + ms)
 
 
 def _distinct_gaps(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,11 +113,8 @@ def selfconsistency_defect(m: float, params: ThermalParams, couplings: CouplingS
 
 
 def _bose_bound(argument: float) -> float:
-    """-1 + 2/(exp(argument) - 1), saturating at -1 for huge arguments."""
-    try:
-        return -1.0 + 2.0 / math.expm1(argument)
-    except OverflowError:
-        return -1.0
+    """-1 + 2/(exp(argument) - 1); from argument 709 on, where exp overflows, the sum rounds to -1."""
+    return -1.0 + 2.0 / math.expm1(min(argument, 709.0))
 
 
 def magnetization_bound(params: ThermalParams) -> float:
@@ -158,14 +144,10 @@ class SpinWaveSolution:
 def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
     """Bisection on a sign-changing bracket, run to interval collapse.
 
-    Collapsing rather than stopping at a residual threshold makes the
-    located root independent of how the bracket was found, so refining the
-    scan cannot move it.  A scan bracket collapses in about 40 steps when
-    its endpoints are of order one; one that reaches toward m = 0 takes up
-    to about a thousand, since the doubles get denser down to 2**-1074
-    there.
+    Each step leaves fewer doubles inside, so it ends (after up to 1075 steps
+    near m = 0) at a sign change of the computed defect between adjacent doubles.
     """
-    for _ in range(_MAX_BISECT):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
@@ -176,33 +158,62 @@ def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
-def solve_magnetization(
-    params: ThermalParams,
-    couplings: CouplingSet,
-    grid: MomentumGrid,
-    tol: float = DEFAULT_SOLVE_TOL,
-    scan_points: int = DEFAULT_SCAN_POINTS,
-) -> SpinWaveSolution:
-    """Locate the self-consistent magnetization by scan plus bisection.
+def _root_cells(beta: float, h: float, distinct: np.ndarray, weights: np.ndarray):
+    """Cells (lo, hi, undecided) in m that may hold a root, in ascending order; cell and pass counts.
 
-    The defect is evaluated over the distinct gap values throughout.  A
-    uniform scan over [-1, 0] finds every sign change; each bracket is
-    bisected to interval collapse, and the residual at the selected root must
-    come out below tol.  All roots are reported and the one closest to -1
-    (the low-temperature branch) is selected.  Bisection is derivative-free
-    and unconditionally convergent, which is all this cheap, smooth defect
-    needs.  ``bisection_steps`` and ``defect_evaluations`` count defect
-    evaluations at one trial magnetization each.
+    The module docstring's enclosures of G = N - (1 - u)/2 and dG/du = N' + 1/2
+    on all live cells (2**-depth wide) at once.  ``slack`` bounds the rounding
+    of their sums and of the defect's own, relative to the terms: k eps for k
+    gaps, and per term a few eps times its condition x*(1 + B) <= 1 + x (x > 750
+    is below the flush floor).  Overflow's NaN or inf excludes nothing.  Runs
+    still undecided at ``_MAX_DEPTH`` merge into one cell.
+    """
+    a, b = 2.0 * beta * h, 2.0 * beta * distinct
+    slack = 2.0 * np.finfo(float).eps * (distinct.size + 16 + 8 * min(a + max(b[-1], 0.0), 750.0))
+    lo, kept, cells = np.zeros(1), [], 0
+    for depth in range(_MAX_DEPTH + 1):
+        width, k = math.ldexp(1.0, -depth), lo.size
+        hi, cells = lo + width, cells + k
+        with np.errstate(over="ignore", invalid="ignore"):
+            bu = b * np.concatenate((lo, hi))[:, None]
+            bose = 1.0 / np.expm1(bu + a)
+            b_lo, b_hi = np.minimum(bose[:k], bose[k:]), np.maximum(bose[:k], bose[k:])
+            p, q = bu[:k] * b_lo * (1.0 + b_lo), bu[k:] * b_hi * (1.0 + b_hi)
+            n_lo, n_hi = (lo[:, None] * b_lo) @ weights, (hi[:, None] * b_hi) @ weights
+            g_err = slack * (n_hi + 1.0) + OCCUPATION_FLOOR
+            d_err = slack * ((b_hi + np.abs(p) + np.abs(q)) @ weights + 1.0)
+            live = ~((n_lo - 0.5 * (1.0 - lo) > g_err) | (n_hi - 0.5 * (1.0 - hi) < -g_err))
+            monotone = (((b_lo - np.maximum(p, q)) @ weights + 0.5 > d_err)
+                        | ((b_hi - np.minimum(p, q)) @ weights + 0.5 < -d_err))
+        kept += [(-u - width, -u, False) for u in lo[live & monotone].tolist()]
+        lo = lo[live & ~monotone]
+        if lo.size == 0 or depth == _MAX_DEPTH:
+            break
+        lo = np.concatenate((lo, lo + 0.5 * width))
+    runs = np.split(lo, np.flatnonzero(np.diff(lo) != width) + 1) if lo.size else []
+    undecided = [(-float(r[-1]) - width, -float(r[0]), True) for r in runs]
+    return sorted(kept + undecided), cells, depth + 1
+
+
+def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid,
+                        tol: float = DEFAULT_SOLVE_TOL, gaps: np.ndarray | None = None) -> SpinWaveSolution:
+    """Locate the self-consistent magnetization by certified enclosure plus bisection.
+
+    ``gaps`` are the grid's exchange gaps if the caller has them
+    (``ValidationReport.gap_values``).  G(-1) >= 0 > G(0) must hold; its
+    evaluation refuses an exponent argument <= 0 (h = 0) as a RegimeError.
+    Every root lies in a cell of :func:`_root_cells`, at most one in a decided
+    cell.  A cell gives the root at its lower end in m if G is 0 there, else
+    its bisection if its ends change sign; an undecided one else its midpoint,
+    counted in ``tangent_roots`` (``certified`` if none).  The root closest to
+    -1 (the low-temperature branch) is selected; its residual must be below
+    tol.  ``bisection_steps`` and ``defect_evaluations`` count evaluations.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if scan_points < 2:
-        raise ValueError(f"scan_points must be >= 2, got {scan_points}")
-
-    gaps = exchange_gap_grid(couplings, grid)
+    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
     beta, h = params.beta, params.h
     distinct, weights = _distinct_gaps(gaps)
     evaluations = 0
@@ -212,57 +223,45 @@ def solve_magnetization(
         evaluations += 1
         return float(_defect(np.array([m]), beta, h, distinct, weights)[0])
 
-    ms = np.linspace(-1.0, 0.0, scan_points)
-    values = _defect(ms, beta, h, distinct, weights)
-    if not (values[0] >= 0.0 and values[-1] < 0.0):
-        raise RegimeError(
-            "no self-consistent magnetization: defect endpoints "
-            f"G(-1)={values[0]:.6g}, G(0)={values[-1]:.6g} do not bracket a root"
-        )
-
-    fa, fb = values[:-1], values[1:]
-    crossing = ((fa < 0.0) & (fb > 0.0)) | ((fa > 0.0) & (fb < 0.0))  # fa * fb < 0 can overflow
-    brackets = np.flatnonzero((fa == 0.0) | crossing)
-    roots = [
-        float(ms[i]) if values[i] == 0.0
-        else _bisect(defect, float(ms[i]), float(ms[i + 1]), float(values[i]))
-        for i in brackets
-    ]
-    if not roots:
-        raise RegimeError("no self-consistent magnetization: no sign change located")
+    ends = _defect(np.array([-1.0, 0.0]), beta, h, distinct, weights)
+    if not (ends[0] >= 0.0 and ends[1] < 0.0):
+        raise RegimeError(f"no self-consistent magnetization: defect endpoints G(-1)={ends[0]:.6g}, "
+                          f"G(0)={ends[1]:.6g} do not bracket a root")
+    spans, cells, passes = _root_cells(beta, h, distinct, weights)
+    points = np.unique([m for lo, hi, _ in spans for m in (lo, hi)])
+    value_at = dict(zip(points.tolist(), _defect(points, beta, h, distinct, weights).tolist()))
+    roots = []
+    for lo, hi, undecided in spans:
+        f_lo, f_hi = value_at[lo], value_at[hi]
+        if f_lo == 0.0:
+            roots.append(lo)
+        elif (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo):
+            roots.append(_bisect(defect, lo, hi, f_lo))
+        elif undecided:
+            roots.append(0.5 * (lo + hi))
+    tangent_roots = sum(undecided for *_, undecided in spans)  # each gives one root
     bisection_steps = evaluations
-
-    roots.sort()
-    m_star = roots[0]
+    m_star = roots[0]  # spans run up in m, so the roots come out sorted
     residual = abs(defect(m_star))
     if residual > tol:
-        raise RegimeError(
-            f"bisection residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    occupations = _occupations(m_star, beta, h, gaps)
-    eps = _energies(gaps, h, m_star)
+        raise RegimeError(f"bisection residual {residual:.3e} exceeds tolerance {tol:.3e}")
     bound = magnetization_bound(params)
     bound_from_coupling = _bose_bound(2.0 * beta * gaps[0]) if gaps[0] > 0.0 else None
     return SpinWaveSolution(
-        m_star=m_star,
-        occupations=occupations,
-        dispersion=eps,
-        gap_values=gaps,
-        residual=residual,
-        all_roots=roots,
-        bound=bound,
-        params=params,
-        couplings=couplings,
-        grid=grid,
+        m_star, _occupations(m_star, beta, h, gaps), _energies(gaps, h, m_star), gaps, residual, roots,
+        bound, params, couplings, grid,
         diagnostics={
             "root_count": len(roots),
             "multiple_roots": len(roots) > 1,
-            "scan_points": scan_points,
             "bound_from_field": bound,
             "bound_from_coupling": bound_from_coupling,
             "bound_tightest": bound if bound_from_coupling is None else min(bound, bound_from_coupling),
             "distinct_gaps": distinct.size,
+            "cells": cells,
+            "enclosure_passes": passes,
+            "certified": tangent_roots == 0,
+            "tangent_roots": tangent_roots,
             "bisection_steps": bisection_steps,
-            "defect_evaluations": scan_points + evaluations,
+            "defect_evaluations": ends.size + points.size + evaluations,
         },
     )

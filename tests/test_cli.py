@@ -289,6 +289,13 @@ class TestSolveCommand:
         diagnostics = json.loads((tmp_path / "solution.json").read_text())["diagnostics"]
         assert diagnostics["distinct_gaps"] == size // 2 + 1
 
+    def test_removed_scan_points_key_exits_2(self, workspace, capsys):
+        # the solver encloses its roots and has no scan to size; the old key is unknown now
+        tmp_path, make = workspace
+        conf = make(BASE_CONF + "solve.scan_points = 4096\n")
+        assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "unknown key 'solve.scan_points'" in capsys.readouterr().err
+
     def test_rejected_regime_exits_1(self, workspace):
         tmp_path, make = workspace
         conf = make(BASE_CONF.replace("field.h = 0.5", "field.h = 10.0"), ANTIFERRO_CSV)
@@ -566,7 +573,7 @@ class TestDynamicsCommand:
         # thermal.beta and solve.* apply only to dynamics.initial = equilibrium
         tmp_path, make = workspace
         bare = make(self.PACKET_CONF.replace("thermal.beta = 2.0\n", ""), name="bare.conf")
-        full = make(self.PACKET_CONF + "solve.tol = 1e-9\nsolve.scan_points = 64\n", name="full.conf")
+        full = make(self.PACKET_CONF + "solve.tol = 1e-9\n", name="full.conf")
         runs = []
         for conf in (bare, full):
             out = tmp_path / conf.stem
@@ -582,10 +589,10 @@ class TestDynamicsCommand:
         conf = make(DYNAMICS_CONF.replace("thermal.beta = 2.0\n", ""))
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
         assert "config key 'thermal.beta' is required for 'dynamics'" in capsys.readouterr().err
-        conf = make(DYNAMICS_CONF + "solve.scan_points = 64\n")
+        conf = make(DYNAMICS_CONF + "solve.tol = 1e-9\n")
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
         config = json.loads((tmp_path / "snapshot.json").read_text())["config"]
-        assert (config["thermal.beta"], config["solve.scan_points"]) == ("2.0", "64")
+        assert (config["thermal.beta"], config["solve.tol"]) == ("2.0", "1e-9")
 
     def test_packet_rerun_is_byte_identical(self, workspace):
         tmp_path, make = workspace

@@ -154,6 +154,14 @@ class TestCouplingSet:
         with pytest.raises(ValueError, match=r"exchange_z: displacement \(1,\) conflicts"):
             CouplingSet({}, {1: 0.0, -1: 0.5}, 0.5)
 
+    def test_rejects_two_keys_for_one_displacement(self):
+        # 1 and (1,) name the same displacement; with different values neither may win
+        with pytest.raises(ValueError, match=r"exchange: displacement \(1,\) listed twice, as 1.0 and 2.0"):
+            CouplingSet({1: 1.0, (1,): 2.0}, {}, 0.0)
+        with pytest.raises(ValueError, match=r"exchange_z: displacement \(-2,\) listed twice"):
+            CouplingSet({}, {(-2,): 0.5, -2: 0.25}, 0.0)
+        assert CouplingSet({1: 1.0, (1,): 1.0}, {}, 0.0).exchange == {(1,): 1.0, (-1,): 1.0}
+
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError, match="field"):
             CouplingSet({}, {}, -0.1)

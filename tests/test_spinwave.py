@@ -58,16 +58,17 @@ def reference_defect(ms, beta, h, gaps):
     return reference_occupations(ms, beta, h, gaps).mean(axis=1) - 0.5 * (1.0 + ms)
 
 
-def distinct_gap_defect(m, beta, h, gaps):
+def distinct_gap_defect(ms, beta, h, gaps):
     """The defect as a mean over the distinct gaps, each weighted by its share of the grid."""
     distinct, counts = np.unique(gaps, return_counts=True)
-    return float(reference_occupations(m, beta, h, distinct)[0] @ (counts / gaps.size) - 0.5 * (1.0 + m))
+    ms = np.atleast_1d(np.asarray(ms, dtype=float))
+    return reference_occupations(ms, beta, h, distinct) @ (counts / gaps.size) - 0.5 * (1.0 + ms)
 
 
-def reference_roots(beta, h, gaps, scan_points=spinwave.DEFAULT_SCAN_POINTS):
-    """Every root from a full-grid scan, each bracket bisected to collapse."""
+def reference_roots(beta, h, gaps, defect=reference_defect, scan_points=4096):
+    """Every root from a dense scan of ``defect``, each bracket bisected to collapse."""
     ms = np.linspace(-1.0, 0.0, scan_points)
-    values = reference_defect(ms, beta, h, gaps)
+    values = defect(ms, beta, h, gaps)
     roots = []
     for i in range(scan_points - 1):
         lo, hi, f_lo = float(ms[i]), float(ms[i + 1]), float(values[i])
@@ -80,7 +81,7 @@ def reference_roots(beta, h, gaps, scan_points=spinwave.DEFAULT_SCAN_POINTS):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 break
-            f_mid = float(reference_defect(mid, beta, h, gaps)[0])
+            f_mid = float(defect(mid, beta, h, gaps)[0])
             if f_mid == 0.0:
                 break
             if (f_mid > 0.0) == (f_lo > 0.0):
@@ -189,7 +190,7 @@ class TestSharedBoseFormula:
         expected = reference_occupations(m, beta, h, gaps)[0]
         np.testing.assert_array_equal(occupation(m, p, ISO, grid), expected)
         value = selfconsistency_defect(m, p, ISO, grid)
-        assert value == distinct_gap_defect(m, beta, h, gaps)
+        assert value == distinct_gap_defect(m, beta, h, gaps)[0]
         # the plain full-grid mean sums the same terms in another order
         bound = gaps.size * np.finfo(float).eps * (np.mean(np.abs(expected)) + abs(1.0 + m) / 2.0)
         assert abs(value - float(reference_defect(m, beta, h, gaps)[0])) <= bound
@@ -250,13 +251,6 @@ class TestSolveMagnetization:
         assert solution.m_star == pytest.approx(0.5 * (lo + hi), abs=1e-10)
         assert solution.residual <= 1e-12
 
-    def test_bracket_stability_under_scan_refinement(self):
-        grid = grid_for(8)
-        p = ThermalParams(2.0, 0.5)
-        coarse = solve_magnetization(p, ISO, grid, scan_points=4096)
-        fine = solve_magnetization(p, ISO, grid, scan_points=8192)
-        assert abs(coarse.m_star - fine.m_star) <= 1e-12
-
     def test_monotone_in_beta(self):
         grid = grid_for(64)
         stars = [solve_magnetization(ThermalParams(b, 0.5), ISO, grid).m_star for b in (1, 2, 4, 8)]
@@ -288,8 +282,6 @@ class TestSolveMagnetization:
         p = ThermalParams(1.0, 0.5)
         with pytest.raises(ValueError):
             solve_magnetization(p, ISO, grid, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_magnetization(p, ISO, grid, scan_points=1)
 
     def test_two_dimensional_lattice(self):
         couplings = CouplingSet.nearest_neighbor(2, j=1.0, j3=1.0, h=0.5)
@@ -366,31 +358,27 @@ class TestGapCompressedScan:
         diag = solution.diagnostics
         # gaps 2 - 2cos(2 pi j / 8): 0, 2 - sqrt 2, 2, 2 + sqrt 2, 4, each of q and -q bit-equal
         assert diag["distinct_gaps"] == np.unique(solution.gap_values).size == 5
+        # [0, 1] in u = -m is split once: the half without the root is dropped, the other kept
+        assert (diag["cells"], diag["enclosure_passes"]) == (3, 2)
+        assert diag["certified"] is True and diag["tangent_roots"] == 0
         assert 40 <= diag["bisection_steps"] <= 60
-        assert diag["defect_evaluations"] == diag["scan_points"] + diag["bisection_steps"] + 1
+        # the endpoints m = -1 and 0, the kept cell's two ends, the bisection and the residual
+        assert diag["defect_evaluations"] == 2 + 2 + diag["bisection_steps"] + 1
 
-    def test_chunking_leaves_the_solution_unchanged(self, monkeypatch):
-        grid = grid_for(64)
-        p = ThermalParams(1.5, 0.3)
-        whole = solve_magnetization(p, ISO, grid)
-        monkeypatch.setattr(spinwave, "SCAN_CHUNK_ELEMENTS", 100)
-        chunked = solve_magnetization(p, ISO, grid)
-        assert chunked.all_roots == whole.all_roots
-        assert chunked.diagnostics == whole.diagnostics
-
-    def test_scan_memory_is_bounded_by_the_chunk_budget(self):
-        # distinct gaps x scan points is 4 times the budget here, and the
-        # unchunked scan matrix would take 134 MB; one float chunk and its mask fit
+    def test_solve_memory_stays_within_a_few_grid_arrays(self):
+        # the enclosure holds a few rows over the distinct gaps per live cell, never a
+        # trial-m by gap matrix
         grid = grid_for(8192)
+        gaps = exchange_gap_grid(ISO, grid)
         tracemalloc.start()
         try:
-            solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid)
+            solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid, gaps=gaps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         distinct = solution.diagnostics["distinct_gaps"]
-        assert distinct > 4096 and distinct * 4096 > 4 * spinwave.SCAN_CHUNK_ELEMENTS
-        assert peak < 9 * spinwave.SCAN_CHUNK_ELEMENTS + (4 << 20)
+        assert distinct == 4097  # a 4096 x 4097 scan matrix would take 134 MB
+        assert peak < 64 * 8 * distinct
 
     def test_cli_artifact_reproducible_with_diagnostics(self, tmp_path):
         (tmp_path / "c.csv").write_text("dz1,dz2,J,J3\n1,0,1.0,1.0\n0,1,1.0,1.0\n")
@@ -405,9 +393,63 @@ class TestGapCompressedScan:
             blobs.append((tmp_path / run / "solution.json").read_bytes())
         assert blobs[0] == blobs[1]
         diag = json.loads(blobs[0])["diagnostics"]
-        assert list(diag)[-3:] == ["distinct_gaps", "bisection_steps", "defect_evaluations"]
+        assert list(diag)[-7:] == ["distinct_gaps", "cells", "enclosure_passes", "certified",
+                                   "tangent_roots", "bisection_steps", "defect_evaluations"]
         assert 0 < diag["distinct_gaps"] < 144
-        assert diag["defect_evaluations"] == 4096 + diag["bisection_steps"] + 1
+        assert diag["certified"] is True and diag["tangent_roots"] == 0
+        # the endpoints, at most two ends per examined cell, the bisections and the residual
+        assert diag["defect_evaluations"] <= 2 + 2 * diag["cells"] + diag["bisection_steps"] + 1
+
+
+class TestCertifiedEnclosure:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        dimension=st.integers(1, 3),
+        size=st.integers(2, 8),
+        j=st.floats(0.0, 1.5),
+        anisotropy=st.sampled_from([0.0, 0.05, 0.2]),
+        log_beta=st.floats(-1.5, 1.5),
+        log_h=st.floats(-3.0, 0.5),
+    )
+    def test_roots_match_the_dense_scan(self, dimension, size, j, anisotropy, log_beta, log_h):
+        probe = CouplingSet.nearest_neighbor(dimension, j=j, j3=j + anisotropy)
+        grid = grid_for(size, dimension)
+        gaps = exchange_gap_grid(probe, grid)
+        beta, h = 10.0**log_beta, max(float(gaps[0]), 0.0) + 10.0**log_h
+        couplings = CouplingSet(probe.exchange, probe.exchange_z, h)
+        p = ThermalParams(beta, h)
+
+        solution = solve_magnetization(p, couplings, grid)
+        assert solution.diagnostics["certified"] is True
+        assert solution.diagnostics["tangent_roots"] == 0
+        expected = reference_roots(beta, h, gaps, distinct_gap_defect)
+        assert len(solution.all_roots) == len(expected)
+        for root, ref in zip(solution.all_roots, expected):
+            # both are sign changes of the same computed defect, a difference of terms of
+            # order 1/2 resolved to about eps: one ulp apart, or within the band where
+            # |G| < 2 eps when G is that flat there
+            lo, hi = max(ref - 1e-7, -1.0), min(ref + 1e-7, 0.0)
+            slope = abs(selfconsistency_defect(hi, p, couplings, grid)
+                        - selfconsistency_defect(lo, p, couplings, grid)) / (hi - lo)
+            band = 2.0 * np.finfo(float).eps / slope
+            assert abs(root - ref) <= max(np.spacing(abs(ref)), band), (root, ref)
+
+    def test_zero_field_refused(self):
+        # the exponent argument 2 beta (h - m gap) vanishes at m = 0
+        with pytest.raises(RegimeError, match="outside ferromagnetic regime"):
+            solve_magnetization(ThermalParams(1.0, 0.0), ISO, grid_for(8))
+
+    def test_undecided_cells_at_the_depth_cap_still_give_the_root(self, monkeypatch):
+        grid = grid_for(8)
+        p = ThermalParams(2.0, 0.5)
+        certified = solve_magnetization(p, ISO, grid)
+        monkeypatch.setattr(spinwave, "_MAX_DEPTH", 0)
+        capped = solve_magnetization(p, ISO, grid)
+        # the one cell [-1, 0] is undecided; its ends change sign, so it is bisected
+        assert capped.diagnostics["certified"] is False
+        assert capped.diagnostics["tangent_roots"] == 1
+        assert capped.diagnostics["enclosure_passes"] == 1
+        assert abs(capped.m_star - certified.m_star) <= np.spacing(abs(certified.m_star))
 
 
 class TestMagnetizationBound:
