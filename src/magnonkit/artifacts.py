@@ -19,8 +19,8 @@ different payloads, stay apart) and the texts gathered back in order.  Grid
 functions such as n(q), eps(q) and D(q) depend on q only through the gap, so
 on a symmetric lattice they repeat heavily.  A 2-D float64 array is not
 grouped: a block of whole rows (at least ``_BLOCK`` values) per call, then
-written a row at a time.  Narrower float arrays go through ``tolist()``,
-which widens them exactly, like int arrays.
+written a row at a time.  In JSON, narrower float arrays go through
+``tolist()``, which widens them exactly, like int arrays.
 
 The kernel gives the bytes of ``'%.17g'`` in vectorized numpy.  With
 |x| = m 2**e and k = floor(log10 |x|), it forms v = |x| 10**(16 - k) in
@@ -377,38 +377,27 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _cell(cell) -> str:
-    if isinstance(cell, bool) or isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return fmt(cell)
-    return str(cell)
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The CSV cells of one block of a float64 or integer column."""
+    if column.dtype == np.float64:
+        return b"\n".join(_vector_texts(column)).decode("ascii").split("\n")
+    return list(map(str, column.tolist()))
 
 
-def _column_texts(column) -> list[str]:
-    """The CSV cells of one column block."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return b"\n".join(_vector_texts(column)).decode("ascii").split("\n")
-        if column.dtype.kind == "b":
-            column = column.astype(np.uint8)  # written as 0 and 1, like str(int(v))
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-        if column.dtype.kind == "f":
-            column = column.tolist()  # float16 and float32 widen exactly, with no warning
-    return [_cell(cell) for cell in column]
-
-
-def write_csv(path, header, columns: Sequence, preamble=()) -> None:
+def write_csv(path, header, columns: Sequence[np.ndarray], preamble=()) -> None:
     """Write a table given as equal-length columns; floats at full precision.
 
-    A float64 array column is formatted as a float vector (each distinct
-    value of a block once), an int or bool array column as integers, and any
-    other column (a list, or a float32 array, say) cell by cell: ints and
-    bools as integers, floats at full precision, anything else with ``str``.
-    ``preamble`` lines (the effective configuration) are embedded as '#'
-    comments ahead of the header.
+    Each column is a 1-D float64 array, formatted as a float vector (each
+    distinct value of a block once), or a 1-D integer array; any other
+    column is a TypeError, raised before the file is opened.  ``preamble``
+    lines (the effective configuration) are embedded as '#' comments ahead
+    of the header.
     """
+    for column in columns:
+        array = isinstance(column, np.ndarray)
+        if not (array and column.ndim == 1 and (column.dtype == np.float64 or column.dtype.kind in "iu")):
+            what = f"{column.ndim}-D {column.dtype}" if array else type(column).__name__
+            raise TypeError(f"CSV columns must be 1-D float64 or integer arrays, got {what}")
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")

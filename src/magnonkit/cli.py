@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import traceback
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import astuple
 from pathlib import Path
 from typing import NamedTuple
@@ -66,6 +66,13 @@ def _parse_nonnegative(text):
     return value
 
 
+def _parse_positive(text):
+    value = _parse_float(text)
+    if value <= 0.0:
+        raise ValueError(f"must be > 0, got {value}")
+    return value
+
+
 def _parse_choice(*choices):
     def parse(text):
         if text not in choices:
@@ -95,12 +102,11 @@ _SCHEMA = {
     "field.h": (_parse_nonnegative, None),
     "thermal.beta": (_parse_float, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
-    "validate.tol": (_parse_float, "1e-12"),
-    "solve.tol": (_parse_float, "1e-12"),
+    "validate.tol": (_parse_nonnegative, "1e-12"),
+    "solve.tol": (_parse_positive, "1e-12"),
     "oracle.copies": (_parse_int_list, "1,3,5,7"),
     "oracle.q_index": (int, None),
     "oracle.mode": (_parse_choice("sector", "full"), "sector"),
-    "oracle.monotone_tol": (_parse_float, "0"),
     "dynamics.m": (_parse_optional_float, ""),
     "dynamics.times": (_parse_float_list, ""),
     "dynamics.initial": (_parse_choice("equilibrium", "packet"), "equilibrium"),
@@ -113,7 +119,7 @@ _SCHEMA = {
 
 _PROBLEM_KEYS = ("lattice.dimension", "lattice.size", "couplings.path", "field.h")
 _SOLVE_KEYS = ("thermal.beta", "solve.tol")
-_ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index", "oracle.mode", "oracle.monotone_tol")
+_ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index", "oracle.mode")
 _DYNAMICS_KEYS = (
     "dynamics.m", "dynamics.times", "dynamics.initial", "dynamics.packet_center",
     "dynamics.packet_width", "dynamics.packet_kick", "dynamics.conservation_tol",
@@ -179,13 +185,13 @@ class RunConfig:
 class Output(NamedTuple):
     """What a subcommand computed: JSON body, CSV table, stdout lines, verdict.
 
-    The CSV table is ``columns``, one equal-length sequence per ``header``
-    entry; the float columns are the arrays the JSON body holds.
+    The CSV table is ``columns``, one equal-length 1-D float64 or integer
+    array per ``header`` entry.
     """
 
     doc: dict
     header: list[str]
-    columns: list[Sequence]
+    columns: list[np.ndarray]
     preamble: list[str]
     lines: list[str]
     passed: bool = True
@@ -288,13 +294,11 @@ def cmd_oracle(cfg: RunConfig) -> Output:
     rows = [astuple(r) for r in study]
     lines = [f"n={n} m_n={fmt(m)} t_n={fmt(t)} p_n={fmt(p)} discrepancy={fmt(d)}"
              for n, m, t, p, d, *_ in rows]
-    # a step passes when the discrepancy decreases (up to the tolerance) or
-    # has fallen to the rounding of t_n and p_n, where its order is noise
-    tol = cfg["oracle.monotone_tol"]
-    monotone = all(b.discrepancy < a.discrepancy + tol or b.discrepancy <= b.rounding_floor
+    # a step passes when the discrepancy decreases or is at most its rounding floor, where its order is noise
+    monotone = all(b.discrepancy < a.discrepancy or b.discrepancy <= b.rounding_floor
                    for a, b in zip(study, study[1:]))
     doc = {"rows": [dict(zip(header, row)) for row in rows]}
-    return Output(doc, header, [list(column) for column in zip(*rows)], [], lines, monotone,
+    return Output(doc, header, [np.array(column) for column in zip(*rows)], [], lines, monotone,
                   "discrepancy column is not monotone decreasing")
 
 
@@ -374,7 +378,7 @@ def cmd_sectors(cfg: RunConfig) -> Output:
     }
     lines = [f"j={fmt(j)} multiplicity={mult} dim={dim}" for j, mult, dim in rows]
     lines.append(f"total_dimension={table.total_dimension()}")
-    return Output(doc, header, [list(column) for column in zip(*rows)], [], lines)
+    return Output(doc, header, [np.array(column) for column in zip(*rows)], [], lines)
 
 
 class Command(NamedTuple):

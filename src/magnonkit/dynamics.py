@@ -37,7 +37,11 @@ def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid
     """Magnon energies eps(q) = 2*(J3(0) - J(q) + h/(-m)) over the grid; each must be positive."""
     if not -1.0 <= m < 0.0:
         raise RegimeError(f"quantization parameter must lie in [-1, 0), got {m}")
-    eps = _energies(exchange_gap_grid(couplings, grid), h, m)
+    return _positive(_energies(exchange_gap_grid(couplings, grid), h, m))
+
+
+def _positive(eps: np.ndarray) -> np.ndarray:
+    """The mode energies themselves; a RegimeError unless every one is positive."""
     if np.min(eps) <= 0.0:
         raise RegimeError(f"non-positive mode energy {np.min(eps):.6g}: no zero-mode gap")
     return eps
@@ -142,10 +146,11 @@ def _mode_diagonal(state: GaussianMagnonState) -> np.ndarray:
 
 
 def equilibrium_state(solution: SpinWaveSolution) -> GaussianMagnonState:
-    """Mode-diagonal thermal state built from a solved magnetization, on the solution's grid."""
-    return GaussianMagnonState(
+    """Mode-diagonal thermal state of a solved magnetization; its spectrum is the solution's dispersion."""
+    state = GaussianMagnonState(
         solution.m_star, solution.occupations, (), solution.grid, solution.couplings, solution.params.h
     )
+    return state._replace(spectrum=_positive(solution.dispersion))
 
 
 def packet_state(

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
-from .sectors import MAX_COPIES, sector_decomposition
+from .sectors import check_copies, sector_decomposition
 from .spinwave import ThermalParams, occupation
 
 MAX_SECTOR_BLOCK_DIM = 10_000
@@ -60,8 +60,7 @@ class SpinConfig:
     couplings: CouplingSet
 
     def __post_init__(self):
-        if self.copies < 1 or self.copies % 2 == 0:
-            raise ValueError(f"copies must be odd and >= 1, got {self.copies}")
+        check_copies(self.copies)
         cd = self.couplings.dimension
         if cd is not None and cd != self.lattice.dimension:
             raise ValueError(
@@ -71,7 +70,7 @@ class SpinConfig:
 
 
 def _admit(config: SpinConfig, mode: str) -> None:
-    """Refuse a build over the copy cap or a matrix cap, before anything is allocated.
+    """Refuse a build over a matrix cap, before anything is allocated.
 
     The sector engine's largest block is one assignment's product basis,
     (copies + 1)**sites; the full tensor is one dense 2**(copies * sites)
@@ -79,8 +78,6 @@ def _admit(config: SpinConfig, mode: str) -> None:
     past it is over the cap, and a huge power is never formed.
     """
     n, n_sites = config.copies, config.lattice.n_sites
-    if n > MAX_COPIES:
-        raise ValueError(f"copy count {n} exceeds supported maximum {MAX_COPIES} (MAX_COPIES)")
     if mode == "full":
         base, exponent, cap, what = 2, n * n_sites, MAX_FULL_DIM, "full-tensor dimension"
     else:
@@ -535,10 +532,6 @@ class EnergyEntropyMargin:
     x_x_dag: float
     trivial: bool = False
 
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
-
 
 def energy_entropy_margin(ensemble: GibbsEnsemble, q, kind: str = "-") -> EnergyEntropyMargin:
     """Evaluate beta*<X*[H,X]> >= <X*X> ln(<X*X>/<XX*>) for X = F^kind(q).
@@ -617,7 +610,8 @@ def convergence_study(
     magnetization, so the comparison isolates the quasi-free structure; it
     is read off the grid occupations at q, the solver's formula.  q must be
     a point of the lattice's momentum grid (ValueError otherwise), and every
-    rung is checked against the size caps before the first one is built.
+    rung's copy count (by its ``SpinConfig``) and size caps are checked before
+    the first one is built.
     """
     configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]
     for config in configs:

@@ -39,17 +39,22 @@ class SectorTable:
         return sum(e.multiplicity * e.dim for e in self.entries)
 
 
+def check_copies(copies: int) -> None:
+    """Refuse (ValueError) a copy count n = 2S + 1 that is even, below 1 or above ``MAX_COPIES``."""
+    if copies < 1 or copies % 2 == 0:
+        raise ValueError(f"copy count must be odd and >= 1, got {copies}")
+    if copies > MAX_COPIES:
+        raise ValueError(f"copy count {copies} exceeds supported maximum {MAX_COPIES} (MAX_COPIES)")
+
+
 def sector_decomposition(copies: int) -> SectorTable:
     """Total-spin sectors of ``copies`` spin-1/2 factors, largest j first.
 
     multiplicity(j) = C(n, n/2 - j) - C(n, n/2 - j - 1), exact in integers.
-    Only odd copy counts occur here (copies = 2S + 1).
+    The copy count must pass :func:`check_copies`.
     """
     n = int(copies)
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"copy count must be odd and >= 1, got {copies}")
-    if n > MAX_COPIES:
-        raise ValueError(f"copy count {copies} exceeds supported maximum {MAX_COPIES}")
+    check_copies(n)
     entries = []
     for twice_j in range(n, 0, -2):
         k = (n - twice_j) // 2

@@ -146,7 +146,7 @@ def test_criterion_05_energy_entropy_balance(ensemble_matrix):
             for kind in ("-", "+"):
                 result = energy_entropy_margin(ensemble, q, kind)
                 assert result.lhs >= result.rhs - 1e-9, (kind, q, result)
-                worst = min(worst, result.margin)
+                worst = min(worst, result.lhs - result.rhs)
                 checks += 1
     print(f"\nACCEPTANCE 05 energy-entropy balance: PASS "
           f"({checks} inequalities, min margin {worst:.2e})")

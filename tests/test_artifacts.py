@@ -268,13 +268,9 @@ class TestStreamingWriter:
 def reference_csv(header, columns, preamble=()):
     """The row-wise CSV writer: Python cells, typed one at a time."""
     def cell(value):
-        if isinstance(value, bool) or isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return fmt(value)
-        return str(value)
+        return str(value) if isinstance(value, int) else fmt(value)
 
-    cells = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+    cells = [column.tolist() for column in columns]
     lines = [f"# {line}" for line in preamble] + [",".join(header)]
     lines += [",".join(cell(value) for value in row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
@@ -282,17 +278,11 @@ def reference_csv(header, columns, preamble=()):
 
 CSV_CASES = {
     "float": [gap_grid_16(), np.array(SIGNED_ZEROS_AND_NANS * 316)[:4096]],
-    "float32": [_RNG.choice(np.array([0.1, -0.0, 3e38]), size=9).astype(np.float32)],
     "int": [np.arange(-4, 5), np.arange(9, dtype=np.uint8), np.full(9, 2**62)],
-    "bool": [np.array([True, False, True]), [True, False, False]],
-    "mixed": [[1, 2.5, "x", True, np.float32(0.1), np.int64(7), None, -0.0],
-              np.array([1, "a", 2.0, None, False, 0.5, 3, math.nan], dtype=object),
-              np.array(["s", "t", "u", "v", "w", "x", "y", "z"])],
     "long-table": [np.repeat(_RNG.normal(size=3), 4000), np.tile(np.arange(40), 300),
                    _RNG.choice([0.0, 1.0 / 3.0, -1e-300], size=12_000)],
-    "distinct-floats": [_RNG.normal(size=9000) * 10.0 ** _RNG.integers(-6, 18, 9000),
-                        _RNG.normal(size=9000).astype(np.float32)],
-    "empty": [np.zeros(0), np.zeros(0, dtype=int), []],
+    "distinct-floats": [_RNG.normal(size=9000) * 10.0 ** _RNG.integers(-6, 18, 9000)],
+    "empty": [np.zeros(0), np.zeros(0, dtype=int)],
 }
 
 
@@ -306,15 +296,27 @@ class TestCsvWriter:
         assert path.read_text() == reference_csv(header, columns, ["a.b = 1", "c = x"])
 
     def test_row_blocks_match_the_reference(self, tmp_path):
-        columns = [np.tile([0.5, -0.0, 0.1], 5), np.arange(15), [f"r{i}" for i in range(15)]]
+        columns = [np.tile([0.5, -0.0, 0.1], 5), np.arange(15)]
         for block in (1, 4, 15, 16):
             with mock.patch.object(artifacts, "_BLOCK", block):
-                write_csv(tmp_path / "out.csv", ["a", "b", "c"], columns)
-            assert (tmp_path / "out.csv").read_text() == reference_csv(["a", "b", "c"], columns)
+                write_csv(tmp_path / "out.csv", ["a", "b"], columns)
+            assert (tmp_path / "out.csv").read_text() == reference_csv(["a", "b"], columns)
 
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
-            write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), [1, 2]])
+            write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), np.arange(2)])
+
+    @pytest.mark.parametrize("column, what", [
+        ([0.5, 1.5], "list"),
+        (np.array([0.5, 1.5], dtype=np.float32), "1-D float32"),
+        (np.array([True, False]), "1-D bool"),
+        (np.arange(4).reshape(2, 2), "2-D int64"),  # its rows would be written as "[0, 1]"
+    ], ids=["list", "float32", "bool", "2-d"])
+    def test_columns_other_than_float64_or_integer_arrays_refused(self, column, what, tmp_path):
+        # float16/32 widening is the JSON writer's; a CSV column is float64 or integer
+        with pytest.raises(TypeError, match=f"CSV columns must be 1-D float64 or integer arrays, got {what}$"):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(2), column])
+        assert not (tmp_path / "out.csv").exists()
 
 
 def narrow_float_patterns():
@@ -326,16 +328,12 @@ def narrow_float_patterns():
 
 
 class TestNarrowFloats:
-    def test_signalling_nans_write_quietly_and_match_the_references(self, tmp_path):
+    def test_signalling_nans_write_quietly_and_match_the_references(self):
         half, single = narrow_float_patterns()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for array in (half, single, half.reshape(256, 256), single.reshape(2, 5)):
                 assert json_dumps(array) == reference_dumps(array)
-            write_csv(tmp_path / "half.csv", ["h"], [half])
-            write_csv(tmp_path / "single.csv", ["s", "t"], [single, single[::-1]])
-        assert (tmp_path / "half.csv").read_text() == reference_csv(["h"], [half])
-        assert (tmp_path / "single.csv").read_text() == reference_csv(["s", "t"], [single, single[::-1]])
 
 
 def percent_texts(values):

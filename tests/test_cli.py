@@ -416,6 +416,14 @@ class TestOracleCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "convergence.json").exists()
 
+    def test_removed_monotone_tol_key_exits_2(self, workspace, capsys):
+        # the rounding floor alone decides what counts as noise, so no tolerance key exists
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF + "oracle.monotone_tol = 0\n")
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "unknown key 'oracle.monotone_tol'" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.json").exists()
+
     def test_bad_q_index_exit_2(self, workspace):
         tmp_path, make = workspace
         conf = make(ORACLE_CONF.replace("oracle.q_index = 1", "oracle.q_index = 7"))
@@ -493,6 +501,21 @@ class TestDynamicsCommand:
         assert len(data) == 1 + 3 * 8
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert len(snapshot["gamma_mode_real"]) == 8
+
+    def test_equilibrium_run_computes_the_gap_grid_once(self, workspace, monkeypatch):
+        # the validated gaps feed the solver, and the state's spectrum is the solution's dispersion
+        calls = []
+        real = magnonkit.lattice.exchange_gap_grid
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (magnonkit.lattice, magnonkit.spinwave, magnonkit.dynamics, oracle):
+            monkeypatch.setattr(module, "exchange_gap_grid", counted)
+        tmp_path, make = workspace
+        assert main(["dynamics", "--config", str(make(DYNAMICS_CONF)), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_empty_times_writes_headers_only(self, workspace):
         tmp_path, make = workspace
@@ -678,6 +701,23 @@ class TestSectorsCommand:
         assert main(["sectors", "--config", str(conf), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("copies, message", [
+    (0, "copy count must be odd and >= 1, got 0"),
+    (2, "copy count must be odd and >= 1, got 2"),
+    (33, "copy count 33 exceeds supported maximum 31 (MAX_COPIES)"),
+])
+def test_oracle_and_sectors_refuse_a_copy_count_alike(copies, message, workspace, capsys):
+    # sectors.check_copies is the one owner of the rule and of its wording
+    tmp_path, make = workspace
+    bodies = {"oracle": ORACLE_CONF.replace("oracle.copies = 1,3", f"oracle.copies = {copies}"),
+              "sectors": f"sectors.copies = {copies}\n"}
+    for command, body in bodies.items():
+        conf = make(body, name=f"{command}.conf")
+        assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.glob("*.json"))
+
+
 GOLDEN_CASES = {
     **{case: EMIT_CASES[case] for case in EMIT_CASES if case != "dynamics"},
     "dynamics-equilibrium": EMIT_CASES["dynamics"],
@@ -770,6 +810,31 @@ def test_non_finite_config_float_exits_2_naming_the_key(key, workspace, capsys):
     conf = make(body)
     assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
     assert f"config key '{key}': must be finite, got {shown}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
+
+
+# id -> (command, config body, key, message)
+OUT_OF_RANGE = {
+    "validate.tol": ("validate", BASE_CONF + "validate.tol = -1\n", "validate.tol", "must be >= 0, got -1.0"),
+    "solve.tol": ("solve", BASE_CONF + "solve.tol = 0\n", "solve.tol", "must be > 0, got 0.0"),
+    "solve.tol-negative": ("solve", BASE_CONF + "solve.tol = -1e-12\n", "solve.tol", "must be > 0, got -1e-12"),
+    "dynamics-solve.tol": ("dynamics", DYNAMICS_CONF + "solve.tol = 0\n", "solve.tol", "must be > 0, got 0.0"),
+    "dynamics.conservation_tol": ("dynamics", DYNAMICS_CONF + "dynamics.conservation_tol = -1\n",
+                                  "dynamics.conservation_tol", "must be >= 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_tolerance_exits_2_before_the_lattice(case, workspace, capsys, monkeypatch):
+    # refused when the config is parsed, naming the key, before any lattice or gap grid
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(cli, "LatticeSpec", no_lattice)
+    command, body, key, message = OUT_OF_RANGE[case]
+    tmp_path, make = workspace
+    assert main([command, "--config", str(make(body)), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: config key '{key}': {message}\n"
     assert not any(tmp_path.glob("*.json"))
 
 

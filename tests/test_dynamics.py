@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -179,6 +180,23 @@ class TestEquilibriumState:
         solution, state = equilibrium
         assert state.basis == "mode"
         np.testing.assert_allclose(np.diagonal(state.gamma).real, solution.occupations)
+
+    @pytest.mark.parametrize("beta, h", [(2.0, 0.5), (0.3, 0.05), (700.0, 0.5)])
+    def test_spectrum_is_the_solution_dispersion(self, beta, h, monkeypatch):
+        # the same gaps, h and m* as mode_spectrum's: bit-equal, and no gap grid is computed
+        couplings = CouplingSet({1: 1.0, 2: 0.25}, {1: 1.0, 2: 0.25}, h)
+        solution = solve_magnetization(ThermalParams(beta, h), couplings, GRID8)
+        expected = mode_spectrum(solution.m_star, h, couplings, GRID8)
+        monkeypatch.setattr(dynamics, "exchange_gap_grid", None)
+        state = equilibrium_state(solution)
+        assert state.spectrum is solution.dispersion
+        assert np.array_equal(state.spectrum, expected)
+
+    def test_non_positive_dispersion_refused(self, equilibrium):
+        solution, _ = equilibrium
+        bad = dataclasses.replace(solution, dispersion=solution.dispersion - solution.dispersion[0])
+        with pytest.raises(RegimeError, match="non-positive mode energy 0: no zero-mode gap"):
+            equilibrium_state(bad)
 
     def test_zero_occupations_give_zero_state(self):
         # cold enough that every occupation flushes to exactly zero

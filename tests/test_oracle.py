@@ -157,9 +157,9 @@ class TestBuildGibbs:
         oracle._admit(SpinConfig(9, LatticeSpec(1, 4), ISO25), "sector")
         oracle._admit(SpinConfig(3, LatticeSpec(1, 4), ISO25), "full")
         oracle._admit(SpinConfig(31, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0)), "sector")
-        for mode in ("sector", "full"):
-            with pytest.raises(ValueError, match=r"copy count 33 exceeds supported maximum 31 \(MAX_COPIES\)"):
-                oracle._admit(SpinConfig(33, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0)), mode)
+        # the copy count is the configuration's to refuse, before any cap is asked
+        with pytest.raises(ValueError, match=r"copy count 33 exceeds supported maximum 31 \(MAX_COPIES\)"):
+            SpinConfig(33, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0))
         with pytest.raises(ValueError, match="dimension 20736 at copies=11 exceeds cap 10000"):
             oracle._admit(SpinConfig(11, LatticeSpec(1, 4), ISO25), "sector")
         with pytest.raises(ValueError, match="dimension 8192 at copies=1 exceeds cap 4096"):
