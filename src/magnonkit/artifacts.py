@@ -2,39 +2,52 @@
 
 Every float is printed as ``'%.17g' % value`` (17 significant digits) so
 artifacts round-trip exactly and rerunning a command reproduces
-byte-identical files.  JSON is produced as a stream of chunks that
+byte-identical files.  JSON is produced as a stream of byte chunks that
 :func:`write_json` writes to the file as they come, so a large float array
 is formatted a block at a time and never exists as one Python list or one
-string.
-:func:`write_csv` takes its table as equal-length columns and writes it a
-block of rows at a time.
+string.  :func:`write_csv` takes its table as equal-length columns and
+writes it a block of rows at a time.  Both write in binary mode.
 
-Every run of floats takes one path, :func:`_float_texts`: one ``'%.17g'``
-format call for fewer than ``_KERNEL_MIN`` values, else the kernel, each
-giving bytes until a block is joined.  A float vector (a 1-D float64
-array, a JSON list of floats or a float64 CSV column) is formatted a block of
-``_BLOCK`` values at a time, each distinct value of a block once: the values
-are grouped by their bit patterns (so ``-0.0`` and ``0.0``, and NaNs of
-different payloads, stay apart) and the texts gathered back in order.  Grid
-functions such as n(q), eps(q) and D(q) depend on q only through the gap, so
-on a symmetric lattice they repeat heavily.  A 2-D float64 array is not
-grouped: a block of whole rows (at least ``_BLOCK`` values) per call, then
-written a row at a time.  In JSON, narrower float arrays go through
-``tolist()``, which widens them exactly, like int arrays.
+Every run of floats (a JSON vector block, a JSON matrix row, a block of
+CSV rows) is assembled the same way, with no Python object per value.
+Each value has a cell of fixed-width uint64 words: ``_TEXT`` text words,
+then the separator that follows the value.  The text words hold the sign
+and the "0.000" of a small value (six bytes), the 18 digits of N' below
+(two, then two words of eight), and the exponent of e-notation; every byte
+the text does not use is NUL.  The run is then one
+``cells.tobytes().translate(None, b"\\0")``, which drops the NULs.
+:func:`_float_cells` fills the text words: one ``'%.17g'`` format call for
+fewer than ``_KERNEL_MIN`` values, else the kernel.  A float vector (a 1-D
+float64 array, a JSON list of floats or a float64 CSV column) is formatted
+a block of ``_BLOCK`` values at a time, each distinct value of a block
+once: the values are grouped by their bit patterns (so ``-0.0`` and
+``0.0``, and NaNs of different payloads, stay apart).  Grid functions such
+as n(q), eps(q) and D(q) depend on q only through the gap, so on a
+symmetric lattice they repeat heavily.  The distinct values' cells are
+gathered back in order through the ``np.unique`` inverse: into a JSON
+block's cells, or into the CSV block's table of cells, one row of cells per
+CSV row.  A 2-D float64 array is not grouped: a block of whole rows (at
+least ``_BLOCK`` values) per call, each row one run, written as it is
+made.  In JSON, narrower float arrays go through ``tolist()``, which widens
+them exactly, like int arrays.
 
 The kernel gives the bytes of ``'%.17g'`` in vectorized numpy.  With
-|x| = m 2**e and k = floor(log10 |x|), it forms v = |x| 10**(16 - k) in
-double-double arithmetic (Dekker's exact product of m with a table of
-powers of ten 10**s = (h + l) 2**g, whose h and residual l are correctly
-rounded from exact integers; numpy does not fuse multiply-adds), so v is
-within about 1e-14 of its exact value, and rounds v to the 17-digit integer
-N, which it keeps only where v lies more than 1e-6 from a half-integer:
-there the rounding is certain.  It then lays out the digits of N as C's
-``%g`` does (fixed notation for -4 <= k < 17, else d.ddde+XX, trailing
-zeros dropped) from lookup tables, eight bytes at a time.  Zeros,
-infinities, NaNs and the values it cannot certify (ties at the 17th digit
-and values within 1e-6 of one) take ``'%.17g' %`` itself, so every artifact
-byte is what ``'%.17g' %`` gives.
+k = floor(log10 |x|), it forms v = |x| 10**(16 - k) in double-double
+arithmetic (Dekker's exact product of |x| with 10**(16 - k) = h + l, whose
+h and residual l are correctly rounded from exact integers; numpy does not
+fuse multiply-adds), so v is within about 1e-14 of its exact value, and
+rounds v to the 17-digit integer N, which it keeps only where v lies more
+than 1e-6 from a half-integer: there the rounding is certain.  It then lays
+out the digits as C's ``%g`` does (fixed notation for -4 <= k < 17, else
+d.ddde+XX, trailing zeros dropped).  The point is a zero digit put into N
+after the digits ahead of it, which gives an 18-digit N'; its digits come
+from a table of four-digit groups, one XOR makes that zero a ".", and a
+mask by the text's length clears the trailing zeros.  None of it shifts a
+word: the six bytes ahead of N' leave its groups aligned to the words.
+Zeros, infinities, NaNs, values outside [1e-280, 1e300) (where h, l or the
+splits would leave the normal range) and the values it cannot certify
+(ties at the 17th digit and values within 1e-6 of one) take ``'%.17g' %``
+itself, so every artifact byte is what ``'%.17g' %`` gives.
 """
 
 from __future__ import annotations
@@ -47,18 +60,22 @@ from typing import NamedTuple
 import numpy as np
 
 _INDENT = 2  # spaces per JSON nesting level
-_BLOCK = 4096  # floats per chunk of a vector, rows per chunk of a CSV table
+_BLOCK = 16384  # floats per chunk of a vector or matrix, rows per chunk of a CSV table
 # Fewest floats the kernel formats in one call.  Its fixed cost is about
-# 0.3 ms: on a 2-vCPU VM it and one '%.17g' call broke even near 512 values
-# (0.3-0.46 ms each), and for 4096 values the call took 2.9-4.2 ms and the
-# kernel 1.2-1.6 ms.
-_KERNEL_MIN = 512
+# 0.1 ms: on a 2-vCPU VM it and one '%.17g' call broke even between 128 and
+# 192 values (0.10-0.15 ms each); for 256 values the call took 0.17 ms and
+# the kernel 0.12 ms, for 16384 values 13-18 ms and 1.2-1.3 ms.
+_KERNEL_MIN = 256
 # |v - N| below this certifies N = round(v); v's error is about 1e-14.
 _CERTAIN = 0.5 - 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter of a 53-bit significand
 _U = np.uint64
-# sign, "0." and the zeros ahead of the digits of a small value, by (negative, leading zeros)
-_PREFIXES = [b"", b"-", b"0.", b"-0.", b"0.0", b"-0.0", b"0.00", b"-0.00", b"0.000", b"-0.000"]
+_TEXT = 4  # text words of a cell: the prefix with two digits, two digit words, the suffix
+# The kernel formats |x| in [_LOWEST, _HIGHEST).  Its tables have a row for
+# each k = floor(log10 |x|) from _K0 to _K1 - 1: one to spare at each end,
+# for a log10 rounded across a power of ten.
+_LOWEST, _HIGHEST = 1e-280, 1e300
+_K0, _K1 = -282, 302
 
 
 def fmt(value) -> str:
@@ -73,32 +90,34 @@ def _split(a):
     return hi, a - hi
 
 
-def _two_product(a, b, b_hi, b_lo):
-    """a * b = p + e exactly (Dekker), for b split as b_hi + b_lo."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    e = a_hi * b_hi
-    e -= p
-    e += a_hi * b_lo
-    e += a_lo * b_hi
-    e += a_lo * b_lo
-    return p, e
+def _word(text: bytes) -> int:
+    """Up to eight bytes as a NUL-padded little-endian word."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+def _words(values) -> tuple:
+    """Integers of up to 24 bytes as three arrays of little-endian words."""
+    return tuple(np.array([(v >> (64 * j)) & (2**64 - 1) for v in values], dtype=_U) for j in range(3))
 
 
 class _Tables(NamedTuple):
+    """The kernel's lookup tables; all but digits, lead, zeros and shown by k - _K0."""
+
+    powers: tuple  # 10**(16 - k) = h + l: h, h split in halves, l
     digits: np.ndarray  # ASCII of 0000..9999, first digit in the low byte
+    lead: np.ndarray  # ASCII of 00..99 in bytes 6 and 7
     zeros: np.ndarray  # trailing zero digits of 0000..9999 (4 for 0)
-    first: np.ndarray  # first[c + 16]: mask of the first c bytes of a word, c clipped to 0..8
-    prefix: np.ndarray  # _PREFIXES as words
-    prefix_len: np.ndarray
-    suffix: np.ndarray  # "e-324" .. "e+308" as words
-    powers: tuple  # 10**s = (h + l) 2**g for s = -292..340: h, h split in halves, l
-    biased: np.ndarray  # g + 1023
+    scale: np.ndarray  # 10**(17 - p), p the digits of N ahead of the point
+    layout: np.ndarray  # 18 p, or 0 for a small value
+    marks: tuple  # per digit word: the "0." .. "0.000" of a small value in bytes 1-5 and the
+    # XOR that makes the zero at the point a "."
+    shown: tuple  # per digit word: the mask of the text, by layout + trailing zeros of N'
+    suffix: np.ndarray  # the exponent of e-notation ("e-05", "e+17", "e-100"), else 0
 
 
 @functools.cache
 def _tables() -> _Tables:
-    """The kernel's lookup tables, built on first use (about 4 ms)."""
+    """The kernel's lookup tables, built on first use (about 3 ms)."""
     ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # [a, b, c, d] -> "abcd", in uint8 throughout
     for j in range(4):
         ascii4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape([-1 if i == j else 1 for i in range(4)])
@@ -106,49 +125,48 @@ def _tables() -> _Tables:
     digits = ascii4.view(np.uint32).ravel().astype(np.uint64)
     zeros = np.argmax(ascii4[:, ::-1] != 48, axis=1).astype(np.uint8)
     zeros[0] = 4
-    counts = np.clip(np.arange(-16, 25), 0, 8).astype(np.uint64)
-    first = np.where(counts == 8, ~_U(0), (_U(1) << (_U(8) * counts)) - _U(1))
-    prefixes = np.array(_PREFIXES, dtype="S8")
-    prefix_len = np.count_nonzero(prefixes.view(np.uint8).reshape(-1, 8), axis=1)
-    exponent = np.arange(-324, 309)
-    size = np.abs(exponent)
-    sign = np.where(exponent < 0, _U(ord("-")), _U(ord("+")))
-    size_text = digits[size] >> np.where(size >= 100, _U(8), _U(16))  # two or three digits
-    suffix = _U(ord("e")) | (sign << _U(8)) | (size_text << _U(16))
-    # 10**s = (h + l) 2**g with h in [0.5, 1), from exact integers: int / int rounds
-    # correctly, so h is 10**s 2**-g and l the residual, each correctly rounded
-    h, l, g = [], [], []
-    for s in range(-292, 341):
-        ten = 10 ** abs(s)
-        shift = ten.bit_length() if s >= 0 else 1 - ten.bit_length()
-        num, den = (ten, 1 << shift) if s >= 0 else (1 << -shift, ten)  # 10**s 2**-g
-        high = num / den
-        a, b = high.as_integer_ratio()
-        h.append(high)
+    h, l, scale, layout, marks, suffix = [], [], [], [], [], []
+    for k in range(_K0, _K1):
+        # 10**s = h + l from exact integers: int / int rounds correctly, so h is
+        # 10**s correctly rounded and l the residual, correctly rounded
+        s = 16 - k
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        h.append(num / den)
+        a, b = h[-1].as_integer_ratio()
         l.append((num * b - a * den) / (den * b))
-        g.append(shift)
-    h, l, g = np.array(h), np.array(l), np.array(g)
-    return _Tables(digits, zeros, first, prefixes.view(np.uint64), prefix_len, suffix,
-                   (h, *_split(h), l), g + 1023)
+        # the point goes after the first p digits; a small value's is in its prefix
+        small, fixed = -4 <= k < 0, -4 <= k < 17
+        p = 17 if small else k + 1 if fixed else 1
+        scale.append(10 ** (17 - p))
+        layout.append(0 if small else 18 * p)
+        prefix = _word(b"\0" + b"0.000"[:1 - k]) if small else 0
+        marks.append(prefix | 0x1E << (8 * (6 + p)))  # "0" ^ 0x1E == "."
+        suffix.append(0 if fixed else _word(b"e%+03d" % k))
+    # layout 18 p shows at least p digits, a small value's at least one, and the point after the
+    # p-th where a digit follows it: of N' with t trailing zeros, max(18 - t, p or 1) digit bytes
+    shown = [(1 << (8 * (6 + max(18 - t, p or 1)))) - 1 for p in range(18) for t in range(18)]
+    h = np.array(h)
+    return _Tables((h, *_split(h), np.array(l)), digits, (digits[:100] >> _U(16)) << _U(48), zeros,
+                   np.array(scale, dtype=_U), np.array(layout, dtype=np.intp), _words(marks), _words(shown),
+                   np.array(suffix, dtype=_U))
 
 
-def _scaled(m, e, k, tables: _Tables):
-    """N = round(m 2**e 10**(16 - k)), and the unrounded value minus N."""
-    row = 308 - k  # 10**(16 - k) = (h + l) 2**g
-    h, h_hi, h_lo, l = tables.powers
-    hi, lo = _two_product(m, h[row], h_hi[row], h_lo[row])
-    lo += m * l[row]
-    scale = ((e + tables.biased[row]) << 52).view(np.float64)  # 2**(e + g), exact
-    hi *= scale
-    lo *= scale
-    n = np.rint(hi)
-    hi -= n
-    hi += lo  # the scaled value minus n
-    step = np.rint(hi)
-    hi -= step
-    n = n.astype(np.int64)
+def _scaled(a, row, tables: _Tables):
+    """N = round(a 10**(16 - k)) for k = row + _K0, and the unrounded value minus N."""
+    h, h_hi, h_lo, l = (np.take(column, row) for column in tables.powers)
+    p = np.multiply(a, h, out=h)  # an integer where k is right: 2**53 < p < 2**57
+    a_hi, a_lo = _split(a)
+    e = a_hi * h_hi
+    e -= p
+    e += np.multiply(a_hi, h_lo, out=a_hi)
+    e += np.multiply(a_lo, h_hi, out=h_hi)
+    e += np.multiply(a_lo, h_lo, out=h_lo)  # a h = p + e exactly
+    e += np.multiply(a, l, out=l)
+    step = np.rint(e)
+    e -= step
+    n = p.astype(np.int64)
     n += step.astype(np.int64)
-    return n, hi
+    return n, e
 
 
 def _outside(n, rest):
@@ -157,176 +175,168 @@ def _outside(n, rest):
 
 
 def _decimal(values: np.ndarray, tables: _Tables):
-    """|value| = N 10**(k - 16) to 17 significant digits, and where N is certified."""
+    """|value| = N 10**(k - 16) to 17 significant digits: N, the row k - _K0, and where N is certified."""
     a = np.abs(values)
-    ok = (a > 0.0) & (a < np.inf)  # finite and nonzero
-    a[~ok] = 1.0
-    m, e = np.frexp(a)
-    k = np.floor(np.log10(a, out=a)).astype(np.int32)
-    n, rest = _scaled(m, e, k, tables)
-    off = np.flatnonzero(_outside(n, rest))
-    if off.size:  # log10 rounded across a power of ten
-        k[off] += np.where(n[off] > 10**17, 1, -1)
-        n[off], rest[off] = _scaled(m[off], e[off], k[off], tables)
-        ok[off] &= ~_outside(n[off], rest[off])
+    ok = a >= _LOWEST
+    ok &= a < _HIGHEST  # and not NaN
+    a[~ok] = 2.0  # any value within range and away from a power of ten
+    k = np.log10(a)
+    row = np.floor(k, out=k).astype(np.intp)
+    row -= _K0
+    n, rest = _scaled(a, row, tables)
+    # N <= 10**16 or N >= 10**17 (few): log10 rounded across a power of ten, or N rounded up to one
+    edge = np.flatnonzero(n.view(_U) - _U(10**16 + 1) >= _U(9 * 10**16 - 1))
+    if edge.size:
+        n_edge, rest_edge, row_edge = n[edge], rest[edge], row[edge]
+        off = _outside(n_edge, rest_edge)
+        row_edge[off] += np.where(n_edge[off] > 10**17, 1, -1)
+        n_edge, rest_edge = _scaled(a[edge], row_edge, tables)
+        ok[edge] &= ~_outside(n_edge, rest_edge)
+        carry = n_edge == 10**17  # rounded up to the next decade
+        n_edge[carry] = 10**16
+        row_edge += carry
+        n[edge], rest[edge], row[edge] = n_edge, rest_edge, row_edge
     ok &= np.abs(rest) < _CERTAIN
-    carry = n == 10**17  # rounded up to the next decade
-    n[carry] = 10**16
-    k += carry
-    return n, k, ok
+    return n, row, ok
 
 
-def _digits(n, words, tables: _Tables):
-    """Write the 17 digits of N into ``words``; return how many of them are trailing zeros.
+def _cut(x, unit: int):
+    """x // unit, leaving x % unit in x (uint64, in place)."""
+    q = x // _U(unit)
+    x -= q * _U(unit)
+    return q
 
-    N is consumed: it ends as its last group of four digits.
+
+def _digits(n, row, tables: _Tables):
+    """The three digit words of N 10**(k - 16), unmasked, and the index of their masks in ``tables.shown``.
+
+    The words hold N' behind six bytes for the prefix, with the prefix and
+    the point marked.  N is consumed.
     """
-    text, zeros = tables.digits, tables.zeros
-    lead = n // 10**16
-    n -= lead * 10**16
-    high = n // 10**8
-    n -= high * 10**8
-    g1 = high // 10**4
-    high -= g1 * 10**4
-    g3 = n // 10**4
-    n -= g3 * 10**4
-    first = text[g1] | (text[high] << _U(32))
-    second = text[g3] | (text[n] << _U(32))
-    np.bitwise_or(lead.astype(np.uint64) + _U(48), first << _U(8), out=words[0])
-    np.bitwise_or(first >> _U(56), second << _U(8), out=words[1])
-    np.right_shift(second, _U(56), out=words[2])
-    low = zeros[n] + (n == 0) * zeros[g3]
-    return low + ((n == 0) & (g3 == 0)) * (zeros[high] + (high == 0) * zeros[g1])
+    n = n.view(_U)
+    scale = np.take(tables.scale, row)
+    ahead = n // scale
+    ahead *= scale
+    ahead *= _U(9)
+    n += ahead  # N': a zero digit after the first p
+    top = _cut(n, 10**16)  # N' = top g1 g2 g3 g4, the g four digits each
+    g2 = _cut(n, 10**8)
+    g1, g3 = _cut(g2, 10**4), _cut(n, 10**4)
+    groups = [g.view(np.intp) for g in (top, g1, g2, g3, n)]
+    trailing = np.take(tables.zeros, groups[0])
+    for group in groups[1:]:
+        trailing *= group == 0
+        trailing += np.take(tables.zeros, group)
+    shown = np.take(tables.layout, row)
+    shown += trailing
+    words = [np.take(tables.lead, groups[0]), np.take(tables.digits, groups[1]), np.take(tables.digits, groups[3])]
+    words[1] |= np.take(tables.digits, groups[2]) << _U(32)
+    words[2] |= np.take(tables.digits, groups[4]) << _U(32)
+    for word, marks in zip(words, tables.marks):
+        word ^= np.take(marks, row)
+    return words, shown
 
 
-def _shift_up(words, bits) -> None:
-    """Shift a little-endian multiword up by ``bits`` < 64 (bytes move to higher offsets), in place."""
-    carry = 0
-    for word in words:
-        out = (word >> _U(1)) >> (_U(63) - bits)
-        word <<= bits
-        word |= carry
-        carry = out
-
-
-def _point(words, shown, point, tables: _Tables):
-    """Keep the first ``shown`` digits, with a point after the first ``point`` unless none follow.
-
-    Returns the length of the text.
-    """
-    dots = _U(0x2E2E2E2E2E2E2E2E) * (shown > point).astype(np.uint64)
-    first, carry = tables.first, 0
-    for j, word in enumerate(words):
-        head = first[point + (16 - 8 * j)]  # the mask of the first bytes, clipped to this word
-        rest = word & first[shown + (16 - 8 * j)] & ~head
-        word &= head
-        word |= (rest << _U(8)) | carry | ((first[point + (17 - 8 * j)] ^ head) & dots)
-        carry = rest >> _U(56)
-    return shown + (shown > point)
-
-
-def _append(words, suffix, at) -> None:
-    """Place the one-word ``suffix`` at byte offset ``at`` (0..23) of the text."""
-    bits = ((at & 7) << 3).astype(np.uint64)
-    below, above = suffix << bits, (suffix >> _U(1)) >> (_U(63) - bits)
-    at = at >> 3
-    for j, word in enumerate(words):
-        word |= np.where(at == j, below, 0) | np.where(at == j - 1, above, 0)
-
-
-def _layout(n, k, negative, tables: _Tables) -> np.ndarray:
-    """The text of C's ``%.17g`` for N 10**(k - 16), as rows of three words.
-
-    Fixed notation for -4 <= k < 17, else d.ddde+XX; trailing zeros and a
-    bare point are dropped.  The rows are written in place, a word at a
-    time, to keep the temporaries few.
-    """
-    text = np.empty((len(n), 3), np.uint64)
-    words = [text[:, j] for j in range(3)]
-    trailing = _digits(n, words, tables)
-    fixed = (k >= -4) & (k < 17)
-    small = fixed & (k < 0)  # 0.000ddd: the "0." and zeros go into the prefix
-    whole = np.where(fixed & ~small, k + 1, 1)  # digits ahead of the point
-    shown = np.maximum(17 - trailing, whole)
-    at = _point(words, shown, np.where(small, shown, whole), tables)
-    _append(words, np.where(fixed, _U(0), tables.suffix[k + 324]), at)  # the exponent of e-notation
-    # the sign, with the "0.000" of a small value, ahead of it all
-    prefix = negative + 2 * np.where(small, -k, 0)
-    _shift_up(words, (tables.prefix_len[prefix] << 3).astype(np.uint64))
-    words[0] |= tables.prefix[prefix]
-    return text
-
-
-def _float_kernel(values: np.ndarray) -> list[bytes]:
-    """The ``'%.17g'`` text of each float64 value, as bytes."""
+def _float_kernel(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``'%.17g'`` text of each float64 value into the text words of its cell in ``out``."""
     tables = _tables()
-    n, k, ok = _decimal(values, tables)
-    text = _layout(n, k, np.signbit(values), tables)
+    n, row, ok = _decimal(values, tables)
+    words, shown = _digits(n, row, tables)
+    sign = values.view(_U) >> _U(63)
+    sign *= _U(ord("-"))
+    words[0] |= sign
+    for j, (word, masks) in enumerate(zip(words, tables.shown)):
+        np.bitwise_and(word, np.take(masks, shown), out=out[:, j])
+    out[:, 3] = np.take(tables.suffix, row)
     fallback = np.flatnonzero(~ok)
     if fallback.size:
-        text[fallback] = np.array(_plain(values[fallback]), dtype="S24").view(np.uint64).reshape(-1, 3)
-    return text.view("S24").ravel().tolist()
+        out[fallback, :_TEXT] = _plain(values[fallback])
 
 
-def _plain(values: np.ndarray) -> list[bytes]:
-    """The full-precision text of each float, as bytes, from one ``'%.17g'`` format call."""
+def _plain(values: np.ndarray) -> np.ndarray:
+    """The text words of each float, from one ``'%.17g'`` format call."""
     text = ",".join(["%.17g"] * len(values)) % tuple(values.tolist())
-    return text.encode().split(b",")  # %.17g prints no comma
+    words = np.zeros((len(values), _TEXT), _U)
+    words[:, :3] = np.array(text.encode().split(b","), dtype="S24").view(_U).reshape(-1, 3)  # %.17g prints no comma
+    return words
 
 
-def _float_texts(values: np.ndarray) -> list[bytes]:
-    """The full-precision text of each float64 value, as bytes: by the kernel from ``_KERNEL_MIN`` values on.
+def _float_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the text of each float64 value into its cell in ``out``: by the kernel from ``_KERNEL_MIN`` values on.
 
     The one float formatter of the writers.
     """
     if len(values) < _KERNEL_MIN:
-        return _plain(values)
-    return _float_kernel(values)
+        out[:, :_TEXT] = _plain(values)
+    else:
+        _float_kernel(values, out)
 
 
-def _vector_texts(values: np.ndarray) -> list[bytes]:
-    """The texts of a float64 vector, each distinct value formatted once."""
+def _cells(count: int, sep: bytes) -> np.ndarray:
+    """``count`` cells: ``_TEXT`` text words to fill, then ``sep`` NUL-padded to whole words."""
+    sep = np.frombuffer(sep.ljust(-(-len(sep) // 8) * 8, b"\0"), _U)
+    cells = np.empty((count, _TEXT + len(sep)), _U)
+    cells[:, _TEXT:] = sep
+    return cells
+
+
+def _text(cells: np.ndarray) -> bytes:
+    """The text of a run of cells: their bytes without the NULs."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _distinct(values: np.ndarray):
+    """A float64 vector's distinct values, by bit pattern, and the ``np.unique`` inverse that gives the vector back.
+
+    A vector without repeats is its own, in order, with no inverse.
+    """
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     if len(distinct) == len(values):
-        return _float_texts(values)
-    return np.array(_float_texts(distinct.view(np.float64)), dtype=object)[inverse].tolist()
+        return values, None
+    return distinct.view(np.float64), inverse
 
 
-def _float_array(array: np.ndarray, level: int) -> Iterator[str]:
+def _vector_text(values: np.ndarray, sep: bytes, last: bool) -> bytes:
+    """The text of a block of a JSON float vector, ``sep`` after each value but the vector's last."""
+    distinct, inverse = _distinct(values)
+    cells = _cells(len(distinct), sep)
+    _float_cells(distinct, cells)
+    if inverse is not None:
+        cells = np.take(cells, inverse, axis=0)  # the gather makes the block's cells
+    if last:
+        cells[-1, _TEXT:] = 0  # no separator after the last value
+    return _text(cells)
+
+
+def _float_array(array: np.ndarray, level: int) -> Iterator[bytes]:
     """A nonempty 1-D or 2-D float array, straight from the array, a block at a time."""
-    pad, pad_in = " " * (_INDENT * level), " " * (_INDENT * (level + 1))
+    pad, pad_in = b" " * (_INDENT * level), b" " * (_INDENT * (level + 1))
     if array.ndim == 1:
-        sep = ",\n" + pad_in
-        yield "[\n" + pad_in
+        sep = b",\n" + pad_in
+        yield b"[\n" + pad_in
         for start in range(0, len(array), _BLOCK):
-            if start:
-                yield sep
-            yield sep.encode().join(_vector_texts(array[start:start + _BLOCK])).decode("ascii")
-        yield "\n" + pad + "]"
+            yield _vector_text(array[start:start + _BLOCK], sep, last=start + _BLOCK >= len(array))
+        yield b"\n" + pad + b"]"
         return
-    pad_row = pad_in + " " * _INDENT
-    sep = ",\n" + pad_row
-    row_sep = "\n" + pad_in + "],\n" + pad_in + "[\n" + pad_row
+    pad_row = pad_in + b" " * _INDENT
+    row_sep = b"\n" + pad_in + b"],\n" + pad_in + b"[\n" + pad_row
     rows = -(-_BLOCK // array.shape[1])  # whole rows, at least _BLOCK values
-    yield "[\n" + pad_in + "[\n" + pad_row
+    yield b"[\n" + pad_in + b"[\n" + pad_row
     for start in range(0, len(array), rows):
-        if start:
-            yield row_sep
-        yield from _rows(array[start:start + rows], sep, row_sep)
-    yield "\n" + pad_in + "]\n" + pad + "]"
+        block = array[start:start + rows]
+        cells = _cells(block.size, b",\n" + pad_row)
+        _float_cells(block.ravel(), cells)
+        cells = cells.reshape(len(block), block.shape[1], -1)
+        cells[:, -1, _TEXT:] = 0  # none after the last value of a row
+        for i in range(len(block)):  # one row at a time: no copy of the block's text
+            if start or i:
+                yield row_sep
+            yield _text(cells[i])
+    yield b"\n" + pad_in + b"]\n" + pad + b"]"
 
 
-def _rows(block: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
-    """The rows of a 2-D float block: one format call for the block, then a row at a time."""
-    texts, width, sep = _float_texts(block.ravel()), block.shape[1], sep.encode()
-    for start in range(0, len(texts), width):
-        if start:
-            yield row_sep
-        yield sep.join(texts[start:start + width]).decode("ascii")
-
-
-def _chunks(node, level: int) -> Iterator[str]:
-    """The JSON text of ``node`` as a sequence of chunks."""
+def _chunks(node, level: int) -> Iterator[bytes]:
+    """The JSON text of ``node`` as a sequence of byte chunks."""
     if isinstance(node, np.ndarray):
         if node.dtype == np.float64 and node.ndim in (1, 2) and node.size:
             yield from _float_array(node, level)
@@ -338,50 +348,58 @@ def _chunks(node, level: int) -> Iterator[str]:
     elif isinstance(node, np.integer):
         node = int(node)
     if node is None:
-        yield "null"
+        yield b"null"
     elif isinstance(node, bool):
-        yield "true" if node else "false"
+        yield b"true" if node else b"false"
     elif isinstance(node, int):
-        yield str(node)
+        yield str(node).encode()
     elif isinstance(node, float):
-        yield fmt(node)
+        yield fmt(node).encode()
     elif isinstance(node, str):
-        yield json.dumps(node)
+        yield json.dumps(node).encode()  # ASCII: json.dumps escapes the rest
     elif isinstance(node, (dict, list, tuple)):
         if not node:
-            yield "{}" if isinstance(node, dict) else "[]"
+            yield b"{}" if isinstance(node, dict) else b"[]"
             return
-        pad, pad_in = " " * (_INDENT * level), " " * (_INDENT * (level + 1))
+        pad, pad_in = b" " * (_INDENT * level), b" " * (_INDENT * (level + 1))
         if isinstance(node, dict):
             node = {str(k): v for k, v in node.items()}
-            yield "{"
+            yield b"{"
             for i, (key, value) in enumerate(node.items()):
-                yield (",\n" if i else "\n") + pad_in + json.dumps(key) + ": "
+                yield (b",\n" if i else b"\n") + pad_in + json.dumps(key).encode() + b": "
                 yield from _chunks(value, level + 1)
-            yield "\n" + pad + "}"
+            yield b"\n" + pad + b"}"
         elif all(isinstance(v, float) for v in node):
             yield from _float_array(np.array(node, dtype=np.float64), level)
         else:
-            yield "["
+            yield b"["
             for i, value in enumerate(node):
-                yield (",\n" if i else "\n") + pad_in
+                yield (b",\n" if i else b"\n") + pad_in
                 yield from _chunks(value, level + 1)
-            yield "\n" + pad + "]"
+            yield b"\n" + pad + b"]"
     else:
         raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_chunks(obj, 0))
-        fh.write("\n")
+        fh.write(b"\n")
 
 
-def _column_texts(column: np.ndarray) -> list[str]:
-    """The CSV cells of one block of a float64 or integer column."""
+def _column_cells(column: np.ndarray, out: np.ndarray) -> None:
+    """Write the CSV text of one block of a float64 or integer column into the text words of ``out``."""
     if column.dtype == np.float64:
-        return b"\n".join(_vector_texts(column)).decode("ascii").split("\n")
-    return list(map(str, column.tolist()))
+        distinct, inverse = _distinct(column)
+        if inverse is None:
+            _float_cells(column, out)
+        else:
+            cells = np.empty((len(distinct), _TEXT), _U)
+            _float_cells(distinct, cells)
+            np.take(cells, inverse, axis=0, out=out[:, :_TEXT])
+        return
+    out[:, :3] = column.astype("S24").view(_U).reshape(-1, 3)  # str() of each integer
+    out[:, 3] = 0
 
 
 def write_csv(path, header, columns: Sequence[np.ndarray], preamble=()) -> None:
@@ -402,10 +420,15 @@ def write_csv(path, header, columns: Sequence[np.ndarray], preamble=()) -> None:
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    with open(path, "w") as fh:
+    seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], _U)
+    with open(path, "wb") as fh:
         for line in preamble:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
+            fh.write(f"# {line}\n".encode())
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, _BLOCK):
-            cells = [_column_texts(column[start:start + _BLOCK]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            block = [column[start:start + _BLOCK] for column in columns]
+            table = np.empty((len(block[0]), len(block), _TEXT + 1), _U)  # a row of cells per CSV row
+            table[:, :, _TEXT] = seps
+            for j, column in enumerate(block):
+                _column_cells(column, table[:, j])
+            fh.write(_text(table))

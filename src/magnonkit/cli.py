@@ -274,7 +274,7 @@ def cmd_solve(cfg: RunConfig) -> Output:
 
 
 def cmd_oracle(cfg: RunConfig) -> Output:
-    lattice, grid, couplings, _ = _load_problem(cfg)
+    lattice, grid, couplings, report = _load_problem(cfg)
     q_index = cfg["oracle.q_index"]
     if not 0 <= q_index < len(grid):
         raise ValueError(f"oracle.q_index {q_index} outside grid of {len(grid)} points")
@@ -288,6 +288,7 @@ def cmd_oracle(cfg: RunConfig) -> Output:
         q=grid.points[q_index],
         copies_list=copies_list,
         mode=cfg["oracle.mode"],
+        gaps=report.gap_values,
     )
     header = ["n", "m_n", "t_n", "p_n", "discrepancy", "rounding_floor", "logZ",
               "ground_energy", "representatives", "max_sector_dim"]

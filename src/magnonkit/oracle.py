@@ -602,6 +602,7 @@ def convergence_study(
     q,
     copies_list,
     mode: str = "sector",
+    gaps: np.ndarray | None = None,
 ) -> list[ConvergenceRow]:
     """Compare the exact fluctuation two-point function with its infinite-spin
     prediction across a ladder of copy counts.
@@ -611,7 +612,8 @@ def convergence_study(
     is read off the grid occupations at q, the solver's formula.  q must be
     a point of the lattice's momentum grid (ValueError otherwise), and every
     rung's copy count (by its ``SpinConfig``) and size caps are checked before
-    the first one is built.
+    the first one is built.  ``gaps`` are the grid's exchange gaps if the
+    caller has them; the study computes them at most once.
     """
     configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]
     for config in configs:
@@ -619,7 +621,8 @@ def convergence_study(
     params = ThermalParams(beta=beta, h=couplings.h)
     grid = MomentumGrid.from_lattice(lattice)
     index = grid.index_of(q)
-    gap = float(exchange_gap_grid(couplings, grid)[index])
+    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
+    gap = float(gaps[index])
     eps = float(np.finfo(float).eps)
     rows = []
     for config in configs:
@@ -629,7 +632,7 @@ def convergence_study(
             raise AssertionError(f"oracle magnetization {m_n} outside [-1, 0]")
         m_n = float(np.clip(m_n, -1.0, 0.0))
         t_n = fluctuation_two_point(ensemble, q)
-        p_n = float(occupation(m_n, params, couplings, grid)[index])
+        p_n = float(occupation(m_n, params, couplings, grid, gaps)[index])
         two_point = ensemble.two_point_pm
         floor = two_point.size * eps * float(np.abs(two_point).sum()) / (ensemble.n_sites * ensemble.copies)
         energy = max(float(np.abs(rep.energies).max()) for rep, _ in ensemble.orbits)

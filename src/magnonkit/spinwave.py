@@ -80,13 +80,16 @@ def _occupations(m, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
     return occ
 
 
-def occupation(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
+def occupation(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid,
+               gaps: np.ndarray | None = None) -> np.ndarray:
     """Thermal occupations of the magnon modes on the whole momentum grid, in grid order.
 
-    Vanish identically at m = 0 and decrease monotonically in beta.
+    ``gaps`` are the grid's exchange gaps if the caller has them.  Vanish
+    identically at m = 0 and decrease monotonically in beta.
     """
     m = _check_m(m)
-    return _occupations(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
+    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
+    return _occupations(m, params.beta, params.h, gaps)
 
 
 def _energies(gaps, h: float, m: float):

@@ -119,11 +119,11 @@ def reference_dumps(obj, indent=2):
     return emit(plain(obj), 0) + "\n"
 
 
-def packet_snapshot():
-    grid = MomentumGrid.from_lattice(LatticeSpec(2, 4))
-    couplings = CouplingSet.nearest_neighbor(2, j=1.0, j3=1.0, h=0.5)
-    state = evolve(packet_state(-0.8, grid, couplings, 0.5, center=5, width=1.5, kick_index=3), 2.5)
-    gamma = state.gamma
+def packet_snapshot(lattice=LatticeSpec(2, 4), center=5, width=1.5, transpose=False):
+    grid = MomentumGrid.from_lattice(lattice)
+    couplings = CouplingSet.nearest_neighbor(lattice.dimension, j=1.0, j3=1.0, h=0.5)
+    state = evolve(packet_state(-0.8, grid, couplings, 0.5, center=center, width=width, kick_index=3), 2.5)
+    gamma = state.gamma.T if transpose else state.gamma  # .real and .imag are strided views
     return {"config": {"a.b": "1"}, "m": state.m, "eps_of_q": state.spectrum,
             "gamma_mode_real": gamma.real, "gamma_mode_imag": gamma.imag,
             "max_number_drift": 0.0, "max_energy_drift": 1e-15}
@@ -151,6 +151,17 @@ def with_specials(values):
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])[_RNG.integers(0, 5, values.shape)]
     return np.where(_RNG.random(values.shape) < 0.02, specials, values)
 
+
+ENDS = np.array([0.0, -0.0, np.inf, -np.inf, -np.nan])  # '%.17g' % -nan is 'nan'
+
+
+def specials_at_row_ends(rows, width):
+    """Kernel-sized rows with +-0, +-inf and a NaN with the sign bit set first and last in each."""
+    values = _RNG.normal(size=(rows, width)) * 10.0 ** _RNG.integers(-30, 30, (rows, width))
+    values[:, 0], values[:, -1] = np.resize(ENDS, rows), np.resize(ENDS[::-1], rows)
+    return values
+
+
 WRITER_CASES = {
     "edge-floats": EDGE_FLOATS,
     "edge-float-array": np.array(EDGE_FLOATS),
@@ -164,7 +175,7 @@ WRITER_CASES = {
     "0xk": np.zeros((0, 4)),
     "kx0": np.zeros((3, 0)),
     "3-d": _RNG.normal(size=(2, 2, 3)),
-    "long-vector": _RNG.normal(size=10_000),
+    "long-vector": _RNG.normal(size=artifacts._BLOCK + 1000),
     "gap-grid-16^3": gap_grid_16(),
     "repeats-across-blocks": _RNG.choice(_RNG.normal(size=40), size=2 * artifacts._BLOCK + 1000),
     "signed-zeros-and-nans": np.array(SIGNED_ZEROS_AND_NANS * 3),
@@ -176,6 +187,13 @@ WRITER_CASES = {
     "packet-snapshot": packet_snapshot(),
     "kernel-matrix": with_specials(_RNG.normal(size=(5, 900)) * 10.0 ** _RNG.integers(-30, 30, (5, 900))),
     "kernel-vector": _RNG.normal(size=5000) * 10.0 ** _RNG.integers(-8, 20, 5000),
+    "packet-snapshot-64": packet_snapshot(LatticeSpec(1, 64), center=20, width=6.0),
+    "packet-snapshot-64-transposed": packet_snapshot(LatticeSpec(1, 64), center=20, width=6.0, transpose=True),
+    "kernel-matrix-width-1": with_specials(_RNG.normal(size=(900, 1)) * 10.0 ** _RNG.integers(-30, 30, (900, 1))),
+    "kernel-matrix-width-2": with_specials(_RNG.normal(size=(450, 2)) * 10.0 ** _RNG.integers(-30, 30, (450, 2))),
+    "row-longer-than-a-block": with_specials(_RNG.normal(size=(2, artifacts._BLOCK + 7))),
+    "specials-at-row-ends": specials_at_row_ends(5, 700),
+    "specials-at-vector-ends": np.concatenate([ENDS, specials_at_row_ends(1, 5000)[0], ENDS[::-1]]),
 }
 
 
@@ -199,9 +217,9 @@ class TestStreamingWriter:
         distinct = len(np.unique(gaps.view(np.int64)))
         assert distinct < 400  # 133 here: 129 values, a few of them as sums that round apart
         calls = []
-        real = artifacts._float_texts
-        with mock.patch.object(artifacts, "_float_texts",
-                               lambda values: calls.append(len(values)) or real(values)):
+        real = artifacts._float_cells
+        with mock.patch.object(artifacts, "_float_cells",
+                               lambda values, out: calls.append(len(values)) or real(values, out)):
             text = json_dumps(gaps)
         assert calls == [distinct]
         assert text == reference_dumps(gaps)
@@ -209,33 +227,34 @@ class TestStreamingWriter:
     def test_matrix_blocks_of_whole_rows_take_one_format_call_each(self):
         # a 2-D array is formatted a block of whole rows, at least _BLOCK values, per call;
         # the kernel takes the blocks from _KERNEL_MIN values on, one format call the rest
-        matrix = np.random.default_rng(3).normal(size=(17, 600))
+        matrix = np.random.default_rng(3).normal(size=(9, 4000))
         small = np.tile(np.array([0.5, 0.25, 0.5]), (4, 1))
         calls, kernel_calls = [], []
-        real, real_kernel = artifacts._float_texts, artifacts._float_kernel
-        with mock.patch.object(artifacts, "_float_texts",
-                               lambda values: calls.append(len(values)) or real(values)), \
+        real, real_kernel = artifacts._float_cells, artifacts._float_kernel
+        with mock.patch.object(artifacts, "_float_cells",
+                               lambda values, out: calls.append(len(values)) or real(values, out)), \
                 mock.patch.object(artifacts, "_float_kernel",
-                                  lambda values: kernel_calls.append(len(values)) or real_kernel(values)):
+                                  lambda values, out: kernel_calls.append(len(values)) or real_kernel(values, out)):
             texts = json_dumps(matrix), json_dumps(small)
-        assert calls == [4200, 4200, 1800, 12]  # 7 rows, 7, then the last 3; the small matrix whole
-        assert kernel_calls == [4200, 4200, 1800]
+        assert calls == [20000, 16000, 12]  # 5 rows, then the last 4; the small matrix whole
+        assert kernel_calls == [20000, 16000]
         assert texts == (reference_dumps(matrix), reference_dumps(small))
 
     def test_vector_block_without_repeats_is_formatted_in_order(self):
         values = np.random.default_rng(4).normal(size=700)
         calls = []
-        real = artifacts._float_texts
-        with mock.patch.object(artifacts, "_float_texts",
-                               lambda values: calls.append(np.array(values)) or real(values)):
+        real = artifacts._float_cells
+        with mock.patch.object(artifacts, "_float_cells",
+                               lambda values, out: calls.append(np.array(values)) or real(values, out)):
             text = json_dumps(values)
         assert len(calls) == 1 and np.array_equal(calls[0], values)
         assert text == reference_dumps(values)
 
-    @pytest.mark.parametrize("length", [1, 511, 512, 513, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("length", [1, 255, 256, 257, 511, 512, 513, 4095, 4096, 4097, 9000])
     @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
+    @mock.patch.object(artifacts, "_BLOCK", 4096)
     def test_float_list_and_array_write_the_same_bytes(self, length, repeats, tmp_path):
-        # a list of floats takes the array path: across _KERNEL_MIN and _BLOCK, with and without repeats
+        # a list of floats takes the array path: across _KERNEL_MIN and a block of 4096, with and without repeats
         rng = np.random.default_rng(length)
         values = with_specials(rng.normal(size=length) * 10.0 ** rng.integers(-30, 30, length))
         if repeats:
@@ -336,6 +355,13 @@ class TestNarrowFloats:
                 assert json_dumps(array) == reference_dumps(array)
 
 
+def kernel_texts(values):
+    """The kernel's text of each float64 value: its cell's text words without the NULs."""
+    cells = artifacts._cells(len(values), b"\n")  # %.17g prints no newline
+    artifacts._float_kernel(values, cells)
+    return artifacts._text(cells).split(b"\n")[:-1]
+
+
 def percent_texts(values):
     """The referee: one ``'%.17g' %`` per value, independent of the kernel."""
     return [("%.17g" % v).encode() for v in np.asarray(values, dtype=np.float64).tolist()]
@@ -361,7 +387,7 @@ class TestFloatKernel:
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     def test_any_bit_pattern_matches_percent(self, patterns):
         values = np.array(patterns, dtype=np.uint64).view(np.float64)
-        assert artifacts._float_kernel(values) == percent_texts(values)
+        assert kernel_texts(values) == percent_texts(values)
 
     def test_deterministic_sweep_matches_percent(self):
         ties = exact_ties()
@@ -376,7 +402,7 @@ class TestFloatKernel:
             ties, np.nextafter(ties, 0.0),
         ])
         values = np.concatenate([values, -values])
-        assert artifacts._float_kernel(values) == percent_texts(values)
+        assert kernel_texts(values) == percent_texts(values)
         _, _, certified = artifacts._decimal(ties, artifacts._tables())
         assert not certified.any()  # ties take '%.17g' itself
 
@@ -388,7 +414,7 @@ class TestFloatKernel:
         for values in (half, single):
             with np.errstate(invalid="ignore"):  # widening quiets signalling NaNs
                 wide = values.astype(np.float64)
-                assert artifacts._float_kernel(wide) == percent_texts(wide)
+                assert kernel_texts(wide) == percent_texts(wide)
                 assert json_dumps(values) == reference_dumps(values)
 
     def test_scaled_value_is_within_its_error_bound(self):
@@ -396,12 +422,11 @@ class TestFloatKernel:
         rng = np.random.default_rng(8)
         values = np.concatenate([rng.integers(1, 2**63 - 2**52, 3000).view(np.float64),
                                  rng.normal(size=1000) * 10.0 ** rng.integers(-30, 30, 1000)])
-        values = values[np.isfinite(values) & (values != 0.0)]
-        _, k, certified = artifacts._decimal(values, artifacts._tables())
-        m, e = np.frexp(np.abs(values))
-        n, rest = artifacts._scaled(m, e, k, artifacts._tables())
-        for x, digits, exponent, off in zip(values.tolist(), n.tolist(), k.tolist(), rest.tolist()):
-            exact = Fraction(abs(x)) * Fraction(10) ** (16 - exponent)
+        values = values[(np.abs(values) >= artifacts._LOWEST) & (np.abs(values) < artifacts._HIGHEST)]
+        _, row, certified = artifacts._decimal(values, artifacts._tables())
+        n, rest = artifacts._scaled(np.abs(values), row, artifacts._tables())
+        for x, digits, k, off in zip(values.tolist(), n.tolist(), (row + artifacts._K0).tolist(), rest.tolist()):
+            exact = Fraction(abs(x)) * Fraction(10) ** (16 - k)
             assert abs(digits + Fraction(off) - exact) < Fraction(1, 10**12)
         assert certified.mean() > 0.99
 
@@ -410,7 +435,7 @@ class TestFloatKernel:
         with mock.patch.object(artifacts, "_CERTAIN", 0.0):
             _, _, certified = artifacts._decimal(values, artifacts._tables())
             assert not certified.any()
-            assert artifacts._float_kernel(values) == percent_texts(values)
+            assert kernel_texts(values) == percent_texts(values)
 
     def test_packet_snapshot_is_certified(self):
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 128))
@@ -421,17 +446,15 @@ class TestFloatKernel:
         values = values[np.isfinite(values) & (values != 0.0)]
         _, _, certified = artifacts._decimal(values, artifacts._tables())
         assert certified.mean() >= 0.99
-        assert artifacts._float_kernel(values) == percent_texts(values)
+        assert kernel_texts(values) == percent_texts(values)
 
     def test_power_table_is_correctly_rounded(self):
-        # 10**s = (h + l) 2**g: h is 10**s 2**-g correctly rounded, in [0.5, 1), and h + l within 2**-106 h of it
+        # 10**(16 - k) = h + l: h is it correctly rounded, and h + l within 2**-106 h of it
         h, h_hi, h_lo, l = artifacts._tables().powers
-        g = artifacts._tables().biased - 1023
-        assert len(h) == 633 and np.array_equal(h_hi + h_lo, h)
-        for s, high, low, shift in zip(range(-292, 341), h.tolist(), l.tolist(), g.tolist()):
-            exact = Fraction(10) ** s / Fraction(2) ** shift
-            assert 0.5 <= high < 1.0
-            assert abs(exact - Fraction(high)) <= Fraction(1, 2**54)  # half an ulp of h
+        assert len(h) == artifacts._K1 - artifacts._K0 and np.array_equal(h_hi + h_lo, h)
+        for k, high, low in zip(range(artifacts._K0, artifacts._K1), h.tolist(), l.tolist()):
+            exact = Fraction(10) ** (16 - k)
+            assert abs(exact - Fraction(high)) <= Fraction(math.ulp(high)) / 2
             assert abs(exact - Fraction(high) - Fraction(low)) <= Fraction(high) / 2**106
 
     def test_tables_are_built_on_first_use_and_load_no_module(self):

@@ -346,11 +346,16 @@ class TestSolveCommand:
 
 
 class TestOracleCommand:
-    def test_small_ladder_passes(self, workspace):
+    def test_small_ladder_passes(self, workspace, monkeypatch):
+        # every rung's prediction reads the validated gap grid: one grid computation per run
+        calls = []
+        real = magnonkit.lattice.exchange_gap_grid
+        for module in (magnonkit.lattice, magnonkit.spinwave, magnonkit.dynamics, oracle):
+            monkeypatch.setattr(module, "exchange_gap_grid", lambda *args: calls.append(args) or real(*args))
         tmp_path, make = workspace
         conf = make(ORACLE_CONF)
         rc = main(["oracle", "--config", str(conf), "--out", str(tmp_path)])
-        assert rc == 0
+        assert rc == 0 and len(calls) == 1
         doc = json.loads((tmp_path / "convergence.json").read_text())
         assert [row["n"] for row in doc["rows"]] == [1, 3]
         assert doc["rows"][1]["discrepancy"] < doc["rows"][0]["discrepancy"]
