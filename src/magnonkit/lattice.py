@@ -166,7 +166,7 @@ class MomentumGrid:
     def index_of(self, k) -> int:
         """Grid index of a momentum (must lie on the grid up to ``_ON_GRID_TOL``)."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        deltas = np.abs(self.points - k[None, :])
+        deltas = np.mod(self.points - k[None, :], 2.0 * np.pi)
         deltas = np.minimum(deltas, 2.0 * np.pi - deltas)
         hits = np.nonzero(np.all(deltas <= _ON_GRID_TOL, axis=1))[0]
         if hits.size != 1:
@@ -240,7 +240,10 @@ def coupling_matrix(mapping, lattice: LatticeSpec) -> np.ndarray:
     ``mapping`` is ``CouplingSet.exchange`` or ``CouplingSet.exchange_z``.
     Every stored displacement contributes to the pair it connects mod L, so
     displacements longer than the torus fold onto it additively.  This keeps
-    the matrix exactly consistent with the grid Fourier transforms.
+    the matrix exactly consistent with the grid Fourier transforms.  The
+    values folded onto one displacement mod L are summed once, correctly
+    rounded (``math.fsum``), so the sum does not depend on listing order and
+    the matrix is exactly symmetric: the mirror class holds the same values.
     """
     n = lattice.n_sites
     mat = np.zeros((n, n))
@@ -250,9 +253,12 @@ def coupling_matrix(mapping, lattice: LatticeSpec) -> np.ndarray:
     sites = lattice.site_vectors()
     radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
     rows = np.arange(n)
+    folded = {}
     for z, v in mapping.items():
+        folded.setdefault(tuple(c % lattice.size for c in z), []).append(v)
+    for z, values in folded.items():
         targets = ((sites - np.asarray(z, dtype=np.int64)) % lattice.size) @ radix
-        mat[rows, targets] += v
+        mat[rows, targets] = math.fsum(values)
     return mat
 
 

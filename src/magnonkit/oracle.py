@@ -11,18 +11,33 @@ scattered straight from the hops of the mixed-radix index arithmetic on the
 product basis, with a per-hop check that every hop stays in its source's
 sector.  S+ is kept as its pieces between sectors; S3 is diagonal in the
 product basis, so only the eigenbasis diagonals of S3 and S3^2 are kept.
-Assignments related by a lattice translation are isospectral, so one block
-per translation orbit is diagonalized; the other members are stored as that
-representative plus a site permutation, and hold no operator copies of their
-own.  The Gibbs expectations are translation invariant, so every observable
-is evaluated once per orbit: momentum-space ones are the representative's
-value times the orbit size, and site-resolved ones scatter the
-representative's values through the members' permutations.  The fluctuation
-observables at one momentum (Wick residual, both energy-entropy margins)
-share one pass that forms each F+(q) once.  A brute-force full-tensor path
-is kept for cross-validation: it indexes the 2**(copies*sites) qubit states
-by bits and builds one dense Hamiltonian from single-qubit flips, with no
-sectors, orbits or collective spins, and diagonalizes it unsplit.
+
+Two exact Z2 symmetries of the model are used on top of that.  The global
+spin flip P (index reversal in the product basis) maps sector -M onto M,
+and H_-M = P H_M P + c_M, where c_M comes from the field and the
+self-coupling J(0); so only the sectors with M >= 0 are diagonalized, and
+sector -M < 0 takes E_M + c_M and the reversed eigenvectors of M (checked:
+every flipped pair of diagonal entries differs by c_M up to rounding).  Its
+S3 diagonals are those of M with S3 negated, and the S+ piece from -M-2 to
+-M is the transpose of the one from M to M+2, so only the pieces from
+M >= -2 are rotated and stored; a piece from M > 0 also stands for its
+mirror.  (The pieces into and out of M = 0 are both rotated: ``eigh``'s
+basis of that self-mirrored sector is not flip-adapted.)  And assignments
+related by a lattice translation or by the inversion x -> -x are
+isospectral, so one block per orbit of those 2N site permutations is
+diagonalized; the other members are stored as that representative plus a
+site permutation, and hold no operator copies of their own.  The Gibbs
+expectations are invariant under both, so every observable is evaluated once
+per orbit: momentum-space ones are the representative's value times the
+orbit size (a reflected member's F+(q) is the representative's F+(-q) up to
+a phase, and F+(-q) is the conjugate of F+(q)), and site-resolved ones
+scatter the representative's values through the members' permutations.  The
+fluctuation observables at one momentum (Wick residual, both energy-entropy
+margins) share one pass per pair {q, -q} that forms each stored F+(q) piece
+once.  A brute-force full-tensor path is kept for cross-validation: it
+indexes the 2**(copies*sites) qubit states by bits and builds one dense
+Hamiltonian from single-qubit flips, with no sectors, orbits, flips or
+collective spins, and diagonalizes it unsplit.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -92,10 +107,15 @@ class _Block:
     """One invariant subspace: eigendata plus site operators in the eigenbasis.
 
     The eigenbasis runs sector by sector through ``energies``.  S+ is stored
-    as pieces ``(rows, cols, stack)``: ``rows`` and ``cols`` slice the
-    eigenbasis and ``stack[x]`` is the real matrix of S+(x) from total-S3
-    sector M (``cols``) to M+2 (``rows``); every other entry is zero.  S3(x)
-    is diagonal in the product basis and keeps each sector, so only the
+    as pieces ``(rows, cols, stack, mirror)``: ``rows`` and ``cols`` slice
+    the eigenbasis and ``stack[x]`` is the real matrix of S+(x) from total-S3
+    sector M (``cols``) to M+2 (``rows``); every other entry is zero.  The
+    spin flip maps the piece from -M-2 to -M onto the transpose of the one
+    from M to M+2, so a piece whose ``mirror`` is a pair of slices (rows,
+    cols) also stands for the piece ``stack[x].T`` at those slices; one with
+    ``mirror`` None stands only for itself (the self-mirrored piece from -1
+    to 1, the two pieces that touch M = 0, an unsplit block).  S3(x) is
+    diagonal in the product basis and keeps each sector, so only the
     eigenbasis diagonals of S3(x) and S3(x)^2 are stored: ``three[k, x]`` is
     (V o V)^T s3(x)^(k+1) for the eigenvectors V, shape (2, n_sites, dim).
     ``max_sector_dim`` is the size of the largest matrix the build passed to
@@ -114,39 +134,44 @@ class _Block:
         return self.energies.shape[0]
 
     def fluct_plus(self, coeffs: np.ndarray) -> list:
-        """Pieces (rows, cols, F) of sum_x coeffs[x] * S+(x) in the eigenbasis."""
+        """Pieces (rows, cols, F, mirror) of sum_x coeffs[x] * S+(x) in the eigenbasis.
+
+        A mirrored piece's F is the transpose of the stored piece's.
+        """
         return [
-            (rows, cols, (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]))
-            for rows, cols, stack in self.plus
+            (rows, cols, (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]), mirror)
+            for rows, cols, stack, mirror in self.plus
         ]
 
 
-def _translations(lattice: LatticeSpec) -> np.ndarray:
-    """Site permutation of every lattice translation, shape (n_sites, n_sites).
+def _symmetries(lattice: LatticeSpec) -> np.ndarray:
+    """Site permutation of every translation and translated inversion, shape (2 n_sites, n_sites).
 
-    Row t sends site x to the site at x + t, t running over ``site_vectors``
-    (so row 0 is the identity).
+    Row t sends site x to the site at x + t and row n_sites + t sends it to
+    the site at -x + t, t running over ``site_vectors`` (so row 0 is the
+    identity).
     """
     sites = lattice.site_vectors()
     radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
-    return ((sites[:, None, :] + sites[None, :, :]) % lattice.size) @ radix
+    images = np.concatenate([sites[:, None, :] + sites[None, :, :], sites[:, None, :] - sites[None, :, :]])
+    return (images % lattice.size) @ radix
 
 
-def _orbits(n_entries: int, translations: np.ndarray):
-    """Translation orbit of every per-site assignment, in product order.
+def _orbits(n_entries: int, symmetries: np.ndarray):
+    """Orbit of every per-site assignment under the site permutations, in product order.
 
     Assignment number a has digits a_x over ``n_entries`` values, site 0 most
     significant (``itertools.product`` order).  Returns per assignment the
     number of its representative, the first assignment of its orbit, and a
     site permutation p with assignment[x] == representative[p[x]].
     """
-    n_sites = translations.shape[1]
+    n_sites = symmetries.shape[1]
     codes = np.indices((n_entries,) * n_sites).reshape(n_sites, -1).T
     radix = n_entries ** np.arange(n_sites - 1, -1, -1)
-    keys = codes[:, translations] @ radix  # keys[a, t]: number of a shifted by t
+    keys = codes[:, symmetries] @ radix  # keys[a, g]: number of a permuted by g
     best = keys.argmin(axis=1)
     reps = keys[np.arange(len(keys)), best]
-    return reps, np.argsort(translations, axis=1)[best]
+    return reps, np.argsort(symmetries, axis=1)[best]
 
 
 def _product_basis(twice_js):
@@ -155,7 +180,8 @@ def _product_basis(twice_js):
     Basis index i has mixed-radix digits a_x (site 0 most significant, the
     Kronecker order).  S+(x) sends i to i + stride_x with amplitude
     sqrt((t_x - a_x)(a_x + 1)), t_x = 2 j_x, which vanishes at a_x = t_x;
-    S3(x) is 2 a_x - t_x.
+    S3(x) is 2 a_x - t_x.  Index reversal i -> D-1-i sends every digit a_x
+    to t_x - a_x: it flips every spin.
     """
     t = np.asarray(twice_js)[:, None]
     dims = t[:, 0] + 1
@@ -199,16 +225,22 @@ def _hamiltonian(basis, j_mat, j3_mat, h, two_n):
     return hop + diag, tuple(np.concatenate(part) for part in (dst, src, value))
 
 
-def _split_by_magnetization(diagonal, hops, magnetization):
+def _split_by_magnetization(diagonal, hops, magnetization, slope, tol):
     """Diagonalize the Hamiltonian sector by sector of total S3.
 
-    Each sector block is scattered straight from the diagonal and the hops
-    into its own square of one flat buffer; sectors of equal size lie side
-    by side there and go to one stacked ``eigh``.  Returns the permutation
-    that sorts the product basis by magnetization, the sorted sector values
-    and slices, the per-sector eigenpairs, and per product state its
-    position in the sorted basis and its sector number.  Raises
-    AssertionError if a hop leaves its source's sector.
+    Index reversal i -> D-1-i must map the sector of magnetization -M onto
+    that of M, and the Hamiltonian must satisfy H_-M = P H_M P + slope * M
+    for that reversal P (the spin flip: ``slope`` comes from the field and
+    the self-coupling).  So only the sectors with M >= 0 are scattered,
+    straight from the diagonal and the hops, each into its own square of one
+    flat buffer; sectors of equal size lie side by side there and go to one
+    stacked ``eigh``.  Sector -M < 0 gets the eigenvalues E_M + slope * M and
+    the eigenvectors V_M[::-1] (a view).  Returns the permutation that sorts
+    the product basis by magnetization, the sorted sector values and slices,
+    the per-sector eigenpairs, and per product state its position in the
+    sorted basis and its sector number.  Raises AssertionError if a hop
+    leaves its source's sector, or if a pair of flipped diagonal entries
+    differs by more than ``tol`` from slope * M.
     """
     dst, src, value = hops
     leak = magnetization[dst] != magnetization[src]
@@ -217,33 +249,48 @@ def _split_by_magnetization(diagonal, hops, magnetization):
             f"Hamiltonian couples different total-S3 sectors "
             f"(largest entry {np.max(np.abs(value[leak])):.3e})"
         )
+    if np.any(magnetization[::-1] != -magnetization):
+        raise AssertionError("index reversal does not flip the total S3")
+    defect = np.max(np.abs(diagonal[::-1] - diagonal - slope * magnetization))
+    if not defect <= tol:
+        raise AssertionError(
+            f"spin flip shifts the diagonal by other than {slope:.17g} M "
+            f"(largest deviation {defect:.3e}, tolerance {tol:.3e})"
+        )
     order = np.argsort(magnetization, kind="stable")
     values, starts, sizes = np.unique(magnetization[order], return_index=True, return_counts=True)
     sectors = [slice(a, a + d) for a, d in zip(starts, sizes)]
-    layout = np.argsort(sizes, kind="stable")  # buffer order: by size, then by magnetization
-    offsets = np.empty_like(sizes)
+    kept = np.flatnonzero(values >= 0)
+    layout = kept[np.argsort(sizes[kept], kind="stable")]  # buffer order: by size, then by magnetization
+    offsets = np.zeros_like(sizes)
     offsets[layout] = np.cumsum(sizes[layout] ** 2) - sizes[layout] ** 2
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     sector = np.repeat(np.arange(len(sizes)), sizes)[rank]  # per product state
     local, width = rank - starts[sector], sizes[sector]
     at = offsets[sector] + local * width  # where each state's row starts
-    buffer = np.zeros(int(np.sum(sizes**2)))
-    buffer[at + local] = diagonal
-    buffer[at[dst] + local[src]] = value
+    upper = magnetization >= 0
+    moved = upper[src]  # hops inside the scattered sectors
+    buffer = np.zeros(int(np.sum(sizes[kept] ** 2)))
+    buffer[at[upper] + local[upper]] = diagonal[upper]
+    buffer[at[dst[moved]] + local[src[moved]]] = value[moved]
     eigen = [None] * len(sectors)
-    for size in np.unique(sizes):
+    for size in np.unique(sizes[kept]):
         group = layout[sizes[layout] == size]
         start = offsets[group[0]]
         stack = buffer[start:start + len(group) * size**2].reshape(len(group), size, size)
         energies, vectors = np.linalg.eigh(stack)
         for k, e, v in zip(group, energies, vectors):
             eigen[k] = (e, v)
+    last = len(sectors) - 1  # sectors k and last - k hold M and -M
+    for k in kept[values[kept] > 0]:
+        energies, vectors = eigen[k]
+        eigen[last - k] = (energies + slope * values[k], vectors[::-1])
     return order, values, sectors, eigen, rank, sector
 
 
 def _sector_blocks(config: SpinConfig):
-    """The translation orbits: (representative block, member permutations).
+    """The orbits under translations and inversion: (representative block, member permutations).
 
     Orbits run in the order of their representatives' assignment numbers,
     and row k of the permutation array belongs to the k-th member in product
@@ -255,46 +302,63 @@ def _sector_blocks(config: SpinConfig):
     table = sector_decomposition(n)
     j_mat = coupling_matrix(config.couplings.exchange, lattice)
     j3_mat = coupling_matrix(config.couplings.exchange_z, lattice)
-    translations = _translations(lattice)
+    symmetries = _symmetries(lattice)
     for name, mat in (("J", j_mat), ("J3", j3_mat)):
-        if not np.all(mat[translations[:, :, None], translations[:, None, :]] == mat):
+        if not np.all(mat[symmetries[:, :, None], symmetries[:, None, :]] == mat):
             raise AssertionError(
-                f"coupling matrix {name} is not invariant under lattice translations"
+                f"coupling matrix {name} is not invariant under lattice translations and inversion"
             )
     h = config.couplings.h
     two_n = 2.0 * n
+    # The spin flip P turns S+(x) S-(x) into S+(x) S-(x) - S3(x) and h S3 into
+    # -h S3, so P H P = H + slope * S3 with the self-coupling J(0) = J[x, x].
+    self_coupling = (4.0 / two_n) * j_mat[0, 0]
+    slope = self_coupling - 2.0 * h
+    eps = float(np.finfo(float).eps)
 
     def build(assignment):
         weight = math.prod(e.multiplicity for e in assignment)
-        basis = _product_basis([e.twice_j for e in assignment])
+        t = np.array([e.twice_j for e in assignment])
+        basis = _product_basis(t)
         _, strides, amp, s3 = basis
         diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, h, two_n)
-        order, values, sectors, eigen, rank, sector = _split_by_magnetization(diagonal, hops, s3.sum(axis=0))
+        # a bound on the sum of |terms| of a diagonal entry (S+S- <= ((t + 1)/2)^2, |S3| <= t)
+        # and on slope * M, for the rounding of the flip check
+        terms = abs(self_coupling) * np.sum((t + 1.0) ** 2) / 4.0 + t @ np.abs(j3_mat) @ t / two_n
+        terms += (h + abs(slope)) * t.sum()
+        order, values, sectors, eigen, rank, sector = _split_by_magnetization(
+            diagonal, hops, s3.sum(axis=0), slope, 4 * (n_sites + 2) ** 2 * eps * terms)
         # every S+(x) entry, written in the sorted basis: site, row, column
         site, src = np.nonzero(amp > 0.0)
         row, col = rank[src + strides[site]], rank[src]
         col_sector = sector[src]
         s3_sorted = s3[:, order]
         powers = np.stack([s3_sorted, s3_sorted**2])
-        index = {int(m): i for i, m in enumerate(values)}
-        plus, three = [], []
-        for m, rows, (_, vectors) in zip(values, sectors, eigen):
-            three.append(powers[:, :, rows] @ (vectors * vectors))
-            j = index.get(int(m) - 2)  # S+ raises the total S3 by 2
-            if j is not None:
-                cols, lower = sectors[j], eigen[j][1]
-                sel = col_sector == j
+        last = len(sectors) - 1  # sectors k and last - k hold M and -M
+        three, plus = [None] * len(sectors), []
+        for k in np.flatnonzero(values >= -2):
+            if values[k] >= 0:
+                vectors = eigen[k][1]
+                three[k] = powers[:, :, sectors[k]] @ (vectors * vectors)
+            if values[k] > 0:  # the flip negates S3(x) and keeps S3(x)^2
+                three[last - k] = three[k] * np.array([-1.0, 1.0])[:, None, None]
+            if k < last:  # S+ raises the total S3 by 2: from sector k to k + 1
+                cols, rows = sectors[k], sectors[k + 1]
+                sel = col_sector == k
                 # V^T S+(x): the entry (r, c) puts amplitude times row r of V into column c
                 left = np.zeros((n_sites, cols.stop - cols.start, rows.stop - rows.start))
                 at = site[sel], col[sel] - cols.start
-                left[at] = amp[site[sel], src[sel], None] * vectors[row[sel] - rows.start]
-                plus.append((rows, cols, left.transpose(0, 2, 1) @ lower))
+                left[at] = amp[site[sel], src[sel], None] * eigen[k + 1][1][row[sel] - rows.start]
+                # the pieces that touch M = 0 are both rotated: eigh's basis of that
+                # sector is not flip-adapted, so their mirrors are no plain transposes
+                mirror = (sectors[last - k], sectors[last - k - 1]) if values[k] > 0 else None
+                plus.append((rows, cols, left.transpose(0, 2, 1) @ eigen[k][1], mirror))
         energies = np.concatenate([e for e, _ in eigen])
         return _Block(math.log(weight), energies, plus, np.concatenate(three, axis=-1),
                       int(max(s.stop - s.start for s in sectors)))
 
     assignments = list(itertools.product(table.entries, repeat=n_sites))
-    reps, perms = _orbits(len(table.entries), translations)
+    reps, perms = _orbits(len(table.entries), symmetries)
     return [(build(assignments[r]), perms[reps == r]) for r in np.unique(reps).tolist()]
 
 
@@ -303,7 +367,7 @@ def _full_block(config: SpinConfig) -> _Block:
 
     Qubit k = x*copies + i is bit n_qubits-1-k of the index, set for spin down.
     sigma+_a sigma-_b flips bits a (set) and b (clear); for a == b it projects
-    onto bit a clear.  The sector engine's referee: no sectors or orbits.
+    onto bit a clear.  The sector engine's referee: no sectors, orbits or flips.
     """
     _admit(config, "full")
     n, lattice = config.copies, config.lattice
@@ -345,7 +409,7 @@ def _full_block(config: SpinConfig) -> _Block:
             raised.reshape(split)[:, 0] += vectors.reshape(split)[:, 1]
         np.matmul(vectors.T, raised, out=t_plus[x])
     everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
-    return _Block(0.0, energies, [(everything, everything, t_plus)],
+    return _Block(0.0, energies, [(everything, everything, t_plus, None)],
                   np.stack([s3, s3**2]) @ (vectors * vectors), dim)
 
 
@@ -358,7 +422,7 @@ class GibbsEnsemble:
     probabilities of orbit k's representative, kept here so that ensembles can
     share orbits.  Each expectation below is evaluated on the representatives
     only, and the fluctuation observables at a momentum come from one walk
-    over the orbits, cached per grid index.
+    over the orbits, cached per pair {q, -q} of grid momenta.
     """
 
     def __init__(self, config: SpinConfig, beta: float, orbits: list):
@@ -371,7 +435,7 @@ class GibbsEnsemble:
         self.probs = [w / total for w in weights]
         self.logZ = math.log(total) - self.beta * ground
         self.ground_energy = ground
-        self._per_q = {}  # grid index -> what _momentum_sums returns
+        self._per_q = {}  # lower grid index of {q, -q} -> what _momentum_sums returns
 
     @property
     def blocks(self) -> list[_Block]:
@@ -416,16 +480,20 @@ class GibbsEnsemble:
         """<S+(x) S-(y)> and <S-(y) S+(x)> for all site pairs, shape (2, N, N).
 
         Per S+ piece, diag(S+(x) S-(y)) sums S+(x) * S+(y) over columns and
-        diag(S-(y) S+(x)) sums it over rows.  A member's entry (x, y) is its
-        representative's entry (perm[x], perm[y]).
+        diag(S-(y) S+(x)) sums it over rows; a mirrored piece is the stored
+        one transposed, so its probabilities go on the swapped axes.  A
+        member's entry (x, y) is its representative's entry (perm[x], perm[y]).
         """
         n = self.n_sites
         out = np.zeros((2, n, n))
         for (rep, perms), probs in zip(self.orbits, self.probs):
             rep_out = np.zeros((2, n, n))
-            for rows, cols, stack in rep.plus:
+            for rows, cols, stack, mirror in rep.plus:
                 flat = stack.reshape(n, -1)
-                for i, weights in enumerate((probs[rows, None], probs[None, cols])):
+                by_rows, by_cols = probs[rows, None], probs[None, cols]
+                if mirror is not None:
+                    by_rows, by_cols = by_rows + probs[None, mirror[0]], by_cols + probs[mirror[1], None]
+                for i, weights in enumerate((by_rows, by_cols)):
                     rep_out[i] += (stack * weights).reshape(n, -1) @ flat.T
             out += rep_out[:, perms[:, :, None], perms[:, None, :]].sum(axis=1)
         return out
@@ -443,36 +511,59 @@ class GibbsEnsemble:
     def _momentum_sums(self, q):
         """Bilinear sums u^T |F+(q)|^2 v over the pieces, and <F+F+F-F->, at q.
 
-        One walk over the orbits per grid momentum, cached by grid index; q
-        off the grid raises ValueError.  A translate's F+(q) is its
-        representative's times the phase exp(-i q.s), and every sum here is
-        invariant under a global phase of F+, so an orbit counts its
-        representative's value times its size.  Entry (i, j) of the 4 x 4
-        matrix sums u_i^T W v_j over the pieces, W = |F+|^2 entrywise, u over
-        the piece's rows and v over its columns, both running through
-        (1, p, E, pE) for the probabilities p and energies E; so
-        <F+F-> = (p, 1), <F-F+> = (1, p), and the margin sums are
-        (E, p) - (1, pE) for X = F+ and (p, E) - (pE, 1) for X = F-.
-        diag(F+F+ F-F-) is the squared row norms of F+ times the piece that
-        F+ applies first.
+        One walk over the orbits per pair {q, -q} of grid momenta, cached by
+        and evaluated at the pair's lower grid index; q off the grid raises
+        ValueError.  A translate's F+(q) is its representative's times the
+        phase exp(-i q.s), a reflected member's is its representative's
+        F+(-q) times a phase, and F+(-q) is the entrywise conjugate of F+(q)
+        since the pieces are real; every sum here is invariant under both,
+        so an orbit counts its representative's value times its size, and q
+        and -q share one value.  Entry (i, j) of the 4 x 4 matrix sums
+        u_i^T W v_j over the pieces, W = |F+|^2 entrywise, u over the piece's
+        rows and v over its columns, both running through (1, p, E, pE) for
+        the probabilities p and energies E; so <F+F-> = (p, 1),
+        <F-F+> = (1, p), and the margin sums are (E, p) - (1, pE) for X = F+
+        and (p, E) - (pE, 1) for X = F-.  diag(F+F+ F-F-) is the squared row
+        norms of G = F+ times the piece that F+ applies first.  A mirror
+        piece is its stored piece transposed, so it adds W^T at the mirror's
+        slices, and the mirror of a stored pair has the product G^T, whose
+        row norms are G's column norms, weighted by the probabilities of the
+        sector it enters (into M = 0, G^T up to an orthogonal mixing of
+        degenerate levels, which leaves those weighted norms alone).  Pairs
+        whose inner piece is a mirror are exactly those mirrors, and are not
+        walked.
         """
         grid = MomentumGrid.from_lattice(self.config.lattice)
         index = grid.index_of(q)
-        if index not in self._per_q:
-            coeffs = self._fluct_coeffs(grid.points[index])
+        key = min(index, grid.index_of(-grid.points[index]))
+        if key not in self._per_q:
+            coeffs = self._fluct_coeffs(grid.points[key])
             forms, four = np.zeros((4, 4)), 0.0
             for (rep, perms), probs in zip(self.orbits, self.probs):
                 sides = np.stack([np.ones(rep.dim), probs, rep.energies, probs * rep.energies])
                 pieces = rep.fluct_plus(coeffs)
-                by_rows = {rows.start: f_plus for rows, _, f_plus in pieces}
-                for rows, cols, f_plus in pieces:
-                    weight = f_plus.real**2 + f_plus.imag**2
-                    forms += len(perms) * (sides[:, rows] @ weight @ sides[:, cols].T)
+                by_rows = {rows.start: f_plus for rows, _, f_plus, _ in pieces}
+                # first row of the sector each piece leaves, stored or mirrored -> the rows it enters
+                enters = {}
+                for rows, cols, _, mirror in pieces:
+                    enters[cols.start] = rows
+                    if mirror is not None:
+                        enters[mirror[1].start] = mirror[0]
+                for rows, cols, f_plus, mirror in pieces:
+                    weight = _abs2(f_plus)
+                    part = sides[:, rows] @ weight @ sides[:, cols].T
+                    if mirror is not None:
+                        part += (sides[:, mirror[1]] @ weight @ sides[:, mirror[0]].T).T
+                    forms += len(perms) * part
                     inner = by_rows.get(cols.start)
                     if inner is not None:
-                        four += len(perms) * float(probs[rows] @ _row_norms2(f_plus @ inner))
-            self._per_q[index] = forms, four
-        return self._per_q[index]
+                        product = _abs2(f_plus @ inner)
+                        value = probs[rows] @ product.sum(axis=1)
+                        if mirror is not None:
+                            value += probs[enters[mirror[0].start]] @ product.sum(axis=0)
+                        four += len(perms) * float(value)
+            self._per_q[key] = forms, four
+        return self._per_q[key]
 
 
 def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector") -> GibbsEnsemble:
@@ -500,10 +591,9 @@ def _real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _row_norms2(mat: np.ndarray) -> np.ndarray:
-    """Squared row norms of a C-contiguous complex matrix."""
-    pairs = mat.view(float)
-    return np.einsum("ij,ij->i", pairs, pairs)
+def _abs2(mat: np.ndarray) -> np.ndarray:
+    """Entrywise squared modulus of a complex matrix."""
+    return mat.real**2 + mat.imag**2
 
 
 def fluctuation_two_point(ensemble: GibbsEnsemble, q) -> float:
@@ -579,8 +669,9 @@ class ConvergenceRow:
     for the T terms summed into sigma3, with
     dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).  A discrepancy at or below it
     is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
-    ``representatives`` counts the orbits diagonalized and ``max_sector_dim``
-    is the largest matrix passed to ``eigh``.
+    ``representatives`` counts the orbits under translations and inversion
+    (one block diagonalized each) and ``max_sector_dim`` is the largest
+    matrix passed to ``eigh``.
     """
 
     copies: int

@@ -435,12 +435,12 @@ class TestOracleCommand:
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
 
     COLD_ORACLE_CONF = (  # nearly saturated: t_n ~ 1e-50, and q = 2 pi/3 cancels in its phase sum
-        ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 3").replace("field.h = 2.5", "field.h = 3.0")
+        ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 3").replace("field.h = 2.5", "field.h = 2.8")
         .replace("thermal.beta = 1.0", "thermal.beta = 6.6").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
     )
 
-    COLD_Q0_ORACLE_CONF = (  # t_n ~ 4e-26 at q = 0, where p_n carries m_n's rounding magnified
-        ORACLE_CONF.replace("field.h = 2.5", "field.h = 2.4").replace("thermal.beta = 1.0", "thermal.beta = 8.9")
+    COLD_Q0_ORACLE_CONF = (  # t_n ~ 2e-23 at q = 0, where p_n carries m_n's rounding magnified
+        ORACLE_CONF.replace("field.h = 2.5", "field.h = 2.2").replace("thermal.beta = 1.0", "thermal.beta = 8.5")
         .replace("oracle.q_index = 1", "oracle.q_index = 0").replace("oracle.copies = 1,3", "oracle.copies = 1,3,5")
     )
 
@@ -450,8 +450,8 @@ class TestOracleCommand:
     )
 
     @pytest.mark.parametrize("body, couplings, code", [
-        (COLD_ORACLE_CONF, "dz1,J,J3\n1,1.3,1.4\n", 0),  # every rise lies below t_n's rounding
-        (COLD_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.38,0.82\n", 0),  # an exact tie, below p_n's rounding
+        (COLD_ORACLE_CONF, "dz1,J,J3\n1,1.3,1.5\n", 0),  # every rise lies below t_n's rounding
+        (COLD_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.38,0.82\n", 0),  # a rise below p_n's rounding
         (WEIGHTS_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.9,0.94\n", 0),  # a rise below the weights' rounding
         (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 3,1"), ISO_CSV, 1),  # a real rise
     ], ids=["cold", "cold-q0", "weights-q0", "reversed-ladder"])

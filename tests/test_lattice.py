@@ -56,12 +56,16 @@ def site_index(lattice, vec) -> int:
 
 
 def reference_coupling_matrix(mapping, lattice):
-    """Periodized coupling matrix filled one site at a time through site_index."""
-    mat = np.zeros((lattice.n_sites, lattice.n_sites))
+    """Periodized coupling matrix filled one site at a time through site_index, each pair's
+    folded values summed once with math.fsum."""
+    folded = {}
     sites = reference_site_vectors(lattice)
     for z, v in mapping.items():
         for x in range(lattice.n_sites):
-            mat[x, site_index(lattice, sites[x] - np.asarray(z))] += v
+            folded.setdefault((x, site_index(lattice, sites[x] - np.asarray(z))), []).append(v)
+    mat = np.zeros((lattice.n_sites, lattice.n_sites))
+    for pair, values in folded.items():
+        mat[pair] = math.fsum(values)
     return mat
 
 
@@ -140,6 +144,35 @@ class TestMomentumGrid:
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
         with pytest.raises(ValueError):
             grid.index_of([0.1])
+
+    def test_index_of_reduces_modulo_two_pi(self):
+        # each of these once gave two hits: 2 pi - |k - point| went negative
+        assert MomentumGrid.from_lattice(LatticeSpec(1, 3)).index_of([-4.0 * np.pi / 3.0]) == 1
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
+        assert grid.index_of([-np.pi]) == grid.index_of([3.0 * np.pi]) == 2
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        dimension=st.integers(1, 3),
+        size=st.integers(1, 6),
+        point=st.integers(0, 10**6),
+        turns=st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+        negate=st.booleans(),
+        offset=st.floats(1e-6, 1.0),
+    )
+    def test_index_of_every_image_of_a_grid_point(self, dimension, size, point, turns, negate, offset):
+        grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
+        index = point % len(grid)
+        n = grid.lattice.site_vectors()[index]
+        sign = -1 if negate else 1
+        k = sign * grid.points[index] + 2.0 * np.pi * np.array(turns[:dimension])
+        expected = site_index(grid.lattice, sign * n)
+        assert grid.index_of(k) == expected
+        # off the grid by a fraction of a spacing in one component: refused
+        spacing = 2.0 * np.pi / size
+        k[0] += offset * spacing if offset * spacing < spacing - 1e-6 else spacing / 2
+        with pytest.raises(ValueError, match="not on the grid"):
+            grid.index_of(k)
 
 
 class TestCouplingSet:
@@ -432,7 +465,38 @@ class TestCouplingMatrix:
         rng = np.random.default_rng(5)
         c = random_even_couplings(rng, 2, reach=1)
         mat = coupling_matrix(c.exchange_z, LatticeSpec(2, 4))
-        np.testing.assert_allclose(mat, mat.T, atol=0.0)
+        np.testing.assert_array_equal(mat, mat.T)
+
+    def test_folded_example_is_exactly_symmetric(self):
+        # 1, -4 and 7 fold onto one pair of a 3-site chain, and their mirrors onto the
+        # mirror pair in another order; summed in listing order, m != m.T for 1 in 4 draws
+        rng = np.random.default_rng(24)
+        for a, b, c in rng.normal(size=(200, 3)):
+            couplings = CouplingSet({(1,): a, (-4,): b, (7,): c}, {}, 0.0)
+            mat = coupling_matrix(couplings.exchange, LatticeSpec(1, 3))
+            np.testing.assert_array_equal(mat, mat.T)
+            assert mat[0, 1] == math.fsum([a, b, c])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dimension=st.integers(1, 2),
+        size=st.integers(1, 4),
+        entries=st.lists(
+            st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+                      st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_folding_couplings_give_exactly_symmetric_matrices(self, dimension, size, entries):
+        mapping = {}
+        for z, v in entries:
+            z = tuple(z[:dimension])
+            if any(z) and z not in mapping and tuple(-c for c in z) not in mapping:
+                mapping[z] = v
+        lattice = LatticeSpec(dimension, size)
+        mat = coupling_matrix(CouplingSet(mapping, {}, 0.0).exchange, lattice)
+        np.testing.assert_array_equal(mat, mat.T)
+        np.testing.assert_array_equal(mat, reference_coupling_matrix(CouplingSet(mapping, {}, 0.0).exchange, lattice))
 
 
 class TestValidateFerromagnetic:

@@ -33,7 +33,7 @@ from magnonkit.oracle import (
     _orbits,
     _product_basis,
     _split_by_magnetization,
-    _translations,
+    _symmetries,
 )
 from magnonkit.sectors import sector_decomposition
 
@@ -299,17 +299,19 @@ class TestMagnetizationSplit:
     def test_refuses_a_hamiltonian_that_mixes_sectors(self):
         # a transverse field on one spin-1/2 couples S3 = -1 and S3 = +1
         with pytest.raises(AssertionError, match="different total-S3 sectors"):
-            _split_by_magnetization(np.zeros(2), hop_map((0, 1, 1.0)), np.array([-1.0, 1.0]))
+            _split_by_magnetization(np.zeros(2), hop_map((0, 1, 1.0)), np.array([-1.0, 1.0]), 0.0, 0.0)
 
     def test_refuses_the_smallest_leak(self):
         # two spins-1/2, product order (-,-), (-,+), (+,-), (+,+): flip-flop plus one stray hop
         hops = hop_map((1, 2, 2.0), (0, 3, 5e-324))
         with pytest.raises(AssertionError, match=r"different total-S3 sectors \(largest entry 4.941e-324\)"):
-            _split_by_magnetization(np.array([1.0, -1.0, -1.0, 1.0]), hops, np.array([-2.0, 0.0, 0.0, 2.0]))
+            _split_by_magnetization(np.array([1.0, -1.0, -1.0, 1.0]), hops, np.array([-2.0, 0.0, 0.0, 2.0]),
+                                    0.0, 0.0)
 
     def test_sorts_the_basis_into_sectors(self):
+        # sector -2 is sector 2 flipped, shifted by slope * 2 = 8; it reaches no eigh
         order, values, sectors, eigen, rank, sector = _split_by_magnetization(
-            np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0])
+            np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0]), 4.0, 0.0
         )
         np.testing.assert_array_equal(order, [1, 0, 3, 2])
         np.testing.assert_array_equal(rank[order], np.arange(4))  # rank inverts order
@@ -318,17 +320,40 @@ class TestMagnetizationSplit:
         assert [(s.start, s.stop) for s in sectors] == [(0, 1), (1, 3), (3, 4)]
         for (energies, _), expected in zip(eigen, ([4.0], [-1.0, 3.0], [-4.0])):
             np.testing.assert_allclose(energies, expected, atol=1e-14)
+        assert np.shares_memory(eigen[0][1], eigen[2][1])  # V_-2 is V_2 reversed, a view
 
-    def test_equal_sizes_share_one_stack_in_magnetization_order(self):
-        # sectors of sizes 1, 2, 1, 2: the two 2x2 blocks go to one stacked eigh
-        magnetization = np.array([-4.0, -2.0, -2.0, 0.0, 2.0, 2.0])
-        hops = hop_map((1, 2, 1.0), (4, 5, 3.0))
-        _, values, _, eigen, _, sector = _split_by_magnetization(np.arange(6.0), hops, magnetization)
-        np.testing.assert_array_equal(sector, [0, 1, 1, 2, 3, 3])
-        np.testing.assert_array_equal(values, [-4.0, -2.0, 0.0, 2.0])
-        for (energies, _), block in zip(eigen, ([[0.0]], [[1.0, 1.0], [1.0, 2.0]], [[3.0]],
-                                                [[4.0, 3.0], [3.0, 5.0]])):
+    def test_only_nonnegative_sectors_reach_one_stacked_eigh(self, monkeypatch):
+        # sectors M = -4, -2, 0, 2, 4 of sizes 2, 1, 2, 1, 2 with slope 1: the 2x2 blocks of
+        # M = 0 and M = 4 go to one stacked eigh, the 1x1 of M = 2 to another, and the
+        # negative sectors are their mirrors: H_-M = P H_M P + M
+        magnetization = np.array([-4.0, -4.0, -2.0, 0.0, 0.0, 2.0, 4.0, 4.0])
+        diagonal = np.array([9.0, 8.0, 5.0, 2.0, 2.0, 3.0, 4.0, 5.0])
+        hops = hop_map((0, 1, 3.0), (3, 4, 1.0), (6, 7, 3.0))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(stack):
+            shapes.append(stack.shape)
+            return eigh(stack)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        _, values, _, eigen, _, sector = _split_by_magnetization(diagonal, hops, magnetization, 1.0, 0.0)
+        assert shapes == [(1, 1, 1), (2, 2, 2)]
+        np.testing.assert_array_equal(sector, [0, 0, 1, 2, 2, 3, 4, 4])
+        np.testing.assert_array_equal(values, [-4.0, -2.0, 0.0, 2.0, 4.0])
+        blocks = ([[9.0, 3.0], [3.0, 8.0]], [[5.0]], [[2.0, 1.0], [1.0, 2.0]], [[3.0]], [[4.0, 3.0], [3.0, 5.0]])
+        for (energies, vectors), block in zip(eigen, blocks):
             np.testing.assert_allclose(energies, np.linalg.eigvalsh(block), atol=1e-14)
+            np.testing.assert_allclose(np.array(block) @ vectors, vectors * energies, atol=1e-14)
+
+    def test_refuses_a_diagonal_the_flip_does_not_shift_by_slope_times_m(self):
+        with pytest.raises(AssertionError, match=r"spin flip shifts the diagonal by other than 3 M"):
+            _split_by_magnetization(np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)),
+                                    np.array([0.0, -2.0, 2.0, 0.0]), 3.0, 1e-12)
+
+    def test_refuses_a_basis_the_reversal_does_not_flip(self):
+        with pytest.raises(AssertionError, match="index reversal does not flip the total S3"):
+            _split_by_magnetization(np.zeros(3), hop_map((1, 2, 1.0)), np.array([-2.0, 0.0, 0.0]), 0.0, 0.0)
 
     def test_build_refuses_a_broken_hop_map(self, monkeypatch):
         # one stray hop between the all-down and all-up states of every assignment
@@ -490,6 +515,8 @@ SHELLS12 = CouplingSet({(1,): 0.7, (2,): -0.3}, {(1,): 0.9, (2,): 0.4}, h=1.7)
 SQUARE_NN = CouplingSet(
     {(1, 0): 0.8, (0, 1): 0.8, (1, 1): 0.2}, {(1, 0): 1.0, (0, 1): 1.0, (1, 1): 0.3}, h=2.0
 )
+# on a 3-site chain every shell folds onto the nearest neighbours, three values per pair
+FOLDED = CouplingSet({(1,): 0.7, (-4,): -0.3, (7,): 0.45}, {(1,): 0.9, (-4,): 0.4, (7,): -0.2}, h=1.7)
 
 
 def collective_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -588,7 +615,7 @@ def reference_ensemble(config, beta):
         three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3])
         diagonals = np.stack([np.diagonal(m, axis1=1, axis2=2) for m in (three, three @ three)])
         weight = math.log(math.prod(e.multiplicity for e in assignment))
-        block = _Block(weight, energies, [(everything, everything, plus)], diagonals, len(energies))
+        block = _Block(weight, energies, [(everything, everything, plus, None)], diagonals, len(energies))
         block.s3_rotated = three
         blocks.append(block)
     identity = np.arange(config.lattice.n_sites)[None, :]
@@ -600,8 +627,10 @@ def site_operator(block, kind, x):
     if kind == "3":
         return block.s3_rotated[x]
     plus = np.zeros((block.dim, block.dim))
-    for rows, cols, stack in block.plus:
+    for rows, cols, stack, mirror in block.plus:
         plus[rows, cols] = stack[x]
+        if mirror is not None:
+            plus[mirror] = stack[x].T
     return {"+": plus, "-": plus.T}[kind]
 
 
@@ -626,10 +655,12 @@ def identity_expectation(ensemble):
 
 
 def piece_bytes(twice_js, n_sites):
-    """float64 bytes of one block's S+ pieces (d_M+2 x d_M per site) and S3 diagonals."""
+    """float64 bytes of one block's stored S+ pieces (d_M+2 x d_M per site, M >= -2; the
+    others are their mirrors' transposes) and S3 diagonals."""
     _, _, _, s3 = _product_basis(twice_js)
-    _, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
-    return 8 * n_sites * int(np.sum(sizes[1:] * sizes[:-1]) + 2 * np.sum(sizes))
+    values, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
+    stored = values[:-1] >= -2
+    return 8 * n_sites * int(np.sum((sizes[1:] * sizes[:-1])[stored]) + 2 * np.sum(sizes))
 
 
 def assignment_labels(config):
@@ -643,7 +674,7 @@ def rep_labels(ensemble):
     representatives, the first assignment of each orbit in product order."""
     labels = assignment_labels(ensemble.config)
     entries = len(sector_decomposition(ensemble.copies).entries)
-    reps, _ = _orbits(entries, _translations(ensemble.config.lattice))
+    reps, _ = _orbits(entries, _symmetries(ensemble.config.lattice))
     return [labels[r] for r in np.unique(reps)]
 
 
@@ -662,7 +693,8 @@ def block_moments(block, probs):
     """<S3(x)>, <S3(x)^2> and <S+(x) S-(y)> weighted by one block's Gibbs probabilities."""
     s3, s3_squared = block.three @ probs
     pm = sum(np.einsum("xab,yab,a->xy", stack, stack, probs[rows])
-             for rows, _, stack in block.plus)
+             + (0.0 if mirror is None else np.einsum("xba,yba,a->xy", stack, stack, probs[mirror[0]]))
+             for rows, _, stack, mirror in block.plus)
     return s3, s3_squared, pm
 
 
@@ -710,12 +742,13 @@ def test_full_block_spectrum_matches_qubit_kronecker(copies, lattice, couplings)
 
 ORBIT_CASES = {
     "chain3-n5": (SpinConfig(5, CHAIN3, ISO25), 0.8),
+    "chain3-folded-n5": (SpinConfig(5, CHAIN3, FOLDED), 0.6),
     "chain4-shells12-n3": (SpinConfig(3, CHAIN4, SHELLS12), 0.9),
     "square2x2-n3": (SpinConfig(3, SQUARE2, SQUARE_NN), 0.7),
 }
 
 
-class TestTranslationOrbits:
+class TestOrbits:
     @pytest.mark.parametrize("case", ORBIT_CASES)
     def test_every_block_has_the_spectrum_of_its_assignment(self, case):
         config, beta = ORBIT_CASES[case]
@@ -726,7 +759,8 @@ class TestTranslationOrbits:
             np.testing.assert_allclose(np.sort(rep.energies), np.linalg.eigvalsh(hamiltonian),
                                        rtol=0.0, atol=1e-12, err_msg=str(label))
 
-    @pytest.mark.parametrize("case", ["chain4-shells12-n3", "square2x2-n3"])
+    # on the 3-site chain inversion joins translation orbits, so reflected members are read too
+    @pytest.mark.parametrize("case", ["chain3-folded-n5", "chain4-shells12-n3", "square2x2-n3"])
     def test_matches_the_no_orbit_reference(self, case):
         config, beta = ORBIT_CASES[case]
         engine = build_gibbs(config, beta)
@@ -771,8 +805,8 @@ class TestTranslationOrbits:
             for got, expected in zip((s3[perm], s3_squared[perm], pm[np.ix_(perm, perm)]),
                                      block_moments(*by_label[label])):
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(label))
-        translated = (m for m in visited if np.any(m[1] != np.arange(n_sites)))  # not the representative
-        rep, perm, label = max(translated, key=lambda m: m[0].dim)
+        moved = (m for m in visited if np.any(m[1] != np.arange(n_sites)))  # not the representative
+        rep, perm, label = max(moved, key=lambda m: m[0].dim)
         assert block_word(rep, rep_probs[id(rep)], [(kind, perm[x]) for kind, x in word]) == pytest.approx(
             block_word(*by_label[label], word), rel=0.0, abs=1e-10)
 
@@ -800,7 +834,8 @@ class TestTranslationOrbits:
         pieces = {label: piece_bytes(label, n_sites) for label in sizes}
         largest = max(sizes, key=lambda label: math.prod(t + 1 for t in label))
         _, _, _, s3 = _product_basis(largest)
-        buffer = 8 * int(np.sum(np.unique(s3.sum(axis=0), return_counts=True)[1] ** 2))
+        values, counts = np.unique(s3.sum(axis=0), return_counts=True)
+        buffer = 8 * int(np.sum(counts[values >= 0] ** 2))  # only sectors M >= 0 are scattered
         slack = 128 * 1024
         bound = sum(pieces.values()) + buffer + slack
         member_copies = sum((size - 1) * pieces[label] for label, size in sizes.items())
@@ -823,22 +858,173 @@ class TestTranslationOrbits:
         ensemble = build_gibbs(SpinConfig(5, CHAIN3, ISO25), beta=1.0)
         orbit = {rep_label: [label for r, _, label in members(ensemble) if r is rep]
                  for rep_label, (rep, _) in zip(rep_labels(ensemble), ensemble.orbits)}
-        # (5, 3, 1) represents its orbit; (3, 1, 5) and (1, 5, 3) are its translates
-        assert orbit[(5, 3, 1)] == [(5, 3, 1), (3, 1, 5), (1, 5, 3)]
-        # the mirror image (1, 3, 5) is no translate of it
-        assert orbit[(5, 1, 3)] == [(5, 1, 3), (3, 5, 1), (1, 3, 5)]
+        # (5, 3, 1) represents its orbit: its translates (3, 1, 5) and (1, 5, 3), and the
+        # mirror images (5, 1, 3), (1, 3, 5) and (3, 5, 1) of all three
+        assert orbit[(5, 3, 1)] == [(5, 3, 1), (5, 1, 3), (3, 5, 1), (3, 1, 5), (1, 5, 3), (1, 3, 5)]
+        assert orbit[(5, 5, 3)] == [(5, 5, 3), (5, 3, 5), (3, 5, 5)]
+        assert len(orbit) == 10  # bracelets of 3 beads in 3 colours
 
     @pytest.mark.parametrize("which", ["J", "J3"])
-    def test_refuses_couplings_that_break_translation(self, which, monkeypatch):
+    @pytest.mark.parametrize("symmetry", ["translation", "inversion"])
+    def test_refuses_couplings_that_break_a_symmetry(self, which, symmetry, monkeypatch):
+        # a symmetric bump on one bond breaks translations; a circulant with J(1) != J(-1)
+        # keeps them and breaks only the inversion
         original = oracle.coupling_matrix
         target = ISO25.exchange if which == "J" else ISO25.exchange_z
 
         def broken(mapping, lattice):
             mat = original(mapping, lattice)
-            if mapping is target:
+            if mapping is target and symmetry == "translation":
                 mat[0, 1] = mat[1, 0] = mat[0, 1] + 0.25
+            elif mapping is target:
+                mat += 0.25 * np.roll(np.eye(lattice.n_sites), 1, axis=1)
             return mat
 
         monkeypatch.setattr(oracle, "coupling_matrix", broken)
-        with pytest.raises(AssertionError, match=f"{which} is not invariant under lattice translations"):
+        with pytest.raises(AssertionError, match=f"{which} is not invariant under lattice translations and inversion"):
             build_gibbs(SpinConfig(3, CHAIN3, ISO25), beta=1.0)
+
+
+def bracelets(beads, colours):
+    """Strings of beads up to rotation and reflection, by the closed necklace formula."""
+    necklaces = sum(phi(d) * colours ** (beads // d) for d in range(1, beads + 1) if beads % d == 0) // beads
+    if beads % 2:
+        return (necklaces + colours ** ((beads + 1) // 2)) // 2
+    return (2 * necklaces + (colours + 1) * colours ** (beads // 2)) // 4
+
+
+def phi(d):
+    return sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+
+
+def burnside(lattice, colours):
+    """Orbits of colourings under x -> +-x + t on a torus: the mean number of colourings
+    each distinct site permutation fixes, colours ** (its cycles)."""
+    size, dim = lattice.size, lattice.dimension
+    sites = list(itertools.product(range(size), repeat=dim))
+    perms = {tuple(sites.index(tuple((s * c + u) % size for c, u in zip(x, t))) for x in sites)
+             for s in (1, -1) for t in sites}
+
+    def cycles(perm):
+        seen, count = set(), 0
+        for start in range(len(perm)):
+            count += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+        return count
+
+    total = sum(colours ** cycles(perm) for perm in perms)
+    assert total % len(perms) == 0
+    return total // len(perms)
+
+
+class TestOrbitCounts:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+    def test_chains_have_one_orbit_per_bracelet(self, size):
+        for colours in range(1, 5):
+            if colours**size <= 5000:
+                reps, _ = _orbits(colours, _symmetries(LatticeSpec(1, size)))
+                assert len(np.unique(reps)) == bracelets(size, colours) == burnside(LatticeSpec(1, size), colours)
+
+    @pytest.mark.parametrize("lattice, colours", [(SQUARE2, 3), (SQUARE2, 4), (LatticeSpec(2, 3), 2),
+                                                  (LatticeSpec(3, 2), 2)],
+                             ids=["2x2-3", "2x2-4", "3x3-2", "2x2x2-2"])
+    def test_tori_match_burnside(self, lattice, colours):
+        reps, _ = _orbits(colours, _symmetries(lattice))
+        assert len(np.unique(reps)) == burnside(lattice, colours)
+
+    def test_ladder_representatives(self):
+        # the 3-site ladder n = 1, 3, 5, 7: 1, 4, 11, 24 translation orbits become 1, 4, 10, 20
+        rows = convergence_study(CHAIN3, ISO25, beta=1.0, q=MomentumGrid.from_lattice(CHAIN3).points[1],
+                                 copies_list=[1, 3, 5, 7])
+        assert [row.representatives for row in rows] == [1, 4, 10, 20]
+
+
+def flip_slope(config):
+    """P H P - H = slope * S3 for the spin flip P: S+(x) S-(x) -> S+(x) S-(x) - S3(x), h -> -h."""
+    j_mat, _ = coupling_pair(config)
+    return (2.0 / config.copies) * j_mat[0, 0] - 2.0 * config.couplings.h
+
+
+FLIP_CASES = {
+    "self-coupling-n5": (SpinConfig(5, CHAIN2, WRAPPED), [(5, 3), (3, 1), (5, 5), (1, 1)]),
+    "chain3-folded-n3": (SpinConfig(3, CHAIN3, FOLDED), [(3, 1, 1), (3, 3, 1), (3, 3, 3)]),
+    "square2x2-n3": (SpinConfig(3, SQUARE2, SQUARE_NN), [(3, 1, 3, 1), (3, 3, 1, 1), (1, 1, 1, 1)]),
+}
+
+
+class TestSpinFlip:
+    @pytest.mark.parametrize("case", FLIP_CASES)
+    def test_mirrored_eigenpairs_solve_their_own_sector(self, case):
+        # sector -M < 0 is never diagonalized; its eigenpairs, taken from sector M, must
+        # diagonalize the Kronecker Hamiltonian's block of sector -M directly
+        config, labels = FLIP_CASES[case]
+        j_mat, j3_mat = coupling_pair(config)
+        two_n = 2.0 * config.copies
+        for label in labels:
+            basis = _product_basis(label)
+            diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, config.couplings.h, two_n)
+            order, values, sectors, eigen, _, _ = _split_by_magnetization(
+                diagonal, hops, basis[3].sum(axis=0), flip_slope(config), 1e-12)
+            hamiltonian = kron_hamiltonian(label, j_mat, j3_mat, config.couplings.h, two_n)
+            scale = np.max(np.abs(hamiltonian))
+            assert values[0] < 0
+            for m, rows, (energies, vectors) in zip(values, sectors, eigen):
+                if m < 0:
+                    block = hamiltonian[np.ix_(order[rows], order[rows])]
+                    np.testing.assert_allclose(energies, np.linalg.eigvalsh(block), rtol=0.0,
+                                               atol=1e-12 * scale, err_msg=f"{label} M={m}")
+                    np.testing.assert_allclose(block @ vectors, vectors * energies, rtol=0.0,
+                                               atol=1e-12 * scale, err_msg=f"{label} M={m}")
+                    np.testing.assert_allclose(vectors.T @ vectors, np.eye(len(energies)), atol=1e-13)
+
+    def test_the_self_coupling_moves_the_shift(self):
+        # with J(0) left out of the slope the flipped diagonals miss by (2/n) J(0) M
+        config = SpinConfig(5, CHAIN2, WRAPPED)
+        j_mat, j3_mat = coupling_pair(config)
+        basis = _product_basis((5, 3))
+        diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, config.couplings.h, 10.0)
+        with pytest.raises(AssertionError, match="spin flip shifts the diagonal"):
+            _split_by_magnetization(diagonal, hops, basis[3].sum(axis=0), -2.0 * config.couplings.h, 1e-9)
+
+    def test_mirrored_pieces_are_stored_once(self):
+        # 3-site chain, assignment (3, 3, 3): magnetizations -9..9, pieces stored from M = -1 up,
+        # each with M > 0 also standing for its mirror from -M-2 to -M
+        ensemble = build_gibbs(SpinConfig(3, CHAIN3, ISO25), beta=1.0)
+        rep = next(rep for rep, _ in ensemble.orbits if rep.dim == 64)
+        assert len(rep.plus) == 5
+        assert [mirror is None for *_, mirror in rep.plus] == [True, False, False, False, False]
+        sizes = [(rows.stop - rows.start, cols.stop - cols.start) for rows, cols, *_ in rep.plus]
+        assert sizes == [(12, 12), (10, 12), (6, 10), (3, 6), (1, 3)]
+        for rows, cols, stack, mirror in rep.plus[1:]:
+            assert (mirror[0].stop - mirror[0].start, mirror[1].stop - mirror[1].start) == stack.shape[:0:-1]
+
+    @pytest.mark.parametrize("lattice, couplings, copies", [(CHAIN3, FOLDED, 3), (CHAIN4, SHELLS12, 1),
+                                                            (SQUARE2, SQUARE_NN, 1)],
+                             ids=["chain3-folded", "chain4", "square2x2"])
+    def test_momentum_sums_are_even_in_q(self, lattice, couplings, copies):
+        # {q, -q} share one cached walk, computed at the pair's lower grid index whichever comes first
+        config = SpinConfig(copies, lattice, couplings)
+        for q in MomentumGrid.from_lattice(lattice).points:
+            forward, backward = build_gibbs(config, 0.8), build_gibbs(config, 0.8)
+            forms, four = forward._momentum_sums(q)
+            assert forward._momentum_sums(-q) is forward._momentum_sums(np.mod(-q, 2.0 * np.pi))
+            for sums in (forward._momentum_sums(-q), backward._momentum_sums(-q), backward._momentum_sums(q)):
+                np.testing.assert_array_equal(sums[0], forms)
+                assert sums[1] == four
+
+
+class TestSectorsAgainstFullTensor:
+    """The orbit and flip engine against the unsplit full tensor, on lattices where inversion
+    joins translation orbits (3-site chain), where the totals are even (4 sites, M = 0 present)
+    and in two dimensions."""
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_folded_three_site_chain(self, copies):
+        assert_sector_matches_full(SpinConfig(copies, CHAIN3, FOLDED), beta=0.9)
+
+    @pytest.mark.parametrize("lattice, couplings", [(CHAIN4, SHELLS12), (SQUARE2, SQUARE_NN)],
+                             ids=["chain4", "square2x2"])
+    def test_four_sites(self, lattice, couplings):
+        assert_sector_matches_full(SpinConfig(1, lattice, couplings), beta=1.1)
