@@ -45,9 +45,12 @@ from a table of four-digit groups, one XOR makes that zero a ".", and a
 mask by the text's length clears the trailing zeros.  None of it shifts a
 word: the six bytes ahead of N' leave its groups aligned to the words.
 Zeros, infinities, NaNs, values outside [1e-280, 1e300) (where h, l or the
-splits would leave the normal range) and the values it cannot certify
-(ties at the 17th digit and values within 1e-6 of one) take ``'%.17g' %``
-itself, so every artifact byte is what ``'%.17g' %`` gives.
+splits would leave the normal range) and the values it does not certify
+take ``'%.17g' %`` itself, so every artifact byte is what ``'%.17g' %``
+gives.  It does not certify ties at the 17th digit, values within 1e-6 of
+one, or an N not strictly between 10**16 and 10**17: exact powers of ten,
+and the rare values whose log10 rounds across a power of ten or whose N
+rounds up to 10**17.
 """
 
 from __future__ import annotations
@@ -169,11 +172,6 @@ def _scaled(a, row, tables: _Tables):
     return n, e
 
 
-def _outside(n, rest):
-    """Where the scaled value lies outside [10**16, 10**17 + 1/2): k was a decade off."""
-    return (n > 10**17) | (n < 10**16) | ((n == 10**16) & (rest < 0.0))
-
-
 def _decimal(values: np.ndarray, tables: _Tables):
     """|value| = N 10**(k - 16) to 17 significant digits: N, the row k - _K0, and where N is certified."""
     a = np.abs(values)
@@ -184,19 +182,11 @@ def _decimal(values: np.ndarray, tables: _Tables):
     row = np.floor(k, out=k).astype(np.intp)
     row -= _K0
     n, rest = _scaled(a, row, tables)
-    # N <= 10**16 or N >= 10**17 (few): log10 rounded across a power of ten, or N rounded up to one
-    edge = np.flatnonzero(n.view(_U) - _U(10**16 + 1) >= _U(9 * 10**16 - 1))
-    if edge.size:
-        n_edge, rest_edge, row_edge = n[edge], rest[edge], row[edge]
-        off = _outside(n_edge, rest_edge)
-        row_edge[off] += np.where(n_edge[off] > 10**17, 1, -1)
-        n_edge, rest_edge = _scaled(a[edge], row_edge, tables)
-        ok[edge] &= ~_outside(n_edge, rest_edge)
-        carry = n_edge == 10**17  # rounded up to the next decade
-        n_edge[carry] = 10**16
-        row_edge += carry
-        n[edge], rest[edge], row[edge] = n_edge, rest_edge, row_edge
     ok &= np.abs(rest) < _CERTAIN
+    # N <= 10**16 or N >= 10**17 (few): |value| a power of ten, log10 rounded across one, or N rounded up to one
+    edge = np.flatnonzero(n.view(_U) - _U(10**16 + 1) >= _U(9 * 10**16 - 1))
+    n[edge] = 10**16  # keeps _digits inside its tables; '%.17g' gives the text
+    ok[edge] = False
     return n, row, ok
 
 

@@ -13,12 +13,13 @@ function takes only the resolved configuration and computes; :func:`_emit`
 writes the artifacts with the effective configuration embedded (a leading
 ``"config"`` JSON key, ``# key = value`` CSV preamble lines) so results are
 reproducible and diffable, prints the summary and maps the verdict to an
-exit code.  A command that reads ``output.format`` writes one artifact in
-that format, and only it takes ``--format``; ``dynamics`` writes both of
-its files.  No command takes a thread count: the oracle builds its blocks
-serially.  Exit codes: 0 success, 1 a scientific condition failed, 2 usage
-or I/O failure, 3 internal error (a bug or a failed internal consistency
-check, never a verdict on the physics).
+exit code.  ``output.format`` is the one format switch: a command that
+reads it writes one artifact in that format, whose embedded configuration
+reruns to the same bytes; ``dynamics`` writes both of its files.  No
+command takes a thread count: the oracle builds its blocks serially.  Exit
+codes: 0 success, 1 a scientific condition failed, 2 usage or I/O failure,
+3 internal error (a bug or a failed internal consistency check, never a
+verdict on the physics).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .dynamics import (
 from .lattice import DEFAULT_GAP_TOL, LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
 from .oracle import convergence_study
 from .sectors import sector_decomposition
-from .spinwave import RegimeError, ThermalParams, solve_magnetization
+from .spinwave import DEFAULT_SOLVE_TOL, RegimeError, ThermalParams, solve_magnetization
 
 
 def _parse_float(text):
@@ -102,8 +103,8 @@ _SCHEMA = {
     "field.h": (_parse_nonnegative, None),
     "thermal.beta": (_parse_float, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
-    "validate.tol": (_parse_nonnegative, "1e-12"),
-    "solve.tol": (_parse_positive, "1e-12"),
+    "validate.tol": (_parse_nonnegative, repr(DEFAULT_GAP_TOL)),
+    "solve.tol": (_parse_positive, repr(DEFAULT_SOLVE_TOL)),
     "oracle.copies": (_parse_int_list, "1,3,5,7"),
     "oracle.q_index": (int, None),
     "oracle.mode": (_parse_choice("sector", "full"), "sector"),
@@ -427,10 +428,7 @@ def _emit(args) -> int:
     out = Path(args.out or os.environ.get("MAGNONKIT_OUT") or ".")
     out.mkdir(parents=True, exist_ok=True)
     config = dict(sorted(cfg.effective.items()))
-    if "output.format" in command.keys:
-        formats = {args.format or cfg["output.format"]}
-    else:
-        formats = {"json", "csv"}
+    formats = {cfg["output.format"]} if "output.format" in command.keys else {"json", "csv"}
     if "json" in formats:
         write_json(out / command.json, {"config": config, **output.doc})
     if "csv" in formats:
@@ -458,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", required=True, help="path to the key = value config file")
         cmd.add_argument("--out", default=None, help="output directory (default: $MAGNONKIT_OUT or .)")
-        if "output.format" in command.keys:
-            cmd.add_argument("--format", choices=["json", "csv"], default=None,
-                             help="artifact format (overrides output.format)")
     return parser
 
 

@@ -207,8 +207,8 @@ class TestValidateCommand:
 
     def test_csv_format(self, workspace):
         tmp_path, make = workspace
-        conf = make(BASE_CONF)
-        rc = main(["validate", "--config", str(conf), "--out", str(tmp_path), "--format", "csv"])
+        conf = make(BASE_CONF + "output.format = csv\n")
+        rc = main(["validate", "--config", str(conf), "--out", str(tmp_path)])
         assert rc == 0
         text = (tmp_path / "validate.csv").read_text()
         assert text.splitlines()[0].startswith("# ")
@@ -237,14 +237,14 @@ dynamics.times = 0.0,0.5,1.0
 ARTIFACTS = {"validate": "validate", "solve": "solution", "oracle": "convergence", "sectors": "sectors"}
 COMMAND_CONF = {"validate": BASE_CONF, "solve": BASE_CONF, "oracle": ORACLE_CONF,
                 "sectors": "sectors.copies = 5\n"}
-# id -> (command, config body, extra flags, artifact names)
+# id -> (command, config body, artifact names)
 EMIT_CASES = {
-    f"{command}-{form}": (command, COMMAND_CONF[command], ["--format", form],
+    f"{command}-{form}": (command, COMMAND_CONF[command] + f"output.format = {form}\n",
                           [f"{ARTIFACTS[command]}.{form}"])
     for command in ARTIFACTS
     for form in ("json", "csv")
 }
-EMIT_CASES["dynamics"] = ("dynamics", DYNAMICS_CONF, [], ["snapshot.json", "trajectory.csv"])
+EMIT_CASES["dynamics"] = ("dynamics", DYNAMICS_CONF, ["snapshot.json", "trajectory.csv"])
 
 
 class TestSolveCommand:
@@ -314,14 +314,14 @@ class TestSolveCommand:
     @pytest.mark.parametrize("case", EMIT_CASES)
     def test_idempotent_artifacts(self, case, workspace):
         # every command embeds its sorted effective config and reproduces its artifacts
-        command, body, flags, names = EMIT_CASES[case]
+        command, body, names = EMIT_CASES[case]
         tmp_path, make = workspace
         conf = make(body)
         effective = sorted(cli.RunConfig(cli.read_config(conf), command).effective.items())
         runs = []
         for k in range(2):
             out = tmp_path / f"out{k}"
-            assert main([command, "--config", str(conf), "--out", str(out)] + flags) == 0
+            assert main([command, "--config", str(conf), "--out", str(out)]) == 0
             assert sorted(p.name for p in out.iterdir()) == sorted(names)
             runs.append({name: (out / name).read_bytes() for name in names})
         assert runs[0] == runs[1]
@@ -484,8 +484,8 @@ class TestOracleCommand:
 
     def test_csv_table(self, workspace):
         tmp_path, make = workspace
-        conf = make(ORACLE_CONF)
-        rc = main(["oracle", "--config", str(conf), "--out", str(tmp_path), "--format", "csv"])
+        conf = make(ORACLE_CONF + "output.format = csv\n")
+        rc = main(["oracle", "--config", str(conf), "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
         header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
@@ -726,8 +726,7 @@ def test_oracle_and_sectors_refuse_a_copy_count_alike(copies, message, workspace
 GOLDEN_CASES = {
     **{case: EMIT_CASES[case] for case in EMIT_CASES if case != "dynamics"},
     "dynamics-equilibrium": EMIT_CASES["dynamics"],
-    "dynamics-packet": ("dynamics", TestDynamicsCommand.PACKET_CONF, [],
-                        ["snapshot.json", "trajectory.csv"]),
+    "dynamics-packet": ("dynamics", TestDynamicsCommand.PACKET_CONF, ["snapshot.json", "trajectory.csv"]),
 }
 
 
@@ -735,10 +734,10 @@ GOLDEN_CASES = {
 def test_artifacts_equal_the_reference_writers(case, workspace):
     # every artifact of every subcommand, byte for byte against the test-side
     # whole-document JSON writer and the row-wise CSV writer, fed the same Output
-    command, body, flags, names = GOLDEN_CASES[case]
+    command, body, names = GOLDEN_CASES[case]
     tmp_path, make = workspace
     conf = make(body)
-    assert main([command, "--config", str(conf), "--out", str(tmp_path)] + flags) == 0
+    assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 0
     cfg = cli.RunConfig(cli.read_config(conf), command)
     output = cli.COMMANDS[command].func(cfg)
     config = dict(sorted(cfg.effective.items()))
@@ -751,14 +750,39 @@ def test_artifacts_equal_the_reference_writers(case, workspace):
             assert text == reference_csv(output.header, output.columns, preamble)
 
 
+def embedded_config(path: Path) -> dict[str, str]:
+    """The configuration an artifact embeds: its "config" object, or its '# key = value' lines of config keys."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["config"]
+    lines = (line[2:].partition(" = ") for line in path.read_text().splitlines() if line.startswith("# "))
+    return {key: value for key, _, value in lines if key in cli._SCHEMA}
+
+
+@pytest.mark.parametrize("case", EMIT_CASES)
+def test_embedded_config_reruns_to_the_same_bytes(case, workspace):
+    # each artifact's own configuration, written back to a config file, reproduces the run's files
+    command, body, names = EMIT_CASES[case]
+    tmp_path, make = workspace
+    first = tmp_path / "first"
+    assert main([command, "--config", str(make(body)), "--out", str(first)]) == 0
+    for name in names:
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text("".join(f"{key} = {value}\n" for key, value in embedded_config(first / name).items()))
+        rerun = tmp_path / f"rerun-{name}"
+        assert main([command, "--config", str(conf), "--out", str(rerun)]) == 0
+        assert sorted(p.name for p in rerun.iterdir()) == sorted(names)
+        for other in names:
+            assert (rerun / other).read_bytes() == (first / other).read_bytes()
+
+
 class TestParser:
     @pytest.mark.parametrize("command,flag", [
         ("solve", "--threads=2"),
         ("validate", "--threads=2"),
         ("sectors", "--threads=2"),
         ("dynamics", "--threads=2"),
-        ("dynamics", "--format=csv"),
         ("oracle", "--threads=2"),
+        *((command, "--format=csv") for command in ("validate", "solve", "oracle", "sectors", "dynamics")),
     ])
     def test_flags_a_command_does_not_read_are_refused(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:

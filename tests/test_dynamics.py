@@ -443,7 +443,7 @@ class TestStructuredAgainstDense:
             for t in (0.0, 0.9, 13.0):
                 assert_matches_reference(state, u.conj().T @ gamma_site @ u, t)
 
-    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         which=st.sampled_from(sorted(STRUCTURED_LATTICES)),
         rank=st.integers(0, 3),
@@ -475,7 +475,7 @@ class TestAmplitudeForm:
             assert state.amplitudes.shape[0] <= 8
             assert np.max(np.abs(state.gamma - gamma)) <= 1e-13 * np.max(np.abs(gamma))
 
-    @settings(max_examples=30, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(
         which=st.sampled_from(sorted(STRUCTURED_LATTICES)),
         rank=st.integers(0, 3),

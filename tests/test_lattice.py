@@ -151,7 +151,7 @@ class TestMomentumGrid:
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
         assert grid.index_of([-np.pi]) == grid.index_of([3.0 * np.pi]) == 2
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(
         dimension=st.integers(1, 3),
         size=st.integers(1, 6),
@@ -325,7 +325,7 @@ class TestFourierCoupling:
         c = random_even_couplings(rng, 1, reach=3)
         assert abs(np.mean(fourier_coupling_grid(c, chain_grid(16)))) < 1e-13
 
-    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         dimension=st.integers(1, 3),
         size=st.integers(1, 6),
@@ -415,7 +415,7 @@ class TestSymmetricMomenta:
     def test_nearest_neighbour_cube(self):
         assert_symmetric_momenta_bit_equal(CouplingSet.nearest_neighbor(3), LatticeSpec(3, 16))
 
-    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         dimension=st.integers(2, 3),
         size=st.integers(1, 7),
@@ -477,7 +477,7 @@ class TestCouplingMatrix:
             np.testing.assert_array_equal(mat, mat.T)
             assert mat[0, 1] == math.fsum([a, b, c])
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         dimension=st.integers(1, 2),
         size=st.integers(1, 4),

@@ -204,7 +204,7 @@ class TestSectorReferee:
     def test_self_coupling_case_reaches_the_diagonal(self):
         assert np.all(np.diagonal(coupling_matrix(WRAPPED.exchange, CHAIN2)) != 0.0)
 
-    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         j=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
         j3=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
@@ -231,7 +231,7 @@ class TestMomentumRecord:
                  lambda q: dataclasses.astuple(energy_entropy_margin(ensemble, q, "+")))
         return {(i, call): kinds[call](points[i]) for i in order for call in calls}
 
-    @settings(max_examples=20, deadline=3000, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(
         j=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
         j3=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),

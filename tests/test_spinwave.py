@@ -320,7 +320,7 @@ def shell_couplings(dimension, j, j3):
 
 
 class TestGapCompressedScan:
-    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         dimension=st.sampled_from([1, 2]),
         size=st.integers(2, 24),
@@ -402,7 +402,7 @@ class TestGapCompressedScan:
 
 
 class TestCertifiedEnclosure:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         dimension=st.integers(1, 3),
         size=st.integers(2, 8),
