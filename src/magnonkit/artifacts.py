@@ -18,18 +18,19 @@ the text does not use is NUL.  The run is then one
 ``cells.tobytes().translate(None, b"\\0")``, which drops the NULs.
 :func:`_float_cells` fills the text words: one ``'%.17g'`` format call for
 fewer than ``_KERNEL_MIN`` values, else the kernel.  A float vector (a 1-D
-float64 array, a JSON list of floats or a float64 CSV column) is formatted
-a block of ``_BLOCK`` values at a time, each distinct value of a block
-once: the values are grouped by their bit patterns (so ``-0.0`` and
-``0.0``, and NaNs of different payloads, stay apart).  Grid functions such
-as n(q), eps(q) and D(q) depend on q only through the gap, so on a
-symmetric lattice they repeat heavily.  The distinct values' cells are
-gathered back in order through the ``np.unique`` inverse: into a JSON
-block's cells, or into the CSV block's table of cells, one row of cells per
-CSV row.  A 2-D float64 array is not grouped: a block of whole rows (at
-least ``_BLOCK`` values) per call, each row one run, written as it is
-made.  In JSON, narrower float arrays go through ``tolist()``, which widens
-them exactly, like int arrays.
+float64 array in JSON or a float64 CSV column) is formatted a block of
+``_BLOCK`` values at a time by :func:`_column_cells`, each distinct value
+of a block once: the values are grouped by their bit patterns (so ``-0.0``
+and ``0.0``, and NaNs of different payloads, stay apart).  Grid functions
+such as n(q), eps(q) and D(q) depend on q only through the gap, so on a
+symmetric lattice they repeat heavily.  The distinct values' texts are
+gathered back in order through the ``np.unique`` inverse into the text
+words of the block's cells: a JSON block's, or the CSV block's table of
+cells, one row of cells per CSV row.  A 2-D float64 array is not grouped:
+a block of whole rows (at least ``_BLOCK`` values) per call, each row one
+run, written as it is made.  In JSON, narrower float arrays go through
+``tolist()``, which widens them exactly, like int arrays, and a list's
+items are written one by one.
 
 The kernel gives the bytes of ``'%.17g'`` in vectorized numpy.  With
 k = floor(log10 |x|), it forms v = |x| 10**(16 - k) in double-double
@@ -275,27 +276,24 @@ def _text(cells: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
-def _distinct(values: np.ndarray):
-    """A float64 vector's distinct values, by bit pattern, and the ``np.unique`` inverse that gives the vector back.
+def _column_cells(column: np.ndarray, out: np.ndarray) -> None:
+    """Write the text of one block of a float64 or integer vector into the text words of ``out``.
 
-    A vector without repeats is its own, in order, with no inverse.
+    A float64 block formats each of its distinct values (by bit pattern)
+    once and gathers the texts back in order through the ``np.unique``
+    inverse; a block without repeats is formatted as it is.
     """
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if len(distinct) == len(values):
-        return values, None
-    return distinct.view(np.float64), inverse
-
-
-def _vector_text(values: np.ndarray, sep: bytes, last: bool) -> bytes:
-    """The text of a block of a JSON float vector, ``sep`` after each value but the vector's last."""
-    distinct, inverse = _distinct(values)
-    cells = _cells(len(distinct), sep)
-    _float_cells(distinct, cells)
-    if inverse is not None:
-        cells = np.take(cells, inverse, axis=0)  # the gather makes the block's cells
-    if last:
-        cells[-1, _TEXT:] = 0  # no separator after the last value
-    return _text(cells)
+    if column.dtype != np.float64:
+        out[:, :3] = column.astype("S24").view(_U).reshape(-1, 3)  # str() of each integer
+        out[:, 3] = 0
+        return
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if len(distinct) == len(column):
+        _float_cells(column, out)
+    else:
+        cells = np.empty((len(distinct), _TEXT), _U)
+        _float_cells(distinct.view(np.float64), cells)
+        np.take(cells, inverse, axis=0, out=out[:, :_TEXT])
 
 
 def _float_array(array: np.ndarray, level: int) -> Iterator[bytes]:
@@ -305,7 +303,12 @@ def _float_array(array: np.ndarray, level: int) -> Iterator[bytes]:
         sep = b",\n" + pad_in
         yield b"[\n" + pad_in
         for start in range(0, len(array), _BLOCK):
-            yield _vector_text(array[start:start + _BLOCK], sep, last=start + _BLOCK >= len(array))
+            block = array[start:start + _BLOCK]
+            cells = _cells(len(block), sep)
+            _column_cells(block, cells)
+            if start + _BLOCK >= len(array):
+                cells[-1, _TEXT:] = 0  # no separator after the vector's last value
+            yield _text(cells)
         yield b"\n" + pad + b"]"
         return
     pad_row = pad_in + b" " * _INDENT
@@ -359,8 +362,6 @@ def _chunks(node, level: int) -> Iterator[bytes]:
                 yield (b",\n" if i else b"\n") + pad_in + json.dumps(key).encode() + b": "
                 yield from _chunks(value, level + 1)
             yield b"\n" + pad + b"}"
-        elif all(isinstance(v, float) for v in node):
-            yield from _float_array(np.array(node, dtype=np.float64), level)
         else:
             yield b"["
             for i, value in enumerate(node):
@@ -377,29 +378,13 @@ def write_json(path, obj) -> None:
         fh.write(b"\n")
 
 
-def _column_cells(column: np.ndarray, out: np.ndarray) -> None:
-    """Write the CSV text of one block of a float64 or integer column into the text words of ``out``."""
-    if column.dtype == np.float64:
-        distinct, inverse = _distinct(column)
-        if inverse is None:
-            _float_cells(column, out)
-        else:
-            cells = np.empty((len(distinct), _TEXT), _U)
-            _float_cells(distinct, cells)
-            np.take(cells, inverse, axis=0, out=out[:, :_TEXT])
-        return
-    out[:, :3] = column.astype("S24").view(_U).reshape(-1, 3)  # str() of each integer
-    out[:, 3] = 0
-
-
 def write_csv(path, header, columns: Sequence[np.ndarray], preamble=()) -> None:
     """Write a table given as equal-length columns; floats at full precision.
 
     Each column is a 1-D float64 array, formatted as a float vector (each
     distinct value of a block once), or a 1-D integer array; any other
-    column is a TypeError, raised before the file is opened.  ``preamble``
-    lines (the effective configuration) are embedded as '#' comments ahead
-    of the header.
+    column is a TypeError, raised before the file is opened.  Each
+    ``preamble`` line is written as a '#' comment ahead of the header.
     """
     for column in columns:
         array = isinstance(column, np.ndarray)

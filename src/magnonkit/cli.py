@@ -8,18 +8,21 @@ the schema are refused; keys of another command are ignored, so one file
 can serve several commands (``validate`` and ``solve`` of the same
 problem, say), and the embedded configuration lists only the keys the
 command read.  ``dynamics`` reads the solver's keys (``thermal.beta`` and
-``solve.*``) only when ``dynamics.initial = equilibrium``.  A ``cmd_*``
+``solve.*``) only when ``dynamics.initial = equilibrium``, the
+``dynamics.packet_*`` keys only when it is ``packet``.  A ``cmd_*``
 function takes only the resolved configuration and computes; :func:`_emit`
-writes the artifacts with the effective configuration embedded (a leading
-``"config"`` JSON key, ``# key = value`` CSV preamble lines) so results are
-reproducible and diffable, prints the summary and maps the verdict to an
-exit code.  ``output.format`` is the one format switch: a command that
-reads it writes one artifact in that format, whose embedded configuration
-reruns to the same bytes; ``dynamics`` writes both of its files.  No
-command takes a thread count: the oracle builds its blocks serially.  Exit
-codes: 0 success, 1 a scientific condition failed, 2 usage or I/O failure,
-3 internal error (a bug or a failed internal consistency check, never a
-verdict on the physics).
+writes the artifacts, prints the summary and maps the verdict to an exit
+code.  An artifact embeds the effective configuration, so results are
+reproducible and diffable: a JSON artifact as a leading ``"config"``
+object, a CSV as '#' lines of ``key = value`` ahead of the marker line
+``# results`` and the result lines of :func:`_results`.  ``output.format``
+is the one format switch: a command that reads it writes one artifact in
+that format, whose embedded configuration reruns to the same bytes;
+``dynamics`` writes both of its files.  No command takes a thread count:
+the oracle builds its blocks serially.  Exit codes: 0 success, 1 a
+scientific condition failed, 2 usage or I/O failure, 3 internal error (a
+bug or a failed internal consistency check, never a verdict on the
+physics).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import os
 import sys
 import traceback
 from collections.abc import Callable
-from dataclasses import astuple
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +51,7 @@ from .dynamics import (
     total_number,
 )
 from .lattice import DEFAULT_GAP_TOL, LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
-from .oracle import convergence_study
+from .oracle import ConvergenceRow, convergence_study
 from .sectors import sector_decomposition
 from .spinwave import DEFAULT_SOLVE_TOL, RegimeError, ThermalParams, solve_magnetization
 
@@ -121,10 +124,7 @@ _SCHEMA = {
 _PROBLEM_KEYS = ("lattice.dimension", "lattice.size", "couplings.path", "field.h")
 _SOLVE_KEYS = ("thermal.beta", "solve.tol")
 _ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index", "oracle.mode")
-_DYNAMICS_KEYS = (
-    "dynamics.m", "dynamics.times", "dynamics.initial", "dynamics.packet_center",
-    "dynamics.packet_width", "dynamics.packet_kick", "dynamics.conservation_tol",
-)
+_DYNAMICS_KEYS = ("dynamics.m", "dynamics.times", "dynamics.initial", "dynamics.conservation_tol")
 
 
 def read_config(path) -> dict[str, str]:
@@ -193,7 +193,6 @@ class Output(NamedTuple):
     doc: dict
     header: list[str]
     columns: list[np.ndarray]
-    preamble: list[str]
     lines: list[str]
     passed: bool = True
     failure: str | None = None  # stderr line of a run that did not pass
@@ -204,14 +203,12 @@ def _load_problem(cfg: RunConfig, tol: float = DEFAULT_GAP_TOL, require_regime: 
 
     The report's ``gap_values`` are the one gap grid of the run.
     """
-    dimension = cfg["lattice.dimension"]
-    size = cfg["lattice.size"]
-    lattice = LatticeSpec(dimension=dimension, size=size)
+    lattice = LatticeSpec(dimension=cfg["lattice.dimension"], size=cfg["lattice.size"])
     grid = MomentumGrid.from_lattice(lattice)
     path = cfg["couplings.path"]
     if not Path(path).exists():
         raise OSError(f"coupling CSV not found: {path}")
-    couplings = load_couplings_csv(path, dimension, cfg["field.h"])
+    couplings = load_couplings_csv(path, lattice.dimension, cfg["field.h"])
     report = validate_ferromagnetic(couplings, grid, tol=tol)
     if require_regime and not report.passed:
         raise RegimeError("; ".join(report.messages))
@@ -232,17 +229,11 @@ def cmd_validate(cfg: RunConfig) -> Output:
     }
     header = [f"q{i + 1}" for i in range(lattice.dimension)] + ["D"]
     columns = [grid.points[:, i] for i in range(lattice.dimension)] + [report.gap_values]
-    preamble = [
-        f"gap_ok = {report.gap_ok}",
-        f"field_ok_strict = {report.field_ok_strict}",
-        f"field_ok_relaxed = {report.field_ok_relaxed}",
-        f"minimizing_q = {' '.join(fmt(v) for v in report.minimizing_momentum)}",
-    ]
     lines = report.messages + [
         f"gap_ok={report.gap_ok} field_ok_strict={report.field_ok_strict} "
         f"field_ok_relaxed={report.field_ok_relaxed}"
     ]
-    return Output(doc, header, columns, preamble, lines, report.passed)
+    return Output(doc, header, columns, lines, report.passed)
 
 
 def cmd_solve(cfg: RunConfig) -> Output:
@@ -263,15 +254,9 @@ def cmd_solve(cfg: RunConfig) -> Output:
     columns = [grid.points[:, i] for i in range(lattice.dimension)] + [
         solution.gap_values, solution.occupations, solution.dispersion
     ]
-    preamble = [
-        f"m_star = {fmt(solution.m_star)}",
-        f"residual = {fmt(solution.residual)}",
-        f"bound = {fmt(solution.bound)}",
-        "roots = " + " ".join(fmt(r) for r in solution.all_roots),
-    ]
     lines = [f"m_star={fmt(solution.m_star)} residual={fmt(solution.residual)} "
              f"bound={fmt(solution.bound)} roots={len(solution.all_roots)}"]
-    return Output(doc, header, columns, preamble, lines)
+    return Output(doc, header, columns, lines)
 
 
 def cmd_oracle(cfg: RunConfig) -> Output:
@@ -291,16 +276,15 @@ def cmd_oracle(cfg: RunConfig) -> Output:
         mode=cfg["oracle.mode"],
         gaps=report.gap_values,
     )
-    header = ["n", "m_n", "t_n", "p_n", "discrepancy", "rounding_floor", "logZ",
-              "ground_energy", "representatives", "max_sector_dim"]
-    rows = [astuple(r) for r in study]
-    lines = [f"n={n} m_n={fmt(m)} t_n={fmt(t)} p_n={fmt(p)} discrepancy={fmt(d)}"
-             for n, m, t, p, d, *_ in rows]
+    header = [field.name for field in fields(ConvergenceRow)]
+    rows = [asdict(row) for row in study]
+    lines = [f"n={r.n} m_n={fmt(r.m_n)} t_n={fmt(r.t_n)} p_n={fmt(r.p_n)} discrepancy={fmt(r.discrepancy)}"
+             for r in study]
     # a step passes when the discrepancy decreases or is at most its rounding floor, where its order is noise
     monotone = all(b.discrepancy < a.discrepancy or b.discrepancy <= b.rounding_floor
                    for a, b in zip(study, study[1:]))
-    doc = {"rows": [dict(zip(header, row)) for row in rows]}
-    return Output(doc, header, [np.array(column) for column in zip(*rows)], [], lines, monotone,
+    columns = [np.array([row[name] for row in rows]) for name in header]
+    return Output({"rows": rows}, header, columns, lines, monotone,
                   "discrepancy column is not monotone decreasing")
 
 
@@ -316,18 +300,18 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
             f"dynamics on {lattice.n_sites} sites needs a {snapshot_bytes}-byte dense snapshot "
             f"covariance, above the limit of {MAX_SNAPSHOT_BYTES} bytes (MAX_SNAPSHOT_BYTES)"
         )
-    m_text = cfg.effective["dynamics.m"]
+    m = cfg["dynamics.m"]
     if cfg["dynamics.initial"] == "equilibrium":
-        if m_text:
+        if m is not None:
             raise ValueError("dynamics.m conflicts with dynamics.initial = equilibrium")
         params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
         solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=report.gap_values)
         state = equilibrium_state(solution)
     else:
-        if not m_text:
+        if m is None:
             raise ValueError("dynamics.initial = packet requires dynamics.m")
         state = packet_state(
-            cfg["dynamics.m"], grid, couplings, cfg["field.h"],
+            m, grid, couplings, cfg["field.h"],
             center=cfg["dynamics.packet_center"], width=cfg["dynamics.packet_width"],
             kick_index=cfg["dynamics.packet_kick"],
         )
@@ -337,12 +321,12 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
     number0 = total_number(state)
     energy0 = total_energy(state)
     densities = np.empty((len(times), lattice.n_sites))
-    drift_n = drift_e = 0.0
+    drifts = np.empty((len(times), 2))
     for k, t in enumerate(times):
         evolved = evolve(state, t)
-        drift_n = max(drift_n, abs(total_number(evolved) - number0))
-        drift_e = max(drift_e, abs(total_energy(evolved) - energy0))
+        drifts[k] = abs(total_number(evolved) - number0), abs(total_energy(evolved) - energy0)
         densities[k] = number_density(evolved)
+    drift_n, drift_e = drifts.max(axis=0, initial=0.0).tolist()  # a NaN drift stays NaN and fails below
     conserved = drift_n <= tol and drift_e <= tol
 
     # one row per (sample, site), samples outer
@@ -365,22 +349,19 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
     lines = [f"samples={len(times)} number={fmt(number0)} energy={fmt(energy0)} "
              f"conserved={conserved} max_number_drift={fmt(drift_n)} "
              f"max_energy_drift={fmt(drift_e)}"]
-    return Output(snapshot, header, columns, [], lines, conserved,
-                  f"conservation drift exceeded {fmt(tol)}")
+    return Output(snapshot, header, columns, lines, conserved,
+                  f"conservation drift exceeds {fmt(tol)} or is not finite")
 
 
 def cmd_sectors(cfg: RunConfig) -> Output:
     table = sector_decomposition(cfg["sectors.copies"])
     header = ["j", "multiplicity", "dim"]
     rows = [[e.j, e.multiplicity, e.dim] for e in table.entries]
-    doc = {
-        "copies": table.copies,
-        "total_dimension": table.total_dimension(),
-        "entries": [dict(zip(header, row)) for row in rows],
-    }
+    doc = {"copies": table.copies, "total_dimension": table.total_dimension(),
+           "entries": [dict(zip(header, row)) for row in rows]}
     lines = [f"j={fmt(j)} multiplicity={mult} dim={dim}" for j, mult, dim in rows]
     lines.append(f"total_dimension={table.total_dimension()}")
-    return Output(doc, header, [np.array(column) for column in zip(*rows)], [], lines)
+    return Output(doc, header, [np.array(column) for column in zip(*rows)], lines)
 
 
 class Command(NamedTuple):
@@ -411,13 +392,30 @@ COMMANDS = {
     "dynamics": Command(
         cmd_dynamics, "evolve a Gaussian magnon state and emit trajectories",
         _PROBLEM_KEYS + _DYNAMICS_KEYS, "snapshot.json", "trajectory.csv",
-        keys_if=(("dynamics.initial", "equilibrium", _SOLVE_KEYS),),
+        keys_if=(
+            ("dynamics.initial", "equilibrium", _SOLVE_KEYS),
+            ("dynamics.initial", "packet",
+             ("dynamics.packet_center", "dynamics.packet_width", "dynamics.packet_kick")),
+        ),
     ),
     "sectors": Command(
         cmd_sectors, "print the permutation-symmetry sector table",
         ("sectors.copies", "output.format"), "sectors.json", "sectors.csv",
     ),
 }
+
+
+def _results(doc: dict) -> list[str]:
+    """A CSV's ``key = value`` result lines: each bool, int, float or float list (space-joined) of the JSON body."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, float):
+            lines.append(f"{key} = {fmt(value)}")
+        elif isinstance(value, int):  # bools print True/False
+            lines.append(f"{key} = {value}")
+        elif isinstance(value, list) and all(isinstance(v, float) for v in value):
+            lines.append(f"{key} = {' '.join(map(fmt, value))}")
+    return lines
 
 
 def _emit(args) -> int:
@@ -432,7 +430,7 @@ def _emit(args) -> int:
     if "json" in formats:
         write_json(out / command.json, {"config": config, **output.doc})
     if "csv" in formats:
-        preamble = [f"{key} = {value}" for key, value in config.items()] + output.preamble
+        preamble = [f"{key} = {value}" for key, value in config.items()] + ["results"] + _results(output.doc)
         write_csv(out / command.csv, output.header, output.columns, preamble)
     for line in output.lines:
         print(line)

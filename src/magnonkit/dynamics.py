@@ -197,12 +197,18 @@ def evolve(state: GaussianMagnonState, t: float) -> GaussianMagnonState:
     Mode q picks up exp(-i*m*eps(q)*t), so gamma_mode[q, q'] acquires
     exp(-i*m*(eps(q) - eps(q'))*t): the occupations stay and each amplitude
     is multiplied by the phases.  Mode occupations, total number and total
-    energy are conserved.
+    energy are conserved.  A time whose phases m*eps(q)*t overflow is a
+    ValueError, raised before any phase is formed.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     if t == 0.0:
         return state
+    # Python floats overflow to inf without a warning, and rounding is monotone:
+    # every phase is finite exactly when the largest, formed in the same order, is
+    top = abs(float(state.m)) * float(np.abs(state.spectrum).max())
+    if not math.isfinite(top * abs(float(t))):
+        raise ValueError(f"time {t!r}: the phases m*eps(q)*t overflow (max |m*eps(q)| = {top!r})")
     phases = np.exp(-1j * state.m * state.spectrum * t)
     return state._replace(amplitudes=state.amplitudes * phases)
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
 from .sectors import check_copies, sector_decomposition
-from .spinwave import ThermalParams, occupation
+from .spinwave import RegimeError, ThermalParams, occupation
 
 MAX_SECTOR_BLOCK_DIM = 10_000
 # At the cap (n=3 on 4 sites) a full build takes about 15 s and 0.95 GB peak RSS
@@ -659,14 +659,17 @@ def wick_residual(ensemble: GibbsEnsemble, q) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One rung of a convergence study.
+    """One rung of a convergence study; its fields are the columns of ``convergence.json`` and ``.csv``, in order.
 
-    ``rounding_floor`` is the a-priori rounding bound of the discrepancy: that
-    of t_n's N^2-term phase sum, N^2 eps sum_xy |<S+(x) S-(y)>| / (N n); that
-    of t_n's Gibbs weights, 2 beta max_i |E_i| eps |t_n|, since each weight
-    exp(-beta (E - E0)) carries up to beta (|E| + |E0|) eps from its
-    energies; and p_n's first-order rounding through m_n, |dp/dm| T eps |m_n|
-    for the T terms summed into sigma3, with
+    The copy count ``n``, the oracle's magnetization ``m_n``, the exact
+    two-point function ``t_n`` at q, its spin-wave prediction ``p_n`` and the
+    ``discrepancy`` |t_n - p_n|.  ``rounding_floor`` is the a-priori
+    rounding bound of the discrepancy: that of t_n's N^2-term phase sum,
+    N^2 eps sum_xy |<S+(x) S-(y)>| / (N n); that of t_n's Gibbs weights,
+    2 beta max_i |E_i| eps |t_n|, since each weight exp(-beta (E - E0))
+    carries up to beta (|E| + |E0|) eps from its energies; and p_n's
+    first-order rounding through m_n, |dp/dm| T eps |m_n| for the T terms
+    summed into sigma3, with
     dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).  A discrepancy at or below it
     is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
     ``representatives`` counts the orbits under translations and inversion
@@ -674,10 +677,10 @@ class ConvergenceRow:
     matrix passed to ``eigh``.
     """
 
-    copies: int
-    magnetization: float
-    two_point: float
-    prediction: float
+    n: int
+    m_n: float
+    t_n: float
+    p_n: float
     discrepancy: float
     rounding_floor: float
     logZ: float
@@ -704,7 +707,8 @@ def convergence_study(
     a point of the lattice's momentum grid (ValueError otherwise), and every
     rung's copy count (by its ``SpinConfig``) and size caps are checked before
     the first one is built.  ``gaps`` are the grid's exchange gaps if the
-    caller has them; the study computes them at most once.
+    caller has them; the study computes them at most once.  A rung whose
+    magnetization is positive (not ordered along -S3) is a RegimeError.
     """
     configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]
     for config in configs:
@@ -719,8 +723,10 @@ def convergence_study(
     for config in configs:
         ensemble = build_gibbs(config, beta, mode=mode)
         m_n = ensemble.sigma3
-        if not -1.0 - 1e-9 <= m_n <= 1e-9:
-            raise AssertionError(f"oracle magnetization {m_n} outside [-1, 0]")
+        if m_n > 1e-9:
+            raise RegimeError(f"oracle magnetization {m_n} > 0 at n={config.copies}: not ordered along -S3")
+        if not m_n >= -1.0 - 1e-9:  # NaN included
+            raise AssertionError(f"oracle magnetization {m_n} not >= -1")
         m_n = float(np.clip(m_n, -1.0, 0.0))
         t_n = fluctuation_two_point(ensemble, q)
         p_n = float(occupation(m_n, params, couplings, grid, gaps)[index])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -234,6 +235,12 @@ thermal.beta = 2.0
 dynamics.times = 0.0,0.5,1.0
 """
 
+PACKET_CONF = (
+    DYNAMICS_CONF
+    + "dynamics.initial = packet\ndynamics.m = -0.8\ndynamics.packet_center = 3\n"
+    + "dynamics.packet_kick = 2\ndynamics.packet_width = 1.5\n"
+)
+
 ARTIFACTS = {"validate": "validate", "solve": "solution", "oracle": "convergence", "sectors": "sectors"}
 COMMAND_CONF = {"validate": BASE_CONF, "solve": BASE_CONF, "oracle": ORACLE_CONF,
                 "sectors": "sectors.copies = 5\n"}
@@ -245,6 +252,7 @@ EMIT_CASES = {
     for form in ("json", "csv")
 }
 EMIT_CASES["dynamics"] = ("dynamics", DYNAMICS_CONF, ["snapshot.json", "trajectory.csv"])
+EMIT_CASES["dynamics-packet"] = ("dynamics", PACKET_CONF, ["snapshot.json", "trajectory.csv"])
 
 
 class TestSolveCommand:
@@ -331,8 +339,8 @@ class TestSolveCommand:
                 assert next(iter(doc)) == "config"
                 assert list(doc["config"].items()) == effective
             else:
-                preamble = data.decode().splitlines()[: len(effective)]
-                assert preamble == [f"# {key} = {value}" for key, value in effective]
+                preamble = data.decode().splitlines()[: len(effective) + 1]
+                assert preamble == [f"# {key} = {value}" for key, value in effective] + ["# results"]
 
     def test_csv_artifact(self, workspace):
         tmp_path, make = workspace
@@ -494,6 +502,33 @@ class TestOracleCommand:
         assert len(lines) == header_at + 3
 
 
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    def test_columns_are_the_convergence_row_fields(self, form, workspace):
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF + f"output.format = {form}\n")
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        names = [field.name for field in dataclasses.fields(oracle.ConvergenceRow)]
+        if form == "json":
+            rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+            assert [list(row) for row in rows] == [names, names]
+        else:
+            lines = (tmp_path / "convergence.csv").read_text().splitlines()
+            table = [line.split(",") for line in lines if not line.startswith("#")]
+            assert table[0] == names
+            assert [len(row) for row in table[1:]] == [len(names)] * 2
+
+    def test_positive_magnetization_is_a_regime_failure(self, workspace, capsys):
+        # on one site J(+-1) folds onto the site itself, and the exact state orders along +S3
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 1")
+                    .replace("field.h = 2.5", "field.h = 0.5").replace("oracle.q_index = 1", "oracle.q_index = 0"))
+        assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("regime failure: oracle magnetization 0.90514825364486")
+        assert "> 0 at n=1" in err
+        assert not (tmp_path / "convergence.json").exists()
+
+
 class TestDynamicsCommand:
     def test_equilibrium_run(self, workspace):
         tmp_path, make = workspace
@@ -571,12 +606,7 @@ class TestDynamicsCommand:
         # the command evolves in the mode basis; every density and the snapshot
         # must equal, digit for digit, evolving the site-basis packet directly
         tmp_path, make = workspace
-        conf = make(
-            DYNAMICS_CONF
-            + "dynamics.initial = packet\ndynamics.m = -0.8\ndynamics.packet_center = 3\n"
-            + "dynamics.packet_kick = 2\ndynamics.packet_width = 1.5\n"
-        )
-        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        assert main(["dynamics", "--config", str(make(PACKET_CONF)), "--out", str(tmp_path)]) == 0
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 8))
         couplings = CouplingSet.nearest_neighbor(1, j=1.0, j3=1.0, h=0.5)
         state = packet_state(-0.8, grid, couplings, 0.5, center=3, width=1.5, kick_index=2)
@@ -591,17 +621,11 @@ class TestDynamicsCommand:
         assert snapshot["gamma_mode_real"] == state.to_mode().gamma.real.tolist()
 
 
-    PACKET_CONF = (
-        DYNAMICS_CONF
-        + "dynamics.initial = packet\ndynamics.m = -0.8\ndynamics.packet_center = 3\n"
-        + "dynamics.packet_kick = 2\ndynamics.packet_width = 1.5\n"
-    )
-
     def test_packet_reads_no_solver_keys(self, workspace):
         # thermal.beta and solve.* apply only to dynamics.initial = equilibrium
         tmp_path, make = workspace
-        bare = make(self.PACKET_CONF.replace("thermal.beta = 2.0\n", ""), name="bare.conf")
-        full = make(self.PACKET_CONF + "solve.tol = 1e-9\n", name="full.conf")
+        bare = make(PACKET_CONF.replace("thermal.beta = 2.0\n", ""), name="bare.conf")
+        full = make(PACKET_CONF + "solve.tol = 1e-9\n", name="full.conf")
         runs = []
         for conf in (bare, full):
             out = tmp_path / conf.stem
@@ -609,7 +633,8 @@ class TestDynamicsCommand:
             runs.append({f: (out / f).read_bytes() for f in ("snapshot.json", "trajectory.csv")})
         assert runs[0] == runs[1]
         config = json.loads(runs[0]["snapshot.json"])["config"]
-        assert sorted(config) == sorted(set(cli.COMMANDS["dynamics"].keys))
+        packet = ("dynamics.packet_center", "dynamics.packet_kick", "dynamics.packet_width")
+        assert sorted(config) == sorted(cli.COMMANDS["dynamics"].keys + packet)
         assert not any(key.startswith(("thermal.", "solve.")) for key in config)
 
     def test_equilibrium_requires_thermal_beta(self, workspace, capsys):
@@ -624,7 +649,7 @@ class TestDynamicsCommand:
 
     def test_packet_rerun_is_byte_identical(self, workspace):
         tmp_path, make = workspace
-        conf = make(self.PACKET_CONF)
+        conf = make(PACKET_CONF)
         runs = []
         for name in ("first", "second"):
             assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path / name)]) == 0
@@ -635,7 +660,7 @@ class TestDynamicsCommand:
     def test_packet_width_not_positive_exits_2(self, width, workspace, capsys):
         # 1e-320 is positive, but 2 * width**2 underflows to 0
         tmp_path, make = workspace
-        conf = make(self.PACKET_CONF.replace("packet_width = 1.5", f"packet_width = {width}"))
+        conf = make(PACKET_CONF.replace("packet_width = 1.5", f"packet_width = {width}"))
         out = tmp_path / "out"
         assert main(["dynamics", "--config", str(conf), "--out", str(out)]) == 2
         assert f"packet width must be > 0 with 2*width**2 > 0, got {float(width)}" in capsys.readouterr().err
@@ -643,7 +668,7 @@ class TestDynamicsCommand:
 
     def test_packet_width_whose_square_overflows_is_flat(self, workspace):
         tmp_path, make = workspace
-        conf = make(self.PACKET_CONF.replace("packet_width = 1.5", "packet_width = 1e300"))
+        conf = make(PACKET_CONF.replace("packet_width = 1.5", "packet_width = 1e300"))
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         densities = np.array([float(line.split(",")[-1]) for line in lines if line[0].isdigit()])
@@ -654,7 +679,7 @@ class TestDynamicsCommand:
         # the snapshot reports the largest sampled drift of number and energy,
         # here one or a few roundings each
         tmp_path, make = workspace
-        conf = make(self.PACKET_CONF)
+        conf = make(PACKET_CONF)
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert list(snapshot)[-2:] == ["max_number_drift", "max_energy_drift"]
@@ -669,6 +694,34 @@ class TestDynamicsCommand:
         assert (f"conserved=True max_number_drift={fmt(snapshot['max_number_drift'])} "
                 f"max_energy_drift={fmt(snapshot['max_energy_drift'])}\n") in out
 
+    def test_non_finite_drift_fails_the_verdict(self, workspace, capsys, monkeypatch):
+        # a NaN drift after a finite one must not vanish in the running maximum
+        counts = []
+
+        def nan_at_the_second_sample(state):
+            counts.append(None)
+            # call 1 is the initial number, calls 2-4 the samples at t = 0, 0.5, 1
+            return math.nan if len(counts) == 3 else total_number(state)
+
+        monkeypatch.setattr(cli, "total_number", nan_at_the_second_sample)
+        tmp_path, make = workspace
+        assert main(["dynamics", "--config", str(make(PACKET_CONF)), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "conserved=False max_number_drift=nan" in captured.out
+        assert captured.err == "conservation drift exceeds 1e-10 or is not finite\n"
+        assert '"max_number_drift": nan,' in (tmp_path / "snapshot.json").read_text()
+
+    def test_overflowing_phases_exit_2(self, workspace, capsys):
+        # m eps(q) t exceeds the float range at t = 1e308: refused before a phase or a file is made
+        tmp_path, make = workspace
+        conf = make(PACKET_CONF.replace("dynamics.times = 0.0,0.5,1.0", "dynamics.times = 1,1e308")
+                    .replace("dynamics.m = -0.8", "dynamics.m = -0.5"))
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: time 1e+308: the phases m*eps(q)*t overflow")
+        assert not out.exists()
+
     def test_oversized_snapshot_refused_before_any_state(self, workspace, capsys, monkeypatch):
         def no_state(*args, **kwargs):
             raise AssertionError("a state was built")
@@ -677,7 +730,7 @@ class TestDynamicsCommand:
         monkeypatch.setattr(cli, "packet_state", no_state)
         monkeypatch.setattr(cli, "solve_magnetization", no_state)
         tmp_path, make = workspace
-        for conf in (DYNAMICS_CONF, self.PACKET_CONF):
+        for conf in (DYNAMICS_CONF, PACKET_CONF):
             assert main(["dynamics", "--config", str(make(conf)), "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: dynamics on 8 sites needs a 1024-byte dense snapshot")
@@ -726,8 +779,24 @@ def test_oracle_and_sectors_refuse_a_copy_count_alike(copies, message, workspace
 GOLDEN_CASES = {
     **{case: EMIT_CASES[case] for case in EMIT_CASES if case != "dynamics"},
     "dynamics-equilibrium": EMIT_CASES["dynamics"],
-    "dynamics-packet": ("dynamics", TestDynamicsCommand.PACKET_CONF, ["snapshot.json", "trajectory.csv"]),
 }
+
+
+# the JSON body's entries that a CSV preamble lists after its '# results' marker, in body order
+CSV_RESULTS = {
+    "validate": ["gap_ok", "field_ok_strict", "field_ok_relaxed", "gap_at_zero", "minimum_gap", "minimizing_q"],
+    "solve": ["m_star", "residual", "bound", "roots"],
+    "oracle": [],
+    "dynamics": ["m", "max_number_drift", "max_energy_drift"],
+    "sectors": ["copies", "total_dimension"],
+}
+
+
+def result_line(key, value) -> str:
+    """A CSV result line: floats at full precision, a list space-joined, bools as True/False."""
+    if isinstance(value, list):
+        return f"{key} = " + " ".join(fmt(v) for v in value)
+    return f"{key} = {fmt(value) if isinstance(value, float) else value}"
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
@@ -746,28 +815,35 @@ def test_artifacts_equal_the_reference_writers(case, workspace):
         if name.endswith(".json"):
             assert text == reference_dumps({"config": config, **output.doc})
         else:
-            preamble = [f"{key} = {value}" for key, value in config.items()] + output.preamble
+            results = [result_line(key, output.doc[key]) for key in CSV_RESULTS[command]]
+            preamble = [f"{key} = {value}" for key, value in config.items()] + ["results"] + results
             assert text == reference_csv(output.header, output.columns, preamble)
 
 
 def embedded_config(path: Path) -> dict[str, str]:
-    """The configuration an artifact embeds: its "config" object, or its '# key = value' lines of config keys."""
+    """The configuration an artifact embeds: its "config" object, or its '# key = value' lines ahead of '# results'."""
     if path.suffix == ".json":
         return json.loads(path.read_text())["config"]
-    lines = (line[2:].partition(" = ") for line in path.read_text().splitlines() if line.startswith("# "))
-    return {key: value for key, _, value in lines if key in cli._SCHEMA}
+    lines = path.read_text().splitlines()
+    return dict(line[2:].split(" = ", 1) for line in lines[:lines.index("# results")])
 
 
 @pytest.mark.parametrize("case", EMIT_CASES)
-def test_embedded_config_reruns_to_the_same_bytes(case, workspace):
-    # each artifact's own configuration, written back to a config file, reproduces the run's files
+def test_embedded_config_reruns_to_the_same_bytes(case, workspace, monkeypatch):
+    # each artifact's own configuration, written back to a config file, reproduces the run's
+    # files, and holds exactly the keys the run read
     command, body, names = EMIT_CASES[case]
     tmp_path, make = workspace
     first = tmp_path / "first"
+    read = set()
+    getitem = cli.RunConfig.__getitem__
+    monkeypatch.setattr(cli.RunConfig, "__getitem__", lambda cfg, key: read.add(key) or getitem(cfg, key))
     assert main([command, "--config", str(make(body)), "--out", str(first)]) == 0
     for name in names:
+        embedded = embedded_config(first / name)
+        assert set(embedded) == read
         conf = tmp_path / f"{name}.conf"
-        conf.write_text("".join(f"{key} = {value}\n" for key, value in embedded_config(first / name).items()))
+        conf.write_text("".join(f"{key} = {value}\n" for key, value in embedded.items()))
         rerun = tmp_path / f"rerun-{name}"
         assert main([command, "--config", str(conf), "--out", str(rerun)]) == 0
         assert sorted(p.name for p in rerun.iterdir()) == sorted(names)
@@ -789,6 +865,19 @@ class TestParser:
             cli.build_parser().parse_args([command, "--config", "x.conf", flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_schema_and_commands_agree():
+    # every schema key is read by some command, and every key a command lists is in the schema;
+    # a keys_if switch is one of its command's keys and its value one that the key parses to
+    listed = set()
+    for command in cli.COMMANDS.values():
+        listed.update(command.keys)
+        for switch, value, group in command.keys_if:
+            assert switch in command.keys
+            assert cli._SCHEMA[switch][0](value) == value
+            listed.update(group)
+    assert listed == set(cli._SCHEMA)
 
 
 class TestConfigParsing:
@@ -908,7 +997,7 @@ def test_benchmark_wrap_points_record_spans(workspace):
     tmp_path, make = workspace
     solve_conf = make(BASE_CONF, name="solve.conf")
     oracle_conf = make(ORACLE_CONF, name="oracle.conf")
-    packet_conf = make(TestDynamicsCommand.PACKET_CONF, name="packet.conf")
+    packet_conf = make(PACKET_CONF, name="packet.conf")
     recorder = spans.Recorder()
     instruments = spans.Instruments(magnonkit, recorder)
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, *_ in instruments.points]

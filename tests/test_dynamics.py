@@ -261,6 +261,17 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, math.inf)
 
+    def test_rejects_overflowing_phases_before_forming_them(self):
+        # numpy warnings are errors here: a phase m*eps(q)*t formed past the float range would
+        # raise RuntimeWarning instead of the ValueError; one just inside it evolves
+        state = random_state(np.random.default_rng(6))
+        limit = np.finfo(float).max / (abs(state.m) * state.spectrum.max())
+        for t in (2.0 * limit, -2.0 * limit):
+            with pytest.raises(ValueError, match="phases m\\*eps\\(q\\)\\*t overflow"):
+                evolve(state, t)
+        for t in (0.5 * limit, -0.5 * limit):
+            assert np.isfinite(evolve(state, t).amplitudes).all()
+
 
 class TestNumberDensity:
     def test_zero_state(self):

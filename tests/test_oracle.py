@@ -454,23 +454,23 @@ class TestConvergenceStudy:
         rows = convergence_study(CHAIN2, ISO25, beta=1.0, q=Q_PI, copies_list=[1, 3])
         params = ThermalParams(1.0, ISO25.h)
         for row in rows:
-            assert -1.0 <= row.magnetization <= 0.0
-            assert row.discrepancy == pytest.approx(abs(row.two_point - row.prediction))
+            assert -1.0 <= row.m_n <= 0.0
+            assert row.discrepancy == pytest.approx(abs(row.t_n - row.p_n))
             # the solver's grid formula at q, bit for bit
-            assert row.prediction == occupation(row.magnetization, params, ISO25, GRID2)[1]
+            assert row.p_n == occupation(row.m_n, params, ISO25, GRID2)[1]
             # the rounding bound of t_n's 4-term phase sum on the 2-site chain, plus that of
             # its Gibbs weights at beta = 1 from the largest |energy|, plus p_n's first-order
             # rounding through m_n: sigma3 sums the 2 sites' values over the
             # (sum_j (2j + 1))**2 = ((n + 1)(n + 3)/4)**2 states of the per-site spin assignments
-            ensemble = build_gibbs(SpinConfig(row.copies, CHAIN2, ISO25), beta=1.0)
-            eps, m, p = np.finfo(float).eps, row.magnetization, row.prediction
+            ensemble = build_gibbs(SpinConfig(row.n, CHAIN2, ISO25), beta=1.0)
+            eps, m, p = np.finfo(float).eps, row.m_n, row.p_n
             gap = exchange_gap_grid(ISO25, GRID2)[1]
             x = 2.0 * (ISO25.h - m * gap)
             slope = p * (1.0 / m + 2.0 * gap * math.exp(x) / math.expm1(x))
-            floor_t = 4 * eps * np.abs(ensemble.two_point_pm).sum() / (2 * row.copies)
+            floor_t = 4 * eps * np.abs(ensemble.two_point_pm).sum() / (2 * row.n)
             energy = max(np.abs(rep.energies).max() for rep, _ in ensemble.orbits)
-            floor_w = 2.0 * energy * eps * abs(row.two_point)
-            terms = 2 * ((row.copies + 1) * (row.copies + 3) // 4) ** 2
+            floor_w = 2.0 * energy * eps * abs(row.t_n)
+            terms = 2 * ((row.n + 1) * (row.n + 3) // 4) ** 2
             floor_p = abs(slope) * terms * eps * abs(m)
             assert row.rounding_floor == pytest.approx(floor_t + floor_w + floor_p, rel=1e-12, abs=0)
             assert row.rounding_floor < 1e-6 * row.discrepancy  # warm: far from the noise
@@ -489,8 +489,8 @@ class TestConvergenceStudy:
         rows_a = convergence_study(lattice, couplings, 1.0, grid.points[1], [1, 3])
         rows_b = convergence_study(lattice, couplings, 1.0, grid.points[3], [1, 3])
         for a, b in zip(rows_a, rows_b):
-            assert a.prediction == pytest.approx(b.prediction, abs=1e-14)
-            assert a.two_point == pytest.approx(b.two_point, abs=1e-12)
+            assert a.p_n == pytest.approx(b.p_n, abs=1e-14)
+            assert a.t_n == pytest.approx(b.t_n, abs=1e-12)
 
 
 def test_site_average_variance_shrinks():
