@@ -1,11 +1,12 @@
 """Deterministic JSON and CSV artifact writers.
 
-Every float is printed as ``'%.17g' % value`` (17 significant digits) so
+Every float is printed as ``'%.17g' % value`` (17 significant digits), in
+JSON a non-finite one as ``json.dumps`` does (``NaN``, ``Infinity``), so
 artifacts round-trip exactly and rerunning a command reproduces
 byte-identical files.  JSON is produced as a stream of byte chunks that
-:func:`write_json` writes to the file as they come, so a large float array
-is formatted a block at a time and never exists as one Python list or one
-string.  :func:`write_csv` takes its table as equal-length columns and
+:func:`write_json` writes to the file as they come, so a large finite float
+array is formatted a block at a time and never exists as one Python list or
+one string.  :func:`write_csv` takes its table as equal-length columns and
 writes it a block of rows at a time.  Both write in binary mode.
 
 Every run of floats (a JSON vector block, a JSON matrix row, a block of
@@ -30,7 +31,8 @@ cells, one row of cells per CSV row.  A 2-D float64 array is not grouped:
 a block of whole rows (at least ``_BLOCK`` values) per call, each row one
 run, written as it is made.  In JSON, narrower float arrays go through
 ``tolist()``, which widens them exactly, like int arrays, and a list's
-items are written one by one.
+items are written one by one; so does a float64 array that holds a
+non-finite value.
 
 The kernel gives the bytes of ``'%.17g'`` in vectorized numpy.  With
 k = floor(log10 |x|), it forms v = |x| 10**(16 - k) in double-double
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
@@ -331,7 +334,7 @@ def _float_array(array: np.ndarray, level: int) -> Iterator[bytes]:
 def _chunks(node, level: int) -> Iterator[bytes]:
     """The JSON text of ``node`` as a sequence of byte chunks."""
     if isinstance(node, np.ndarray):
-        if node.dtype == np.float64 and node.ndim in (1, 2) and node.size:
+        if node.dtype == np.float64 and node.ndim in (1, 2) and node.size and np.isfinite(node).all():
             yield from _float_array(node, level)
         else:
             yield from _chunks(node.tolist(), level)
@@ -346,8 +349,8 @@ def _chunks(node, level: int) -> Iterator[bytes]:
         yield b"true" if node else b"false"
     elif isinstance(node, int):
         yield str(node).encode()
-    elif isinstance(node, float):
-        yield fmt(node).encode()
+    elif isinstance(node, float):  # a non-finite one as json.dumps writes it: NaN, Infinity, -Infinity
+        yield (fmt(node) if math.isfinite(node) else json.dumps(node)).encode()
     elif isinstance(node, str):
         yield json.dumps(node).encode()  # ASCII: json.dumps escapes the rest
     elif isinstance(node, (dict, list, tuple)):

@@ -18,11 +18,14 @@ object, a CSV as '#' lines of ``key = value`` ahead of the marker line
 ``# results`` and the result lines of :func:`_results`.  ``output.format``
 is the one format switch: a command that reads it writes one artifact in
 that format, whose embedded configuration reruns to the same bytes;
-``dynamics`` writes both of its files.  No command takes a thread count:
-the oracle builds its blocks serially.  Exit codes: 0 success, 1 a
-scientific condition failed, 2 usage or I/O failure, 3 internal error (a
-bug or a failed internal consistency check, never a verdict on the
-physics).
+``dynamics`` writes both of its files.  No key sets a verdict's rule: every
+command judges the regime against ``lattice.GAP_TOL``, the oracle's ladder
+against each row's rounding floor, and conservation against the rounding
+bounds that ``snapshot.json`` records.  No command takes a thread count or
+an engine: the oracle builds its blocks serially, by sector.  Exit codes:
+0 success, 1 a scientific condition failed, 2 usage or I/O failure, 3
+internal error (a bug or a failed internal consistency check, never a
+verdict on the physics).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .dynamics import (
     total_energy,
     total_number,
 )
-from .lattice import DEFAULT_GAP_TOL, LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
+from .lattice import LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
 from .oracle import ConvergenceRow, convergence_study
 from .sectors import sector_decomposition
 from .spinwave import DEFAULT_SOLVE_TOL, RegimeError, ThermalParams, solve_magnetization
@@ -106,25 +109,22 @@ _SCHEMA = {
     "field.h": (_parse_nonnegative, None),
     "thermal.beta": (_parse_float, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
-    "validate.tol": (_parse_nonnegative, repr(DEFAULT_GAP_TOL)),
     "solve.tol": (_parse_positive, repr(DEFAULT_SOLVE_TOL)),
     "oracle.copies": (_parse_int_list, "1,3,5,7"),
     "oracle.q_index": (int, None),
-    "oracle.mode": (_parse_choice("sector", "full"), "sector"),
     "dynamics.m": (_parse_optional_float, ""),
     "dynamics.times": (_parse_float_list, ""),
     "dynamics.initial": (_parse_choice("equilibrium", "packet"), "equilibrium"),
     "dynamics.packet_center": (int, "0"),
     "dynamics.packet_width": (_parse_float, "1.0"),
     "dynamics.packet_kick": (int, "0"),
-    "dynamics.conservation_tol": (_parse_nonnegative, "1e-10"),
     "sectors.copies": (int, None),
 }
 
 _PROBLEM_KEYS = ("lattice.dimension", "lattice.size", "couplings.path", "field.h")
 _SOLVE_KEYS = ("thermal.beta", "solve.tol")
-_ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index", "oracle.mode")
-_DYNAMICS_KEYS = ("dynamics.m", "dynamics.times", "dynamics.initial", "dynamics.conservation_tol")
+_ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index")
+_DYNAMICS_KEYS = ("dynamics.m", "dynamics.times", "dynamics.initial")
 
 
 def read_config(path) -> dict[str, str]:
@@ -198,7 +198,7 @@ class Output(NamedTuple):
     failure: str | None = None  # stderr line of a run that did not pass
 
 
-def _load_problem(cfg: RunConfig, tol: float = DEFAULT_GAP_TOL, require_regime: bool = True):
+def _load_problem(cfg: RunConfig, require_regime: bool = True):
     """The lattice, grid and couplings of the config, with their validation report.
 
     The report's ``gap_values`` are the one gap grid of the run.
@@ -209,14 +209,14 @@ def _load_problem(cfg: RunConfig, tol: float = DEFAULT_GAP_TOL, require_regime: 
     if not Path(path).exists():
         raise OSError(f"coupling CSV not found: {path}")
     couplings = load_couplings_csv(path, lattice.dimension, cfg["field.h"])
-    report = validate_ferromagnetic(couplings, grid, tol=tol)
+    report = validate_ferromagnetic(couplings, grid)
     if require_regime and not report.passed:
         raise RegimeError("; ".join(report.messages))
     return lattice, grid, couplings, report
 
 
 def cmd_validate(cfg: RunConfig) -> Output:
-    lattice, grid, couplings, report = _load_problem(cfg, cfg["validate.tol"], require_regime=False)
+    lattice, grid, couplings, report = _load_problem(cfg, require_regime=False)
     doc = {
         "gap_ok": report.gap_ok,
         "field_ok_strict": report.field_ok_strict,
@@ -267,15 +267,8 @@ def cmd_oracle(cfg: RunConfig) -> Output:
     copies_list = cfg["oracle.copies"]
     if not copies_list:
         raise ValueError("oracle.copies must list at least one copy count")
-    study = convergence_study(
-        lattice,
-        couplings,
-        beta=cfg["thermal.beta"],
-        q=grid.points[q_index],
-        copies_list=copies_list,
-        mode=cfg["oracle.mode"],
-        gaps=report.gap_values,
-    )
+    study = convergence_study(lattice, couplings, cfg["thermal.beta"], grid.points[q_index], copies_list,
+                              gaps=report.gap_values)
     header = [field.name for field in fields(ConvergenceRow)]
     rows = [asdict(row) for row in study]
     lines = [f"n={r.n} m_n={fmt(r.m_n)} t_n={fmt(r.t_n)} p_n={fmt(r.p_n)} discrepancy={fmt(r.discrepancy)}"
@@ -317,7 +310,6 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
         )
 
     times = cfg["dynamics.times"]
-    tol = cfg["dynamics.conservation_tol"]
     number0 = total_number(state)
     energy0 = total_energy(state)
     densities = np.empty((len(times), lattice.n_sites))
@@ -327,7 +319,12 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
         drifts[k] = abs(total_number(evolved) - number0), abs(total_energy(evolved) - energy0)
         densities[k] = number_density(evolved)
     drift_n, drift_e = drifts.max(axis=0, initial=0.0).tolist()  # a NaN drift stays NaN and fails below
-    conserved = drift_n <= tol and drift_e <= tol
+    # A priori bound of |X(t) - X(0)| for X = sum_q w(q) (n(q) + |psi(q)|^2), N terms all >= 0: each of X(t)
+    # and X(0) carries N eps |X| from the sum and 16 eps |X| from the per-term roundings (the unit phase,
+    # the complex product, the squared modulus, the addition of n, the weight w = 1 or eps(q)).
+    slack = 2 * (lattice.n_sites + 16) * sys.float_info.epsilon
+    bound_n, bound_e = slack * abs(number0), slack * abs(energy0)
+    conserved = drift_n <= bound_n and drift_e <= bound_e
 
     # one row per (sample, site), samples outer
     header = ["t"] + [f"x{i + 1}" for i in range(lattice.dimension)] + ["density"]
@@ -345,12 +342,15 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
         "gamma_mode_imag": gamma.imag,
         "max_number_drift": drift_n,
         "max_energy_drift": drift_e,
+        "number_drift_bound": bound_n,
+        "energy_drift_bound": bound_e,
     }
     lines = [f"samples={len(times)} number={fmt(number0)} energy={fmt(energy0)} "
              f"conserved={conserved} max_number_drift={fmt(drift_n)} "
              f"max_energy_drift={fmt(drift_e)}"]
     return Output(snapshot, header, columns, lines, conserved,
-                  f"conservation drift exceeds {fmt(tol)} or is not finite")
+                  f"conservation drift exceeds its rounding bound (number {fmt(bound_n)}, "
+                  f"energy {fmt(bound_e)}) or is not finite")
 
 
 def cmd_sectors(cfg: RunConfig) -> Output:
@@ -379,7 +379,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "validate": Command(
         cmd_validate, "check the ferromagnetic regime of a coupling set",
-        _PROBLEM_KEYS + ("validate.tol", "output.format"), "validate.json", "validate.csv",
+        _PROBLEM_KEYS + ("output.format",), "validate.json", "validate.csv",
     ),
     "solve": Command(
         cmd_solve, "solve the magnetization self-consistency equation",

@@ -20,7 +20,7 @@ import numpy as np
 Displacement = tuple[int, ...]
 
 #: Floating-point noise floor of the gap, relative to sum_z |J(z)| + |J3(z)|.
-DEFAULT_GAP_TOL = 1e-12
+GAP_TOL = 1e-12
 
 #: Largest distance, per component, of an accepted momentum from a lattice momentum 2*pi*n/L.
 _ON_GRID_TOL = 1e-9
@@ -62,6 +62,10 @@ class LatticeSpec:
         shape = (self.size,) * self.dimension
         vectors = np.indices(shape, dtype=np.int64).reshape(self.dimension, -1).T
         return np.ascontiguousarray(vectors)
+
+    def site_index(self, vectors) -> np.ndarray:
+        """Row of ``site_vectors`` of each integer vector, taken mod L: its digits in the site radix."""
+        return (vectors % self.size) @ self.size ** np.arange(self.dimension - 1, -1, -1, dtype=np.int64)
 
 
 def _as_displacement(raw) -> Displacement:
@@ -164,14 +168,11 @@ class MomentumGrid:
         return self.points.shape[0]
 
     def index_of(self, k) -> int:
-        """Grid index of a momentum (must lie on the grid up to ``_ON_GRID_TOL``)."""
+        """Grid index of a momentum, a lattice momentum 2*pi*n/L up to ``_ON_GRID_TOL`` per component."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        deltas = np.mod(self.points - k[None, :], 2.0 * np.pi)
-        deltas = np.minimum(deltas, 2.0 * np.pi - deltas)
-        hits = np.nonzero(np.all(deltas <= _ON_GRID_TOL, axis=1))[0]
-        if hits.size != 1:
-            raise ValueError(f"momentum {k} not on the grid")
-        return int(hits[0])
+        if k.shape != (self.lattice.dimension,):
+            raise ValueError(f"momentum of shape {k.shape} on a lattice of dimension {self.lattice.dimension}")
+        return int(self.lattice.site_index(_lattice_indices(k[None, :], self.lattice.size))[0])
 
 
 def _lattice_indices(points: np.ndarray, size: int) -> np.ndarray:
@@ -181,7 +182,7 @@ def _lattice_indices(points: np.ndarray, size: int) -> np.ndarray:
         on_lattice = np.abs(points - n * (2.0 * np.pi / size)) <= _ON_GRID_TOL
     if not np.all(on_lattice):
         point = points[np.argmin(np.all(on_lattice, axis=1))]
-        raise ValueError(f"momentum {point} is not a lattice momentum 2*pi*n/{size}")
+        raise ValueError(f"momentum {point} is not a lattice momentum 2*pi*n/{size} (not on the grid)")
     return np.fmod(n, size).astype(np.int64)
 
 
@@ -251,13 +252,12 @@ def coupling_matrix(mapping, lattice: LatticeSpec) -> np.ndarray:
     if dims:
         raise ValueError(f"coupling dimension {dims.pop()} != lattice dimension {lattice.dimension}")
     sites = lattice.site_vectors()
-    radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
     rows = np.arange(n)
     folded = {}
     for z, v in mapping.items():
         folded.setdefault(tuple(c % lattice.size for c in z), []).append(v)
     for z, values in folded.items():
-        targets = ((sites - np.asarray(z, dtype=np.int64)) % lattice.size) @ radix
+        targets = lattice.site_index(sites - np.asarray(z, dtype=np.int64))
         mat[rows, targets] = math.fsum(values)
     return mat
 
@@ -281,9 +281,7 @@ class ValidationReport:
         return self.gap_ok and self.field_ok_relaxed
 
 
-def validate_ferromagnetic(
-    couplings: CouplingSet, grid: MomentumGrid, tol: float = DEFAULT_GAP_TOL
-) -> ValidationReport:
+def validate_ferromagnetic(couplings: CouplingSet, grid: MomentumGrid) -> ValidationReport:
     """Check that the couplings put the model in the ferromagnetic regime.
 
     Positivity of the translation-invariant stability matrix is equivalent
@@ -292,11 +290,9 @@ def validate_ferromagnetic(
     the strict one, h > gap(0) > 0, and the relaxed one, h > max(gap(0), 0),
     which is all the solvers require (the isotropic case has gap(0) = 0).
 
-    ``tol`` is relative: the gap counts as nonnegative down to
-    ``-tol * sum_z (|J(z)| + |J3(z)|)``, the scale of its rounding noise.
+    The gap counts as nonnegative down to ``-GAP_TOL * sum_z (|J(z)| + |J3(z)|)``,
+    the scale of its rounding noise.  Every CLI command judges the regime by this verdict.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
     maps = (couplings.exchange, couplings.exchange_z)
     scale = sum(abs(v) for mapping in maps for v in mapping.values())
     gaps = exchange_gap_grid(couplings, grid)
@@ -306,7 +302,7 @@ def validate_ferromagnetic(
     q_min = grid.points[i_min].copy()
     h = couplings.h
 
-    gap_ok = gap_min >= -tol * scale
+    gap_ok = gap_min >= -GAP_TOL * scale
     strict = (h > gap0) and (gap0 > 0.0)
     relaxed = h > max(gap0, 0.0)
 

@@ -152,9 +152,8 @@ def _symmetries(lattice: LatticeSpec) -> np.ndarray:
     identity).
     """
     sites = lattice.site_vectors()
-    radix = lattice.size ** np.arange(lattice.dimension - 1, -1, -1, dtype=np.int64)
     images = np.concatenate([sites[:, None, :] + sites[None, :, :], sites[:, None, :] - sites[None, :, :]])
-    return (images % lattice.size) @ radix
+    return lattice.site_index(images)
 
 
 def _orbits(n_entries: int, symmetries: np.ndarray):
@@ -695,7 +694,6 @@ def convergence_study(
     beta: float,
     q,
     copies_list,
-    mode: str = "sector",
     gaps: np.ndarray | None = None,
 ) -> list[ConvergenceRow]:
     """Compare the exact fluctuation two-point function with its infinite-spin
@@ -709,10 +707,11 @@ def convergence_study(
     the first one is built.  ``gaps`` are the grid's exchange gaps if the
     caller has them; the study computes them at most once.  A rung whose
     magnetization is positive (not ordered along -S3) is a RegimeError.
+    Every rung is built by the sector engine; ``build_gibbs(..., mode="full")`` referees it.
     """
     configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]
     for config in configs:
-        _admit(config, mode)
+        _admit(config, "sector")
     params = ThermalParams(beta=beta, h=couplings.h)
     grid = MomentumGrid.from_lattice(lattice)
     index = grid.index_of(q)
@@ -721,7 +720,7 @@ def convergence_study(
     eps = float(np.finfo(float).eps)
     rows = []
     for config in configs:
-        ensemble = build_gibbs(config, beta, mode=mode)
+        ensemble = build_gibbs(config, beta)
         m_n = ensemble.sigma3
         if m_n > 1e-9:
             raise RegimeError(f"oracle magnetization {m_n} > 0 at n={config.copies}: not ordered along -S3")

@@ -53,9 +53,19 @@ class TestJsonFloatLists:
 
     def test_scalar_emission_is_full_precision(self):
         for v in EDGE_FLOATS:
-            assert json_dumps(v) == fmt(v) + "\n"
+            assert json_dumps(v) == (fmt(v) if math.isfinite(v) else json.dumps(v)) + "\n"
         assert json_dumps(-0.0) == "-0\n"
         assert json_dumps(5e-324) == "4.9406564584124654e-324\n"
+
+    def test_non_finite_floats_are_valid_json(self):
+        # NaN and the infinities as json.dumps writes them, in scalars, lists and arrays alike
+        vector = np.array([1.5, math.nan, math.inf, -math.inf] * 100)  # above _KERNEL_MIN
+        text = json_dumps({"x": math.nan, "y": [math.inf, -0.0], "v": vector, "m": vector.reshape(4, 100)})
+        doc = json.loads(text)
+        assert math.isnan(doc["x"]) and doc["y"] == [math.inf, -0.0]
+        np.testing.assert_array_equal(doc["v"], vector)
+        np.testing.assert_array_equal(doc["m"], vector.reshape(4, 100))
+        assert '"x": NaN,' in text and "-Infinity" in text and "nan" not in text
 
     def test_float_arrays_match_element_wise_emission(self):
         rng = np.random.default_rng(0)
@@ -105,7 +115,7 @@ def reference_dumps(obj, indent=2):
         if isinstance(node, int):
             return str(node)
         if isinstance(node, float):
-            return fmt(node)
+            return fmt(node) if math.isfinite(node) else json.dumps(node)  # NaN, Infinity, -Infinity
         if isinstance(node, str):
             return json.dumps(node)
         if isinstance(node, dict):

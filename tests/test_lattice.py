@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ class TestMomentumGrid:
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
         with pytest.raises(ValueError):
             grid.index_of([0.1])
+
+    @pytest.mark.parametrize("k, shape", [([np.pi / 2], (1,)), ([0.0, 0.0, 0.0], (3,)), (np.pi / 2, (1,)),
+                                          ([[np.pi / 2, np.pi / 2]], (1, 2))])
+    def test_index_of_refuses_a_momentum_of_another_length(self, k, shape):
+        # [pi/2] on a 4 x 4 grid must not broadcast to (pi/2, pi/2), index 5
+        grid = MomentumGrid.from_lattice(LatticeSpec(2, 4))
+        with pytest.raises(ValueError, match=re.escape(f"momentum of shape {shape} on a lattice of dimension 2")):
+            grid.index_of(k)
+        assert grid.index_of([np.pi / 2, np.pi / 2]) == 5
 
     def test_index_of_reduces_modulo_two_pi(self):
         # each of these once gave two hits: 2 pi - |k - point| went negative
@@ -544,11 +554,6 @@ class TestValidateFerromagnetic:
         assert a.gap_ok == b.gap_ok
         assert a.field_ok_strict == b.field_ok_strict
         np.testing.assert_array_equal(a.gap_values, b.gap_values)
-
-    def test_rejects_negative_tolerance(self):
-        grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
-        with pytest.raises(ValueError):
-            validate_ferromagnetic(nn_chain(h=1.0), grid, tol=-1.0)
 
 
 class TestCouplingCsv:
