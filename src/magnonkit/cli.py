@@ -211,7 +211,7 @@ def _load_problem(cfg: RunConfig, require_regime: bool = True):
     couplings = load_couplings_csv(path, lattice.dimension, cfg["field.h"])
     report = validate_ferromagnetic(couplings, grid)
     if require_regime and not report.passed:
-        raise RegimeError("; ".join(report.messages))
+        raise RegimeError("; ".join(report.failures))
     return lattice, grid, couplings, report
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -153,37 +154,35 @@ class CouplingSet:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Dual-lattice momenta 2*pi*n/L, lexicographic in n, k=0 first."""
+    """Every lattice momentum 2*pi*n/L, one per site n, lexicographic in n, k=0 first: a function of the lattice."""
 
-    points: np.ndarray
     lattice: LatticeSpec
 
     @classmethod
     def from_lattice(cls, lattice: LatticeSpec) -> "MomentumGrid":
-        points = 2.0 * np.pi * lattice.site_vectors() / lattice.size
+        return cls(lattice)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Every momentum, read-only, shape (n_sites, dimension)."""
+        points = 2.0 * np.pi * self.lattice.site_vectors() / self.lattice.size
         points.setflags(write=False)
-        return cls(points, lattice)
+        return points
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self.lattice.n_sites
 
     def index_of(self, k) -> int:
-        """Grid index of a momentum, a lattice momentum 2*pi*n/L up to ``_ON_GRID_TOL`` per component."""
+        """Grid index of any image of a lattice momentum 2*pi*n/L, up to ``_ON_GRID_TOL`` per component."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
+        size = self.lattice.size
         if k.shape != (self.lattice.dimension,):
             raise ValueError(f"momentum of shape {k.shape} on a lattice of dimension {self.lattice.dimension}")
-        return int(self.lattice.site_index(_lattice_indices(k[None, :], self.lattice.size))[0])
-
-
-def _lattice_indices(points: np.ndarray, size: int) -> np.ndarray:
-    """Integer vectors n, reduced into (-L, L), of momenta 2*pi*n/L; a point off the lattice is refused."""
-    n = np.rint(points * (size / (2.0 * np.pi)))
-    with np.errstate(invalid="ignore"):  # an infinite point gives NaN here, and is refused
-        on_lattice = np.abs(points - n * (2.0 * np.pi / size)) <= _ON_GRID_TOL
-    if not np.all(on_lattice):
-        point = points[np.argmin(np.all(on_lattice, axis=1))]
-        raise ValueError(f"momentum {point} is not a lattice momentum 2*pi*n/{size} (not on the grid)")
-    return np.fmod(n, size).astype(np.int64)
+        n = np.rint(k * (size / (2.0 * np.pi)))
+        with np.errstate(invalid="ignore"):  # an infinite k gives NaN here, and is refused
+            if not np.all(np.abs(k - n * (2.0 * np.pi / size)) <= _ON_GRID_TOL):
+                raise ValueError(f"momentum {k} is not a lattice momentum 2*pi*n/{size} (not on the grid)")
+        return int(self.lattice.site_index(np.fmod(n, size).astype(np.int64)))
 
 
 def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
@@ -198,13 +197,15 @@ def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndar
     shift as fine as int64 allows for the largest group.  Each group sum is
     rounded once, then weighted, and the groups are added in a fixed order.
     A lattice symmetry that maps the couplings to themselves permutes the
-    terms within each group, so it leaves the sum bit for bit.  A momentum
-    off the lattice is refused with a ValueError.
+    terms within each group, so it leaves the sum bit for bit.  The grid
+    holds every lattice momentum, so each n is read off its grid index as
+    the index's digits in the site radix.
     """
     mapping = couplings.exchange
     if not mapping:
         return np.zeros(len(grid))
     size = grid.lattice.size
+    radix = size ** np.arange(grid.lattice.dimension - 1, -1, -1, dtype=np.int64)
     pairs = sorted({max(z, _mirror(z)) for z in mapping}, key=lambda z: (mapping[z], z))
     weights = [2.0 * mapping[z] for z in pairs]
     starts = [i for i in range(len(pairs)) if i == 0 or weights[i] != weights[i - 1]]
@@ -217,7 +218,7 @@ def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndar
     values = np.zeros(len(grid))
     rows = max(1, _FOURIER_CHUNK_ELEMENTS // len(pairs))
     for start in range(0, len(grid), rows):
-        phases = zs @ _lattice_indices(grid.points[start:start + rows], size).T
+        phases = zs @ (np.arange(start, min(start + rows, len(grid))) // radix[:, None] % size)
         phases %= size
         sums = np.add.reduceat(cos_table.take(phases), starts, axis=0)
         out = values[start:start + rows]
@@ -274,11 +275,12 @@ class ValidationReport:
     field_ok_strict: bool
     field_ok_relaxed: bool
     messages: list[str] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)  # the messages of the failed conditions
 
     @property
     def passed(self) -> bool:
-        """Relaxed verdict used by downstream solvers."""
-        return self.gap_ok and self.field_ok_relaxed
+        """Relaxed verdict used by downstream solvers: the gap and the relaxed field condition hold."""
+        return not self.failures
 
 
 def validate_ferromagnetic(couplings: CouplingSet, grid: MomentumGrid) -> ValidationReport:
@@ -306,28 +308,22 @@ def validate_ferromagnetic(couplings: CouplingSet, grid: MomentumGrid) -> Valida
     strict = (h > gap0) and (gap0 > 0.0)
     relaxed = h > max(gap0, 0.0)
 
-    messages = [f"minimum gap {gap_min:.17g} at q={np.array2string(q_min, precision=6)}"]
+    failures = []
     if not gap_ok:
-        messages.append("gap negative: couplings are not ferromagnetic")
+        failures.append("gap negative: couplings are not ferromagnetic")
+    if not relaxed:
+        failures.append(f"field h={h:.17g} does not exceed max(gap(0), 0)={max(gap0, 0.0):.17g}")
+    messages = [f"minimum gap {gap_min:.17g} at q={np.array2string(q_min, precision=6)}", *failures]
     if relaxed and not strict:
         messages.append("strict field condition h > gap(0) > 0 not met; relaxed condition holds")
-    if not relaxed:
-        messages.append(f"field h={h:.17g} does not exceed max(gap(0), 0)={max(gap0, 0.0):.17g}")
     if 2 * couplings.coupling_range >= grid.lattice.size:
         messages.append(
             f"coupling range {couplings.coupling_range} >= L/2: periodic images overlap "
             "and are summed"
         )
-    return ValidationReport(
-        gap_values=gaps,
-        gap_at_zero=gap0,
-        minimum_gap=gap_min,
-        minimizing_momentum=q_min,
-        gap_ok=gap_ok,
-        field_ok_strict=strict,
-        field_ok_relaxed=relaxed,
-        messages=messages,
-    )
+    return ValidationReport(gap_values=gaps, gap_at_zero=gap0, minimum_gap=gap_min, minimizing_momentum=q_min,
+                            gap_ok=gap_ok, field_ok_strict=strict, field_ok_relaxed=relaxed,
+                            messages=messages, failures=failures)
 
 
 def load_couplings_csv(path, dimension: int, h: float) -> CouplingSet:

@@ -198,6 +198,19 @@ class TestValidateCommand:
         assert ("gap negative" in captured.out) == ("gap negative" in captured.err) == bool(code)
         assert captured.err.startswith("regime failure: ") == bool(code)
 
+    @pytest.mark.parametrize("csv, h, failures", [
+        ("dz1,J,J3\n1,1.0,0.9999\n", "1", "gap negative: couplings are not ferromagnetic"),
+        (LONGITUDINAL_CSV, "1.5", "field h=1.5 does not exceed max(gap(0), 0)=2"),
+        ("dz1,J,J3\n1,1.0,0.9999\n", "0",
+         "gap negative: couplings are not ferromagnetic; field h=0 does not exceed max(gap(0), 0)=0"),
+    ], ids=["gap", "field", "both"])
+    def test_regime_failure_names_only_the_failed_conditions(self, workspace, capsys, csv, h, failures):
+        # the minimum-gap line and the strict-field note stay in validate's messages only
+        tmp_path, make = workspace
+        conf = make(BASE_CONF.replace("field.h = 0.5", f"field.h = {h}"), csv)
+        assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"regime failure: {failures}\n"
+
     def test_large_couplings_negative_gap_is_a_verdict(self, workspace, capsys):
         # the same J with longitudinal coupling on the first shell only: a clean exit-1 verdict
         tmp_path, make = workspace

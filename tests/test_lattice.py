@@ -141,10 +141,23 @@ class TestMomentumGrid:
         for k in grid.points:
             grid.index_of(np.mod(-k, 2.0 * np.pi))
 
-    def test_index_of_rejects_off_grid(self):
+    def test_a_function_of_its_lattice(self):
+        a, b = MomentumGrid.from_lattice(LatticeSpec(2, 4)), MomentumGrid.from_lattice(LatticeSpec(2, 4))
+        assert a == b and hash(a) == hash(b) and a != MomentumGrid.from_lattice(LatticeSpec(1, 16))
+        assert len(a) == 16 and not a.points.flags.writeable
+        with pytest.raises(TypeError):
+            MomentumGrid(a.points, a.lattice)
+
+    @pytest.mark.parametrize("k", [0.1, 0.7, np.pi / 2 + 2e-9, np.nan, np.inf, -np.inf])
+    def test_index_of_rejects_off_grid(self, k):
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
-        with pytest.raises(ValueError):
-            grid.index_of([0.1])
+        message = r"momentum \[.*\] is not a lattice momentum 2\*pi\*n/4 \(not on the grid\)"
+        with pytest.raises(ValueError, match=message):
+            grid.index_of([k])
+
+    def test_index_of_a_negative_momentum(self):
+        # -pi/2 is the lattice momentum 3 pi/2, grid point 3 of 4
+        assert MomentumGrid.from_lattice(LatticeSpec(1, 4)).index_of([-np.pi / 2]) == 3
 
     @pytest.mark.parametrize("k, shape", [([np.pi / 2], (1,)), ([0.0, 0.0, 0.0], (3,)), (np.pi / 2, (1,)),
                                           ([[np.pi / 2, np.pi / 2]], (1, 2))])
@@ -256,11 +269,6 @@ def chain_grid(size):
     return MomentumGrid.from_lattice(LatticeSpec(1, size))
 
 
-def one_point_grid(k, lattice):
-    """A grid holding the single momentum k: the grid form's view of one momentum."""
-    return MomentumGrid(np.atleast_2d(np.asarray(k, dtype=float)), lattice)
-
-
 class TestFourierCoupling:
     def test_nearest_neighbor_at_zero(self):
         assert fourier_coupling_grid(nn_chain(), chain_grid(4))[0] == 2.0
@@ -295,22 +303,17 @@ class TestFourierCoupling:
 
     @pytest.mark.parametrize("dimension, size", [(1, 9), (2, 5), (3, 4)])
     @pytest.mark.parametrize("reach", [2, 3])
-    def test_both_forms_match_reference(self, dimension, size, reach):
-        # The grid form over many momenta at once and over a one-point grid per
-        # momentum give the same bits (each momentum's sum is its own), within
-        # the rounding of the cosine sum: 4 ulp of sum_z |J(z)|.  Integer
-        # phases make the bound independent of the displacements' length.
+    def test_matches_reference(self, dimension, size, reach):
+        # The grid form meets the direct sum within the rounding of the cosine sum:
+        # 4 ulp of sum_z |J(z)|.  Integer phases make the bound independent of the
+        # displacements' length.
         rng = np.random.default_rng(100 * dimension + reach)
         grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
         for _ in range(20):
             c = random_even_couplings(rng, dimension, reach=reach)
             tol = 4.0 * np.finfo(float).eps * sum(map(abs, c.exchange.values()))
             reference = np.array([reference_fourier(c.exchange, n, size) for n in grid.lattice.site_vectors()])
-            single = np.array([fourier_coupling_grid(c, one_point_grid(k, grid.lattice))[0]
-                               for k in grid.points])
-            vectorized = fourier_coupling_grid(c, grid)
-            np.testing.assert_array_equal(single, vectorized)
-            assert np.max(np.abs(vectorized - reference.real)) <= tol
+            assert np.max(np.abs(fourier_coupling_grid(c, grid) - reference.real)) <= tol
 
     def test_chunks_leave_the_values_unchanged(self, monkeypatch):
         c = random_even_couplings(np.random.default_rng(5), 2, reach=3)
@@ -318,17 +321,6 @@ class TestFourierCoupling:
         whole = fourier_coupling_grid(c, grid)
         monkeypatch.setattr("magnonkit.lattice._FOURIER_CHUNK_ELEMENTS", 7)  # a few momenta per chunk
         np.testing.assert_array_equal(fourier_coupling_grid(c, grid), whole)
-
-    def test_off_lattice_momentum_refused(self):
-        with pytest.raises(ValueError, match=r"momentum \[0\.7\] is not a lattice momentum 2\*pi\*n/4"):
-            fourier_coupling_grid(nn_chain(), one_point_grid([0.7], LatticeSpec(1, 4)))
-        points = [[-math.pi / 2], [math.pi / 2 + 2e-9], [math.nan], [math.inf]]
-        for point in points[1:]:
-            with pytest.raises(ValueError, match="is not a lattice momentum"):
-                exchange_gap_grid(nn_chain(), MomentumGrid(np.array(points[:1] + [point]), LatticeSpec(1, 4)))
-        # -pi/2 is the lattice momentum 3 pi/2, grid point 3 of 4
-        gap = exchange_gap_grid(nn_chain(), one_point_grid(points[0], LatticeSpec(1, 4)))[0]
-        assert gap == exchange_gap_grid(nn_chain(), chain_grid(4))[3]
 
     def test_parseval_mean_is_onsite_value(self):
         rng = np.random.default_rng(3)
@@ -373,9 +365,7 @@ class TestExchangeGap:
         assert exchange_gap_grid(nn_chain(), chain_grid(4))[2] == pytest.approx(4.0, abs=1e-14)
 
     def test_longitudinal_only_is_constant(self):
-        c = nn_chain(j=0.0, j3=1.0)
-        points = np.array([[0.0], [math.pi / 2], [math.pi]])
-        gaps = exchange_gap_grid(c, MomentumGrid(points, LatticeSpec(1, 4)))
+        gaps = exchange_gap_grid(nn_chain(j=0.0, j3=1.0), chain_grid(4))
         np.testing.assert_allclose(gaps, 2.0, rtol=0.0, atol=1e-14)
 
     def test_bounded_by_zero_momentum_for_nonnegative_matrix(self):

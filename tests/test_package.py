@@ -111,3 +111,14 @@ def test_every_method_and_property_is_read():
     }
     assert dead - set(UNREAD_MEMBERS) == set(), sorted(dead)
     assert set(UNREAD_MEMBERS) <= dead  # a kept member that became read leaves the list
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's example runs as written, so an API change cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    solution, density = capsys.readouterr().out.splitlines()
+    m_star, residual, _ = map(float, solution.split())
+    assert -1.0 <= m_star <= 0.0 and residual <= 1e-12
+    assert len(set(density.strip("[]").split())) == 1  # uniform

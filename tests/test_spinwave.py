@@ -33,12 +33,13 @@ def grid_for(size, dimension=1):
 
 
 def brute_force_defect(m, beta, h, size):
-    """Independent evaluation of the defect for the isotropic nn chain."""
-    total = 0.0
+    """Independent evaluation of the defect for the isotropic nn chain, at one m or an array of them."""
+    m = np.asarray(m, dtype=float)
+    total = np.zeros_like(m)
     for j in range(size):
         q = 2.0 * math.pi * j / size
         gap = 2.0 - 2.0 * math.cos(q)
-        total += (-m) / math.expm1(2.0 * beta * (h - m * gap))
+        total += (-m) / np.expm1(2.0 * beta * (h - m * gap))
     return total / size - 0.5 * (1.0 + m)
 
 
@@ -160,7 +161,7 @@ class TestDispersion:
 
     def test_identity_at_full_polarization(self):
         # eps(q) - 2h = 2*gap(q) when m = -1
-        grid = MomentumGrid(2.0 * math.pi / 16 * np.array([[0.0], [1.0], [5.0], [8.0]]), LatticeSpec(1, 16))
+        grid = grid_for(16)
         lhs = mode_spectrum(-1.0, 0.7, ISO, grid) - 2.0 * 0.7
         np.testing.assert_allclose(lhs, 2.0 * exchange_gap_grid(ISO, grid), rtol=0.0, atol=1e-13)
 
@@ -195,16 +196,6 @@ class TestSharedBoseFormula:
         bound = gaps.size * np.finfo(float).eps * (np.mean(np.abs(expected)) + abs(1.0 + m) / 2.0)
         assert abs(value - float(reference_defect(m, beta, h, gaps)[0])) <= bound
 
-    @pytest.mark.parametrize("m,beta,h", CASES)
-    def test_scalar_form(self, m, beta, h):
-        # one momentum at a time: a one-point grid
-        p = ThermalParams(beta, h)
-        for q in (0.0, 2.0 * math.pi * 2 / 16, math.pi):
-            grid = MomentumGrid(np.array([[q]]), LatticeSpec(1, 16))
-            gaps = exchange_gap_grid(ISO, grid)
-            expected = reference_occupations(m, beta, h, gaps)[0]
-            np.testing.assert_array_equal(occupation(m, p, ISO, grid), expected)
-
 
 class TestSelfConsistencyDefect:
     def test_zero_magnetization_value(self):
@@ -235,7 +226,7 @@ class TestSolveMagnetization:
         solution = solve_magnetization(p, ISO, grid)
         # independent oracle: dense scan of the brute-force defect + bisection
         ms = np.linspace(-1.0, 0.0, 200_001)
-        values = np.array([brute_force_defect(m, 2.0, 0.5, 8) for m in ms])
+        values = brute_force_defect(ms, 2.0, 0.5, 8)
         idx = int(np.nonzero(np.sign(values[:-1]) != np.sign(values[1:]))[0][0])
         lo, hi = float(ms[idx]), float(ms[idx + 1])
         f_lo = brute_force_defect(lo, 2.0, 0.5, 8)
