@@ -2,30 +2,32 @@
 
 Subcommands: validate | solve | oracle | dynamics | sectors, one entry each
 in :data:`COMMANDS` with the config keys it reads and its artifact names.
-Every run reads a flat key/value config file (``section.key = value`` lines,
-'#' comments) and resolves defaults for its command's keys.  Keys outside
-the schema are refused; keys of another command are ignored, so one file
-can serve several commands (``validate`` and ``solve`` of the same
+Every run reads a flat key/value config file (``section.key = value``
+lines, '#' comments) and resolves defaults for its command's keys.  Keys
+outside the schema are refused; keys of another command are ignored, so one
+file can serve several commands (``validate`` and ``solve`` of the same
 problem, say), and the embedded configuration lists only the keys the
 command read.  ``dynamics`` reads the solver's keys (``thermal.beta`` and
-``solve.*``) only when ``dynamics.initial = equilibrium``, the
-``dynamics.packet_*`` keys only when it is ``packet``.  A ``cmd_*``
-function takes only the resolved configuration and computes; :func:`_emit`
-writes the artifacts, prints the summary and maps the verdict to an exit
-code.  An artifact embeds the effective configuration, so results are
-reproducible and diffable: a JSON artifact as a leading ``"config"``
-object, a CSV as '#' lines of ``key = value`` ahead of the marker line
-``# results`` and the result lines of :func:`_results`.  ``output.format``
-is the one format switch: a command that reads it writes one artifact in
-that format, whose embedded configuration reruns to the same bytes;
-``dynamics`` writes both of its files.  No key sets a verdict's rule: every
-command judges the regime against ``lattice.GAP_TOL``, the oracle's ladder
-against each row's rounding floor, and conservation against the rounding
-bounds that ``snapshot.json`` records.  No command takes a thread count or
-an engine: the oracle builds its blocks serially, by sector.  Exit codes:
-0 success, 1 a scientific condition failed, 2 usage or I/O failure, 3
-internal error (a bug or a failed internal consistency check, never a
-verdict on the physics).
+``solve.*``) only when ``dynamics.initial = equilibrium``, ``dynamics.m``
+and the ``dynamics.packet_*`` keys only when it is ``packet``.  What the
+configuration and the lattice alone decide (a grid index, the oracle's
+ladder, the snapshot's size) is refused before the regime check builds the
+gap grid.  A ``cmd_*`` function takes only the resolved configuration and
+computes; :func:`_emit` writes the artifacts, prints the summary and maps
+the verdict to an exit code.  An artifact embeds the effective
+configuration, so results are reproducible and diffable: a JSON artifact as
+a leading ``"config"`` object, a CSV as '#' lines of ``key = value`` ahead
+of the marker line ``# results`` and the result lines of :func:`_results`.
+``output.format`` is the one format switch: a command that reads it writes
+one artifact in that format, whose embedded configuration reruns to the
+same bytes; ``dynamics`` writes both of its files.  No key sets a verdict's
+rule: every command judges the regime against ``lattice.GAP_TOL``, the
+oracle's ladder against each row's rounding floor, and conservation against
+the rounding bounds that ``snapshot.json`` records.  No command takes a
+thread count or an engine: the oracle builds its blocks serially, by
+sector.  Exit codes: 0 success, 1 a scientific condition failed, 2 usage or
+I/O failure, 3 internal error (a bug or a failed internal consistency
+check, never a verdict on the physics).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .dynamics import (
     total_number,
 )
 from .lattice import LatticeSpec, MomentumGrid, load_couplings_csv, validate_ferromagnetic
-from .oracle import ConvergenceRow, convergence_study
+from .oracle import ConvergenceRow, SpinConfig, convergence_study
 from .sectors import sector_decomposition
 from .spinwave import DEFAULT_SOLVE_TOL, RegimeError, ThermalParams, solve_magnetization
 
@@ -97,22 +99,18 @@ def _parse_float_list(text):
     return [_parse_float(tok) for tok in text.split(",") if tok.strip()] if text.strip() else []
 
 
-def _parse_optional_float(text):
-    return _parse_float(text) if text.strip() else None
-
-
 # key -> (parser, default); None default means the key is required when used.
 _SCHEMA = {
     "lattice.dimension": (int, None),
     "lattice.size": (int, None),
     "couplings.path": (str, None),
     "field.h": (_parse_nonnegative, None),
-    "thermal.beta": (_parse_float, None),
+    "thermal.beta": (_parse_positive, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
     "solve.tol": (_parse_positive, repr(DEFAULT_SOLVE_TOL)),
     "oracle.copies": (_parse_int_list, "1,3,5,7"),
     "oracle.q_index": (int, None),
-    "dynamics.m": (_parse_optional_float, ""),
+    "dynamics.m": (_parse_float, None),
     "dynamics.times": (_parse_float_list, ""),
     "dynamics.initial": (_parse_choice("equilibrium", "packet"), "equilibrium"),
     "dynamics.packet_center": (int, "0"),
@@ -124,7 +122,7 @@ _SCHEMA = {
 _PROBLEM_KEYS = ("lattice.dimension", "lattice.size", "couplings.path", "field.h")
 _SOLVE_KEYS = ("thermal.beta", "solve.tol")
 _ORACLE_KEYS = ("thermal.beta", "oracle.copies", "oracle.q_index")
-_DYNAMICS_KEYS = ("dynamics.m", "dynamics.times", "dynamics.initial")
+_DYNAMICS_KEYS = ("dynamics.times", "dynamics.initial")
 
 
 def read_config(path) -> dict[str, str]:
@@ -198,25 +196,27 @@ class Output(NamedTuple):
     failure: str | None = None  # stderr line of a run that did not pass
 
 
-def _load_problem(cfg: RunConfig, require_regime: bool = True):
-    """The lattice, grid and couplings of the config, with their validation report.
-
-    The report's ``gap_values`` are the one gap grid of the run.
-    """
+def _load_problem(cfg: RunConfig):
+    """The lattice, grid and couplings of the config; none holds O(N) memory (the grid's points are lazy)."""
     lattice = LatticeSpec(dimension=cfg["lattice.dimension"], size=cfg["lattice.size"])
     grid = MomentumGrid.from_lattice(lattice)
     path = cfg["couplings.path"]
     if not Path(path).exists():
         raise OSError(f"coupling CSV not found: {path}")
-    couplings = load_couplings_csv(path, lattice.dimension, cfg["field.h"])
+    return lattice, grid, load_couplings_csv(path, lattice.dimension, cfg["field.h"])
+
+
+def _regime_gaps(couplings, grid: MomentumGrid) -> np.ndarray:
+    """The one gap grid of a run, which must be in the ferromagnetic regime (RegimeError otherwise)."""
     report = validate_ferromagnetic(couplings, grid)
-    if require_regime and not report.passed:
+    if not report.passed:
         raise RegimeError("; ".join(report.failures))
-    return lattice, grid, couplings, report
+    return report.gap_values
 
 
 def cmd_validate(cfg: RunConfig) -> Output:
-    lattice, grid, couplings, report = _load_problem(cfg, require_regime=False)
+    lattice, grid, couplings = _load_problem(cfg)
+    report = validate_ferromagnetic(couplings, grid)
     doc = {
         "gap_ok": report.gap_ok,
         "field_ok_strict": report.field_ok_strict,
@@ -237,9 +237,10 @@ def cmd_validate(cfg: RunConfig) -> Output:
 
 
 def cmd_solve(cfg: RunConfig) -> Output:
-    lattice, grid, couplings, report = _load_problem(cfg)
+    lattice, grid, couplings = _load_problem(cfg)
+    gaps = _regime_gaps(couplings, grid)
     params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-    solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=report.gap_values)
+    solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=gaps)
     doc = {
         "m_star": solution.m_star,
         "residual": solution.residual,
@@ -260,15 +261,18 @@ def cmd_solve(cfg: RunConfig) -> Output:
 
 
 def cmd_oracle(cfg: RunConfig) -> Output:
-    lattice, grid, couplings, report = _load_problem(cfg)
+    lattice, grid, couplings = _load_problem(cfg)
     q_index = cfg["oracle.q_index"]
     if not 0 <= q_index < len(grid):
         raise ValueError(f"oracle.q_index {q_index} outside grid of {len(grid)} points")
     copies_list = cfg["oracle.copies"]
     if not copies_list:
         raise ValueError("oracle.copies must list at least one copy count")
+    for copies in copies_list:  # each rung's config refuses its copy count or its size
+        SpinConfig(copies=copies, lattice=lattice, couplings=couplings)
+    gaps = _regime_gaps(couplings, grid)
     study = convergence_study(lattice, couplings, cfg["thermal.beta"], grid.points[q_index], copies_list,
-                              gaps=report.gap_values)
+                              gaps=gaps)
     header = [field.name for field in fields(ConvergenceRow)]
     rows = [asdict(row) for row in study]
     lines = [f"n={r.n} m_n={fmt(r.m_n)} t_n={fmt(r.t_n)} p_n={fmt(r.p_n)} discrepancy={fmt(r.discrepancy)}"
@@ -286,25 +290,21 @@ MAX_SNAPSHOT_BYTES = 2**30
 
 
 def cmd_dynamics(cfg: RunConfig) -> Output:
-    lattice, grid, couplings, report = _load_problem(cfg)
+    lattice, grid, couplings = _load_problem(cfg)
     snapshot_bytes = 16 * lattice.n_sites**2
     if snapshot_bytes > MAX_SNAPSHOT_BYTES:
         raise ValueError(
             f"dynamics on {lattice.n_sites} sites needs a {snapshot_bytes}-byte dense snapshot "
             f"covariance, above the limit of {MAX_SNAPSHOT_BYTES} bytes (MAX_SNAPSHOT_BYTES)"
         )
-    m = cfg["dynamics.m"]
+    gaps = _regime_gaps(couplings, grid)
     if cfg["dynamics.initial"] == "equilibrium":
-        if m is not None:
-            raise ValueError("dynamics.m conflicts with dynamics.initial = equilibrium")
         params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=report.gap_values)
+        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=gaps)
         state = equilibrium_state(solution)
     else:
-        if m is None:
-            raise ValueError("dynamics.initial = packet requires dynamics.m")
         state = packet_state(
-            m, grid, couplings, cfg["field.h"],
+            cfg["dynamics.m"], grid, couplings, cfg["field.h"],
             center=cfg["dynamics.packet_center"], width=cfg["dynamics.packet_width"],
             kick_index=cfg["dynamics.packet_kick"],
         )
@@ -395,7 +395,7 @@ COMMANDS = {
         keys_if=(
             ("dynamics.initial", "equilibrium", _SOLVE_KEYS),
             ("dynamics.initial", "packet",
-             ("dynamics.packet_center", "dynamics.packet_width", "dynamics.packet_kick")),
+             ("dynamics.m", "dynamics.packet_center", "dynamics.packet_width", "dynamics.packet_kick")),
         ),
     ),
     "sectors": Command(
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime failure: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -47,8 +47,13 @@ class LatticeSpec:
             raise ValueError(f"lattice dimension must be >= 1, got {self.dimension}")
         if self.size < 1:
             raise ValueError(f"lattice size must be >= 1, got {self.size}")
-        # size >= 2 in more than log2(MAX_SITES) dimensions is over the limit: no big power
-        if self.size > 1 and (self.dimension >= MAX_SITES.bit_length() or self.n_sites > MAX_SITES):
+        # over the limit at size 2, such a dimension is refused at every size: it forms no per-dimension list
+        if self.dimension >= MAX_SITES.bit_length():
+            raise ValueError(
+                f"lattice dimension {self.dimension} is over {MAX_SITES.bit_length() - 1}: a size-2 lattice "
+                f"of 2**{self.dimension} sites exceeds the limit of {MAX_SITES} sites (MAX_SITES)"
+            )
+        if self.n_sites > MAX_SITES:
             raise ValueError(
                 f"lattice of {self.size}**{self.dimension} sites exceeds the limit of "
                 f"{MAX_SITES} sites (MAX_SITES)"
@@ -201,6 +206,8 @@ def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndar
     holds every lattice momentum, so each n is read off its grid index as
     the index's digits in the site radix.
     """
+    if couplings.dimension not in (None, grid.lattice.dimension):
+        raise ValueError(f"coupling dimension {couplings.dimension} != lattice dimension {grid.lattice.dimension}")
     mapping = couplings.exchange
     if not mapping:
         return np.zeros(len(grid))

@@ -68,7 +68,12 @@ _IMAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpinConfig:
-    """Lattice, couplings and the number of spin-1/2 copies per site."""
+    """Lattice, couplings and the number of spin-1/2 copies per site.
+
+    A config refuses a product basis (copies + 1)**sites, the sector engine's
+    largest block, over ``MAX_SECTOR_BLOCK_DIM``; the base is >= 2, so a site
+    count at the cap's bit length or past it is refused without the power.
+    """
 
     copies: int
     lattice: LatticeSpec
@@ -82,25 +87,11 @@ class SpinConfig:
                 f"coupling dimension {cd} does not match lattice dimension "
                 f"{self.lattice.dimension}"
             )
-
-
-def _admit(config: SpinConfig, mode: str) -> None:
-    """Refuse a build over a matrix cap, before anything is allocated.
-
-    The sector engine's largest block is one assignment's product basis,
-    (copies + 1)**sites; the full tensor is one dense 2**(copies * sites)
-    square.  Both bases are >= 2, so an exponent at the cap's bit length or
-    past it is over the cap, and a huge power is never formed.
-    """
-    n, n_sites = config.copies, config.lattice.n_sites
-    if mode == "full":
-        base, exponent, cap, what = 2, n * n_sites, MAX_FULL_DIM, "full-tensor dimension"
-    else:
-        base, exponent, cap, what = n + 1, n_sites, MAX_SECTOR_BLOCK_DIM, "largest sector block dimension"
-    if exponent >= cap.bit_length() or base**exponent > cap:
-        dim = base**exponent if exponent < 64 else f"{base}**{exponent}"
-        name = "MAX_FULL_DIM" if mode == "full" else "MAX_SECTOR_BLOCK_DIM"
-        raise ValueError(f"{what} {dim} at copies={n} exceeds cap {cap} ({name})")
+        base, n_sites = self.copies + 1, self.lattice.n_sites
+        if n_sites >= MAX_SECTOR_BLOCK_DIM.bit_length() or base**n_sites > MAX_SECTOR_BLOCK_DIM:
+            dim = base**n_sites if n_sites < 64 else f"{base}**{n_sites}"
+            raise ValueError(f"largest sector block dimension {dim} at copies={self.copies} exceeds cap "
+                             f"{MAX_SECTOR_BLOCK_DIM} (MAX_SECTOR_BLOCK_DIM)")
 
 
 class _Block:
@@ -295,7 +286,6 @@ def _sector_blocks(config: SpinConfig):
     and row k of the permutation array belongs to the k-th member in product
     order, the representative's identity included.
     """
-    _admit(config, "sector")
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
     table = sector_decomposition(n)
@@ -368,11 +358,12 @@ def _full_block(config: SpinConfig) -> _Block:
     sigma+_a sigma-_b flips bits a (set) and b (clear); for a == b it projects
     onto bit a clear.  The sector engine's referee: no sectors, orbits or flips.
     """
-    _admit(config, "full")
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
     n_qubits = n * n_sites
-    dim = 2**n_qubits
+    dim = 2**n_qubits  # a small power: a SpinConfig has copies * sites <= 62
+    if dim > MAX_FULL_DIM:
+        raise ValueError(f"full-tensor dimension {dim} at copies={n} exceeds cap {MAX_FULL_DIM} (MAX_FULL_DIM)")
     index = np.arange(dim)
     masks = 1 << np.arange(n_qubits - 1, -1, -1)  # masks[k]: bit of qubit k
     down = (index[None, :] & masks[:, None]) != 0  # down[k, i]: qubit k of state i
@@ -703,15 +694,13 @@ def convergence_study(
     magnetization, so the comparison isolates the quasi-free structure; it
     is read off the grid occupations at q, the solver's formula.  q must be
     a point of the lattice's momentum grid (ValueError otherwise), and every
-    rung's copy count (by its ``SpinConfig``) and size caps are checked before
-    the first one is built.  ``gaps`` are the grid's exchange gaps if the
-    caller has them; the study computes them at most once.  A rung whose
+    rung's ``SpinConfig`` refuses its copy count or its size before the first
+    rung is built.  ``gaps`` are the grid's exchange gaps if the caller has
+    them; the study computes them at most once.  A rung whose
     magnetization is positive (not ordered along -S3) is a RegimeError.
     Every rung is built by the sector engine; ``build_gibbs(..., mode="full")`` referees it.
     """
     configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]
-    for config in configs:
-        _admit(config, "sector")
     params = ThermalParams(beta=beta, h=couplings.h)
     grid = MomentumGrid.from_lattice(lattice)
     index = grid.index_of(q)

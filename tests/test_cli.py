@@ -62,6 +62,11 @@ field.h = 1
 """
 
 
+def no_gap_grid(*args, **kwargs):
+    """Stands in for the regime check in a run that must be refused before it."""
+    raise AssertionError("the gap grid was built")
+
+
 @pytest.fixture
 def workspace(tmp_path):
     def make(conf_body, csv_body=ISO_CSV, name="run.conf"):
@@ -436,12 +441,15 @@ class TestOracleCommand:
         (4, "1,3,5,7,9,11", "largest sector block dimension 20736 at copies=11 exceeds "
                             "cap 10000 (MAX_SECTOR_BLOCK_DIM)"),
         (2, ",".join(map(str, range(1, 35, 2))), "copy count 33 exceeds supported maximum 31 (MAX_COPIES)"),
+        (2, "", "oracle.copies must list at least one copy count"),
     ])
     def test_oversized_rung_refused_before_any_build(self, workspace, capsys, monkeypatch, size, copies, message):
+        # the ladder is the configuration's to refuse, before the regime check builds the gap grid
         def no_build(*args, **kwargs):
             raise AssertionError("a build started")
 
         monkeypatch.setattr(oracle, "_sector_blocks", no_build)
+        monkeypatch.setattr(cli, "validate_ferromagnetic", no_gap_grid)
         tmp_path, make = workspace
         conf = make(ORACLE_CONF.replace("lattice.size = 2", f"lattice.size = {size}")
                     .replace("oracle.copies = 1,3", f"oracle.copies = {copies}"))
@@ -457,10 +465,12 @@ class TestOracleCommand:
         assert "unknown key 'oracle.monotone_tol'" in capsys.readouterr().err
         assert not (tmp_path / "convergence.json").exists()
 
-    def test_bad_q_index_exit_2(self, workspace):
+    def test_bad_q_index_exit_2(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validate_ferromagnetic", no_gap_grid)
         tmp_path, make = workspace
         conf = make(ORACLE_CONF.replace("oracle.q_index = 1", "oracle.q_index = 7"))
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: oracle.q_index 7 outside grid of 2 points\n"
 
     COLD_ORACLE_CONF = (  # nearly saturated: t_n ~ 1e-50, and q = 2 pi/3 cancels in its phase sum
         ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 3").replace("field.h = 2.5", "field.h = 2.8")
@@ -589,17 +599,6 @@ class TestDynamicsCommand:
         ]
         assert data == ["t,x1,density"]
 
-    def test_conflicting_m_refused_before_solving(self, workspace, capsys, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the solver ran")
-
-        monkeypatch.setattr(cli, "solve_magnetization", no_solve)
-        tmp_path, make = workspace
-        conf = make(DYNAMICS_CONF + "dynamics.m = -0.5\n")
-        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: dynamics.m conflicts with dynamics.initial = equilibrium\n"
-
     def test_zero_magnetization_exits_1(self, workspace):
         tmp_path, make = workspace
         conf = make(
@@ -641,7 +640,7 @@ class TestDynamicsCommand:
         assert snapshot["gamma_mode_real"] == state.to_mode().gamma.real.tolist()
 
 
-    def test_packet_reads_no_solver_keys(self, workspace):
+    def test_packet_reads_no_solver_keys(self, workspace, capsys):
         # thermal.beta and solve.* apply only to dynamics.initial = equilibrium
         tmp_path, make = workspace
         bare = make(PACKET_CONF.replace("thermal.beta = 2.0\n", ""), name="bare.conf")
@@ -653,9 +652,13 @@ class TestDynamicsCommand:
             runs.append({f: (out / f).read_bytes() for f in ("snapshot.json", "trajectory.csv")})
         assert runs[0] == runs[1]
         config = json.loads(runs[0]["snapshot.json"])["config"]
-        packet = ("dynamics.packet_center", "dynamics.packet_kick", "dynamics.packet_width")
+        packet = ("dynamics.m", "dynamics.packet_center", "dynamics.packet_kick", "dynamics.packet_width")
         assert sorted(config) == sorted(cli.COMMANDS["dynamics"].keys + packet)
         assert not any(key.startswith(("thermal.", "solve.")) for key in config)
+        # dynamics.m is a packet key like the others: required, with the standard message
+        conf = make(PACKET_CONF.replace("dynamics.m = -0.8\n", ""), name="no-m.conf")
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path / "no-m")]) == 2
+        assert capsys.readouterr().err == "error: config key 'dynamics.m' is required for 'dynamics'\n"
 
     def test_equilibrium_requires_thermal_beta(self, workspace, capsys):
         tmp_path, make = workspace
@@ -666,6 +669,14 @@ class TestDynamicsCommand:
         assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
         config = json.loads((tmp_path / "snapshot.json").read_text())["config"]
         assert (config["thermal.beta"], config["solve.tol"]) == ("2.0", "1e-9")
+        # dynamics.m, a packet key, is ignored and not embedded
+        runs = []
+        for k, body in enumerate((DYNAMICS_CONF, DYNAMICS_CONF + "dynamics.m = -0.5\n")):
+            out = tmp_path / f"m{k}"
+            assert main(["dynamics", "--config", str(make(body)), "--out", str(out)]) == 0
+            runs.append({f: (out / f).read_bytes() for f in ("snapshot.json", "trajectory.csv")})
+        assert runs[0] == runs[1]
+        assert "dynamics.m" not in json.loads(runs[1]["snapshot.json"])["config"]
 
     def test_packet_rerun_is_byte_identical(self, workspace):
         tmp_path, make = workspace
@@ -769,6 +780,7 @@ class TestDynamicsCommand:
         monkeypatch.setattr(cli, "MAX_SNAPSHOT_BYTES", 16 * 8 * 8 - 1)
         monkeypatch.setattr(cli, "packet_state", no_state)
         monkeypatch.setattr(cli, "solve_magnetization", no_state)
+        monkeypatch.setattr(cli, "validate_ferromagnetic", no_gap_grid)
         tmp_path, make = workspace
         for conf in (DYNAMICS_CONF, PACKET_CONF):
             assert main(["dynamics", "--config", str(make(conf)), "--out", str(tmp_path)]) == 2
@@ -1032,11 +1044,17 @@ OUT_OF_RANGE = {
     "solve.tol": ("solve", BASE_CONF + "solve.tol = 0\n", "solve.tol", "must be > 0, got 0.0"),
     "solve.tol-negative": ("solve", BASE_CONF + "solve.tol = -1e-12\n", "solve.tol", "must be > 0, got -1e-12"),
     "dynamics-solve.tol": ("dynamics", DYNAMICS_CONF + "solve.tol = 0\n", "solve.tol", "must be > 0, got 0.0"),
+    **{f"{command}-thermal.beta={beta}": (command, re.sub(r"thermal\.beta = \S+", f"thermal.beta = {beta}", body),
+                                          "thermal.beta", f"must be > 0, got {float(beta)}")
+       for command, body in (("solve", BASE_CONF), ("oracle", ORACLE_CONF), ("dynamics", DYNAMICS_CONF))
+       for beta in ("0", "-1")},
+    "output.format": ("solve", BASE_CONF + "output.format = xml\n", "output.format",
+                      "expected one of ('json', 'csv'), got 'xml'"),
 }
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
-def test_out_of_range_tolerance_exits_2_before_the_lattice(case, workspace, capsys, monkeypatch):
+def test_out_of_range_value_exits_2_before_the_lattice(case, workspace, capsys, monkeypatch):
     # refused when the config is parsed, naming the key, before any lattice or gap grid
     def no_lattice(*args, **kwargs):
         raise AssertionError("a lattice was built")
@@ -1079,6 +1097,16 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err.startswith("internal error: AssertionError: sector dimensions do not add up (at ")
         assert "test_cli.py:" in err and err.count("\n") == 1
+
+    def test_key_error_is_internal(self, workspace, capsys, monkeypatch):
+        # no bad input raises a KeyError, so one is a bug: exit 3, not 2
+        def broken(copies):
+            raise KeyError("j")
+
+        monkeypatch.setattr(cli, "sector_decomposition", broken)
+        tmp_path, make = workspace
+        assert main(["sectors", "--config", str(make("sectors.copies = 3\n")), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("internal error: KeyError: 'j' (at test_cli.py:")
 
 
 def test_benchmark_wrap_points_record_spans(workspace):

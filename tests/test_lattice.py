@@ -113,8 +113,11 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(1, 0)
 
-    @pytest.mark.parametrize("dimension,size", [(1, MAX_SITES + 1), (3, 257), (25, 2), (10**9, 2)])
+    @pytest.mark.parametrize("dimension,size", [(1, MAX_SITES + 1), (3, 257), (25, 2), (10**9, 2), (25, 1),
+                                                (10**6, 1)])
     def test_refuses_lattices_over_the_site_limit(self, dimension, size):
+        # a dimension over log2(MAX_SITES) is refused at size 1 too, before the coupling CSV
+        # header or the site vectors form one entry per dimension
         with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SITES} sites"):
             LatticeSpec(dimension, size)
 
@@ -125,7 +128,7 @@ class TestLatticeSpec:
             LatticeSpec(10**9, 2)
 
     def test_accepts_the_site_limit(self):
-        for dimension, size in ((1, MAX_SITES), (3, 256), (24, 2), (10**9, 1)):
+        for dimension, size in ((1, MAX_SITES), (3, 256), (24, 2), (24, 1)):
             assert LatticeSpec(dimension, size).n_sites <= MAX_SITES
 
 
@@ -281,6 +284,12 @@ class TestFourierCoupling:
     def test_empty_map(self):
         c = CouplingSet({}, {}, 0.0)
         np.testing.assert_array_equal(fourier_coupling_grid(c, chain_grid(5)), np.zeros(5))
+
+    @pytest.mark.parametrize("exchange, exchange_z", [({(1, 0): 1.0}, {}), ({}, {(1, 0): 1.0})])
+    def test_refuses_couplings_of_another_dimension(self, exchange, exchange_z):
+        # a 2D set on a chain grid, whichever map carries it
+        with pytest.raises(ValueError, match="coupling dimension 2 != lattice dimension 1"):
+            fourier_coupling_grid(CouplingSet(exchange, exchange_z, 0.0), chain_grid(4))
 
     def test_real_on_grid_for_random_even_maps(self):
         rng = np.random.default_rng(7)
@@ -440,6 +449,10 @@ class TestCouplingMatrix:
         mat = coupling_matrix(nn_chain().exchange, lat)
         np.testing.assert_allclose(mat, [[0.0, 2.0], [2.0, 0.0]])
 
+    def test_refuses_couplings_of_another_dimension(self):
+        with pytest.raises(ValueError, match="coupling dimension 1 != lattice dimension 2"):
+            coupling_matrix(nn_chain().exchange, LatticeSpec(2, 3))
+
     def test_matches_grid_fourier_transform(self):
         # sum_y mat[x, y] e^{-ik(x-y)} must reproduce J(k) for grid momenta
         rng = np.random.default_rng(11)
@@ -548,8 +561,9 @@ class TestValidateFerromagnetic:
 
 class TestCouplingCsv:
     def test_loader_symmetrizes(self, tmp_path):
+        # blank rows, empty fields included, are skipped
         path = tmp_path / "c.csv"
-        path.write_text("dz1,J,J3\n1,1.0,0.5\n")
+        path.write_text("dz1,J,J3\n\n1,1.0,0.5\n , ,\n")
         c = load_couplings_csv(path, 1, h=2.0)
         assert c.exchange == {(1,): 1.0, (-1,): 1.0}
         assert c.exchange_z == {(1,): 0.5, (-1,): 0.5}
@@ -565,6 +579,12 @@ class TestCouplingCsv:
         path = tmp_path / "c.csv"
         path.write_text("dz1,J,J3\n1,1.0,0.5\n-1,2.0,0.5\n")
         with pytest.raises(ValueError, match="mirror"):
+            load_couplings_csv(path, 1, h=0.0)
+
+    def test_loader_rejects_a_wrong_field_count(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("dz1,J,J3\n1,1.0,0.5\n2,0.5\n")
+        with pytest.raises(ValueError, match="c.csv:3: expected 3 fields, got 2"):
             load_couplings_csv(path, 1, h=0.0)
 
     def test_loader_rejects_bad_header(self, tmp_path):

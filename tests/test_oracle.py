@@ -141,36 +141,47 @@ class TestBuildGibbs:
         with pytest.raises(ValueError):
             SpinConfig(2, CHAIN2, ISO25)
 
+    def test_rejects_couplings_of_another_dimension(self):
+        with pytest.raises(ValueError, match="coupling dimension 1 does not match lattice dimension 2"):
+            SpinConfig(1, LatticeSpec(2, 2), ISO25)
+
     def test_sector_cap(self):
-        config = SpinConfig(3, LatticeSpec(1, 8), ISO25)
         with pytest.raises(ValueError, match="65536"):
-            build_gibbs(config, beta=1.0, mode="sector")
+            SpinConfig(3, LatticeSpec(1, 8), ISO25)
 
     def test_full_cap(self):
         config = SpinConfig(17, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0))
         with pytest.raises(ValueError, match="exceeds cap"):
             build_gibbs(config, beta=1.0, mode="full")
 
-    def test_caps_admit_their_edge(self):
+    def test_caps_admit_their_edge(self, monkeypatch):
         # (9 + 1)**4 = MAX_SECTOR_BLOCK_DIM, 2**(3 * 4) = MAX_FULL_DIM and 31 = MAX_COPIES
-        # are admitted
-        oracle._admit(SpinConfig(9, LatticeSpec(1, 4), ISO25), "sector")
-        oracle._admit(SpinConfig(3, LatticeSpec(1, 4), ISO25), "full")
-        oracle._admit(SpinConfig(31, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0)), "sector")
+        # are admitted; the full build stops at its first coupling matrix, past its cap
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        SpinConfig(9, LatticeSpec(1, 4), ISO25)
+        SpinConfig(31, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "coupling_matrix", admitted)
+            with pytest.raises(Admitted):
+                build_gibbs(SpinConfig(3, LatticeSpec(1, 4), ISO25), beta=1.0, mode="full")
         # the copy count is the configuration's to refuse, before any cap is asked
         with pytest.raises(ValueError, match=r"copy count 33 exceeds supported maximum 31 \(MAX_COPIES\)"):
             SpinConfig(33, LatticeSpec(1, 1), CouplingSet({}, {}, 1.0))
-        with pytest.raises(ValueError, match="dimension 20736 at copies=11 exceeds cap 10000"):
-            oracle._admit(SpinConfig(11, LatticeSpec(1, 4), ISO25), "sector")
-        with pytest.raises(ValueError, match="dimension 8192 at copies=1 exceeds cap 4096"):
-            oracle._admit(SpinConfig(1, LatticeSpec(1, 13), ISO25), "full")
+        with pytest.raises(ValueError, match=r"largest sector block dimension 20736 at copies=11 exceeds cap "
+                                             r"10000 \(MAX_SECTOR_BLOCK_DIM\)"):
+            SpinConfig(11, LatticeSpec(1, 4), ISO25)
+        with pytest.raises(ValueError, match=r"full-tensor dimension 8192 at copies=1 exceeds cap 4096 "
+                                             r"\(MAX_FULL_DIM\)"):
+            build_gibbs(SpinConfig(1, LatticeSpec(1, 13), ISO25), beta=1.0, mode="full")
 
     def test_cap_on_a_huge_lattice_forms_no_power(self):
-        config = SpinConfig(3, LatticeSpec(3, 256), CouplingSet({}, {}, 1.0))
         with pytest.raises(ValueError, match="4\\*\\*16777216 at copies=3 exceeds cap"):
-            oracle._admit(config, "sector")
-        with pytest.raises(ValueError, match="2\\*\\*50331648 at copies=3 exceeds cap"):
-            oracle._admit(config, "full")
+            SpinConfig(3, LatticeSpec(3, 256), CouplingSet({}, {}, 1.0))
 
     def test_rejects_bad_beta_and_mode(self, chain2_n3):
         with pytest.raises(ValueError):
