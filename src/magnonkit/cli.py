@@ -271,7 +271,7 @@ def cmd_oracle(cfg: RunConfig) -> Output:
     for copies in copies_list:  # each rung's config refuses its copy count or its size
         SpinConfig(copies=copies, lattice=lattice, couplings=couplings)
     gaps = _regime_gaps(couplings, grid)
-    study = convergence_study(lattice, couplings, cfg["thermal.beta"], grid.points[q_index], copies_list,
+    study = convergence_study(lattice, couplings, cfg["thermal.beta"], grid.point(q_index), copies_list,
                               gaps=gaps)
     header = [field.name for field in fields(ConvergenceRow)]
     rows = [asdict(row) for row in study]

@@ -185,7 +185,7 @@ def packet_state(
     delta = np.abs(sites - sites[center])
     delta = np.minimum(delta, lattice.size - delta)
     dist_sq = np.sum(delta.astype(float) ** 2, axis=1)
-    kick = grid.points[kick_index]
+    kick = grid.point(kick_index)
     psi = np.exp(-dist_sq / spread + 1j * (sites @ kick))
     amplitude = _transform(psi[None, :], lattice, to_mode=True)
     return GaussianMagnonState(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")

@@ -177,6 +177,14 @@ class MomentumGrid:
     def __len__(self) -> int:
         return self.lattice.n_sites
 
+    def point(self, index: int) -> np.ndarray:
+        """The momentum of one grid index, from the index's digits in the site radix: ``points[index]``, bit for bit."""
+        size, dimension = self.lattice.size, self.lattice.dimension
+        if not 0 <= index < len(self):
+            raise IndexError(f"grid index {index} outside [0, {len(self)})")
+        digits = index // size ** np.arange(dimension - 1, -1, -1, dtype=np.int64) % size
+        return 2.0 * np.pi * digits / size
+
     def index_of(self, k) -> int:
         """Grid index of any image of a lattice momentum 2*pi*n/L, up to ``_ON_GRID_TOL`` per component."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -188,6 +196,23 @@ class MomentumGrid:
             if not np.all(np.abs(k - n * (2.0 * np.pi / size)) <= _ON_GRID_TOL):
                 raise ValueError(f"momentum {k} is not a lattice momentum 2*pi*n/{size} (not on the grid)")
         return int(self.lattice.site_index(np.fmod(n, size).astype(np.int64)))
+
+
+def _cos_table(size: int, shift: int) -> np.ndarray:
+    """cos(2*pi*j/L) in units of 2**-shift, rounded to int64, for j in [0, L).
+
+    Entry j is taken at angle index min(j, L - j), so the table is exactly
+    even.  It is built in place: one float64 L-array, and one int64 L-array
+    for the result.
+    """
+    table = np.arange(size, dtype=np.float64)
+    upper = table[size // 2 + 1:]
+    np.subtract(size, upper, out=upper)  # min(j, L - j)
+    table *= 2.0 * np.pi / size
+    np.cos(table, out=table)
+    np.ldexp(table, shift, out=table)
+    np.rint(table, out=table)
+    return table.astype(np.int64)
 
 
 def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
@@ -219,9 +244,7 @@ def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndar
     largest = max(np.diff(starts + [len(pairs)]))
     shift = 62 - int(largest).bit_length()  # a group's sum stays below 2**62
     zs = np.array([[c % size for c in z] for z in pairs], dtype=np.int64)
-    j = np.arange(size)
-    angles = (2.0 * np.pi / size) * np.minimum(j, size - j)
-    cos_table = np.rint(np.ldexp(np.cos(angles), shift)).astype(np.int64)
+    cos_table = _cos_table(size, shift)
     values = np.zeros(len(grid))
     rows = max(1, _FOURIER_CHUNK_ELEMENTS // len(pairs))
     for start in range(0, len(grid), rows):
@@ -308,7 +331,7 @@ def validate_ferromagnetic(couplings: CouplingSet, grid: MomentumGrid) -> Valida
     gap0 = float(gaps[0])
     i_min = int(np.argmin(gaps))
     gap_min = float(gaps[i_min])
-    q_min = grid.points[i_min].copy()
+    q_min = grid.point(i_min)
     h = couplings.h
 
     gap_ok = gap_min >= -GAP_TOL * scale

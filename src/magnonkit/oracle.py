@@ -12,6 +12,18 @@ product basis, with a per-hop check that every hop stays in its source's
 sector.  S+ is kept as its pieces between sectors; S3 is diagonal in the
 product basis, so only the eigenbasis diagonals of S3 and S3^2 are kept.
 
+A rung's blocks are built in batches.  What does not depend on the block
+(the coupling matrices, their symmetry check, the orbits below, the sector
+table) is computed once per rung.  A batch lays its blocks' product bases
+side by side as a direct sum, with per-state strides and spins, and builds
+their hops and diagonals in one pass over the site pairs; it splits them
+into sectors keyed by (block, M), diagonalizes all its sectors of one size
+in one stacked ``eigh``, and rotates S3 per sector size and S+ per piece
+shape in one stacked product each.  A batch takes blocks, largest first,
+while its summed buffer of the sectors with M >= 0 (sum of d_M^2) stays at
+or below the largest block's, so no batch needs more memory than the
+largest block alone; the split changes no bit of any block.
+
 Two exact Z2 symmetries of the model are used on top of that.  The global
 spin flip P (index reversal in the product basis) maps sector -M onto M,
 and H_-M = P H_M P + c_M, where c_M comes from the field and the
@@ -165,72 +177,102 @@ def _orbits(n_entries: int, symmetries: np.ndarray):
 
 
 def _product_basis(twice_js):
-    """Digits, strides, S+ amplitudes and S3 diagonals of one product basis.
+    """Digits, strides, S+ amplitudes and S3 diagonals of a batch of product bases.
 
-    Basis index i has mixed-radix digits a_x (site 0 most significant, the
-    Kronecker order).  S+(x) sends i to i + stride_x with amplitude
-    sqrt((t_x - a_x)(a_x + 1)), t_x = 2 j_x, which vanishes at a_x = t_x;
-    S3(x) is 2 a_x - t_x.  Index reversal i -> D-1-i sends every digit a_x
-    to t_x - a_x: it flips every spin.
+    Row b of ``twice_js``, shape (batch, n_sites), holds t_x = 2 j_x of one
+    assignment.  Their product bases lie side by side as a direct sum: state
+    g of assignment b runs over ``starts[b]`` to ``starts[b + 1]`` and its
+    local index i = g - starts[b] has mixed-radix digits a_x (site 0 most
+    significant, the Kronecker order).  Every array is per site and state,
+    shape (n_sites, states).  S+(x) sends g to g + stride_x with amplitude
+    sqrt((t_x - a_x)(a_x + 1)), which vanishes at a_x = t_x; S3(x) is
+    2 a_x - t_x.  Local index reversal i -> D-1-i sends every digit a_x to
+    t_x - a_x: it flips every spin.  Returns (digits, strides, amplitudes,
+    S3 diagonals, starts).
     """
-    t = np.asarray(twice_js)[:, None]
-    dims = t[:, 0] + 1
-    digits = np.indices(dims).reshape(len(dims), -1)
-    strides = np.cumprod([1, *dims[:0:-1]])[::-1]
-    return digits, strides, np.sqrt((t - digits) * (digits + 1.0)), 2.0 * digits - t
+    t = np.asarray(twice_js)
+    dims = t + 1
+    strides = np.ones_like(dims)
+    strides[:, :-1] = np.cumprod(dims[:, :0:-1], axis=1)[:, ::-1]
+    sizes = dims.prod(axis=1)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(len(t)), sizes)
+    strides, t = strides.T[:, owner], t.T[:, owner]
+    digits = (np.arange(starts[-1]) - starts[owner]) // strides % (t + 1)
+    return digits, strides, np.sqrt((t - digits) * (digits + 1.0)), 2.0 * digits - t, starts
 
 
 def _hamiltonian(basis, j_mat, j3_mat, h, two_n):
-    """Hamiltonian of one assignment in its product basis, by index arithmetic.
+    """Hamiltonian of a batch of assignments in their product bases, by index arithmetic.
 
     Returns its diagonal and its off-diagonal entries as hops (dst, src,
-    value), H[dst, src] = value.  S+(x) S-(y) sends i to i + stride_x -
-    stride_y; x == y and the S3 products land on the diagonal.  Each hop
-    changes a different pair of digits, so no two hops share an entry.
+    value), H[dst, src] = value.  S+(x) S-(y) sends g to g + stride_x -
+    stride_y, for all site pairs x != y at once; x == y and the S3 products
+    land on the diagonal.  Each hop changes a different pair of digits of
+    one assignment's state, so no two hops share an entry and none leaves
+    its assignment.
     """
-    digits, strides, amp, s3 = basis
+    digits, strides, amp, s3, _ = basis
     n_sites, dim = digits.shape
     hop = np.zeros(dim)
     diag = np.zeros(dim)
-    dst, src, value = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for x in range(n_sites):
+        if j_mat[x, x] != 0.0:
+            lowered = np.flatnonzero(digits[x] > 0)  # S-(x) acts on these
+            down = amp[x, lowered - strides[x, lowered]]
+            hop[lowered] -= (4.0 / two_n) * j_mat[x, x] * (down * down)
         for y in range(n_sites):
-            jxy = j_mat[x, y]
-            if jxy != 0.0:
-                coeff = (4.0 / two_n) * jxy
-                lowered = np.flatnonzero(digits[y] > 0)  # S-(y) acts on these
-                if x == y:
-                    down = amp[y, lowered - strides[y]]
-                    hop[lowered] -= coeff * (down * down)
-                else:
-                    lowered = lowered[amp[x, lowered] > 0.0]  # and S+(x) can raise
-                    mid = lowered - strides[y]
-                    dst.append(mid + strides[x])
-                    src.append(lowered)
-                    value.append(-(coeff * (amp[x, mid] * amp[y, mid])))
-            j3xy = j3_mat[x, y]
-            if j3xy != 0.0:
-                diag -= (1.0 / two_n) * j3xy * s3[x] * s3[y]
+            if j3_mat[x, y] != 0.0:
+                diag -= (1.0 / two_n) * j3_mat[x, y] * s3[x] * s3[y]
         diag += h * s3[x]
-    return hop + diag, tuple(np.concatenate(part) for part in (dst, src, value))
+    xs, ys = np.nonzero((j_mat != 0.0) & ~np.eye(n_sites, dtype=bool))
+    # S-(y) acts on a state and S+(x) can raise it: a digit of x is the same before and after S-(y)
+    pair, src = np.nonzero((digits[ys] > 0) & (amp[xs] > 0.0))
+    x, y = xs[pair], ys[pair]
+    mid = src - strides[y, src]
+    value = -(((4.0 / two_n) * j_mat[xs, ys])[pair] * (amp[x, mid] * amp[y, mid]))
+    return hop + diag, (mid + strides[x, src], src, value)
 
 
-def _split_by_magnetization(diagonal, hops, magnetization, slope, tol):
-    """Diagonalize the Hamiltonian sector by sector of total S3.
+def _runs(*keys):
+    """The start of every run of equal entries (equal in every one of the aligned ``keys``), then the length."""
+    change = np.ones(len(keys[0]) + 1, dtype=bool)
+    change[1:-1] = False
+    for key in keys:
+        change[1:-1] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
 
-    Index reversal i -> D-1-i must map the sector of magnetization -M onto
-    that of M, and the Hamiltonian must satisfy H_-M = P H_M P + slope * M
-    for that reversal P (the spin flip: ``slope`` comes from the field and
-    the self-coupling).  So only the sectors with M >= 0 are scattered,
-    straight from the diagonal and the hops, each into its own square of one
-    flat buffer; sectors of equal size lie side by side there and go to one
-    stacked ``eigh``.  Sector -M < 0 gets the eigenvalues E_M + slope * M and
-    the eigenvectors V_M[::-1] (a view).  Returns the permutation that sorts
-    the product basis by magnetization, the sorted sector values and slices,
-    the per-sector eigenpairs, and per product state its position in the
-    sorted basis and its sector number.  Raises AssertionError if a hop
-    leaves its source's sector, or if a pair of flipped diagonal entries
-    differs by more than ``tol`` from slope * M.
+
+def _spans(starts, sizes):
+    """The indices starts[k] .. starts[k] + sizes[k] - 1 of every k, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+
+
+def _split_by_magnetization(diagonal, hops, magnetization, starts, slope, tol):
+    """Diagonalize a batch's Hamiltonian sector by sector of (assignment, total S3).
+
+    Assignment b owns the states ``starts[b]`` to ``starts[b + 1]``.  Local
+    index reversal must map its sector of magnetization -M onto that of M,
+    and the Hamiltonian must satisfy H_-M = P H_M P + slope * M for that
+    reversal P (the spin flip: ``slope`` comes from the field and the
+    self-coupling).  So only the sectors with M >= 0 are scattered, straight
+    from the diagonal and the hops, each into its own square of one flat
+    buffer; sectors of equal size, of any assignment, lie side by side
+    there and go to one stacked ``eigh``.  Sector -M < 0 gets the
+    eigenvalues E_M + slope * M and the eigenvectors V_M[::-1].
+
+    Returns the permutation ``order`` that sorts each assignment's states by
+    magnetization (stable, so the batch's sorted basis is every
+    assignment's own in turn), per product state its position ``rank`` in
+    the sorted basis and its ``sector`` number, the sectors as arrays
+    (values, first state, size, mirror sector) running through each
+    assignment by increasing M, the eigenvalues in the sorted basis, and per
+    size of the sectors with M >= 0, in increasing order, their numbers and
+    their stacked eigenvectors (views of the one buffer).
+    Raises AssertionError if a hop leaves its source's sector, or if a pair
+    of flipped diagonal entries differs from slope * M by more than its
+    assignment's ``tol``.
     """
     dst, src, value = hops
     leak = magnetization[dst] != magnetization[src]
@@ -239,44 +281,186 @@ def _split_by_magnetization(diagonal, hops, magnetization, slope, tol):
             f"Hamiltonian couples different total-S3 sectors "
             f"(largest entry {np.max(np.abs(value[leak])):.3e})"
         )
-    if np.any(magnetization[::-1] != -magnetization):
+    owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    flipped = (starts[:-1] + starts[1:] - 1)[owner] - np.arange(len(owner))
+    if np.any(magnetization[flipped] != -magnetization):
         raise AssertionError("index reversal does not flip the total S3")
-    defect = np.max(np.abs(diagonal[::-1] - diagonal - slope * magnetization))
-    if not defect <= tol:
+    deviation = np.abs(diagonal[flipped] - diagonal - slope * magnetization)
+    bad = np.flatnonzero(~(deviation <= tol[owner]))
+    if len(bad):
+        worst = bad[np.argmax(deviation[bad])]
         raise AssertionError(
             f"spin flip shifts the diagonal by other than {slope:.17g} M "
-            f"(largest deviation {defect:.3e}, tolerance {tol:.3e})"
+            f"(largest deviation {deviation[worst]:.3e}, tolerance {tol[owner[worst]]:.3e})"
         )
-    order = np.argsort(magnetization, kind="stable")
-    values, starts, sizes = np.unique(magnetization[order], return_index=True, return_counts=True)
-    sectors = [slice(a, a + d) for a, d in zip(starts, sizes)]
+    order = np.lexsort((magnetization, owner))
+    sorted_m = magnetization[order]
+    bounds = _runs(owner, sorted_m)
+    first, sizes = bounds[:-1], np.diff(bounds)
+    values = sorted_m[first]
+    counts = np.bincount(owner[first], minlength=len(starts) - 1)
+    lowest = np.cumsum(counts) - counts  # each assignment's first sector
+    mirror = (2 * lowest + counts - 1)[owner[first]] - np.arange(len(first))
     kept = np.flatnonzero(values >= 0)
-    layout = kept[np.argsort(sizes[kept], kind="stable")]  # buffer order: by size, then by magnetization
+    layout = kept[np.argsort(sizes[kept], kind="stable")]  # buffer order: by size, then as sorted
     offsets = np.zeros_like(sizes)
     offsets[layout] = np.cumsum(sizes[layout] ** 2) - sizes[layout] ** 2
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     sector = np.repeat(np.arange(len(sizes)), sizes)[rank]  # per product state
-    local, width = rank - starts[sector], sizes[sector]
+    local, width = rank - first[sector], sizes[sector]
     at = offsets[sector] + local * width  # where each state's row starts
     upper = magnetization >= 0
     moved = upper[src]  # hops inside the scattered sectors
     buffer = np.zeros(int(np.sum(sizes[kept] ** 2)))
     buffer[at[upper] + local[upper]] = diagonal[upper]
     buffer[at[dst[moved]] + local[src[moved]]] = value[moved]
-    eigen = [None] * len(sectors)
-    for size in np.unique(sizes[kept]):
-        group = layout[sizes[layout] == size]
-        start = offsets[group[0]]
-        stack = buffer[start:start + len(group) * size**2].reshape(len(group), size, size)
-        energies, vectors = np.linalg.eigh(stack)
-        for k, e, v in zip(group, energies, vectors):
-            eigen[k] = (e, v)
-    last = len(sectors) - 1  # sectors k and last - k hold M and -M
-    for k in kept[values[kept] > 0]:
-        energies, vectors = eigen[k]
-        eigen[last - k] = (energies + slope * values[k], vectors[::-1])
-    return order, values, sectors, eigen, rank, sector
+    # each stack's eigenvectors overwrite its matrices in the buffer
+    in_layout = sizes[layout]
+    edges = _runs(in_layout).tolist()
+    layout_energies = np.empty(int(np.sum(in_layout)))
+    stacks, start, end = {}, 0, 0
+    for low, high, size in zip(edges[:-1], edges[1:], in_layout[edges[:-1]].tolist()):
+        stack = buffer[start:start + (high - low) * size**2].reshape(high - low, size, size)
+        group_energies, stack[...] = np.linalg.eigh(stack)
+        layout_energies[end:end + group_energies.size] = group_energies.ravel()
+        stacks[size] = layout[low:high], stack
+        start, end = start + stack.size, end + group_energies.size
+    energies = np.empty(len(order))
+    energies[_spans(first[layout], in_layout)] = layout_energies
+    flips = np.flatnonzero(values > 0)
+    energies[_spans(first[mirror[flips]], sizes[flips])] = (
+        energies[_spans(first[flips], sizes[flips])] + np.repeat(slope * values[flips], sizes[flips]))
+    return order, rank, sector, (values, first, sizes, mirror), energies, stacks
+
+
+def _rotated_diagonals(s3_sorted, starts, sectors, stacks):
+    """Eigenbasis diagonals of S3(x) and S3(x)^2 of a batch, in one flat array.
+
+    ``s3_sorted`` is S3(x) in the batch's sorted basis and ``sectors`` and
+    ``stacks`` are what ``_split_by_magnetization`` returns.  Assignment b's
+    diagonals, shape (2, n_sites, D_b), start at 2 n_sites starts[b]: layer
+    (k, x) of its sorted state p is at p + (2 n_sites - 1) starts[b] +
+    (k n_sites + x) D_b.  A sector M >= 0 gets (V o V)^T s3(x)^(k+1), one
+    stacked product per stack; the flip negates S3(x) and keeps S3(x)^2, so
+    sector -M takes those of M with S3 negated.
+    """
+    values, first, sizes, mirror = sectors
+    n_sites, n_states = s3_sorted.shape
+    dims = np.diff(starts)
+    owner = np.repeat(np.arange(len(dims)), dims)
+    layers = np.arange(2 * n_sites)[:, None]
+    base, step = np.arange(n_states) + (2 * n_sites - 1) * starts[owner], dims[owner]
+    kept = np.concatenate([group for group, _ in stacks.values()])
+    states = _spans(first[kept], sizes[kept])  # in the order of the stacks
+    moments = np.concatenate([s3_sorted, s3_sorted**2])[:, states]
+    rotated = np.empty_like(moments)
+    end = 0
+    for group, stack in stacks.values():
+        count, size = stack.shape[:2]
+        cols = slice(end, end + count * size)
+        end = cols.stop
+        product = moments[:, cols].reshape(2, n_sites, count, size).transpose(2, 0, 1, 3) @ (stack * stack)[:, None]
+        rotated[:, cols] = product.transpose(1, 2, 0, 3).reshape(2 * n_sites, -1)
+    three = np.empty(2 * n_sites * n_states)
+    three[base[states] + layers * step[states]] = rotated
+    upper = values > 0
+    states, images = np.flatnonzero(np.repeat(upper, sizes)), _spans(first[mirror[upper]], sizes[upper])
+    three[base[images] + layers * step[images]] = (
+        three[base[states] + layers * step[states]] * np.repeat([-1.0, 1.0], n_sites)[:, None])
+    return three
+
+
+def _rotated_plus(amp, strides, rank, sector, starts, sectors, stacks):
+    """S+ pieces V_k+1^T S+(x) V_k of a batch in the eigenbasis, per sector k (None if it has none).
+
+    S+ raises the total S3 by 2, so its pieces run from each sector k with
+    M >= -2 to sector k + 1 of the same assignment; a piece from M > 0 also
+    stands for its mirror.  The pieces are sorted by shape (d_k+1, d_k) and
+    by whether sector k is mirrored (M < 0: eigenvectors V_-M[::-1]), and
+    each run of one kind is scattered and rotated at once, in one stacked
+    product.  ``amp`` and ``strides`` are the product basis's, the rest what
+    ``_split_by_magnetization`` returns.
+    """
+    values, first, sizes, mirror = sectors
+    n_sites = amp.shape[0]
+    owner = np.searchsorted(starts, first, side="right") - 1  # per sector
+    slot = np.zeros(len(sizes), dtype=np.intp)  # a sector's place in its size's stack
+    for group, _ in stacks.values():
+        slot[group] = np.arange(len(group))
+    top = np.zeros(len(sizes), dtype=bool)  # an assignment's last sector
+    top[_runs(owner)[1:] - 1] = True
+    pieces = np.flatnonzero((values >= -2) & ~top)
+    key = (sizes[pieces + 1] * (sizes.max() + 1) + sizes[pieces]) * 2 + (values[pieces] < 0)
+    by_key = np.argsort(key, kind="stable")
+    pieces, key = pieces[by_key], key[by_key]
+    d_cols, d_rows = sizes[pieces], sizes[pieces + 1]
+    runs = _runs(key)
+    extent = n_sites * d_cols * d_rows
+    at = np.cumsum(extent) - extent
+    at -= at[np.repeat(runs[:-1], np.diff(runs))]  # where each piece starts in its run
+    piece_of = np.full(len(sizes), -1)
+    piece_of[pieces] = np.arange(len(pieces))
+    # every S+(x) entry (r, c) puts amplitude times row r of V_k+1 into row (x, c) of V_k+1^T S+(x),
+    # one of the d_k+1 wide rows of its run; the entries are sorted piece by piece
+    site, src = np.nonzero(amp > 0.0)
+    p = piece_of[sector[src]]
+    by_piece = np.argsort(p, kind="stable")[np.count_nonzero(p < 0):]
+    site, src, p = site[by_piece], src[by_piece], p[by_piece]
+    k, width = pieces[p], d_rows[p]
+    target = at[p] // width + site * d_cols[p] + rank[src] - first[k]
+    source = slot[k + 1] * width + rank[src + strides[site, src]] - first[k + 1]
+    scale = amp[site, src, None]
+    entries = np.searchsorted(p, runs)
+    # the products below peak the batch's memory: keep only the indices they read, and no
+    # gathered rows past their scatter
+    del site, src, p, k, width, by_piece
+    stored = [None] * len(sizes)
+    heads = runs[:-1]
+    for low, high, begin, end, d_c, d_r, mirrored in zip(
+            heads.tolist(), runs[1:].tolist(), entries[:-1].tolist(), entries[1:].tolist(),
+            d_cols[heads].tolist(), d_rows[heads].tolist(), (values[pieces[heads]] < 0).tolist()):
+        k = pieces[low:high]
+        rows = stacks[d_r][1].reshape(-1, d_r)[source[begin:end]]
+        rows *= scale[begin:end]
+        left = np.zeros((high - low, n_sites, d_c, d_r))
+        left.reshape(-1, d_r)[target[begin:end]] = rows
+        del rows
+        right = stacks[d_c][1][slot[mirror[k]]][:, None, ::-1] if mirrored else stacks[d_c][1][slot[k]][:, None]
+        for m, piece in zip(k.tolist(), left.transpose(0, 1, 3, 2) @ right):
+            stored[m] = piece
+    return stored
+
+
+def _batches(twice_js):
+    """Split the representatives into batches built together, in build order.
+
+    Row b of ``twice_js`` is representative b's assignment.  A batch takes
+    representatives in decreasing order of their buffer of sectors with
+    M >= 0 (sum of d_M^2, counted from the digit sums without building the
+    basis) while its summed buffer stays at or below the largest
+    representative's, so a batch needs no more memory than the largest
+    representative alone, and the largest is built first, before any
+    other's pieces are stored.
+    """
+    twice_js = np.asarray(twice_js)
+    totals = twice_js.sum(axis=1)
+    counts = np.zeros((len(twice_js), totals.max() + 1), dtype=np.int64)
+    counts[:, 0] = 1  # counts[b, s]: states of b's sites so far with digit sum s
+    for t in twice_js.T:
+        previous = counts.copy()
+        for a in range(1, t.max() + 1):
+            counts[:, a:] += previous[:, :-a] * (a <= t)[:, None]
+    upper = 2 * np.arange(counts.shape[1]) >= totals[:, None]  # M = 2 s - total >= 0
+    buffers = np.sum(counts**2 * upper, axis=1)
+    batches, filled = [[]], 0
+    for b in np.argsort(-buffers, kind="stable").tolist():
+        if batches[-1] and filled + buffers[b] > buffers.max():
+            batches.append([])
+            filled = 0
+        batches[-1].append(b)
+        filled += buffers[b]
+    return batches
 
 
 def _sector_blocks(config: SpinConfig):
@@ -284,7 +468,9 @@ def _sector_blocks(config: SpinConfig):
 
     Orbits run in the order of their representatives' assignment numbers,
     and row k of the permutation array belongs to the k-th member in product
-    order, the representative's identity included.
+    order, the representative's identity included.  The couplings, the
+    symmetry check, the orbits and the flip slope are the rung's, computed
+    once; the representatives are then built in the batches of ``_batches``.
     """
     n, lattice = config.copies, config.lattice
     n_sites = lattice.n_sites
@@ -305,50 +491,50 @@ def _sector_blocks(config: SpinConfig):
     slope = self_coupling - 2.0 * h
     eps = float(np.finfo(float).eps)
 
-    def build(assignment):
-        weight = math.prod(e.multiplicity for e in assignment)
-        t = np.array([e.twice_j for e in assignment])
-        basis = _product_basis(t)
-        _, strides, amp, s3 = basis
-        diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, h, two_n)
-        # a bound on the sum of |terms| of a diagonal entry (S+S- <= ((t + 1)/2)^2, |S3| <= t)
-        # and on slope * M, for the rounding of the flip check
-        terms = abs(self_coupling) * np.sum((t + 1.0) ** 2) / 4.0 + t @ np.abs(j3_mat) @ t / two_n
-        terms += (h + abs(slope)) * t.sum()
-        order, values, sectors, eigen, rank, sector = _split_by_magnetization(
-            diagonal, hops, s3.sum(axis=0), slope, 4 * (n_sites + 2) ** 2 * eps * terms)
-        # every S+(x) entry, written in the sorted basis: site, row, column
-        site, src = np.nonzero(amp > 0.0)
-        row, col = rank[src + strides[site]], rank[src]
-        col_sector = sector[src]
-        s3_sorted = s3[:, order]
-        powers = np.stack([s3_sorted, s3_sorted**2])
-        last = len(sectors) - 1  # sectors k and last - k hold M and -M
-        three, plus = [None] * len(sectors), []
-        for k in np.flatnonzero(values >= -2):
-            if values[k] >= 0:
-                vectors = eigen[k][1]
-                three[k] = powers[:, :, sectors[k]] @ (vectors * vectors)
-            if values[k] > 0:  # the flip negates S3(x) and keeps S3(x)^2
-                three[last - k] = three[k] * np.array([-1.0, 1.0])[:, None, None]
-            if k < last:  # S+ raises the total S3 by 2: from sector k to k + 1
-                cols, rows = sectors[k], sectors[k + 1]
-                sel = col_sector == k
-                # V^T S+(x): the entry (r, c) puts amplitude times row r of V into column c
-                left = np.zeros((n_sites, cols.stop - cols.start, rows.stop - rows.start))
-                at = site[sel], col[sel] - cols.start
-                left[at] = amp[site[sel], src[sel], None] * eigen[k + 1][1][row[sel] - rows.start]
-                # the pieces that touch M = 0 are both rotated: eigh's basis of that
-                # sector is not flip-adapted, so their mirrors are no plain transposes
-                mirror = (sectors[last - k], sectors[last - k - 1]) if values[k] > 0 else None
-                plus.append((rows, cols, left.transpose(0, 2, 1) @ eigen[k][1], mirror))
-        energies = np.concatenate([e for e, _ in eigen])
-        return _Block(math.log(weight), energies, plus, np.concatenate(three, axis=-1),
-                      int(max(s.stop - s.start for s in sectors)))
+    def build(twice_js, log_weights):
+        basis = _product_basis(twice_js)
+        strides, amp, s3, starts = basis[1:]
+        # per assignment, a bound on the sum of |terms| of a diagonal entry (S+S- <= ((t + 1)/2)^2,
+        # |S3| <= t) and on slope * M, for the rounding of the flip check
+        t = twice_js.astype(float)
+        terms = abs(self_coupling) * np.sum((t + 1.0) ** 2, axis=1) / 4.0
+        terms += np.sum(t @ np.abs(j3_mat) * t, axis=1) / two_n + (h + abs(slope)) * t.sum(axis=1)
+        # the Hamiltonian and the digits live only until the split
+        order, rank, sector, (values, first, sizes, mirror), energies, stacks = _split_by_magnetization(
+            *_hamiltonian(basis, j_mat, j3_mat, h, two_n), s3.sum(axis=0), starts, slope,
+            4 * (n_sites + 2) ** 2 * eps * terms)
+        del basis
+        sectors = values, first, sizes, mirror
+        three = _rotated_diagonals(s3[:, order], starts, sectors, stacks)
+        stored = _rotated_plus(amp, strides, rank, sector, starts, sectors, stacks)
+        blocks = []
+        bounds = np.searchsorted(first, starts)  # each assignment's sectors
+        for b, log_weight in enumerate(log_weights):
+            low, high, begin = bounds[b], bounds[b + 1], starts[b]
+            slices = [slice(f - begin, f - begin + d) for f, d in zip(first[low:high].tolist(),
+                                                                        sizes[low:high].tolist())]
+            plus = []
+            for k in range(low, high):
+                if stored[k] is not None:
+                    # the pieces that touch M = 0 are both rotated: eigh's basis of that
+                    # sector is not flip-adapted, so their mirrors are no plain transposes
+                    image = (slices[mirror[k] - low], slices[mirror[k] - 1 - low]) if values[k] > 0 else None
+                    plus.append((slices[k + 1 - low], slices[k - low], stored[k], image))
+            flat = three[2 * n_sites * begin:2 * n_sites * starts[b + 1]]
+            blocks.append(_Block(log_weight, energies[begin:starts[b + 1]], plus,
+                                 flat.reshape(2, n_sites, -1), int(sizes[low:high].max())))
+        return blocks
 
-    assignments = list(itertools.product(table.entries, repeat=n_sites))
     reps, perms = _orbits(len(table.entries), symmetries)
-    return [(build(assignments[r]), perms[reps == r]) for r in np.unique(reps).tolist()]
+    numbers = np.unique(reps)
+    codes = numbers[:, None] // len(table.entries) ** np.arange(n_sites - 1, -1, -1) % len(table.entries)
+    twice_js = np.array([e.twice_j for e in table.entries])[codes]
+    log_weights = [math.log(math.prod(table.entries[c].multiplicity for c in row)) for row in codes.tolist()]
+    blocks = [None] * len(numbers)
+    for batch in _batches(twice_js):
+        for b, block in zip(batch, build(twice_js[batch], [log_weights[b] for b in batch])):
+            blocks[b] = block
+    return [(block, perms[reps == r]) for block, r in zip(blocks, numbers.tolist())]
 
 
 def _full_block(config: SpinConfig) -> _Block:
@@ -525,9 +711,9 @@ class GibbsEnsemble:
         """
         grid = MomentumGrid.from_lattice(self.config.lattice)
         index = grid.index_of(q)
-        key = min(index, grid.index_of(-grid.points[index]))
+        key = min(index, grid.index_of(-grid.point(index)))
         if key not in self._per_q:
-            coeffs = self._fluct_coeffs(grid.points[key])
+            coeffs = self._fluct_coeffs(grid.point(key))
             forms, four = np.zeros((4, 4)), 0.0
             for (rep, perms), probs in zip(self.orbits, self.probs):
                 sides = np.stack([np.ones(rep.dim), probs, rep.energies, probs * rep.energies])

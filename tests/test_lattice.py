@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from magnonkit import (
     load_couplings_csv,
     validate_ferromagnetic,
 )
+from magnonkit import lattice as lattice_module
 from magnonkit.lattice import MAX_SITES
 
 
@@ -177,6 +179,18 @@ class TestMomentumGrid:
         grid = MomentumGrid.from_lattice(LatticeSpec(1, 4))
         assert grid.index_of([-np.pi]) == grid.index_of([3.0 * np.pi]) == 2
 
+    @pytest.mark.parametrize("dimension, size", [(1, 1), (1, 7), (2, 5), (3, 4)])
+    def test_point_is_the_bits_of_points(self, dimension, size):
+        grid = MomentumGrid.from_lattice(LatticeSpec(dimension, size))
+        points = MomentumGrid.from_lattice(grid.lattice).points
+        for index in range(len(grid)):
+            point = grid.point(index)
+            assert point.dtype == points.dtype and np.array_equal(point, points[index])
+        assert "points" not in grid.__dict__  # one momentum forms no grid
+        for index in (-1, len(grid)):
+            with pytest.raises(IndexError, match=r"grid index -?\d+ outside \[0, \d+\)"):
+                grid.point(index)
+
     @settings(max_examples=80)
     @given(
         dimension=st.integers(1, 3),
@@ -275,6 +289,24 @@ def chain_grid(size):
 class TestFourierCoupling:
     def test_nearest_neighbor_at_zero(self):
         assert fourier_coupling_grid(nn_chain(), chain_grid(4))[0] == 2.0
+
+    def test_cosine_table_is_built_in_place(self):
+        # a 2**20-site chain: the even table, rounded to int64, with at most one float64 and
+        # one int64 L-array alive
+        size, shift = 2**20, 50
+        tracemalloc.start()
+        try:
+            table = lattice_module._cos_table(size, shift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * size + 64 * 1024, peak
+        np.testing.assert_array_equal(table[1:], table[:0:-1])  # exactly even
+        for length in (1, 2, 3, 8, 9, size):
+            j = np.arange(0, length, 997 if length == size else 1)
+            angles = (2.0 * np.pi / length) * np.minimum(j, length - j)
+            reference = np.rint(np.ldexp(np.cos(angles), shift)).astype(np.int64)
+            np.testing.assert_array_equal(lattice_module._cos_table(length, shift)[j], reference)
 
     def test_nearest_neighbor_at_pi(self):
         # direct evaluation of 2cos(k); grid point 2 of 4 is pi
@@ -543,6 +575,23 @@ class TestValidateFerromagnetic:
             c = random_even_couplings(rng, 1)
             report = validate_ferromagnetic(c, grid)
             assert report.field_ok_relaxed or not report.field_ok_strict
+
+    def test_builds_no_grid_points(self, monkeypatch):
+        # on a 2**24-site chain: the minimizing momentum comes from its index, not from the
+        # grid's 384 MB of points; the gap grid is stubbed by zeros made before the count
+        # starts, so only validate's own allocations count
+        grid = MomentumGrid.from_lattice(LatticeSpec(1, MAX_SITES))
+        gaps = np.zeros(len(grid))
+        monkeypatch.setattr(lattice_module, "exchange_gap_grid", lambda couplings, grid: gaps)
+        tracemalloc.start()
+        try:
+            report = validate_ferromagnetic(nn_chain(j=0.0, j3=1.0, h=2.5), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "points" not in grid.__dict__
+        assert peak < 1024 * 1024, peak
+        np.testing.assert_array_equal(report.minimizing_momentum, [0.0])
 
     def test_invariant_under_storage_relabeling(self):
         c = CouplingSet({(1,): 0.4, (2,): 0.1}, {(1,): 0.9, (2,): 0.2}, 1.3)

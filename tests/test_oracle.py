@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,35 +304,55 @@ def test_piece_formulas_match_dense_products(mode):
 def hop_map(*entries):
     """Hops (dst, src, value) from (row, column, value) entries of a symmetric H."""
     pairs = [(r, c, v) for r, c, v in entries] + [(c, r, v) for r, c, v in entries]
-    return tuple(np.array(column) for column in zip(*pairs))
+    return tuple(np.array([pair[i] for pair in pairs], dtype=dtype)
+                 for i, dtype in enumerate((np.intp, np.intp, float)))
+
+
+def split_one(diagonal, hops, magnetization, slope, tol):
+    """``_split_by_magnetization`` of a batch of one assignment."""
+    return _split_by_magnetization(diagonal, hops, magnetization, np.array([0, len(diagonal)]), slope,
+                                   np.array([tol]))
+
+
+def eigenpairs(split):
+    """(energies, eigenvectors) of every sector of a split, in sector order: a sector M < 0 has
+    the eigenvectors V_-M[::-1] of its mirror."""
+    _, _, _, (values, first, sizes, mirror), energies, stacks = split
+    vectors = {k: stack[i] for group, stack in stacks.values() for i, k in enumerate(group.tolist())}
+    return [(energies[f:f + d], vectors[k] if m >= 0 else vectors[mirror[k]][::-1])
+            for k, (m, f, d) in enumerate(zip(values, first, sizes))]
 
 
 class TestMagnetizationSplit:
     def test_refuses_a_hamiltonian_that_mixes_sectors(self):
         # a transverse field on one spin-1/2 couples S3 = -1 and S3 = +1
         with pytest.raises(AssertionError, match="different total-S3 sectors"):
-            _split_by_magnetization(np.zeros(2), hop_map((0, 1, 1.0)), np.array([-1.0, 1.0]), 0.0, 0.0)
+            split_one(np.zeros(2), hop_map((0, 1, 1.0)), np.array([-1.0, 1.0]), 0.0, 0.0)
 
     def test_refuses_the_smallest_leak(self):
         # two spins-1/2, product order (-,-), (-,+), (+,-), (+,+): flip-flop plus one stray hop
         hops = hop_map((1, 2, 2.0), (0, 3, 5e-324))
         with pytest.raises(AssertionError, match=r"different total-S3 sectors \(largest entry 4.941e-324\)"):
-            _split_by_magnetization(np.array([1.0, -1.0, -1.0, 1.0]), hops, np.array([-2.0, 0.0, 0.0, 2.0]),
-                                    0.0, 0.0)
+            split_one(np.array([1.0, -1.0, -1.0, 1.0]), hops, np.array([-2.0, 0.0, 0.0, 2.0]), 0.0, 0.0)
 
     def test_sorts_the_basis_into_sectors(self):
         # sector -2 is sector 2 flipped, shifted by slope * 2 = 8; it reaches no eigh
-        order, values, sectors, eigen, rank, sector = _split_by_magnetization(
-            np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0]), 4.0, 0.0
-        )
+        split = split_one(np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0]),
+                          4.0, 0.0)
+        order, rank, sector, (values, first, sizes, mirror), energies, stacks = split
         np.testing.assert_array_equal(order, [1, 0, 3, 2])
         np.testing.assert_array_equal(rank[order], np.arange(4))  # rank inverts order
         np.testing.assert_array_equal(sector, [1, 0, 2, 1])  # per product state
         np.testing.assert_array_equal(values, [-2.0, 0.0, 2.0])
-        assert [(s.start, s.stop) for s in sectors] == [(0, 1), (1, 3), (3, 4)]
-        for (energies, _), expected in zip(eigen, ([4.0], [-1.0, 3.0], [-4.0])):
-            np.testing.assert_allclose(energies, expected, atol=1e-14)
-        assert np.shares_memory(eigen[0][1], eigen[2][1])  # V_-2 is V_2 reversed, a view
+        np.testing.assert_array_equal(first, [0, 1, 3])
+        np.testing.assert_array_equal(sizes, [1, 2, 1])
+        np.testing.assert_array_equal(mirror, [2, 1, 0])
+        assert sorted(stacks) == [1, 2]  # only M >= 0, one stack per size
+        pairs = eigenpairs(split)
+        for (sector_energies, _), expected in zip(pairs, ([4.0], [-1.0, 3.0], [-4.0])):
+            np.testing.assert_allclose(sector_energies, expected, atol=1e-14)
+        assert np.shares_memory(pairs[0][1], pairs[2][1])  # V_-2 is V_2 reversed, a view
+        assert stacks[1][1].base is stacks[2][1].base  # every stack is a view of one buffer
 
     def test_only_nonnegative_sectors_reach_one_stacked_eigh(self, monkeypatch):
         # sectors M = -4, -2, 0, 2, 4 of sizes 2, 1, 2, 1, 2 with slope 1: the 2x2 blocks of
@@ -348,23 +369,61 @@ class TestMagnetizationSplit:
             return eigh(stack)
 
         monkeypatch.setattr(np.linalg, "eigh", recorded)
-        _, values, _, eigen, _, sector = _split_by_magnetization(diagonal, hops, magnetization, 1.0, 0.0)
+        split = split_one(diagonal, hops, magnetization, 1.0, 0.0)
         assert shapes == [(1, 1, 1), (2, 2, 2)]
-        np.testing.assert_array_equal(sector, [0, 0, 1, 2, 2, 3, 4, 4])
-        np.testing.assert_array_equal(values, [-4.0, -2.0, 0.0, 2.0, 4.0])
+        np.testing.assert_array_equal(split[2], [0, 0, 1, 2, 2, 3, 4, 4])
+        np.testing.assert_array_equal(split[3][0], [-4.0, -2.0, 0.0, 2.0, 4.0])
         blocks = ([[9.0, 3.0], [3.0, 8.0]], [[5.0]], [[2.0, 1.0], [1.0, 2.0]], [[3.0]], [[4.0, 3.0], [3.0, 5.0]])
-        for (energies, vectors), block in zip(eigen, blocks):
+        for (energies, vectors), block in zip(eigenpairs(split), blocks):
             np.testing.assert_allclose(energies, np.linalg.eigvalsh(block), atol=1e-14)
             np.testing.assert_allclose(np.array(block) @ vectors, vectors * energies, atol=1e-14)
 
+    def test_a_batch_splits_by_assignment_and_magnetization(self, monkeypatch):
+        # two assignments side by side: a spin-1/2 pair (states 0-3) and one spin-1/2 (4-5).
+        # Their sectors are keyed by (assignment, M), the pair's M = 0 block and no other is
+        # 2x2, and the 1x1 blocks of both assignments share one stacked eigh
+        magnetization = np.array([-2.0, 0.0, 0.0, 2.0, -1.0, 1.0])
+        diagonal = np.array([1.0, -1.0, -1.0, 1.0, 3.0, 3.0])
+        hops = hop_map((1, 2, 2.0))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(stack):
+            shapes.append(stack.shape)
+            return eigh(stack)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        split = _split_by_magnetization(diagonal, hops, magnetization, np.array([0, 4, 6]), 0.0, np.zeros(2))
+        order, rank, sector, (values, first, sizes, mirror), energies, stacks = split
+        assert shapes == [(2, 1, 1), (1, 2, 2)]
+        np.testing.assert_array_equal(order, [0, 1, 2, 3, 4, 5])
+        np.testing.assert_array_equal(values, [-2.0, 0.0, 2.0, -1.0, 1.0])
+        np.testing.assert_array_equal(first, [0, 1, 3, 4, 5])
+        np.testing.assert_array_equal(mirror, [2, 1, 0, 4, 3])  # each within its assignment
+        np.testing.assert_array_equal(sector, [0, 1, 1, 2, 3, 4])
+        np.testing.assert_allclose(energies, [1.0, -3.0, 1.0, 1.0, 3.0, 3.0], atol=1e-14)
+
+    def test_the_flip_check_is_per_assignment(self):
+        # each assignment reverses on its own: M = (-1, 1 | -2, 2) is flipped locally though
+        # not by a reversal of the whole batch; and each assignment's diagonal is held to its
+        # own tolerance, so a deviation of 1e-3 passes the first and fails the second
+        magnetization = np.array([-1.0, 1.0, -2.0, 2.0])
+        starts = np.array([0, 2, 4])
+        no_hops = hop_map()
+        _split_by_magnetization(np.zeros(4), no_hops, magnetization, starts, 0.0, np.zeros(2))
+        tol = np.array([1e-2, 1e-4])
+        _split_by_magnetization(np.array([0.0, 1e-3, 0.0, 0.0]), no_hops, magnetization, starts, 0.0, tol)
+        with pytest.raises(AssertionError, match=r"largest deviation 1.000e-03, tolerance 1.000e-04"):
+            _split_by_magnetization(np.array([0.0, 0.0, 0.0, 1e-3]), no_hops, magnetization, starts, 0.0, tol)
+
     def test_refuses_a_diagonal_the_flip_does_not_shift_by_slope_times_m(self):
         with pytest.raises(AssertionError, match=r"spin flip shifts the diagonal by other than 3 M"):
-            _split_by_magnetization(np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)),
-                                    np.array([0.0, -2.0, 2.0, 0.0]), 3.0, 1e-12)
+            split_one(np.array([1.0, 4.0, -4.0, 1.0]), hop_map((0, 3, 2.0)), np.array([0.0, -2.0, 2.0, 0.0]),
+                      3.0, 1e-12)
 
     def test_refuses_a_basis_the_reversal_does_not_flip(self):
         with pytest.raises(AssertionError, match="index reversal does not flip the total S3"):
-            _split_by_magnetization(np.zeros(3), hop_map((1, 2, 1.0)), np.array([-2.0, 0.0, 0.0]), 0.0, 0.0)
+            split_one(np.zeros(3), hop_map((1, 2, 1.0)), np.array([-2.0, 0.0, 0.0]), 0.0, 0.0)
 
     def test_build_refuses_a_broken_hop_map(self, monkeypatch):
         # one stray hop between the all-down and all-up states of every assignment
@@ -372,8 +431,9 @@ class TestMagnetizationSplit:
 
         def broken(basis, *args):
             diagonal, (dst, src, value) = original(basis, *args)
-            last = len(diagonal) - 1
-            return diagonal, (np.append(dst, last), np.append(src, 0), np.append(value, 1e-3))
+            starts = basis[-1]
+            return diagonal, (np.append(dst, starts[1:] - 1), np.append(src, starts[:-1]),
+                              np.append(value, np.full(len(starts) - 1, 1e-3)))
 
         monkeypatch.setattr(oracle, "_hamiltonian", broken)
         with pytest.raises(AssertionError, match=r"different total-S3 sectors \(largest entry 1.000e-03\)"):
@@ -668,7 +728,7 @@ def identity_expectation(ensemble):
 def piece_bytes(twice_js, n_sites):
     """float64 bytes of one block's stored S+ pieces (d_M+2 x d_M per site, M >= -2; the
     others are their mirrors' transposes) and S3 diagonals."""
-    _, _, _, s3 = _product_basis(twice_js)
+    s3 = _product_basis([twice_js])[3]
     values, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
     stored = values[:-1] >= -2
     return 8 * n_sites * int(np.sum((sizes[1:] * sizes[:-1])[stored]) + 2 * np.sum(sizes))
@@ -719,19 +779,25 @@ HAMILTONIAN_CASES = {
 
 @pytest.mark.parametrize("case", HAMILTONIAN_CASES)
 def test_index_arithmetic_hamiltonian_matches_kronecker(case):
+    # six assignments side by side in one batch: the direct sum of their Kronecker Hamiltonians
     config, spins = HAMILTONIAN_CASES[case]
     j_mat, j3_mat = coupling_pair(config)
     two_n = 2.0 * config.copies
     rng = np.random.default_rng(7)
-    for _ in range(6):
-        twice_js = [int(t) for t in rng.choice(spins, size=config.lattice.n_sites)]
+    batch = rng.choice(spins, size=(6, config.lattice.n_sites))
+    basis = _product_basis(batch)
+    diagonal, (dst, src, value) = _hamiltonian(basis, j_mat, j3_mat, config.couplings.h, two_n)
+    starts = basis[-1]
+    np.testing.assert_array_equal(starts, np.r_[0, np.cumsum(np.prod(batch + 1, axis=1))])
+    assert not np.any(dst == src)
+    assert len(set(zip(dst.tolist(), src.tolist()))) == len(dst)  # no entry hit twice
+    owner = np.searchsorted(starts, np.arange(starts[-1]), side="right") - 1
+    np.testing.assert_array_equal(owner[dst], owner[src])  # no hop leaves its assignment
+    for b, twice_js in enumerate(batch.tolist()):
         expected = kron_hamiltonian(twice_js, j_mat, j3_mat, config.couplings.h, two_n)
-        diagonal, (dst, src, value) = _hamiltonian(_product_basis(twice_js), j_mat, j3_mat,
-                                                   config.couplings.h, two_n)
-        got = np.diag(diagonal)
-        np.add.at(got, (dst, src), value)
-        assert not np.any(dst == src)
-        assert len(set(zip(dst.tolist(), src.tolist()))) == len(dst)  # no entry hit twice
+        start, own = starts[b], owner[src] == b
+        got = np.diag(diagonal[start:starts[b + 1]])
+        np.add.at(got, (dst[own] - start, src[own] - start), value[own])
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14 * scale, err_msg=str(twice_js))
 
@@ -844,7 +910,7 @@ class TestOrbits:
         assert sorted(sizes.values()) == [1, 1, 2, 4, 4, 4]
         pieces = {label: piece_bytes(label, n_sites) for label in sizes}
         largest = max(sizes, key=lambda label: math.prod(t + 1 for t in label))
-        _, _, _, s3 = _product_basis(largest)
+        s3 = _product_basis([largest])[3]
         values, counts = np.unique(s3.sum(axis=0), return_counts=True)
         buffer = 8 * int(np.sum(counts[values >= 0] ** 2))  # only sectors M >= 0 are scattered
         slack = 128 * 1024
@@ -969,35 +1035,42 @@ class TestSpinFlip:
     @pytest.mark.parametrize("case", FLIP_CASES)
     def test_mirrored_eigenpairs_solve_their_own_sector(self, case):
         # sector -M < 0 is never diagonalized; its eigenpairs, taken from sector M, must
-        # diagonalize the Kronecker Hamiltonian's block of sector -M directly
+        # diagonalize the Kronecker Hamiltonian's block of sector -M directly.  The case's
+        # assignments are split as one batch.
         config, labels = FLIP_CASES[case]
         j_mat, j3_mat = coupling_pair(config)
         two_n = 2.0 * config.copies
-        for label in labels:
-            basis = _product_basis(label)
-            diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, config.couplings.h, two_n)
-            order, values, sectors, eigen, _, _ = _split_by_magnetization(
-                diagonal, hops, basis[3].sum(axis=0), flip_slope(config), 1e-12)
+        basis = _product_basis(labels)
+        starts = basis[-1]
+        split = _split_by_magnetization(*_hamiltonian(basis, j_mat, j3_mat, config.couplings.h, two_n),
+                                        basis[3].sum(axis=0), starts, flip_slope(config),
+                                        np.full(len(labels), 1e-12))
+        order, _, _, (values, first, sizes, _), _, _ = split
+        pairs = eigenpairs(split)
+        for b, label in enumerate(labels):
             hamiltonian = kron_hamiltonian(label, j_mat, j3_mat, config.couplings.h, two_n)
             scale = np.max(np.abs(hamiltonian))
-            assert values[0] < 0
-            for m, rows, (energies, vectors) in zip(values, sectors, eigen):
-                if m < 0:
-                    block = hamiltonian[np.ix_(order[rows], order[rows])]
-                    np.testing.assert_allclose(energies, np.linalg.eigvalsh(block), rtol=0.0,
-                                               atol=1e-12 * scale, err_msg=f"{label} M={m}")
-                    np.testing.assert_allclose(block @ vectors, vectors * energies, rtol=0.0,
-                                               atol=1e-12 * scale, err_msg=f"{label} M={m}")
-                    np.testing.assert_allclose(vectors.T @ vectors, np.eye(len(energies)), atol=1e-13)
+            own = np.flatnonzero((first >= starts[b]) & (first < starts[b + 1]))
+            assert values[own[0]] < 0
+            for k in own[values[own] < 0]:
+                energies, vectors = pairs[k]
+                states = order[first[k]:first[k] + sizes[k]] - starts[b]
+                block = hamiltonian[np.ix_(states, states)]
+                m = values[k]
+                np.testing.assert_allclose(energies, np.linalg.eigvalsh(block), rtol=0.0,
+                                           atol=1e-12 * scale, err_msg=f"{label} M={m}")
+                np.testing.assert_allclose(block @ vectors, vectors * energies, rtol=0.0,
+                                           atol=1e-12 * scale, err_msg=f"{label} M={m}")
+                np.testing.assert_allclose(vectors.T @ vectors, np.eye(len(energies)), atol=1e-13)
 
     def test_the_self_coupling_moves_the_shift(self):
         # with J(0) left out of the slope the flipped diagonals miss by (2/n) J(0) M
         config = SpinConfig(5, CHAIN2, WRAPPED)
         j_mat, j3_mat = coupling_pair(config)
-        basis = _product_basis((5, 3))
+        basis = _product_basis([(5, 3)])
         diagonal, hops = _hamiltonian(basis, j_mat, j3_mat, config.couplings.h, 10.0)
         with pytest.raises(AssertionError, match="spin flip shifts the diagonal"):
-            _split_by_magnetization(diagonal, hops, basis[3].sum(axis=0), -2.0 * config.couplings.h, 1e-9)
+            split_one(diagonal, hops, basis[3].sum(axis=0), -2.0 * config.couplings.h, 1e-9)
 
     def test_mirrored_pieces_are_stored_once(self):
         # 3-site chain, assignment (3, 3, 3): magnetizations -9..9, pieces stored from M = -1 up,
@@ -1039,3 +1112,79 @@ class TestSectorsAgainstFullTensor:
                              ids=["chain4", "square2x2"])
     def test_four_sites(self, lattice, couplings):
         assert_sector_matches_full(SpinConfig(1, lattice, couplings), beta=1.1)
+
+
+def rep_twice_js(config):
+    """Each orbit representative's assignment as its 2j values, in the engine's orbit order."""
+    labels = assignment_labels(config)
+    reps, _ = _orbits(len(sector_decomposition(config.copies).entries), _symmetries(config.lattice))
+    return np.array([labels[r] for r in np.unique(reps)])
+
+
+def orbit_bits(orbits):
+    """Everything a build stores per orbit, as comparable values."""
+    def span(piece_slice):
+        return piece_slice.start, piece_slice.stop
+
+    return [(rep.log_weight, rep.max_sector_dim, rep.energies, rep.three, perms,
+             [(span(rows), span(cols), stack, None if mirror is None else tuple(map(span, mirror)))
+              for rows, cols, stack, mirror in rep.plus])
+            for rep, perms in orbits]
+
+
+def assert_same_bits(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g[:2] == e[:2]
+        for a, b in zip(g[2:5], e[2:5]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert len(g[5]) == len(e[5])
+        for (*g_slices, g_stack, g_mirror), (*e_slices, e_stack, e_mirror) in zip(g[5], e[5]):
+            assert g_slices == e_slices and g_mirror == e_mirror
+            assert g_stack.shape == e_stack.shape and np.array_equal(g_stack, e_stack)
+
+
+def shell_couplings(dimension):
+    """Even couplings on the first shells of a chain or of a 2x2 torus, and a field."""
+    shells = [(1,), (2,)] if dimension == 1 else [(1, 0), (0, 1), (1, 1)]
+    maps = st.lists(st.floats(-1.5, 1.5), min_size=len(shells), max_size=len(shells)).map(
+        lambda values: dict(zip(shells, values)))
+    return st.builds(CouplingSet, maps, maps, st.floats(0.0, 3.0))
+
+
+class TestBatches:
+    """Representatives are built in batches; a block does not depend on its batch."""
+
+    @pytest.mark.parametrize("copies", [1, 3, 5])
+    @pytest.mark.parametrize("lattice", [LatticeSpec(1, 2), CHAIN3, CHAIN4, SQUARE2],
+                             ids=["chain2", "chain3", "chain4", "square2x2"])
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_every_split_builds_the_same_bits(self, lattice, copies, data):
+        config = SpinConfig(copies, lattice, data.draw(shell_couplings(lattice.dimension)))
+        split_by_rule = oracle._sector_blocks(config)
+        splits = {"one batch": lambda twice_js: [list(range(len(twice_js)))],
+                  "one per representative": lambda twice_js: [[b] for b in range(len(twice_js))]}
+        for name, split in splits.items():
+            with mock.patch.object(oracle, "_batches", split):
+                assert_same_bits(orbit_bits(oracle._sector_blocks(config)), orbit_bits(split_by_rule))
+
+    @pytest.mark.parametrize("config, count", [(SpinConfig(7, CHAIN3, ISO25), 4), (SpinConfig(9, CHAIN4, ISO25), 8)],
+                             ids=["chain3-n7", "chain4-n9"])
+    def test_batch_split_of_the_cliff_rungs(self, config, count):
+        twice_js = rep_twice_js(config)
+        batches = oracle._batches(twice_js)
+        assert len(batches) == count
+        assert sorted(b for batch in batches for b in batch) == list(range(len(twice_js)))
+        # every batch's buffer of sectors M >= 0 stays within the largest representative's
+        buffers = []
+        for row in twice_js:
+            magnetization = _product_basis([row])[3].sum(axis=0)
+            values, counts = np.unique(magnetization, return_counts=True)
+            buffers.append(int(np.sum(counts[values >= 0] ** 2)))
+        assert all(sum(buffers[b] for b in batch) <= max(buffers) for batch in batches)
+        assert batches[0] == [int(np.argmax(buffers))]  # the largest is built first, alone
+
+    def test_ladder_batch_counts(self):
+        counts = [len(oracle._batches(rep_twice_js(SpinConfig(n, CHAIN3, ISO25)))) for n in (1, 3, 5, 7)]
+        assert counts == [1, 2, 3, 4]
