@@ -284,19 +284,16 @@ def _column_cells(column: np.ndarray, out: np.ndarray) -> None:
 
     A float64 block formats each of its distinct values (by bit pattern)
     once and gathers the texts back in order through the ``np.unique``
-    inverse; a block without repeats is formatted as it is.
+    inverse.
     """
     if column.dtype != np.float64:
         out[:, :3] = column.astype("S24").view(_U).reshape(-1, 3)  # str() of each integer
         out[:, 3] = 0
         return
     distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    if len(distinct) == len(column):
-        _float_cells(column, out)
-    else:
-        cells = np.empty((len(distinct), _TEXT), _U)
-        _float_cells(distinct.view(np.float64), cells)
-        np.take(cells, inverse, axis=0, out=out[:, :_TEXT])
+    cells = np.empty((len(distinct), _TEXT), _U)
+    _float_cells(distinct.view(np.float64), cells)
+    np.take(cells, inverse, axis=0, out=out[:, :_TEXT])
 
 
 def _float_array(array: np.ndarray, level: int) -> Iterator[bytes]:

@@ -91,8 +91,13 @@ def _parse_choice(*choices):
     return parse
 
 
-def _parse_int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()] if text.strip() else []
+def _parse_ladder(text):
+    copies = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not copies:
+        raise ValueError("must list at least one copy count")
+    if any(b <= a for a, b in zip(copies, copies[1:])):
+        raise ValueError(f"must increase strictly, got {text}")
+    return copies
 
 
 def _parse_float_list(text):
@@ -108,7 +113,7 @@ _SCHEMA = {
     "thermal.beta": (_parse_positive, None),
     "output.format": (_parse_choice("json", "csv"), "json"),
     "solve.tol": (_parse_positive, repr(DEFAULT_SOLVE_TOL)),
-    "oracle.copies": (_parse_int_list, "1,3,5,7"),
+    "oracle.copies": (_parse_ladder, "1,3,5,7"),
     "oracle.q_index": (int, None),
     "dynamics.m": (_parse_float, None),
     "dynamics.times": (_parse_float_list, ""),
@@ -266,8 +271,6 @@ def cmd_oracle(cfg: RunConfig) -> Output:
     if not 0 <= q_index < len(grid):
         raise ValueError(f"oracle.q_index {q_index} outside grid of {len(grid)} points")
     copies_list = cfg["oracle.copies"]
-    if not copies_list:
-        raise ValueError("oracle.copies must list at least one copy count")
     for copies in copies_list:  # each rung's config refuses its copy count or its size
         SpinConfig(copies=copies, lattice=lattice, couplings=couplings)
     gaps = _regime_gaps(couplings, grid)

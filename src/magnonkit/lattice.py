@@ -101,13 +101,13 @@ class CouplingSet:
 
     ``exchange`` and ``exchange_z`` are stored as read-only maps: the listed
     entries first, then the filled mirrors in listing order, with zero values
-    dropped.  sum_z |J(z)| + |J3(z)| over the filled maps, which bounds
-    every term of the gap, must be finite.  Any violation is a ValueError.
+    dropped.  ``scale``, sum_z |J(z)| + |J3(z)| over the filled maps, bounds
+    every term of the gap and must be finite.  Any violation is a ValueError.
     """
 
     def __init__(self, exchange, exchange_z, h):
         filled = {}
-        total = 0.0
+        scale = 0.0
         for name, mapping in (("exchange", exchange), ("exchange_z", exchange_z)):
             out = filled[name] = {}
             for raw, value in mapping.items():
@@ -118,8 +118,8 @@ class CouplingSet:
             for z, v in list(out.items()):
                 out.setdefault(_mirror(z), v)
             for z, v in out.items():
-                total += abs(v)
-                if not math.isfinite(total):
+                scale += abs(v)
+                if not math.isfinite(scale):
                     raise ValueError(f"{name}: coupling {v} at {z} makes sum |J| + |J3| non-finite")
         for name, out in filled.items():  # after the sum, so a nan is not reported as a conflict
             for z, v in out.items():
@@ -137,6 +137,7 @@ class CouplingSet:
         if h < 0:
             raise ValueError(f"field h must be >= 0, got {h}")
         self.h = float(h)
+        self.scale = scale
 
     @classmethod
     def nearest_neighbor(cls, dimension, j=1.0, j3=1.0, h=0.0) -> "CouplingSet":
@@ -325,8 +326,6 @@ def validate_ferromagnetic(couplings: CouplingSet, grid: MomentumGrid) -> Valida
     The gap counts as nonnegative down to ``-GAP_TOL * sum_z (|J(z)| + |J3(z)|)``,
     the scale of its rounding noise.  Every CLI command judges the regime by this verdict.
     """
-    maps = (couplings.exchange, couplings.exchange_z)
-    scale = sum(abs(v) for mapping in maps for v in mapping.values())
     gaps = exchange_gap_grid(couplings, grid)
     gap0 = float(gaps[0])
     i_min = int(np.argmin(gaps))
@@ -334,7 +333,7 @@ def validate_ferromagnetic(couplings: CouplingSet, grid: MomentumGrid) -> Valida
     q_min = grid.point(i_min)
     h = couplings.h
 
-    gap_ok = gap_min >= -GAP_TOL * scale
+    gap_ok = gap_min >= -GAP_TOL * couplings.scale
     strict = (h > gap0) and (gap0 > 0.0)
     relaxed = h > max(gap0, 0.0)
 

@@ -9,8 +9,10 @@ The Hamiltonian also conserves total S3, so each block is built and
 diagonalized sector by sector of total magnetization: the sector blocks are
 scattered straight from the hops of the mixed-radix index arithmetic on the
 product basis, with a per-hop check that every hop stays in its source's
-sector.  S+ is kept as its pieces between sectors; S3 is diagonal in the
-product basis, so only the eigenbasis diagonals of S3 and S3^2 are kept.
+sector.  S+ is kept as its pieces between sectors.  Every eigenvector lies
+in one sector, so the total S3 of each is its sector's M, read off the split
+with no rotation; of S3 only sum_x S3(x)^2, diagonal in the product basis,
+is rotated, and only its eigenbasis diagonal is kept.
 
 A rung's blocks are built in batches.  What does not depend on the block
 (the coupling matrices, their symmetry check, the orbits below, the sector
@@ -18,38 +20,40 @@ table) is computed once per rung.  A batch lays its blocks' product bases
 side by side as a direct sum, with per-state strides and spins, and builds
 their hops and diagonals in one pass over the site pairs; it splits them
 into sectors keyed by (block, M), diagonalizes all its sectors of one size
-in one stacked ``eigh``, and rotates S3 per sector size and S+ per piece
-shape in one stacked product each.  A batch takes blocks, largest first,
-while its summed buffer of the sectors with M >= 0 (sum of d_M^2) stays at
-or below the largest block's, so no batch needs more memory than the
-largest block alone; the split changes no bit of any block.
+in one stacked ``eigh``, and rotates sum_x S3(x)^2 per sector size and S+
+per piece shape in one stacked product each.  A batch takes blocks,
+largest first, while its summed buffer of the sectors with M >= 0 (sum of
+d_M^2) stays at or below the largest block's, so no batch needs more
+memory than the largest block alone; the split changes no bit of any
+block.
 
 Two exact Z2 symmetries of the model are used on top of that.  The global
-spin flip P (index reversal in the product basis) maps sector -M onto M,
-and H_-M = P H_M P + c_M, where c_M comes from the field and the
-self-coupling J(0); so only the sectors with M >= 0 are diagonalized, and
-sector -M < 0 takes E_M + c_M and the reversed eigenvectors of M (checked:
-every flipped pair of diagonal entries differs by c_M up to rounding).  Its
-S3 diagonals are those of M with S3 negated, and the S+ piece from -M-2 to
--M is the transpose of the one from M to M+2, so only the pieces from
-M >= -2 are rotated and stored; a piece from M > 0 also stands for its
-mirror.  (The pieces into and out of M = 0 are both rotated: ``eigh``'s
-basis of that self-mirrored sector is not flip-adapted.)  And assignments
-related by a lattice translation or by the inversion x -> -x are
-isospectral, so one block per orbit of those 2N site permutations is
-diagonalized; the other members are stored as that representative plus a
-site permutation, and hold no operator copies of their own.  The Gibbs
-expectations are invariant under both, so every observable is evaluated once
-per orbit: momentum-space ones are the representative's value times the
-orbit size (a reflected member's F+(q) is the representative's F+(-q) up to
-a phase, and F+(-q) is the conjugate of F+(q)), and site-resolved ones
-scatter the representative's values through the members' permutations.  The
-fluctuation observables at one momentum (Wick residual, both energy-entropy
-margins) share one pass per pair {q, -q} that forms each stored F+(q) piece
-once.  A brute-force full-tensor path is kept for cross-validation: it
-indexes the 2**(copies*sites) qubit states by bits and builds one dense
-Hamiltonian from single-qubit flips, with no sectors, orbits, flips or
-collective spins, and diagonalizes it unsplit.
+spin flip P (index reversal in the product basis) maps sector -M onto M, and
+H_-M = P H_M P + c_M, where c_M comes from the field and the self-coupling
+J(0); so only the sectors with M >= 0 are diagonalized, and sector -M < 0
+takes E_M + c_M and the reversed eigenvectors of M (checked: every flipped
+pair of diagonal entries differs by c_M up to rounding).  Its S3^2 diagonal
+is that of M, and the S+ piece from -M-2 to -M is the transpose of the one
+from M to M+2, so only the pieces from M >= -2 are rotated and stored; a
+piece from M > 0 also stands for its mirror.  (The pieces into and out of
+M = 0 are both rotated: ``eigh``'s basis of that self-mirrored sector is not
+flip-adapted.)  And assignments related by a lattice translation or by the
+inversion x -> -x are isospectral, so one block per orbit of those 2N site
+permutations is diagonalized; the other members are stored as that
+representative plus a site permutation, and hold no operator copies of their
+own.  The Gibbs expectations are invariant under both, so every observable
+is evaluated once per orbit: the magnetization and momentum-space ones are
+the representative's value times the orbit size (translations act
+transitively on the sites, so <S3(x)> and <S3(x)^2> are the same at every
+site; a reflected member's F+(q) is the representative's F+(-q) up to a
+phase, and F+(-q) is the conjugate of F+(q)), and only the site-resolved
+two-point function scatters the representative's values through the members'
+permutations.  The fluctuation observables at one momentum (Wick residual,
+both energy-entropy margins) share one pass per pair {q, -q} that forms each
+stored F+(q) piece once.  A brute-force full-tensor path is kept for
+cross-validation: it indexes the 2**(copies*sites) qubit states by bits and
+builds one dense Hamiltonian from single-qubit flips, with no sectors,
+orbits, flips or collective spins, and diagonalizes it unsplit.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -117,19 +121,18 @@ class _Block:
     from M to M+2, so a piece whose ``mirror`` is a pair of slices (rows,
     cols) also stands for the piece ``stack[x].T`` at those slices; one with
     ``mirror`` None stands only for itself (the self-mirrored piece from -1
-    to 1, the two pieces that touch M = 0, an unsplit block).  S3(x) is
-    diagonal in the product basis and keeps each sector, so only the
-    eigenbasis diagonals of S3(x) and S3(x)^2 are stored: ``three[k, x]`` is
-    (V o V)^T s3(x)^(k+1) for the eigenvectors V, shape (2, n_sites, dim).
-    ``max_sector_dim`` is the size of the largest matrix the build passed to
-    ``eigh``.
+    to 1, the two pieces that touch M = 0, an unsplit block).  ``three``,
+    shape (2, dim), holds the eigenbasis diagonals of the total S3 and of
+    sum_x S3(x)^2: row 0 is each state's sector M, row 1 is
+    (V o V)^T sum_x s3(x)^2 for the eigenvectors V.  ``max_sector_dim`` is
+    the size of the largest matrix the build passed to ``eigh``.
     """
 
     def __init__(self, log_weight, energies, plus, three, max_sector_dim):
         self.log_weight = log_weight
         self.energies = energies
         self.plus = plus  # S+ pieces
-        self.three = three  # diagonals of S3 and S3^2
+        self.three = three  # diagonals of the total S3 and of sum_x S3(x)^2
         self.max_sector_dim = max_sector_dim
 
     @property
@@ -334,40 +337,23 @@ def _split_by_magnetization(diagonal, hops, magnetization, starts, slope, tol):
     return order, rank, sector, (values, first, sizes, mirror), energies, stacks
 
 
-def _rotated_diagonals(s3_sorted, starts, sectors, stacks):
-    """Eigenbasis diagonals of S3(x) and S3(x)^2 of a batch, in one flat array.
+def _rotated_diagonals(squares, sectors, stacks):
+    """Eigenbasis diagonals of the total S3 and of sum_x S3(x)^2 of a batch, shape (2, states).
 
-    ``s3_sorted`` is S3(x) in the batch's sorted basis and ``sectors`` and
-    ``stacks`` are what ``_split_by_magnetization`` returns.  Assignment b's
-    diagonals, shape (2, n_sites, D_b), start at 2 n_sites starts[b]: layer
-    (k, x) of its sorted state p is at p + (2 n_sites - 1) starts[b] +
-    (k n_sites + x) D_b.  A sector M >= 0 gets (V o V)^T s3(x)^(k+1), one
-    stacked product per stack; the flip negates S3(x) and keeps S3(x)^2, so
-    sector -M takes those of M with S3 negated.
+    ``squares`` is sum_x S3(x)^2 in the batch's sorted basis and ``sectors``
+    and ``stacks`` are what ``_split_by_magnetization`` returns.  Every
+    eigenvector lies in one sector, so row 0 is its sector's M, exactly.
+    Row 1 of a sector M >= 0 is (V o V)^T squares, one stacked product per
+    stack; the flip keeps S3(x)^2, so sector -M takes that of M.
     """
     values, first, sizes, mirror = sectors
-    n_sites, n_states = s3_sorted.shape
-    dims = np.diff(starts)
-    owner = np.repeat(np.arange(len(dims)), dims)
-    layers = np.arange(2 * n_sites)[:, None]
-    base, step = np.arange(n_states) + (2 * n_sites - 1) * starts[owner], dims[owner]
-    kept = np.concatenate([group for group, _ in stacks.values()])
-    states = _spans(first[kept], sizes[kept])  # in the order of the stacks
-    moments = np.concatenate([s3_sorted, s3_sorted**2])[:, states]
-    rotated = np.empty_like(moments)
-    end = 0
+    three = np.empty((2, len(squares)))
+    three[0] = np.repeat(values, sizes)
     for group, stack in stacks.values():
-        count, size = stack.shape[:2]
-        cols = slice(end, end + count * size)
-        end = cols.stop
-        product = moments[:, cols].reshape(2, n_sites, count, size).transpose(2, 0, 1, 3) @ (stack * stack)[:, None]
-        rotated[:, cols] = product.transpose(1, 2, 0, 3).reshape(2 * n_sites, -1)
-    three = np.empty(2 * n_sites * n_states)
-    three[base[states] + layers * step[states]] = rotated
+        states = _spans(first[group], sizes[group])
+        three[1, states] = (squares[states].reshape(len(group), 1, -1) @ (stack * stack)).ravel()
     upper = values > 0
-    states, images = np.flatnonzero(np.repeat(upper, sizes)), _spans(first[mirror[upper]], sizes[upper])
-    three[base[images] + layers * step[images]] = (
-        three[base[states] + layers * step[states]] * np.repeat([-1.0, 1.0], n_sites)[:, None])
+    three[1, _spans(first[mirror[upper]], sizes[upper])] = three[1, _spans(first[upper], sizes[upper])]
     return three
 
 
@@ -503,9 +489,10 @@ def _sector_blocks(config: SpinConfig):
         order, rank, sector, (values, first, sizes, mirror), energies, stacks = _split_by_magnetization(
             *_hamiltonian(basis, j_mat, j3_mat, h, two_n), s3.sum(axis=0), starts, slope,
             4 * (n_sites + 2) ** 2 * eps * terms)
-        del basis
+        squares = np.sum(s3 * s3, axis=0)[order]
+        del basis, s3
         sectors = values, first, sizes, mirror
-        three = _rotated_diagonals(s3[:, order], starts, sectors, stacks)
+        three = _rotated_diagonals(squares, sectors, stacks)
         stored = _rotated_plus(amp, strides, rank, sector, starts, sectors, stacks)
         blocks = []
         bounds = np.searchsorted(first, starts)  # each assignment's sectors
@@ -520,9 +507,8 @@ def _sector_blocks(config: SpinConfig):
                     # sector is not flip-adapted, so their mirrors are no plain transposes
                     image = (slices[mirror[k] - low], slices[mirror[k] - 1 - low]) if values[k] > 0 else None
                     plus.append((slices[k + 1 - low], slices[k - low], stored[k], image))
-            flat = three[2 * n_sites * begin:2 * n_sites * starts[b + 1]]
             blocks.append(_Block(log_weight, energies[begin:starts[b + 1]], plus,
-                                 flat.reshape(2, n_sites, -1), int(sizes[low:high].max())))
+                                 three[:, begin:starts[b + 1]], int(sizes[low:high].max())))
         return blocks
 
     reps, perms = _orbits(len(table.entries), symmetries)
@@ -586,7 +572,7 @@ def _full_block(config: SpinConfig) -> _Block:
         np.matmul(vectors.T, raised, out=t_plus[x])
     everything = slice(0, dim)  # one unsplit sector: S+ maps it to itself
     return _Block(0.0, energies, [(everything, everything, t_plus, None)],
-                  np.stack([s3, s3**2]) @ (vectors * vectors), dim)
+                  np.stack([s3.sum(axis=0), (s3**2).sum(axis=0)]) @ (vectors * vectors), dim)
 
 
 class GibbsEnsemble:
@@ -606,7 +592,8 @@ class GibbsEnsemble:
         self.beta = float(beta)
         self.orbits = orbits
         ground = min(float(rep.energies.min()) for rep, _ in orbits)
-        weights = [np.exp(rep.log_weight - self.beta * (rep.energies - ground)) for rep, _ in orbits]
+        with np.errstate(over="ignore"):  # beta times a gap past the float range: a weight of exp(-inf) = 0
+            weights = [np.exp(rep.log_weight - self.beta * (rep.energies - ground)) for rep, _ in orbits]
         total = sum(len(perms) * float(w.sum()) for w, (_, perms) in zip(weights, orbits))
         self.probs = [w / total for w in weights]
         self.logZ = math.log(total) - self.beta * ground
@@ -626,30 +613,20 @@ class GibbsEnsemble:
     def copies(self) -> int:
         return self.config.copies
 
-    def _site_sum(self, per_rep) -> np.ndarray:
-        """Sum over all blocks of per-site values, from the representatives.
-
-        ``per_rep(rep, probs)`` returns the representative's values with sites
-        on the first axis; a member's value at site x is the representative's
-        at perm[x].
-        """
-        return sum(per_rep(rep, probs)[perms].sum(axis=0)
+    def _orbit_sum(self, row: int) -> float:
+        """Sum over all blocks of <three[row]>: each representative's value times its orbit size."""
+        return sum(len(perms) * float(rep.three[row] @ probs)
                    for (rep, perms), probs in zip(self.orbits, self.probs))
 
     @cached_property
-    def sigma3_site(self) -> np.ndarray:
-        """Per-copy magnetization <sigma3> at each site (translation invariant)."""
-        return self._site_sum(lambda rep, probs: rep.three[0] @ probs) / self.copies
+    def sigma3(self) -> float:
+        """Per-copy magnetization <sigma3>, the same at every site: <sum_x S3(x)> / (N n)."""
+        return self._orbit_sum(0) / (self.n_sites * self.copies)
 
     @cached_property
-    def sigma3(self) -> float:
-        """Site-averaged per-copy magnetization <sigma3>."""
-        return float(np.mean(self.sigma3_site))
-
-    def sigma3_site_variance(self, x: int) -> float:
-        """Variance of the per-copy site average S3(x)/n (shrinks like 1/n)."""
-        mom1, mom2 = self._site_sum(lambda rep, probs: (rep.three @ probs).T)[x]
-        return (mom2 - mom1**2) / self.copies**2
+    def sigma3_site_variance(self) -> float:
+        """Variance of the per-copy site average S3(x)/n, the same at every site (shrinks like 1/n)."""
+        return self._orbit_sum(1) / (self.n_sites * self.copies**2) - self.sigma3**2
 
     @cached_property
     def _two_point(self) -> np.ndarray:
@@ -774,11 +751,8 @@ def _abs2(mat: np.ndarray) -> np.ndarray:
 
 def fluctuation_two_point(ensemble: GibbsEnsemble, q) -> float:
     """<F+(q) F-(q)> for the volume- and copy-normalized fluctuation mode."""
-    sites = ensemble.config.lattice.site_vectors()
-    phases = np.exp(1j * sites @ np.atleast_1d(np.asarray(q, dtype=float)))
-    value = phases @ ensemble.two_point_pm @ phases.conj()
-    value = value / (ensemble.n_sites * ensemble.copies)
-    return _real(complex(value), "fluctuation two-point")
+    coeffs = ensemble._fluct_coeffs(q)
+    return _real(complex(coeffs @ ensemble.two_point_pm @ coeffs.conj()), "fluctuation two-point")
 
 
 def commutator_expectation(ensemble: GibbsEnsemble, k, q) -> float:
@@ -843,9 +817,10 @@ class ConvergenceRow:
     rounding bound of the discrepancy: that of t_n's N^2-term phase sum,
     N^2 eps sum_xy |<S+(x) S-(y)>| / (N n); that of t_n's Gibbs weights,
     2 beta max_i |E_i| eps |t_n|, since each weight exp(-beta (E - E0))
-    carries up to beta (|E| + |E0|) eps from its energies; and p_n's
-    first-order rounding through m_n, |dp/dm| T eps |m_n| for the T terms
-    summed into sigma3, with
+    carries up to beta (|E| + |E0|) eps from its energies (0 at t_n = 0 and
+    finite at every finite beta); and p_n's first-order rounding through
+    m_n, |dp/dm| T eps |m_n| for the T terms summed into sigma3 (each
+    representative's dim terms, then one per representative), with
     dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).  A discrepancy at or below it
     is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
     ``representatives`` counts the orbits under translations and inversion
@@ -907,11 +882,11 @@ def convergence_study(
         two_point = ensemble.two_point_pm
         floor = two_point.size * eps * float(np.abs(two_point).sum()) / (ensemble.n_sites * ensemble.copies)
         energy = max(float(np.abs(rep.energies).max()) for rep, _ in ensemble.orbits)
-        floor += 2.0 * beta * energy * eps * abs(t_n)
+        floor += 2.0 * eps * abs(t_n) * energy * beta  # in this order, no inf * 0
         if p_n:  # p = -m / (e^x - 1) with x = 2 beta (h - m D) > 0
             x = 2.0 * beta * (couplings.h - m_n * gap)
             slope = p_n * (1.0 / m_n + 2.0 * beta * gap / -math.expm1(-x))
-            terms = ensemble.n_sites * sum(rep.dim * len(perms) for rep, perms in ensemble.orbits)
+            terms = sum(rep.dim + 1 for rep, _ in ensemble.orbits)
             floor += abs(slope) * terms * eps * abs(m_n)
         rows.append(ConvergenceRow(
             config.copies, m_n, t_n, p_n, abs(t_n - p_n), floor, ensemble.logZ,

@@ -19,6 +19,7 @@ enclosure excludes 0 holds at most one, found by bisection; any other is split.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +66,15 @@ def _occupations(m, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
     """
     occ = np.multiply(m, gaps)
     np.subtract(h, occ, out=occ)
-    occ *= 2.0 * beta
-    bad = np.min(occ)
-    if bad <= 0.0:
-        at = f"m={np.ravel(m)[0]}, " if np.size(m) == 1 else ""
-        raise RegimeError(
-            f"outside ferromagnetic regime: exponent argument {bad:.6g} <= 0 "
-            f"({at}beta={beta}, h={h})"
-        )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an argument or its exponential past the float range is inf: occupation 0
+        occ *= 2.0 * beta
+        bad = np.min(occ)
+        if bad <= 0.0:
+            at = f"m={np.ravel(m)[0]}, " if np.size(m) == 1 else ""
+            raise RegimeError(
+                f"outside ferromagnetic regime: exponent argument {bad:.6g} <= 0 "
+                f"({at}beta={beta}, h={h})"
+            )
         np.expm1(occ, out=occ)
     np.divide(-m, occ, out=occ)
     occ[occ < OCCUPATION_FLOOR] = 0.0
@@ -213,12 +214,28 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
     counted in ``tangent_roots`` (``certified`` if none).  The root closest to
     -1 (the low-temperature branch) is selected; its residual must be below
     tol.  ``bisection_steps`` and ``defect_evaluations`` count evaluations.
+
+    Before any enclosure, beta is refused (ValueError) unless every Bose
+    argument x = 2 beta (h + u gap), u in [0, 1], stays in the float range:
+    2 beta (h + sum_z |J(z)| + |J3(z)|), which bounds the largest, must be
+    finite, and the smallest, 2 beta min(h, h + min gap), if positive, must
+    be a normal float (>= sys.float_info.min), so that B = 1/expm1(x) is
+    finite.  Past either limit the enclosures turn NaN and exclude nothing,
+    so every cell would be split on every pass.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
     beta, h = params.beta, params.h
     distinct, weights = _distinct_gaps(gaps)
+    largest = 2.0 * beta * (h + couplings.scale)
+    if not math.isfinite(largest):
+        raise ValueError(f"beta={beta!r} is too large: the Bose argument bound 2 beta (h + sum_z |J(z)| + "
+                         f"|J3(z)|) = {largest} must be finite")
+    low = min(h, h + float(distinct[0]))  # the smallest Bose argument over 2 beta; <= 0 is a RegimeError below
+    if low > 0.0 and 2.0 * beta * low < sys.float_info.min:
+        raise ValueError(f"beta={beta!r} is too small: the smallest Bose argument 2 beta min(h, h + min gap) = "
+                         f"{2.0 * beta * low!r} is below the smallest normal float {sys.float_info.min!r}")
     evaluations = 0
 
     def defect(m: float) -> float:

@@ -1,6 +1,10 @@
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # Prefer the in-repo sources so the suite runs without an installed package.
@@ -13,3 +17,30 @@ if str(_src) not in sys.path:
 # without changing its values).  Tests set only their max_examples.
 settings.register_profile("magnonkit", deadline=None, derandomize=True, database=None)
 settings.load_profile("magnonkit")
+
+# The address space and wall time of a capped child run.
+CHILD_MEMORY_BYTES = 2**30
+CHILD_TIMEOUT_S = 30.0
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+
+
+@pytest.fixture
+def capped_cli():
+    """Run ``python -m magnonkit <args>`` in a child process capped at 1 GB of address space and 30 s.
+
+    For inputs that could exhaust memory: the cap and the timeout limit only the child, one BLAS
+    thread keeps its footprint small, and a run past the cap ends in its own MemoryError.
+    Returns the ``CompletedProcess`` with text output.
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(_src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*args, cwd):
+        return subprocess.run([sys.executable, "-m", "magnonkit", *map(str, args)], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+                              preexec_fn=_cap_address_space)
+
+    return run

@@ -250,16 +250,6 @@ class TestStreamingWriter:
         assert kernel_calls == [20000, 16000]
         assert texts == (reference_dumps(matrix), reference_dumps(small))
 
-    def test_vector_block_without_repeats_is_formatted_in_order(self):
-        values = np.random.default_rng(4).normal(size=700)
-        calls = []
-        real = artifacts._float_cells
-        with mock.patch.object(artifacts, "_float_cells",
-                               lambda values, out: calls.append(np.array(values)) or real(values, out)):
-            text = json_dumps(values)
-        assert len(calls) == 1 and np.array_equal(calls[0], values)
-        assert text == reference_dumps(values)
-
     @pytest.mark.parametrize("length", [1, 255, 256, 257, 511, 512, 513, 4095, 4096, 4097, 9000])
     @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
     @mock.patch.object(artifacts, "_BLOCK", 4096)

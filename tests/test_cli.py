@@ -348,6 +348,23 @@ class TestSolveCommand:
             assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 0
         assert "Warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, beta", [
+        *(("solve", beta) for beta in ("1e308", "9e307", "5e307", "1e-310", "5e-324")),
+        ("dynamics", "1e308"),
+        ("dynamics", "5e-324"),
+    ])
+    def test_beta_past_the_float_range_is_refused(self, capped_cli, workspace, command, beta):
+        # NaN enclosures exclude nothing: before the refusal these runs split every cell on every
+        # pass until memory ran out, so they run in a capped child
+        limit = "is too large: the Bose argument bound" if float(beta) > 1.0 else "is below the smallest normal float"
+        tmp_path, make = workspace
+        body = {"solve": BASE_CONF, "dynamics": DYNAMICS_CONF}[command]
+        conf = make(body.replace("thermal.beta = 2.0", f"thermal.beta = {beta}"))
+        result = capped_cli(command, "--config", conf, "--out", tmp_path, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: beta={float(beta)!r} ") and limit in result.stderr
+        assert not any(tmp_path.glob("*.json"))
+
     @pytest.mark.parametrize("case", EMIT_CASES)
     def test_idempotent_artifacts(self, case, workspace):
         # every command embeds its sorted effective config and reproduces its artifacts
@@ -441,7 +458,9 @@ class TestOracleCommand:
         (4, "1,3,5,7,9,11", "largest sector block dimension 20736 at copies=11 exceeds "
                             "cap 10000 (MAX_SECTOR_BLOCK_DIM)"),
         (2, ",".join(map(str, range(1, 35, 2))), "copy count 33 exceeds supported maximum 31 (MAX_COPIES)"),
-        (2, "", "oracle.copies must list at least one copy count"),
+        (2, "", "config key 'oracle.copies': must list at least one copy count"),
+        (2, "3,1", "config key 'oracle.copies': must increase strictly, got 3,1"),
+        (2, "1,1", "config key 'oracle.copies': must increase strictly, got 1,1"),
     ])
     def test_oversized_rung_refused_before_any_build(self, workspace, capsys, monkeypatch, size, copies, message):
         # the ladder is the configuration's to refuse, before the regime check builds the gap grid
@@ -491,9 +510,12 @@ class TestOracleCommand:
         (COLD_ORACLE_CONF, "dz1,J,J3\n1,1.3,1.5\n", 0),  # every rise lies below t_n's rounding
         (COLD_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.38,0.82\n", 0),  # a rise below p_n's rounding
         (WEIGHTS_Q0_ORACLE_CONF, "dz1,J,J3\n1,0.9,0.94\n", 0),  # a rise below the weights' rounding
-        (ORACLE_CONF.replace("oracle.copies = 1,3", "oracle.copies = 3,1"), ISO_CSV, 1),  # a real rise
+        (ORACLE_CONF, ISO_CSV, 1),  # the rungs of 1,3 handed to the verdict reversed: a real rise
     ], ids=["cold", "cold-q0", "weights-q0", "reversed-ladder"])
-    def test_rounding_floor_decides_only_noise(self, workspace, body, couplings, code):
+    def test_rounding_floor_decides_only_noise(self, workspace, monkeypatch, body, couplings, code):
+        if code == 1:  # a ladder must increase, and an increasing one in the regime shows no real rise
+            study = cli.convergence_study
+            monkeypatch.setattr(cli, "convergence_study", lambda *args, **kwargs: study(*args, **kwargs)[::-1])
         tmp_path, make = workspace
         conf = make(body, couplings)
         assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == code
@@ -504,6 +526,21 @@ class TestOracleCommand:
         failing = [b for b in rises if b["discrepancy"] > b["rounding_floor"]]
         assert bool(failing) == (code == 1)
         assert all(row["rounding_floor"] > 0.0 for row in rows)
+
+    @pytest.mark.parametrize("beta", ["1e307", "5e307", "1e308"])
+    def test_largest_betas_give_finite_floors_and_no_warning(self, workspace, beta):
+        # 2 beta max|E| overflows here, and from 5e307 on so do beta times a gap and the Bose
+        # argument of p_n; the weights' floor term is 0 at t_n = 0, not inf * 0
+        tmp_path, make = workspace
+        conf = make(ORACLE_CONF.replace("lattice.size = 2", "lattice.size = 3").replace("field.h = 2.5", "field.h = 2.3")
+                    .replace("thermal.beta = 1.0", f"thermal.beta = {beta}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+        assert [row["n"] for row in rows] == [1, 3]
+        assert all(not math.isnan(value) for row in rows for value in row.values())
+        assert all(math.isfinite(row["rounding_floor"]) for row in rows)
 
     def test_rows_carry_ensemble_diagnostics(self, workspace):
         tmp_path, make = workspace

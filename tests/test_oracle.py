@@ -59,8 +59,8 @@ def observables(ensemble):
     )
     out = {
         "logZ": [ensemble.logZ],
-        "sigma3_site": ensemble.sigma3_site,
-        "sigma3_site_variance": [ensemble.sigma3_site_variance(x) for x in range(n_sites)],
+        "sigma3": [ensemble.sigma3],
+        "sigma3_site_variance": [ensemble.sigma3_site_variance],
         "two_point_pm": ensemble.two_point_pm.ravel(),
         "expect_product": [expect_product(ensemble, f) for f in products],
     }
@@ -133,10 +133,6 @@ class TestBuildGibbs:
     def test_u1_symmetry(self, chain2_n3):
         for x in range(chain2_n3.n_sites):
             assert abs(expect_product(chain2_n3, [("+", x)])) < 1e-12
-
-    def test_translation_invariance(self, chain2_n3):
-        values = chain2_n3.sigma3_site
-        assert np.max(np.abs(values - values[0])) < 1e-12
 
     def test_rejects_even_copies(self):
         with pytest.raises(ValueError):
@@ -531,8 +527,8 @@ class TestConvergenceStudy:
             assert row.p_n == occupation(row.m_n, params, ISO25, GRID2)[1]
             # the rounding bound of t_n's 4-term phase sum on the 2-site chain, plus that of
             # its Gibbs weights at beta = 1 from the largest |energy|, plus p_n's first-order
-            # rounding through m_n: sigma3 sums the 2 sites' values over the
-            # (sum_j (2j + 1))**2 = ((n + 1)(n + 3)/4)**2 states of the per-site spin assignments
+            # rounding through m_n: sigma3 sums each representative's d_a d_b states, one
+            # representative per unordered pair of spins (d = 2j + 1), then one term per pair
             ensemble = build_gibbs(SpinConfig(row.n, CHAIN2, ISO25), beta=1.0)
             eps, m, p = np.finfo(float).eps, row.m_n, row.p_n
             gap = exchange_gap_grid(ISO25, GRID2)[1]
@@ -541,7 +537,9 @@ class TestConvergenceStudy:
             floor_t = 4 * eps * np.abs(ensemble.two_point_pm).sum() / (2 * row.n)
             energy = max(np.abs(rep.energies).max() for rep, _ in ensemble.orbits)
             floor_w = 2.0 * energy * eps * abs(row.t_n)
-            terms = 2 * ((row.n + 1) * (row.n + 3) // 4) ** 2
+            dims = [e.dim for e in sector_decomposition(row.n).entries]
+            pairs = list(itertools.combinations_with_replacement(dims, 2))
+            terms = sum(a * b for a, b in pairs) + len(pairs)
             floor_p = abs(slope) * terms * eps * abs(m)
             assert row.rounding_floor == pytest.approx(floor_t + floor_w + floor_p, rel=1e-12, abs=0)
             assert row.rounding_floor < 1e-6 * row.discrepancy  # warm: far from the noise
@@ -571,7 +569,7 @@ def test_site_average_variance_shrinks():
     variances = []
     for n in ladder:
         ensemble = build_gibbs(SpinConfig(n, CHAIN2, ISO25), beta=1.0)
-        variances.append(ensemble.sigma3_site_variance(0))
+        variances.append(ensemble.sigma3_site_variance)
     assert all(b < a for a, b in zip(variances, variances[1:]))
     for n, variance in zip(ladder[1:], variances[1:]):
         assert variance <= variances[0] / n
@@ -671,7 +669,7 @@ def reference_ensemble(config, beta):
     """Every assignment diagonalized on its own (unsplit, each its own orbit), in product order.
 
     Each block also carries its dense eigenbasis S3 stack as ``s3_rotated``, and its
-    S3 diagonals are read off that stack and its square.
+    diagonals are read off the site sums of that stack and of its square.
     """
     j_mat, j3_mat = coupling_pair(config)
     blocks = []
@@ -684,7 +682,7 @@ def reference_ensemble(config, beta):
         everything = slice(0, len(energies))
         plus = np.stack([vectors.T @ sp @ vectors for sp in s_plus])
         three = np.stack([vectors.T @ (d[:, None] * vectors) for d in s3])
-        diagonals = np.stack([np.diagonal(m, axis1=1, axis2=2) for m in (three, three @ three)])
+        diagonals = np.stack([np.diagonal(m.sum(axis=0)) for m in (three, three @ three)])
         weight = math.log(math.prod(e.multiplicity for e in assignment))
         block = _Block(weight, energies, [(everything, everything, plus, None)], diagonals, len(energies))
         block.s3_rotated = three
@@ -727,11 +725,11 @@ def identity_expectation(ensemble):
 
 def piece_bytes(twice_js, n_sites):
     """float64 bytes of one block's stored S+ pieces (d_M+2 x d_M per site, M >= -2; the
-    others are their mirrors' transposes) and S3 diagonals."""
+    others are their mirrors' transposes) and its two S3 diagonals."""
     s3 = _product_basis([twice_js])[3]
     values, sizes = np.unique(s3.sum(axis=0), return_counts=True)  # M runs in steps of 2
     stored = values[:-1] >= -2
-    return 8 * n_sites * int(np.sum((sizes[1:] * sizes[:-1])[stored]) + 2 * np.sum(sizes))
+    return 8 * (n_sites * int(np.sum((sizes[1:] * sizes[:-1])[stored])) + 2 * int(np.sum(sizes)))
 
 
 def assignment_labels(config):
@@ -760,13 +758,11 @@ def probs_by_label(ensemble, labels):
     return {label: (rep, probs) for label, (rep, _), probs in zip(labels, ensemble.orbits, ensemble.probs)}
 
 
-def block_moments(block, probs):
-    """<S3(x)>, <S3(x)^2> and <S+(x) S-(y)> weighted by one block's Gibbs probabilities."""
-    s3, s3_squared = block.three @ probs
-    pm = sum(np.einsum("xab,yab,a->xy", stack, stack, probs[rows])
-             + (0.0 if mirror is None else np.einsum("xba,yba,a->xy", stack, stack, probs[mirror[0]]))
-             for rows, _, stack, mirror in block.plus)
-    return s3, s3_squared, pm
+def block_two_point(block, probs):
+    """<S+(x) S-(y)> weighted by one block's Gibbs probabilities."""
+    return sum(np.einsum("xab,yab,a->xy", stack, stack, probs[rows])
+               + (0.0 if mirror is None else np.einsum("xba,yba,a->xy", stack, stack, probs[mirror[0]]))
+               for rows, _, stack, mirror in block.plus)
 
 
 HAMILTONIAN_CASES = {
@@ -836,6 +832,16 @@ class TestOrbits:
             np.testing.assert_allclose(np.sort(rep.energies), np.linalg.eigvalsh(hamiltonian),
                                        rtol=0.0, atol=1e-12, err_msg=str(label))
 
+    @pytest.mark.parametrize("case", ORBIT_CASES)
+    def test_magnetization_row_is_each_sectors_m(self, case):
+        # row 0 is read off the split, not rotated: each eigenvector's sector M, bit for bit
+        config, beta = ORBIT_CASES[case]
+        ensemble = build_gibbs(config, beta)
+        for label, (rep, _) in zip(rep_labels(ensemble), ensemble.orbits):
+            magnetization = np.sort(_product_basis([label])[3].sum(axis=0))
+            assert rep.three.shape == (2, rep.dim)
+            assert np.array_equal(rep.three[0], magnetization), label
+
     # on the 3-site chain inversion joins translation orbits, so reflected members are read too
     @pytest.mark.parametrize("case", ["chain3-folded-n5", "chain4-shells12-n3", "square2x2-n3"])
     def test_matches_the_no_orbit_reference(self, case):
@@ -847,11 +853,9 @@ class TestOrbits:
         pairs = [
             ("logZ", engine.logZ, reference.logZ),
             ("identity", identity_expectation(engine), identity_expectation(reference)),
-            ("sigma3_site", engine.sigma3_site, reference.sigma3_site),
+            ("sigma3", engine.sigma3, reference.sigma3),
             ("two_point_pm", engine.two_point_pm, reference.two_point_pm),
-            ("sigma3_site_variance",
-             [engine.sigma3_site_variance(x) for x in range(n_sites)],
-             [reference.sigma3_site_variance(x) for x in range(n_sites)]),
+            ("sigma3_site_variance", engine.sigma3_site_variance, reference.sigma3_site_variance),
             ("expect_product", expect_product(engine, word), expect_product(reference, word)),
         ]
         points = MomentumGrid.from_lattice(config.lattice).points
@@ -878,10 +882,9 @@ class TestOrbits:
         visited = members(engine)
         assert sorted(label for _, _, label in visited) == sorted(by_label)
         for rep, perm, label in visited:
-            s3, s3_squared, pm = block_moments(rep, rep_probs[id(rep)])
-            for got, expected in zip((s3[perm], s3_squared[perm], pm[np.ix_(perm, perm)]),
-                                     block_moments(*by_label[label])):
-                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10, err_msg=str(label))
+            np.testing.assert_allclose(block_two_point(rep, rep_probs[id(rep)])[np.ix_(perm, perm)],
+                                       block_two_point(*by_label[label]), rtol=0.0, atol=1e-10,
+                                       err_msg=str(label))
         moved = (m for m in visited if np.any(m[1] != np.arange(n_sites)))  # not the representative
         rep, perm, label = max(moved, key=lambda m: m[0].dim)
         assert block_word(rep, rep_probs[id(rep)], [(kind, perm[x]) for kind, x in word]) == pytest.approx(

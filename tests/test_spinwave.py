@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,30 @@ class TestCertifiedEnclosure:
         # the exponent argument 2 beta (h - m gap) vanishes at m = 0
         with pytest.raises(RegimeError, match="outside ferromagnetic regime"):
             solve_magnetization(ThermalParams(1.0, 0.0), ISO, grid_for(8))
+
+    @pytest.mark.parametrize("beta, limit", [
+        (1e308, r"too large: the Bose argument bound 2 beta \(h \+ sum_z \|J\(z\)\| \+ \|J3\(z\)\|\) = inf"),
+        (9e307, "too large"),
+        (5e307, "too large"),  # 2 beta h is finite, 2 beta (h + 4) is not
+        (1e-310, r"too small: .* = 1e-310 is below the smallest normal float 2.2250738585072014e-308"),
+        (5e-324, "too small"),
+    ], ids=["1e308", "9e307", "5e307", "1e-310", "5e-324"])
+    def test_beta_past_the_float_range_is_refused_before_the_enclosure(self, beta, limit, monkeypatch):
+        def no_enclosure(*args):
+            raise AssertionError("the enclosure started")
+
+        monkeypatch.setattr(spinwave, "_root_cells", no_enclosure)
+        with pytest.raises(ValueError, match=limit) as refusal:
+            solve_magnetization(ThermalParams(beta, 0.5), ISO, grid_for(8))
+        assert not isinstance(refusal.value, RegimeError)  # exit 2, not a verdict
+
+    @pytest.mark.parametrize("beta", [1e307, 2.3e-308])
+    def test_beta_at_the_float_range_limits_solves(self, beta):
+        # 2 beta (h + 4) = 9e307 and 2 beta h = 2.3e-308, a normal float, are still accepted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_magnetization(ThermalParams(beta, 0.5), ISO, grid_for(8))
+        assert solution.diagnostics["certified"] and solution.residual == 0.0
 
     def test_undecided_cells_at_the_depth_cap_still_give_the_root(self, monkeypatch):
         grid = grid_for(8)
