@@ -309,7 +309,7 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
         state = packet_state(
             cfg["dynamics.m"], grid, couplings, cfg["field.h"],
             center=cfg["dynamics.packet_center"], width=cfg["dynamics.packet_width"],
-            kick_index=cfg["dynamics.packet_kick"],
+            kick_index=cfg["dynamics.packet_kick"], gaps=gaps,
         )
 
     times = cfg["dynamics.times"]

@@ -33,11 +33,16 @@ from .lattice import coupling_matrix  # noqa: F401  (bench/spans.py traces it un
 from .spinwave import RegimeError, SpinWaveSolution, _energies
 
 
-def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
-    """Magnon energies eps(q) = 2*(J3(0) - J(q) + h/(-m)) over the grid; each must be positive."""
+def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid,
+                  gaps: np.ndarray | None = None) -> np.ndarray:
+    """Magnon energies eps(q) = 2*(J3(0) - J(q) + h/(-m)) over the grid; each must be positive.
+
+    ``gaps`` are the grid's exchange gaps if the caller has them.
+    """
     if not -1.0 <= m < 0.0:
         raise RegimeError(f"quantization parameter must lie in [-1, 0), got {m}")
-    return _positive(_energies(exchange_gap_grid(couplings, grid), h, m))
+    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
+    return _positive(_energies(gaps, h, m))
 
 
 def _positive(eps: np.ndarray) -> np.ndarray:
@@ -87,9 +92,12 @@ class GaussianMagnonState:
     basis : {"mode", "site"}
         The basis in which :attr:`gamma` is reported.  It does not change
         how the state is stored or evolved.
+    gaps : float array, shape (n_sites,), optional
+        The grid's exchange gaps if the caller has them; :attr:`spectrum`
+        then computes no gap grid of its own.
     """
 
-    def __init__(self, m, occupations, amplitudes, grid, couplings, h, basis="mode"):
+    def __init__(self, m, occupations, amplitudes, grid, couplings, h, basis="mode", gaps=None):
         if m == 0.0:
             raise RegimeError("dynamics undefined at vanishing magnetization")
         if not -1.0 <= m < 0.0:
@@ -112,6 +120,7 @@ class GaussianMagnonState:
         self.grid = grid
         self.couplings = couplings
         self.h = float(h)
+        self.gaps = gaps
 
     def _replace(self, **changes) -> "GaussianMagnonState":
         """Same state with some fields replaced; no checks, a computed spectrum is kept."""
@@ -122,7 +131,7 @@ class GaussianMagnonState:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Mode energies eps(q), computed once per chain of evolved and relabelled states."""
-        return mode_spectrum(self.m, self.h, self.couplings, self.grid)
+        return mode_spectrum(self.m, self.h, self.couplings, self.grid, self.gaps)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -161,8 +170,12 @@ def packet_state(
     center: int = 0,
     width: float = 1.0,
     kick_index: int = 0,
+    gaps: np.ndarray | None = None,
 ) -> GaussianMagnonState:
     """Rank-one localized packet (site Gaussian profile with a momentum kick).
+
+    ``gaps`` are the grid's exchange gaps if the caller has them; the
+    packet's spectrum is then computed from them.
 
     Raises ValueError unless ``width`` > 0 and ``2 * width**2`` is nonzero,
     since a vanishing or negative width has no Gaussian profile, and unless
@@ -188,7 +201,7 @@ def packet_state(
     kick = grid.point(kick_index)
     psi = np.exp(-dist_sq / spread + 1j * (sites @ kick))
     amplitude = _transform(psi[None, :], lattice, to_mode=True)
-    return GaussianMagnonState(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")
+    return GaussianMagnonState(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site", gaps)
 
 
 def evolve(state: GaussianMagnonState, t: float) -> GaussianMagnonState:

@@ -13,12 +13,16 @@ B_lo and B_hi, n between u0*B_lo and u1*B_hi, and t*(1 + B) between
 b*u0*B_lo*(1 + B_lo) and b*u1*B_hi*(1 + B_hi).  Weighted and widened by an
 a-priori bound on their rounding, these enclose G and G' on a row of cells
 at once.  A cell whose G enclosure excludes 0 holds no root; one whose G'
-enclosure excludes 0 holds at most one, found by bisection; any other is split.
+enclosure excludes 0 holds at most one; any other is split.  A root is then
+polished by safeguarded Newton: G and dG/dm = -(sum w (B - t*(1 + B)) + 1/2)
+come from one evaluation, every value narrows the bracket, and a step that
+leaves it is replaced by the bracket's midpoint in the order of doubles.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -33,6 +37,9 @@ DEFAULT_SOLVE_TOL = 1e-12
 #: Depth of the finest enclosure cells, 2**-40 wide.  A cell still undecided
 #: there (a tangent root, where G' vanishes too) is reported as one root.
 _MAX_DEPTH = 40
+#: Trials of one root's polish that may fail to halve its bracket in the order
+#: of doubles; every later trial is the bracket's midpoint in that order.
+_NEWTON_SLACK = 8
 
 
 class RegimeError(ValueError):
@@ -145,23 +152,44 @@ class SpinWaveSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
-    """Bisection on a sign-changing bracket, run to interval collapse.
+def _order(m: float) -> int:
+    """Position of a magnetization m <= 0 in the order of doubles: the bit pattern of |m|."""
+    return struct.unpack("<q", struct.pack("<d", abs(m)))[0]
 
-    Each step leaves fewer doubles inside, so it ends (after up to 1075 steps
-    near m = 0) at a sign change of the computed defect between adjacent doubles.
+
+def _polish(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Safeguarded Newton on a bracket lo < hi <= 0 whose end values change sign, run to collapse.
+
+    ``f(m)`` returns the defect and its slope dG/dm.  The first trial is the
+    secant of the ends, each later one a Newton step from the last.  A trial
+    that rounds onto an end of the bracket moves one double inward; one that
+    leaves the bracket (NaN included) is replaced by the bracket's midpoint in
+    the order of doubles.  Each value narrows the bracket, so the polish ends
+    at a zero of the computed defect, or at a sign change between adjacent
+    doubles, where it returns 0.5 * (lo + hi).  A midpoint halves the count of
+    doubles in the bracket, below 2**62 in [-1, 0]; after ``_NEWTON_SLACK``
+    trials that fail to halve it, every trial is a midpoint, so no root costs
+    more than 62 + ``_NEWTON_SLACK`` evaluations.
     """
+    x, slack, count = lo + f_lo * (hi - lo) / (f_lo - f_hi), _NEWTON_SLACK, _order(lo) - _order(hi)
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if slack <= 0 or not lo <= x <= hi:
+            x = -struct.unpack("<d", struct.pack("<q", (_order(lo) + _order(hi)) // 2))[0]
+        elif x == lo or x == hi:
+            x = math.nextafter(x, hi if x == lo else lo)
+        g, slope = f(x)
+        if g == 0.0:
+            return x
+        if (g > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, g
         else:
-            hi = mid
+            hi = x
+        was, count = count, _order(lo) - _order(hi)
+        if count <= 1:
+            return 0.5 * (lo + hi)
+        if 2 * count > was + 1:
+            slack -= 1
+        x = x - g / slope if slope else math.nan
 
 
 def _root_cells(beta: float, h: float, distinct: np.ndarray, weights: np.ndarray):
@@ -203,17 +231,19 @@ def _root_cells(beta: float, h: float, distinct: np.ndarray, weights: np.ndarray
 
 def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid,
                         tol: float = DEFAULT_SOLVE_TOL, gaps: np.ndarray | None = None) -> SpinWaveSolution:
-    """Locate the self-consistent magnetization by certified enclosure plus bisection.
+    """Locate the self-consistent magnetization by certified enclosure plus Newton polish.
 
     ``gaps`` are the grid's exchange gaps if the caller has them
     (``ValidationReport.gap_values``).  G(-1) >= 0 > G(0) must hold; its
     evaluation refuses an exponent argument <= 0 (h = 0) as a RegimeError.
     Every root lies in a cell of :func:`_root_cells`, at most one in a decided
     cell.  A cell gives the root at its lower end in m if G is 0 there, else
-    its bisection if its ends change sign; an undecided one else its midpoint,
-    counted in ``tangent_roots`` (``certified`` if none).  The root closest to
-    -1 (the low-temperature branch) is selected; its residual must be below
-    tol.  ``bisection_steps`` and ``defect_evaluations`` count evaluations.
+    its :func:`_polish` if its ends change sign: a zero of the computed defect
+    or a sign change between adjacent doubles, in at most 62 + ``_NEWTON_SLACK``
+    evaluations; an undecided one else its midpoint, counted in
+    ``tangent_roots`` (``certified`` if none).  The root closest to -1 (the
+    low-temperature branch) is selected; its residual must be below tol.
+    ``polish_steps`` and ``defect_evaluations`` count evaluations.
 
     Before any enclosure, beta is refused (ValueError) unless every Bose
     argument x = 2 beta (h + u gap), u in [0, 1], stays in the float range:
@@ -236,12 +266,18 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
     if low > 0.0 and 2.0 * beta * low < sys.float_info.min:
         raise ValueError(f"beta={beta!r} is too small: the smallest Bose argument 2 beta min(h, h + min gap) = "
                          f"{2.0 * beta * low!r} is below the smallest normal float {sys.float_info.min!r}")
-    evaluations = 0
+    evaluations, b = 0, 2.0 * beta * distinct
 
-    def defect(m: float) -> float:
+    def defect(m: float) -> tuple[float, float]:
+        """G(m), bit-equal to _defect's, and dG/dm = -(sum w (B - b n (1 + B)) + 1/2) with B = n/(-m)."""
         nonlocal evaluations
         evaluations += 1
-        return float(_defect(np.array([m]), beta, h, distinct, weights)[0])
+        ms = np.array([m])
+        occ = _occupations(ms[:, None], beta, h, distinct)
+        value = float((occ @ weights - 0.5 * (1.0 + ms))[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bose = occ[0] / -m
+            return value, -float((bose - b * occ[0] * (1.0 + bose)) @ weights) - 0.5
 
     ends = _defect(np.array([-1.0, 0.0]), beta, h, distinct, weights)
     if not (ends[0] >= 0.0 and ends[1] < 0.0):
@@ -256,15 +292,15 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
         if f_lo == 0.0:
             roots.append(lo)
         elif (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo):
-            roots.append(_bisect(defect, lo, hi, f_lo))
+            roots.append(_polish(defect, lo, hi, f_lo, f_hi))
         elif undecided:
             roots.append(0.5 * (lo + hi))
     tangent_roots = sum(undecided for *_, undecided in spans)  # each gives one root
-    bisection_steps = evaluations
+    polish_steps = evaluations
     m_star = roots[0]  # spans run up in m, so the roots come out sorted
-    residual = abs(defect(m_star))
+    residual = abs(defect(m_star)[0])
     if residual > tol:
-        raise RegimeError(f"bisection residual {residual:.3e} exceeds tolerance {tol:.3e}")
+        raise RegimeError(f"polish residual {residual:.3e} exceeds tolerance {tol:.3e}")
     bound = magnetization_bound(params)
     bound_from_coupling = _bose_bound(2.0 * beta * gaps[0]) if gaps[0] > 0.0 else None
     return SpinWaveSolution(
@@ -281,7 +317,7 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
             "enclosure_passes": passes,
             "certified": tangent_roots == 0,
             "tangent_roots": tangent_roots,
-            "bisection_steps": bisection_steps,
+            "polish_steps": polish_steps,
             "defect_evaluations": ends.size + points.size + evaluations,
         },
     )

@@ -31,15 +31,15 @@ def _cap_address_space():
 def capped_cli():
     """Run ``python -m magnonkit <args>`` in a child process capped at 1 GB of address space and 30 s.
 
-    For inputs that could exhaust memory: the cap and the timeout limit only the child, one BLAS
-    thread keeps its footprint small, and a run past the cap ends in its own MemoryError.
-    Returns the ``CompletedProcess`` with text output.
+    For inputs that could exhaust memory: the cap and the timeout limit only the child, and a run
+    past the cap ends in its own MemoryError.  ``threads`` sets the child's OpenBLAS thread count;
+    the default of one keeps its footprint small.  Returns the ``CompletedProcess`` with text output.
     """
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(_src), os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(_src), os.environ.get("PYTHONPATH")]))}
 
-    def run(*args, cwd):
-        return subprocess.run([sys.executable, "-m", "magnonkit", *map(str, args)], cwd=cwd, env=env,
+    def run(*args, cwd, threads=1):
+        return subprocess.run([sys.executable, "-m", "magnonkit", *map(str, args)], cwd=cwd,
+                              env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
                               capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
                               preexec_fn=_cap_address_space)
 

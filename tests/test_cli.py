@@ -609,8 +609,10 @@ class TestDynamicsCommand:
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert len(snapshot["gamma_mode_real"]) == 8
 
-    def test_equilibrium_run_computes_the_gap_grid_once(self, workspace, monkeypatch):
-        # the validated gaps feed the solver, and the state's spectrum is the solution's dispersion
+    @pytest.mark.parametrize("initial", ["equilibrium", "packet"])
+    def test_run_computes_the_gap_grid_once(self, workspace, monkeypatch, initial):
+        # the validated gaps feed the solver and the packet's spectrum, and an equilibrium
+        # state's spectrum is the solution's dispersion
         calls = []
         real = magnonkit.lattice.exchange_gap_grid
 
@@ -621,7 +623,8 @@ class TestDynamicsCommand:
         for module in (magnonkit.lattice, magnonkit.spinwave, magnonkit.dynamics, oracle):
             monkeypatch.setattr(module, "exchange_gap_grid", counted)
         tmp_path, make = workspace
-        assert main(["dynamics", "--config", str(make(DYNAMICS_CONF)), "--out", str(tmp_path)]) == 0
+        conf = make(DYNAMICS_CONF if initial == "equilibrium" else PACKET_CONF)
+        assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
     def test_empty_times_writes_headers_only(self, workspace):
@@ -979,6 +982,30 @@ def test_embedded_config_reruns_to_the_same_bytes(case, workspace, monkeypatch):
         assert sorted(p.name for p in rerun.iterdir()) == sorted(names)
         for other in names:
             assert (rerun / other).read_bytes() == (first / other).read_bytes()
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(capped_cli, tmp_path):
+    # a 2D L=12 solve and a 3-site oracle ladder, each run in a child with one and with two
+    # OpenBLAS threads; about 1 s of child start-ups
+    (tmp_path / "square.csv").write_text("dz1,dz2,J,J3\n1,0,1.0,1.0\n0,1,1.0,1.0\n")
+    (tmp_path / "chain.csv").write_text(ISO_CSV)
+    runs = {
+        "solve": ("lattice.dimension = 2\nlattice.size = 12\ncouplings.path = square.csv\n"
+                  "field.h = 0.05\nthermal.beta = 0.7\n", "solution.json"),
+        "oracle": ("lattice.dimension = 1\nlattice.size = 3\ncouplings.path = chain.csv\n"
+                   "field.h = 2.5\nthermal.beta = 1.0\noracle.q_index = 1\noracle.copies = 1,3\n",
+                   "convergence.json"),
+    }
+    for command, (body, artifact) in runs.items():
+        (tmp_path / f"{command}.conf").write_text(body)
+        blobs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{command}-{threads}"
+            result = capped_cli(command, "--config", f"{command}.conf", "--out", out, cwd=tmp_path,
+                                threads=threads)
+            assert result.returncode == 0, result.stderr
+            blobs.append((out / artifact).read_bytes())
+        assert blobs[0] == blobs[1], command
 
 
 class TestParser:

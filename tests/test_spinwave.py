@@ -287,13 +287,54 @@ class TestSolveMagnetization:
         assert solution.gap_values[top] == pytest.approx(8.0, abs=1e-13)
 
     @pytest.mark.parametrize("beta", [1e-100, 1e-200, 1e-300])
-    def test_tiny_beta_bisects_to_the_hot_root(self, beta):
-        # the root sits near -beta*h, about 1e-300 from m = 0 at the smallest beta: its bracket
-        # collapses only after about a thousand halvings
+    def test_tiny_beta_polishes_to_the_hot_root_in_a_few_steps(self, beta):
+        # the root sits near -beta*h, about 1e-300 from m = 0 at the smallest beta: halving the
+        # bracket's value would take about a thousand steps, halving it in the order of doubles
+        # at most 62
         solution = solve_magnetization(ThermalParams(beta, 0.5), ISO, grid_for(8))
         assert solution.m_star == pytest.approx(-0.5 * beta, rel=1e-15)
         assert solution.residual == 0.0
         assert solution.all_roots == [solution.m_star]
+        assert solution.diagnostics["polish_steps"] <= 12
+
+    def test_cold_root_at_full_polarization(self):
+        # G(-1) = mean n is about 1e-31, so the root lies within half an ulp of -1: the secant of
+        # the cell's ends rounds onto -1, and one step to the neighbouring double changes sign
+        p = ThermalParams(8.0, 2.5)
+        solution = solve_magnetization(p, ANISO, grid_for(8))
+        assert solution.m_star == -1.0
+        assert 0.0 < selfconsistency_defect(-1.0, p, ANISO, grid_for(8)) < 1e-30
+        assert selfconsistency_defect(math.nextafter(-1.0, 0.0), p, ANISO, grid_for(8)) < 0.0
+        assert solution.diagnostics["polish_steps"] == 1
+
+
+class TestPolish:
+    """The safeguarded Newton polish on defects whose slope misleads every step."""
+
+    BOUND = 62 + spinwave._NEWTON_SLACK
+
+    @pytest.mark.parametrize("root", [-1.0, -0.3, -1e-300, -5e-324])
+    @pytest.mark.parametrize("slope", [1e-300, -1e300], ids=["leaves", "creeps"])
+    def test_misled_steps_still_end_at_an_adjacent_sign_change(self, root, slope):
+        # a slope of 1e-300 sends every Newton step out of the bracket, one of -1e300 rounds every
+        # step onto the last trial; G(-1) > 0 > G(0) as in the solver, and a root at -1.0 lies
+        # between -1 and its neighbouring double.  The roots at -0.3 and -1e-300 lie far from the
+        # secant in the order of doubles: leaving steps cost 63 trials there, creeping ones up to
+        # 69, near the bound
+        offset = 1e-300 if root == -1.0 else 0.0
+        trials = []
+
+        def defect(m):
+            trials.append(m)
+            return root - m + offset, slope
+
+        found = spinwave._polish(defect, -1.0, 0.0, defect(-1.0)[0], defect(0.0)[0])
+        del trials[:2]
+        assert len(trials) <= self.BOUND
+        below, above = math.nextafter(found, -1.0), math.nextafter(found, 0.0)
+        values = [defect(m)[0] for m in (below, found, above)]
+        assert values[1] == 0.0 or (values[0] > 0.0) != (values[2] > 0.0)
+        assert abs(found - root) <= np.spacing(abs(root))
 
 
 def shell_couplings(dimension, j, j3):
@@ -337,8 +378,12 @@ class TestGapCompressedScan:
         solution = solve_magnetization(p, couplings, grid)
         assert solution.residual == abs(selfconsistency_defect(solution.m_star, p, couplings, grid))
         for r in solution.all_roots:
-            if selfconsistency_defect(r, p, couplings, grid) == 0.0:
+            value = selfconsistency_defect(r, p, couplings, grid)
+            if value == 0.0:
                 continue
+            # the polish ends at a sign change between adjacent doubles
+            sides = [selfconsistency_defect(math.nextafter(r, end), p, couplings, grid) for end in (-1.0, 0.0)]
+            assert any(side != 0.0 and (side > 0.0) != (value > 0.0) for side in sides), (r, value, sides)
             below = selfconsistency_defect(max(r - 1e-9, -1.0), p, couplings, grid)
             above = selfconsistency_defect(min(r + 1e-9, 0.0), p, couplings, grid)
             assert (below > 0.0) != (above > 0.0), (r, below, above)
@@ -353,9 +398,10 @@ class TestGapCompressedScan:
         # [0, 1] in u = -m is split once: the half without the root is dropped, the other kept
         assert (diag["cells"], diag["enclosure_passes"]) == (3, 2)
         assert diag["certified"] is True and diag["tangent_roots"] == 0
-        assert 40 <= diag["bisection_steps"] <= 60
-        # the endpoints m = -1 and 0, the kept cell's two ends, the bisection and the residual
-        assert diag["defect_evaluations"] == 2 + 2 + diag["bisection_steps"] + 1
+        # the secant of the cell's ends and three Newton steps; bisection took 40-60 halvings
+        assert diag["polish_steps"] == 4
+        # the endpoints m = -1 and 0, the kept cell's two ends, the polish and the residual
+        assert diag["defect_evaluations"] == 2 + 2 + diag["polish_steps"] + 1
 
     def test_solve_memory_stays_within_a_few_grid_arrays(self):
         # the enclosure holds a few rows over the distinct gaps per live cell, never a
@@ -386,11 +432,11 @@ class TestGapCompressedScan:
         assert blobs[0] == blobs[1]
         diag = json.loads(blobs[0])["diagnostics"]
         assert list(diag)[-7:] == ["distinct_gaps", "cells", "enclosure_passes", "certified",
-                                   "tangent_roots", "bisection_steps", "defect_evaluations"]
+                                   "tangent_roots", "polish_steps", "defect_evaluations"]
         assert 0 < diag["distinct_gaps"] < 144
         assert diag["certified"] is True and diag["tangent_roots"] == 0
-        # the endpoints, at most two ends per examined cell, the bisections and the residual
-        assert diag["defect_evaluations"] <= 2 + 2 * diag["cells"] + diag["bisection_steps"] + 1
+        # the endpoints, at most two ends per examined cell, the polish and the residual
+        assert diag["defect_evaluations"] <= 2 + 2 * diag["cells"] + diag["polish_steps"] + 1
 
 
 class TestCertifiedEnclosure:
@@ -413,6 +459,7 @@ class TestCertifiedEnclosure:
 
         solution = solve_magnetization(p, couplings, grid)
         assert solution.diagnostics["certified"] is True
+        assert solution.diagnostics["polish_steps"] <= (62 + spinwave._NEWTON_SLACK) * len(solution.all_roots)
         assert solution.diagnostics["tangent_roots"] == 0
         expected = reference_roots(beta, h, gaps, distinct_gap_defect)
         assert len(solution.all_roots) == len(expected)
@@ -461,7 +508,7 @@ class TestCertifiedEnclosure:
         certified = solve_magnetization(p, ISO, grid)
         monkeypatch.setattr(spinwave, "_MAX_DEPTH", 0)
         capped = solve_magnetization(p, ISO, grid)
-        # the one cell [-1, 0] is undecided; its ends change sign, so it is bisected
+        # the one cell [-1, 0] is undecided; its ends change sign, so it is polished
         assert capped.diagnostics["certified"] is False
         assert capped.diagnostics["tangent_roots"] == 1
         assert capped.diagnostics["enclosure_passes"] == 1
