@@ -211,12 +211,11 @@ def _load_problem(cfg: RunConfig):
     return lattice, grid, load_couplings_csv(path, lattice.dimension, cfg["field.h"])
 
 
-def _regime_gaps(couplings, grid: MomentumGrid) -> np.ndarray:
-    """The one gap grid of a run, which must be in the ferromagnetic regime (RegimeError otherwise)."""
+def _check_regime(couplings, grid: MomentumGrid) -> None:
+    """A RegimeError unless the run is in the ferromagnetic regime; the check computes the run's one gap grid."""
     report = validate_ferromagnetic(couplings, grid)
     if not report.passed:
         raise RegimeError("; ".join(report.failures))
-    return report.gap_values
 
 
 def cmd_validate(cfg: RunConfig) -> Output:
@@ -243,9 +242,9 @@ def cmd_validate(cfg: RunConfig) -> Output:
 
 def cmd_solve(cfg: RunConfig) -> Output:
     lattice, grid, couplings = _load_problem(cfg)
-    gaps = _regime_gaps(couplings, grid)
+    _check_regime(couplings, grid)
     params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-    solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=gaps)
+    solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"])
     doc = {
         "m_star": solution.m_star,
         "residual": solution.residual,
@@ -273,9 +272,8 @@ def cmd_oracle(cfg: RunConfig) -> Output:
     copies_list = cfg["oracle.copies"]
     for copies in copies_list:  # each rung's config refuses its copy count or its size
         SpinConfig(copies=copies, lattice=lattice, couplings=couplings)
-    gaps = _regime_gaps(couplings, grid)
-    study = convergence_study(lattice, couplings, cfg["thermal.beta"], grid.point(q_index), copies_list,
-                              gaps=gaps)
+    _check_regime(couplings, grid)
+    study = convergence_study(lattice, couplings, cfg["thermal.beta"], grid.point(q_index), copies_list)
     header = [field.name for field in fields(ConvergenceRow)]
     rows = [asdict(row) for row in study]
     lines = [f"n={r.n} m_n={fmt(r.m_n)} t_n={fmt(r.t_n)} p_n={fmt(r.p_n)} discrepancy={fmt(r.discrepancy)}"
@@ -300,16 +298,16 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
             f"dynamics on {lattice.n_sites} sites needs a {snapshot_bytes}-byte dense snapshot "
             f"covariance, above the limit of {MAX_SNAPSHOT_BYTES} bytes (MAX_SNAPSHOT_BYTES)"
         )
-    gaps = _regime_gaps(couplings, grid)
+    _check_regime(couplings, grid)
     if cfg["dynamics.initial"] == "equilibrium":
         params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"], gaps=gaps)
+        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"])
         state = equilibrium_state(solution)
     else:
         state = packet_state(
             cfg["dynamics.m"], grid, couplings, cfg["field.h"],
             center=cfg["dynamics.packet_center"], width=cfg["dynamics.packet_width"],
-            kick_index=cfg["dynamics.packet_kick"], gaps=gaps,
+            kick_index=cfg["dynamics.packet_kick"],
         )
 
     times = cfg["dynamics.times"]

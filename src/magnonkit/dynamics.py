@@ -33,20 +33,17 @@ from .lattice import coupling_matrix  # noqa: F401  (bench/spans.py traces it un
 from .spinwave import RegimeError, SpinWaveSolution, _energies
 
 
-def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid,
-                  gaps: np.ndarray | None = None) -> np.ndarray:
-    """Magnon energies eps(q) = 2*(J3(0) - J(q) + h/(-m)) over the grid; each must be positive.
-
-    ``gaps`` are the grid's exchange gaps if the caller has them.
-    """
+def _quantization(m) -> float:
+    """The quantization parameter as a float; a ValueError unless it lies in [-1, 0) (-0.0 and NaN do not)."""
     if not -1.0 <= m < 0.0:
-        raise RegimeError(f"quantization parameter must lie in [-1, 0), got {m}")
-    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
-    return _positive(_energies(gaps, h, m))
+        raise ValueError(f"quantization parameter must lie in [-1, 0), got {m}")
+    return float(m)
 
 
-def _positive(eps: np.ndarray) -> np.ndarray:
-    """The mode energies themselves; a RegimeError unless every one is positive."""
+def mode_spectrum(m: float, h: float, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
+    """Magnon energies eps(q) = 2*(J3(0) - J(q) + h/(-m)) over the grid; a RegimeError unless each is positive."""
+    m = _quantization(m)
+    eps = _energies(exchange_gap_grid(couplings, grid), h, m)
     if np.min(eps) <= 0.0:
         raise RegimeError(f"non-positive mode energy {np.min(eps):.6g}: no zero-mode gap")
     return eps
@@ -79,7 +76,8 @@ class GaussianMagnonState:
     ----------
     m : float
         Quantization parameter (the magnetization), in [-1, 0).  Zero is
-        rejected: the commutator degenerates and no dynamics exists there.
+        refused with the rest: the commutator degenerates and no dynamics
+        exists there.
     occupations : float array, shape (n_sites,)
         The diagonal part n(q) of the mode-basis covariance; non-negative.
     amplitudes : complex array, shape (r, n_sites)
@@ -92,16 +90,10 @@ class GaussianMagnonState:
     basis : {"mode", "site"}
         The basis in which :attr:`gamma` is reported.  It does not change
         how the state is stored or evolved.
-    gaps : float array, shape (n_sites,), optional
-        The grid's exchange gaps if the caller has them; :attr:`spectrum`
-        then computes no gap grid of its own.
     """
 
-    def __init__(self, m, occupations, amplitudes, grid, couplings, h, basis="mode", gaps=None):
-        if m == 0.0:
-            raise RegimeError("dynamics undefined at vanishing magnetization")
-        if not -1.0 <= m < 0.0:
-            raise ValueError(f"quantization parameter must lie in [-1, 0), got {m}")
+    def __init__(self, m, occupations, amplitudes, grid, couplings, h, basis="mode"):
+        m = _quantization(m)
         if basis not in ("site", "mode"):
             raise ValueError(f"basis must be 'site' or 'mode', got {basis!r}")
         n = len(grid)
@@ -113,14 +105,13 @@ class GaussianMagnonState:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.ndim > 2 or amplitudes.shape[-1:] not in ((n,), (0,)):
             raise ValueError(f"amplitudes must be vectors of {n} entries, got shape {amplitudes.shape}")
-        self.m = float(m)
+        self.m = m
         self.occupations = occupations
         self.amplitudes = amplitudes.reshape(-1, n)
         self.basis = basis
         self.grid = grid
         self.couplings = couplings
         self.h = float(h)
-        self.gaps = gaps
 
     def _replace(self, **changes) -> "GaussianMagnonState":
         """Same state with some fields replaced; no checks, a computed spectrum is kept."""
@@ -131,7 +122,7 @@ class GaussianMagnonState:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Mode energies eps(q), computed once per chain of evolved and relabelled states."""
-        return mode_spectrum(self.m, self.h, self.couplings, self.grid, self.gaps)
+        return mode_spectrum(self.m, self.h, self.couplings, self.grid)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -155,11 +146,10 @@ def _mode_diagonal(state: GaussianMagnonState) -> np.ndarray:
 
 
 def equilibrium_state(solution: SpinWaveSolution) -> GaussianMagnonState:
-    """Mode-diagonal thermal state of a solved magnetization; its spectrum is the solution's dispersion."""
-    state = GaussianMagnonState(
+    """Mode-diagonal thermal state of a solved magnetization; its spectrum equals the solution's dispersion."""
+    return GaussianMagnonState(
         solution.m_star, solution.occupations, (), solution.grid, solution.couplings, solution.params.h
     )
-    return state._replace(spectrum=_positive(solution.dispersion))
 
 
 def packet_state(
@@ -170,12 +160,8 @@ def packet_state(
     center: int = 0,
     width: float = 1.0,
     kick_index: int = 0,
-    gaps: np.ndarray | None = None,
 ) -> GaussianMagnonState:
     """Rank-one localized packet (site Gaussian profile with a momentum kick).
-
-    ``gaps`` are the grid's exchange gaps if the caller has them; the
-    packet's spectrum is then computed from them.
 
     Raises ValueError unless ``width`` > 0 and ``2 * width**2`` is nonzero,
     since a vanishing or negative width has no Gaussian profile, and unless
@@ -201,7 +187,7 @@ def packet_state(
     kick = grid.point(kick_index)
     psi = np.exp(-dist_sq / spread + 1j * (sites @ kick))
     amplitude = _transform(psi[None, :], lattice, to_mode=True)
-    return GaussianMagnonState(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site", gaps)
+    return GaussianMagnonState(m, np.zeros(len(grid)), amplitude, grid, couplings, h, "site")
 
 
 def evolve(state: GaussianMagnonState, t: float) -> GaussianMagnonState:

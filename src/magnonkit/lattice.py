@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -103,6 +103,8 @@ class CouplingSet:
     entries first, then the filled mirrors in listing order, with zero values
     dropped.  ``scale``, sum_z |J(z)| + |J3(z)| over the filled maps, bounds
     every term of the gap and must be finite.  Any violation is a ValueError.
+    A coupling set compares by identity (it defines no ``__eq__``) and nothing
+    reassigns its maps, so :func:`exchange_gap_grid` keys its cache by the set.
     """
 
     def __init__(self, exchange, exchange_z, h):
@@ -258,13 +260,18 @@ def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndar
     return values
 
 
+@lru_cache(maxsize=1)
 def exchange_gap_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
-    """Exchange part of the magnon gap, J3(0) - J(q), at every grid momentum q.
+    """Exchange part of the magnon gap, J3(0) - J(q), at every grid momentum q, read-only.
 
     J3(0) is summed correctly rounded, so it does not depend on the order
-    the couplings are listed in.
+    the couplings are listed in.  The last pair's grid is kept, so every
+    engine of a run reads the one grid its regime check computed: the
+    couplings are keyed by identity, the grid by value (its lattice).
     """
-    return math.fsum(couplings.exchange_z.values()) - fourier_coupling_grid(couplings, grid)
+    gaps = math.fsum(couplings.exchange_z.values()) - fourier_coupling_grid(couplings, grid)
+    gaps.setflags(write=False)
+    return gaps
 
 
 def coupling_matrix(mapping, lattice: LatticeSpec) -> np.ndarray:

@@ -846,7 +846,6 @@ def convergence_study(
     beta: float,
     q,
     copies_list,
-    gaps: np.ndarray | None = None,
 ) -> list[ConvergenceRow]:
     """Compare the exact fluctuation two-point function with its infinite-spin
     prediction across a ladder of copy counts.
@@ -856,8 +855,8 @@ def convergence_study(
     is read off the grid occupations at q, the solver's formula.  q must be
     a point of the lattice's momentum grid (ValueError otherwise), and every
     rung's ``SpinConfig`` refuses its copy count or its size before the first
-    rung is built.  ``gaps`` are the grid's exchange gaps if the caller has
-    them; the study computes them at most once.  A rung whose
+    rung is built.  The gaps are :func:`exchange_gap_grid`'s, the
+    grid a regime check on the same pair kept.  A rung whose
     magnetization is positive (not ordered along -S3) is a RegimeError.
     Every rung is built by the sector engine; ``build_gibbs(..., mode="full")`` referees it.
     """
@@ -865,8 +864,7 @@ def convergence_study(
     params = ThermalParams(beta=beta, h=couplings.h)
     grid = MomentumGrid.from_lattice(lattice)
     index = grid.index_of(q)
-    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
-    gap = float(gaps[index])
+    gap = float(exchange_gap_grid(couplings, grid)[index])
     eps = float(np.finfo(float).eps)
     rows = []
     for config in configs:
@@ -878,7 +876,7 @@ def convergence_study(
             raise AssertionError(f"oracle magnetization {m_n} not >= -1")
         m_n = float(np.clip(m_n, -1.0, 0.0))
         t_n = fluctuation_two_point(ensemble, q)
-        p_n = float(occupation(m_n, params, couplings, grid, gaps)[index])
+        p_n = float(occupation(m_n, params, couplings, grid)[index])
         two_point = ensemble.two_point_pm
         floor = two_point.size * eps * float(np.abs(two_point).sum()) / (ensemble.n_sites * ensemble.copies)
         energy = max(float(np.abs(rep.energies).max()) for rep, _ in ensemble.orbits)

@@ -88,16 +88,13 @@ def _occupations(m, beta: float, h: float, gaps: np.ndarray) -> np.ndarray:
     return occ
 
 
-def occupation(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid,
-               gaps: np.ndarray | None = None) -> np.ndarray:
+def occupation(m: float, params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid) -> np.ndarray:
     """Thermal occupations of the magnon modes on the whole momentum grid, in grid order.
 
-    ``gaps`` are the grid's exchange gaps if the caller has them.  Vanish
-    identically at m = 0 and decrease monotonically in beta.
+    Vanish identically at m = 0 and decrease monotonically in beta.
     """
     m = _check_m(m)
-    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
-    return _occupations(m, params.beta, params.h, gaps)
+    return _occupations(m, params.beta, params.h, exchange_gap_grid(couplings, grid))
 
 
 def _energies(gaps, h: float, m: float):
@@ -230,14 +227,14 @@ def _root_cells(beta: float, h: float, distinct: np.ndarray, weights: np.ndarray
 
 
 def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: MomentumGrid,
-                        tol: float = DEFAULT_SOLVE_TOL, gaps: np.ndarray | None = None) -> SpinWaveSolution:
+                        tol: float = DEFAULT_SOLVE_TOL) -> SpinWaveSolution:
     """Locate the self-consistent magnetization by certified enclosure plus Newton polish.
 
-    ``gaps`` are the grid's exchange gaps if the caller has them
-    (``ValidationReport.gap_values``).  G(-1) >= 0 > G(0) must hold; its
-    evaluation refuses an exponent argument <= 0 (h = 0) as a RegimeError.
-    Every root lies in a cell of :func:`_root_cells`, at most one in a decided
-    cell.  A cell gives the root at its lower end in m if G is 0 there, else
+    The gaps are :func:`exchange_gap_grid`'s, the grid a regime check on the
+    same pair kept.  G(-1) >= 0 > G(0) must hold; its evaluation refuses an
+    exponent argument <= 0 (h = 0) as a RegimeError.  Every root lies in a
+    cell of :func:`_root_cells`, at most one in a decided cell.  A cell
+    gives the root at its lower end in m if G is 0 there, else
     its :func:`_polish` if its ends change sign: a zero of the computed defect
     or a sign change between adjacent doubles, in at most 62 + ``_NEWTON_SLACK``
     evaluations; an undecided one else its midpoint, counted in
@@ -255,7 +252,7 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    gaps = exchange_gap_grid(couplings, grid) if gaps is None else gaps
+    gaps = exchange_gap_grid(couplings, grid)
     beta, h = params.beta, params.h
     distinct, weights = _distinct_gaps(gaps)
     largest = 2.0 * beta * (h + couplings.scale)
@@ -307,9 +304,6 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
         m_star, _occupations(m_star, beta, h, gaps), _energies(gaps, h, m_star), gaps, residual, roots,
         bound, params, couplings, grid,
         diagnostics={
-            "root_count": len(roots),
-            "multiple_roots": len(roots) > 1,
-            "bound_from_field": bound,
             "bound_from_coupling": bound_from_coupling,
             "bound_tightest": bound if bound_from_coupling is None else min(bound, bound_from_coupling),
             "distinct_gaps": distinct.size,

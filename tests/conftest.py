@@ -12,6 +12,15 @@ _src = Path(__file__).resolve().parents[1] / "src"
 if str(_src) not in sys.path:
     sys.path.insert(0, str(_src))
 
+from magnonkit.lattice import exchange_gap_grid  # noqa: E402  (after the path insert above)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_gap_grid():
+    """Each test starts with no kept gap grid, so none reads a grid that an earlier test computed."""
+    exchange_gap_grid.cache_clear()
+
+
 # One profile for every property test: reproducible examples, no saved
 # database, and no per-example deadline (a loaded machine slows an example
 # without changing its values).  Tests set only their max_examples.

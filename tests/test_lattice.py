@@ -416,6 +416,18 @@ class TestExchangeGap:
         gaps = exchange_gap_grid(c, chain_grid(32))
         assert np.max(gaps) <= gaps[0] + 1e-12
 
+    def test_the_last_grid_is_kept_read_only(self):
+        # couplings keyed by identity, the grid by value: an equal grid hits, equal couplings do not
+        couplings = nn_chain()
+        gaps = exchange_gap_grid(couplings, chain_grid(8))
+        with pytest.raises(ValueError, match="read-only"):
+            gaps[0] = 1.0
+        assert exchange_gap_grid(couplings, chain_grid(8)) is gaps
+        assert exchange_gap_grid.cache_info().misses == 1
+        again = exchange_gap_grid(nn_chain(), chain_grid(8))
+        assert again is not gaps and np.array_equal(again, gaps)
+        assert exchange_gap_grid.cache_info().misses == 2
+
 
 def permutation_closed_couplings(values, dimension):
     """Even couplings closed under axis permutation: each value is set on every

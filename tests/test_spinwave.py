@@ -174,8 +174,11 @@ class TestDispersion:
             assert mode_spectrum(m, h, ISO, grid_for(4))[0] > 0.0
 
     def test_undefined_at_zero_magnetization(self):
-        with pytest.raises(RegimeError, match="must lie in \\[-1, 0\\)"):
-            mode_spectrum(0.0, 1.0, ISO, grid_for(4))
+        # a bad argument like any other m outside [-1, 0), not a regime failure
+        for m in (0.0, -0.0, 0.5):
+            with pytest.raises(ValueError, match="must lie in \\[-1, 0\\)") as raised:
+                mode_spectrum(m, 1.0, ISO, grid_for(4))
+            assert not isinstance(raised.value, RegimeError)
 
 
 class TestSharedBoseFormula:
@@ -267,7 +270,6 @@ class TestSolveMagnetization:
         assert np.all(solution.occupations >= 0.0)
         assert np.all(solution.dispersion > 0.0)
         assert solution.all_roots == [solution.m_star]
-        assert solution.diagnostics["multiple_roots"] is False
 
     def test_rejects_bad_arguments(self):
         grid = grid_for(8)
@@ -407,10 +409,10 @@ class TestGapCompressedScan:
         # the enclosure holds a few rows over the distinct gaps per live cell, never a
         # trial-m by gap matrix
         grid = grid_for(8192)
-        gaps = exchange_gap_grid(ISO, grid)
+        exchange_gap_grid(ISO, grid)  # computed before tracing, as a run's regime check computes it
         tracemalloc.start()
         try:
-            solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid, gaps=gaps)
+            solution = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,13 +536,14 @@ class TestMagnetizationBound:
     def test_variants(self):
         gap0 = exchange_gap_grid(ANISO, grid_for(8))[0]
         assert gap0 == 2.0
-        info = solve_magnetization(ThermalParams(2.0, 2.5), ANISO, grid_for(8)).diagnostics
-        assert info["bound_from_field"] == magnetization_bound(ThermalParams(2.0, 2.5))
+        solution = solve_magnetization(ThermalParams(2.0, 2.5), ANISO, grid_for(8))
+        info = solution.diagnostics
+        assert solution.bound == magnetization_bound(ThermalParams(2.0, 2.5))
         assert info["bound_from_coupling"] == -1.0 + 2.0 / math.expm1(8.0)
-        assert info["bound_tightest"] == min(info["bound_from_field"], info["bound_from_coupling"])
-        iso_info = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid_for(8)).diagnostics
-        assert iso_info["bound_from_coupling"] is None  # gap(0) = 0 for the isotropic chain
-        assert iso_info["bound_tightest"] == iso_info["bound_from_field"]
+        assert info["bound_tightest"] == min(solution.bound, info["bound_from_coupling"])
+        iso = solve_magnetization(ThermalParams(2.0, 0.5), ISO, grid_for(8))
+        assert iso.diagnostics["bound_from_coupling"] is None  # gap(0) = 0 for the isotropic chain
+        assert iso.diagnostics["bound_tightest"] == iso.bound
 
 
 class TestThermalParams:
