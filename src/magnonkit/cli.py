@@ -11,10 +11,10 @@ command read.  ``dynamics`` reads the solver's keys (``thermal.beta`` and
 ``solve.*``) only when ``dynamics.initial = equilibrium``, ``dynamics.m``
 and the ``dynamics.packet_*`` keys only when it is ``packet``.  What the
 configuration and the lattice alone decide (a grid index, the oracle's
-ladder, the snapshot's size) is refused before the regime check builds the
-gap grid.  A ``cmd_*`` function takes only the resolved configuration and
-computes; :func:`_emit` writes the artifacts, prints the summary and maps
-the verdict to an exit code.  An artifact embeds the effective
+ladder, a packet, the snapshot's size) is refused before the regime check
+builds the gap grid.  A ``cmd_*`` function takes only the resolved
+configuration and computes; :func:`_emit` writes the artifacts, prints the
+summary and maps the verdict to an exit code.  An artifact embeds the effective
 configuration, so results are reproducible and diffable: a JSON artifact as
 a leading ``"config"`` object, a CSV as '#' lines of ``key = value`` ahead
 of the marker line ``# results`` and the result lines of :func:`_results`.
@@ -298,17 +298,18 @@ def cmd_dynamics(cfg: RunConfig) -> Output:
             f"dynamics on {lattice.n_sites} sites needs a {snapshot_bytes}-byte dense snapshot "
             f"covariance, above the limit of {MAX_SNAPSHOT_BYTES} bytes (MAX_SNAPSHOT_BYTES)"
         )
-    _check_regime(couplings, grid)
-    if cfg["dynamics.initial"] == "equilibrium":
-        params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
-        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"])
-        state = equilibrium_state(solution)
-    else:
+    packet = cfg["dynamics.initial"] == "packet"
+    if packet:  # refuses its m, width, center and kick; its spectrum, and so the gap grid, is lazy
         state = packet_state(
             cfg["dynamics.m"], grid, couplings, cfg["field.h"],
             center=cfg["dynamics.packet_center"], width=cfg["dynamics.packet_width"],
             kick_index=cfg["dynamics.packet_kick"],
         )
+    _check_regime(couplings, grid)
+    if not packet:
+        params = ThermalParams(beta=cfg["thermal.beta"], h=cfg["field.h"])
+        solution = solve_magnetization(params, couplings, grid, tol=cfg["solve.tol"])
+        state = equilibrium_state(solution)
 
     times = cfg["dynamics.times"]
     number0 = total_number(state)

@@ -656,7 +656,9 @@ class GibbsEnsemble:
         """<S+(x) S-(y)> for all site pairs."""
         return self._two_point[0]
 
-    def _fluct_coeffs(self, k: np.ndarray) -> np.ndarray:
+    def _fluct_coeffs(self, k) -> np.ndarray:
+        """exp(i k.x) / sqrt(N n) per site, formed from k itself; k off the momentum grid raises ValueError."""
+        MomentumGrid.from_lattice(self.config.lattice).index_of(k)
         sites = self.config.lattice.site_vectors()
         norm = math.sqrt(self.n_sites * self.copies)
         return np.exp(1j * sites @ np.atleast_1d(np.asarray(k, dtype=float))) / norm

@@ -102,9 +102,20 @@ def _energies(gaps, h: float, m: float):
     return 2.0 * (gaps + h / (-m))
 
 
-def _defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Defect at each trial m of the 1-D ``ms``, as a mean over the distinct gaps weighted by their share."""
-    return _occupations(ms[:, None], beta, h, distinct) @ weights - 0.5 * (1.0 + ms)
+def _defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray,
+            weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and dG/dm at each trial m of the 1-D ``ms``, as means over the distinct gaps weighted by their share.
+
+    dG/dm = -(sum w (B - b n (1 + B)) + 1/2) with b = 2 beta gap and B = n/(-m); it is NaN at m = 0.
+    """
+    column = ms[:, None]
+    occ = _occupations(column, beta, h, distinct)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bose = occ / -column
+        terms = 2.0 * beta * distinct * occ
+        terms *= 1.0 + bose
+        np.subtract(bose, terms, out=terms)
+    return occ @ weights - 0.5 * (1.0 + ms), -0.5 - terms @ weights
 
 
 def _distinct_gaps(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +128,7 @@ def selfconsistency_defect(m: float, params: ThermalParams, couplings: CouplingS
     """Defect G(m) = mean_q n(q; m) - (1 + m)/2 whose roots are equilibria, as the solver evaluates it."""
     m = _check_m(m)
     distinct, weights = _distinct_gaps(exchange_gap_grid(couplings, grid))
-    return float(_defect(np.array([m]), params.beta, params.h, distinct, weights)[0])
+    return float(_defect(np.array([m]), params.beta, params.h, distinct, weights)[0][0])
 
 
 def _bose_bound(argument: float) -> float:
@@ -263,26 +274,22 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
     if low > 0.0 and 2.0 * beta * low < sys.float_info.min:
         raise ValueError(f"beta={beta!r} is too small: the smallest Bose argument 2 beta min(h, h + min gap) = "
                          f"{2.0 * beta * low!r} is below the smallest normal float {sys.float_info.min!r}")
-    evaluations, b = 0, 2.0 * beta * distinct
+    evaluations = 0
 
     def defect(m: float) -> tuple[float, float]:
-        """G(m), bit-equal to _defect's, and dG/dm = -(sum w (B - b n (1 + B)) + 1/2) with B = n/(-m)."""
+        """G(m) and dG/dm, counted."""
         nonlocal evaluations
         evaluations += 1
-        ms = np.array([m])
-        occ = _occupations(ms[:, None], beta, h, distinct)
-        value = float((occ @ weights - 0.5 * (1.0 + ms))[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            bose = occ[0] / -m
-            return value, -float((bose - b * occ[0] * (1.0 + bose)) @ weights) - 0.5
+        value, slope = _defect(np.array([m]), beta, h, distinct, weights)
+        return float(value[0]), float(slope[0])
 
-    ends = _defect(np.array([-1.0, 0.0]), beta, h, distinct, weights)
+    ends, _ = _defect(np.array([-1.0, 0.0]), beta, h, distinct, weights)
     if not (ends[0] >= 0.0 and ends[1] < 0.0):
         raise RegimeError(f"no self-consistent magnetization: defect endpoints G(-1)={ends[0]:.6g}, "
                           f"G(0)={ends[1]:.6g} do not bracket a root")
     spans, cells, passes = _root_cells(beta, h, distinct, weights)
     points = np.unique([m for lo, hi, _ in spans for m in (lo, hi)])
-    value_at = dict(zip(points.tolist(), _defect(points, beta, h, distinct, weights).tolist()))
+    value_at = dict(zip(points.tolist(), _defect(points, beta, h, distinct, weights)[0].tolist()))
     roots = []
     for lo, hi, undecided in spans:
         f_lo, f_hi = value_at[lo], value_at[hi]
@@ -305,7 +312,6 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
         bound, params, couplings, grid,
         diagnostics={
             "bound_from_coupling": bound_from_coupling,
-            "bound_tightest": bound if bound_from_coupling is None else min(bound, bound_from_coupling),
             "distinct_gaps": distinct.size,
             "cells": cells,
             "enclosure_passes": passes,

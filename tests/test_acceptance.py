@@ -12,30 +12,27 @@ import time
 import numpy as np
 import pytest
 
-from magnonkit import (
-    CouplingSet,
-    LatticeSpec,
-    MomentumGrid,
-    ThermalParams,
+from magnonkit.dynamics import (
+    equilibrium_state,
+    evolve,
+    number_density,
+    number_density_rate,
+    packet_state,
+    total_energy,
+    total_number,
+)
+from magnonkit.lattice import CouplingSet, LatticeSpec, MomentumGrid, validate_ferromagnetic
+from magnonkit.oracle import (
+    SpinConfig,
     build_gibbs,
     commutator_expectation,
     convergence_study,
     energy_entropy_margin,
-    equilibrium_state,
-    evolve,
     fluctuation_two_point,
-    magnetization_bound,
-    number_density,
-    number_density_rate,
-    packet_state,
-    sector_decomposition,
-    solve_magnetization,
-    total_energy,
-    total_number,
-    validate_ferromagnetic,
     wick_residual,
 )
-from magnonkit.oracle import SpinConfig
+from magnonkit.sectors import sector_decomposition
+from magnonkit.spinwave import ThermalParams, magnetization_bound, solve_magnetization
 from test_dynamics import state_from_covariance
 from test_oracle import expect_product
 

@@ -14,16 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnonkit import (
-    CouplingSet,
-    LatticeSpec,
-    MomentumGrid,
-    artifacts,
-    evolve,
-    exchange_gap_grid,
-    packet_state,
-)
+from magnonkit import artifacts
 from magnonkit.artifacts import fmt, write_csv, write_json
+from magnonkit.dynamics import evolve, packet_state
+from magnonkit.lattice import CouplingSet, LatticeSpec, MomentumGrid, exchange_gap_grid
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 2.0]
 

@@ -17,22 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magnonkit
-from magnonkit import (
-    CouplingSet,
-    LatticeSpec,
-    MomentumGrid,
-    ThermalParams,
-    cli,
-    evolve,
-    number_density,
-    occupation,
-    oracle,
-    packet_state,
-    total_energy,
-    total_number,
-)
+from magnonkit import cli, oracle
 from magnonkit.artifacts import fmt
 from magnonkit.cli import main
+from magnonkit.dynamics import evolve, number_density, packet_state, total_energy, total_number
+from magnonkit.lattice import CouplingSet, LatticeSpec, MomentumGrid
+from magnonkit.spinwave import ThermalParams, occupation
 from test_artifacts import reference_csv, reference_dumps
 
 ISO_CSV = "dz1,J,J3\n1,1.0,1.0\n"
@@ -313,7 +303,7 @@ class TestSolveCommand:
         assert gap0 > 0.0
         assert diagnostics["bound_from_coupling"] == -1.0 + 2.0 / math.expm1(2.0 * gap0)
         assert doc["bound"] == -1.0 + 2.0 / math.expm1(6.0)
-        assert diagnostics["bound_tightest"] == min(doc["bound"], diagnostics["bound_from_coupling"])
+        assert "bound_tightest" not in diagnostics  # the smaller of the two, each stated above
 
     @pytest.mark.parametrize("size", [8, 9, 64])
     @pytest.mark.parametrize("csv_body", [ISO_CSV, "dz1,J,J3\n1,1.0,1.0\n2,0.2,0.2\n"], ids=["nn", "nnn"])
@@ -939,6 +929,22 @@ def test_run_computes_the_gap_grid_once(case, workspace):
     tmp_path, make = workspace
     assert main([command, "--config", str(make(body)), "--out", str(tmp_path)]) == 0
     assert magnonkit.lattice.exchange_gap_grid.cache_info().misses == (command != "sectors")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dynamics.m", "0.0", "quantization parameter must lie in [-1, 0), got 0.0"),
+    ("dynamics.packet_width", "1e-200", "packet width must be > 0 with 2*width**2 > 0, got 1e-200"),
+    ("dynamics.packet_center", "8", "packet center 8 outside the sites [0, 8)"),
+    ("dynamics.packet_kick", "999", "packet kick_index 999 outside the grid momenta [0, 8)"),
+])
+def test_packet_refusals_come_before_the_gap_grid(key, value, message, workspace, capsys):
+    # the configuration and the lattice alone decide them, so the regime check has not run
+    keys = {"dynamics.initial": "packet", "dynamics.m": "-0.8", key: value}
+    tmp_path, make = workspace
+    conf = make(DYNAMICS_CONF + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["dynamics", "--config", str(conf), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert magnonkit.lattice.exchange_gap_grid.cache_info().misses == 0
 
 
 def embedded_config(path: Path) -> dict[str, str]:

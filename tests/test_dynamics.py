@@ -6,26 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnonkit import (
-    CouplingSet,
+from magnonkit import dynamics
+from magnonkit.dynamics import (
     GaussianMagnonState,
-    LatticeSpec,
-    MomentumGrid,
-    RegimeError,
-    ThermalParams,
     equilibrium_state,
     evolve,
-    exchange_gap_grid,
     mode_spectrum,
     number_density,
     number_density_rate,
     packet_state,
-    solve_magnetization,
     total_energy,
     total_number,
 )
-from magnonkit import dynamics
-from magnonkit.lattice import coupling_matrix
+from magnonkit.lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
+from magnonkit.spinwave import RegimeError, ThermalParams, solve_magnetization
 
 LAT8 = LatticeSpec(1, 8)
 GRID8 = MomentumGrid.from_lattice(LAT8)

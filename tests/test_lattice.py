@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnonkit import (
+from magnonkit import lattice as lattice_module
+from magnonkit.lattice import (
+    MAX_SITES,
     CouplingSet,
     LatticeSpec,
     MomentumGrid,
@@ -18,8 +20,6 @@ from magnonkit import (
     load_couplings_csv,
     validate_ferromagnetic,
 )
-from magnonkit import lattice as lattice_module
-from magnonkit.lattice import MAX_SITES
 
 
 def nn_chain(j=1.0, j3=1.0, h=0.0):

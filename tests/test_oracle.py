@@ -10,33 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnonkit import (
-    CouplingSet,
-    LatticeSpec,
-    MomentumGrid,
-    SpinConfig,
-    ThermalParams,
-    build_gibbs,
-    commutator_expectation,
-    convergence_study,
-    coupling_matrix,
-    energy_entropy_margin,
-    exchange_gap_grid,
-    fluctuation_two_point,
-    occupation,
-    wick_residual,
-)
 from magnonkit import oracle
+from magnonkit.lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
 from magnonkit.oracle import (
     GibbsEnsemble,
+    SpinConfig,
     _Block,
     _hamiltonian,
     _orbits,
     _product_basis,
     _split_by_magnetization,
     _symmetries,
+    build_gibbs,
+    commutator_expectation,
+    convergence_study,
+    energy_entropy_margin,
+    fluctuation_two_point,
+    wick_residual,
 )
 from magnonkit.sectors import sector_decomposition
+from magnonkit.spinwave import ThermalParams, occupation
 
 CHAIN2 = LatticeSpec(1, 2)
 GRID2 = MomentumGrid.from_lattice(CHAIN2)
@@ -891,8 +884,13 @@ class TestOrbits:
             block_word(*by_label[label], word), rel=0.0, abs=1e-10)
 
     def test_refuses_momenta_off_the_grid(self):
+        # every observable reads its momenta by the grid's one rule
         ensemble = build_gibbs(SpinConfig(3, CHAIN4, SHELLS12), beta=0.9)
-        for func in (wick_residual, energy_entropy_margin):
+        calls = (wick_residual, energy_entropy_margin, fluctuation_two_point,
+                 lambda e, q: commutator_expectation(e, q, q),
+                 lambda e, q: commutator_expectation(e, q, [0.0]),
+                 lambda e, q: commutator_expectation(e, [0.0], q))
+        for func in calls:
             with pytest.raises(ValueError, match="not on the grid"):
                 func(ensemble, [0.3])
 

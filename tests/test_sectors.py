@@ -1,6 +1,6 @@
 import pytest
 
-from magnonkit import SectorEntry, sector_decomposition
+from magnonkit.sectors import SectorEntry, sector_decomposition
 
 
 def test_single_copy():
