@@ -16,9 +16,9 @@ The constructor takes m, n and the psi_r themselves.
 Evolution is exact: every mode picks up the phase exp(-i m eps(q) t), so n
 is fixed and each psi_r is multiplied by the phases, O(rN).  The site
 density is mean(n) + sum_r |U psi_r|^2 with one lattice FFT per amplitude,
-O(rN log N), and its rate reads the covariance on coupled pairs only,
-O(rN z) for z couplings.  The dense N x N covariance is built only when
-``gamma`` is read.
+O(rN log N), and the total number and energy are closed forms in the mode
+basis.  The dense N x N covariance, the one object of N**2 numbers, is
+built only when ``gamma`` is read (as the ``dynamics`` snapshot does).
 """
 
 from __future__ import annotations
@@ -161,7 +161,10 @@ def packet_state(
     width: float = 1.0,
     kick_index: int = 0,
 ) -> GaussianMagnonState:
-    """Rank-one localized packet (site Gaussian profile with a momentum kick).
+    """Rank-one localized packet: a site Gaussian profile times the plane wave of a momentum kick.
+
+    The profile is exp(-|x - center|**2 / (2 width**2)), with |x - center|
+    the distance on the torus; the kick is the grid momentum of ``kick_index``.
 
     Raises ValueError unless ``width`` > 0 and ``2 * width**2`` is nonzero,
     since a vanishing or negative width has no Gaussian profile, and unless
@@ -216,30 +219,6 @@ def number_density(state: GaussianMagnonState) -> np.ndarray:
     """Magnon number density <F+(x) F-(x)> = mean(n) + sum_r |(U psi_r)(x)|^2 at each site."""
     site = _transform(state.amplitudes, state.grid.lattice, to_mode=False)
     return np.mean(state.occupations) + np.sum(site.real**2 + site.imag**2, axis=0)
-
-
-def number_density_rate(state: GaussianMagnonState) -> np.ndarray:
-    """Exact time derivative of the number density in the current state.
-
-    Only the transverse exchange moves magnons: the rate at x is
-    4 m sum_z J(z) Im gamma_site(x, x - z).  The diagonal part of the
-    covariance gives gamma_site(x, x - z) = c(z), one FFT of n(q) divided by
-    sqrt(N), and each amplitude gives phi(x) phi(x - z)^* with phi = U psi,
-    so only the coupled pairs are visited, O(rN z).  Evenness of the
-    coupling makes the c(z) sum vanish (any translation-invariant state is
-    stationary), and the site sum vanishes identically (number
-    conservation).
-    """
-    lattice = state.grid.lattice
-    shape, axes = (lattice.size,) * lattice.dimension, tuple(range(1, lattice.dimension + 1))
-    site = _transform(state.amplitudes, lattice, to_mode=False).reshape((-1,) + shape)
-    uniform = _transform(state.occupations[None, :], lattice, to_mode=False).reshape(shape)
-    im_c = uniform.imag / math.sqrt(lattice.n_sites)
-    rate = np.zeros(shape)
-    for z, j in state.couplings.exchange.items():
-        pairs = site * np.roll(site, z, axis=axes).conj()
-        rate += j * (np.sum(pairs.imag, axis=0) + im_c[tuple(np.mod(z, lattice.size))])
-    return 4.0 * state.m * rate.reshape(-1)
 
 
 def total_number(state: GaussianMagnonState) -> float:

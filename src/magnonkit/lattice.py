@@ -6,6 +6,16 @@ vector and are even, ``J(z) == J(-z)``: the :class:`CouplingSet`
 constructor fills each missing mirror, refuses a conflicting one, and
 stores read-only maps.  Evenness is what makes every lattice Fourier
 transform used downstream real.
+
+A :class:`MomentumGrid` holds every lattice momentum, and momentum
+functions exist only in grid form: :func:`fourier_coupling_grid` and
+:func:`exchange_gap_grid` return one value per grid momentum, in grid
+order, and :func:`validate_ferromagnetic` judges the regime by the gap
+D(q) = J3(0) - J(q) on the grid.  A momentum given from outside (the
+oracle's q, its observables' momenta) is read by
+:meth:`MomentumGrid.index_of`, and one grid momentum by
+:meth:`MomentumGrid.point`, so neither forms the grid's N x dimension
+points.
 """
 
 from __future__ import annotations
@@ -30,8 +40,10 @@ _ON_GRID_TOL = 1e-9
 #: held at once, so each temporary stays at 8 MB whatever the grid size.
 _FOURIER_CHUNK_ELEMENTS = 1 << 20
 
-#: Largest lattice any engine accepts, in sites.  A solve takes about 220 bytes
-#: per site (10**6 sites, 220 MB), so this keeps one under 4 GB.
+#: Largest lattice any engine accepts, in sites.  At the cap (3D, L = 256) an
+#: in-process ``magnonkit solve`` peaked at 447 MB RSS writing JSON, about 27
+#: bytes per site, and at 1215 MB writing CSV, whose table forms the grid's
+#: points (2-vCPU VM, one BLAS thread).
 MAX_SITES = 2**24
 
 
@@ -91,9 +103,9 @@ class CouplingSet:
     exchange : mapping displacement -> float
         Transverse coupling J.  Even; a displacement listed without its
         mirror -z gets the mirror's value filled in, and a mirror listed with
-        a different value is refused, as are two keys for one displacement
-        (``1`` and ``(1,)``) with different values.  Must vanish at zero
-        displacement.
+        a different value (a listed zero included) is refused, as are two
+        keys for one displacement (``1`` and ``(1,)``) with different values.
+        Must vanish at zero displacement.
     exchange_z : mapping displacement -> float
         Longitudinal coupling J3, same rules.
     h : float
@@ -101,8 +113,10 @@ class CouplingSet:
 
     ``exchange`` and ``exchange_z`` are stored as read-only maps: the listed
     entries first, then the filled mirrors in listing order, with zero values
-    dropped.  ``scale``, sum_z |J(z)| + |J3(z)| over the filled maps, bounds
-    every term of the gap and must be finite.  Any violation is a ValueError.
+    dropped, so a set stays even once built.  ``scale``, sum_z |J(z)| + |J3(z)|
+    over the filled maps, bounds every term of the gap and must be finite
+    (``inf``, ``nan`` and values such as 1e308 whose sum overflows are
+    refused).  Any violation is a ValueError.
     A coupling set compares by identity (it defines no ``__eq__``) and nothing
     reassigns its maps, so :func:`exchange_gap_grid` keys its cache by the set.
     """
@@ -162,7 +176,10 @@ class CouplingSet:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Every lattice momentum 2*pi*n/L, one per site n, lexicographic in n, k=0 first: a function of the lattice."""
+    """Every lattice momentum 2*pi*n/L, one per site n, lexicographic in n, k=0 first.
+
+    A function of the lattice, its one field: two grids of one lattice are equal.
+    """
 
     lattice: LatticeSpec
 
@@ -181,7 +198,11 @@ class MomentumGrid:
         return self.lattice.n_sites
 
     def point(self, index: int) -> np.ndarray:
-        """The momentum of one grid index, from the index's digits in the site radix: ``points[index]``, bit for bit."""
+        """The momentum of one grid index, from the index's digits in the site radix: ``points[index]``, bit for bit.
+
+        The regime check's minimizing momentum, the oracle's q and a packet's
+        kick are read this way, so none of them forms :attr:`points`.
+        """
         size, dimension = self.lattice.size, self.lattice.dimension
         if not 0 <= index < len(self):
             raise IndexError(f"grid index {index} outside [0, {len(self)})")
@@ -189,7 +210,10 @@ class MomentumGrid:
         return 2.0 * np.pi * digits / size
 
     def index_of(self, k) -> int:
-        """Grid index of any image of a lattice momentum 2*pi*n/L, up to ``_ON_GRID_TOL`` per component."""
+        """Grid index of any image of a lattice momentum 2*pi*n/L, up to ``_ON_GRID_TOL`` per component.
+
+        A momentum farther than that from every lattice momentum is a ValueError.
+        """
         k = np.atleast_1d(np.asarray(k, dtype=float))
         size = self.lattice.size
         if k.shape != (self.lattice.dimension,):
@@ -229,8 +253,9 @@ def fourier_coupling_grid(couplings: CouplingSet, grid: MomentumGrid) -> np.ndar
     cosine table is exactly even and held in units of 2**-shift, with the
     shift as fine as int64 allows for the largest group.  Each group sum is
     rounded once, then weighted, and the groups are added in a fixed order.
-    A lattice symmetry that maps the couplings to themselves permutes the
-    terms within each group, so it leaves the sum bit for bit.  The grid
+    A lattice symmetry that maps the couplings to themselves (the mirror
+    n -> -n, axis reflections and permutations) permutes the terms within
+    each group, so momenta it relates get bit-equal values.  The grid
     holds every lattice momentum, so each n is read off its grid index as
     the index's digits in the site radix.
     """

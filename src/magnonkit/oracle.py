@@ -50,10 +50,14 @@ phase, and F+(-q) is the conjugate of F+(q)), and only the site-resolved
 two-point function scatters the representative's values through the members'
 permutations.  The fluctuation observables at one momentum (Wick residual,
 both energy-entropy margins) share one pass per pair {q, -q} that forms each
-stored F+(q) piece once.  A brute-force full-tensor path is kept for
-cross-validation: it indexes the 2**(copies*sites) qubit states by bits and
-builds one dense Hamiltonian from single-qubit flips, with no sectors,
-orbits, flips or collective spins, and diagonalizes it unsplit.
+stored F+(q) piece once.  They and :func:`fluctuation_two_point` and
+:func:`commutator_expectation` measure how close the exact state comes to
+the quasi-free prediction; each takes only momenta of the lattice's grid,
+read by ``MomentumGrid.index_of``, and refuses any other with a ValueError.
+A brute-force full-tensor path is kept for cross-validation: it indexes
+the 2**(copies*sites) qubit states by bits and builds one dense Hamiltonian
+from single-qubit flips, with no sectors, orbits, flips or collective
+spins, and diagonalizes it unsplit.
 
 Conventions: collective spins are Pauli sums (z eigenvalues are integers of
 the same parity as n, [S+, S-] = S3), and the pair couplings are periodized
@@ -727,7 +731,8 @@ def build_gibbs(config: SpinConfig, beta: float, mode: str = "sector") -> GibbsE
     ``mode="sector"`` walks the per-site total-spin assignments (fast path);
     ``mode="full"`` diagonalizes the dense Hamiltonian on all
     2**(copies*sites) qubit states, built by bit arithmetic, and is only
-    meant for cross-validation at small sizes (``MAX_FULL_DIM``).
+    meant for cross-validation at small sizes (``MAX_FULL_DIM``): no
+    command runs it.
     """
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
@@ -821,13 +826,16 @@ class ConvergenceRow:
     2 beta max_i |E_i| eps |t_n|, since each weight exp(-beta (E - E0))
     carries up to beta (|E| + |E0|) eps from its energies (0 at t_n = 0 and
     finite at every finite beta); and p_n's first-order rounding through
-    m_n, |dp/dm| T eps |m_n| for the T terms summed into sigma3 (each
-    representative's dim terms, then one per representative), with
-    dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)).  A discrepancy at or below it
-    is rounding noise.  ``logZ`` and ``ground_energy`` are the ensemble's,
-    ``representatives`` counts the orbits under translations and inversion
-    (one block diagonalized each) and ``max_sector_dim`` is the largest
-    matrix passed to ``eigh``.
+    m_n, |dp/dm| T eps |m_n| for the T = sum_reps (dim + 1) terms summed
+    into sigma3 (each representative's dim terms, then one per
+    representative), with dp/dm = p (1/m + 2 beta D e^x / (e^x - 1)) at
+    x = 2 beta (h - m D) and the gap D at q.  A discrepancy at or below it
+    is rounding noise: on cold, nearly saturated inputs |t_n - p_n| falls
+    to that level (at q = 0 p_n carries the last bits of m_n magnified, and
+    t_n those of its weights).  ``logZ`` and ``ground_energy`` are the
+    ensemble's, ``representatives`` counts the orbits under translations
+    and inversion (one block diagonalized each) and ``max_sector_dim`` is
+    the largest matrix passed to ``eigh``.
     """
 
     n: int
@@ -859,7 +867,9 @@ def convergence_study(
     rung's ``SpinConfig`` refuses its copy count or its size before the first
     rung is built.  The gaps are :func:`exchange_gap_grid`'s, the
     grid a regime check on the same pair kept.  A rung whose
-    magnetization is positive (not ordered along -S3) is a RegimeError.
+    magnetization is positive (not ordered along -S3; on one site, say,
+    where J(+-1) folds onto the site itself and the exact state orders
+    along +S3) is a RegimeError.
     Every rung is built by the sector engine; ``build_gibbs(..., mode="full")`` referees it.
     """
     configs = [SpinConfig(copies=int(n), lattice=lattice, couplings=couplings) for n in copies_list]

@@ -2,8 +2,12 @@
 
 The magnetization m = <sigma3> lives in [-1, 0].  Mode occupations follow a
 Bose factor whose argument couples m back to itself through the grid average
-of the occupations, so m is a root of ``G(m) = mean_q n(q; m) - (1 + m)/2``,
-evaluated over the distinct gaps weighted by their multiplicity.
+of the occupations, so m is a root of ``G(m) = mean_q n(q; m) - (1 + m)/2``.
+n(q) depends on q only through the gap, so G is evaluated exactly as the
+mean over the distinct gap values weighted by their multiplicity: no value
+is rounded or merged.  One function, :func:`_defect`, evaluates it at every
+point the solver reads (the endpoints, the cell ends, each polish trial, the
+residual) and in :func:`selfconsistency_defect`, so all agree bit for bit.
 
 The solver encloses the roots by branch and bound over cells of u = -m in
 [0, 1].  With x = a + b*u (a = 2*beta*h, b = 2*beta*gap) and
@@ -13,10 +17,12 @@ B_lo and B_hi, n between u0*B_lo and u1*B_hi, and t*(1 + B) between
 b*u0*B_lo*(1 + B_lo) and b*u1*B_hi*(1 + B_hi).  Weighted and widened by an
 a-priori bound on their rounding, these enclose G and G' on a row of cells
 at once.  A cell whose G enclosure excludes 0 holds no root; one whose G'
-enclosure excludes 0 holds at most one; any other is split.  A root is then
-polished by safeguarded Newton: G and dG/dm = -(sum w (B - t*(1 + B)) + 1/2)
-come from one evaluation, every value narrows the bracket, and a step that
-leaves it is replaced by the bracket's midpoint in the order of doubles.
+enclosure excludes 0 holds at most one; any other is split, so two roots
+cannot hide between two evaluations.  A root is then polished by
+safeguarded Newton: dG/dm = -(sum w (B - t*(1 + B)) + 1/2) is formed from
+the occupations of the same evaluation as G, every value narrows the
+bracket, and a step that leaves it is replaced by the bracket's midpoint in
+the order of doubles.
 """
 
 from __future__ import annotations
@@ -104,18 +110,12 @@ def _energies(gaps, h: float, m: float):
 
 def _defect(ms: np.ndarray, beta: float, h: float, distinct: np.ndarray,
             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G and dG/dm at each trial m of the 1-D ``ms``, as means over the distinct gaps weighted by their share.
+    """G at each trial m of the 1-D ``ms``, as a mean over the distinct gaps weighted by their share.
 
-    dG/dm = -(sum w (B - b n (1 + B)) + 1/2) with b = 2 beta gap and B = n/(-m); it is NaN at m = 0.
+    Also returns the occupation rows, one per trial m, that G is the mean of.
     """
-    column = ms[:, None]
-    occ = _occupations(column, beta, h, distinct)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bose = occ / -column
-        terms = 2.0 * beta * distinct * occ
-        terms *= 1.0 + bose
-        np.subtract(bose, terms, out=terms)
-    return occ @ weights - 0.5 * (1.0 + ms), -0.5 - terms @ weights
+    occ = _occupations(ms[:, None], beta, h, distinct)
+    return occ @ weights - 0.5 * (1.0 + ms), occ
 
 
 def _distinct_gaps(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +177,10 @@ def _polish(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     doubles, where it returns 0.5 * (lo + hi).  A midpoint halves the count of
     doubles in the bracket, below 2**62 in [-1, 0]; after ``_NEWTON_SLACK``
     trials that fail to halve it, every trial is a midpoint, so no root costs
-    more than 62 + ``_NEWTON_SLACK`` evaluations.
+    more than 62 + ``_NEWTON_SLACK`` evaluations; one near m = 0
+    (beta = 1e-300) takes a few.  Where G is flat at rounding level (a band
+    of several ulps near a near-critical root), the trials decide which of
+    the band's sign changes it ends at.
     """
     x, slack, count = lo + f_lo * (hi - lo) / (f_lo - f_hi), _NEWTON_SLACK, _order(lo) - _order(hi)
     while True:
@@ -249,9 +252,29 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
     its :func:`_polish` if its ends change sign: a zero of the computed defect
     or a sign change between adjacent doubles, in at most 62 + ``_NEWTON_SLACK``
     evaluations; an undecided one else its midpoint, counted in
-    ``tangent_roots`` (``certified`` if none).  The root closest to -1 (the
-    low-temperature branch) is selected; its residual must be below tol.
-    ``polish_steps`` and ``defect_evaluations`` count evaluations.
+    ``tangent_roots`` (``certified`` if none); a tangent root is not a
+    failure.  The root closest to -1 (the low-temperature branch) is
+    selected; its residual must be below tol.  The occupations and the
+    dispersion of the solution are then evaluated on the full grid.
+
+    ``bound`` is :func:`magnetization_bound`.  The ``diagnostics``, the
+    object of that name in ``solution.json``:
+
+    - ``bound_from_coupling``: -1 + 2/(exp(2 beta gap(0)) - 1) exactly, from
+      row 0 of the gap grid (``validate.json``'s ``gap_at_zero``); None
+      when that gap is 0.
+    - ``distinct_gaps``: the bit-distinct gap values.  It counts the classes
+      of momenta related by a symmetry of the couplings, not rounding
+      noise: L//2 + 1 on a chain whose gap rises from q = 0 to pi, and 133
+      on the 16**3 nearest-neighbour torus, whose 165 classes take 129
+      values, a few of them as sums that round apart.
+    - ``cells``: enclosure cells examined; ``enclosure_passes``: vectorized
+      passes, one per depth.
+    - ``certified``: no tangent root, so every root was isolated in a cell
+      where G' has one sign; ``tangent_roots``: the undecided cells.
+    - ``polish_steps``: defect evaluations inside the polishes, one trial m
+      each; ``defect_evaluations``: every evaluation (the two endpoints,
+      the kept cells' ends, the polishes and the residual).
 
     Before any enclosure, beta is refused (ValueError) unless every Bose
     argument x = 2 beta (h + u gap), u in [0, 1], stays in the float range:
@@ -276,12 +299,22 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
                          f"{2.0 * beta * low!r} is below the smallest normal float {sys.float_info.min!r}")
     evaluations = 0
 
-    def defect(m: float) -> tuple[float, float]:
-        """G(m) and dG/dm, counted."""
+    def defect(m: float) -> tuple[float, np.ndarray]:
+        """G(m), counted, and the occupation row it is the mean of."""
         nonlocal evaluations
         evaluations += 1
-        value, slope = _defect(np.array([m]), beta, h, distinct, weights)
-        return float(value[0]), float(slope[0])
+        value, occ = _defect(np.array([m]), beta, h, distinct, weights)
+        return float(value[0]), occ
+
+    def newton(m: float) -> tuple[float, float]:
+        """G(m) and dG/dm = -(sum w (B - b n (1 + B)) + 1/2), b = 2 beta gap and B = n/(-m), from G's occupations."""
+        value, occ = defect(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bose = occ / -m
+            terms = 2.0 * beta * distinct * occ
+            terms *= 1.0 + bose
+            np.subtract(bose, terms, out=terms)
+        return value, float((-0.5 - terms @ weights)[0])
 
     ends, _ = _defect(np.array([-1.0, 0.0]), beta, h, distinct, weights)
     if not (ends[0] >= 0.0 and ends[1] < 0.0):
@@ -296,7 +329,7 @@ def solve_magnetization(params: ThermalParams, couplings: CouplingSet, grid: Mom
         if f_lo == 0.0:
             roots.append(lo)
         elif (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo):
-            roots.append(_polish(defect, lo, hi, f_lo, f_hi))
+            roots.append(_polish(newton, lo, hi, f_lo, f_hi))
         elif undecided:
             roots.append(0.5 * (lo + hi))
     tangent_roots = sum(undecided for *_, undecided in spans)  # each gives one root

@@ -16,7 +16,6 @@ from magnonkit.dynamics import (
     equilibrium_state,
     evolve,
     number_density,
-    number_density_rate,
     packet_state,
     total_energy,
     total_number,
@@ -33,6 +32,7 @@ from magnonkit.oracle import (
 )
 from magnonkit.sectors import sector_decomposition
 from magnonkit.spinwave import ThermalParams, magnetization_bound, solve_magnetization
+from referees import number_density_rate
 from test_dynamics import state_from_covariance
 from test_oracle import expect_product
 

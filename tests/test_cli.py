@@ -52,6 +52,9 @@ field.h = 1
 """
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def no_gap_grid(*args, **kwargs):
     """Stands in for the regime check in a run that must be refused before it."""
     raise AssertionError("the gap grid was built")
@@ -917,7 +920,7 @@ def test_artifacts_equal_the_reference_writers(case, workspace):
         else:
             results = [result_line(key, output.doc[key]) for key in CSV_RESULTS[command]]
             preamble = [f"{key} = {value}" for key, value in config.items()] + ["results"] + results
-            assert text == reference_csv(output.header, output.columns, preamble)
+            assert text == reference_csv(*output.table(), preamble)
 
 
 @pytest.mark.parametrize("case", ["validate-json", "solve-json", "oracle-json", "dynamics-equilibrium",
@@ -929,6 +932,18 @@ def test_run_computes_the_gap_grid_once(case, workspace):
     tmp_path, make = workspace
     assert main([command, "--config", str(make(body)), "--out", str(tmp_path)]) == 0
     assert magnonkit.lattice.exchange_gap_grid.cache_info().misses == (command != "sectors")
+
+
+@pytest.mark.parametrize("case", ["validate-json", "solve-json"])
+def test_json_run_builds_no_csv_table(case, workspace, monkeypatch):
+    # the CSV table, and so the grid's N x dimension points, is built only by a run that writes a CSV
+    def points(self):
+        raise AssertionError("the grid's points were formed")
+
+    monkeypatch.setattr(MomentumGrid, "points", property(points))
+    command, body, _ = GOLDEN_CASES[case]
+    tmp_path, make = workspace
+    assert main([command, "--config", str(make(body)), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1047,6 +1062,26 @@ def test_readme_key_table_matches_the_schema():
         for key in command.keys + tuple(key for *_, group in command.keys_if for key in group):
             readers[key].add(name)
     assert table == {key: (readers[key], default) for key, (_, default) in cli._SCHEMA.items()}
+
+
+def test_readme_artifact_table_matches_the_commands():
+    # the README names each command's artifacts, either format's by output.format or both, as COMMANDS writes them
+    readme = README.read_text().splitlines()
+    start = readme.index("| command | artifacts in `DIR` |") + 2
+    lines = itertools.takewhile(lambda line: line.startswith("| "), readme[start:])
+    table = dict(line.strip("| ").split(" | ") for line in lines)
+    assert table == {
+        f"`{name}`": f"`{c.json}` {'or' if 'output.format' in c.keys else 'and'} `{c.csv}`"
+        for name, c in cli.COMMANDS.items()
+    }
+
+
+def test_readme_relative_links_resolve():
+    # every link of the README that is not a URL or an anchor names a file of the repository
+    links = re.findall(r"\]\(([^)\s]+)\)", README.read_text())
+    relative = [link for link in links if not re.match(r"[a-z]+:|#", link)]
+    assert relative
+    assert [link for link in relative if not (README.parent / link.split("#")[0]).is_file()] == []
 
 
 class TestConfigParsing:

@@ -13,13 +13,13 @@ from magnonkit.dynamics import (
     evolve,
     mode_spectrum,
     number_density,
-    number_density_rate,
     packet_state,
     total_energy,
     total_number,
 )
 from magnonkit.lattice import CouplingSet, LatticeSpec, MomentumGrid, coupling_matrix, exchange_gap_grid
 from magnonkit.spinwave import RegimeError, ThermalParams, solve_magnetization
+from referees import number_density_rate
 
 LAT8 = LatticeSpec(1, 8)
 GRID8 = MomentumGrid.from_lattice(LAT8)

@@ -12,7 +12,6 @@ UNREFERENCED = {
     "oracle.py:commutator_expectation": "oracle-ladder's observable suite calls it; a column of ROADMAP direction 4",
     "oracle.py:energy_entropy_margin": "oracle-ladder's observable suite calls it; a column of ROADMAP direction 4",
     "oracle.py:wick_residual": "oracle-ladder's observable suite calls it; a column of ROADMAP direction 4",
-    "dynamics.py:number_density_rate": "test_criterion_08_dynamics_conservation checks evolve's time derivative against it",
 }
 
 # Methods and properties kept although no package module reads them, each for a stated reason.
